@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .factorization import RepresentationParams, apply_a, factorization_residual, make_phi
 from .nonexistence import count_zeros
-from .oracle import ShootingConfig, eigenfunction_overlap, sample_on_grid, shoot_spectrum
+from .oracle import eigenfunction_overlap, sample_on_grid, shoot_spectrum
 from .params import Couplings, reduce
 from .specfun import (
     gamma,
@@ -342,15 +342,6 @@ _CHECKS = (
 )
 
 
-def run_acceptance(quick: bool = False, threads: int = 1) -> tuple[CheckRow, ...]:
-    """Run the suite; quick=True keeps only the fast rows. `threads`
-    fans the independent rows over a pool (pure functions, determinism
-    is unaffected: results come back in table order)."""
-    fns = [fn for fn, is_quick in _CHECKS if is_quick or not quick]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(fn) for fn in fns]
-            return tuple(f.result() for f in futures)
-    return tuple(fn() for fn in fns)
+def run_acceptance(quick: bool = False) -> tuple[CheckRow, ...]:
+    """Run the suite in table order; quick=True keeps only the fast rows."""
+    return tuple(fn() for fn, is_quick in _CHECKS if is_quick or not quick)

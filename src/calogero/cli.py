@@ -9,8 +9,8 @@ over threshold.
 JSON output is deterministic byte for byte for identical inputs: fixed
 key order, floats at 17 significant digits, no timestamps. The JSON
 schema is always {inputs, reduced_params, results, checks, version};
-CSV carries the results table with a header row. CALOGERO_THREADS caps
-the worker pool of `verify` (everything else is sequential).
+CSV carries the results table with a header row. Negative numbers may
+be written in exponent notation (`--nu -1e-3`).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import csv
 import io
 import json
 import math
-import os
+import re
 import sys
 
 from . import __version__
@@ -29,7 +29,7 @@ from .errors import ConvergenceError, DomainError
 from .factorization import RepresentationParams, apply_a, factorization_residual, make_phi
 from .nonexistence import count_zeros
 from .params import Couplings, RegionClass, classify, reduce
-from .spectral import extension_for, set_gamma_perturbation, spectrum
+from .spectral import extension_for, gamma_skew, spectrum
 from .oracle import shoot_spectrum
 
 __all__ = ["main"]
@@ -152,20 +152,6 @@ def _pick_extension(rp, args, parser) -> tuple:
     else:
         parser.error("kappa < 1: the extension is not unique, pass --nu RADIANS or --friedrichs")
     return ext, ext.label.value
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("CALOGERO_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        print(f"CALOGERO_THREADS must be a positive integer, got {raw!r}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -434,14 +420,11 @@ def _cmd_nonexistence(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
-    threads = _threads_from_env()
-    if args.inject_gamma_bug:
-        set_gamma_perturbation(0.01)
+    token = gamma_skew.set(0.01 if args.inject_gamma_bug else 0.0)
     try:
-        rows = run_acceptance(quick=args.quick, threads=threads)
+        rows = run_acceptance(quick=args.quick)
     finally:
-        if args.inject_gamma_bug:
-            set_gamma_perturbation(0.0)
+        gamma_skew.reset(token)
 
     inputs = {
         "command": "verify",
@@ -481,6 +464,10 @@ def _cmd_verify(args, parser) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
+
+# argparse's own pattern reads "-1e-3" as an option string, so a value in
+# exponent notation would need the "--nu=-1e-3" form; this one accepts it
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _add_io_flags(sp) -> None:
@@ -545,6 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(vf)
     vf.set_defaults(func=_cmd_verify)
 
+    for sp in sub.choices.values():
+        sp._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -62,7 +62,6 @@ def count_zeros(
     u: float,
     interval: tuple[float, float],
     init: tuple[float, float] = (1.0, 0.0),
-    steps: int | None = None,
 ) -> ZeroCountReport:
     """Count strict sign changes of the solution seeded by `init`.
 
@@ -70,8 +69,8 @@ def count_zeros(
     itself: g1 < -1/4 integrates toward the origin (init given at x_hi),
     otherwise g2 < 0 integrates outward (init given at x_lo), otherwise
     the admissible-cone existence check runs inward from x_hi. `init` is
-    (phi, phi') at the seeding end. `steps` overrides the segment count;
-    it may only refine the phase-derived minimum, never coarsen it.
+    (phi, phi') at the seeding end. The segment count follows from the
+    phase budget `_PHASE_CAP`, with a floor of 16 segments.
     """
     g1, g2 = float(c.g1), float(c.g2)
     if not (math.isfinite(g1) and math.isfinite(g2) and math.isfinite(u)):
@@ -97,16 +96,7 @@ def count_zeros(
         phase = 0.0
     predicted = phase / math.pi
 
-    n_min = max(16, math.ceil(phase / _PHASE_CAP))
-    if steps is None:
-        n_seg = n_min
-    elif steps < n_min:
-        raise DomainError(
-            f"count_zeros: {steps} segments cannot resolve ~{predicted:.1f} "
-            f"oscillations, need at least {n_min}"
-        )
-    else:
-        n_seg = int(steps)
+    n_seg = max(16, math.ceil(phase / _PHASE_CAP))
 
     if mode == "infinity":
         # outward, uniform in x^2 so every segment carries equal phase

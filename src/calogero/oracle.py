@@ -56,19 +56,21 @@ __all__ = [
 
 _EULER_GAMMA = 0.5772156649015328606
 
+_REFINE_TOL = 1e-10  # refinement and eigenfunction integration tolerance
+_SCAN_TOL = 1e-7  # bracketing-scan integration tolerance
+_SCAN_STEP = 0.4  # bracketing-scan energy step, in units of upsilon^2
+_N_GRID = 801  # eigenfunction sample points on the window (odd)
+_SERIES_MAX_TERMS = 60  # Frobenius series terms at the left boundary
+
 
 @dataclass(frozen=True)
 class ShootingConfig:
-    """Window and tolerance knobs, all in physical x units (None means
-    the upsilon-scaled default)."""
+    """Integration window, in physical x units (None means the
+    upsilon-scaled default)."""
 
     x_min: float | None = None  # default 0.02 / upsilon
     x_max: float | None = None  # default 8 / upsilon
     x_match: float | None = None  # default 1 / upsilon
-    rel_tol: float = 1e-10  # refinement integration tolerance
-    scan_tol: float = 1e-7  # bracketing-scan integration tolerance
-    scan_step: float = 0.4  # in units of upsilon^2
-    n_grid: int = 801  # eigenfunction sample points (odd)
 
     def resolved(self, ups: float) -> tuple[float, float, float]:
         x_min = self.x_min if self.x_min is not None else 0.02 / ups
@@ -101,14 +103,14 @@ class OracleSpectrum:
 # boundary data
 
 
-def _frobenius(s: float, g2: float, E: float, ups: float, x: float, max_terms: int = 60):
+def _frobenius(s: float, g2: float, E: float, ups: float, x: float):
     """(F_s, F_s') at x from the series around the origin."""
     a_km1, a_km2 = 1.0, 0.0
     x2 = x * x
     P = 1.0
     dP = 0.0
     xk = 1.0  # x^{2k}
-    for k in range(1, max_terms + 1):
+    for k in range(1, _SERIES_MAX_TERMS + 1):
         a_k = (-E * a_km1 + g2 * a_km2) / (2.0 * k * (2.0 * s + 2.0 * k - 1.0))
         xk *= x2
         term = a_k * xk
@@ -125,7 +127,7 @@ def _frobenius(s: float, g2: float, E: float, ups: float, x: float, max_terms: i
     return pw * P, pw * (s * P / x + dP)
 
 
-def _frobenius_log(g2: float, E: float, ups: float, x: float, max_terms: int = 60):
+def _frobenius_log(g2: float, E: float, ups: float, x: float):
     """kappa = 0 second solution (L, L') at x; see the module docstring."""
     x2 = x * x
     a_km1, a_km2 = 1.0, 0.0
@@ -133,7 +135,7 @@ def _frobenius_log(g2: float, E: float, ups: float, x: float, max_terms: int = 6
     P, dP = 1.0, 0.0
     B, dB = 0.0, 0.0
     xk = 1.0
-    for k in range(1, max_terms + 1):
+    for k in range(1, _SERIES_MAX_TERMS + 1):
         a_k = (-E * a_km1 + g2 * a_km2) / (4.0 * k * k)
         b_k = (-4.0 * k * a_k - E * b_km1 + g2 * b_km2) / (4.0 * k * k)
         xk *= x2
@@ -250,15 +252,14 @@ def shoot_spectrum(
 
     e_lo = _scan_floor(rp, ext)
     e_top = 2.0 * (2 * (n_max - 1) + 1 + rp.kappa) + 0.2
-    step = cfg.scan_step
 
     roots: list[float] = []
     resids: list[float] = []
     e = e_lo
-    w_prev = _mismatch(rp, ext, e * ups2, cfg, cfg.scan_tol)
+    w_prev = _mismatch(rp, ext, e * ups2, cfg, _SCAN_TOL)
     while e < e_top and len(roots) < n_max:
-        e_next = min(e + step, e_top)
-        w_next = _mismatch(rp, ext, e_next * ups2, cfg, cfg.scan_tol)
+        e_next = min(e + _SCAN_STEP, e_top)
+        w_next = _mismatch(rp, ext, e_next * ups2, cfg, _SCAN_TOL)
         if (w_prev > 0.0) != (w_next > 0.0):
             root, resid = _refine(rp, ext, e * ups2, e_next * ups2, cfg)
             roots.append(root)
@@ -282,19 +283,19 @@ def shoot_spectrum(
 def _refine(rp, ext, E_lo, E_hi, cfg) -> tuple[float, float]:
     # coarse bisection at scan tolerance down to a narrow bracket, then
     # secant at the refinement tolerance
-    w_lo = _mismatch(rp, ext, E_lo, cfg, cfg.scan_tol)
+    w_lo = _mismatch(rp, ext, E_lo, cfg, _SCAN_TOL)
     for _ in range(40):
         if E_hi - E_lo <= 1e-6 * (1.0 + abs(E_lo)):
             break
         mid = 0.5 * (E_lo + E_hi)
-        w_mid = _mismatch(rp, ext, mid, cfg, cfg.scan_tol)
+        w_mid = _mismatch(rp, ext, mid, cfg, _SCAN_TOL)
         if (w_mid > 0.0) == (w_lo > 0.0):
             E_lo, w_lo = mid, w_mid
         else:
             E_hi = mid
     a, b = E_lo, E_hi
-    fa = _mismatch(rp, ext, a, cfg, cfg.rel_tol)
-    fb = _mismatch(rp, ext, b, cfg, cfg.rel_tol)
+    fa = _mismatch(rp, ext, a, cfg, _REFINE_TOL)
+    fb = _mismatch(rp, ext, b, cfg, _REFINE_TOL)
     best, f_best = (a, fa) if abs(fa) < abs(fb) else (b, fb)
     for _ in range(30):
         if fb == fa:
@@ -303,7 +304,7 @@ def _refine(rp, ext, E_lo, E_hi, cfg) -> tuple[float, float]:
         # keep the iterate inside a sane neighborhood of the bracket
         if not (min(a, b) - 1e-3 <= c <= max(a, b) + 1e-3):
             c = 0.5 * (a + b)
-        fc = _mismatch(rp, ext, c, cfg, cfg.rel_tol)
+        fc = _mismatch(rp, ext, c, cfg, _REFINE_TOL)
         if abs(fc) < abs(f_best):
             best, f_best = c, fc
         a, fa, b, fb = b, fb, c, fc
@@ -355,7 +356,7 @@ _ORIGIN_POINTS = 96
 
 def _eigenfunction(rp, ext, E, cfg) -> OracleEigenfunction:
     x_min, x_max, x_match = cfg.resolved(rp.upsilon)
-    n = cfg.n_grid if cfg.n_grid % 2 == 1 else cfg.n_grid + 1
+    n = _N_GRID
     grid = [x_min + (x_max - x_min) * i / (n - 1) for i in range(n)]
     i_match = min(range(n), key=lambda i: abs(grid[i] - x_match))
     g1, g2 = rp.g1, rp.g2
@@ -374,7 +375,7 @@ def _eigenfunction(rp, ext, E, cfg) -> OracleEigenfunction:
         i = i_from
         while i != i_to:
             j = i + step_dir
-            res = integrate(f, x, y, grid[j], rel_tol=cfg.rel_tol)
+            res = integrate(f, x, y, grid[j], rel_tol=_REFINE_TOL)
             x, y, ls = grid[j], list(res.y), ls + res.log_scale
             out[j] = (y[0], ls)
             i = j

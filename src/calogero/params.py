@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
-__all__ = ["Couplings", "ReducedParams", "RegionClass", "reduce", "classify", "nonexistence_flags"]
+__all__ = ["Couplings", "ReducedParams", "RegionClass", "reduce", "classify"]
 
 
 @dataclass(frozen=True)
@@ -105,8 +105,3 @@ def classify(g1: float, g2: float) -> RegionClass:
     if kappa2 == 0.0:
         return RegionClass.FamilyKappaZero
     return RegionClass.FamilyKappaPositive
-
-
-def nonexistence_flags(g1: float, g2: float) -> tuple[bool, bool]:
-    """(fall_to_center, fall_to_infinity); both can be set at once."""
-    return (g1 < -0.25, g2 < 0.0)

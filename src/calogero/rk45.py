@@ -6,7 +6,7 @@ no scipy, just the textbook tableau and proportional step control.
 
 Solutions of the radial problem sweep hundreds of orders of magnitude
 under a potential barrier, so the state vector is renormalized to unit
-scale whenever its magnitude passes `renorm_threshold`, and the running
+scale whenever its magnitude passes `_RENORM_THRESHOLD`, and the running
 log of the extracted factors is reported as `log_scale`: the true
 solution is y * exp(log_scale).  Renormalization commutes with the
 linear ODEs this package integrates.
@@ -36,6 +36,10 @@ _B5 = (37.0 / 378.0, 0.0, 250.0 / 621.0, 125.0 / 594.0, 0.0, 512.0 / 1771.0)
 _B4 = (2825.0 / 27648.0, 0.0, 18575.0 / 48384.0, 13525.0 / 55296.0, 277.0 / 14336.0, 1.0 / 4.0)
 _E = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
 
+_RENORM_THRESHOLD = 1e100
+# accepted plus rejected steps before a call gives up
+_MAX_STEPS = 200_000
+
 
 @dataclass(frozen=True)
 class IntegrationResult:
@@ -45,10 +49,6 @@ class IntegrationResult:
     n_steps: int
     n_rejected: int
 
-    def true_y(self) -> tuple[float, ...]:
-        s = math.exp(self.log_scale)
-        return tuple(v * s for v in self.y)
-
 
 def integrate(
     f: Callable[[float, Sequence[float]], Sequence[float]],
@@ -56,18 +56,15 @@ def integrate(
     y0: Sequence[float],
     x1: float,
     rel_tol: float = 1e-10,
-    abs_tol: float = 0.0,
-    max_step: float | None = None,
-    first_step: float | None = None,
-    renorm_threshold: float = 1e100,
-    max_steps: int = 200_000,
 ) -> IntegrationResult:
     """Integrate y' = f(x, y) from x0 to x1 (either direction).
 
-    abs_tol = 0.0 makes the error control purely relative, which is the
-    right frame for solutions that pass through 1e-200 on their way up a
-    barrier; components near a simple zero are still guarded because the
-    error is weighed against the max of old and new magnitudes.
+    The error control is purely relative, which is the right frame for
+    solutions that pass through 1e-200 on their way up a barrier;
+    components near a simple zero are still guarded because the error is
+    weighed against the max of old and new magnitudes.  The first step is
+    1/128 of the span; more than `_MAX_STEPS` attempted steps raise
+    ConvergenceError.
     """
     if math.isnan(x0) or math.isnan(x1):
         raise DomainError("integrate: NaN endpoint")
@@ -78,10 +75,7 @@ def integrate(
 
     direction = 1.0 if x1 > x0 else -1.0
     span = abs(x1 - x0)
-    h = first_step if first_step is not None else span / 128.0
-    if max_step is not None:
-        h = min(h, max_step)
-    h = max(h, 1e-14 * span)
+    h = span / 128.0
 
     x = float(x0)
     y = [float(v) for v in y0]
@@ -92,9 +86,9 @@ def integrate(
     k = [[0.0] * n for _ in range(6)]
 
     while (x1 - x) * direction > 0.0:
-        if n_steps + n_rejected >= max_steps:
+        if n_steps + n_rejected >= _MAX_STEPS:
             raise ConvergenceError(
-                f"integrate: {max_steps} steps exhausted at x = {x:.6g} "
+                f"integrate: {_MAX_STEPS} steps exhausted at x = {x:.6g} "
                 f"(target {x1:.6g})"
             )
         h = min(h, abs(x1 - x))
@@ -120,10 +114,10 @@ def integrate(
                     y_new[m] += hs * b * ki[m]
                 err[m] += hs * e * ki[m]
 
-        # mixed error norm; scale guards both tiny and crossing components
+        # relative error norm; the floor guards tiny and crossing components
         norm = 0.0
         for m in range(n):
-            sc = abs_tol + rel_tol * max(abs(y[m]), abs(y_new[m]), 1e-290)
+            sc = rel_tol * max(abs(y[m]), abs(y_new[m]), 1e-290)
             norm = max(norm, abs(err[m]) / sc)
 
         if norm <= 1.0 or h <= 1e-13 * span:
@@ -131,7 +125,7 @@ def integrate(
             y = y_new
             n_steps += 1
             big = max(abs(v) for v in y)
-            if big > renorm_threshold:
+            if big > _RENORM_THRESHOLD:
                 log_scale += math.log(big)
                 y = [v / big for v in y]
         else:
@@ -139,7 +133,5 @@ def integrate(
 
         grow = 0.9 * norm ** -0.2 if norm > 0.0 else 5.0
         h *= min(5.0, max(0.2, grow))
-        if max_step is not None:
-            h = min(h, max_step)
 
     return IntegrationResult(x, tuple(y), log_scale, n_steps, n_rejected)

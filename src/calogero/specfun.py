@@ -1,13 +1,11 @@
 """Special functions for the half-line oscillator machinery.
 
-Everything downstream reduces to four ingredients:
+Everything downstream reduces to three ingredients:
 
 * the Euler gamma function and its logarithmic derivative (digamma),
 * the Kummer series  Phi(a, b; rho) = sum_k (a)_k / (b)_k * rho^k / k!,
 * the Tricomi function Psi(a, b; rho), the solution of the confluent
-  hypergeometric equation that decays like rho^(-a) at infinity,
-* the exceptional second solution  int_{a^2}^{rho} tau^(-b) e^tau d tau
-  that replaces Psi when the first parameter degenerates to 0.
+  hypergeometric equation that decays like rho^(-a) at infinity.
 
 Psi is evaluated by two independent routes and that redundancy is load
 bearing: the two-series combination
@@ -34,33 +32,25 @@ Quadrature notes.  The integral route has an integrable t^(a-1) endpoint
 singularity whenever a < 1, which ordinary interval-halving quadrature
 cannot chase to 1e-10.  After rescaling t -> t/rho it is evaluated with a
 double-exponential map t = exp(u - exp(-u)), trapezoid in u, which eats
-both the algebraic endpoint and the e^(-t) tail.  A 15-point Kronrod pair
-with global adaptive bisection is provided for finite intervals and is
-what `psi_exceptional` uses.
+both the algebraic endpoint and the e^(-t) tail.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "SeriesControl",
     "gamma",
     "gammaln_signed",
     "gammaln_shift",
-    "gammaln_diff",
     "rgamma",
     "digamma",
-    "pochhammer",
     "kummer_phi",
     "tricomi_psi",
     "tricomi_psi_series",
     "tricomi_psi_integral",
-    "psi_exceptional",
-    "adaptive_quad",
     "exp_halfline_quad",
 ]
 
@@ -237,45 +227,10 @@ def gammaln_shift(b: float, d: float) -> float:
     return main + tail + corr
 
 
-def gammaln_diff(a: float, b: float) -> float:
-    """ln Gamma(a) - ln Gamma(b) for a, b > 0 without cancellation.
-
-    Convenience wrapper over gammaln_shift; the shift a - b is formed in
-    float64 here, so when exact sub-ULP shifts matter (a, b near 1e16 and
-    beyond) call gammaln_shift directly.
-    """
-    if math.isnan(a) or math.isinf(a):
-        raise DomainError(f"gammaln_diff: non-finite argument {a!r}")
-    if a <= 0.0:
-        raise DomainError(f"gammaln_diff: needs a > 0, got {a}")
-    return gammaln_shift(b, a - b)
-
-
-def pochhammer(a: float, k: int) -> float:
-    """(a)_k = a (a+1) ... (a+k-1); (a)_0 = 1."""
-    if k < 0 or k != int(k):
-        raise DomainError(f"pochhammer: k must be a nonnegative integer, got {k!r}")
-    out = 1.0
-    for j in range(int(k)):
-        out *= a + j
-    return out
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for the Kummer series."""
-
-    rel_tol: float = 1e-15
-    max_terms: int = 800
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.rel_tol < 1e-6):
-            raise DomainError(f"SeriesControl: rel_tol {self.rel_tol!r} out of (0, 1e-6)")
-        if self.max_terms < 100:
-            raise DomainError(f"SeriesControl: max_terms {self.max_terms} < 100")
-
-
-_DEFAULT_CTRL = SeriesControl()
+# Kummer series truncation: relative term size at which the sum has
+# stagnated, and the term budget before giving up
+_SERIES_REL_TOL = 1e-15
+_SERIES_MAX_TERMS = 800
 
 
 def _phi_series(a, b, rho, rel_tol, max_terms, one=1.0):
@@ -303,7 +258,7 @@ def _phi_series(a, b, rho, rel_tol, max_terms, one=1.0):
     )
 
 
-def kummer_phi(alpha: float, beta: float, rho: float, ctrl: SeriesControl | None = None) -> float:
+def kummer_phi(alpha: float, beta: float, rho: float) -> float:
     """Kummer's confluent hypergeometric Phi(alpha, beta; rho).
 
     Parameters
@@ -311,13 +266,11 @@ def kummer_phi(alpha: float, beta: float, rho: float, ctrl: SeriesControl | None
     alpha : float, >= 0
     beta : float, >= 1
     rho : float, >= 0
-    ctrl : SeriesControl, optional
 
     All series terms are nonnegative in this parameter range, so the
     running sum is monotone and the stagnation stop is safe.  Phi(0, b;
     rho) = 1 exactly.
     """
-    ctrl = ctrl or _DEFAULT_CTRL
     if alpha < 0.0:
         raise DomainError(f"kummer_phi: alpha must be >= 0, got {alpha}")
     if beta < 1.0:
@@ -326,105 +279,20 @@ def kummer_phi(alpha: float, beta: float, rho: float, ctrl: SeriesControl | None
         raise DomainError(f"kummer_phi: rho must be >= 0, got {rho}")
     if alpha == 0.0 or rho == 0.0:
         return 1.0
-    return _phi_series(alpha, beta, rho, ctrl.rel_tol, ctrl.max_terms)
+    return _phi_series(alpha, beta, rho, _SERIES_REL_TOL, _SERIES_MAX_TERMS)
 
 
 # ---------------------------------------------------------------------------
-# quadrature engines
+# quadrature
 
 
-# 15-point Kronrod extension of 7-point Gauss (nodes/weights on [-1, 1]).
-_XGK = (
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144838258730,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
-    0.0,
-)
-_WGK = (
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-)
-_WG = (
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
-)
+# double-exponential trapezoid: convergence target between successive
+# levels, and the number of halvings of the step before giving up
+_QUAD_REL_TOL = 1e-12
+_QUAD_MAX_LEVEL = 8
 
 
-def _gk15(f, a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod 7-15 panel: (kronrod value, error estimate)."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    fc = f(c)
-    kron = _WGK[7] * fc
-    gauss = _WG[3] * fc
-    for i in range(7):
-        x = h * _XGK[i]
-        v = f(c - x) + f(c + x)
-        kron += _WGK[i] * v
-        if i % 2 == 1:  # odd-index Kronrod nodes are the Gauss-7 nodes
-            gauss += _WG[i // 2] * v
-    kron *= h
-    gauss *= h
-    # |K15 - G7| overestimates the K15 error on smooth integrands; fine,
-    # it only costs a few extra panel splits.
-    return kron, abs(kron - gauss)
-
-
-def adaptive_quad(
-    f,
-    a: float,
-    b: float,
-    rel_tol: float = 1e-12,
-    abs_tol: float = 0.0,
-    max_panels: int = 4096,
-) -> float:
-    """Globally adaptive Gauss-Kronrod integration of f on the finite [a, b].
-
-    Splits the worst panel until sum of panel error estimates meets
-    max(abs_tol, rel_tol * |integral|).
-    """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError("adaptive_quad: endpoints must be finite")
-    if a == b:
-        return 0.0
-    import heapq
-
-    val, err = _gk15(f, a, b)
-    heap = [(-err, a, b, val)]
-    total_val, total_err = val, err
-    while total_err > max(abs_tol, rel_tol * abs(total_val)):
-        if len(heap) >= max_panels:
-            raise ConvergenceError(
-                f"adaptive_quad: {max_panels} panels exhausted, err {total_err:.2e} on [{a}, {b}]"
-            )
-        nerr, pa, pb, pval = heapq.heappop(heap)
-        pm = 0.5 * (pa + pb)
-        if pm == pa or pm == pb:  # float resolution floor
-            heapq.heappush(heap, (0.0, pa, pb, pval))
-            total_err += nerr  # this panel's error is irreducible; drop it
-            continue
-        lv, le = _gk15(f, pa, pm)
-        rv, re = _gk15(f, pm, pb)
-        total_val += lv + rv - pval
-        total_err += le + re + nerr  # nerr is negative
-        heapq.heappush(heap, (-le, pa, pm, lv))
-        heapq.heappush(heap, (-re, pm, pb, rv))
-    return total_val
-
-
-def exp_halfline_quad(g, p: float, rel_tol: float = 1e-12, max_level: int = 8) -> float:
+def exp_halfline_quad(g, p: float) -> float:
     """integral_0^inf t^p g(t) e^(-t) dt for p > -0.95, g algebraic.
 
     Double-exponential substitution t = exp(u - exp(-u)); the trapezoid
@@ -452,22 +320,22 @@ def exp_halfline_quad(g, p: float, rel_tol: float = 1e-12, max_level: int = 8) -
     h = 0.5
     n = int(math.ceil((u_hi - u_lo) / h))
     total = math.fsum(node(u_lo + i * h) for i in range(n + 1)) * h
-    for _ in range(max_level):
+    for _ in range(_QUAD_MAX_LEVEL):
         h *= 0.5
         n *= 2
         odd = math.fsum(node(u_lo + i * h) for i in range(1, n, 2)) * h
         new = 0.5 * total + odd
-        if abs(new - total) <= rel_tol * max(abs(new), 1e-300):
+        if abs(new - total) <= _QUAD_REL_TOL * max(abs(new), 1e-300):
             return new
         total = new
-    raise ConvergenceError(f"exp_halfline_quad: no convergence at level {max_level} (p={p})")
+    raise ConvergenceError(f"exp_halfline_quad: no convergence at level {_QUAD_MAX_LEVEL} (p={p})")
 
 
 # ---------------------------------------------------------------------------
 # Tricomi function
 
 
-def tricomi_psi_integral(alpha: float, beta: float, rho: float, rel_tol: float = 1e-12) -> float:
+def tricomi_psi_integral(alpha: float, beta: float, rho: float) -> float:
     """Psi via the Laplace integral, rescaled to a unit-decay weight:
 
         Psi = rho^(-alpha)/Gamma(alpha) *
@@ -490,7 +358,7 @@ def tricomi_psi_integral(alpha: float, beta: float, rho: float, rel_tol: float =
         def g(t: float) -> float:
             return math.exp(c * math.log1p(t / rho)) if t > 0.0 else 1.0
 
-        integral = exp_halfline_quad(g, alpha - 1.0, rel_tol)
+        integral = exp_halfline_quad(g, alpha - 1.0)
     else:
         # parts: with G(t) = g(t) e^(-t), int t^(a-1) G dt = -(1/a) int t^a G' dt
         # (boundary terms vanish), and G' = (g' - g) e^(-t), so the singular
@@ -500,13 +368,13 @@ def tricomi_psi_integral(alpha: float, beta: float, rho: float, rel_tol: float =
             gp = c / rho * math.exp((c - 1.0) * math.log1p(t / rho)) if t > 0.0 else c / rho
             return base - gp
 
-        integral = exp_halfline_quad(g_minus_gprime, alpha, rel_tol) / alpha
+        integral = exp_halfline_quad(g_minus_gprime, alpha) / alpha
 
     lg, _ = gammaln_signed(alpha)
     return math.exp(-alpha * math.log(rho) - lg) * integral
 
 
-def _psi_two_series_mp(alpha: float, beta: float, rho: float, ctrl: SeriesControl, lost: float) -> float:
+def _psi_two_series_mp(alpha: float, beta: float, rho: float, lost: float) -> float:
     # Re-run the identical combination in elevated fixed precision.  The
     # cancellation between the two Phi terms eats `lost` decimal digits,
     # so budget those plus a sound margin.  The term budget scales with
@@ -518,7 +386,7 @@ def _psi_two_series_mp(alpha: float, beta: float, rho: float, ctrl: SeriesContro
         raise ConvergenceError(
             f"tricomi psi series: ~{lost:.0f} digits cancel at rho={rho}, beyond precision budget"
         )
-    max_terms = max(ctrl.max_terms, int(3.0 * rho) + 200)
+    max_terms = max(_SERIES_MAX_TERMS, int(3.0 * rho) + 200)
     with mp.workdps(dps):
         a, b, r = mp.mpf(alpha), mp.mpf(beta), mp.mpf(rho)
         one = mp.mpf(1)
@@ -530,9 +398,8 @@ def _psi_two_series_mp(alpha: float, beta: float, rho: float, ctrl: SeriesContro
         return float(t1 + t2)
 
 
-def tricomi_psi_series(alpha: float, beta: float, rho: float, ctrl: SeriesControl | None = None) -> float:
+def tricomi_psi_series(alpha: float, beta: float, rho: float) -> float:
     """Psi via the two-series combination (non-integer beta only, rho <= 400)."""
-    ctrl = ctrl or _DEFAULT_CTRL
     if alpha <= 0.0:
         raise DomainError(f"tricomi_psi_series: alpha must be > 0, got {alpha}")
     if beta < 1.0:
@@ -548,10 +415,10 @@ def tricomi_psi_series(alpha: float, beta: float, rho: float, ctrl: SeriesContro
     if rho <= 300.0:
         # float64 first; it is exact enough whenever little cancels.
         t1 = gamma(1.0 - beta) * rgamma(alpha - beta + 1.0) * _phi_series(
-            alpha, beta, rho, ctrl.rel_tol, ctrl.max_terms
+            alpha, beta, rho, _SERIES_REL_TOL, _SERIES_MAX_TERMS
         )
         t2 = gamma(beta - 1.0) * rgamma(alpha) * rho ** (1.0 - beta) * _phi_series(
-            alpha - beta + 1.0, 2.0 - beta, rho, ctrl.rel_tol, ctrl.max_terms
+            alpha - beta + 1.0, 2.0 - beta, rho, _SERIES_REL_TOL, _SERIES_MAX_TERMS
         )
         val = t1 + t2
         num = abs(t1) + abs(t2)
@@ -578,10 +445,10 @@ def tricomi_psi_series(alpha: float, beta: float, rho: float, ctrl: SeriesContro
         # Phi in float64 risks overflow here; skip straight to mpmath with
         # the analytic loss estimate |t_i| ~ e^rho vs Psi ~ rho^(-alpha).
         lost = rho / math.log(10.0) + alpha * math.log10(rho) + 20.0
-    return _psi_two_series_mp(alpha, beta, rho, ctrl, lost)
+    return _psi_two_series_mp(alpha, beta, rho, lost)
 
 
-def tricomi_psi(alpha: float, beta: float, rho: float, ctrl: SeriesControl | None = None) -> float:
+def tricomi_psi(alpha: float, beta: float, rho: float) -> float:
     """Tricomi's confluent hypergeometric Psi(alpha, beta; rho).
 
     Routing: within 1e-8 of an integer beta the two-series form has lost
@@ -590,11 +457,10 @@ def tricomi_psi(alpha: float, beta: float, rho: float, ctrl: SeriesControl | Non
     the series combination is used.  Strictly positive, strictly
     decreasing in rho, ~ rho^(-alpha) at infinity.
 
-    alpha = 0 is excluded by contract: Psi(0, b; rho) = 1 identically and
-    the interesting degenerate object there is `psi_exceptional`.
+    alpha = 0 is excluded by contract: Psi(0, b; rho) = 1 identically.
     """
     if alpha <= 0.0:
-        raise DomainError(f"tricomi_psi: alpha must be > 0, got {alpha} (alpha=0 belongs to psi_exceptional)")
+        raise DomainError(f"tricomi_psi: alpha must be > 0, got {alpha}")
     if beta < 1.0:
         raise DomainError(f"tricomi_psi: beta must be >= 1, got {beta}")
     if rho <= 0.0:
@@ -606,26 +472,4 @@ def tricomi_psi(alpha: float, beta: float, rho: float, ctrl: SeriesControl | Non
         # the integral stays float64-exact at any rho.  Both branches remain
         # publicly callable for cross-validation on the overlap region.
         return tricomi_psi_integral(alpha, beta, rho)
-    return tricomi_psi_series(alpha, beta, rho, ctrl)
-
-
-def psi_exceptional(beta: float, rho: float, a: float = 1.0) -> float:
-    """The degenerate-case second solution int_{a^2}^{rho} tau^(-beta) e^tau d tau.
-
-    Negative for rho < a^2, zero at rho = a^2, increasing in rho.  The
-    free anchor a > 0 moves the zero crossing and nothing else.
-    """
-    if beta < 1.0:
-        raise DomainError(f"psi_exceptional: beta must be >= 1, got {beta}")
-    if rho <= 0.0:
-        raise DomainError(f"psi_exceptional: rho must be > 0, got {rho}")
-    if a <= 0.0:
-        raise DomainError(f"psi_exceptional: a must be > 0, got {a}")
-    lo = a * a
-    if rho == lo:
-        return 0.0
-
-    def f(tau: float) -> float:
-        return math.exp(tau - beta * math.log(tau))
-
-    return adaptive_quad(f, lo, rho, rel_tol=1e-12, abs_tol=1e-14)
+    return tricomi_psi_series(alpha, beta, rho)

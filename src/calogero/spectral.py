@@ -31,6 +31,7 @@ coefficients of the factorization layer.
 
 from __future__ import annotations
 
+import contextvars
 import enum
 import math
 import warnings
@@ -60,7 +61,7 @@ __all__ = [
     "ground_state_energy",
     "GroundState",
     "ground_state_wavefunction",
-    "set_gamma_perturbation",
+    "gamma_skew",
 ]
 
 _HALF_PI = 0.5 * math.pi
@@ -114,18 +115,15 @@ def extension_for(rp: ReducedParams, nu: float | None = None, friedrichs: bool =
 
 # integrity hook: a nonzero value skews every Gamma/digamma boundary
 # equation so cross-validation against the shooting oracle must fail;
-# it exists to prove the verification rows are not vacuous
-_gamma_perturbation = 0.0
-
-
-def set_gamma_perturbation(eps: float) -> None:
-    global _gamma_perturbation
-    _gamma_perturbation = float(eps)
+# it exists to prove the verification rows are not vacuous.  Set it with
+# a token and reset it afterwards; it reaches only the current context.
+gamma_skew: contextvars.ContextVar[float] = contextvars.ContextVar("gamma_skew", default=0.0)
 
 
 def _skewed(value: float) -> float:
-    if _gamma_perturbation != 0.0 and math.isfinite(value):
-        return value + _gamma_perturbation * (1.0 + abs(value))
+    eps = gamma_skew.get()
+    if eps != 0.0 and math.isfinite(value):
+        return value + eps * (1.0 + abs(value))
     return value
 
 
@@ -439,7 +437,7 @@ def _nu_state_norm(kappa: float, upsilon: float, w: float) -> float:
     def g(t: float) -> float:
         return (t**kappa * tricomi_psi(alpha, beta, t)) ** 2
 
-    integral = exp_halfline_quad(g, -kappa, rel_tol=1e-12)
+    integral = exp_halfline_quad(g, -kappa)
     return scale * scale * integral / (2.0 * upsilon)
 
 

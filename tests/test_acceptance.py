@@ -30,12 +30,19 @@ ROW_NAMES = [
 
 @pytest.fixture(scope="module")
 def table():
-    rows = run_acceptance(quick=False, threads=2)
+    rows = run_acceptance(quick=False)
     return {row.name: row for row in rows}
 
 
 def test_table_is_complete(table):
     assert sorted(table) == sorted(ROW_NAMES)
+
+
+def test_rows_come_in_table_order(table):
+    # the rows run one after another, so the report lists them as tabled
+    assert list(table) == ROW_NAMES
+    quick = [row.name for row in run_acceptance(quick=True)]
+    assert quick == [name for name in ROW_NAMES if name in quick]
 
 
 @pytest.mark.parametrize("name", ROW_NAMES)
@@ -47,7 +54,7 @@ def test_criterion(table, name):
 
 
 def test_quick_subset_is_a_subset(table):
-    quick = run_acceptance(quick=True, threads=2)
+    quick = run_acceptance(quick=True)
     names = {row.name for row in quick}
     assert names < set(ROW_NAMES)
     assert all(row.passed for row in quick)

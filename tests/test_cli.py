@@ -141,6 +141,29 @@ class TestSpectrum:
         assert f"{e0:.17g}" in out
 
 
+@pytest.mark.parametrize(
+    "argv,key,value",
+    [
+        (["spectrum", "--g1", "0", "--g2", "1", "--nu", "-1e-3"], "nu", -1e-3),
+        (["sweep", "--g1", "0", "--g2", "1", "--sweep", "-1.2e-06", "1.4", "2"], "nu_lo", -1.2e-06),
+        (["spectrum", "--g1", "-2.5E-1", "--g2", "1", "--friedrichs"], "g1", -0.25),
+        (["factorize-check", "--w", "-5e-1"], "w", -0.5),
+        (["nonexistence", "--g1", "-1.25e0", "--g2", "1"], "g1", -1.25),
+    ],
+)
+def test_negative_exponent_notation_is_a_value(capsys, argv, key, value):
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["inputs"][key] == value
+
+
+def test_option_after_value_taking_flag_is_still_an_error(capsys):
+    # only numbers are read as values; an option string is not swallowed
+    code, _, err = run(capsys, ["spectrum", "--g1", "0", "--g2", "1", "--nu", "--unique"])
+    assert code == 2
+    assert "--nu: expected one argument" in err
+
+
 class TestSweep:
     def test_endpoints_snap_to_closed_form(self, capsys):
         half_pi = "1.5707963267948966"
@@ -307,18 +330,6 @@ class TestVerify:
         code, out, _ = run(capsys, ["verify", "--quick"])
         assert code == 0
         assert all(r["passed"] for r in json.loads(out)["results"]["rows"])
-
-    def test_thread_pool_from_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("CALOGERO_THREADS", "3")
-        code, out, _ = run(capsys, ["verify", "--quick"])
-        assert code == 0
-        assert all(r["passed"] for r in json.loads(out)["results"]["rows"])
-
-    def test_garbage_thread_env_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("CALOGERO_THREADS", "zero")
-        code, _, err = run(capsys, ["verify", "--quick"])
-        assert code == 2
-        assert "CALOGERO_THREADS" in err
 
     def test_csv_status_column(self, capsys):
         code, out, _ = run(capsys, ["verify", "--quick", "--format", "csv"])

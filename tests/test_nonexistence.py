@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from calogero import nonexistence
 from calogero.errors import DomainError
 from calogero.factorization import RepresentationParams, make_phi
 from calogero.nonexistence import count_zeros
@@ -95,12 +96,12 @@ class TestPlumbing:
         assert r.interval == (1e-4, 1e-2)
         assert r.u == 1.5
 
-    def test_steps_may_refine_but_not_coarsen(self):
-        fine = count_zeros(Couplings(-0.5, 0.0), 0.0, (1e-8, 1e-2), steps=200)
+    def test_finer_segments_keep_the_count(self, monkeypatch):
         base = count_zeros(Couplings(-0.5, 0.0), 0.0, (1e-8, 1e-2))
+        # a tenth of the phase budget cuts 176 segments instead of 18
+        monkeypatch.setattr(nonexistence, "_PHASE_CAP", nonexistence._PHASE_CAP / 10.0)
+        fine = count_zeros(Couplings(-0.5, 0.0), 0.0, (1e-8, 1e-2))
         assert fine.observed_zeros == base.observed_zeros
-        with pytest.raises(DomainError, match="segments"):
-            count_zeros(Couplings(0.0, -1.0), 0.0, (10.0, 20.0), steps=10)
 
     def test_rejects_bad_interval(self):
         with pytest.raises(DomainError, match="x_lo"):

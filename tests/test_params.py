@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calogero.errors import DomainError
-from calogero.params import RegionClass, classify, nonexistence_flags, reduce
+from calogero.params import RegionClass, classify, reduce
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -70,6 +70,20 @@ class TestReduce:
         with pytest.raises(DomainError):
             reduce(float("nan"), 1.0)
 
+    @pytest.mark.parametrize(
+        "g1,g2,reason",
+        [
+            (-0.5, 1.0, "fall to center"),
+            (0.0, -1.0, "no confining trap"),
+            (-0.5, -1.0, "fall to center"),  # center is named first
+            (0.0, 0.0, "no confining trap"),
+            (-0.25, 0.0, "no confining trap"),
+        ],
+    )
+    def test_refusal_names_the_pathology(self, g1, g2, reason):
+        with pytest.raises(DomainError, match=reason):
+            reduce(g1, g2)
+
 
 class TestClassify:
     @pytest.mark.parametrize(
@@ -108,18 +122,3 @@ class TestClassify:
         else:
             with pytest.raises(DomainError):
                 reduce(g1, g2)
-
-
-class TestNonexistenceFlags:
-    @pytest.mark.parametrize(
-        "g1,g2,center,infinity",
-        [
-            (-0.5, 1.0, True, False),
-            (0.0, -1.0, False, True),
-            (-0.5, -1.0, True, True),  # both reported, no precedence here
-            (0.0, 1.0, False, False),
-            (-0.25, 0.0, False, False),
-        ],
-    )
-    def test_flags(self, g1, g2, center, infinity):
-        assert nonexistence_flags(g1, g2) == (center, infinity)

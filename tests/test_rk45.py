@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from calogero import rk45
 from calogero.errors import ConvergenceError, DomainError
 from calogero.rk45 import integrate
 
@@ -56,15 +57,37 @@ class TestRenormalization:
         total = math.log(res.y[0]) + res.log_scale
         assert total == pytest.approx(600.0, rel=1e-9)
 
-    def test_true_y_within_range(self):
+    def test_scaled_state_times_ledger_is_the_solution(self):
         res = integrate(lambda x, y: (y[0],), 0.0, (1.0,), 50.0, rel_tol=1e-11)
-        assert res.true_y()[0] == pytest.approx(math.exp(50.0), rel=1e-8)
+        assert res.y[0] * math.exp(res.log_scale) == pytest.approx(math.exp(50.0), rel=1e-8)
+
+    def test_threshold_sets_the_scale(self, monkeypatch):
+        monkeypatch.setattr(rk45, "_RENORM_THRESHOLD", 1e10)
+        res = integrate(lambda x, y: (y[0], 2.0 * y[1]), 0.0, (1.0, 1.0), 40.0, rel_tol=1e-11)
+        assert max(abs(v) for v in res.y) <= 1e10
+        assert res.log_scale > 0.0
+        # one common factor for every component keeps their ratio
+        assert math.log(res.y[1] / res.y[0]) == pytest.approx(40.0, rel=1e-9)
 
 
 class TestGuards:
-    def test_max_steps(self):
+    def test_max_steps(self, monkeypatch):
+        monkeypatch.setattr(rk45, "_MAX_STEPS", 3)
         with pytest.raises(ConvergenceError, match="steps exhausted"):
-            integrate(lambda x, y: (y[0],), 0.0, (1.0,), 10.0, max_steps=3)
+            integrate(lambda x, y: (y[0],), 0.0, (1.0,), 10.0)
+
+    @pytest.mark.parametrize("x0,x1", [(0.0, 1.0), (3.0, -1.0)])
+    def test_first_step_is_a_128th_of_the_span(self, x0, x1):
+        seen = []
+
+        def f(x, y):
+            seen.append(x)
+            return (y[0],)
+
+        integrate(f, x0, (1.0,), x1, rel_tol=1e-8)
+        # the six stages of the first attempt stay within span/128 of x0
+        assert max(abs(x - x0) for x in seen[:6]) <= abs(x1 - x0) / 128.0
+        assert max(abs(x - x0) for x in seen[:6]) > 0.5 * abs(x1 - x0) / 128.0
 
     def test_rel_tol_window(self):
         with pytest.raises(DomainError):
@@ -73,18 +96,6 @@ class TestGuards:
     def test_nan_endpoint(self):
         with pytest.raises(DomainError):
             integrate(lambda x, y: (y[0],), 0.0, (1.0,), math.nan)
-
-    def test_max_step_respected(self):
-        seen = []
-
-        def f(x, y):
-            seen.append(x)
-            return (y[0],)
-
-        integrate(f, 0.0, (1.0,), 1.0, rel_tol=1e-8, max_step=0.01)
-        # stage abscissae never jump farther than one max_step
-        diffs = [b - a for a, b in zip(sorted(seen), sorted(seen)[1:])]
-        assert max(diffs) <= 0.0100001
 
 
 class TestAccuracyProperties:

@@ -12,19 +12,15 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from calogero import specfun
 from calogero.errors import ConvergenceError, DomainError
 from calogero.specfun import (
-    SeriesControl,
-    adaptive_quad,
     digamma,
     exp_halfline_quad,
     gamma,
-    gammaln_diff,
     gammaln_shift,
     gammaln_signed,
     kummer_phi,
-    pochhammer,
-    psi_exceptional,
     rgamma,
     tricomi_psi,
     tricomi_psi_integral,
@@ -146,11 +142,28 @@ class TestGammalnShift:
         split = gammaln_shift(b, d1) + gammaln_shift(b + d1, d2)
         assert whole == pytest.approx(split, rel=1e-13, abs=1e-13)
 
-    def test_diff_is_antisymmetric_wrapper(self):
-        assert gammaln_diff(7.25, 3.5) == pytest.approx(
+    @pytest.mark.parametrize("b,k", [(2.0, 3), (0.5, 5), (1.25, 10), (37.5, 4)])
+    def test_integer_shift_is_log_rising_product(self, b, k):
+        # (b)_k = b (b + 1) ... (b + k - 1)
+        assert gammaln_shift(b, float(k)) == pytest.approx(
+            math.log(math.prod(b + i for i in range(k))), rel=1e-13
+        )
+
+    @given(
+        st.floats(min_value=0.01, max_value=1e6, **finite),
+        st.floats(min_value=0.0, max_value=20.0, **finite),
+    )
+    @settings(max_examples=100)
+    def test_recurrence(self, b, d):
+        assert gammaln_shift(b, d + 1.0) == pytest.approx(
+            gammaln_shift(b, d) + math.log(b + d), rel=1e-12, abs=1e-12
+        )
+
+    def test_reverse_shift_is_negated(self):
+        assert gammaln_shift(3.5, 3.75) == pytest.approx(
             math.lgamma(7.25) - math.lgamma(3.5), rel=1e-14
         )
-        assert gammaln_diff(3.5, 7.25) == pytest.approx(-gammaln_diff(7.25, 3.5), rel=1e-14)
+        assert gammaln_shift(7.25, -3.75) == pytest.approx(-gammaln_shift(3.5, 3.75), rel=1e-14)
 
     @pytest.mark.parametrize("b,d", [(0.0, 1.0), (-1.0, 5.0), (2.0, -2.0), (1.0, float("inf"))])
     def test_domain_errors(self, b, d):
@@ -181,34 +194,6 @@ class TestDigamma:
     def test_pole_raises(self):
         with pytest.raises(DomainError):
             digamma(-3.0)
-
-
-class TestPochhammer:
-    def test_base_cases(self):
-        assert pochhammer(3.7, 0) == 1.0
-        assert pochhammer(2.0, 3) == 24.0  # 2*3*4
-        assert pochhammer(-1.0, 3) == 0.0  # hits the zero factor
-
-    @given(st.floats(min_value=-10.0, max_value=10.0, **finite), st.integers(min_value=0, max_value=20))
-    @settings(max_examples=100)
-    def test_recurrence(self, a, k):
-        assert pochhammer(a, k + 1) == pytest.approx(pochhammer(a, k) * (a + k), rel=1e-13, abs=1e-300)
-
-    def test_negative_k_raises(self):
-        with pytest.raises(DomainError):
-            pochhammer(1.0, -1)
-
-
-class TestSeriesControl:
-    def test_defaults_valid(self):
-        c = SeriesControl()
-        assert c.rel_tol < 1e-6
-        assert c.max_terms >= 100
-
-    @pytest.mark.parametrize("kw", [dict(rel_tol=1e-5), dict(rel_tol=0.0), dict(max_terms=99)])
-    def test_validation(self, kw):
-        with pytest.raises(DomainError):
-            SeriesControl(**kw)
 
 
 class TestKummerPhi:
@@ -249,9 +234,10 @@ class TestKummerPhi:
         with pytest.raises(DomainError):
             kummer_phi(1.0, 2.0, -1.0)
 
-    def test_budget_exhaustion_raises(self):
+    def test_budget_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_SERIES_MAX_TERMS", 100)
         with pytest.raises(ConvergenceError):
-            kummer_phi(1.0, 1.5, 250.0, SeriesControl(max_terms=100))
+            kummer_phi(1.0, 1.5, 250.0)
 
 
 class TestTricomiPsi:
@@ -319,47 +305,16 @@ class TestTricomiPsi:
             tricomi_psi(1.0, 2.0, 0.0)
 
 
-class TestPsiExceptional:
-    def test_frozen_value(self):
-        assert psi_exceptional(2.0, 4.0) == pytest.approx(6.804500973873268733, rel=1e-12)
-
-    def test_sign_structure(self):
-        # integral from a^2: negative below, zero at, positive above
-        assert psi_exceptional(2.0, 0.5, a=1.0) < 0.0
-        assert psi_exceptional(2.0, 1.0, a=1.0) == 0.0
-        assert psi_exceptional(2.0, 1.5, a=1.0) > 0.0
-
-    def test_anchor_shifts_zero(self):
-        assert psi_exceptional(1.5, 4.0, a=2.0) == 0.0
-        assert psi_exceptional(1.5, 3.9, a=2.0) < 0.0
-
-    @given(
-        st.floats(min_value=1.0, max_value=4.0, **finite),
-        st.floats(min_value=0.1, max_value=20.0, **finite),
-        st.floats(min_value=1.05, max_value=2.0, **finite),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_increasing_in_rho(self, b, r, fac):
-        assert psi_exceptional(b, r * fac) > psi_exceptional(b, r)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            psi_exceptional(0.5, 1.0)
-        with pytest.raises(DomainError):
-            psi_exceptional(2.0, -1.0)
-        with pytest.raises(DomainError):
-            psi_exceptional(2.0, 1.0, a=0.0)
+    def test_series_budget_exhaustion_raises(self, monkeypatch):
+        # the float64 two-series route needs over 40 terms at rho = 10;
+        # reference from mpmath.hyperu at 30 digits (scipy's is off at 1e-10)
+        assert tricomi_psi_series(1.3, 1.5, 10.0) == pytest.approx(0.04574487860469938, rel=1e-13)
+        monkeypatch.setattr(specfun, "_SERIES_MAX_TERMS", 10)
+        with pytest.raises(ConvergenceError):
+            tricomi_psi_series(1.3, 1.5, 10.0)
 
 
 class TestQuadratureEngines:
-    def test_gk_polynomial_and_transcendental(self):
-        assert adaptive_quad(lambda x: x * x, 0.0, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-13)
-        assert adaptive_quad(math.sin, 0.0, math.pi) == pytest.approx(2.0, rel=1e-13)
-        assert adaptive_quad(math.exp, -1.0, 1.0) == pytest.approx(math.e - 1.0 / math.e, rel=1e-13)
-
-    def test_gk_empty_interval(self):
-        assert adaptive_quad(math.exp, 2.0, 2.0) == 0.0
-
     @pytest.mark.parametrize("p", [-0.9, -0.5, 0.0, 0.5, 2.0, 6.5])
     def test_halfline_gamma_law(self, p):
         # int_0^inf t^p e^-t dt = Gamma(p+1)
@@ -369,6 +324,11 @@ class TestQuadratureEngines:
         # int_0^inf e^-t/(1+t) dt = e * E1(1)
         val = exp_halfline_quad(lambda t: 1.0 / (1.0 + t), 0.0)
         assert val == pytest.approx(0.59634736232319407434, rel=1e-12)
+
+    def test_halfline_level_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_QUAD_MAX_LEVEL", 1)
+        with pytest.raises(ConvergenceError, match="no convergence at level 1"):
+            exp_halfline_quad(lambda t: 1.0 / (1.0 + t), 0.0)
 
     def test_halfline_power_floor(self):
         with pytest.raises(DomainError):

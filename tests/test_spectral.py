@@ -6,6 +6,7 @@ Every non-trivial eigenvalue below was frozen from a high-precision
 done independently of this package's gamma/digamma code.
 """
 
+import contextvars
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from calogero.spectral import (
     SpectrumResult,
     extension_for,
     ground_state_energy,
+    gamma_skew,
     ground_state_wavefunction,
     solve_w,
     spectrum,
@@ -273,6 +275,25 @@ class TestLaddersAndClosedForms:
             spectrum(rp, Extension(ExtensionLabel.NU, nu=HALF_PI), 2)
         with pytest.raises(DomainError):
             spectrum(reduce(0.75, 1.0), Extension(ExtensionLabel.NU, nu=0.3), 2)
+
+
+class TestGammaSkew:
+    def test_default_is_no_skew(self):
+        assert gamma_skew.get() == 0.0
+
+    @pytest.mark.parametrize("kappa", [0.5, 0.0])
+    def test_skew_reaches_only_its_own_context(self, kappa):
+        rp = rp_kappa(kappa)
+        ext = extension_for(rp, nu=1.0)
+        clean = spectrum(rp, ext, 3).energies
+
+        def skewed():
+            gamma_skew.set(0.01)
+            return spectrum(rp, ext, 3).energies
+
+        moved = contextvars.copy_context().run(skewed)
+        assert all(abs(m - c) > 1e-6 * abs(c) for m, c in zip(moved, clean))
+        assert spectrum(rp, ext, 3).energies == clean
 
 
 class TestSpectrumProperties:
