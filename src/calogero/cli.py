@@ -218,9 +218,11 @@ def _cmd_sweep(args, parser) -> int:
     if rp.kappa >= 1.0:
         parser.error(f"sweep needs a one-parameter family (kappa < 1), got kappa = {rp.kappa:.6g}")
     lo, hi, count = args.sweep
+    if not (count.is_integer() and count >= 2):
+        parser.error(f"--sweep COUNT must be a whole number >= 2, got {count:g}")
     count = int(count)
-    if count < 2 or not (lo < hi):
-        parser.error("--sweep wants LO < HI and COUNT >= 2")
+    if not (lo < hi):
+        parser.error("--sweep wants LO < HI")
     if abs(lo) > 0.5 * math.pi + 1e-12 or abs(hi) > 0.5 * math.pi + 1e-12:
         parser.error("sweep endpoints must lie in [-pi/2, pi/2]")
 

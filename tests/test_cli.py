@@ -204,11 +204,22 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "lo,hi,count",
-        [("1", "-1", "5"), ("-1", "1", "1"), ("-2", "1", "5")],
+        [
+            ("1", "-1", "5"),
+            ("-1", "1", "1"),
+            ("-2", "1", "5"),
+            # COUNT must be a finite whole number: inf used to escape as
+            # OverflowError and nan as ValueError (exit 1), and 2.9 was
+            # silently truncated to 2
+            ("-1", "1", "inf"),
+            ("-1", "1", "nan"),
+            ("-1", "1", "2.9"),
+        ],
     )
     def test_bad_sweep_ranges(self, capsys, lo, hi, count):
-        code, _, _ = run(capsys, ["sweep", "--g1", "0", "--g2", "1", "--sweep", lo, hi, count])
+        code, out, _ = run(capsys, ["sweep", "--g1", "0", "--g2", "1", "--sweep", lo, hi, count])
         assert code == 2
+        assert out == ""
 
 
 class TestFactorizeCheck:

@@ -14,13 +14,14 @@ from calogero.rk45 import integrate
 
 class TestBasics:
     def test_exponential(self):
-        res = integrate(lambda x, y: (y[0],), 0.0, (1.0,), 2.0, rel_tol=1e-11)
+        res = integrate(lambda x, y: (y[0], y[1]), 0.0, (1.0, 1.0), 2.0, rel_tol=1e-11)
         assert res.y[0] == pytest.approx(math.exp(2.0), rel=1e-9)
         assert res.x == 2.0
         assert res.log_scale == 0.0
 
     def test_backward(self):
-        res = integrate(lambda x, y: (y[0],), 2.0, (math.exp(2.0),), 0.0, rel_tol=1e-11)
+        e2 = math.exp(2.0)
+        res = integrate(lambda x, y: (y[0], y[1]), 2.0, (e2, e2), 0.0, rel_tol=1e-11)
         assert res.y[0] == pytest.approx(1.0, rel=1e-9)
 
     def test_harmonic_loop(self):
@@ -30,13 +31,14 @@ class TestBasics:
         assert abs(res.y[1]) < 1e-8
 
     def test_nonautonomous(self):
-        # y' = 2x  ->  y = x^2, exact for the pair so tolerance is slack
-        res = integrate(lambda x, y: (2.0 * x,), 0.0, (0.0,), 3.0, rel_tol=1e-9)
+        # y' = 2x  ->  y = x^2, exact for the pair so tolerance is slack;
+        # the second component is a constant passenger
+        res = integrate(lambda x, y: (2.0 * x, 0.0), 0.0, (0.0, 1.0), 3.0, rel_tol=1e-9)
         assert res.y[0] == pytest.approx(9.0, rel=1e-12)
 
     def test_zero_span(self):
-        res = integrate(lambda x, y: (y[0],), 1.0, (5.0,), 1.0)
-        assert res.y == (5.0,)
+        res = integrate(lambda x, y: (y[0], y[1]), 1.0, (5.0, 2.0), 1.0)
+        assert res.y == (5.0, 2.0)
         assert res.n_steps == 0
 
     def test_segmenting_consistent(self):
@@ -51,14 +53,14 @@ class TestBasics:
 class TestRenormalization:
     def test_exponential_blowup(self):
         # y = e^x through x = 600 cannot live in a float; the log ledger can
-        res = integrate(lambda x, y: (y[0],), 0.0, (1.0,), 600.0, rel_tol=1e-11)
+        res = integrate(lambda x, y: (y[0], y[1]), 0.0, (1.0, 1.0), 600.0, rel_tol=1e-11)
         assert max(abs(v) for v in res.y) <= 1e100
         assert res.log_scale > 0.0
         total = math.log(res.y[0]) + res.log_scale
         assert total == pytest.approx(600.0, rel=1e-9)
 
     def test_scaled_state_times_ledger_is_the_solution(self):
-        res = integrate(lambda x, y: (y[0],), 0.0, (1.0,), 50.0, rel_tol=1e-11)
+        res = integrate(lambda x, y: (y[0], y[1]), 0.0, (1.0, 1.0), 50.0, rel_tol=1e-11)
         assert res.y[0] * math.exp(res.log_scale) == pytest.approx(math.exp(50.0), rel=1e-8)
 
     def test_threshold_sets_the_scale(self, monkeypatch):
@@ -74,7 +76,7 @@ class TestGuards:
     def test_max_steps(self, monkeypatch):
         monkeypatch.setattr(rk45, "_MAX_STEPS", 3)
         with pytest.raises(ConvergenceError, match="steps exhausted"):
-            integrate(lambda x, y: (y[0],), 0.0, (1.0,), 10.0)
+            integrate(lambda x, y: (y[0], y[1]), 0.0, (1.0, 1.0), 10.0)
 
     @pytest.mark.parametrize("x0,x1", [(0.0, 1.0), (3.0, -1.0)])
     def test_first_step_is_a_128th_of_the_span(self, x0, x1):
@@ -82,27 +84,34 @@ class TestGuards:
 
         def f(x, y):
             seen.append(x)
-            return (y[0],)
+            return (y[0], y[1])
 
-        integrate(f, x0, (1.0,), x1, rel_tol=1e-8)
+        integrate(f, x0, (1.0, 1.0), x1, rel_tol=1e-8)
         # the six stages of the first attempt stay within span/128 of x0
         assert max(abs(x - x0) for x in seen[:6]) <= abs(x1 - x0) / 128.0
         assert max(abs(x - x0) for x in seen[:6]) > 0.5 * abs(x1 - x0) / 128.0
 
     def test_rel_tol_window(self):
         with pytest.raises(DomainError):
-            integrate(lambda x, y: (y[0],), 0.0, (1.0,), 1.0, rel_tol=1e-15)
+            integrate(lambda x, y: (y[0], y[1]), 0.0, (1.0, 1.0), 1.0, rel_tol=1e-15)
 
     def test_nan_endpoint(self):
         with pytest.raises(DomainError):
-            integrate(lambda x, y: (y[0],), 0.0, (1.0,), math.nan)
+            integrate(lambda x, y: (y[0], y[1]), 0.0, (1.0, 1.0), math.nan)
+
+    @pytest.mark.parametrize("y0", [(1.0,), (1.0, 0.0, 0.0)])
+    @pytest.mark.parametrize("x1", [1.0, 0.0])
+    def test_state_must_have_two_components(self, y0, x1):
+        # refused before the zero-span shortcut as well as on a real span
+        with pytest.raises(DomainError, match="2 components"):
+            integrate(lambda x, y: y, 0.0, y0, x1)
 
 
 class TestAccuracyProperties:
     @given(a=st.floats(-3.0, 3.0))
     @settings(max_examples=40, deadline=None)
     def test_linear_flow(self, a):
-        res = integrate(lambda x, y: (a * y[0],), 0.0, (1.0,), 1.0, rel_tol=1e-11)
+        res = integrate(lambda x, y: (a * y[0], a * y[1]), 0.0, (1.0, 1.0), 1.0, rel_tol=1e-11)
         assert res.y[0] * math.exp(res.log_scale) == pytest.approx(
             math.exp(a), rel=1e-8
         )
