@@ -7,7 +7,6 @@ from .factorization import (
     RepresentationParams,
     apply_a,
     apply_b,
-    asymptotic_coeffs,
     factorization_residual,
     make_phi,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "apply_a",
     "apply_b",
     "factorization_residual",
-    "asymptotic_coeffs",
     "Extension",
     "ExtensionLabel",
     "extension_for",

@@ -5,8 +5,8 @@ worst observed value, the threshold it must stay under, and a pass flag.
 Rows never assert; they report. The CLI and the test suite decide what
 to do with a failure.
 
-The rows marked quick=True form the subset that must finish in a few
-seconds; the full table adds the oracle grids (a shooting run per
+The rows marked quick in `_CHECKS` form the subset that must finish in a
+few seconds; the full table adds the oracle grids (a shooting run per
 parameter combination) and stays comfortably under two minutes.
 """
 
@@ -43,11 +43,18 @@ class CheckRow:
     value: float  # worst observed figure of merit
     threshold: float  # the value must stay at or below this
     detail: str
-    quick: bool
 
 
-def _row(name, value, threshold, detail, quick):
-    return CheckRow(name, value <= threshold, value, threshold, detail, quick)
+def _row(name, value, threshold, detail):
+    return CheckRow(name, value <= threshold, value, threshold, detail)
+
+
+def _worst(*figures):
+    """The largest figure, or NaN if any figure is NaN: max() keeps a NaN
+    only when it comes first, and a NaN figure must fail its check."""
+    if any(math.isnan(f) for f in figures):
+        return math.nan
+    return max(figures)
 
 
 def _rel(got, ref):
@@ -64,10 +71,10 @@ def _c1_friedrichs_ground():
         ext = extension_for(rp, nu=None, friedrichs=True)
         ref = 2.0 * rp.energy_scale() * (1.0 + rp.kappa)
         got = shoot_spectrum(rp, ext, 1).energies[0]
-        worst = max(worst, _rel(got, ref))
+        worst = _worst(worst, _rel(got, ref))
     return _row(
         "1-friedrichs-ground-vs-oracle", worst, 1e-3,
-        "E0 = 2 ups^2 (1+kappa) shot over five coupling points", True,
+        "E0 = 2 ups^2 (1+kappa) shot over five coupling points",
     )
 
 
@@ -80,10 +87,10 @@ def _c2_nu_zero_closed_form():
         rp = reduce(kappa * kappa - 0.25, 1.0)
         w00 = solve_w(0.0, 0.0, rp)
         bound = -4.0 * rp.energy_scale() * w00  # optimum representation: u = -E0
-        worst = max(worst, _rel(bound, 2.0 * rp.energy_scale() * (1.0 - kappa)))
+        worst = _worst(worst, _rel(bound, 2.0 * rp.energy_scale() * (1.0 - kappa)))
     return _row(
         "2-nu-zero-closed-form", worst, 1e-10,
-        "-4 ups^2 w(0,0) against 2 ups^2 (1-kappa)", True,
+        "-4 ups^2 w(0,0) against 2 ups^2 (1-kappa)",
     )
 
 
@@ -92,10 +99,10 @@ def _c2_nu_zero_oracle():
     for kappa in (0.25, 0.5, 0.75):
         rp = reduce(kappa * kappa - 0.25, 1.0)
         got = shoot_spectrum(rp, extension_for(rp, nu=0.0), 1).energies[0]
-        worst = max(worst, _rel(got, 2.0 * rp.energy_scale() * (1.0 - kappa)))
+        worst = _worst(worst, _rel(got, 2.0 * rp.energy_scale() * (1.0 - kappa)))
     return _row(
         "2-nu-zero-vs-oracle", worst, 1e-3,
-        "the same ground states from the shooting side", False,
+        "the same ground states from the shooting side",
     )
 
 
@@ -110,10 +117,10 @@ def _c3_spectrum_equivalence():
         ext = extension_for(rp, nu=nu)
         formula = spectrum(rp, ext, 5).energies
         shot = shoot_spectrum(rp, ext, 5).energies
-        worst = max(worst, max(_rel(s, f) for s, f in zip(shot, formula)))
+        worst = _worst(worst, *(_rel(s, f) for s, f in zip(shot, formula)))
     return _row(
         "3-spectrum-equivalence", worst, 1e-3,
-        "first 5 levels, 12 (kappa, nu) combinations, formula vs shooting", False,
+        "first 5 levels, 12 (kappa, nu) combinations, formula vs shooting",
     )
 
 
@@ -128,11 +135,11 @@ def _c4_ladder_spacing():
         formula = spectrum(rp, ext, 5).energies
         refs = [2.0 * rp.energy_scale() * (2 * n + 1 + kappa) for n in range(5)]
         shot = shoot_spectrum(rp, ext, 5).energies
-        worst = max(worst, max(_rel(f, r) for f, r in zip(formula, refs)))
-        worst = max(worst, max(_rel(s, r) for s, r in zip(shot, refs)))
+        worst = _worst(worst, *(_rel(f, r) for f, r in zip(formula, refs)))
+        worst = _worst(worst, *(_rel(s, r) for s, r in zip(shot, refs)))
     return _row(
         "4-ladder-spacing-vs-oracle", worst, 1e-3,
-        "E_n = 2 ups^2 (2n+1+kappa), n <= 4, three kappa values", False,
+        "E_n = 2 ups^2 (2n+1+kappa), n <= 4, three kappa values",
     )
 
 
@@ -154,11 +161,11 @@ def _c5_monotone_flow():
             monotone &= all(s < 0.0 for s in steps)
             limit_val = e0[0]  # nu -> -pi/2 from above
         limit_ref = 2.0 * rp.energy_scale() * (1.0 + kappa)
-        worst_gap = max(worst_gap, abs(limit_val - limit_ref) / rp.energy_scale())
+        worst_gap = _worst(worst_gap, abs(limit_val - limit_ref) / rp.energy_scale())
     value = worst_gap if monotone else math.inf
     return _row(
         "5-monotone-flow", value, 0.05,
-        "21-point nu sweeps strictly monotone, endpoint gap in units of ups^2", True,
+        "21-point nu sweeps strictly monotone, endpoint gap in units of ups^2",
     )
 
 
@@ -196,10 +203,10 @@ def _c6_factorization_identity():
                 for x in _XS:
                     resid = factorization_residual(rep, (f, fp, fpp), x)
                     rhs = -fpp(x) + (g1 / (x * x) + x * x + rep.u) * f(x)
-                    worst = max(worst, abs(resid) / max(1.0, abs(rhs)))
+                    worst = _worst(worst, abs(resid) / max(1.0, abs(rhs)))
     return _row(
         "6-factorization-identity", worst, 1e-6,
-        "b a f = (H - u) f over 12 representation points x 3 functions", True,
+        "b a f = (H - u) f over 12 representation points x 3 functions",
     )
 
 
@@ -210,10 +217,10 @@ def _c6_kernel_at_floor():
         rep = RepresentationParams(0.3, rp.w0, rp)
         phi = make_phi(rep)
         for x in (0.4, 1.0, 1.7):
-            worst = max(worst, abs(apply_a(rep, phi, x)))
+            worst = _worst(worst, abs(apply_a(rep, phi, x)))
     return _row(
         "6-kernel-at-floor", worst, 1e-10,
-        "a phi = 0 at the admissibility floor w = w0", True,
+        "a phi = 0 at the admissibility floor w = w0",
     )
 
 
@@ -226,10 +233,10 @@ def _c7_psi_dual_route():
         for rho in (0.8, 3.0, 7.0):
             a = tricomi_psi_series(alpha, beta, rho)
             b = tricomi_psi_integral(alpha, beta, rho)
-            worst = max(worst, abs(a - b) / abs(b))
+            worst = _worst(worst, abs(a - b) / abs(b))
     return _row(
         "7-psi-dual-route", worst, 1e-8,
-        "series vs integral evaluation of the decaying solution", True,
+        "series vs integral evaluation of the decaying solution",
     )
 
 
@@ -239,10 +246,10 @@ def _c7_psi_large_rho():
     worst = 0.0
     for alpha, beta in ((0.75, 1.5), (1.25, 2.0)):
         got = 100.0**alpha * tricomi_psi_integral(alpha, beta, 100.0)
-        worst = max(worst, abs(got - 1.0))
+        worst = _worst(worst, abs(got - 1.0))
     return _row(
         "7-psi-large-rho", worst, 1e-2,
-        "rho^alpha Psi -> 1 checked at rho = 100", True,
+        "rho^alpha Psi -> 1 checked at rho = 100",
     )
 
 
@@ -252,10 +259,10 @@ def _c7_phi_large_rho():
         # Phi ~ Gamma(beta)/Gamma(alpha) e^rho rho^(alpha-beta)
         got = kummer_phi(alpha, beta, 100.0)
         ref = gamma(beta) / gamma(alpha) * math.exp(100.0) * 100.0 ** (alpha - beta)
-        worst = max(worst, abs(got / ref - 1.0))
+        worst = _worst(worst, abs(got / ref - 1.0))
     return _row(
         "7-phi-large-rho", worst, 2e-2,
-        "growing-solution asymptotics checked at rho = 100", True,
+        "growing-solution asymptotics checked at rho = 100",
     )
 
 
@@ -267,11 +274,11 @@ def _c8_oscillation():
     worst = 0.0
     for c, interval in ((Couplings(-0.5, 0.0), (1e-8, 1e-2)), (Couplings(0.0, -1.0), (10.0, 20.0))):
         r = count_zeros(c, 0.0, interval)
-        worst = max(worst, abs(r.observed_zeros - r.predicted_zeros) / (1.0 + 0.1 * r.predicted_zeros))
+        worst = _worst(worst, abs(r.observed_zeros - r.predicted_zeros) / (1.0 + 0.1 * r.predicted_zeros))
         details.append(f"{r.mode}: {r.observed_zeros} vs {r.predicted_zeros:.2f}")
     return _row(
         "8-oscillation-census", worst, 1.0,
-        "; ".join(details), True,
+        "; ".join(details),
     )
 
 
@@ -289,10 +296,10 @@ def _c9_wavefunction_fidelity():
         ext = extension_for(rp, **kwargs)
         shot = shoot_spectrum(rp, ext, 1, want_eigenfunctions=True).eigenfunctions[0]
         analytic = sample_on_grid(ground_state_wavefunction(rp, ext), shot.grid)
-        worst = max(worst, 1.0 - eigenfunction_overlap(analytic, shot))
+        worst = _worst(worst, 1.0 - eigenfunction_overlap(analytic, shot))
     return _row(
         "9-wavefunction-fidelity", worst, 1e-4,
-        "1 - overlap(analytic ground state, shot ground state)", True,
+        "1 - overlap(analytic ground state, shot ground state)",
     )
 
 
@@ -303,10 +310,10 @@ def _c10_scaling_formula():
     rp1, rp4 = reduce(0.0, 1.0), reduce(0.0, 16.0)
     e1 = spectrum(rp1, extension_for(rp1, nu=1.0), 5).energies
     e4 = spectrum(rp4, extension_for(rp4, nu=1.0), 5).energies
-    worst = max(_rel(b, 4.0 * a) for a, b in zip(e1, e4))
+    worst = _worst(*(_rel(b, 4.0 * a) for a, b in zip(e1, e4)))
     return _row(
         "10-scaling-formula", worst, 1e-12,
-        "spectrum at ups = 2 equals 4x the ups = 1 spectrum (equation path)", True,
+        "spectrum at ups = 2 equals 4x the ups = 1 spectrum (equation path)",
     )
 
 
@@ -314,15 +321,14 @@ def _c10_scaling_oracle():
     rp1, rp4 = reduce(0.0, 1.0), reduce(0.0, 16.0)
     e1 = shoot_spectrum(rp1, extension_for(rp1, nu=1.0), 3).energies
     e4 = shoot_spectrum(rp4, extension_for(rp4, nu=1.0), 3).energies
-    worst = max(_rel(b, 4.0 * a) for a, b in zip(e1, e4))
+    worst = _worst(*(_rel(b, 4.0 * a) for a, b in zip(e1, e4)))
     return _row(
         "10-scaling-oracle", worst, 1e-3,
-        "the same scaling law on the shooting side", False,
+        "the same scaling law on the shooting side",
     )
 
 
-# (function, part of the quick subset); the flag here must match the one
-# baked into the row so filtering can happen before any work is done
+# (function, part of the quick subset)
 _CHECKS = (
     (_c1_friedrichs_ground, True),
     (_c2_nu_zero_closed_form, True),

@@ -24,7 +24,7 @@ import re
 import sys
 
 from . import __version__
-from .acceptance import _SUITE, _XS, run_acceptance
+from .acceptance import _SUITE, _XS, _worst, run_acceptance
 from .errors import ConvergenceError, DomainError
 from .factorization import RepresentationParams, apply_a, factorization_residual, make_phi
 from .nonexistence import count_zeros
@@ -136,8 +136,8 @@ def _region_guard(g1: float, g2: float) -> None:
         raise SystemExit(EXIT_NO_REPRESENTATION)
 
 
-def _pick_extension(rp, args, parser) -> tuple:
-    """(Extension, label string). Extension flags are mutually exclusive
+def _pick_extension(rp, args, parser):
+    """The requested Extension. Extension flags are mutually exclusive
     by parser construction; here only region compatibility is checked."""
     if args.unique:
         if rp.kappa < 1.0:
@@ -151,7 +151,7 @@ def _pick_extension(rp, args, parser) -> tuple:
         ext = extension_for(rp, nu=None)
     else:
         parser.error("kappa < 1: the extension is not unique, pass --nu RADIANS or --friedrichs")
-    return ext, ext.label.value
+    return ext
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +161,7 @@ def _pick_extension(rp, args, parser) -> tuple:
 def _cmd_spectrum(args, parser) -> int:
     _region_guard(args.g1, args.g2)
     rp = reduce(args.g1, args.g2)
-    ext, label = _pick_extension(rp, args, parser)
+    ext = _pick_extension(rp, args, parser)
     result = spectrum(rp, ext, args.n)
     ups2 = rp.energy_scale()
 
@@ -188,7 +188,7 @@ def _cmd_spectrum(args, parser) -> int:
         "command": "spectrum",
         "g1": args.g1,
         "g2": args.g2,
-        "extension": label,
+        "extension": ext.label.value,
         "nu": ext.nu,
         "n": args.n,
         "oracle": args.oracle,
@@ -296,7 +296,7 @@ def _cmd_factorize_check(args, parser) -> int:
             resid = factorization_residual(rep, (f, fp, fpp), x, h_shift=args.h_shift)
             rhs = -fpp(x) + (args.g1 / (x * x) + args.g2 * x * x + rep.u) * f(x)
             rel = abs(resid) / max(1.0, abs(rhs))
-            if rel > worst[0]:
+            if rel > worst[0] or math.isnan(rel):  # a NaN residual must fail
                 worst = (rel, x)
     checks = [
         {
@@ -310,7 +310,7 @@ def _cmd_factorize_check(args, parser) -> int:
 
     kernel_max = None
     if rep.at_floor:
-        kernel_max = max(abs(apply_a(rep, phi, x)) for x in (0.4, 1.0, 1.7))
+        kernel_max = _worst(*(abs(apply_a(rep, phi, x)) for x in (0.4, 1.0, 1.7)))
         checks.append(
             {
                 "name": "kernel-nontrivial",
@@ -321,7 +321,8 @@ def _cmd_factorize_check(args, parser) -> int:
         )
 
     grid = [0.05 + (6.0 / rp.upsilon - 0.05) * i / 59.0 for i in range(60)]
-    min_phi = min(phi.value_at(x) for x in grid)
+    values = [phi.value_at(x) for x in grid]
+    min_phi = math.nan if any(math.isnan(v) for v in values) else min(values)
     checks.append(
         {"name": "phi-positive", "passed": min_phi > 0.0, "value": min_phi, "threshold": 0.0}
     )

@@ -27,6 +27,9 @@ rho -> 0
         B~ = -2 cos(mu),
 
 which is the boundary data that picks a self-adjoint extension later.
+`spectral.theta_of` computes its angle, theta = atan2(A~, B~) for kappa
+in (0,1) and atan(2 A~/B~) for kappa = 0, from the gamma ratio (resp.
+psi(alpha) - 2 psi(1)) that spectral's boundary function evaluates.
 
 From phi the superpotential h = phi'/phi defines the first-order pair
 
@@ -50,18 +53,16 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .params import ReducedParams
-from .specfun import digamma, gamma, kummer_phi, rgamma, tricomi_psi
+from .specfun import gamma, kummer_phi, rgamma, tricomi_psi
 
 __all__ = [
     "RepresentationParams",
     "EvaluableSolution",
-    "AsymptoticCoefficients",
     "make_phi",
     "superpotential",
     "apply_a",
     "apply_b",
     "factorization_residual",
-    "asymptotic_coeffs",
 ]
 
 _HALF_PI = 0.5 * math.pi
@@ -82,6 +83,8 @@ class RepresentationParams:
     def __post_init__(self) -> None:
         if not (0.0 <= self.mu <= _HALF_PI + 1e-15):
             raise DomainError(f"RepresentationParams: mu={self.mu} outside [0, pi/2]")
+        if not math.isfinite(self.w):
+            raise DomainError(f"RepresentationParams: w={self.w!r} must be finite")
         if self.w < self.rp.w0 - 1e-14:
             raise DomainError(f"RepresentationParams: w={self.w} below the floor w0={self.rp.w0}")
 
@@ -228,48 +231,3 @@ def factorization_residual(rep: RepresentationParams, f_triple, x: float, h_shif
     v = rp.g1 / (x * x) + rp.g2 * x * x
     rhs = -fpp(x) + (v + 4.0 * rp.upsilon**2 * rep.w) * f(x)
     return lhs - rhs
-
-
-@dataclass(frozen=True)
-class AsymptoticCoefficients:
-    """Small-x boundary data (A~, B~) of phi and its polar form.
-
-    theta = atan2(A~, B~) for kappa in (0,1); in the logarithmic case
-    kappa = 0 the conventional angle is atan(psi(alpha) - 2 psi(1) -
-    tan mu), which equals atan(2 A~/B~) up to orientation.  c_norm is the
-    plain amplitude hypot(A~, B~).
-    """
-
-    A_tilde: float
-    B_tilde: float
-    theta: float
-    c_norm: float
-
-
-def asymptotic_coeffs(rep: RepresentationParams) -> AsymptoticCoefficients:
-    """Boundary coefficients of the solution; extension families only.
-
-    Refuses kappa >= 1 (no boundary freedom there), mu = pi/2 and w = w0
-    (one-sided asymptotics, the two-coefficient decomposition degenerates).
-    """
-    rp = rep.rp
-    if rp.kappa >= 1.0:
-        raise DomainError(f"asymptotic_coeffs: kappa={rp.kappa} >= 1, boundary decomposition undefined")
-    if math.cos(rep.mu) < 1e-15 or abs(rep.mu - _HALF_PI) < 1e-12:
-        raise DomainError("asymptotic_coeffs: mu = pi/2 solution has a one-sided asymptotic")
-    if rep.at_floor:
-        raise DomainError("asymptotic_coeffs: w = w0 solution has a one-sided asymptotic")
-    alpha = rp.alpha_of(rep.w)
-    smu, cmu = math.sin(rep.mu), math.cos(rep.mu)
-    if rp.kappa > 0.0:
-        k = rp.kappa
-        gratio = gamma(1.0 - k) / gamma(1.0 + k) * gamma(alpha) * rgamma(alpha - k)
-        a_t = smu - cmu * gratio
-        b_t = cmu
-        theta = math.atan2(a_t, b_t)
-    else:
-        two_psi1 = 2.0 * digamma(1.0)
-        a_t = smu + cmu * (two_psi1 - digamma(alpha))
-        b_t = -2.0 * cmu
-        theta = math.atan(digamma(alpha) - two_psi1 - math.tan(rep.mu))
-    return AsymptoticCoefficients(a_t, b_t, theta, math.hypot(a_t, b_t))

@@ -7,26 +7,26 @@ Friedrichs extension.  For kappa >= 1 the operator is essentially
 self-adjoint: one Hamiltonian, no choice to make.
 
 Working in the scaled energy e = E / upsilon^2, everything reduces to
-gamma-function transcendental equations in e (equivalently in the shift
-w = -e/4 of the decaying solution):
+one boundary function F of the shift w = -e/4 of the decaying solution,
 
-    kappa in (0,1):   F(e) = G(1-k) G((1+k)/2 - e/4)
-                             / [G(1+k) G((1-k)/2 - e/4)]  =  -tan(nu)
-    kappa = 0:        psi(1/2 - e/4) = tan(nu) + 2 psi(1)
+    kappa in (0,1):   F(w) = G(1-k) G((1+k)/2 + w) / [G(1+k) G((1-k)/2 + w)]
+    kappa = 0:        F(w) = psi(1/2 + w) - 2 psi(1),
 
-Both left-hand sides sweep every real value exactly once per "gap"
-between consecutive poles of the numerator (at e = 2(2n+1+kappa), resp.
-2(2n+1)), strictly decreasing, so each gap carries exactly one
-eigenvalue and bracketed bisection cannot miss.  At nu = +-pi/2 the
-roots sit on the poles themselves and the spectrum is the exact ladder
-E_n = 2 upsilon^2 (2n+1+kappa) (also the kappa >= 1 spectrum); at nu=0,
-kappa > 0, the roots are the zeros E_n = 2 upsilon^2 (2n+1-kappa) in
-closed form.
+and the eigenvalue equations F(-e/4) = -tan(nu) (kappa > 0), resp.
+F(-e/4) = tan(nu) (kappa = 0).  F(-e/4) sweeps every real value exactly
+once per "gap" between consecutive poles of the numerator (at
+e = 2(2n+1+kappa), resp. 2(2n+1)), strictly decreasing in e, so each gap
+carries exactly one eigenvalue and bracketed bisection cannot miss.  At
+nu = +-pi/2 the roots sit on the poles themselves and the spectrum is the
+exact ladder E_n = 2 upsilon^2 (2n+1+kappa) (also the kappa >= 1
+spectrum); at nu=0, kappa > 0, the roots are the zeros
+E_n = 2 upsilon^2 (2n+1-kappa) in closed form.
 
-The boundary angle theta(mu, w) of a representation solution and the
-inverse problem w(mu, nu) (used to build the representation that
-generates a given extension) live here too, built on the asymptotic
-coefficients of the factorization layer.
+The same F fixes the small-x coefficients (A~, B~) of a representation
+solution (see the factorization module), hence its boundary angle
+theta(mu, w) and the inverse problem w(mu, nu), used to build the
+representation that generates a given extension.  All three go through
+`_boundary_F`, and every root is found by the one bisection `_bisect`.
 """
 
 from __future__ import annotations
@@ -113,14 +113,23 @@ def extension_for(rp: ReducedParams, nu: float | None = None, friedrichs: bool =
 # boundary angle of a representation and its inversion
 
 
-# integrity hook: a nonzero value skews every Gamma/digamma boundary
-# equation so cross-validation against the shooting oracle must fail;
-# it exists to prove the verification rows are not vacuous.  Set it with
-# a token and reset it afterwards; it reaches only the current context.
+# integrity hook: a nonzero value skews the boundary function, so
+# cross-validation against the shooting oracle must fail; it exists to
+# prove the verification rows are not vacuous.  Set it with a token and
+# reset it afterwards; it reaches only the current context.
 gamma_skew: contextvars.ContextVar[float] = contextvars.ContextVar("gamma_skew", default=0.0)
 
 
-def _skewed(value: float) -> float:
+def _boundary_F(rp: ReducedParams, w: float) -> float:
+    """The boundary function of the shift w, increasing in w:
+
+        kappa > 0:  G(1-k) G(alpha) / [G(1+k) G(alpha-k)],  alpha = (1+k)/2 + w
+        kappa = 0:  psi(1/2 + w) - 2 psi(1)
+
+    theta_of, solve_w and the spectrum (at w = -e/4) all go through it,
+    and gamma_skew perturbs it here.
+    """
+    value = _gamma_ratio(rp, w) if rp.kappa > 0.0 else digamma(0.5 + w) - 2.0 * digamma(1.0)
     eps = gamma_skew.get()
     if eps != 0.0 and math.isfinite(value):
         return value + eps * (1.0 + abs(value))
@@ -128,10 +137,6 @@ def _skewed(value: float) -> float:
 
 
 def _gamma_ratio(rp: ReducedParams, w: float) -> float:
-    return _skewed(_gamma_ratio_core(rp, w))
-
-
-def _gamma_ratio_core(rp: ReducedParams, w: float) -> float:
     """G(1-k)/G(1+k) * G(alpha)/G(alpha-k) with alpha = (1+k)/2 + w, in
     log space; 0.0 on the exact poles of G(alpha-k), +-inf on overflow."""
     k = rp.kappa
@@ -157,11 +162,26 @@ def _gamma_ratio_core(rp: ReducedParams, w: float) -> float:
     return s3 * s4 * math.exp(ln_r)
 
 
+def _bisect(f, pos: float, nonpos: float) -> float:
+    """Halve the bracket f(pos) > 0 >= f(nonpos) down to adjacent floats
+    (at most 200 halvings); the endpoints may come in either order."""
+    for _ in range(200):
+        mid = 0.5 * (pos + nonpos)
+        if mid == pos or mid == nonpos:
+            break
+        if f(mid) > 0.0:
+            pos = mid
+        else:
+            nonpos = mid
+    return 0.5 * (pos + nonpos)
+
+
 def theta_of(mu: float, w: float, rp: ReducedParams) -> float:
     """Boundary angle theta of the (mu, w) solution; kappa in [0,1) only.
 
-    kappa > 0: theta = atan2(sin mu - cos mu * gamma_ratio, cos mu);
-    kappa = 0: theta = atan(psi(1/2 + w) - 2 psi(1) - tan mu).
+    With F the boundary function of w,
+    kappa > 0: theta = atan2(sin mu - cos mu * F, cos mu);
+    kappa = 0: theta = atan(F - tan mu).
     """
     if rp.kappa >= 1.0:
         raise DomainError(f"theta_of: kappa={rp.kappa} >= 1 has no boundary angle")
@@ -173,17 +193,17 @@ def theta_of(mu: float, w: float, rp: ReducedParams) -> float:
         raise DomainError("theta_of: mu = pi/2 solution has a one-sided asymptotic")
     if rp.kappa > 0.0:
         smu, cmu = math.sin(mu), math.cos(mu)
-        return math.atan2(smu - cmu * _gamma_ratio(rp, w), cmu)
-    return math.atan(digamma(0.5 + w) - 2.0 * digamma(1.0) - math.tan(mu))
+        return math.atan2(smu - cmu * _boundary_F(rp, w), cmu)
+    return math.atan(_boundary_F(rp, w) - math.tan(mu))
 
 
 def solve_w(mu: float, nu: float, rp: ReducedParams) -> float:
     """Invert theta(mu, .): the w > w0 with boundary angle nu.
 
-    Unique because tan theta is strictly monotone in w (decreasing for
-    kappa > 0, increasing for kappa = 0), sweeping all of R.  Bisection
-    on an expanding bracket; the residual is checked against
-    1e-10 * (1 + |tan nu|) before returning.
+    Unique because the boundary function F is increasing in w and sweeps
+    all of R, and tan theta is tan mu - F (kappa > 0) or F - tan mu
+    (kappa = 0).  Bisection on an expanding bracket; the residual is
+    checked against 1e-10 * (1 + |tan nu|) before returning.
     """
     if rp.kappa >= 1.0:
         raise DomainError(f"solve_w: kappa={rp.kappa} >= 1 has no extension family")
@@ -193,18 +213,10 @@ def solve_w(mu: float, nu: float, rp: ReducedParams) -> float:
         raise DomainError(f"solve_w: nu={nu} must be interior to (-pi/2, pi/2)")
     tnu = math.tan(nu)
     tmu = math.tan(mu)
-    if rp.kappa > 0.0:
-        # tan theta = tan mu - gamma_ratio(w), decreasing; solve ratio = tmu - tnu
-        target = tmu - tnu
+    target = tmu - tnu if rp.kappa > 0.0 else tnu + tmu
 
-        def f(w: float) -> float:
-            return _gamma_ratio(rp, w) - target
-    else:
-        # psi(1/2 + w) = tan nu + 2 psi(1) + tan mu, increasing
-        target = tnu + 2.0 * digamma(1.0) + tmu
-
-        def f(w: float) -> float:
-            return digamma(0.5 + w) - target
+    def f(w: float) -> float:
+        return _boundary_F(rp, w) - target
 
     # f is increasing from -inf at the floor; expand right edge until positive
     lo = rp.w0 + 1e-13
@@ -213,15 +225,7 @@ def solve_w(mu: float, nu: float, rp: ReducedParams) -> float:
         if hi > 1e280:
             raise ConvergenceError(f"solve_w: no sign change for mu={mu}, nu={nu}")
         hi = rp.w0 + 2.0 * (hi - rp.w0)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if f(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    w = 0.5 * (lo + hi)
+    w = _bisect(f, hi, lo)
     resid = abs(math.tan(theta_of(mu, w, rp)) - tnu)
     if resid > 1e-10 * (1.0 + abs(tnu)):
         raise ConvergenceError(f"solve_w: residual {resid:.2e} too large at mu={mu}, nu={nu}")
@@ -253,14 +257,8 @@ def _pole(rp: ReducedParams, n: int) -> float:
     return 2.0 * (2 * n + 1 + rp.kappa)
 
 
-def _scaled_F(rp: ReducedParams, e: float) -> float:
-    if rp.kappa > 0.0:
-        return _gamma_ratio(rp, -0.25 * e)
-    return _skewed(digamma(0.5 - 0.25 * e) - 2.0 * digamma(1.0))
-
-
 def _lowest_gap_floor(rp: ReducedParams, target: float) -> float:
-    # scaled e with F(e) > target, i.e. strictly below the ground root.
+    # scaled e with F(-e/4) > target, i.e. strictly below the ground root.
     # F's first zero z0 splits the gap: a root with target <= 0 lies in
     # [z0, first pole), so a fixed offset below z0 suffices; target > 0
     # pushes the root toward -inf and the e -> -inf asymptotics of F are
@@ -285,7 +283,8 @@ def _lowest_gap_floor(rp: ReducedParams, target: float) -> float:
 
 
 def _root_in_gap(rp: ReducedParams, target: float, lo: float, hi: float) -> tuple[float, float]:
-    """One root of F(e) = target in (lo, hi); F decreases +inf -> -inf.
+    """One root of F(-e/4) = target in e in (lo, hi), where F(-e/4)
+    decreases from +inf to -inf.
 
     Eight-point scan confirms the decreasing sweep and brackets the sign
     change, then bisection.  Returns (root, residual).  Endpoint nudges
@@ -297,9 +296,9 @@ def _root_in_gap(rp: ReducedParams, target: float, lo: float, hi: float) -> tupl
 
     def g(e: float) -> float:
         try:
-            return _scaled_F(rp, e) - target
+            return _boundary_F(rp, -0.25 * e) - target
         except DomainError:  # landed on an exact gamma pole; step off it
-            return _scaled_F(rp, math.nextafter(e, b)) - target
+            return _boundary_F(rp, -0.25 * math.nextafter(e, b)) - target
 
     # keep the last point exactly b: when |lo| dwarfs hi, a + (b-a) rounds
     # to ULP(|lo|) and can land past the pole at hi, where F flips sign
@@ -323,21 +322,7 @@ def _root_in_gap(rp: ReducedParams, target: float, lo: float, hi: float) -> tupl
         bracket = (a, b) if g(a) > 0.0 > g(b) else None
     if bracket is None:
         raise ConvergenceError(f"no eigenvalue bracket inside gap ({lo:.6g}, {hi:.6g})")
-    x0, x1 = bracket
-    for _ in range(200):
-        mid = 0.5 * (x0 + x1)
-        if mid == x0 or mid == x1:
-            break
-        try:
-            gm = g(mid)
-        except DomainError:
-            mid = math.nextafter(mid, x1)
-            gm = g(mid)
-        if gm > 0.0:
-            x0 = mid
-        else:
-            x1 = mid
-    root = 0.5 * (x0 + x1)
+    root = _bisect(g, *bracket)
     return root, abs(g(root))
 
 
@@ -370,8 +355,8 @@ def spectrum(
         es = tuple(2.0 * (2 * n + 1 - rp.kappa) * unit for n in range(n_max))
         return SpectrumResult(es, n_max, (0.0,) * n_max, "closed-form", scaled)
 
-    # boundary condition: F = -tan(nu) for kappa > 0, but the digamma form
-    # at kappa = 0 reads psi(1/2 - e/4) - 2 psi(1) = +tan(nu)
+    # boundary condition: F(-e/4) = -tan(nu) for kappa > 0, but +tan(nu)
+    # for the digamma form at kappa = 0
     tnu = math.tan(nu)
     target = -tnu if rp.kappa > 0.0 else tnu
     roots = []

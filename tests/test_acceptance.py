@@ -5,8 +5,11 @@ test prints its row's verdict, so `pytest -v -s tests/test_acceptance.py`
 reads as a checklist. A failing row prints automatically.
 """
 
+import math
+
 import pytest
 
+from calogero import acceptance
 from calogero.acceptance import run_acceptance
 
 ROW_NAMES = [
@@ -62,3 +65,19 @@ def test_quick_subset_is_a_subset(table):
     # (oracle sweeps over many couplings) are exactly what it drops
     assert "3-spectrum-equivalence" not in names
     assert "1-friedrichs-ground-vs-oracle" in names
+
+
+def test_nan_figure_fails_its_row(monkeypatch):
+    # max() would pass over a NaN that does not come first
+    class NaNSpectrum:
+        energies = (math.nan,)
+
+    monkeypatch.setattr(acceptance, "shoot_spectrum", lambda *args, **kwargs: NaNSpectrum)
+    row = acceptance._c1_friedrichs_ground()
+    assert row.passed is False
+    assert math.isnan(row.value)
+
+
+@pytest.mark.parametrize("figures", [(0.1, math.nan, 0.2), (math.nan, 0.1), (0.2, 0.1, math.nan)])
+def test_worst_figure_keeps_nan(figures):
+    assert math.isnan(acceptance._worst(*figures))

@@ -247,6 +247,20 @@ class TestFactorizeCheck:
         assert code == 4
         assert "failed at x =" in err
 
+    def test_nan_superpotential_shift_fails(self, capsys):
+        # a NaN residual must fail its check, not be passed over as smaller
+        code, out, err = run(capsys, ["factorize-check", "--h-shift", "nan"])
+        assert code == 4
+        assert out == ""
+        assert "non-finite" in err
+
+    @pytest.mark.parametrize("w", ["nan", "inf"])
+    def test_non_finite_shift_is_refused(self, capsys, w):
+        code, out, err = run(capsys, ["factorize-check", "--w", w])
+        assert code == 2
+        assert out == ""
+        assert "must be finite" in err
+
     def test_region_guard_applies(self, capsys):
         code, _, err = run(capsys, ["factorize-check", "--g1", "-0.5"])
         assert code == 3

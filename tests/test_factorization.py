@@ -4,6 +4,7 @@ first-order operator pair, and the second-order identity they must satisfy.
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,12 +14,12 @@ from calogero.factorization import (
     RepresentationParams,
     apply_a,
     apply_b,
-    asymptotic_coeffs,
     factorization_residual,
     make_phi,
     superpotential,
 )
 from calogero.params import reduce
+from calogero.spectral import theta_of
 
 # smooth compactly-decaying probes with hand-derived derivatives
 F1 = (
@@ -56,6 +57,11 @@ class TestRepresentationParams:
             RepresentationParams(mu=2.0, w=0.0, rp=rp)
         with pytest.raises(DomainError):
             RepresentationParams(mu=0.3, w=rp.w0 - 0.01, rp=rp)
+
+    @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])
+    def test_non_finite_shift_refused(self, w):
+        with pytest.raises(DomainError, match="must be finite"):
+            RepresentationParams(mu=0.3, w=w, rp=reduce(0.0, 1.0))
 
     def test_shift_wiring(self):
         rep = rep_of(0.0, 16.0, 0.2, -0.5)
@@ -190,27 +196,16 @@ class TestFactorizationIdentity:
             assert abs(factorization_residual(rep, F2, x)) <= 1e-12 * (1.0 + abs(F2[2](x)))
 
 
-class TestAsymptoticCoefficients:
-    def test_pinned_kappa_half_case(self):
-        # mu=0, kappa=1/2, w=-1/4: alpha-kappa = 0 kills the gamma ratio
-        rep = rep_of(0.0, 1.0, 0.0, -0.25)
-        ac = asymptotic_coeffs(rep)
-        assert ac.A_tilde == pytest.approx(0.0, abs=1e-14)
-        assert ac.B_tilde == pytest.approx(1.0, rel=1e-14)
-        assert ac.theta == pytest.approx(0.0, abs=1e-14)
+class TestBoundaryAngle:
+    """The small-x coefficients (A~, B~) of phi fix the boundary angle
+    that `spectral.theta_of` computes from the boundary function."""
 
-    def test_pinned_kappa_zero_case(self):
-        rep = rep_of(-0.25, 1.0, math.pi / 4, 0.1)
-        ac = asymptotic_coeffs(rep)
-        assert ac.B_tilde == pytest.approx(-math.sqrt(2.0), rel=1e-14)
+    def test_angle_vanishes_with_the_gamma_ratio(self):
+        # mu=0, kappa=1/2, w=-1/4: alpha-kappa = 0 kills the gamma ratio, so A~ = 0
+        assert theta_of(0.0, -0.25, reduce(0.0, 1.0)) == pytest.approx(0.0, abs=1e-14)
 
-    def test_c_norm_is_amplitude(self):
-        ac = asymptotic_coeffs(rep_of(0.0, 1.0, 0.3, 0.2))
-        assert ac.c_norm == pytest.approx(math.hypot(ac.A_tilde, ac.B_tilde), rel=1e-15)
-
-    def test_coeffs_describe_actual_small_x_behaviour_kappa_positive(self):
+    def test_angle_of_actual_small_x_behaviour_kappa_positive(self):
         rep = rep_of(0.0, 1.0, 0.5, 0.15)  # kappa = 1/2
-        ac = asymptotic_coeffs(rep)
         sol = make_phi(rep)
         k, ups = rep.rp.kappa, rep.rp.upsilon
         q = 0.25 + 0.5 * k
@@ -223,14 +218,13 @@ class TestAsymptoticCoefficients:
         r1, r2 = (ups * x1) ** 2, (ups * x2) ** 2
         b_fit = (S(x1) - S(x2)) / (r1**-k - r2**-k)
         a_fit = S(x1) - b_fit * r1**-k
+        assert b_fit == pytest.approx(math.cos(rep.mu), rel=1e-5)  # B~ = cos mu
         # A~ extraction carries the next-order O(rho^(1-kappa)) correction,
         # ~1e-3 at rho = 1e-6
-        assert b_fit == pytest.approx(ac.B_tilde, rel=1e-5)
-        assert a_fit == pytest.approx(ac.A_tilde, rel=1e-2, abs=3e-3)
+        assert math.atan2(a_fit, b_fit) == pytest.approx(theta_of(rep.mu, rep.w, rep.rp), abs=3e-3)
 
-    def test_coeffs_describe_actual_small_x_behaviour_kappa_zero(self):
+    def test_angle_of_actual_small_x_behaviour_kappa_zero(self):
         rep = rep_of(-0.25, 1.0, 0.6, 0.2)
-        ac = asymptotic_coeffs(rep)
         sol = make_phi(rep)
         ups = rep.rp.upsilon
 
@@ -241,24 +235,31 @@ class TestAsymptoticCoefficients:
         x1, x2 = 1e-3, 5e-4
         b_fit = (S(x1) - S(x2)) / (math.log(ups * x1) - math.log(ups * x2))
         a_fit = S(x1) - b_fit * math.log(ups * x1)
-        assert b_fit == pytest.approx(ac.B_tilde, rel=1e-4)
-        assert a_fit == pytest.approx(ac.A_tilde, rel=1e-3, abs=1e-5)
+        assert b_fit == pytest.approx(-2.0 * math.cos(rep.mu), rel=1e-4)  # B~ = -2 cos mu
+        # the logarithmic case measures its angle as atan(2 A~/B~)
+        assert math.atan(2.0 * a_fit / b_fit) == pytest.approx(theta_of(rep.mu, rep.w, rep.rp), abs=3e-4)
 
-    def test_refusals(self):
-        with pytest.raises(DomainError):
-            asymptotic_coeffs(rep_of(0.75, 1.0, 0.3, 0.0))  # kappa = 1
-        with pytest.raises(DomainError):
-            asymptotic_coeffs(rep_of(0.0, 1.0, math.pi / 2, 0.0))
-        rp = reduce(0.0, 1.0)
-        with pytest.raises(DomainError):
-            asymptotic_coeffs(RepresentationParams(0.3, rp.w0, rp))
+    @staticmethod
+    def _mp_theta(mu, w, kappa):
+        # theta = atan2(A~, B~) with the gamma ratio in 30-digit arithmetic
+        with mpmath.workdps(30):
+            alpha = (1 + mpmath.mpf(kappa)) / 2 + mpmath.mpf(w)
+            ratio = (
+                mpmath.gamma(1 - kappa) / mpmath.gamma(1 + kappa)
+                * mpmath.gamma(alpha) * mpmath.rgamma(alpha - kappa)
+            )
+            return float(mpmath.atan2(mpmath.sin(mu) - mpmath.cos(mu) * ratio, mpmath.cos(mu)))
 
     @given(
         st.floats(min_value=0.0, max_value=1.4, allow_nan=False),
         st.floats(min_value=-0.6, max_value=1.5, allow_nan=False),
     )
     @settings(max_examples=60, deadline=None)
-    def test_theta_consistent_with_coefficients(self, mu, w):
-        rep = rep_of(0.0, 1.0, mu, w)  # kappa = 1/2 family
-        ac = asymptotic_coeffs(rep)
-        assert ac.theta == pytest.approx(math.atan2(ac.A_tilde, ac.B_tilde), abs=1e-13)
+    def test_angle_is_polar_angle_of_the_coefficients(self, mu, w):
+        assert theta_of(mu, w, reduce(0.0, 1.0)) == pytest.approx(self._mp_theta(mu, w, 0.5), abs=1e-13)
+
+    def test_large_shift_stays_finite(self):
+        # Gamma(alpha) alone overflows here; the ratio is taken in logs
+        got = theta_of(0.3, 200.0, reduce(0.0, 1.0))
+        assert got == pytest.approx(self._mp_theta(0.3, 200.0, 0.5), abs=1e-13)
+        assert got == pytest.approx(-1.5351, abs=1e-4)

@@ -295,6 +295,23 @@ class TestGammaSkew:
         assert all(abs(m - c) > 1e-6 * abs(c) for m, c in zip(moved, clean))
         assert spectrum(rp, ext, 3).energies == clean
 
+    @pytest.mark.parametrize("kappa", [0.5, 0.0])
+    def test_skew_moves_the_boundary_angle_and_its_inverse(self, kappa):
+        rp = rp_kappa(kappa)
+
+        def angle_and_shift():
+            return theta_of(0.3, 0.2, rp), solve_w(0.3, -0.4, rp)
+
+        clean = angle_and_shift()
+
+        def skewed():
+            gamma_skew.set(0.01)
+            return angle_and_shift()
+
+        moved = contextvars.copy_context().run(skewed)
+        assert all(abs(m - c) > 1e-6 * abs(c) for m, c in zip(moved, clean))
+        assert angle_and_shift() == clean
+
 
 class TestSpectrumProperties:
     @given(
