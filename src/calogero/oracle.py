@@ -29,10 +29,30 @@ corrections it drops excite only the growing-at-infinity mode, which the
 inward integration suppresses by exp(-(x_max^2 - x_match^2) ups^2 / 2),
 around 1e-14 for the default window.
 
-The Wronskian is normalized by the solution magnitudes at the match
-point, which also cancels the integrator's renormalization factors, so
-the mismatch function is a bounded, continuous function of E with simple
-sign changes exactly at the eigenvalues.
+Matching angle and level count.  Write each solution in Pruefer form,
+u = r sin(theta), u' = r cos(theta), and let phi = atan2(u, u') mod pi be
+its angle at the match point.  The integrator counts the strict sign
+changes Z of u along each branch, so
+
+    Theta(E) = pi (Z_L + Z_R) + phi_L - phi_R
+
+is the continuous angle of the left solution minus that of the right
+one.  Theta increases strictly with E (the left angle rises, the right
+one falls), it lies in (-pi, 0) below the ground state, and level n is
+the root of Theta(E) = n pi: floor(Theta / pi) + 1 levels lie below E,
+so no level can be missed or found twice.  Each level is bracketed
+between evaluated energies on either side of n pi -- the floor below the
+ground state, the rung 2 ups^2 (2n+1+kappa) + 0.2 ups^2 that every level
+n sits below, and the points of earlier solves -- and solved by an
+Illinois iteration (regula falsi that halves a retained end, with
+bisection when it stalls) at the scan tolerance.
+
+Refinement.  sin(Theta) is the Wronskian normalized by the solution
+magnitudes at the match point, which also cancels the integrator's
+renormalization factors; this bounded mismatch vanishes exactly at the
+eigenvalues, and a secant on it at the refinement tolerance, started 1e-6
+(1 + |E|) wide at the Illinois root, gives the returned energy and its
+residual.
 """
 
 from __future__ import annotations
@@ -57,8 +77,9 @@ __all__ = [
 _EULER_GAMMA = 0.5772156649015328606
 
 _REFINE_TOL = 1e-10  # refinement and eigenfunction integration tolerance
-_SCAN_TOL = 1e-7  # bracketing-scan integration tolerance
-_SCAN_STEP = 0.4  # bracketing-scan energy step, in units of upsilon^2
+_SCAN_TOL = 1e-7  # matching-angle integration tolerance
+_THETA_TOL = 1e-8  # |theta - n pi| that ends the matching-angle solve
+_ILLINOIS_MAX_STEPS = 100  # matching-angle evaluations per level
 _N_GRID = 801  # eigenfunction sample points on the window (odd)
 _SERIES_MAX_TERMS = 60  # Frobenius series terms at the left boundary
 
@@ -188,20 +209,34 @@ def _right_state(rp: ReducedParams, E: float, x: float):
 
 
 # ---------------------------------------------------------------------------
-# mismatch and root hunt
+# matching angle, mismatch and root hunt
 
 
-def _mismatch(rp: ReducedParams, ext: Extension, E: float, cfg: ShootingConfig, tol: float) -> float:
+def _shoot(rp: ReducedParams, ext: Extension, E: float, cfg: ShootingConfig, tol: float):
+    """The left and right solutions integrated to the match point."""
     x_min, x_max, x_match = cfg.resolved(rp.upsilon)
     g1, g2 = rp.g1, rp.g2
 
     def f(x, y):
         return (y[1], (g1 / (x * x) + g2 * x * x - E) * y[0])
 
-    yl = _left_state(rp, ext, E, x_min)
-    left = integrate(f, x_min, yl, x_match, rel_tol=tol)
-    yr = _right_state(rp, E, x_max)
-    right = integrate(f, x_max, yr, x_match, rel_tol=tol)
+    left = integrate(f, x_min, _left_state(rp, ext, E, x_min), x_match, rel_tol=tol)
+    right = integrate(f, x_max, _right_state(rp, E, x_max), x_match, rel_tol=tol)
+    return left, right
+
+
+def _theta(rp: ReducedParams, ext: Extension, E: float, cfg: ShootingConfig) -> float:
+    """Matching angle pi (Z_L + Z_R) + phi_L - phi_R at the scan tolerance;
+    level n is its root at n pi."""
+    left, right = _shoot(rp, ext, E, cfg, _SCAN_TOL)
+    phi_l = math.atan2(*left.y) % math.pi
+    phi_r = math.atan2(*right.y) % math.pi
+    return math.pi * (left.sign_changes + right.sign_changes) + phi_l - phi_r
+
+
+def _mismatch(rp: ReducedParams, ext: Extension, E: float, cfg: ShootingConfig, tol: float) -> float:
+    """Normalized Wronskian sin(phi_L - phi_R) at the match point."""
+    left, right = _shoot(rp, ext, E, cfg, tol)
     ul, dul = left.y
     ur, dur = right.y
     wr = ul * dur - dul * ur
@@ -250,26 +285,39 @@ def shoot_spectrum(
     cfg = cfg or ShootingConfig()
     ups2 = rp.energy_scale()
 
-    e_lo = _scan_floor(rp, ext)
-    e_top = 2.0 * (2 * (n_max - 1) + 1 + rp.kappa) + 0.2
+    known: list[tuple[float, float]] = []  # every (E, Theta(E)) evaluated
 
+    def theta(E: float) -> float:
+        t = _theta(rp, ext, E, cfg)
+        known.append((E, t))
+        return t
+
+    e_lo = _scan_floor(rp, ext)
+    theta(e_lo * ups2)
     roots: list[float] = []
     resids: list[float] = []
-    e = e_lo
-    w_prev = _mismatch(rp, ext, e * ups2, cfg, _SCAN_TOL)
-    while e < e_top and len(roots) < n_max:
-        e_next = min(e + _SCAN_STEP, e_top)
-        w_next = _mismatch(rp, ext, e_next * ups2, cfg, _SCAN_TOL)
-        if (w_prev > 0.0) != (w_next > 0.0):
-            root, resid = _refine(rp, ext, e * ups2, e_next * ups2, cfg)
-            roots.append(root)
-            resids.append(resid)
-        e, w_prev = e_next, w_next
-    if len(roots) < n_max:
-        raise ConvergenceError(
-            f"shoot_spectrum: found {len(roots)} of {n_max} eigenvalues in "
-            f"scaled window ({e_lo:.3g}, {e_top:.3g})"
-        )
+    for n in range(n_max):
+        target = n * math.pi
+        if all(t <= target for _, t in known):
+            # every level sits below its rung 2(2n+1+kappa), the ladders on it
+            e_top = 2.0 * (2 * n + 1 + rp.kappa) + 0.2
+            if theta(e_top * ups2) <= target:
+                raise ConvergenceError(
+                    f"shoot_spectrum: found {n} of {n_max} eigenvalues in "
+                    f"scaled window ({e_lo:.3g}, {e_top:.3g})"
+                )
+        # the tightest bracket among the energies evaluated so far
+        below = [p for p in known if p[1] <= target]
+        if not below:
+            raise ConvergenceError(
+                f"shoot_spectrum: the window floor {e_lo:.3g} (scaled) lies "
+                "above the ground state"
+            )
+        a, ta = max(below)
+        b, tb = min(p for p in known if p[1] > target)
+        root, resid = _refine(rp, ext, _illinois(theta, target, a, ta, b, tb), cfg)
+        roots.append(root)
+        resids.append(resid)
 
     funcs = None
     if want_eigenfunctions:
@@ -280,20 +328,47 @@ def shoot_spectrum(
     )
 
 
-def _refine(rp, ext, E_lo, E_hi, cfg) -> tuple[float, float]:
-    # coarse bisection at scan tolerance down to a narrow bracket, then
-    # secant at the refinement tolerance
-    w_lo = _mismatch(rp, ext, E_lo, cfg, _SCAN_TOL)
-    for _ in range(40):
-        if E_hi - E_lo <= 1e-6 * (1.0 + abs(E_lo)):
+def _illinois(theta, target: float, a: float, ta: float, b: float, tb: float) -> float:
+    """Root of theta(E) = target, given theta(a) <= target < theta(b).
+
+    Regula falsi, halving the value at an end kept on two steps in a row
+    (Illinois), and bisection once two steps in a row fail to halve
+    |theta - target|: a deep level's theta is a step, which regula falsi
+    only creeps toward.
+    Ends at |theta - target| <= _THETA_TOL or a bracket of 1e-6 (1 + |E|).
+    """
+    fa, fb = ta - target, tb - target
+    c, f_c = (a, -fa) if -fa < fb else (b, fb)
+    side = 0
+    stalls = 0
+    for _ in range(_ILLINOIS_MAX_STEPS):
+        if f_c <= _THETA_TOL or b - a <= 1e-6 * (1.0 + abs(c)):
             break
-        mid = 0.5 * (E_lo + E_hi)
-        w_mid = _mismatch(rp, ext, mid, cfg, _SCAN_TOL)
-        if (w_mid > 0.0) == (w_lo > 0.0):
-            E_lo, w_lo = mid, w_mid
+        c = 0.5 * (a + b) if stalls >= 2 else b - fb * (b - a) / (fb - fa)
+        if not a < c < b:  # rounding on a collapsed bracket
+            c = 0.5 * (a + b)
+        fc = theta(c) - target
+        stalls = stalls + 1 if abs(fc) > 0.5 * f_c else 0
+        f_c = abs(fc)
+        if fc > 0.0:
+            b, fb = c, fc
+            if side == 1:
+                fa *= 0.5
+            side = 1
         else:
-            E_hi = mid
-    a, b = E_lo, E_hi
+            a, fa = c, fc
+            if side == -1:
+                fb *= 0.5
+            side = -1
+    return c
+
+
+def _refine(rp, ext, E, cfg) -> tuple[float, float]:
+    # secant at the refinement tolerance from the scan-tolerance root and a
+    # point 1e-6 (1 + |E|) above it; the scan and refined roots sit 1e-8 to
+    # 1e-6 (relative) apart, and a start narrower than that offset stalls
+    # the secant on it
+    a, b = E, E + 1e-6 * (1.0 + abs(E))
     fa = _mismatch(rp, ext, a, cfg, _REFINE_TOL)
     fb = _mismatch(rp, ext, b, cfg, _REFINE_TOL)
     best, f_best = (a, fa) if abs(fa) < abs(fb) else (b, fb)
@@ -304,6 +379,8 @@ def _refine(rp, ext, E_lo, E_hi, cfg) -> tuple[float, float]:
         # keep the iterate inside a sane neighborhood of the bracket
         if not (min(a, b) - 1e-3 <= c <= max(a, b) + 1e-3):
             c = 0.5 * (a + b)
+        if c == b:  # converged to the last float
+            break
         fc = _mismatch(rp, ext, c, cfg, _REFINE_TOL)
         if abs(fc) < abs(f_best):
             best, f_best = c, fc

@@ -21,6 +21,12 @@ scale whenever its magnitude passes `_RENORM_THRESHOLD`, and the running
 log of the extracted factors is reported as `log_scale`: the true
 solution is y * exp(log_scale).  Renormalization commutes with the
 linear ODEs this package integrates.
+
+`sign_changes` counts the strict sign changes of the first component
+between accepted steps (a step landing exactly on 0 is bridged to the
+next non-zero value).  Renormalization divides by a positive number, so
+it keeps every sign; for the oracle's (u, u') states this is the node
+count that indexes the eigenvalues.
 """
 
 from __future__ import annotations
@@ -71,6 +77,7 @@ class IntegrationResult:
     log_scale: float
     n_steps: int
     n_rejected: int
+    sign_changes: int  # strict sign changes of y[0] over accepted steps
 
 
 def integrate(
@@ -96,7 +103,7 @@ def integrate(
         raise DomainError(f"integrate: state must have 2 components, got {len(y0)}")
     u, v = float(y0[0]), float(y0[1])
     if x1 == x0:
-        return IntegrationResult(x0, (u, v), 0.0, 0, 0)
+        return IntegrationResult(x0, (u, v), 0.0, 0, 0, 0)
     if rel_tol < 1e-14 or rel_tol > 1e-2:
         raise DomainError(f"integrate: rel_tol {rel_tol} outside [1e-14, 1e-2]")
 
@@ -112,6 +119,8 @@ def integrate(
     log_scale = 0.0
     n_steps = 0
     n_rejected = 0
+    sign_changes = 0
+    last = u  # the last non-zero u, so a step landing on 0 hides no crossing
 
     while (x1 - x) * direction > 0.0:
         if n_steps + n_rejected >= max_steps:
@@ -190,6 +199,10 @@ def integrate(
             x = x1 if abs(x1 - (x + hs)) < x_snap else x + hs
             u, v = u_new, v_new
             n_steps += 1
+            if u < 0.0 < last or last < 0.0 < u:
+                sign_changes += 1
+            if u != 0.0:
+                last = u
             big = max(abs(u), abs(v))
             if big > threshold:
                 log_scale += math.log(big)
@@ -203,4 +216,4 @@ def integrate(
             grow = 0.2
         h *= grow if grow < 5.0 else 5.0
 
-    return IntegrationResult(x, (u, v), log_scale, n_steps, n_rejected)
+    return IntegrationResult(x, (u, v), log_scale, n_steps, n_rejected, sign_changes)

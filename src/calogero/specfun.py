@@ -109,7 +109,10 @@ def gamma(z: float) -> float:
         return math.pi / (_sinpi(z) * gamma(1.0 - z))
     zm1 = z - 1.0
     t = zm1 + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (zm1 + 0.5) * math.exp(-t) * _lanczos_sum(zm1)
+    try:
+        return math.sqrt(2.0 * math.pi) * t ** (zm1 + 0.5) * math.exp(-t) * _lanczos_sum(zm1)
+    except OverflowError:  # t ** (z - 1/2) leaves float64 from z ~ 143
+        raise ConvergenceError(f"gamma: Gamma({z}) overflows the float64 Lanczos form") from None
 
 
 def gammaln_signed(z: float) -> tuple[float, float]:
@@ -382,6 +385,14 @@ def _psi_two_series_mp(alpha: float, beta: float, rho: float, lost: float) -> fl
     import mpmath as mp
 
     dps = 26 + int(lost)
+    if dps < 1:
+        # a loss estimate of -26 digits or less leaves no working precision:
+        # the asymptotic law behind it fails at large alpha, where Psi sits
+        # far below rho^(-alpha), and the digits lost are unknown
+        raise ConvergenceError(
+            f"tricomi psi series: loss estimate of {lost:.0f} digits at alpha={alpha}, "
+            f"rho={rho} leaves no working precision"
+        )
     if dps > 260:
         raise ConvergenceError(
             f"tricomi psi series: ~{lost:.0f} digits cancel at rho={rho}, beyond precision budget"

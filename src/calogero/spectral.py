@@ -318,8 +318,17 @@ def _root_in_gap(rp: ReducedParams, target: float, lo: float, hi: float) -> tupl
             )
     if bracket is None:
         # the sweep is +inf -> -inf, so a missing sign change means the
-        # crossing hugs an endpoint; fall back to the nudged endpoints
-        bracket = (a, b) if g(a) > 0.0 > g(b) else None
+        # crossing hugs an endpoint, maybe closer to its pole than the
+        # nudge: walk each nudged end toward its pole, halving the distance,
+        # until g takes the sign it has on that side of the root
+        ga, gb = g(a), g(b)
+        while gb > 0.0 and b < 0.5 * (b + hi) < hi:
+            b = 0.5 * (b + hi)
+            gb = g(b)
+        while ga <= 0.0 and lo < 0.5 * (a + lo) < a:
+            a = 0.5 * (a + lo)
+            ga = g(a)
+        bracket = (a, b) if ga > 0.0 >= gb else None
     if bracket is None:
         raise ConvergenceError(f"no eigenvalue bracket inside gap ({lo:.6g}, {hi:.6g})")
     root = _bisect(g, *bracket)

@@ -69,6 +69,22 @@ class TestSpectrum:
         assert doc["checks"][0]["name"] == "oracle-agreement"
         assert doc["checks"][0]["passed"] is True
 
+    def test_oracle_climbs_from_a_deep_ground_state(self, capsys):
+        # kappa = 0.3, nu = -1.3: E0 ~ -84, then level 1 near +3.1
+        code, out, _ = run(capsys, ["spectrum", "--g1", "-0.16", "--g2", "1", "--nu", "-1.3",
+                                    "--n", "2", "--oracle", "on"])
+        assert code == 0
+        assert json.loads(out)["results"]["oracle"]["max_rel_gap"] <= 1e-3
+
+    def test_root_next_to_the_pole(self, capsys):
+        # level 8 sits 1.04e-6 below its pole, inside the endpoint nudge
+        code, out, _ = run(capsys, ["spectrum", "--g1", "-0.24999997", "--g2", "1",
+                                    "--nu", "1.5693", "--n", "21"])
+        assert code == 0
+        energies = json.loads(out)["results"]["energies"]
+        assert len(energies) == 21
+        assert all(a < b for a, b in zip(energies, energies[1:]))
+
     def test_csv_format(self, capsys):
         code, out, _ = run(
             capsys, ["spectrum", "--g1", "0.75", "--g2", "1", "--unique", "--n", "3", "--format", "csv"]
@@ -246,6 +262,14 @@ class TestFactorizeCheck:
         code, _, err = run(capsys, ["factorize-check", "--h-shift", "0.01"])
         assert code == 4
         assert "failed at x =" in err
+
+    def test_large_shift_is_a_typed_refusal(self, capsys):
+        # alpha = 45.75: the Psi series' loss estimate goes negative
+        code, out, err = run(capsys, ["factorize-check", "--g1", "0", "--g2", "1",
+                                      "--mu", "0.3", "--w", "45"])
+        assert code == 4
+        assert out == ""
+        assert "no working precision" in err
 
     def test_nan_superpotential_shift_fails(self, capsys):
         # a NaN residual must fail its check, not be passed over as smaller

@@ -10,7 +10,10 @@ routes, one spectrum.
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from calogero import oracle
 from calogero.errors import ConvergenceError, DomainError
 from calogero.oracle import (
     OracleEigenfunction,
@@ -20,7 +23,7 @@ from calogero.oracle import (
     shoot_spectrum,
 )
 from calogero.params import reduce
-from calogero.spectral import extension_for, ground_state_wavefunction
+from calogero.spectral import extension_for, ground_state_wavefunction, spectrum
 
 # scaled energies e = E / ups^2, keyed by (kappa, nu)
 QUINTETS = {
@@ -233,6 +236,14 @@ class TestRefusals:
         with pytest.raises(DomainError, match="too deep"):
             shoot_spectrum(rp, ext, 1)
 
+    def test_levels_past_the_window_are_refused(self):
+        # the right boundary data assume the turning point sits inside
+        # x_max = 8 / ups; past e ~ 64 the count stops at level 15
+        rp = reduce(0.0, 1.0)
+        ext = extension_for(rp, nu=None, friedrichs=True)
+        with pytest.raises(ConvergenceError, match="found 15 of 16 eigenvalues"):
+            shoot_spectrum(rp, ext, 16)
+
     def test_rejects_bad_n_max(self):
         rp = reduce(0.0, 1.0)
         ext = extension_for(rp, nu=None, friedrichs=True)
@@ -246,3 +257,58 @@ class TestRefusals:
         bogus = Extension(ExtensionLabel.NU, 0.3)
         with pytest.raises(DomainError, match="kappa < 1"):
             shoot_spectrum(rp, bogus, 1)
+
+
+def _levels_below(rp, ext, e):
+    """Levels below the scaled energy e by the oracle's own count:
+    floor(Theta / pi) + 1, Theta being its matching angle."""
+    theta = oracle._theta(rp, ext, e * rp.energy_scale(), ShootingConfig())
+    assert theta > -math.pi
+    return math.floor(theta / math.pi) + 1
+
+
+def _grid_off_levels(lo, hi, levels, step=0.7, gap=1e-6):
+    """A grid over [lo, hi] plus points 1e-5 either side of every level,
+    keeping at least `gap` (relative) away from each level."""
+    es = [lo + step * i for i in range(int((hi - lo) / step) + 1)]
+    es += [e * (1.0 + d) for e in levels for d in (-1e-5, 1e-5)]
+    return [e for e in sorted(es)
+            if all(abs(e - lev) > gap * (1.0 + abs(lev)) for lev in levels)]
+
+
+class TestOscillationCount:
+    # the oracle indexes levels by its matching angle, so the count must be
+    # exact everywhere off the levels, not only at the roots it finds
+
+    @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.5])
+    def test_ladder_count(self, kappa):
+        rp = reduce(kappa * kappa - 0.25, 1.0)
+        ext = extension_for(rp, nu=None, friedrichs=True)
+        levels = [4 * n + 2 + 2 * kappa for n in range(11)]
+        for e in _grid_off_levels(-3.0, 45.0, levels):
+            assert _levels_below(rp, ext, e) == sum(lev < e for lev in levels), e
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.3, 0.7])
+    @pytest.mark.parametrize("nu", [-1.0, 0.4, 1.2])
+    def test_extension_count(self, kappa, nu):
+        rp = reduce(kappa * kappa - 0.25, 1.0)
+        ext = extension_for(rp, nu=nu)
+        levels = spectrum(rp, ext, 12, scaled=True).energies
+        lo = oracle._scan_floor(rp, ext)
+        for e in _grid_off_levels(lo, 45.0, [lev for lev in levels if lev < 46.0], step=1.3):
+            assert _levels_below(rp, ext, e) == sum(lev < e for lev in levels), e
+
+    @given(
+        kappa=st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.5]),
+        nu=st.floats(-1.2, 1.2),
+        ups=st.floats(0.5, 3.0),
+        e=st.floats(-3.0, 40.0),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_count_in_physical_units(self, kappa, nu, ups, e):
+        rp = reduce(kappa * kappa - 0.25, ups ** 4)
+        ext = extension_for(rp, nu=None if kappa >= 1.0 else nu)
+        levels = spectrum(rp, ext, 12, scaled=True).energies
+        if any(abs(e - lev) <= 1e-6 * (1.0 + abs(lev)) for lev in levels):
+            return
+        assert _levels_below(rp, ext, e) == sum(lev < e for lev in levels)

@@ -50,6 +50,36 @@ class TestBasics:
             assert a == pytest.approx(b, rel=1e-8, abs=1e-10)
 
 
+class TestSignChanges:
+    @pytest.mark.parametrize("omega", [0.7, 3.0, 11.0])
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_counts_the_zeros_of_a_sine(self, omega, backward):
+        # u = sin(omega x) on [0.1, 9.9]: one sign change per zero k pi / omega
+        f = lambda x, y: (y[1], -omega * omega * y[0])
+        ends = (0.1, 9.9)
+        x0, x1 = ends[::-1] if backward else ends
+        y0 = (math.sin(omega * x0), omega * math.cos(omega * x0))
+        res = integrate(f, x0, y0, x1, rel_tol=1e-9)
+        zeros = sum(1 for k in range(1, 100) if 0.1 < k * math.pi / omega < 9.9)
+        assert res.sign_changes == zeros
+
+    def test_growth_without_zeros_counts_none(self):
+        res = integrate(lambda x, y: (y[1], y[0]), 0.0, (-1.0, -1.0), 600.0, rel_tol=1e-9)
+        assert res.log_scale > 0.0
+        assert res.sign_changes == 0
+
+    def test_renormalization_keeps_signs(self, monkeypatch):
+        f = lambda x, y: (y[1], -9.0 * y[0])
+        want = integrate(f, 0.0, (0.0, 3.0), 10.0, rel_tol=1e-9).sign_changes
+        monkeypatch.setattr(rk45, "_RENORM_THRESHOLD", 0.5)
+        res = integrate(f, 0.0, (0.0, 3.0), 10.0, rel_tol=1e-9)
+        assert res.log_scale != 0.0
+        assert res.sign_changes == want == 9  # zeros at k pi / 3 in (0, 10]
+
+    def test_zero_span_counts_none(self):
+        assert integrate(lambda x, y: (y[1], -y[0]), 1.0, (-1.0, 2.0), 1.0).sign_changes == 0
+
+
 class TestRenormalization:
     def test_exponential_blowup(self):
         # y = e^x through x = 600 cannot live in a float; the log ledger can

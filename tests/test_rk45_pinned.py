@@ -27,7 +27,7 @@ def _textbook_integrate(f, x0, y0, x1, rel_tol=1e-10):
     if math.isnan(x0) or math.isnan(x1):
         raise DomainError("integrate: NaN endpoint")
     if x1 == x0:
-        return IntegrationResult(x0, tuple(float(v) for v in y0), 0.0, 0, 0)
+        return IntegrationResult(x0, tuple(float(v) for v in y0), 0.0, 0, 0, 0)
     if rel_tol < 1e-14 or rel_tol > 1e-2:
         raise DomainError(f"integrate: rel_tol {rel_tol} outside [1e-14, 1e-2]")
 
@@ -41,6 +41,8 @@ def _textbook_integrate(f, x0, y0, x1, rel_tol=1e-10):
     log_scale = 0.0
     n_steps = 0
     n_rejected = 0
+    sign_changes = 0
+    last = y[0]
     k = [[0.0] * n for _ in range(6)]
 
     while (x1 - x) * direction > 0.0:
@@ -78,6 +80,10 @@ def _textbook_integrate(f, x0, y0, x1, rel_tol=1e-10):
             x = x1 if abs(x1 - (x + hs)) < 1e-14 * span else x + hs
             y = y_new
             n_steps += 1
+            if y[0] < 0.0 < last or last < 0.0 < y[0]:
+                sign_changes += 1
+            if y[0] != 0.0:
+                last = y[0]
             big = max(abs(v) for v in y)
             if big > rk45._RENORM_THRESHOLD:
                 log_scale += math.log(big)
@@ -88,7 +94,7 @@ def _textbook_integrate(f, x0, y0, x1, rel_tol=1e-10):
         grow = 0.9 * norm ** -0.2 if norm > 0.0 else 5.0
         h *= min(5.0, max(0.2, grow))
 
-    return IntegrationResult(x, tuple(y), log_scale, n_steps, n_rejected)
+    return IntegrationResult(x, tuple(y), log_scale, n_steps, n_rejected, sign_changes)
 
 
 def _radial(g1, g2, E):
@@ -157,8 +163,9 @@ def test_pinned_results(name):
 
 
 def test_pinned_shooting_spectrum(monkeypatch):
-    """kappa = 1/2, nu = 1, five levels: the energies and the oracle's RK45
-    work, counted through its `integrate`."""
+    """kappa = 1/2, nu = 1, five levels: the energies, the residuals and the
+    oracle's RK45 work ([integrations, steps, rejected], counted through its
+    `integrate`) of the count-bracketed root hunt."""
     tally = [0, 0, 0]
 
     def counting(*args, **kwargs):
@@ -173,19 +180,19 @@ def test_pinned_shooting_spectrum(monkeypatch):
     spec = oracle.shoot_spectrum(rp, extension_for(rp, nu=1.0), 5)
     assert [e.hex() for e in spec.energies] == [
         "0x1.03b03babc0682p+1",
-        "0x1.6ebc838c467fdp+2",
-        "0x1.32f0ce2c9e6c9p+3",
-        "0x1.b04f4b46d8923p+3",
-        "0x1.17438504c8ebdp+4",
+        "0x1.6ebc838c467f9p+2",
+        "0x1.32f0ce2c9e6c6p+3",
+        "0x1.b04f4b46d8926p+3",
+        "0x1.17438504c8ec1p+4",
     ]
     assert [r.hex() for r in spec.mismatch_residuals] == [
         "0x1.a80f5db559996p-53",
-        "0x1.c139e5b4fb2c6p-51",
-        "0x1.148a3db2996c1p-50",
-        "0x1.04e817020ed34p-49",
-        "0x1.4484b6b72c399p-48",
+        "0x1.a5b8f6fd7e1b4p-52",
+        "0x1.18dc66a963e90p-48",
+        "0x1.38987c2b85b13p-46",
+        "0x1.e6c71212c24fap-50",
     ]
-    assert tally == [322, 39059, 1922]
+    assert tally == [124, 21395, 794]
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
@@ -218,3 +225,21 @@ def test_matches_the_textbook_loop_bit_for_bit(m, y0, x0, span, tol, threshold):
         got = integrate(f, x0, y0, x0 + span, rel_tol=tol)
     assert _bits(got) == _bits(want)
     assert (got.n_steps, got.n_rejected) == (want.n_steps, want.n_rejected)
+
+
+@given(
+    omega=st.floats(0.3, 12.0),
+    phase=st.floats(0.0, 2.0 * math.pi),
+    span=st.floats(-9.0, 9.0).filter(lambda s: abs(s) > 1e-3),
+    tol=st.sampled_from([1e-7, 1e-10]),
+    threshold=st.sampled_from([1e100, 1e-1]),
+)
+@settings(max_examples=40, deadline=None)
+def test_sign_changes_match_the_textbook_loop(omega, phase, span, tol, threshold):
+    f = lambda x, y: (y[1], -omega * omega * y[0])
+    y0 = (math.sin(phase), omega * math.cos(phase))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rk45, "_RENORM_THRESHOLD", threshold)
+        want = _textbook_integrate(f, 0.0, y0, span, rel_tol=tol)
+        got = integrate(f, 0.0, y0, span, rel_tol=tol)
+    assert got.sign_changes == want.sign_changes

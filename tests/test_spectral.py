@@ -227,6 +227,31 @@ class TestSpectrumFrozen:
         pred = -4.0 * (t * math.gamma(1.5) / math.gamma(0.5)) ** 2
         assert e0 == pytest.approx(pred, rel=1e-4)
 
+    def test_root_hugging_the_upper_pole(self):
+        # kappa ~ 1.7e-4 puts each gap's zero and pole 4 kappa apart; at nu
+        # near pi/2 level 8 sits 1.04e-6 below its pole, closer than the
+        # 1e-7 relative endpoint nudge, and must still be found
+        import mpmath as mp
+
+        rp = reduce(-0.24999997, 1.0)
+        energies = spectrum(rp, extension_for(rp, nu=1.5693), 21, scaled=True).energies
+        assert all(a < b for a, b in zip(energies, energies[1:]))
+        e8 = energies[8]
+        with mp.workdps(40):
+            k = mp.mpf(rp.kappa)
+            pole = 2 * (2 * 8 + 1 + k)
+            assert 0 < pole - e8 < 1.1e-6
+
+            def boundary(e):  # F(-e/4) + tan nu, the kappa > 0 equation
+                a = (1 + k) / 2 - e / 4
+                ratio = mp.gamma(1 - k) * mp.gamma(a) / (mp.gamma(1 + k) * mp.gamma(a - k))
+                return ratio + mp.tan(mp.mpf(1.5693))
+
+            ref = mp.findroot(boundary, (mp.mpf(e8) - mp.mpf("1e-9"), mp.mpf(e8) + mp.mpf("1e-9")),
+                              solver="anderson")
+            assert 0 < pole - ref
+            assert abs(e8 - ref) <= 1e-14 * ref
+
     def test_kappa_zero_overflow_refused(self):
         # past tan nu ~ 700 the kappa = 0 ground state leaves float64 range
         rp0 = rp_kappa(0.0)
@@ -437,6 +462,14 @@ class TestGroundState:
             x, h = 1.1, 1e-6
             fd = (gs(x + h) - gs(x - h)) / (2.0 * h)
             assert gs.derivative(x) == pytest.approx(fd, rel=1e-7)
+
+    @pytest.mark.parametrize("nu", [-1.5, -1.53])
+    def test_deep_state_norm_refused_not_crashed(self, nu):
+        # Gamma(alpha) Psi(alpha, beta; rho) at alpha ~ 50 and ~ 150 is out of
+        # reach of the float64 Psi series and Lanczos Gamma: a typed refusal
+        rp = rp_kappa(0.5)
+        with pytest.raises(ConvergenceError, match="Psi|Gamma|psi"):
+            ground_state_wavefunction(rp, extension_for(rp, nu=nu))
 
     def test_high_kappa_family_refused(self):
         # normalization quadrature carries the x^{-2 kappa} singularity;
