@@ -47,12 +47,13 @@ n sits below, and the points of earlier solves -- and solved by an
 Illinois iteration (regula falsi that halves a retained end, with
 bisection when it stalls) at the scan tolerance.
 
-Refinement.  sin(Theta) is the Wronskian normalized by the solution
-magnitudes at the match point, which also cancels the integrator's
-renormalization factors; this bounded mismatch vanishes exactly at the
-eigenvalues, and a secant on it at the refinement tolerance, started 1e-6
-(1 + |E|) wide at the Illinois root, gives the returned energy and its
-residual.
+Refinement.  The same Illinois iteration finishes each level on Theta
+integrated at the refinement tolerance.  Its bracket steps out from the
+scan root by 1e-6 (1 + |E|), doubling, until Theta - n pi changes sign.
+The residual returned is |sin(Theta - n pi)| at the returned energy:
+sin(phi_L - phi_R) is the Wronskian at the match point normalized by the
+solution magnitudes, which also cancels the integrator's renormalization
+factors, so it vanishes exactly at the eigenvalues.
 """
 
 from __future__ import annotations
@@ -77,9 +78,14 @@ __all__ = [
 _EULER_GAMMA = 0.5772156649015328606
 
 _REFINE_TOL = 1e-10  # refinement and eigenfunction integration tolerance
-_SCAN_TOL = 1e-7  # matching-angle integration tolerance
-_THETA_TOL = 1e-8  # |theta - n pi| that ends the matching-angle solve
-_ILLINOIS_MAX_STEPS = 100  # matching-angle evaluations per level
+_SCAN_TOL = 1e-7  # bracketing integration tolerance
+# |theta - n pi| and bracket width (relative to 1 + |E|) that end the
+# Illinois solve at each integration tolerance; a deep level's theta is a
+# step at float precision, which a narrower bracket only bisects down
+_SCAN_STOP = (1e-8, 1e-6)
+_REFINE_STOP = (1e-13, 1e-11)
+_ILLINOIS_MAX_STEPS = 100  # matching-angle evaluations per solve
+_STEP_OUT_MAX = 20  # doublings of the refinement bracket
 _N_GRID = 801  # eigenfunction sample points on the window (odd)
 _SERIES_MAX_TERMS = 60  # Frobenius series terms at the left boundary
 
@@ -149,7 +155,8 @@ def _frobenius(s: float, g2: float, E: float, ups: float, x: float):
 
 
 def _frobenius_log(g2: float, E: float, ups: float, x: float):
-    """kappa = 0 second solution (L, L') at x; see the module docstring."""
+    """kappa = 0 solutions (F_{1/2}, F_{1/2}', L, L') at x from one series
+    loop; see the module docstring."""
     x2 = x * x
     a_km1, a_km2 = 1.0, 0.0
     b_km1, b_km2 = 0.0, 0.0
@@ -178,7 +185,7 @@ def _frobenius_log(g2: float, E: float, ups: float, x: float):
     ell = math.log(ups * x)
     L = F * ell + pw * B
     dL = dF * ell + F / x + pw * (0.5 * B / x + dB)
-    return L, dL
+    return F, dF, L, dL
 
 
 def _left_state(rp: ReducedParams, ext: Extension, E: float, x: float):
@@ -192,8 +199,7 @@ def _left_state(rp: ReducedParams, ext: Extension, E: float, x: float):
         fm, dfm = _frobenius(0.5 - k, g2, E, ups, x)
         sn, cn = math.sin(nu), math.cos(nu)
         return sn * fp + cn * fm, sn * dfp + cn * dfm
-    f, df = _frobenius(0.5, g2, E, ups, x)
-    L, dL = _frobenius_log(g2, E, ups, x)
+    f, df, L, dL = _frobenius_log(g2, E, ups, x)
     sn, cn = math.sin(nu), math.cos(nu)
     return sn * f + 2.0 * cn * L, sn * df + 2.0 * cn * dL
 
@@ -209,11 +215,12 @@ def _right_state(rp: ReducedParams, E: float, x: float):
 
 
 # ---------------------------------------------------------------------------
-# matching angle, mismatch and root hunt
+# matching angle and root hunt
 
 
-def _shoot(rp: ReducedParams, ext: Extension, E: float, cfg: ShootingConfig, tol: float):
-    """The left and right solutions integrated to the match point."""
+def _theta(rp: ReducedParams, ext: Extension, E: float, cfg: ShootingConfig, tol: float) -> float:
+    """Matching angle pi (Z_L + Z_R) + phi_L - phi_R of the two solutions
+    integrated to the match point at tol; level n is its root at n pi."""
     x_min, x_max, x_match = cfg.resolved(rp.upsilon)
     g1, g2 = rp.g1, rp.g2
 
@@ -222,25 +229,9 @@ def _shoot(rp: ReducedParams, ext: Extension, E: float, cfg: ShootingConfig, tol
 
     left = integrate(f, x_min, _left_state(rp, ext, E, x_min), x_match, rel_tol=tol)
     right = integrate(f, x_max, _right_state(rp, E, x_max), x_match, rel_tol=tol)
-    return left, right
-
-
-def _theta(rp: ReducedParams, ext: Extension, E: float, cfg: ShootingConfig) -> float:
-    """Matching angle pi (Z_L + Z_R) + phi_L - phi_R at the scan tolerance;
-    level n is its root at n pi."""
-    left, right = _shoot(rp, ext, E, cfg, _SCAN_TOL)
     phi_l = math.atan2(*left.y) % math.pi
     phi_r = math.atan2(*right.y) % math.pi
     return math.pi * (left.sign_changes + right.sign_changes) + phi_l - phi_r
-
-
-def _mismatch(rp: ReducedParams, ext: Extension, E: float, cfg: ShootingConfig, tol: float) -> float:
-    """Normalized Wronskian sin(phi_L - phi_R) at the match point."""
-    left, right = _shoot(rp, ext, E, cfg, tol)
-    ul, dul = left.y
-    ur, dur = right.y
-    wr = ul * dur - dul * ur
-    return wr / (math.hypot(ul, dul) * math.hypot(ur, dur))
 
 
 def _scan_floor(rp: ReducedParams, ext: Extension) -> float:
@@ -288,9 +279,12 @@ def shoot_spectrum(
     known: list[tuple[float, float]] = []  # every (E, Theta(E)) evaluated
 
     def theta(E: float) -> float:
-        t = _theta(rp, ext, E, cfg)
+        t = _theta(rp, ext, E, cfg, _SCAN_TOL)
         known.append((E, t))
         return t
+
+    def fine(E: float) -> float:
+        return _theta(rp, ext, E, cfg, _REFINE_TOL)
 
     e_lo = _scan_floor(rp, ext)
     theta(e_lo * ups2)
@@ -315,9 +309,10 @@ def shoot_spectrum(
             )
         a, ta = max(below)
         b, tb = min(p for p in known if p[1] > target)
-        root, resid = _refine(rp, ext, _illinois(theta, target, a, ta, b, tb), cfg)
+        E, _ = _illinois(theta, target, a, ta, b, tb, *_SCAN_STOP)
+        root, miss = _illinois(fine, target, *_step_out(fine, target, E), *_REFINE_STOP)
         roots.append(root)
-        resids.append(resid)
+        resids.append(abs(math.sin(miss)))
 
     funcs = None
     if want_eigenfunctions:
@@ -328,21 +323,24 @@ def shoot_spectrum(
     )
 
 
-def _illinois(theta, target: float, a: float, ta: float, b: float, tb: float) -> float:
-    """Root of theta(E) = target, given theta(a) <= target < theta(b).
+def _illinois(
+    theta, target: float, a: float, ta: float, b: float, tb: float, tol: float, width: float
+) -> tuple[float, float]:
+    """Root of theta(E) = target, given theta(a) <= target < theta(b), and
+    |theta - target| there, from the last evaluation.
 
     Regula falsi, halving the value at an end kept on two steps in a row
     (Illinois), and bisection once two steps in a row fail to halve
     |theta - target|: a deep level's theta is a step, which regula falsi
     only creeps toward.
-    Ends at |theta - target| <= _THETA_TOL or a bracket of 1e-6 (1 + |E|).
+    Ends at |theta - target| <= tol or a bracket of width * (1 + |E|).
     """
     fa, fb = ta - target, tb - target
     c, f_c = (a, -fa) if -fa < fb else (b, fb)
     side = 0
     stalls = 0
     for _ in range(_ILLINOIS_MAX_STEPS):
-        if f_c <= _THETA_TOL or b - a <= 1e-6 * (1.0 + abs(c)):
+        if f_c <= tol or b - a <= width * (1.0 + abs(c)):
             break
         c = 0.5 * (a + b) if stalls >= 2 else b - fb * (b - a) / (fb - fa)
         if not a < c < b:  # rounding on a collapsed bracket
@@ -360,34 +358,26 @@ def _illinois(theta, target: float, a: float, ta: float, b: float, tb: float) ->
             if side == -1:
                 fb *= 0.5
             side = -1
-    return c
+    return c, f_c
 
 
-def _refine(rp, ext, E, cfg) -> tuple[float, float]:
-    # secant at the refinement tolerance from the scan-tolerance root and a
-    # point 1e-6 (1 + |E|) above it; the scan and refined roots sit 1e-8 to
-    # 1e-6 (relative) apart, and a start narrower than that offset stalls
-    # the secant on it
-    a, b = E, E + 1e-6 * (1.0 + abs(E))
-    fa = _mismatch(rp, ext, a, cfg, _REFINE_TOL)
-    fb = _mismatch(rp, ext, b, cfg, _REFINE_TOL)
-    best, f_best = (a, fa) if abs(fa) < abs(fb) else (b, fb)
-    for _ in range(30):
-        if fb == fa:
-            break
-        c = b - fb * (b - a) / (fb - fa)
-        # keep the iterate inside a sane neighborhood of the bracket
-        if not (min(a, b) - 1e-3 <= c <= max(a, b) + 1e-3):
-            c = 0.5 * (a + b)
-        if c == b:  # converged to the last float
-            break
-        fc = _mismatch(rp, ext, c, cfg, _REFINE_TOL)
-        if abs(fc) < abs(f_best):
-            best, f_best = c, fc
-        a, fa, b, fb = b, fb, c, fc
-        if abs(b - a) <= 1e-13 * (1.0 + abs(b)) or fc == 0.0:
-            break
-    return best, abs(f_best)
+def _step_out(theta, target: float, E: float):
+    """(a, theta(a), b, theta(b)) around the root of theta = target, from
+    steps of 1e-6 (1 + |E|), doubling, off E toward the root."""
+    start, t = E, theta(E)
+    h = math.copysign(1e-6 * (1.0 + abs(E)), target - t)
+    for _ in range(_STEP_OUT_MAX):
+        E2 = E + h
+        t2 = theta(E2)
+        if (t2 > target) != (t > target):
+            (a, ta), (b, tb) = sorted([(E, t), (E2, t2)])
+            return a, ta, b, tb
+        E, t = E2, t2
+        h *= 2.0
+    raise ConvergenceError(
+        f"shoot_spectrum: theta - {target / math.pi:.0f} pi keeps its sign "
+        f"{abs(E - start):.3g} off the scan root {start:.6g}"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -374,7 +374,14 @@ def tricomi_psi_integral(alpha: float, beta: float, rho: float) -> float:
         integral = exp_halfline_quad(g_minus_gprime, alpha) / alpha
 
     lg, _ = gammaln_signed(alpha)
-    return math.exp(-alpha * math.log(rho) - lg) * integral
+    try:
+        scale = math.exp(-alpha * math.log(rho) - lg)
+    except OverflowError:
+        raise ConvergenceError(
+            f"tricomi_psi_integral: rho^(-alpha)/Gamma(alpha) overflows at "
+            f"alpha={alpha}, rho={rho}"
+        ) from None
+    return scale * integral
 
 
 def _psi_two_series_mp(alpha: float, beta: float, rho: float, lost: float) -> float:

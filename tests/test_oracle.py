@@ -227,6 +227,42 @@ class TestAnalyticFidelity:
         assert f.nodes == 0
 
 
+# ground states far below the rung, where theta is a step at float
+# precision: kappa = 0.3 at nu = -1.3 (scaled e0 ~ -84), and kappa = 0.742
+# at nu = -1.5613, g2 = 57.6 (e0 ~ -349); (g1, g2, nu)
+DEEP = {
+    "kappa-0.3": (-0.16, 1.0, -1.3),
+    "kappa-0.742": (0.300564, 57.6, -1.5613),
+}
+
+
+class TestDeepGroundStates:
+    @pytest.mark.parametrize("name", sorted(DEEP))
+    def test_ground_state_matches_spectrum(self, name):
+        g1, g2, nu = DEEP[name]
+        rp = reduce(g1, g2)
+        ext = extension_for(rp, nu=nu)
+        got = shoot_spectrum(rp, ext, 1).energies[0]
+        assert got == pytest.approx(spectrum(rp, ext, 1).energies[0], rel=1e-8)
+
+    # limits: fewer than the 140, and at most 10 % more than the 148,
+    # integrations that a secant finish on the Wronskian spent on two levels
+    @pytest.mark.parametrize("name,limit", [("kappa-0.3", 139), ("kappa-0.742", 162)])
+    def test_integration_budget(self, monkeypatch, name, limit):
+        calls = [0]
+        real = oracle.integrate
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "integrate", counting)
+        g1, g2, nu = DEEP[name]
+        rp = reduce(g1, g2)
+        shoot_spectrum(rp, extension_for(rp, nu=nu), 2)
+        assert calls[0] <= limit
+
+
 class TestRefusals:
     def test_too_deep_for_window(self):
         # tan(1.55) ~ 48: the kappa = 0 ground state sits around -4 e^49,
@@ -243,6 +279,12 @@ class TestRefusals:
         ext = extension_for(rp, nu=None, friedrichs=True)
         with pytest.raises(ConvergenceError, match="found 15 of 16 eigenvalues"):
             shoot_spectrum(rp, ext, 16)
+
+    def test_refinement_bracket_exhausted(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_STEP_OUT_MAX", 0)
+        rp = reduce(0.0, 1.0)
+        with pytest.raises(ConvergenceError, match="keeps its sign"):
+            shoot_spectrum(rp, extension_for(rp, nu=1.0), 1)
 
     def test_rejects_bad_n_max(self):
         rp = reduce(0.0, 1.0)
@@ -262,7 +304,7 @@ class TestRefusals:
 def _levels_below(rp, ext, e):
     """Levels below the scaled energy e by the oracle's own count:
     floor(Theta / pi) + 1, Theta being its matching angle."""
-    theta = oracle._theta(rp, ext, e * rp.energy_scale(), ShootingConfig())
+    theta = oracle._theta(rp, ext, e * rp.energy_scale(), ShootingConfig(), oracle._SCAN_TOL)
     assert theta > -math.pi
     return math.floor(theta / math.pi) + 1
 

@@ -304,6 +304,9 @@ class TestTricomiPsi:
         with pytest.raises(DomainError):
             tricomi_psi(1.0, 2.0, 0.0)
 
+    def test_integral_prefactor_overflow_is_typed(self):
+        with pytest.raises(ConvergenceError, match="overflows"):
+            tricomi_psi_integral(1.97, 1.0, 2e-189)
 
     def test_series_budget_exhaustion_raises(self, monkeypatch):
         # the float64 two-series route needs over 40 terms at rho = 10;

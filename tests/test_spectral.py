@@ -471,6 +471,15 @@ class TestGroundState:
         with pytest.raises(ConvergenceError, match="Psi|Gamma|psi"):
             ground_state_wavefunction(rp, extension_for(rp, nu=nu))
 
+    @pytest.mark.parametrize("nu", [0.95, 1.0, 1.2, 1.4])
+    def test_kappa_zero_psi_overflow_refused_not_crashed(self, nu):
+        # the kappa = 0 norm quadrature reaches rho ~ 1e-189, where the
+        # Laplace-integral Psi's prefactor rho^(-alpha) / Gamma(alpha)
+        # overflows: a typed refusal, not a raw OverflowError
+        rp = rp_kappa(0.0)
+        with pytest.raises(ConvergenceError, match="overflows"):
+            ground_state_wavefunction(rp, extension_for(rp, nu=nu))
+
     def test_high_kappa_family_refused(self):
         # normalization quadrature carries the x^{-2 kappa} singularity;
         # its engine is only certified down to power -0.95
