@@ -40,26 +40,58 @@ is the continuous angle of the left solution minus that of the right
 one.  Theta increases strictly with E (the left angle rises, the right
 one falls), it lies in (-pi, 0) below the ground state, and level n is
 the root of Theta(E) = n pi: floor(Theta / pi) + 1 levels lie below E,
-so no level can be missed or found twice.  Each level is bracketed
-between evaluated energies on either side of n pi -- the floor below the
-ground state, the rung 2 ups^2 (2n+1+kappa) + 0.2 ups^2 that every level
-n sits below, and the points of earlier solves -- and solved by an
-Illinois iteration (regula falsi that halves a retained end, with
-bisection when it stalls) at the scan tolerance.
+so no level can be missed or found twice.
 
-Refinement.  The same Illinois iteration finishes each level on Theta
-integrated at the refinement tolerance.  Its bracket steps out from the
-scan root by 1e-6 (1 + |E|), doubling, until Theta - n pi changes sign.
+Derivative.  Differentiating -u'' + (q - E) u = 0 in E gives
+(u u'_E - u' u_E)' = -u^2, and dphi/dE = -(u u'_E - u' u_E) / r^2 with
+r^2 = u^2 + u'^2, so
+
+    dTheta/dE = (int_{x_min}^{x_match} u_L^2 dx + head) / r_L^2
+                + int_{x_match}^{x_max} u_R^2 dx / r_R^2.
+
+The integrator accumulates both integrals along the branches.  head =
+u' u_E - u u'_E at x_min, from the series data and their central
+difference in E (step ups^2), is the exact [0, x_min) part of the left
+integral; without it the slope is off by up to a few per cent.  The
+right data's own term, of order chi(x_max)^2, is left out.
+
+Deep ground states.  A ground state far below its rung decays like
+exp(-sqrt(-E) x) from the origin, so at the default match point 1/ups
+the left solution is a float-precision mix of the decaying and growing
+modes and Theta is a step.  Where the scan floor (below) lies under -16
+(scaled), the match point moves, once per call and for every level, to
+four decay lengths of the floor, 4 / (ups sqrt(-e_floor)); at -16 that
+is 1/ups.  An explicit ShootingConfig.x_match wins.
+
+Root hunt.  Each level is bracketed between evaluated energies on either
+side of n pi -- the floor below the ground state, the rung
+2 ups^2 (2n+1+kappa) + 0.2 ups^2 that every level n sits below, and the
+points of earlier solves -- and solved by a safeguarded Newton iteration
+on Theta: Newton steps from the latest point while each halves
+|Theta - n pi| and stays inside the bracket, else regula falsi with the
+Illinois halving of a retained end, or bisection once two steps in a row
+stall.  The scan tolerance needs only |Theta - n pi| <= 1e-4: the
+refinement starts from the Newton step off the scan's last point and runs
+the same iteration on Theta integrated at the refinement tolerance, with
+twice the Newton step while it has no bracket; regular levels take two
+evaluations there.  A solve that runs out of steps raises
+ConvergenceError.
+
 The residual returned is |sin(Theta - n pi)| at the returned energy:
 sin(phi_L - phi_R) is the Wronskian at the match point normalized by the
 solution magnitudes, which also cancels the integrator's renormalization
 factors, so it vanishes exactly at the eigenvalues.
+
+Window.  The right boundary data hold only where the top level's turning
+point sqrt(e_n)/ups lies at least 2/ups inside x_max; past that the
+truncation error grows beyond 1e-9 relative, and the oracle raises
+ConvergenceError instead of returning the level.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ConvergenceError, DomainError
 from .params import ReducedParams
@@ -80,12 +112,16 @@ _EULER_GAMMA = 0.5772156649015328606
 _REFINE_TOL = 1e-10  # refinement and eigenfunction integration tolerance
 _SCAN_TOL = 1e-7  # bracketing integration tolerance
 # |theta - n pi| and bracket width (relative to 1 + |E|) that end the
-# Illinois solve at each integration tolerance; a deep level's theta is a
-# step at float precision, which a narrower bracket only bisects down
-_SCAN_STOP = (1e-8, 1e-6)
+# solve at each integration tolerance; the refinement starts from the scan's
+# last Newton step, whose error at 1e-4 is below the two tolerances' offset
+_SCAN_STOP = (1e-4, 1e-6)
 _REFINE_STOP = (1e-13, 1e-11)
-_ILLINOIS_MAX_STEPS = 100  # matching-angle evaluations per solve
-_STEP_OUT_MAX = 20  # doublings of the refinement bracket
+_SOLVE_MAX_STEPS = 100  # matching-angle evaluations per solve
+# scaled floor below which the match point follows the ground state's decay
+_DEEP_FLOOR = -16.0
+# least ups x_max - sqrt(e) of the top level: from 2.0 down the truncation
+# error passes 1e-9 relative (6.5e-11 at 2.23, 2.1e-9 at 1.89)
+_DECAY_MARGIN = 2.0
 _N_GRID = 801  # eigenfunction sample points on the window (odd)
 _SERIES_MAX_TERMS = 60  # Frobenius series terms at the left boundary
 
@@ -218,20 +254,34 @@ def _right_state(rp: ReducedParams, E: float, x: float):
 # matching angle and root hunt
 
 
-def _theta(rp: ReducedParams, ext: Extension, E: float, cfg: ShootingConfig, tol: float) -> float:
+def _theta(
+    rp: ReducedParams, ext: Extension, E: float, cfg: ShootingConfig, tol: float
+) -> tuple[float, float]:
     """Matching angle pi (Z_L + Z_R) + phi_L - phi_R of the two solutions
-    integrated to the match point at tol; level n is its root at n pi."""
+    integrated to the match point at tol, and its derivative in E; level n
+    is the root at n pi."""
     x_min, x_max, x_match = cfg.resolved(rp.upsilon)
     g1, g2 = rp.g1, rp.g2
 
     def f(x, y):
         return (y[1], (g1 / (x * x) + g2 * x * x - E) * y[0])
 
-    left = integrate(f, x_min, _left_state(rp, ext, E, x_min), x_match, rel_tol=tol)
+    u0, v0 = _left_state(rp, ext, E, x_min)
+    left = integrate(f, x_min, (u0, v0), x_match, rel_tol=tol)
     right = integrate(f, x_max, _right_state(rp, E, x_max), x_match, rel_tol=tol)
-    phi_l = math.atan2(*left.y) % math.pi
-    phi_r = math.atan2(*right.y) % math.pi
-    return math.pi * (left.sign_changes + right.sign_changes) + phi_l - phi_r
+    ul, vl = left.y
+    ur, vr = right.y
+    theta = (math.pi * (left.sign_changes + right.sign_changes)
+             + math.atan2(ul, vl) % math.pi - math.atan2(ur, vr) % math.pi)
+    # head = u' u_E - u u'_E at x_min, the [0, x_min) part of the integral
+    # of u^2, brought to the units of the left branch's end state
+    h = rp.energy_scale()
+    up, vp = _left_state(rp, ext, E + h, x_min)
+    um, vm = _left_state(rp, ext, E - h, x_min)
+    head = (v0 * (up - um) - u0 * (vp - vm)) / (2.0 * h) * math.exp(-2.0 * left.log_scale)
+    slope = ((left.u2_integral + head) / (ul * ul + vl * vl)
+             + right.u2_integral / (ur * ur + vr * vr))
+    return theta, slope
 
 
 def _scan_floor(rp: ReducedParams, ext: Extension) -> float:
@@ -275,27 +325,30 @@ def shoot_spectrum(
             raise DomainError("shoot_spectrum: nu extensions exist only for kappa < 1")
     cfg = cfg or ShootingConfig()
     ups2 = rp.energy_scale()
+    e_lo = _scan_floor(rp, ext)
+    if cfg.x_match is None and e_lo < _DEEP_FLOOR:
+        # four decay lengths 1/sqrt(-E) of the deepest ground state in reach
+        cfg = replace(cfg, x_match=4.0 / (rp.upsilon * math.sqrt(-e_lo)))
 
-    known: list[tuple[float, float]] = []  # every (E, Theta(E)) evaluated
+    known: list[tuple[float, float, float]] = []  # every (E, Theta, dTheta/dE) evaluated
 
-    def theta(E: float) -> float:
-        t = _theta(rp, ext, E, cfg, _SCAN_TOL)
-        known.append((E, t))
-        return t
+    def theta(E: float) -> tuple[float, float]:
+        t, slope = _theta(rp, ext, E, cfg, _SCAN_TOL)
+        known.append((E, t, slope))
+        return t, slope
 
-    def fine(E: float) -> float:
+    def fine(E: float) -> tuple[float, float]:
         return _theta(rp, ext, E, cfg, _REFINE_TOL)
 
-    e_lo = _scan_floor(rp, ext)
     theta(e_lo * ups2)
     roots: list[float] = []
     resids: list[float] = []
     for n in range(n_max):
         target = n * math.pi
-        if all(t <= target for _, t in known):
+        if all(t <= target for _, t, _ in known):
             # every level sits below its rung 2(2n+1+kappa), the ladders on it
             e_top = 2.0 * (2 * n + 1 + rp.kappa) + 0.2
-            if theta(e_top * ups2) <= target:
+            if theta(e_top * ups2)[0] <= target:
                 raise ConvergenceError(
                     f"shoot_spectrum: found {n} of {n_max} eigenvalues in "
                     f"scaled window ({e_lo:.3g}, {e_top:.3g})"
@@ -307,12 +360,26 @@ def shoot_spectrum(
                 f"shoot_spectrum: the window floor {e_lo:.3g} (scaled) lies "
                 "above the ground state"
             )
-        a, ta = max(below)
-        b, tb = min(p for p in known if p[1] > target)
-        E, _ = _illinois(theta, target, a, ta, b, tb, *_SCAN_STOP)
-        root, miss = _illinois(fine, target, *_step_out(fine, target, E), *_REFINE_STOP)
+        lo = max(below)
+        hi = min(p for p in known if p[1] > target)
+        start = min(lo, hi, key=lambda p: abs(p[1] - target))
+        E, miss, slope = _solve(theta, target, *start, lo[:2], hi[:2], *_SCAN_STOP)
+        if abs(miss) <= _SCAN_STOP[0]:  # not stopped by the bracket width
+            E -= miss / slope
+        root, miss, _ = _solve(fine, target, E, *fine(E), None, None, *_REFINE_STOP)
         roots.append(root)
         resids.append(abs(math.sin(miss)))
+
+    # the right boundary data hold only where the top level's turning point
+    # sits well inside the window
+    e_top = roots[-1] / ups2
+    margin = rp.upsilon * cfg.resolved(rp.upsilon)[1] - math.sqrt(max(e_top, 0.0))
+    if margin < _DECAY_MARGIN:
+        raise ConvergenceError(
+            f"shoot_spectrum: level {n_max - 1} (scaled {e_top:.4g}) turns "
+            f"{margin:.3g}/ups before x_max, short of the {_DECAY_MARGIN:g}/ups "
+            "its decay needs; widen x_max"
+        )
 
     funcs = None
     if want_eigenfunctions:
@@ -323,60 +390,58 @@ def shoot_spectrum(
     )
 
 
-def _illinois(
-    theta, target: float, a: float, ta: float, b: float, tb: float, tol: float, width: float
-) -> tuple[float, float]:
-    """Root of theta(E) = target, given theta(a) <= target < theta(b), and
-    |theta - target| there, from the last evaluation.
+def _solve(theta, target, E, t, slope, lo, hi, tol, width) -> tuple[float, float, float]:
+    """Root of theta(E) = target by a safeguarded Newton iteration, from E
+    where theta = t with derivative slope; returns E, theta - target and
+    the slope of the last evaluation.
 
-    Regula falsi, halving the value at an end kept on two steps in a row
-    (Illinois), and bisection once two steps in a row fail to halve
-    |theta - target|: a deep level's theta is a step, which regula falsi
-    only creeps toward.
+    lo and hi are (E, theta) with theta(lo) <= target < theta(hi), or None
+    while that side is unknown.  Each step is Newton's from the latest point
+    while the last step halved |theta - target| and the Newton point lies
+    inside the bracket.  Otherwise it is regula falsi on the bracket,
+    halving the value at an end kept on two steps in a row (Illinois), or
+    bisection once two steps in a row fail to halve |theta - target|; while
+    one side is still unknown, it is twice the Newton step.
     Ends at |theta - target| <= tol or a bracket of width * (1 + |E|).
     """
-    fa, fb = ta - target, tb - target
-    c, f_c = (a, -fa) if -fa < fb else (b, fb)
+    a, fa = (lo[0], lo[1] - target) if lo else (-math.inf, -math.inf)
+    b, fb = (hi[0], hi[1] - target) if hi else (math.inf, math.inf)
+    f = t - target
+    if f > 0.0:
+        b, fb = E, f
+    else:
+        a, fa = E, f
     side = 0
     stalls = 0
-    for _ in range(_ILLINOIS_MAX_STEPS):
-        if f_c <= tol or b - a <= width * (1.0 + abs(c)):
-            break
-        c = 0.5 * (a + b) if stalls >= 2 else b - fb * (b - a) / (fb - fa)
-        if not a < c < b:  # rounding on a collapsed bracket
-            c = 0.5 * (a + b)
-        fc = theta(c) - target
-        stalls = stalls + 1 if abs(fc) > 0.5 * f_c else 0
-        f_c = abs(fc)
-        if fc > 0.0:
-            b, fb = c, fc
+    for _ in range(_SOLVE_MAX_STEPS):
+        if abs(f) <= tol or b - a <= width * (1.0 + abs(E)):
+            return E, f, slope
+        x = E - f / slope
+        if stalls or not a < x < b:
+            if math.isinf(b - a):
+                x = 2.0 * x - E
+            elif stalls < 2:
+                x = b - fb * (b - a) / (fb - fa)
+            else:
+                x = 0.5 * (a + b)
+            if not a < x < b:  # rounding on a collapsed bracket
+                x = 0.5 * (a + b)
+        t, slope = theta(x)
+        stalls = stalls + 1 if abs(t - target) > 0.5 * abs(f) else 0
+        E, f = x, t - target
+        if f > 0.0:
+            b, fb = E, f
             if side == 1:
                 fa *= 0.5
             side = 1
         else:
-            a, fa = c, fc
+            a, fa = E, f
             if side == -1:
                 fb *= 0.5
             side = -1
-    return c, f_c
-
-
-def _step_out(theta, target: float, E: float):
-    """(a, theta(a), b, theta(b)) around the root of theta = target, from
-    steps of 1e-6 (1 + |E|), doubling, off E toward the root."""
-    start, t = E, theta(E)
-    h = math.copysign(1e-6 * (1.0 + abs(E)), target - t)
-    for _ in range(_STEP_OUT_MAX):
-        E2 = E + h
-        t2 = theta(E2)
-        if (t2 > target) != (t > target):
-            (a, ta), (b, tb) = sorted([(E, t), (E2, t2)])
-            return a, ta, b, tb
-        E, t = E2, t2
-        h *= 2.0
     raise ConvergenceError(
-        f"shoot_spectrum: theta - {target / math.pi:.0f} pi keeps its sign "
-        f"{abs(E - start):.3g} off the scan root {start:.6g}"
+        f"shoot_spectrum: theta - {target / math.pi:.0f} pi is still {f:.3g} "
+        f"at E = {E:.6g}, bracket ({a:.6g}, {b:.6g})"
     )
 
 

@@ -27,6 +27,16 @@ between accepted steps (a step landing exactly on 0 is bridged to the
 next non-zero value).  Renormalization divides by a positive number, so
 it keeps every sign; for the oracle's (u, u') states this is the node
 count that indexes the eigenvalues.
+
+`u2_integral` is the integral of the first component squared over the
+span, in the units of the returned state (divided by the square of every
+renormalization factor): Simpson's rule on each accepted step, with the
+midpoint value (u + u_new)/2 + h (u' - u'_new)/8 of the cubic Hermite
+interpolant of the step's end values (about 1e-8 relative on a sine
+squared at rel_tol 1e-10).  It costs a few flops per step, and the
+(u, u') arithmetic does not read it, so every other bit is unchanged.
+The oracle divides it by u^2 + u'^2 for the energy derivative of its
+matching angle.
 """
 
 from __future__ import annotations
@@ -78,6 +88,7 @@ class IntegrationResult:
     n_steps: int
     n_rejected: int
     sign_changes: int  # strict sign changes of y[0] over accepted steps
+    u2_integral: float  # integral of y[0]^2 dx, in the units of the returned y
 
 
 def integrate(
@@ -103,7 +114,7 @@ def integrate(
         raise DomainError(f"integrate: state must have 2 components, got {len(y0)}")
     u, v = float(y0[0]), float(y0[1])
     if x1 == x0:
-        return IntegrationResult(x0, (u, v), 0.0, 0, 0, 0)
+        return IntegrationResult(x0, (u, v), 0.0, 0, 0, 0, 0.0)
     if rel_tol < 1e-14 or rel_tol > 1e-2:
         raise DomainError(f"integrate: rel_tol {rel_tol} outside [1e-14, 1e-2]")
 
@@ -121,6 +132,7 @@ def integrate(
     n_rejected = 0
     sign_changes = 0
     last = u  # the last non-zero u, so a step landing on 0 hides no crossing
+    u2 = 0.0
 
     while (x1 - x) * direction > 0.0:
         if n_steps + n_rejected >= max_steps:
@@ -197,6 +209,10 @@ def integrate(
 
         if norm <= 1.0 or h <= h_floor:
             x = x1 if abs(x1 - (x + hs)) < x_snap else x + hs
+            # Simpson's rule on u^2, with u at the midpoint from the cubic
+            # Hermite interpolant of both ends' (u, u')
+            um = 0.5 * (u + u_new) + 0.125 * hs * (v - v_new)
+            u2 += h * (u * u + 4.0 * um * um + u_new * u_new) / 6.0
             u, v = u_new, v_new
             n_steps += 1
             if u < 0.0 < last or last < 0.0 < u:
@@ -207,6 +223,7 @@ def integrate(
             if big > threshold:
                 log_scale += math.log(big)
                 u, v = u / big, v / big
+                u2 = u2 / big / big
         else:
             n_rejected += 1
 
@@ -216,4 +233,4 @@ def integrate(
             grow = 0.2
         h *= grow if grow < 5.0 else 5.0
 
-    return IntegrationResult(x, (u, v), log_scale, n_steps, n_rejected, sign_changes)
+    return IntegrationResult(x, (u, v), log_scale, n_steps, n_rejected, sign_changes, u2)

@@ -76,6 +76,16 @@ class TestSpectrum:
         assert code == 0
         assert json.loads(out)["results"]["oracle"]["max_rel_gap"] <= 1e-3
 
+    @pytest.mark.parametrize("n,want", [(8, 0), (13, 4)])
+    def test_oracle_refuses_levels_the_window_truncates(self, capsys, n, want):
+        # level 12 turns 0.98 / ups before x_max = 8 / ups and would be off
+        # by 9e-6 relative; level 7 keeps a margin of 2.58 / ups
+        code, out, err = run(capsys, ["spectrum", "--g1", "0", "--g2", "1", "--nu", "1.0",
+                                      "--n", str(n), "--oracle", "on"])
+        assert code == want
+        if want:
+            assert out == "" and "widen x_max" in err
+
     def test_root_next_to_the_pole(self, capsys):
         # level 8 sits 1.04e-6 below its pole, inside the endpoint nudge
         code, out, _ = run(capsys, ["spectrum", "--g1", "-0.24999997", "--g2", "1",

@@ -227,9 +227,10 @@ class TestAnalyticFidelity:
         assert f.nodes == 0
 
 
-# ground states far below the rung, where theta is a step at float
-# precision: kappa = 0.3 at nu = -1.3 (scaled e0 ~ -84), and kappa = 0.742
-# at nu = -1.5613, g2 = 57.6 (e0 ~ -349); (g1, g2, nu)
+# ground states far below the rung: kappa = 0.3 at nu = -1.3 (scaled
+# e0 ~ -84), and kappa = 0.742 at nu = -1.5613, g2 = 57.6 (e0 ~ -349).  At
+# the default match point 1/ups their theta is a step at float precision;
+# the oracle matches them four decay lengths out instead; (g1, g2, nu)
 DEEP = {
     "kappa-0.3": (-0.16, 1.0, -1.3),
     "kappa-0.742": (0.300564, 57.6, -1.5613),
@@ -242,13 +243,15 @@ class TestDeepGroundStates:
         g1, g2, nu = DEEP[name]
         rp = reduce(g1, g2)
         ext = extension_for(rp, nu=nu)
-        got = shoot_spectrum(rp, ext, 1).energies[0]
-        assert got == pytest.approx(spectrum(rp, ext, 1).energies[0], rel=1e-8)
+        got = shoot_spectrum(rp, ext, 1)
+        assert got.energies[0] == pytest.approx(spectrum(rp, ext, 1).energies[0], rel=1e-8)
+        assert got.mismatch_residuals[0] <= 1e-10
 
-    # limits: fewer than the 140, and at most 10 % more than the 148,
-    # integrations that a secant finish on the Wronskian spent on two levels
-    @pytest.mark.parametrize("name,limit", [("kappa-0.3", 139), ("kappa-0.742", 162)])
-    def test_integration_budget(self, monkeypatch, name, limit):
+    # limits: a secant finish on the Wronskian spent 140 and 148
+    # integrations on two levels, a bracketed finish 98 and 154; Newton on
+    # the smooth angle takes 40 and 54
+    @pytest.mark.parametrize("name", sorted(DEEP))
+    def test_integration_budget(self, monkeypatch, name):
         calls = [0]
         real = oracle.integrate
 
@@ -260,7 +263,62 @@ class TestDeepGroundStates:
         g1, g2, nu = DEEP[name]
         rp = reduce(g1, g2)
         shoot_spectrum(rp, extension_for(rp, nu=nu), 2)
-        assert calls[0] <= limit
+        assert calls[0] <= 100
+
+    def test_explicit_match_point_wins(self):
+        g1, g2, nu = DEEP["kappa-0.3"]
+        rp = reduce(g1, g2)
+        ext = extension_for(rp, nu=nu)
+        seen = []
+        real = oracle._theta
+
+        def spy(rp_, ext_, E, cfg, tol):
+            seen.append(cfg.resolved(rp_.upsilon)[2])
+            return real(rp_, ext_, E, cfg, tol)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_theta", spy)
+            shoot_spectrum(rp, ext, 1)
+            deep = set(seen)
+            seen.clear()
+            shoot_spectrum(rp, ext, 1, ShootingConfig(x_match=1.0))
+        # one match point per call: 4 / sqrt(-e_floor) by default
+        e_lo = oracle._scan_floor(rp, ext)
+        assert len(deep) == 1
+        assert deep.pop() == pytest.approx(4.0 / math.sqrt(-e_lo), rel=1e-15)
+        assert set(seen) == {1.0}
+
+
+class TestSolve:
+    # oracle._solve on model angles: (E, theta - target, slope) comes back
+
+    def test_newton_needs_no_bracket(self):
+        calls = []
+
+        def theta(E):
+            calls.append(E)
+            return math.atan(E - 0.3), 1.0 / (1.0 + (E - 0.3) ** 2)
+
+        E, miss, _ = oracle._solve(theta, 0.0, 0.9, *theta(0.9), None, None, 1e-13, 1e-11)
+        assert abs(miss) <= 1e-13
+        assert E == pytest.approx(0.3, abs=1e-13)
+        assert len(calls) <= 6
+
+    def test_stalling_newton_brackets_the_root(self):
+        # a slope three times too steep: Newton creeps, twice its step
+        # crosses the root, and the bracketed steps finish
+        def theta(E):
+            return math.atan(E - 0.3), 3.0 / (1.0 + (E - 0.3) ** 2)
+
+        E, miss, _ = oracle._solve(theta, 0.0, 2.0, *theta(2.0), None, None, 1e-13, 1e-11)
+        assert E == pytest.approx(0.3, abs=1e-11)
+
+    def test_a_step_ends_on_the_bracket_width(self):
+        def theta(E):
+            return (0.5 if E > 1.0 else -0.5), 1e-3
+
+        E, _, _ = oracle._solve(theta, 0.0, 0.0, *theta(0.0), (0.0, -0.5), (3.0, 0.5), 1e-8, 1e-6)
+        assert abs(E - 1.0) <= 2e-6
 
 
 class TestRefusals:
@@ -280,11 +338,30 @@ class TestRefusals:
         with pytest.raises(ConvergenceError, match="found 15 of 16 eigenvalues"):
             shoot_spectrum(rp, ext, 16)
 
-    def test_refinement_bracket_exhausted(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_STEP_OUT_MAX", 0)
+    def test_scan_out_of_steps_is_refused(self, monkeypatch):
+        # an unconverged energy is an error, not a result
+        monkeypatch.setattr(oracle, "_SOLVE_MAX_STEPS", 1)
         rp = reduce(0.0, 1.0)
-        with pytest.raises(ConvergenceError, match="keeps its sign"):
+        with pytest.raises(ConvergenceError, match="0 pi is still"):
             shoot_spectrum(rp, extension_for(rp, nu=1.0), 1)
+
+    def test_refinement_out_of_steps_is_refused(self, monkeypatch):
+        # a stop the refinement cannot reach: its steps run out
+        monkeypatch.setattr(oracle, "_SOLVE_MAX_STEPS", 8)
+        monkeypatch.setattr(oracle, "_REFINE_STOP", (-1.0, -1.0))
+        rp = reduce(0.0, 1.0)
+        with pytest.raises(ConvergenceError, match="0 pi is still"):
+            shoot_spectrum(rp, extension_for(rp, nu=1.0), 1)
+
+    def test_levels_the_window_truncates_are_refused(self):
+        # level 12 turns 0.98 / ups before x_max = 8 / ups (9.2e-6 off)
+        rp = reduce(0.0, 1.0)
+        ext = extension_for(rp, nu=1.0)
+        with pytest.raises(ConvergenceError, match="level 12 .* widen x_max"):
+            shoot_spectrum(rp, ext, 13, scaled=True)
+        wide = shoot_spectrum(rp, ext, 13, ShootingConfig(x_max=11.0), scaled=True)
+        for got, ref in zip(wide.energies, spectrum(rp, ext, 13, scaled=True).energies):
+            assert got == pytest.approx(ref, rel=1e-9)
 
     def test_rejects_bad_n_max(self):
         rp = reduce(0.0, 1.0)
@@ -304,7 +381,7 @@ class TestRefusals:
 def _levels_below(rp, ext, e):
     """Levels below the scaled energy e by the oracle's own count:
     floor(Theta / pi) + 1, Theta being its matching angle."""
-    theta = oracle._theta(rp, ext, e * rp.energy_scale(), ShootingConfig(), oracle._SCAN_TOL)
+    theta, _ = oracle._theta(rp, ext, e * rp.energy_scale(), ShootingConfig(), oracle._SCAN_TOL)
     assert theta > -math.pi
     return math.floor(theta / math.pi) + 1
 
@@ -339,6 +416,20 @@ class TestOscillationCount:
         lo = oracle._scan_floor(rp, ext)
         for e in _grid_off_levels(lo, 45.0, [lev for lev in levels if lev < 46.0], step=1.3):
             assert _levels_below(rp, ext, e) == sum(lev < e for lev in levels), e
+
+    @pytest.mark.parametrize("kappa,nu", [(0.5, None), (1.0, None), (2.5, None)]
+                             + [(k, nu) for k in (0.0, 0.3, 0.7) for nu in (-1.0, 0.4, 1.2)])
+    def test_slope_is_the_derivative(self, kappa, nu):
+        # dTheta/dE from the integrals of u^2 against a central difference
+        rp = reduce(kappa * kappa - 0.25, 1.0)
+        ext = extension_for(rp, nu=nu, friedrichs=nu is None)
+        cfg = ShootingConfig()
+        for e in (oracle._scan_floor(rp, ext) + 0.5, 1.3, 6.1, 17.9, 30.3):
+            h = 1e-4 * (1.0 + abs(e))
+            _, slope = oracle._theta(rp, ext, e, cfg, oracle._REFINE_TOL)
+            up, _ = oracle._theta(rp, ext, e + h, cfg, oracle._REFINE_TOL)
+            down, _ = oracle._theta(rp, ext, e - h, cfg, oracle._REFINE_TOL)
+            assert slope == pytest.approx((up - down) / (2.0 * h), rel=1e-2), e
 
     @given(
         kappa=st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.5]),
