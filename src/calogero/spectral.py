@@ -16,7 +16,7 @@ and the eigenvalue equations F(-e/4) = -tan(nu) (kappa > 0), resp.
 F(-e/4) = tan(nu) (kappa = 0).  F(-e/4) sweeps every real value exactly
 once per "gap" between consecutive poles of the numerator (at
 e = 2(2n+1+kappa), resp. 2(2n+1)), strictly decreasing in e, so each gap
-carries exactly one eigenvalue and bracketed bisection cannot miss.  At
+carries exactly one eigenvalue and a bracketed solver cannot miss it.  At
 nu = +-pi/2 the roots sit on the poles themselves and the spectrum is the
 exact ladder E_n = 2 upsilon^2 (2n+1+kappa) (also the kappa >= 1
 spectrum); at nu=0, kappa > 0, the roots are the zeros
@@ -26,7 +26,9 @@ The same F fixes the small-x coefficients (A~, B~) of a representation
 solution (see the factorization module), hence its boundary angle
 theta(mu, w) and the inverse problem w(mu, nu), used to build the
 representation that generates a given extension.  All three go through
-`_boundary_F`, and every root is found by the one bisection `_bisect`.
+`_boundary_F`, whose kappa-only constant and fault skew `_boundary_consts`
+builds once per call, and every root is found by the one Brent-Dekker
+solver `_brent`, started on a sign change whose two values are known.
 """
 
 from __future__ import annotations
@@ -120,25 +122,42 @@ def extension_for(rp: ReducedParams, nu: float | None = None, friedrichs: bool =
 gamma_skew: contextvars.ContextVar[float] = contextvars.ContextVar("gamma_skew", default=0.0)
 
 
-def _boundary_F(rp: ReducedParams, w: float) -> float:
+def _boundary_consts(rp: ReducedParams) -> tuple[float, float]:
+    """(c, skew): the kappa-only constant of the boundary function,
+
+        kappa > 0:  c = ln G(1-k) - ln G(1+k)
+        kappa = 0:  c = 2 psi(1),
+
+    and the gamma_skew in force.  theta_of, solve_w and spectrum build
+    them once per call and hand them to every `_boundary_F` evaluation.
+    """
+    k = rp.kappa
+    if k > 0.0:
+        c = gammaln_signed(1.0 - k)[0] - gammaln_signed(1.0 + k)[0]
+    else:
+        c = 2.0 * digamma(1.0)
+    return c, gamma_skew.get()
+
+
+def _boundary_F(rp: ReducedParams, w: float, c: float, skew: float) -> float:
     """The boundary function of the shift w, increasing in w:
 
         kappa > 0:  G(1-k) G(alpha) / [G(1+k) G(alpha-k)],  alpha = (1+k)/2 + w
         kappa = 0:  psi(1/2 + w) - 2 psi(1)
 
-    theta_of, solve_w and the spectrum (at w = -e/4) all go through it,
-    and gamma_skew perturbs it here.
+    with (c, skew) from `_boundary_consts`.  theta_of, solve_w and the
+    spectrum (at w = -e/4) all go through it, and skew perturbs it here.
     """
-    value = _gamma_ratio(rp, w) if rp.kappa > 0.0 else digamma(0.5 + w) - 2.0 * digamma(1.0)
-    eps = gamma_skew.get()
-    if eps != 0.0 and math.isfinite(value):
-        return value + eps * (1.0 + abs(value))
+    value = _gamma_ratio(rp, w, c) if rp.kappa > 0.0 else digamma(0.5 + w) - c
+    if skew != 0.0 and math.isfinite(value):
+        return value + skew * (1.0 + abs(value))
     return value
 
 
-def _gamma_ratio(rp: ReducedParams, w: float) -> float:
-    """G(1-k)/G(1+k) * G(alpha)/G(alpha-k) with alpha = (1+k)/2 + w, in
-    log space; 0.0 on the exact poles of G(alpha-k), +-inf on overflow."""
+def _gamma_ratio(rp: ReducedParams, w: float, c: float) -> float:
+    """G(1-k)/G(1+k) * G(alpha)/G(alpha-k) with alpha = (1+k)/2 + w and
+    c = ln G(1-k) - ln G(1+k), in log space; 0.0 on the exact poles of
+    G(alpha-k), +-inf on overflow."""
     k = rp.kappa
     a = rp.alpha_of(w)
     am = a - k
@@ -146,34 +165,63 @@ def _gamma_ratio(rp: ReducedParams, w: float) -> float:
         return 0.0
     if a <= 0.0 and a == math.floor(a):  # pole of the numerator
         return math.inf
-    lg1, _ = gammaln_signed(1.0 - k)
-    lg2, _ = gammaln_signed(1.0 + k)
     if a > 0.0 and am > 0.0:
         # deep roots push alpha past 1e16, where alpha - k is not even a
         # distinct float; hand the shift -k over exactly and never subtract
         # two lgamma values of size alpha*ln(alpha)
-        ln_r = lg1 - lg2 - gammaln_shift(a, -k)
+        ln_r = c - gammaln_shift(a, -k)
         return math.exp(ln_r) if ln_r <= 709.0 else math.inf
     lg3, s3 = gammaln_signed(a)
     lg4, s4 = gammaln_signed(am)
-    ln_r = lg1 - lg2 + lg3 - lg4
+    ln_r = c + lg3 - lg4
     if ln_r > 709.0:
         return math.inf * s3 * s4
     return s3 * s4 * math.exp(ln_r)
 
 
-def _bisect(f, pos: float, nonpos: float) -> float:
-    """Halve the bracket f(pos) > 0 >= f(nonpos) down to adjacent floats
-    (at most 200 halvings); the endpoints may come in either order."""
-    for _ in range(200):
-        mid = 0.5 * (pos + nonpos)
-        if mid == pos or mid == nonpos:
-            break
-        if f(mid) > 0.0:
-            pos = mid
+def _brent(f, a: float, fa: float, b: float, fb: float) -> tuple[float, float]:
+    """Brent-Dekker zeroin on a bracket whose values are already known:
+    fa and fb of opposite signs, a zero counting with the negatives.
+
+    Inverse quadratic or secant steps while they stay inside the bracket
+    and shrink fast enough, bisection otherwise (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 4).  Stops on an exact
+    zero or once the bracket spans at most four ulps, and returns the end
+    with the smaller |f| with its value (root, f(root)).
+    """
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 2.0 * math.ulp(b)
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return b, fb
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
         else:
-            nonpos = mid
-    return 0.5 * (pos + nonpos)
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
 
 
 def theta_of(mu: float, w: float, rp: ReducedParams) -> float:
@@ -191,10 +239,11 @@ def theta_of(mu: float, w: float, rp: ReducedParams) -> float:
         raise DomainError(f"theta_of: w={w} at or below the floor w0={rp.w0}")
     if abs(mu - _HALF_PI) < 1e-12:
         raise DomainError("theta_of: mu = pi/2 solution has a one-sided asymptotic")
+    f = _boundary_F(rp, w, *_boundary_consts(rp))
     if rp.kappa > 0.0:
         smu, cmu = math.sin(mu), math.cos(mu)
-        return math.atan2(smu - cmu * _boundary_F(rp, w), cmu)
-    return math.atan(_boundary_F(rp, w) - math.tan(mu))
+        return math.atan2(smu - cmu * f, cmu)
+    return math.atan(f - math.tan(mu))
 
 
 def solve_w(mu: float, nu: float, rp: ReducedParams) -> float:
@@ -202,7 +251,7 @@ def solve_w(mu: float, nu: float, rp: ReducedParams) -> float:
 
     Unique because the boundary function F is increasing in w and sweeps
     all of R, and tan theta is tan mu - F (kappa > 0) or F - tan mu
-    (kappa = 0).  Bisection on an expanding bracket; the residual is
+    (kappa = 0).  `_brent` on an expanding bracket; the residual is
     checked against 1e-10 * (1 + |tan nu|) before returning.
     """
     if rp.kappa >= 1.0:
@@ -214,18 +263,26 @@ def solve_w(mu: float, nu: float, rp: ReducedParams) -> float:
     tnu = math.tan(nu)
     tmu = math.tan(mu)
     target = tmu - tnu if rp.kappa > 0.0 else tnu + tmu
+    c, skew = _boundary_consts(rp)
 
     def f(w: float) -> float:
-        return _boundary_F(rp, w) - target
+        return _boundary_F(rp, w, c, skew) - target
 
-    # f is increasing from -inf at the floor; expand right edge until positive
-    lo = rp.w0 + 1e-13
+    # f is increasing from -inf at the floor; expand the right edge until
+    # positive, keeping the last nonpositive edge as the left one
+    lo, f_lo = rp.w0 + 1e-13, None
     hi = rp.w0 + 1.0
-    while f(hi) <= 0.0:
+    f_hi = f(hi)
+    while f_hi <= 0.0:
         if hi > 1e280:
             raise ConvergenceError(f"solve_w: no sign change for mu={mu}, nu={nu}")
+        lo, f_lo = hi, f_hi
         hi = rp.w0 + 2.0 * (hi - rp.w0)
-    w = _bisect(f, hi, lo)
+        f_hi = f(hi)
+    if f_lo is None:
+        f_lo = f(lo)
+    # a root below w0 + 1e-13 leaves lo itself to the residual check
+    w = _brent(f, hi, f_hi, lo, f_lo)[0] if f_lo <= 0.0 else lo
     resid = abs(math.tan(theta_of(mu, w, rp)) - tnu)
     if resid > 1e-10 * (1.0 + abs(tnu)):
         raise ConvergenceError(f"solve_w: residual {resid:.2e} too large at mu={mu}, nu={nu}")
@@ -257,24 +314,21 @@ def _pole(rp: ReducedParams, n: int) -> float:
     return 2.0 * (2 * n + 1 + rp.kappa)
 
 
-def _lowest_gap_floor(rp: ReducedParams, target: float) -> float:
+def _lowest_gap_floor(rp: ReducedParams, target: float, c: float) -> float:
     # scaled e with F(-e/4) > target, i.e. strictly below the ground root.
     # F's first zero z0 splits the gap: a root with target <= 0 lies in
     # [z0, first pole), so a fixed offset below z0 suffices; target > 0
     # pushes the root toward -inf and the e -> -inf asymptotics of F are
-    # inverted in logs (exponentially deep in target when kappa = 0)
+    # inverted in logs (exponentially deep in target when kappa = 0), with
+    # c from `_boundary_consts`
     k = rp.kappa
     if target <= 0.0:
         z0 = 2.0 * (1.0 - k) if k > 0.0 else -0.9
         return z0 - 2.0
     if k > 0.0:
-        ln_r = (
-            math.log(target + 1.0)
-            + math.lgamma(1.0 + k)
-            - math.lgamma(1.0 - k)
-        ) / k
+        ln_r = (math.log(target + 1.0) - c) / k
     else:
-        ln_r = target + 2.0 * abs(digamma(1.0))
+        ln_r = target + abs(c)
     if ln_r > 690.0:
         raise ConvergenceError(
             f"ground state deeper than float64 range for this extension (ln|E| ~ {ln_r:.0f})"
@@ -282,23 +336,26 @@ def _lowest_gap_floor(rp: ReducedParams, target: float) -> float:
     return -4.0 * math.exp(ln_r) - 8.0
 
 
-def _root_in_gap(rp: ReducedParams, target: float, lo: float, hi: float) -> tuple[float, float]:
+def _root_in_gap(
+    rp: ReducedParams, target: float, lo: float, hi: float, c: float, skew: float
+) -> tuple[float, float]:
     """One root of F(-e/4) = target in e in (lo, hi), where F(-e/4)
-    decreases from +inf to -inf.
+    decreases from +inf to -inf; (c, skew) from `_boundary_consts`.
 
-    Eight-point scan confirms the decreasing sweep and brackets the sign
-    change, then bisection.  Returns (root, residual).  Endpoint nudges
-    are relative to each endpoint separately: the gap ends can differ by
-    many orders of magnitude when nu sits near +-pi/2.
+    An eight-point scan confirms the decreasing sweep and brackets the
+    sign change; `_brent` then starts from the scan's two values there.
+    Returns (root, residual).  Endpoint nudges are relative to each
+    endpoint separately: the gap ends can differ by many orders of
+    magnitude when nu sits near +-pi/2.
     """
     a = lo + 1e-7 * max(1.0, abs(lo)) / 3.0
     b = hi - 1e-7 * max(1.0, abs(hi)) / 3.0
 
     def g(e: float) -> float:
         try:
-            return _boundary_F(rp, -0.25 * e) - target
+            return _boundary_F(rp, -0.25 * e, c, skew) - target
         except DomainError:  # landed on an exact gamma pole; step off it
-            return _boundary_F(rp, -0.25 * math.nextafter(e, b)) - target
+            return _boundary_F(rp, -0.25 * math.nextafter(e, b), c, skew) - target
 
     # keep the last point exactly b: when |lo| dwarfs hi, a + (b-a) rounds
     # to ULP(|lo|) and can land past the pole at hi, where F flips sign
@@ -308,7 +365,7 @@ def _root_in_gap(rp: ReducedParams, target: float, lo: float, hi: float) -> tupl
     bracket = None
     for i in range(7):
         if vals[i] > 0.0 >= vals[i + 1]:
-            bracket = (pts[i], pts[i + 1])
+            bracket = (pts[i], vals[i], pts[i + 1], vals[i + 1])
             break
         if vals[i + 1] > vals[i] + noise:
             # a genuine rise would break the one-root-per-gap argument;
@@ -328,11 +385,11 @@ def _root_in_gap(rp: ReducedParams, target: float, lo: float, hi: float) -> tupl
         while ga <= 0.0 and lo < 0.5 * (a + lo) < a:
             a = 0.5 * (a + lo)
             ga = g(a)
-        bracket = (a, b) if ga > 0.0 >= gb else None
+        bracket = (a, ga, b, gb) if ga > 0.0 >= gb else None
     if bracket is None:
         raise ConvergenceError(f"no eigenvalue bracket inside gap ({lo:.6g}, {hi:.6g})")
-    root = _bisect(g, *bracket)
-    return root, abs(g(root))
+    root, resid = _brent(g, *bracket)
+    return root, abs(resid)
 
 
 def spectrum(
@@ -368,12 +425,13 @@ def spectrum(
     # for the digamma form at kappa = 0
     tnu = math.tan(nu)
     target = -tnu if rp.kappa > 0.0 else tnu
+    c, skew = _boundary_consts(rp)
     roots = []
     resids = []
-    lo = _lowest_gap_floor(rp, target)
+    lo = _lowest_gap_floor(rp, target, c)
     for n in range(n_max):
         hi = _pole(rp, n)
-        e, r = _root_in_gap(rp, target, lo, hi)
+        e, r = _root_in_gap(rp, target, lo, hi, c, skew)
         roots.append(e * unit)
         resids.append(r)
         lo = hi

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
+from calogero import spectral
 from calogero.errors import ConvergenceError, DomainError
 from calogero.params import reduce
 from calogero.spectral import (
@@ -257,6 +258,102 @@ class TestSpectrumFrozen:
         rp0 = rp_kappa(0.0)
         with pytest.raises(ConvergenceError, match="float64"):
             ground_state_energy(rp0, extension_for(rp0, nu=HALF_PI - 1e-5))
+
+
+class TestGapRefusals:
+    """The one-root-per-gap argument needs F(-e/4) to fall from +inf to
+    -inf across each gap; a boundary function that does not is refused,
+    never solved.  Stand-ins for `_boundary_F` take the shift w and ignore
+    any constants handed along with it."""
+
+    def test_rise_is_refused(self, monkeypatch):
+        # falls then rises in w, so the scan sees F(-e/4) rise before any
+        # sign change
+        monkeypatch.setattr(spectral, "_boundary_F", lambda rp, w, *consts: (2.0 * w + 0.8) ** 2 + 0.6)
+        rp = rp_kappa(0.5)
+        with pytest.raises(ConvergenceError, match="spectral scan not decreasing"):
+            spectrum(rp, extension_for(rp, nu=1.0), 1)
+
+    def test_missing_sign_change_is_refused(self, monkeypatch):
+        # constant: no rise, and no sign change even after the walks
+        # toward the poles
+        monkeypatch.setattr(spectral, "_boundary_F", lambda rp, w, *consts: 1e3)
+        rp = rp_kappa(0.5)
+        with pytest.raises(ConvergenceError, match="no eigenvalue bracket inside gap"):
+            spectrum(rp, extension_for(rp, nu=1.0), 1)
+
+
+def _mp_boundary_root(kappa, nu, e):
+    """The root of the boundary equation at 40 significant digits, from a
+    bracket around e inside its gap, and its condition number: the
+    root's relative shift per relative change of F.  The working precision
+    also carries every digit of e, so that alpha - kappa is exact at
+    alpha ~ 1e200."""
+    import mpmath as mp
+
+    with mp.workdps(40 + max(0, int(math.log10(abs(e) + 1.0)))):
+        k, t = mp.mpf(kappa), mp.tan(mp.mpf(nu))
+        if kappa > 0.0:
+            ratio = mp.gamma(1 - k) / mp.gamma(1 + k)
+
+            def big_f(x):
+                a = (1 + k) / 2 - x / 4
+                return ratio * mp.gamma(a) * mp.rgamma(a - k)
+
+            target = -t
+        else:
+
+            def big_f(x):
+                return mp.digamma(mp.mpf(1) / 2 - x / 4) - 2 * mp.digamma(1)
+
+            target = t
+        # +-1e-9 (1 + |e|), kept inside the gap between the poles of F at
+        # 2 (2n + 1 + kappa), n >= 0
+        x = mp.mpf(e)
+        above = 2 * (1 + k) + 4 * max(0, mp.floor((x - 2 * (1 + k)) / 4) + 1)
+        d, inside = mp.mpf("1e-9") * (1 + abs(x)), mp.mpf("1e-30") * (1 + abs(x))
+        lo, hi = x - d, min(x + d, above - inside)
+        if above > 2 * (1 + k):
+            lo = max(lo, above - 4 + inside)
+        # F(-e/4) falls across the gap: one sign change brackets the root
+        assert big_f(lo) > target > big_f(hi)
+        # no residual test: next to a pole F is too steep for mpmath's,
+        # and the bracketing solver cannot leave the bracket
+        ref = mp.findroot(lambda x: big_f(x) - target, (lo, hi), solver="anderson", verify=False)
+        assert lo <= ref <= hi
+        cond = abs(big_f(ref) / (ref * mp.diff(big_f, ref))) if ref != 0 else mp.inf
+        return float(ref), float(cond)
+
+
+class TestBoundarySolver:
+    @given(
+        # within ~1e-14 of kappa = 1 the zero and the pole at either end of
+        # a half-gap are a few ulps apart, and the scan refuses the gap
+        kappa=st.one_of(st.just(0.0), st.floats(0.0, 1.0 - 1e-12)),
+        nu=st.one_of(
+            st.floats(-1.5707, 1.5707),
+            # near the dive: the ground state plunges as nu -> -pi/2
+            # (kappa > 0) or nu -> +pi/2 (kappa = 0)
+            st.floats(1e-5, 0.1).map(lambda d: -(HALF_PI - d)),
+            st.floats(1e-5, 0.1).map(lambda d: HALF_PI - d),
+        ),
+        n=st.integers(1, 50),
+        level=st.integers(0, 49),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_roots_match_mpmath(self, kappa, nu, n, level):
+        rp = rp_kappa(kappa)
+        try:
+            energies = spectrum(rp, extension_for(rp, nu=nu), n, scaled=True).energies
+        except ConvergenceError as exc:
+            assert "float64" in str(exc)  # the documented refusal past e ~ -1e300
+            return
+        for e in {energies[0], energies[level % n]}:
+            ref, cond = _mp_boundary_root(rp.kappa, nu, e)
+            # 1e-13 relative where the root is well conditioned; a root that
+            # moves by cond per relative change of F (cond ~ 1/kappa on deep
+            # ground states) moves by cond rounding errors of F too
+            assert abs(e - ref) <= 1e-13 * max(abs(ref), 1.0) * max(cond, 1.0)
 
 
 class TestLaddersAndClosedForms:
