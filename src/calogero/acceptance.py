@@ -198,11 +198,11 @@ def _c6_factorization_identity():
     for g1 in (-0.25, -0.1875, 0.0, 2.0):
         rp = reduce(g1, 1.0)
         for mu, w in ((0.5 * math.pi, 0.0), (0.3, rp.w0), (1.0, 0.7)):
-            rep = RepresentationParams(mu, w, rp)
+            phi = make_phi(RepresentationParams(mu, w, rp))
             for f, fp, fpp in _SUITE:
                 for x in _XS:
-                    resid = factorization_residual(rep, (f, fp, fpp), x)
-                    rhs = -fpp(x) + (g1 / (x * x) + x * x + rep.u) * f(x)
+                    resid = factorization_residual(phi, (f, fp, fpp), x)
+                    rhs = -fpp(x) + (g1 / (x * x) + x * x + phi.rep.u) * f(x)
                     worst = _worst(worst, abs(resid) / max(1.0, abs(rhs)))
     return _row(
         "6-factorization-identity", worst, 1e-6,
@@ -214,10 +214,9 @@ def _c6_kernel_at_floor():
     worst = 0.0
     for g1, g2 in ((0.0, 1.0), (2.0, 4.0)):
         rp = reduce(g1, g2)
-        rep = RepresentationParams(0.3, rp.w0, rp)
-        phi = make_phi(rep)
+        phi = make_phi(RepresentationParams(0.3, rp.w0, rp))
         for x in (0.4, 1.0, 1.7):
-            worst = _worst(worst, abs(apply_a(rep, phi, x)))
+            worst = _worst(worst, abs(apply_a(phi, phi, x)))
     return _row(
         "6-kernel-at-floor", worst, 1e-10,
         "a phi = 0 at the admissibility floor w = w0",

@@ -293,7 +293,7 @@ def _cmd_factorize_check(args, parser) -> int:
     worst = (0.0, 0.0)  # (relative residual, x)
     for f, fp, fpp in _SUITE:
         for x in _XS:
-            resid = factorization_residual(rep, (f, fp, fpp), x, h_shift=args.h_shift)
+            resid = factorization_residual(phi, (f, fp, fpp), x, h_shift=args.h_shift)
             rhs = -fpp(x) + (args.g1 / (x * x) + args.g2 * x * x + rep.u) * f(x)
             rel = abs(resid) / max(1.0, abs(rhs))
             if rel > worst[0] or math.isnan(rel):  # a NaN residual must fail
@@ -310,7 +310,7 @@ def _cmd_factorize_check(args, parser) -> int:
 
     kernel_max = None
     if rep.at_floor:
-        kernel_max = _worst(*(abs(apply_a(rep, phi, x)) for x in (0.4, 1.0, 1.7)))
+        kernel_max = _worst(*(abs(apply_a(phi, phi, x)) for x in (0.4, 1.0, 1.7)))
         checks.append(
             {
                 "name": "kernel-nontrivial",

@@ -41,6 +41,10 @@ phi''/phi = V + 4 upsilon^2 w.  `factorization_residual` measures exactly
 that defect, with h' computed honestly from the series second derivative
 (phi''/phi - h^2), never by assuming the identity it is checking.
 
+`apply_a`, `apply_b` and `factorization_residual` take phi, built once per
+representation by `make_phi`.  Each value at x reads one evaluation of S;
+the residual's, of order 2, gives phi, h and h' together.
+
 Derivatives of S use the contiguous relations
     Phi' = (alpha/beta) Phi(alpha+1, beta+1),   Psi' = -alpha Psi(alpha+1, beta+1),
 applied twice for S''.
@@ -59,7 +63,6 @@ __all__ = [
     "RepresentationParams",
     "EvaluableSolution",
     "make_phi",
-    "superpotential",
     "apply_a",
     "apply_b",
     "factorization_residual",
@@ -145,54 +148,46 @@ class EvaluableSolution:
 
     # -- x-space evaluations --------------------------------------------
 
-    def _check_x(self, x: float) -> float:
+    def _jet(self, x: float, order: int) -> tuple[float, float, float, float, float]:
+        # (rho, e^(-rho/2) rho^q, S, S', S'') at x from one `_S` call of `order`
         if not (x > 0.0 and math.isfinite(x)):
             raise DomainError(f"solution evaluation needs x > 0, got {x!r}")
-        return self._ups2 * x * x
+        rho = self._ups2 * x * x
+        s, sp, spp = self._S(rho, order)
+        return rho, math.exp(-0.5 * rho) * rho**self._q, s, sp, spp
 
-    def value_at(self, x: float) -> float:
-        rho = self._check_x(x)
-        s, _, _ = self._S(rho, 0)
-        return math.exp(-0.5 * rho) * rho**self._q * s
+    def _h(self, x: float, s: float, sp: float) -> float:
+        # h = (1/2 + kappa)/x - upsilon^2 x + 2 upsilon^2 x S'/S
+        return (0.5 + self._kappa) / x - self._ups2 * x + 2.0 * self._ups2 * x * sp / s
 
-    def derivative_at(self, x: float) -> float:
-        rho = self._check_x(x)
-        s, sp, _ = self._S(rho, 1)
-        env = math.exp(-0.5 * rho) * rho**self._q
-        # d phi/d rho, then chain through rho = (upsilon x)^2
-        dphi_drho = env * ((self._q / rho - 0.5) * s + sp)
-        return 2.0 * self._ups2 * x * dphi_drho
-
-    def second_derivative_at(self, x: float) -> float:
-        rho = self._check_x(x)
-        s, sp, spp = self._S(rho, 2)
-        env = math.exp(-0.5 * rho) * rho**self._q
+    def _phi_pp(self, x: float, rho: float, env: float, s: float, sp: float, spp: float) -> float:
         g = self._q / rho - 0.5
         dphi = env * (g * s + sp)
         d2phi = env * ((g * g - self._q / (rho * rho)) * s + 2.0 * g * sp + spp)
         c = 2.0 * self._ups2 * x
         return 2.0 * self._ups2 * dphi + c * c * d2phi
 
-    def superpotential_at(self, x: float) -> float:
-        rho = self._check_x(x)
-        s, sp, _ = self._S(rho, 1)
-        # h = (1/2 + kappa)/x - upsilon^2 x + 2 upsilon^2 x S'/S
-        return (0.5 + self._kappa) / x - self._ups2 * x + 2.0 * self._ups2 * x * sp / s
+    def value_at(self, x: float) -> float:
+        _, env, s, _, _ = self._jet(x, 0)
+        return env * s
 
-    def superpotential_derivative_at(self, x: float) -> float:
-        # h' = phi''/phi - h^2; independent series evaluations, so the
-        # factorization check downstream is not circular
-        h = self.superpotential_at(x)
-        return self.second_derivative_at(x) / self.value_at(x) - h * h
+    def derivative_at(self, x: float) -> float:
+        rho, env, s, sp, _ = self._jet(x, 1)
+        # d phi/d rho, then chain through rho = (upsilon x)^2
+        dphi_drho = env * ((self._q / rho - 0.5) * s + sp)
+        return 2.0 * self._ups2 * x * dphi_drho
+
+    def second_derivative_at(self, x: float) -> float:
+        return self._phi_pp(x, *self._jet(x, 2))
+
+    def superpotential_at(self, x: float) -> float:
+        _, _, s, sp, _ = self._jet(x, 1)
+        return self._h(x, s, sp)
 
 
 def make_phi(rep: RepresentationParams) -> EvaluableSolution:
     """Construct the positive solution for one representation point."""
     return EvaluableSolution(rep)
-
-
-def superpotential(rep: RepresentationParams, x: float) -> float:
-    return EvaluableSolution(rep).superpotential_at(x)
 
 
 def _value_and_derivative(f, x: float) -> tuple[float, float]:
@@ -203,31 +198,34 @@ def _value_and_derivative(f, x: float) -> tuple[float, float]:
     raise DomainError("apply_a/apply_b need an EvaluableSolution or a (f, f') tuple of callables")
 
 
-def apply_a(rep: RepresentationParams, f, x: float) -> float:
-    """(a f)(x) = f' - h f.  Annihilates phi itself."""
+def apply_a(phi: EvaluableSolution, f, x: float) -> float:
+    """(a f)(x) = f' - h f with h = phi'/phi.  Annihilates phi itself."""
     v, d = _value_and_derivative(f, x)
-    return d - superpotential(rep, x) * v
+    return d - phi.superpotential_at(x) * v
 
 
-def apply_b(rep: RepresentationParams, f, x: float) -> float:
-    """(b f)(x) = -f' - h f.  Annihilates 1/phi."""
+def apply_b(phi: EvaluableSolution, f, x: float) -> float:
+    """(b f)(x) = -f' - h f with h = phi'/phi.  Annihilates 1/phi."""
     v, d = _value_and_derivative(f, x)
-    return -d - superpotential(rep, x) * v
+    return -d - phi.superpotential_at(x) * v
 
 
-def factorization_residual(rep: RepresentationParams, f_triple, x: float, h_shift: float = 0.0) -> float:
+def factorization_residual(phi: EvaluableSolution, f_triple, x: float, h_shift: float = 0.0) -> float:
     """(b a f)(x) - [-f'' + V f + 4 upsilon^2 w f](x); zero up to rounding.
 
-    f_triple is (f, f', f'') as callables.  h_shift displaces the
-    superpotential by a constant, which must break the identity; it
-    exists so integrity checks can prove this test can fail.
+    f_triple is (f, f', f'') as callables.  phi, h and h' come from one
+    order-2 evaluation of phi at x.  h_shift displaces the superpotential
+    by a constant, which must break the identity; it exists so integrity
+    checks can prove this test can fail.
     """
-    f, _, fpp = f_triple
-    sol = EvaluableSolution(rep)
-    h = sol.superpotential_at(x) + h_shift
-    hp = sol.superpotential_derivative_at(x)
-    lhs = -fpp(x) + (hp + h * h) * f(x)
-    rp = rep.rp
+    rho, env, s, sp, spp = phi._jet(x, 2)
+    h = phi._h(x, s, sp)
+    # h' = phi''/phi - h^2, not V + u - h^2: the check is not circular
+    hp = phi._phi_pp(x, rho, env, s, sp, spp) / (env * s) - h * h
+    h += h_shift
+    fx, fppx = f_triple[0](x), f_triple[2](x)
+    lhs = -fppx + (hp + h * h) * fx
+    rp = phi.rep.rp
     v = rp.g1 / (x * x) + rp.g2 * x * x
-    rhs = -fpp(x) + (v + 4.0 * rp.upsilon**2 * rep.w) * f(x)
+    rhs = -fppx + (v + 4.0 * rp.upsilon**2 * phi.rep.w) * fx
     return lhs - rhs

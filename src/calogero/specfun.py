@@ -417,7 +417,8 @@ def _psi_two_series_mp(alpha: float, beta: float, rho: float, lost: float) -> fl
 
 
 def tricomi_psi_series(alpha: float, beta: float, rho: float) -> float:
-    """Psi via the two-series combination (non-integer beta only, rho <= 400)."""
+    """Psi via the two-series combination (non-integer beta only, rho <= 300:
+    the router sends only rho <= 8 here, and a larger rho is refused)."""
     if alpha <= 0.0:
         raise DomainError(f"tricomi_psi_series: alpha must be > 0, got {alpha}")
     if beta < 1.0:
@@ -426,43 +427,38 @@ def tricomi_psi_series(alpha: float, beta: float, rho: float) -> float:
         raise DomainError(f"tricomi_psi_series: rho must be > 0, got {rho}")
     if abs(beta - round(beta)) < 1e-12:
         raise DomainError(f"tricomi_psi_series: beta {beta} is (numerically) integer, series form degenerates")
-    if rho > 400.0:
+    if rho > 300.0:
         raise ConvergenceError(
             f"tricomi_psi_series: rho={rho} exceeds the series-form budget (use the integral form)"
         )
-    if rho <= 300.0:
-        # float64 first; it is exact enough whenever little cancels.
-        t1 = gamma(1.0 - beta) * rgamma(alpha - beta + 1.0) * _phi_series(
-            alpha, beta, rho, _SERIES_REL_TOL, _SERIES_MAX_TERMS
+    # float64 first; it is exact enough whenever little cancels.
+    t1 = gamma(1.0 - beta) * rgamma(alpha - beta + 1.0) * _phi_series(
+        alpha, beta, rho, _SERIES_REL_TOL, _SERIES_MAX_TERMS
+    )
+    t2 = gamma(beta - 1.0) * rgamma(alpha) * rho ** (1.0 - beta) * _phi_series(
+        alpha - beta + 1.0, 2.0 - beta, rho, _SERIES_REL_TOL, _SERIES_MAX_TERMS
+    )
+    val = t1 + t2
+    num = abs(t1) + abs(t2)
+    if num == 0.0:
+        return val  # one term vanished on an exact pole, no cancellation
+    log_num = math.log10(num)
+    if not math.isfinite(log_num):
+        raise ConvergenceError(
+            f"tricomi_psi_series: Phi overflow at alpha={alpha}, rho={rho}"
         )
-        t2 = gamma(beta - 1.0) * rgamma(alpha) * rho ** (1.0 - beta) * _phi_series(
-            alpha - beta + 1.0, 2.0 - beta, rho, _SERIES_REL_TOL, _SERIES_MAX_TERMS
-        )
-        val = t1 + t2
-        num = abs(t1) + abs(t2)
-        if num == 0.0:
-            return val  # one term vanished on an exact pole, no cancellation
-        log_num = math.log10(num)
-        if not math.isfinite(log_num):
-            raise ConvergenceError(
-                f"tricomi_psi_series: Phi overflow at alpha={alpha}, rho={rho}"
-            )
-        log_val = math.log10(abs(val)) if val != 0.0 else -400.0
-        if log_val - log_num > -13.0:
-            # at least ~3 genuine digits survive; the value's own magnitude
-            # is a trustworthy reference for the digits lost
-            lost = log_num - log_val
-            if lost <= 5.0:
-                return val
-        else:
-            # val is rounding noise (num * 2^-53 scale) or exactly zero; 13+
-            # digits only ever cancel at large rho, where the asymptotic law
-            # |Psi| >= ~rho^(-alpha)/1000 bounds the true magnitude instead
-            lost = log_num + alpha * math.log10(rho) + 3.0
+    log_val = math.log10(abs(val)) if val != 0.0 else -400.0
+    if log_val - log_num > -13.0:
+        # at least ~3 genuine digits survive; the value's own magnitude
+        # is a trustworthy reference for the digits lost
+        lost = log_num - log_val
+        if lost <= 5.0:
+            return val
     else:
-        # Phi in float64 risks overflow here; skip straight to mpmath with
-        # the analytic loss estimate |t_i| ~ e^rho vs Psi ~ rho^(-alpha).
-        lost = rho / math.log(10.0) + alpha * math.log10(rho) + 20.0
+        # val is rounding noise (num * 2^-53 scale) or exactly zero; 13+
+        # digits only ever cancel at large rho, where the asymptotic law
+        # |Psi| >= ~rho^(-alpha)/1000 bounds the true magnitude instead
+        lost = log_num + alpha * math.log10(rho) + 3.0
     return _psi_two_series_mp(alpha, beta, rho, lost)
 
 

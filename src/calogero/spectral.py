@@ -385,6 +385,11 @@ def _root_in_gap(
         while ga <= 0.0 and lo < 0.5 * (a + lo) < a:
             a = 0.5 * (a + lo)
             ga = g(a)
+        if ga <= 0.0 and gb <= 0.0:
+            # no sign change even next to lo: kappa within ulps of 1 rounds the
+            # pole at lo and the zero above it to one float, which is the
+            # root; its residual is the smaller |g| of that one-ulp bracket
+            return lo, min(abs(g(lo)), abs(ga))
         bracket = (a, ga, b, gb) if ga > 0.0 >= gb else None
     if bracket is None:
         raise ConvergenceError(f"no eigenvalue bracket inside gap ({lo:.6g}, {hi:.6g})")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from calogero import cli, factorization
 from calogero.errors import DomainError
 from calogero.factorization import (
     RepresentationParams,
@@ -16,7 +17,6 @@ from calogero.factorization import (
     apply_b,
     factorization_residual,
     make_phi,
-    superpotential,
 )
 from calogero.params import reduce
 from calogero.spectral import theta_of
@@ -77,9 +77,11 @@ class TestFloorSolution:
 
     def test_superpotential_contract(self):
         rp = reduce(0.75, 1.0)
-        assert superpotential(RepresentationParams(0.0, rp.w0, rp), 1.0) == pytest.approx(0.5, abs=1e-13)
+        phi = make_phi(RepresentationParams(0.0, rp.w0, rp))
+        assert phi.superpotential_at(1.0) == pytest.approx(0.5, abs=1e-13)
         rp0 = reduce(-0.25, 1.0)
-        assert superpotential(RepresentationParams(0.0, rp0.w0, rp0), 1.0) == pytest.approx(-0.5, abs=1e-13)
+        phi0 = make_phi(RepresentationParams(0.0, rp0.w0, rp0))
+        assert phi0.superpotential_at(1.0) == pytest.approx(-0.5, abs=1e-13)
 
     def test_mu_is_ignored_at_floor(self):
         rp = reduce(0.0, 2.0)
@@ -146,28 +148,26 @@ class TestOperatorPair:
     @pytest.mark.parametrize("g1,g2,mu,w", PROBE_REPS)
     @pytest.mark.parametrize("x", [0.15, 0.8, 2.1])
     def test_a_annihilates_phi(self, g1, g2, mu, w, x):
-        rep = rep_of(g1, g2, mu, w)
-        sol = make_phi(rep)
+        sol = make_phi(rep_of(g1, g2, mu, w))
         scale = abs(sol.derivative_at(x)) + abs(sol.superpotential_at(x) * sol.value_at(x))
-        assert abs(apply_a(rep, sol, x)) <= 1e-10 * scale
+        assert abs(apply_a(sol, sol, x)) <= 1e-10 * scale
 
     @pytest.mark.parametrize("g1,g2,mu,w", PROBE_REPS)
     @pytest.mark.parametrize("x", [0.15, 0.8, 2.1])
     def test_b_annihilates_inverse_phi(self, g1, g2, mu, w, x):
-        rep = rep_of(g1, g2, mu, w)
-        sol = make_phi(rep)
+        sol = make_phi(rep_of(g1, g2, mu, w))
         inv = (
             lambda t: 1.0 / sol.value_at(t),
             lambda t: -sol.derivative_at(t) / sol.value_at(t) ** 2,
         )
         v, d = inv[0](x), inv[1](x)
         scale = abs(d) + abs(sol.superpotential_at(x) * v)
-        assert abs(apply_b(rep, inv, x)) <= 1e-10 * scale
+        assert abs(apply_b(sol, inv, x)) <= 1e-10 * scale
 
     def test_rejects_bare_callable(self):
-        rep = rep_of(0.0, 1.0, 0.3, 0.0)
+        sol = make_phi(rep_of(0.0, 1.0, 0.3, 0.0))
         with pytest.raises(DomainError):
-            apply_a(rep, math.exp, 1.0)
+            apply_a(sol, math.exp, 1.0)
 
 
 class TestFactorizationIdentity:
@@ -176,24 +176,25 @@ class TestFactorizationIdentity:
     def test_residual_vanishes(self, g1, g2, mu, w, probe):
         rep = rep_of(g1, g2, mu, w)
         rp = rep.rp
+        phi = make_phi(rep)
         for x in (0.12, 0.55, 1.3, 2.4):
             f, _, fpp = probe
             scale = abs(fpp(x)) + (abs(rp.g1) / x**2 + rp.g2 * x**2 + abs(rep.u)) * abs(f(x)) + 1e-30
-            assert abs(factorization_residual(rep, probe, x)) <= 1e-9 * scale
+            assert abs(factorization_residual(phi, probe, x)) <= 1e-9 * scale
 
     def test_shift_hook_breaks_identity(self):
-        rep = rep_of(0.0, 1.0, 0.4, 0.2)
+        phi = make_phi(rep_of(0.0, 1.0, 0.4, 0.2))
         x = 0.9
-        clean = abs(factorization_residual(rep, F1, x))
-        broken = abs(factorization_residual(rep, F1, x, h_shift=0.5))
+        clean = abs(factorization_residual(phi, F1, x))
+        broken = abs(factorization_residual(phi, F1, x, h_shift=0.5))
         assert broken > 1e-3
         assert broken > 1e6 * max(clean, 1e-300)
 
     def test_residual_at_floor_is_exact_algebra(self):
         rp = reduce(0.75, 1.0)
-        rep = RepresentationParams(0.0, rp.w0, rp)
+        phi = make_phi(RepresentationParams(0.0, rp.w0, rp))
         for x in (0.2, 1.0, 3.1):
-            assert abs(factorization_residual(rep, F2, x)) <= 1e-12 * (1.0 + abs(F2[2](x)))
+            assert abs(factorization_residual(phi, F2, x)) <= 1e-12 * (1.0 + abs(F2[2](x)))
 
 
 class TestBoundaryAngle:
@@ -263,3 +264,49 @@ class TestBoundaryAngle:
         got = theta_of(0.3, 200.0, reduce(0.0, 1.0))
         assert got == pytest.approx(self._mp_theta(0.3, 200.0, 0.5), abs=1e-13)
         assert got == pytest.approx(-1.5351, abs=1e-4)
+
+
+class TestWorkBudget:
+    """phi is built once per representation and evaluated once per point:
+    counting wrappers on the names `calogero.factorization` and
+    `calogero.cli` look up."""
+
+    @staticmethod
+    def _count(monkeypatch, module, name):
+        calls = []
+        inner = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_residual_is_one_order_two_evaluation_per_point(self, monkeypatch):
+        phi = make_phi(rep_of(0.0, 1.0, 0.7, 0.3))  # both Phi and Psi mixed in
+        kummer = self._count(monkeypatch, factorization, "kummer_phi")
+        psi = self._count(monkeypatch, factorization, "tricomi_psi")
+        xs = (0.12, 0.55, 1.3, 2.4)
+        for x in xs:
+            factorization_residual(phi, F1, x)
+        assert len(kummer) == 3 * len(xs)
+        assert len(psi) == 3 * len(xs)
+
+    def test_value_is_one_order_zero_evaluation(self, monkeypatch):
+        phi = make_phi(rep_of(0.0, 1.0, 0.7, 0.3))
+        kummer = self._count(monkeypatch, factorization, "kummer_phi")
+        psi = self._count(monkeypatch, factorization, "tricomi_psi")
+        phi.value_at(0.8)
+        assert (len(kummer), len(psi)) == (1, 1)
+
+    def test_factorize_check_builds_phi_once(self, monkeypatch, capsys):
+        made = self._count(monkeypatch, cli, "make_phi")
+        kummer = self._count(monkeypatch, factorization, "kummer_phi")
+        psi = self._count(monkeypatch, factorization, "tricomi_psi")
+        assert cli.main(["factorize-check", "--g1", "0", "--g2", "1", "--mu", "0.3", "--w", "0.2"]) == 0
+        capsys.readouterr()
+        assert len(made) == 1
+        # 12 residual points at order 2, then phi on the 60-point grid
+        assert len(kummer) == 12 * 3 + 60
+        assert len(psi) == 12 * 3 + 60

@@ -316,6 +316,13 @@ class TestTricomiPsi:
         with pytest.raises(ConvergenceError):
             tricomi_psi_series(1.3, 1.5, 10.0)
 
+    @pytest.mark.parametrize("rho", [350.0, 450.0])
+    def test_series_refuses_rho_past_300(self, rho):
+        # the router sends only rho <= 8 to the series; past 300 its two
+        # Phi terms near float64 overflow, and it refuses
+        with pytest.raises(ConvergenceError, match="series-form budget"):
+            tricomi_psi_series(1.3, 1.5, rho)
+
 
 class TestQuadratureEngines:
     @pytest.mark.parametrize("p", [-0.9, -0.5, 0.0, 0.5, 2.0, 6.5])

@@ -328,7 +328,9 @@ def _mp_boundary_root(kappa, nu, e):
 class TestBoundarySolver:
     @given(
         # within ~1e-14 of kappa = 1 the zero and the pole at either end of
-        # a half-gap are a few ulps apart, and the scan refuses the gap
+        # a half-gap are a few ulps apart, and the reference's bracket
+        # around e can miss the gap; the last floats below 1 are covered by
+        # test_collapsed_gaps_next_to_kappa_one
         kappa=st.one_of(st.just(0.0), st.floats(0.0, 1.0 - 1e-12)),
         nu=st.one_of(
             st.floats(-1.5707, 1.5707),
@@ -354,6 +356,22 @@ class TestBoundarySolver:
             # moves by cond per relative change of F (cond ~ 1/kappa on deep
             # ground states) moves by cond rounding errors of F too
             assert abs(e - ref) <= 1e-13 * max(abs(ref), 1.0) * max(cond, 1.0)
+
+    @pytest.mark.parametrize("ulps_below_one", range(1, 13))
+    @pytest.mark.parametrize("nu", [1.0, -1.0, 0.3, 1.5])
+    def test_collapsed_gaps_next_to_kappa_one(self, ulps_below_one, nu):
+        # over the last 12 floats below kappa = 1 the pole 2(2n - 1 + kappa)
+        # and the zero 2(2n + 1 - kappa) of F round to one float in some
+        # gaps; the root is that float, within the solver's 4 ulps
+        rp = rp_kappa(1.0 - ulps_below_one * 2.0**-53)
+        energies = spectrum(rp, extension_for(rp, nu=nu), 6, scaled=True).energies
+        for n, e in enumerate(energies):
+            # the reference finds the gap from the point it is given, and a
+            # root on the float of a collapsed pole can sit below the pole
+            pole_below = 2.0 * (2 * n - 1 + rp.kappa)
+            inside = max(e, math.nextafter(pole_below, math.inf)) if n else e
+            ref, _ = _mp_boundary_root(rp.kappa, nu, inside)
+            assert abs(e - ref) <= 4.0 * math.ulp(max(abs(ref), 1.0))
 
 
 class TestLaddersAndClosedForms:
