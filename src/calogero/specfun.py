@@ -24,9 +24,10 @@ on overlapping arguments and demand 1e-8 agreement.
 The two-series combination cancels catastrophically once rho is a few
 units large (the two Phi terms grow like e^rho while Psi decays like
 rho^(-a)).  Measured in float64 the worst case on the overlap test grid
-is ~2e-7, which busts the 1e-8 contract, so the combination watches its
-own cancellation and re-runs itself in fixed elevated precision (mpmath)
-when the lost digits matter.  Outputs are always float64.
+is ~2e-7, which busts the 1e-8 contract, so the combination counts the
+digits it lost: up to 5 it keeps its float64 value, up to 13 it re-runs
+itself in fixed elevated precision (mpmath), and past that, where its
+value is rounding noise, it hands over to the Laplace integral.
 
 Quadrature notes.  The integral route has an integrable t^(a-1) endpoint
 singularity whenever a < 1, which ordinary interval-halving quadrature
@@ -38,6 +39,7 @@ both the algebraic endpoint and the e^(-t) tail.
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import ConvergenceError, DomainError
 
@@ -318,7 +320,12 @@ def exp_halfline_quad(g, p: float) -> float:
         ln_w = p1 * lt - t
         if ln_w < -745.0:
             return 0.0
-        return math.exp(ln_w) * (1.0 + emu) * g(t)
+        try:
+            return math.exp(ln_w) * (1.0 + emu) * g(t)
+        except OverflowError:  # the weight t^(p+1) e^(-t) peaks past e^709 from p ~ 171
+            raise ConvergenceError(
+                f"exp_halfline_quad: integrand overflows float64 (p={p})"
+            ) from None
 
     h = 0.5
     n = int(math.ceil((u_hi - u_lo) / h))
@@ -374,36 +381,28 @@ def tricomi_psi_integral(alpha: float, beta: float, rho: float) -> float:
         integral = exp_halfline_quad(g_minus_gprime, alpha) / alpha
 
     lg, _ = gammaln_signed(alpha)
+    ln_scale = -alpha * math.log(rho) - lg
     try:
-        scale = math.exp(-alpha * math.log(rho) - lg)
+        scale = math.exp(ln_scale)
     except OverflowError:
         raise ConvergenceError(
             f"tricomi_psi_integral: rho^(-alpha)/Gamma(alpha) overflows at "
             f"alpha={alpha}, rho={rho}"
         ) from None
+    if scale < sys.float_info.min and integral > 0.0:
+        # a subnormal scale drops digits (all of Psi(95, b; 80)) that the product keeps
+        return math.exp(ln_scale + math.log(integral))
     return scale * integral
 
 
 def _psi_two_series_mp(alpha: float, beta: float, rho: float, lost: float) -> float:
     # Re-run the identical combination in elevated fixed precision.  The
-    # cancellation between the two Phi terms eats `lost` decimal digits,
-    # so budget those plus a sound margin.  The term budget scales with
-    # rho (the Kummer tail needs ~rho + sqrt(rho * digits) terms).
+    # cancellation between the two Phi terms eats `lost` (< 13) decimal
+    # digits, so budget those plus a sound margin.  The term budget scales
+    # with rho (the Kummer tail needs ~rho + sqrt(rho * digits) terms).
     import mpmath as mp
 
     dps = 26 + int(lost)
-    if dps < 1:
-        # a loss estimate of -26 digits or less leaves no working precision:
-        # the asymptotic law behind it fails at large alpha, where Psi sits
-        # far below rho^(-alpha), and the digits lost are unknown
-        raise ConvergenceError(
-            f"tricomi psi series: loss estimate of {lost:.0f} digits at alpha={alpha}, "
-            f"rho={rho} leaves no working precision"
-        )
-    if dps > 260:
-        raise ConvergenceError(
-            f"tricomi psi series: ~{lost:.0f} digits cancel at rho={rho}, beyond precision budget"
-        )
     max_terms = max(_SERIES_MAX_TERMS, int(3.0 * rho) + 200)
     with mp.workdps(dps):
         a, b, r = mp.mpf(alpha), mp.mpf(beta), mp.mpf(rho)
@@ -418,14 +417,16 @@ def _psi_two_series_mp(alpha: float, beta: float, rho: float, lost: float) -> fl
 
 def tricomi_psi_series(alpha: float, beta: float, rho: float) -> float:
     """Psi via the two-series combination (non-integer beta only, rho <= 300:
-    the router sends only rho <= 8 here, and a larger rho is refused)."""
+    the router sends only rho <= 8 here, and a larger rho is refused), or
+    via `tricomi_psi_integral` when 13 or more of its digits are lost."""
     if alpha <= 0.0:
         raise DomainError(f"tricomi_psi_series: alpha must be > 0, got {alpha}")
     if beta < 1.0:
         raise DomainError(f"tricomi_psi_series: beta must be >= 1, got {beta}")
     if rho <= 0.0:
         raise DomainError(f"tricomi_psi_series: rho must be > 0, got {rho}")
-    if abs(beta - round(beta)) < 1e-12:
+    d = abs(beta - round(beta))
+    if d < 1e-12:
         raise DomainError(f"tricomi_psi_series: beta {beta} is (numerically) integer, series form degenerates")
     if rho > 300.0:
         raise ConvergenceError(
@@ -448,17 +449,15 @@ def tricomi_psi_series(alpha: float, beta: float, rho: float) -> float:
             f"tricomi_psi_series: Phi overflow at alpha={alpha}, rho={rho}"
         )
     log_val = math.log10(abs(val)) if val != 0.0 else -400.0
-    if log_val - log_num > -13.0:
-        # at least ~3 genuine digits survive; the value's own magnitude
-        # is a trustworthy reference for the digits lost
-        lost = log_num - log_val
-        if lost <= 5.0:
-            return val
-    else:
-        # val is rounding noise (num * 2^-53 scale) or exactly zero; 13+
-        # digits only ever cancel at large rho, where the asymptotic law
-        # |Psi| >= ~rho^(-alpha)/1000 bounds the true magnitude instead
-        lost = log_num + alpha * math.log10(rho) + 3.0
+    # digits lost: those that cancel, plus those Gamma(1 - beta) lacks within
+    # 0.1 of an integer beta (its sin(pi (1 - beta)) is good to ~eps/d)
+    lost = log_num - log_val + max(0.0, math.log10(0.1 / d))
+    if lost >= 13.0:
+        # val is rounding noise (num * 2^-53 scale) or exactly zero; the
+        # Laplace integral is float64-exact here
+        return tricomi_psi_integral(alpha, beta, rho)
+    if lost <= 5.0:
+        return val
     return _psi_two_series_mp(alpha, beta, rho, lost)
 
 

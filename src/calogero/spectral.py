@@ -36,6 +36,7 @@ from __future__ import annotations
 import contextvars
 import enum
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -495,7 +496,15 @@ def _nu_state_norm(kappa: float, upsilon: float, w: float) -> float:
         return (t**kappa * tricomi_psi(alpha, beta, t)) ** 2
 
     integral = exp_halfline_quad(g, -kappa)
-    return scale * scale * integral / (2.0 * upsilon)
+    q0 = scale * scale * integral / (2.0 * upsilon)
+    # the integral of Psi^2 sinks into the subnormals, and keeps too few
+    # digits, from alpha ~ 98.5; Gamma(alpha)^2 overflows from alpha ~ 100
+    if not (math.isfinite(q0) and q0 > 0.0 and integral >= sys.float_info.min):
+        raise ConvergenceError(
+            f"ground state norm: Q0 = {scale}^2 * {integral} at alpha={alpha}, kappa={kappa} "
+            "is not a normal float64 product"
+        )
+    return q0
 
 
 def ground_state_wavefunction(rp: ReducedParams, ext: Extension) -> GroundState:

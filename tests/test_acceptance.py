@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from calogero import acceptance
+from calogero import acceptance, specfun
 from calogero.acceptance import run_acceptance
 
 ROW_NAMES = [
@@ -81,3 +81,19 @@ def test_nan_figure_fails_its_row(monkeypatch):
 @pytest.mark.parametrize("figures", [(0.1, math.nan, 0.2), (math.nan, 0.1), (0.2, 0.1, math.nan)])
 def test_worst_figure_keeps_nan(figures):
     assert math.isnan(acceptance._worst(*figures))
+
+
+def test_psi_dual_route_compares_two_routes(monkeypatch):
+    # the series must answer all nine points itself: a point it hands over
+    # to the Laplace integral would compare that route with itself
+    handed_over = []
+    integral = specfun.tricomi_psi_integral
+
+    def counting(*args):
+        handed_over.append(args)
+        return integral(*args)
+
+    monkeypatch.setattr(specfun, "tricomi_psi_integral", counting)
+    row = acceptance._c7_psi_dual_route()
+    assert row.passed
+    assert handed_over == []

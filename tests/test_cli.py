@@ -273,13 +273,33 @@ class TestFactorizeCheck:
         assert code == 4
         assert "failed at x =" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # alpha = 45.75: every digit of the float64 Psi series cancels
+            ["--g1", "0", "--g2", "1", "--mu", "0.3", "--w", "45"],
+            ["--g1", "0", "--g2", "1", "--mu", "0.3", "--w", "100"],
+            # rho up to 139 at x = 2.1, where rho^(-alpha)/Gamma(alpha) is subnormal
+            ["--g1", "0", "--g2", "1000", "--mu", "0", "--w", "95"],
+            # once a raw ZeroDivisionError from a guessed loss of -25 digits
+            ["--g1", "0.7807903308142254", "--g2", "5.077302842318259",
+             "--mu", "0.6791278949851294", "--w", "36.14217864343359"],
+        ],
+    )
+    def test_large_shift_passes_its_checks(self, capsys, argv):
+        code, out, _ = run(capsys, ["factorize-check", *argv])
+        assert code == 0
+        doc = json.loads(out)
+        assert all(check["passed"] for check in doc["checks"])
+        assert doc["results"]["max_relative_residual"] <= 1e-11
+
     def test_large_shift_is_a_typed_refusal(self, capsys):
-        # alpha = 45.75: the Psi series' loss estimate goes negative
+        # alpha = 180.75: Gamma(alpha) leaves float64
         code, out, err = run(capsys, ["factorize-check", "--g1", "0", "--g2", "1",
-                                      "--mu", "0.3", "--w", "45"])
+                                      "--mu", "0.3", "--w", "180"])
         assert code == 4
         assert out == ""
-        assert "no working precision" in err
+        assert "Gamma(180.75) overflows" in err
 
     def test_nan_superpotential_shift_fails(self, capsys):
         # a NaN residual must fail its check, not be passed over as smaller

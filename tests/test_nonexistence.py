@@ -3,9 +3,11 @@ silence where one does."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from calogero import nonexistence
 from calogero.errors import DomainError
@@ -47,6 +49,36 @@ class TestOriginMode:
             init=(math.cos(angle), math.sin(angle)),
         )
         assert abs(other.observed_zeros - base.observed_zeros) <= 1
+
+
+def _dop853_zeros(g1, g2, u, interval):
+    # independent count: scipy's DOP853 inward in s = ln x, sign changes
+    # between its accepted steps
+    def f(s, y):
+        x2 = math.exp(2.0 * s)
+        return [y[1], y[1] + (g1 + g2 * x2 * x2 + u * x2) * y[0]]
+
+    s_lo, s_hi = math.log(interval[0]), math.log(interval[1])
+    sol = solve_ivp(f, (s_hi, s_lo), [1.0, 0.0], method="DOP853", rtol=1e-12, atol=1e-14)
+    assert sol.success
+    return int(np.count_nonzero(np.signbit(sol.y[0][1:]) != np.signbit(sol.y[0][:-1])))
+
+
+class TestZerosInsideASegment:
+    # segments are sized from the origin phase alone; here g2 < 0 drives
+    # most zeros, and a u > 0 adds its own, all of them inside segments
+
+    @pytest.mark.parametrize("g1,g2,u,interval", [
+        (-1.25, -1.0, 0.0, (1e-3, 10.0)),
+        (-0.5, 0.0, -400.0, (1e-3, 1.0)),
+    ])
+    def test_counts_every_zero(self, g1, g2, u, interval):
+        r = count_zeros(Couplings(g1, g2), u, interval)
+        assert r.observed_zeros == _dop853_zeros(g1, g2, u, interval)
+
+    def test_nonexistence_example_counts_18(self):
+        r = count_zeros(Couplings(-1.25, -1.0), 0.0, (1e-3, 10.0))
+        assert r.observed_zeros == 18
 
 
 class TestInfinityMode:

@@ -7,6 +7,7 @@ downstream module leans on.
 
 import math
 
+import mpmath
 import pytest
 import scipy.special
 from hypothesis import given, settings
@@ -307,6 +308,64 @@ class TestTricomiPsi:
     def test_integral_prefactor_overflow_is_typed(self):
         with pytest.raises(ConvergenceError, match="overflows"):
             tricomi_psi_integral(1.97, 1.0, 2e-189)
+
+    def test_quadrature_weight_overflow_is_typed(self):
+        # the node weight t^180 e^(-t) passes e^709 near t = 180
+        with pytest.raises(ConvergenceError, match="overflows"):
+            tricomi_psi(180.0, 1.0, 3.0)
+
+    @pytest.mark.parametrize("rho", [63.0, 79.4, 500.0])
+    def test_integral_subnormal_scale_keeps_digits(self, rho):
+        # rho^(-95)/Gamma(95) is subnormal or zero here while Psi is not
+        ref = float(mpmath.hyperu(95.0, 1.5, rho))
+        assert tricomi_psi_integral(95.0, 1.5, rho) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "a,b,r",
+        [
+            # every digit of the float64 series cancels: handed to the integral
+            (59.87, 3.968, 5.139),
+            (45.75, 1.5, 1.39),
+            # beta near an integer: Gamma(1 - beta) lacks the digits that cancel
+            (34.99033301109148, 1.0000314934977732, 0.005068561286593332),
+            (45.321335049666764, 3.000000016423612, 4.726267507864416),
+        ],
+    )
+    def test_series_matches_hyperu_where_it_cancels(self, a, b, r):
+        with mpmath.workdps(40):
+            ref = float(mpmath.hyperu(a, b, r))
+        assert tricomi_psi_series(a, b, r) == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+    def test_fully_cancelled_series_hands_over_to_the_integral(self, monkeypatch):
+        calls = []
+
+        def counting(a, b, r):
+            calls.append((a, b, r))
+            return tricomi_psi_integral(a, b, r)
+
+        monkeypatch.setattr(specfun, "tricomi_psi_integral", counting)
+        tricomi_psi_series(59.87, 3.968, 5.139)
+        assert calls == [(59.87, 3.968, 5.139)]
+        tricomi_psi_series(1.3, 1.5, 3.0)
+        assert len(calls) == 1
+
+    @given(
+        st.floats(min_value=math.log(0.05), max_value=math.log(60.0)),
+        st.floats(min_value=1.0, max_value=4.0),
+        st.floats(min_value=math.log(1e-3), max_value=math.log(60.0)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_hyperu_or_refuses(self, ln_a, b, ln_r):
+        # the dual-route contract, 1e-8 relative, over the box that
+        # factorize-check and the ground states reach
+        a, r = math.exp(ln_a), math.exp(ln_r)
+        try:
+            got = tricomi_psi(a, b, r)
+        except ConvergenceError:
+            return
+        with mpmath.workdps(40):
+            ref = float(mpmath.hyperu(a, b, r))
+        assert got == pytest.approx(ref, rel=1e-8, abs=0.0)
 
     def test_series_budget_exhaustion_raises(self, monkeypatch):
         # the float64 two-series route needs over 40 terms at rho = 10;

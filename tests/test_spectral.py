@@ -9,6 +9,7 @@ done independently of this package's gamma/digamma code.
 import contextvars
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,6 +40,13 @@ EULER_GAMMA = 0.57721566490153286060
 def rp_kappa(kappa, g2=1.0):
     # g1 = kappa^2 - 1/4 inverts the reduction exactly for these values
     return reduce(kappa * kappa - 0.25, g2)
+
+
+def _quad_norm(gs):
+    # integral of u^2 by mpmath's adaptive quadrature, independent of the
+    # package's own half-line engine
+    pts = [0.0, 0.05, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0, mpmath.inf]
+    return mpmath.quad(lambda x: gs(float(x)) ** 2, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -578,13 +586,42 @@ class TestGroundState:
             fd = (gs(x + h) - gs(x - h)) / (2.0 * h)
             assert gs.derivative(x) == pytest.approx(fd, rel=1e-7)
 
-    @pytest.mark.parametrize("nu", [-1.5, -1.53])
+    def test_deep_state_has_unit_norm(self):
+        # alpha ~ 50.5: near the origin every digit of the float64 Psi series
+        # cancels, and the Laplace integral answers instead
+        rp = rp_kappa(0.5)
+        gs = ground_state_wavefunction(rp, extension_for(rp, nu=-1.5))
+        assert float(_quad_norm(gs)) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("nu", [-1.53])
     def test_deep_state_norm_refused_not_crashed(self, nu):
-        # Gamma(alpha) Psi(alpha, beta; rho) at alpha ~ 50 and ~ 150 is out of
-        # reach of the float64 Psi series and Lanczos Gamma: a typed refusal
+        # Gamma(alpha) at alpha ~ 150 is out of reach of the float64 Lanczos
+        # form: a typed refusal
         rp = rp_kappa(0.5)
         with pytest.raises(ConvergenceError, match="Psi|Gamma|psi"):
             ground_state_wavefunction(rp, extension_for(rp, nu=nu))
+
+    # alpha ~ 95, ~ 99 and ~ 110: Psi^2 nears the subnormals, and Gamma(alpha)^2
+    # overflows past alpha ~ 100
+    @pytest.mark.parametrize("nu", [-1.51934, -1.5204, -1.523])
+    def test_deepest_states_have_unit_norm_or_refuse(self, nu):
+        rp = rp_kappa(0.5)
+        try:
+            gs = ground_state_wavefunction(rp, extension_for(rp, nu=nu))
+        except ConvergenceError:
+            return
+        assert math.isfinite(gs.norm_constant)
+        assert float(_quad_norm(gs)) == pytest.approx(1.0, abs=1e-10)
+
+    @given(kappa=st.floats(0.0, 0.94), nu=st.floats(-1.57, 1.57))
+    @settings(max_examples=40, deadline=None)
+    def test_norm_constant_finite_or_refused(self, kappa, nu):
+        rp = rp_kappa(kappa)
+        try:
+            gs = ground_state_wavefunction(rp, extension_for(rp, nu=nu))
+        except (ConvergenceError, DomainError):
+            return
+        assert math.isfinite(gs.norm_constant) and gs.norm_constant > 0.0
 
     @pytest.mark.parametrize("nu", [0.95, 1.0, 1.2, 1.4])
     def test_kappa_zero_psi_overflow_refused_not_crashed(self, nu):
