@@ -11,12 +11,16 @@ key order, floats at 17 significant digits, no timestamps. The JSON
 schema is always {inputs, reduced_params, results, checks, version};
 CSV carries the results table with a header row. Negative numbers may
 be written in exponent notation (`--nu -1e-3`).
+
+`main(argv)` may be called many times in one process: it builds its
+parser once, on the first call, and every later call reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -485,7 +489,12 @@ def _add_extension_flags(sp) -> None:
     group.add_argument("--friedrichs", action="store_true", help="alias for nu = +-pi/2")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one.  Parsing writes nothing to it: each parse_args makes a fresh
+    Namespace, the defaults and the negative-number pattern are fixed here,
+    and error, --help and --version only print and exit."""
     parser = argparse.ArgumentParser(
         prog="calogero",
         description="Spectra and factorizations of -d^2/dx^2 + g1/x^2 + g2 x^2 on the half-line.",

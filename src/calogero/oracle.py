@@ -85,7 +85,10 @@ factors, so it vanishes exactly at the eigenvalues.
 Window.  The right boundary data hold only where the top level's turning
 point sqrt(e_n)/ups lies at least 2/ups inside x_max; past that the
 truncation error grows beyond 1e-9 relative, and the oracle raises
-ConvergenceError instead of returning the level.
+ConvergenceError instead of returning the level.  It raises the same where
+a branch leaves the float64 range: the right data's exponential overflows,
+or at large kappa the left power (ups x_min)^(1/2 + kappa) underflows to
+zero.
 """
 
 from __future__ import annotations
@@ -245,7 +248,13 @@ def _right_state(rp: ReducedParams, E: float, x: float):
     w = -E / (4.0 * ups * ups)
     z = ups * x
     ln_chi = (-0.5 - 2.0 * w) * math.log(z) - 0.5 * z * z
-    chi = math.exp(ln_chi) if ln_chi > -700.0 else 1e-300
+    try:
+        chi = math.exp(ln_chi) if ln_chi > -700.0 else 1e-300
+    except OverflowError:
+        raise ConvergenceError(
+            f"shoot_spectrum: the right boundary data e^{ln_chi:.4g} at E = {E:.6g} "
+            "leave the float64 range"
+        ) from None
     dchi = (-ups * ups * x - (0.5 + 2.0 * w) / x) * chi
     return chi, dchi
 
@@ -279,8 +288,15 @@ def _theta(
     up, vp = _left_state(rp, ext, E + h, x_min)
     um, vm = _left_state(rp, ext, E - h, x_min)
     head = (v0 * (up - um) - u0 * (vp - vm)) / (2.0 * h) * math.exp(-2.0 * left.log_scale)
-    slope = ((left.u2_integral + head) / (ul * ul + vl * vl)
-             + right.u2_integral / (ur * ur + vr * vr))
+    r2_left, r2_right = ul * ul + vl * vl, ur * ur + vr * vr
+    if r2_left == 0.0 or r2_right == 0.0:
+        # at large kappa the Frobenius power (ups x_min)^s underflows, and a
+        # right start clamped at 1e-300 can end below 1e-162, whose square is 0
+        side = "left" if r2_left == 0.0 else "right"
+        raise ConvergenceError(
+            f"shoot_spectrum: the {side} solution at E = {E:.6g} leaves the float64 range"
+        )
+    slope = (left.u2_integral + head) / r2_left + right.u2_integral / r2_right
     return theta, slope
 
 

@@ -1,10 +1,16 @@
 """End-to-end command-line behaviour, driven through main(argv) in-process."""
 
+import argparse
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import calogero
 from calogero.cli import main
 
 
@@ -39,7 +45,7 @@ class TestSpectrum:
         assert code == 0
         kappa = math.sqrt(2.25)
         doc = json.loads(out)
-        assert doc["results"]["energies"][0] == pytest.approx(2.0 * (1.0 + kappa), rel=1e-14)
+        assert doc["results"]["energies"][0] == pytest.approx(2.0 * (1.0 + kappa), rel=1e-14, abs=0.0)
 
     def test_friedrichs_for_family(self, capsys):
         code, out, _ = run(capsys, ["spectrum", "--g1", "0", "--g2", "16", "--friedrichs", "--n", "2"])
@@ -94,6 +100,18 @@ class TestSpectrum:
         energies = json.loads(out)["results"]["energies"]
         assert len(energies) == 21
         assert all(a < b for a, b in zip(energies, energies[1:]))
+
+    @pytest.mark.parametrize("g1,g2", [("2e4", "1"), ("3e4", "1"), ("4e4", "1"), ("1e6", "1"),
+                                       ("532.0221370307443", "7")])
+    def test_oracle_boundary_data_past_float64_are_refused(self, capsys, g1, g2):
+        # the right data e^(ln chi) overflow (2e4, 3e4); the left power
+        # (ups x_min)^(1/2 + kappa) underflows to 0 (4e4, 1e6); the right
+        # start clamped at 1e-300 ends near 1e-204, whose square is 0 (532 at g2 = 7)
+        code, out, err = run(capsys, ["spectrum", "--g1", g1, "--g2", g2, "--unique",
+                                      "--oracle", "on", "--n", "1"])
+        assert code == 4
+        assert out == ""
+        assert "float64 range" in err and "Traceback" not in err
 
     def test_csv_format(self, capsys):
         code, out, _ = run(
@@ -416,3 +434,53 @@ class TestVerify:
         lines = out.strip().split("\n")
         assert lines[0] == "status,name,value,threshold,detail"
         assert all(line.startswith("PASS,") for line in lines[1:])
+
+
+class TestSharedParser:
+    """main builds its parser once per process and every call leaves it as
+    it found it."""
+
+    def test_later_calls_build_no_parser(self, capsys, monkeypatch):
+        run(capsys, ["spectrum", "--g1", "0.75", "--g2", "1", "--unique", "--n", "2"])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        argvs = [
+            ["spectrum", "--g1", "0.75", "--g2", "1", "--unique", "--n", "2"],
+            ["spectrum", "--g1", "0", "--g2", "1", "--nu", "0.7", "--n", "3"],
+            ["sweep", "--g1", "0", "--g2", "1", "--sweep", "-1", "1", "3"],
+            ["factorize-check", "--w", "0.2", "--format", "csv"],
+        ]
+        codes = [run(capsys, argvs[i % len(argvs)])[0] for i in range(20)]
+        assert codes == [0] * 20
+        assert built == []
+
+    def test_no_state_leaks_between_calls(self, capsys, monkeypatch):
+        # each call's exit code and stdout match a fresh interpreter's
+        first = ["spectrum", "--g1", "0", "--g2", "1", "--nu", "0.7", "--n", "3"]
+        sequence = [
+            first,
+            ["spectrum", "--g1", "0"],
+            ["--help"],
+            ["--version"],
+            ["sweep", "--g1", "0", "--g2", "1", "--sweep", "-1", "1", "3"],
+            ["spectrum", "--g1", "0", "--g2", "1", "--nu", "-1e-3", "--format", "csv"],
+            first,
+        ]
+        monkeypatch.setenv("COLUMNS", "80")
+        in_process = [run(capsys, argv)[:2] for argv in sequence]
+
+        src = str(pathlib.Path(calogero.__file__).resolve().parents[1])
+        env = dict(os.environ, COLUMNS="80", PYTHONPATH=src)
+        fresh = []
+        for argv in sequence:
+            proc = subprocess.run([sys.executable, "-m", "calogero", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            fresh.append((proc.returncode, proc.stdout))
+        assert [code for code, _ in in_process] == [0, 2, 0, 0, 0, 0, 0]
+        assert in_process == fresh

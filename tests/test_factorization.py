@@ -65,7 +65,7 @@ class TestRepresentationParams:
 
     def test_shift_wiring(self):
         rep = rep_of(0.0, 16.0, 0.2, -0.5)
-        assert rep.u == pytest.approx(4.0 * 4.0 * -0.5, rel=1e-14)
+        assert rep.u == pytest.approx(4.0 * 4.0 * -0.5, rel=1e-14, abs=0.0)
         assert rep_of(0.0, 1.0, 0.0, reduce(0.0, 1.0).w0).at_floor
 
 
@@ -73,7 +73,7 @@ class TestFloorSolution:
     def test_value_contract(self):
         # kappa=1, upsilon=1: phi(1) = e^{-1/2} rho^{3/4} = e^{-1/2}
         rep = rep_of(0.75, 1.0, 0.3, reduce(0.75, 1.0).w0)
-        assert make_phi(rep).value_at(1.0) == pytest.approx(math.exp(-0.5), rel=1e-14)
+        assert make_phi(rep).value_at(1.0) == pytest.approx(math.exp(-0.5), rel=1e-14, abs=0.0)
 
     def test_superpotential_contract(self):
         rp = reduce(0.75, 1.0)
@@ -133,7 +133,7 @@ class TestSolutionCalculus:
         sol = make_phi(rep_of(g1, g2, mu, w))
         for x in (0.3, 1.2):
             assert sol.superpotential_at(x) == pytest.approx(
-                sol.derivative_at(x) / sol.value_at(x), rel=1e-11
+                sol.derivative_at(x) / sol.value_at(x), rel=1e-11, abs=0.0
             )
 
     def test_rejects_nonpositive_x(self):

@@ -285,7 +285,7 @@ class TestDeepGroundStates:
         # one match point per call: 4 / sqrt(-e_floor) by default
         e_lo = oracle._scan_floor(rp, ext)
         assert len(deep) == 1
-        assert deep.pop() == pytest.approx(4.0 / math.sqrt(-e_lo), rel=1e-15)
+        assert deep.pop() == pytest.approx(4.0 / math.sqrt(-e_lo), rel=1e-15, abs=0.0)
         assert set(seen) == {1.0}
 
 

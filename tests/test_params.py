@@ -38,7 +38,7 @@ class TestReduce:
         assert rp.beta == 1.0 + rp.kappa
         assert rp.alpha_of(rp.w0) == pytest.approx(0.0, abs=1e-15)
         assert rp.alpha_of(0.3) == pytest.approx(0.5 * (1 + rp.kappa) + 0.3, abs=1e-15)
-        assert rp.energy_scale() == pytest.approx(2.0, rel=1e-15)
+        assert rp.energy_scale() == pytest.approx(2.0, rel=1e-15, abs=0.0)
 
     @given(
         st.floats(min_value=-0.25, max_value=100.0, **finite),
@@ -48,7 +48,7 @@ class TestReduce:
     def test_round_trip(self, g1, g2):
         rp = reduce(g1, g2)
         assert rp.kappa**2 - 0.25 == pytest.approx(g1, rel=1e-14, abs=1e-14)
-        assert rp.upsilon**4 == pytest.approx(g2, rel=1e-14)
+        assert rp.upsilon**4 == pytest.approx(g2, rel=1e-14, abs=0.0)
 
     @given(
         st.floats(min_value=-0.25, max_value=50.0, **finite),
@@ -58,8 +58,8 @@ class TestReduce:
     def test_u0_consistency(self, g1, g2):
         rp = reduce(g1, g2)
         # u0 couples the additive-shift floor to the trap strength
-        assert rp.u0 == pytest.approx(4.0 * rp.upsilon**2 * rp.w0, rel=1e-14)
-        assert rp.u0 == pytest.approx(-2.0 * math.sqrt(g2) * (1.0 + rp.kappa), rel=1e-14)
+        assert rp.u0 == pytest.approx(4.0 * rp.upsilon**2 * rp.w0, rel=1e-14, abs=0.0)
+        assert rp.u0 == pytest.approx(-2.0 * math.sqrt(g2) * (1.0 + rp.kappa), rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("g1,g2", [(-0.26, 1.0), (-1.0, 1.0), (0.0, 0.0), (0.0, -2.0)])
     def test_outside_cone_raises(self, g1, g2):

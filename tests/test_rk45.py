@@ -106,7 +106,7 @@ class TestSquareIntegral:
         monkeypatch.setattr(rk45, "_RENORM_THRESHOLD", 0.5)
         got, log_scale = ratio()
         assert no_scale == 0.0 and log_scale > 0.0
-        assert got == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_zero_span_integrates_nothing(self):
         assert integrate(lambda x, y: (y[1], -y[0]), 1.0, (3.0, 2.0), 1.0).u2_integral == 0.0

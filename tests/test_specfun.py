@@ -40,27 +40,27 @@ def off_pole(z: float) -> bool:
 
 class TestGamma:
     def test_frozen_values(self):
-        assert gamma(1.0) == pytest.approx(1.0, rel=1e-14)
-        assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-        assert gamma(5.0) == pytest.approx(24.0, rel=1e-14)
-        assert gamma(-0.5) == pytest.approx(-2.0 * math.sqrt(math.pi), rel=1e-13)
-        assert gamma(-1.5) == pytest.approx(4.0 / 3.0 * math.sqrt(math.pi), rel=1e-13)
+        assert gamma(1.0) == pytest.approx(1.0, rel=1e-14, abs=0.0)
+        assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14, abs=0.0)
+        assert gamma(5.0) == pytest.approx(24.0, rel=1e-14, abs=0.0)
+        assert gamma(-0.5) == pytest.approx(-2.0 * math.sqrt(math.pi), rel=1e-13, abs=0.0)
+        assert gamma(-1.5) == pytest.approx(4.0 / 3.0 * math.sqrt(math.pi), rel=1e-13, abs=0.0)
 
     @given(st.floats(min_value=1e-3, max_value=50.0, **finite))
     @settings(max_examples=200)
     def test_matches_stdlib_on_positive_axis(self, z):
-        assert gamma(z) == pytest.approx(math.gamma(z), rel=1e-12)
+        assert gamma(z) == pytest.approx(math.gamma(z), rel=1e-12, abs=0.0)
 
     @given(st.floats(min_value=-50.0, max_value=50.0, **finite).filter(off_pole))
     @settings(max_examples=200)
     def test_accuracy_contract_both_signs(self, z):
         # scipy computes through an unrelated code path (Cephes)
-        assert gamma(z) == pytest.approx(float(scipy.special.gamma(z)), rel=1e-12)
+        assert gamma(z) == pytest.approx(float(scipy.special.gamma(z)), rel=1e-12, abs=0.0)
 
     @given(st.floats(min_value=0.5, max_value=49.0, **finite))
     @settings(max_examples=100)
     def test_recurrence(self, z):
-        assert gamma(z + 1.0) == pytest.approx(z * gamma(z), rel=1e-12)
+        assert gamma(z + 1.0) == pytest.approx(z * gamma(z), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("z", [0.0, -1.0, -2.0, -37.0])
     def test_pole_raises(self, z):
@@ -77,7 +77,7 @@ class TestGammalnSigned:
     @settings(max_examples=150)
     def test_reconstructs_gamma(self, z):
         lg, sg = gammaln_signed(z)
-        assert sg * math.exp(lg) == pytest.approx(gamma(z), rel=1e-12)
+        assert sg * math.exp(lg) == pytest.approx(gamma(z), rel=1e-12, abs=0.0)
 
     def test_sign_alternates_between_negative_poles(self):
         # Gamma is negative on (-1, 0), positive on (-2, -1), ...
@@ -108,15 +108,15 @@ class TestGammalnShift:
         # references from 40-digit arithmetic; naive lgamma subtraction
         # has zero correct digits at b = 1e12 and cannot even form b + d
         # past 2^53
-        assert gammaln_shift(1e12, 0.25) == pytest.approx(6.907755278982043, rel=1e-15)
-        assert gammaln_shift(7.9e16, 0.0234375) == pytest.approx(0.911911505797915, rel=1e-15)
-        assert gammaln_shift(6.4e13, 0.05078125) == pytest.approx(1.6143310726201046, rel=1e-15)
+        assert gammaln_shift(1e12, 0.25) == pytest.approx(6.907755278982043, rel=1e-15, abs=0.0)
+        assert gammaln_shift(7.9e16, 0.0234375) == pytest.approx(0.911911505797915, rel=1e-15, abs=0.0)
+        assert gammaln_shift(6.4e13, 0.05078125) == pytest.approx(1.6143310726201046, rel=1e-15, abs=0.0)
 
     def test_zero_shift(self):
         assert gammaln_shift(3.7, 0.0) == 0.0
 
     def test_unit_shift_is_log(self):
-        assert gammaln_shift(1e15, 1.0) == pytest.approx(math.log(1e15), rel=1e-15)
+        assert gammaln_shift(1e15, 1.0) == pytest.approx(math.log(1e15), rel=1e-15, abs=0.0)
 
     @given(
         st.floats(min_value=0.01, max_value=1e6, **finite),
@@ -147,7 +147,7 @@ class TestGammalnShift:
     def test_integer_shift_is_log_rising_product(self, b, k):
         # (b)_k = b (b + 1) ... (b + k - 1)
         assert gammaln_shift(b, float(k)) == pytest.approx(
-            math.log(math.prod(b + i for i in range(k))), rel=1e-13
+            math.log(math.prod(b + i for i in range(k))), rel=1e-13, abs=0.0
         )
 
     @given(
@@ -162,9 +162,9 @@ class TestGammalnShift:
 
     def test_reverse_shift_is_negated(self):
         assert gammaln_shift(3.5, 3.75) == pytest.approx(
-            math.lgamma(7.25) - math.lgamma(3.5), rel=1e-14
+            math.lgamma(7.25) - math.lgamma(3.5), rel=1e-14, abs=0.0
         )
-        assert gammaln_shift(7.25, -3.75) == pytest.approx(-gammaln_shift(3.5, 3.75), rel=1e-14)
+        assert gammaln_shift(7.25, -3.75) == pytest.approx(-gammaln_shift(3.5, 3.75), rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("b,d", [(0.0, 1.0), (-1.0, 5.0), (2.0, -2.0), (1.0, float("inf"))])
     def test_domain_errors(self, b, d):
@@ -174,9 +174,9 @@ class TestGammalnShift:
 
 class TestDigamma:
     def test_frozen_values(self):
-        assert digamma(1.0) == pytest.approx(-EULER_GAMMA, rel=1e-14)
-        assert digamma(0.5) == pytest.approx(-EULER_GAMMA - 2.0 * math.log(2.0), rel=1e-14)
-        assert digamma(2.0) == pytest.approx(1.0 - EULER_GAMMA, rel=1e-14)
+        assert digamma(1.0) == pytest.approx(-EULER_GAMMA, rel=1e-14, abs=0.0)
+        assert digamma(0.5) == pytest.approx(-EULER_GAMMA - 2.0 * math.log(2.0), rel=1e-14, abs=0.0)
+        assert digamma(2.0) == pytest.approx(1.0 - EULER_GAMMA, rel=1e-14, abs=0.0)
 
     @given(st.floats(min_value=1e-3, max_value=50.0, **finite))
     @settings(max_examples=200)
@@ -190,7 +190,7 @@ class TestDigamma:
 
     @pytest.mark.parametrize("z", [-0.5, -1.5, -7.3, -22.42])
     def test_negative_nonintegers(self, z):
-        assert digamma(z) == pytest.approx(float(scipy.special.digamma(z)), rel=1e-11)
+        assert digamma(z) == pytest.approx(float(scipy.special.digamma(z)), rel=1e-11, abs=0.0)
 
     def test_pole_raises(self):
         with pytest.raises(DomainError):
@@ -200,8 +200,8 @@ class TestDigamma:
 class TestKummerPhi:
     def test_frozen_values(self):
         # Phi(1, 2; rho) = (e^rho - 1)/rho exactly
-        assert kummer_phi(1.0, 2.0, 2.0) == pytest.approx(3.1945280494653251136, rel=1e-13)
-        assert kummer_phi(0.75, 1.5, 0.3) == pytest.approx(1.1670690359097991087, rel=1e-13)
+        assert kummer_phi(1.0, 2.0, 2.0) == pytest.approx(3.1945280494653251136, rel=1e-13, abs=0.0)
+        assert kummer_phi(0.75, 1.5, 0.3) == pytest.approx(1.1670690359097991087, rel=1e-13, abs=0.0)
 
     def test_degenerate_unity(self):
         assert kummer_phi(0.0, 1.5, 7.0) == 1.0
@@ -244,18 +244,18 @@ class TestKummerPhi:
 class TestTricomiPsi:
     def test_frozen_values(self):
         assert tricomi_psi(0.75, 1.5, 0.3) == pytest.approx(1.9500932666578341979, rel=1e-12)
-        assert tricomi_psi(1.25, 1.0, 2.0) == pytest.approx(0.25929939382797372681, rel=1e-12)
+        assert tricomi_psi(1.25, 1.0, 2.0) == pytest.approx(0.25929939382797372681, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("rho", [0.2, 1.0, 3.7, 25.0])
     def test_exact_law_beta2(self, rho):
         # Psi(1, 2; rho) = 1/rho
-        assert tricomi_psi(1.0, 2.0, rho) == pytest.approx(1.0 / rho, rel=1e-12)
+        assert tricomi_psi(1.0, 2.0, rho) == pytest.approx(1.0 / rho, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("rho", [0.5, 2.0, 11.0])
     def test_exact_law_half(self, rho):
         # Psi(1/2, 3/2; rho) = rho^(-1/2): the second series terminates and
         # the first has a vanishing prefactor
-        assert tricomi_psi(0.5, 1.5, rho) == pytest.approx(rho**-0.5, rel=1e-12)
+        assert tricomi_psi(0.5, 1.5, rho) == pytest.approx(rho**-0.5, rel=1e-12, abs=0.0)
 
     def test_branches_agree(self):
         # the acceptance grid runs this too; keep a quick local version
@@ -293,7 +293,7 @@ class TestTricomiPsi:
     def test_large_rho_asymptotic(self, a, b):
         # Psi ~ rho^-a (1 + O(1/rho))
         rho = 1e4
-        assert tricomi_psi(a, b, rho) == pytest.approx(rho**-a, rel=5e-3)
+        assert tricomi_psi(a, b, rho) == pytest.approx(rho**-a, rel=5e-3, abs=0.0)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -370,7 +370,7 @@ class TestTricomiPsi:
     def test_series_budget_exhaustion_raises(self, monkeypatch):
         # the float64 two-series route needs over 40 terms at rho = 10;
         # reference from mpmath.hyperu at 30 digits (scipy's is off at 1e-10)
-        assert tricomi_psi_series(1.3, 1.5, 10.0) == pytest.approx(0.04574487860469938, rel=1e-13)
+        assert tricomi_psi_series(1.3, 1.5, 10.0) == pytest.approx(0.04574487860469938, rel=1e-13, abs=0.0)
         monkeypatch.setattr(specfun, "_SERIES_MAX_TERMS", 10)
         with pytest.raises(ConvergenceError):
             tricomi_psi_series(1.3, 1.5, 10.0)
@@ -392,7 +392,7 @@ class TestQuadratureEngines:
     def test_halfline_exponential_integral(self):
         # int_0^inf e^-t/(1+t) dt = e * E1(1)
         val = exp_halfline_quad(lambda t: 1.0 / (1.0 + t), 0.0)
-        assert val == pytest.approx(0.59634736232319407434, rel=1e-12)
+        assert val == pytest.approx(0.59634736232319407434, rel=1e-12, abs=0.0)
 
     def test_halfline_level_exhaustion_raises(self, monkeypatch):
         monkeypatch.setattr(specfun, "_QUAD_MAX_LEVEL", 1)

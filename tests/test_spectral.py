@@ -190,7 +190,7 @@ class TestSpectrumFrozen:
         assert res.method == "bracketed-root"
         assert res.scaled
         for got, want in zip(res.energies, QUINTETS[(kappa, nu)]):
-            assert got == pytest.approx(want, rel=1e-12)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
         assert all(r <= 1e-8 for r in res.residuals)
 
     @pytest.mark.parametrize(
@@ -206,7 +206,7 @@ class TestSpectrumFrozen:
     def test_ground_energies(self, kappa, nu, e0):
         rp = rp_kappa(kappa)
         got = ground_state_energy(rp, extension_for(rp, nu=nu), scaled=True)
-        assert got == pytest.approx(e0, rel=1e-12)
+        assert got == pytest.approx(e0, rel=1e-12, abs=0.0)
 
     def test_near_friedrichs_endpoints(self):
         # nu = pi/2 - 0.01 is outside the snap window: a genuine family
@@ -413,7 +413,7 @@ class TestLaddersAndClosedForms:
         es = spectrum(rp, ext, 3).energies
         ss = spectrum(rp, ext, 3, scaled=True).energies
         for e, s in zip(es, ss):
-            assert e == pytest.approx(4.0 * s, rel=1e-14)
+            assert e == pytest.approx(4.0 * s, rel=1e-14, abs=0.0)
 
     def test_rejections(self):
         rp = rp_kappa(0.5)
@@ -517,11 +517,11 @@ class TestGroundState:
     def test_friedrichs_closed_form(self):
         rp = rp_kappa(0.5)
         gs = ground_state_wavefunction(rp, extension_for(rp, friedrichs=True))
-        assert gs.energy == pytest.approx(3.0, rel=1e-14)
+        assert gs.energy == pytest.approx(3.0, rel=1e-14, abs=0.0)
         c = math.sqrt(2.0 / math.gamma(1.5))
         for x in (0.2, 0.7, 1.5, 3.0):
             want = c * x**1.0 * math.exp(-0.5 * x * x)
-            assert gs(x) == pytest.approx(want, rel=1e-13)
+            assert gs(x) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_unique_closed_form_units(self):
         # kappa = 2, upsilon^2 = 2: U = c (ups x)^{5/2} e^{-(ups x)^2/2}
@@ -531,7 +531,7 @@ class TestGroundState:
         c = math.sqrt(2.0 * ups / math.gamma(3.0))
         x = 0.9
         want = c * (ups * x) ** 2.5 * math.exp(-0.5 * (ups * x) ** 2)
-        assert gs(x) == pytest.approx(want, rel=1e-13)
+        assert gs(x) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_ladder_normalized(self):
         rp = reduce(3.75, 4.0)
@@ -565,7 +565,7 @@ class TestGroundState:
         ext = extension_for(rp, nu=-1.0)
         gs = ground_state_wavefunction(rp, ext)
         assert gs.energy == pytest.approx(
-            ground_state_energy(rp, ext), rel=1e-14
+            ground_state_energy(rp, ext), rel=1e-14, abs=0.0
         )
         w = -gs.energy / (4.0 * rp.energy_scale())
         assert math.tan(theta_of(0.0, w, rp)) == pytest.approx(
@@ -640,4 +640,4 @@ class TestGroundState:
             ground_state_wavefunction(rp, extension_for(rp, nu=0.3))
         # ladders stay exact at any kappa
         gs = ground_state_wavefunction(reduce(8.75, 1.0), extension_for(reduce(8.75, 1.0)))
-        assert gs.energy == pytest.approx(8.0, rel=1e-14)
+        assert gs.energy == pytest.approx(8.0, rel=1e-14, abs=0.0)
