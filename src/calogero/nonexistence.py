@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .rk45 import integrate
 
 __all__ = ["ZeroCountReport", "count_zeros"]
@@ -44,6 +44,10 @@ __all__ = ["ZeroCountReport", "count_zeros"]
 # per-segment phase budget: one engine call across ~4 400 zeros would
 # exhaust its step budget
 _PHASE_CAP = math.pi / 8.0
+# segment budget: 12 500 zeros, about 7 s of integration on a 2-vCPU VM; a
+# phase past it is refused before any knot is built (the default interval
+# at g1 = -1e300 would ask for 3.5e151 of them)
+_MAX_SEGMENTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -71,7 +75,8 @@ def count_zeros(
     otherwise g2 < 0 integrates outward (init given at x_lo), otherwise
     the admissible-cone existence check runs inward from x_hi. `init` is
     (phi, phi') at the seeding end. The segment count follows from the
-    phase budget `_PHASE_CAP`, with a floor of 16 segments.
+    phase budget `_PHASE_CAP`, with a floor of 16 segments; a phase that
+    needs more than `_MAX_SEGMENTS` is refused with ConvergenceError.
     """
     g1, g2 = float(c.g1), float(c.g2)
     if not (math.isfinite(g1) and math.isfinite(g2) and math.isfinite(u)):
@@ -97,6 +102,11 @@ def count_zeros(
         phase = 0.0
     predicted = phase / math.pi
 
+    if not phase <= _MAX_SEGMENTS * _PHASE_CAP:
+        raise ConvergenceError(
+            f"count_zeros: phase {phase:.3g} over ({x_lo!r}, {x_hi!r}) needs more than "
+            f"{_MAX_SEGMENTS} segments of at most pi/8"
+        )
     n_seg = max(16, math.ceil(phase / _PHASE_CAP))
 
     if mode == "infinity":

@@ -85,10 +85,12 @@ factors, so it vanishes exactly at the eigenvalues.
 Window.  The right boundary data hold only where the top level's turning
 point sqrt(e_n)/ups lies at least 2/ups inside x_max; past that the
 truncation error grows beyond 1e-9 relative, and the oracle raises
-ConvergenceError instead of returning the level.  It raises the same where
-a branch leaves the float64 range: the right data's exponential overflows,
-or at large kappa the left power (ups x_min)^(1/2 + kappa) underflows to
-zero.
+ConvergenceError instead of returning the level.  The lowest energy the
+top level can have (its rung on a ladder, the pole below its gap for nu)
+is checked before any level is solved, the level itself after.  It raises
+the same where a branch leaves the float64 range: the right data's
+exponential overflows, or at large kappa the left power
+(ups x_min)^(1/2 + kappa) underflows to zero.
 """
 
 from __future__ import annotations
@@ -340,6 +342,14 @@ def shoot_spectrum(
         if rp.kappa >= 1.0:
             raise DomainError("shoot_spectrum: nu extensions exist only for kappa < 1")
     cfg = cfg or ShootingConfig()
+    # the lowest energy the top level can have, its rung on a ladder or the
+    # pole below its gap for nu, must leave the window room to decay before
+    # any level is solved
+    n_top = n_max - 1
+    if ext.is_ladder:
+        _check_decay_room(rp, cfg, n_top, 2.0 * (2 * n_top + 1 + rp.kappa), ">= ")
+    elif n_top > 0:
+        _check_decay_room(rp, cfg, n_top, 2.0 * (2 * n_top - 1 + rp.kappa), "> ")
     ups2 = rp.energy_scale()
     e_lo = _scan_floor(rp, ext)
     if cfg.x_match is None and e_lo < _DEEP_FLOOR:
@@ -388,14 +398,7 @@ def shoot_spectrum(
 
     # the right boundary data hold only where the top level's turning point
     # sits well inside the window
-    e_top = roots[-1] / ups2
-    margin = rp.upsilon * cfg.resolved(rp.upsilon)[1] - math.sqrt(max(e_top, 0.0))
-    if margin < _DECAY_MARGIN:
-        raise ConvergenceError(
-            f"shoot_spectrum: level {n_max - 1} (scaled {e_top:.4g}) turns "
-            f"{margin:.3g}/ups before x_max, short of the {_DECAY_MARGIN:g}/ups "
-            "its decay needs; widen x_max"
-        )
+    _check_decay_room(rp, cfg, n_top, roots[-1] / ups2)
 
     funcs = None
     if want_eigenfunctions:
@@ -404,6 +407,19 @@ def shoot_spectrum(
     return OracleSpectrum(
         tuple(r * unit for r in roots), tuple(resids), funcs, scaled
     )
+
+
+def _check_decay_room(rp: ReducedParams, cfg: ShootingConfig, n: int, e: float, bound: str = "") -> None:
+    """Refuse level n at scaled energy e (bound: "" for the level itself, or
+    the relation of the level to e) when its turning point lies within
+    `_DECAY_MARGIN` / ups of x_max."""
+    margin = rp.upsilon * cfg.resolved(rp.upsilon)[1] - math.sqrt(max(e, 0.0))
+    if margin < _DECAY_MARGIN:
+        raise ConvergenceError(
+            f"shoot_spectrum: level {n} (scaled {bound}{e:.4g}) turns "
+            f"{margin:.3g}/ups before x_max, short of the {_DECAY_MARGIN:g}/ups "
+            "its decay needs; widen x_max"
+        )
 
 
 def _solve(theta, target, E, t, slope, lo, hi, tol, width) -> tuple[float, float, float]:

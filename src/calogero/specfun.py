@@ -49,6 +49,7 @@ __all__ = [
     "gammaln_shift",
     "rgamma",
     "digamma",
+    "sinpi",
     "kummer_phi",
     "tricomi_psi",
     "tricomi_psi_series",
@@ -81,11 +82,24 @@ def _is_nonpositive_int(z: float) -> bool:
 
 def _sinpi(z: float) -> float:
     # sin(pi z) with argument reduction done on z itself, so large |z|
-    # does not lose the digits that pi*z would.
+    # does not lose the digits that pi*z would.  The reduction to [0, 1)
+    # leaves pi (1 - r) to the rounding of pi r just below each integer;
+    # gamma and gammaln_signed keep it for the bits of their reflections
     n = math.floor(z)
     r = z - n
     s = math.sin(math.pi * r)
     return -s if (int(n) & 1) else s
+
+
+def sinpi(z: float) -> float:
+    """sin(pi z) to a few ulps relative on both sides of every integer.
+
+    z minus its nearest integer m is exact, so pi (z - m) keeps every
+    digit however close z is to m or however large |z| is.
+    """
+    m = round(z)
+    s = math.sin(math.pi * (z - m))
+    return -s if m & 1 else s
 
 
 def _lanczos_sum(zm1: float) -> float:
@@ -164,13 +178,17 @@ def digamma(z: float) -> float:
     """psi(z) = Gamma'(z)/Gamma(z) for real z off the poles.
 
     Recurrence psi(z) = psi(z+1) - 1/z lifts the argument to >= 10 where
-    the Bernoulli asymptotic series is good to ~1e-16; works for negative
-    non-integer z too (the recurrence subtracts the pole terms exactly).
+    the Bernoulli asymptotic series is good to ~1e-16.  Negative z is
+    reflected first, psi(z) = psi(1-z) - pi cot(pi z) (DLMF 5.5.4), with
+    the cotangent taken of z minus its nearest integer: that difference
+    is exact, so the pole term keeps every digit next to each pole.
     """
     if math.isnan(z) or math.isinf(z):
         raise DomainError(f"digamma: non-finite argument {z!r}")
     if _is_nonpositive_int(z):
         raise DomainError(f"digamma: pole at z = {z}")
+    if z < 0.0:
+        return digamma(1.0 - z) - math.pi / math.tan(math.pi * (z - round(z)))
     acc = 0.0
     while z < 10.0:
         acc -= 1.0 / z

@@ -29,6 +29,15 @@ representation that generates a given extension.  All three go through
 `_boundary_F`, whose kappa-only constant and fault skew `_boundary_consts`
 builds once per call, and every root is found by the one Brent-Dekker
 solver `_brent`, started on a sign change whose two values are known.
+
+A spectrum finds that sign change next to each level.  On gap n the
+reflection formula G(z) G(1-z) = pi / sin(pi z) (DLMF 5.5.3) writes F as a
+slowly varying factor times cos(pi k) - sin(pi k) cot(pi t), with
+alpha = t - n, or psi(1 + n - t) - pi cot(pi t) at kappa = 0; freezing the
+factor inverts it for t in closed form, and a few such steps give an
+estimate of the level (`_level_estimate`).  Two evaluations around the
+estimate usually bracket the root; the bracket widens toward the gap's
+ends when they do not.
 """
 
 from __future__ import annotations
@@ -50,6 +59,7 @@ from .specfun import (
     gamma,
     gammaln_shift,
     gammaln_signed,
+    sinpi,
     tricomi_psi,
 )
 
@@ -158,7 +168,8 @@ def _boundary_F(rp: ReducedParams, w: float, c: float, skew: float) -> float:
 def _gamma_ratio(rp: ReducedParams, w: float, c: float) -> float:
     """G(1-k)/G(1+k) * G(alpha)/G(alpha-k) with alpha = (1+k)/2 + w and
     c = ln G(1-k) - ln G(1+k), in log space; 0.0 on the exact poles of
-    G(alpha-k), +-inf on overflow."""
+    G(alpha-k), +-inf on overflow.  Below alpha = 0 both gammas are
+    reflected, leaving one log-gamma shift and two sines."""
     k = rp.kappa
     a = rp.alpha_of(w)
     am = a - k
@@ -172,6 +183,11 @@ def _gamma_ratio(rp: ReducedParams, w: float, c: float) -> float:
         # two lgamma values of size alpha*ln(alpha)
         ln_r = c - gammaln_shift(a, -k)
         return math.exp(ln_r) if ln_r <= 709.0 else math.inf
+    if a < 0.0:
+        # reflect both: G(a)/G(a-k) = [sin pi(a-k) / sin pi a] G(1-a+k)/G(1-a)
+        ratio = sinpi(am) / sinpi(a)
+        ln_r = c + gammaln_shift(1.0 - a, k)
+        return ratio * math.exp(ln_r) if ln_r <= 709.0 else math.copysign(math.inf, ratio)
     lg3, s3 = gammaln_signed(a)
     lg4, s4 = gammaln_signed(am)
     ln_r = c + lg3 - lg4
@@ -316,7 +332,8 @@ def _pole(rp: ReducedParams, n: int) -> float:
 
 
 def _lowest_gap_floor(rp: ReducedParams, target: float, c: float) -> float:
-    # scaled e with F(-e/4) > target, i.e. strictly below the ground root.
+    # scaled e with F(-e/4) > target, i.e. strictly below the ground root:
+    # the lower end of the ground gap, to which its bracket may widen.
     # F's first zero z0 splits the gap: a root with target <= 0 lies in
     # [z0, first pole), so a fixed offset below z0 suffices; target > 0
     # pushes the root toward -inf and the e -> -inf asymptotics of F are
@@ -337,17 +354,94 @@ def _lowest_gap_floor(rp: ReducedParams, target: float, c: float) -> float:
     return -4.0 * math.exp(ln_r) - 8.0
 
 
+def _level_estimate(rp: ReducedParams, target: float, n: int, c: float) -> tuple[float, float]:
+    """(e, h): a start for the root of F(-e/4) = target in gap n, and the
+    size of its last correction; c from `_boundary_consts`.
+
+    In gap n >= 1 write alpha = t - n with t in (0, 1) and x = 1 + n - t.
+    The reflection formula G(z) G(1-z) = pi / sin(pi z) makes F a slowly
+    varying factor times cot(pi t):
+
+        kappa > 0:  F = S(x) (cos pi k - sin pi k cot pi t),  S = e^(c + ln G(x+k) - ln G(x))
+        kappa = 0:  F = psi(x) - pi cot pi t - c,
+
+    so with S (resp. psi(x)) frozen, t = 1/2 - atan(y)/pi solves for t in
+    closed form.  The ground gap has alpha in (0, inf).  Below alpha = 1
+    (target below F there: 1/G(1+k), resp. Euler's gamma) the recurrence
+    G(z+1) = z G(z) leaves 1 - k/alpha, resp. -1/alpha, times a slowly
+    varying factor; above it the e -> -inf asymptotics G(b+k)/G(b) ~ w^k
+    with b = alpha - k = w + (1-k)/2, resp. psi(w + 1/2) ~ ln w, are
+    inverted as a fixed point on w = -e/4.  Each form takes three
+    fixed-point steps, then Aitken's extrapolation.
+    """
+    k = rp.kappa
+    if n > 0:
+        cos_k, sin_k = math.cos(math.pi * k), math.sin(math.pi * k)
+
+        def step(t: float) -> float:
+            x = 1.0 + n - t
+            if k > 0.0:
+                y = (cos_k - target * math.exp(-c - gammaln_shift(x, k))) / sin_k
+            else:
+                y = (digamma(x) - c - target) / math.pi
+            return 0.5 - math.atan(y) / math.pi
+
+        t, dt = _fixed_point(step, 0.5)
+        return 2.0 * (1.0 + k) + 4.0 * (n - t), 4.0 * dt
+    if k > 0.0:
+        # F(alpha = 1) = e^c / G(1-k) = 1/G(1+k)
+        deep = target > 0.0 and math.log(target) - c >= gammaln_shift(1.0 - k, k)
+    else:
+        deep = target >= -0.5 * c  # F(alpha = 1) = psi(1) - 2 psi(1)
+    if deep:
+        # the log of the target's G(b+k)/G(b), resp. its psi
+        lt = math.log(target) - c if k > 0.0 else target + c
+
+        def step(w: float) -> float:
+            if k > 0.0:
+                return w * math.exp((lt - gammaln_shift(w + 0.5 * (1.0 - k), k)) / k)
+            return w * math.exp(lt - digamma(w + 0.5))
+
+        w, dw = _fixed_point(step, math.exp(lt / k if k > 0.0 else lt))
+        return -4.0 * w, 4.0 * dw
+
+    def step(a: float) -> float:
+        if k > 0.0:
+            den = 1.0 - target * math.exp(-c - gammaln_shift(1.0 + a - k, k))
+            return k / den if den > k else 1.0
+        return 1.0 / max(1.0, digamma(1.0 + a) - c - target)
+
+    a, da = _fixed_point(step, 0.5)
+    return 2.0 * (1.0 + k) - 4.0 * a, 4.0 * da
+
+
+def _fixed_point(step, v: float) -> tuple[float, float]:
+    """Three steps of v <- step(v), then Aitken's delta-squared
+    extrapolation when the steps shrink; (v, size of the last correction)."""
+    d_prev = d = 0.0
+    for _ in range(3):
+        d_prev, d = d, step(v) - v
+        v += d
+    if abs(d) < abs(d_prev):
+        d = d * d / (d_prev - d)
+        v += d
+    return v, abs(d)
+
+
 def _root_in_gap(
-    rp: ReducedParams, target: float, lo: float, hi: float, c: float, skew: float
+    rp: ReducedParams, target: float, n: int, lo: float, hi: float, c: float, skew: float
 ) -> tuple[float, float]:
-    """One root of F(-e/4) = target in e in (lo, hi), where F(-e/4)
+    """The root of F(-e/4) = target in e in gap n, (lo, hi), where F(-e/4)
     decreases from +inf to -inf; (c, skew) from `_boundary_consts`.
 
-    An eight-point scan confirms the decreasing sweep and brackets the
-    sign change; `_brent` then starts from the scan's two values there.
-    Returns (root, residual).  Endpoint nudges are relative to each
-    endpoint separately: the gap ends can differ by many orders of
-    magnitude when nu sits near +-pi/2.
+    The search starts at the level's own estimate (`_level_estimate`) and
+    evaluates e +- h, h its last correction; while both values have one
+    sign it widens h 64-fold toward the nudged end on the root's side,
+    keeping the nearer point as the other end, then `_brent` starts from
+    the two values of the sign change.  Every pair of points evaluated
+    must confirm the decreasing sweep.  Returns (root, residual).
+    Endpoint nudges are relative to each endpoint separately: the gap
+    ends can differ by many orders of magnitude when nu sits near +-pi/2.
     """
     a = lo + 1e-7 * max(1.0, abs(lo)) / 3.0
     b = hi - 1e-7 * max(1.0, abs(hi)) / 3.0
@@ -358,27 +452,40 @@ def _root_in_gap(
         except DomainError:  # landed on an exact gamma pole; step off it
             return _boundary_F(rp, -0.25 * math.nextafter(e, b), c, skew) - target
 
-    # keep the last point exactly b: when |lo| dwarfs hi, a + (b-a) rounds
-    # to ULP(|lo|) and can land past the pole at hi, where F flips sign
-    pts = [a + (b - a) * i / 7.0 for i in range(7)] + [b]
-    vals = [g(p) for p in pts]
     noise = 1e-9 * (1.0 + abs(target))
+    est, h = _level_estimate(rp, target, n, c)
     bracket = None
-    for i in range(7):
-        if vals[i] > 0.0 >= vals[i + 1]:
-            bracket = (pts[i], vals[i], pts[i + 1], vals[i + 1])
-            break
-        if vals[i + 1] > vals[i] + noise:
-            # a genuine rise would break the one-root-per-gap argument;
-            # refuse rather than guess (sub-noise wiggles at the root are fine)
-            raise ConvergenceError(
-                f"spectral scan not decreasing on ({lo:.6g}, {hi:.6g}) near e={pts[i]:.6g}"
-            )
+    if a < est < b:
+        h = max(h, 4.0 * math.ulp(est))
+        p, q = max(a, est - h), min(b, est + h)
+        gp, gq = g(p), g(q)
+        while True:
+            if gq > gp + noise:
+                # a genuine rise would break the one-root-per-gap argument;
+                # refuse rather than guess (sub-noise wiggles at the root are fine)
+                raise ConvergenceError(
+                    f"spectral scan not decreasing on ({lo:.6g}, {hi:.6g}) near e={p:.6g}"
+                )
+            if gp > 0.0 >= gq:
+                bracket = (p, gp, q, gq)
+                break
+            h *= 64.0
+            if gq > 0.0 and q < b:
+                p, gp = q, gq
+                q = min(b, est + h)
+                gq = g(q)
+            elif gp <= 0.0 and p > a:
+                q, gq = p, gp
+                p = max(a, est - h)
+                gp = g(p)
+            else:
+                break
     if bracket is None:
-        # the sweep is +inf -> -inf, so a missing sign change means the
-        # crossing hugs an endpoint, maybe closer to its pole than the
-        # nudge: walk each nudged end toward its pole, halving the distance,
-        # until g takes the sign it has on that side of the root
+        # the estimate fell outside the nudged ends, or the sign change is
+        # not inside them: the crossing hugs an endpoint, maybe closer to
+        # its pole than the nudge.  Walk each nudged end toward its pole,
+        # halving the distance, until g takes the sign it has on that side
+        # of the root
         ga, gb = g(a), g(b)
         while gb > 0.0 and b < 0.5 * (b + hi) < hi:
             b = 0.5 * (b + hi)
@@ -437,7 +544,7 @@ def spectrum(
     lo = _lowest_gap_floor(rp, target, c)
     for n in range(n_max):
         hi = _pole(rp, n)
-        e, r = _root_in_gap(rp, target, lo, hi, c, skew)
+        e, r = _root_in_gap(rp, target, n, lo, hi, c, skew)
         roots.append(e * unit)
         resids.append(r)
         lo = hi

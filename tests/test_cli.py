@@ -92,6 +92,14 @@ class TestSpectrum:
         if want:
             assert out == "" and "widen x_max" in err
 
+    def test_oracle_refuses_a_ladder_past_the_window_up_front(self, capsys):
+        # kappa = 100: the unique ladder starts at 202 (scaled), past the 36
+        # the default window holds; the refusal used to follow a 4-s solve
+        code, out, err = run(capsys, ["spectrum", "--g1", "1e4", "--g2", "1", "--unique",
+                                      "--oracle", "on", "--n", "3"])
+        assert code == 4
+        assert out == "" and "level 2 (scaled >= 210)" in err
+
     def test_root_next_to_the_pole(self, capsys):
         # level 8 sits 1.04e-6 below its pole, inside the endpoint nudge
         code, out, _ = run(capsys, ["spectrum", "--g1", "-0.24999997", "--g2", "1",
@@ -104,14 +112,26 @@ class TestSpectrum:
     @pytest.mark.parametrize("g1,g2", [("2e4", "1"), ("3e4", "1"), ("4e4", "1"), ("1e6", "1"),
                                        ("532.0221370307443", "7")])
     def test_oracle_boundary_data_past_float64_are_refused(self, capsys, g1, g2):
-        # the right data e^(ln chi) overflow (2e4, 3e4); the left power
-        # (ups x_min)^(1/2 + kappa) underflows to 0 (4e4, 1e6); the right
-        # start clamped at 1e-300 ends near 1e-204, whose square is 0 (532 at g2 = 7)
+        # each ground rung 2(1 + kappa) turns less than 2/ups inside the
+        # default window, so the CLI refuses before any solve; a window that
+        # holds the rung reaches the float64 limits: the right data
+        # e^(ln chi) overflow (2e4, 3e4), the left power (ups x_min)^(1/2 +
+        # kappa) underflows to 0 (4e4, 1e6), the right start clamped at
+        # 1e-300 ends near 1e-204, whose square is 0 (532 at g2 = 7)
+        from calogero.errors import ConvergenceError
+        from calogero.oracle import ShootingConfig, shoot_spectrum
+        from calogero.params import reduce
+        from calogero.spectral import extension_for
+
         code, out, err = run(capsys, ["spectrum", "--g1", g1, "--g2", g2, "--unique",
                                       "--oracle", "on", "--n", "1"])
         assert code == 4
         assert out == ""
-        assert "float64 range" in err and "Traceback" not in err
+        assert "level 0 (scaled >= " in err and "Traceback" not in err
+        rp = reduce(float(g1), float(g2))
+        wide = ShootingConfig(x_max=(math.sqrt(2.0 * (1.0 + rp.kappa)) + 2.5) / rp.upsilon)
+        with pytest.raises(ConvergenceError, match="float64 range"):
+            shoot_spectrum(rp, extension_for(rp), 1, wide)
 
     def test_csv_format(self, capsys):
         code, out, _ = run(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from calogero import nonexistence
-from calogero.errors import DomainError
+from calogero.errors import ConvergenceError, DomainError
 from calogero.factorization import RepresentationParams, make_phi
 from calogero.nonexistence import count_zeros
 from calogero.params import Couplings, reduce
@@ -134,6 +134,22 @@ class TestPlumbing:
         monkeypatch.setattr(nonexistence, "_PHASE_CAP", nonexistence._PHASE_CAP / 10.0)
         fine = count_zeros(Couplings(-0.5, 0.0), 0.0, (1e-8, 1e-2))
         assert fine.observed_zeros == base.observed_zeros
+
+    @pytest.mark.parametrize("g1, g2", [(-1e300, 1.0), (0.0, -1e300), (-1e8, 1.0)])
+    def test_phase_past_the_segment_budget_is_refused(self, g1, g2):
+        # -1e300 asks for 3.5e151 segments (or an infinite phase outward);
+        # -1e8 for 3.5e5, a few times the budget
+        interval = (1e-8, 1e-2) if g1 < -0.25 else (10.0, 20.0)
+        with pytest.raises(ConvergenceError, match="segments"):
+            count_zeros(Couplings(g1, g2), 0.0, interval)
+
+    def test_budget_covers_the_phase_it_names(self, monkeypatch):
+        # 18 segments are needed at g1 = -1/2 over (1e-8, 1e-2)
+        monkeypatch.setattr(nonexistence, "_MAX_SEGMENTS", 18)
+        assert count_zeros(Couplings(-0.5, 0.0), 0.0, (1e-8, 1e-2)).observed_zeros == 2
+        monkeypatch.setattr(nonexistence, "_MAX_SEGMENTS", 17)
+        with pytest.raises(ConvergenceError, match="more than 17 segments"):
+            count_zeros(Couplings(-0.5, 0.0), 0.0, (1e-8, 1e-2))
 
     def test_rejects_bad_interval(self):
         with pytest.raises(DomainError, match="x_lo"):

@@ -332,11 +332,31 @@ class TestRefusals:
 
     def test_levels_past_the_window_are_refused(self):
         # the right boundary data assume the turning point sits inside
-        # x_max = 8 / ups; past e ~ 64 the count stops at level 15
+        # x_max = 8 / ups; the rung of level 15, e = 63, turns 0.06 / ups
+        # before it (the count used to stop there, after 15 solves)
         rp = reduce(0.0, 1.0)
         ext = extension_for(rp, nu=None, friedrichs=True)
-        with pytest.raises(ConvergenceError, match="found 15 of 16 eigenvalues"):
+        with pytest.raises(ConvergenceError, match=r"level 15 \(scaled >= 63\) .* widen x_max"):
             shoot_spectrum(rp, ext, 16)
+
+    @pytest.mark.parametrize("g1, ext_args, n", [(1e4, {}, 3), (0.0, {"nu": 1.0}, 13)])
+    def test_top_level_past_the_window_is_refused_before_any_solve(self, monkeypatch, g1, ext_args, n):
+        # kappa = 100: every unique-ladder level lies at 2(2n+1+kappa) >= 202
+        # (scaled), far past the (8 - 2)^2 = 36 the default window holds, and
+        # the refusal used to take a solve of the ground state first; at
+        # kappa = 1/2, nu = 1 level 12 lies above the pole at 47
+        calls = []
+        theta = oracle._theta
+
+        def counted(*args):
+            calls.append(args)
+            return theta(*args)
+
+        monkeypatch.setattr(oracle, "_theta", counted)
+        rp = reduce(g1, 1.0)
+        with pytest.raises(ConvergenceError, match=f"level {n - 1} .* widen x_max"):
+            shoot_spectrum(rp, extension_for(rp, **ext_args), n)
+        assert calls == []
 
     def test_scan_out_of_steps_is_refused(self, monkeypatch):
         # an unconverged energy is an error, not a result

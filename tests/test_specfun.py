@@ -192,6 +192,27 @@ class TestDigamma:
     def test_negative_nonintegers(self, z):
         assert digamma(z) == pytest.approx(float(scipy.special.digamma(z)), rel=1e-11, abs=0.0)
 
+    @given(
+        st.one_of(
+            st.floats(min_value=-1e6, max_value=-1e-300, **finite),
+            # within 1e-9 of a pole, on either side
+            st.tuples(st.integers(0, 10**6), st.floats(1e-15, 1e-9), st.sampled_from((-1.0, 1.0))).map(
+                lambda m_d_side: m_d_side[2] * m_d_side[1] - m_d_side[0]
+            ),
+        ).filter(lambda z: z < 0.0 and z != math.floor(z))
+    )
+    @settings(max_examples=300)
+    def test_reflection_matches_mpmath(self, z):
+        # psi(z) = psi(1-z) - pi cot(pi z): each term is good to a few ulps,
+        # so the error is a few ulps of |psi(z)| + |psi(1-z)|, which bounds
+        # both, plus the absolute error of psi(1-z) itself (a few ulps of the
+        # recurrence's partial sums, ~2.3); relative to psi(z) alone it
+        # grows near each zero of psi
+        with mpmath.workdps(40):
+            ref = mpmath.digamma(z)
+            scale = 1 + abs(ref) + abs(mpmath.digamma(1 - mpmath.mpf(z)))
+        assert abs(digamma(z) - float(ref)) <= 4e-15 * float(scale)
+
     def test_pole_raises(self):
         with pytest.raises(DomainError):
             digamma(-3.0)

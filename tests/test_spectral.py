@@ -382,6 +382,28 @@ class TestBoundarySolver:
             assert abs(e - ref) <= 4.0 * math.ulp(max(abs(ref), 1.0))
 
 
+class TestReflectedGammaRatio:
+    @given(
+        # kappa and t = alpha + n on a 2^-20 grid, so that alpha = t - n,
+        # alpha - kappa and 1 - alpha are exact floats for n <= 1e4, and the
+        # comparison sees the evaluation alone, not the rounding of its input
+        kappa=st.integers(1, 2**20 - 1).map(lambda i: i / 2**20),
+        n=st.integers(1, 10**4),
+        t=st.integers(1, 2**20 - 1).map(lambda i: i / 2**20),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_mpmath(self, kappa, n, t):
+        rp = rp_kappa(kappa)
+        alpha = t - n
+        w = alpha - 0.5 * (1.0 + kappa)
+        assert rp.kappa == kappa and rp.alpha_of(w) == alpha
+        got = spectral._gamma_ratio(rp, w, spectral._boundary_consts(rp)[0])
+        with mpmath.workdps(30):
+            k = mpmath.mpf(kappa)
+            ref = mpmath.gamma(1 - k) / mpmath.gamma(1 + k) * mpmath.gamma(alpha) * mpmath.rgamma(alpha - k)
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+
+
 class TestLaddersAndClosedForms:
     def test_friedrichs_ladder(self):
         rp = rp_kappa(0.5)
