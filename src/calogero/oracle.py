@@ -61,21 +61,49 @@ the left solution is a float-precision mix of the decaying and growing
 modes and Theta is a step.  Where the scan floor (below) lies under -16
 (scaled), the match point moves, once per call and for every level, to
 four decay lengths of the floor, 4 / (ups sqrt(-e_floor)); at -16 that
-is 1/ups.  An explicit ShootingConfig.x_match wins.
+is 1/ups.  An explicit ShootingConfig.x_match wins.  Theta is still a
+cliff there: it sits at -pi + b below the root and at +b above it, b a
+few hundredths, and rises by pi within about 0.5 ups^2 of the root at
+e = -349.  Near the origin such a state sees only g1/x^2, so it is
+sqrt(x) K_kappa(sqrt(-E) x); matching the small-x form of K_kappa to the
+boundary combination gives the estimate
+
+    e0 = -4 (-tan(nu) Gamma(1+kappa) / Gamma(1-kappa))^(1/kappa),   kappa > 0,
+    e0 = -4 exp(tan(nu) - 2 gamma),                                kappa = 0,
+
+3e-6 off at e0 = -350 and 1 % at -8 for kappa >= 0.4, 12 % at kappa = 0,
+e0 = -2.  The scan floor is the same asymptotics with a margin:
+ln(1 - tan nu) for ln(-tan nu), resp. tan nu + 2 gamma, and 8 more.
 
 Root hunt.  Each level is bracketed between evaluated energies on either
 side of n pi -- the floor below the ground state, the rung
 2 ups^2 (2n+1+kappa) + 0.2 ups^2 that every level n sits below, and the
-points of earlier solves -- and solved by a safeguarded Newton iteration
-on Theta: Newton steps from the latest point while each halves
-|Theta - n pi| and stays inside the bracket, else regula falsi with the
-Illinois halving of a retained end, or bisection once two steps in a row
-stall.  The scan tolerance needs only |Theta - n pi| <= 1e-4: the
-refinement starts from the Newton step off the scan's last point and runs
-the same iteration on Theta integrated at the refinement tolerance, with
-twice the Newton step while it has no bracket; regular levels take two
-evaluations there.  A solve that runs out of steps raises
-ConvergenceError.
+points of earlier solves -- and started from the end nearest to n pi.
+Before the rung two probes start each level near its root: a deep ground
+state's estimate e0 above, and for level n >= 1 one ladder spacing above
+the last level, E_{n-1} + 4 ups^2, which lies below the rung (for nu it
+is skipped where it does not clear the pole 2 ups^2 (2n-1+kappa) that
+level n lies above).  The solve is a safeguarded Newton iteration on
+Theta.  Newton's step from a shoulder of a cliff overshoots, so where it
+leaves the bracket or stalls the step is a secant on the lever
+
+    L(E) = sin(Theta - n pi) / sqrt(dTheta/dE),
+
+which is linear in E wherever tan(Theta) is a Moebius function of E:
+tan(Theta) = (alpha E + beta) / (gamma E + delta) gives dTheta/dE =
+(alpha delta - beta gamma) / R^2 and sin(Theta) = +-(alpha E + beta) / R.
+Across the cliff at e = -349, L's slope stays within 5 % over
+[-352.1, -346.7] while Theta rises by 3.1.  The secant runs through the
+bracket's ends, halving the L of an end kept on two steps in a row
+(Illinois); where an end lies pi or more from n pi, past which sin has
+lost the sign of Theta - n pi, the step bisects instead.  Two steps that
+fail to halve |Theta - n pi|, with no Newton step between them that did,
+turn the rest into bisection.  The scan tolerance needs
+only |Theta - n pi| <= 1e-4: the refinement starts from the Newton step
+off the scan's last point and runs the same iteration on Theta
+integrated at the refinement tolerance, with twice the Newton step while
+it has no bracket; regular levels take two evaluations there.  A solve
+that runs out of steps raises ConvergenceError.
 
 The residual returned is |sin(Theta - n pi)| at the returned energy:
 sin(phi_L - phi_R) is the Wronskian at the match point normalized by the
@@ -325,6 +353,15 @@ def _scan_floor(rp: ReducedParams, ext: Extension) -> float:
     return -4.0 * math.exp(ln_r) - 8.0
 
 
+def _ground_estimate(rp: ReducedParams, ext: Extension) -> float:
+    """Scaled estimate of a ground state below a deep scan floor (see the
+    module docstring)."""
+    k, t = rp.kappa, math.tan(ext.nu)
+    if k > 0.0:
+        return -4.0 * math.exp((math.log(-t) + math.lgamma(1.0 + k) - math.lgamma(1.0 - k)) / k)
+    return -4.0 * math.exp(t - 2.0 * _EULER_GAMMA)
+
+
 def shoot_spectrum(
     rp: ReducedParams,
     ext: Extension,
@@ -352,7 +389,8 @@ def shoot_spectrum(
         _check_decay_room(rp, cfg, n_top, 2.0 * (2 * n_top - 1 + rp.kappa), "> ")
     ups2 = rp.energy_scale()
     e_lo = _scan_floor(rp, ext)
-    if cfg.x_match is None and e_lo < _DEEP_FLOOR:
+    deep = e_lo < _DEEP_FLOOR
+    if cfg.x_match is None and deep:
         # four decay lengths 1/sqrt(-E) of the deepest ground state in reach
         cfg = replace(cfg, x_match=4.0 / (rp.upsilon * math.sqrt(-e_lo)))
 
@@ -367,10 +405,18 @@ def shoot_spectrum(
         return _theta(rp, ext, E, cfg, _REFINE_TOL)
 
     theta(e_lo * ups2)
+    if deep:  # a start next to the cliff
+        theta(_ground_estimate(rp, ext) * ups2)
     roots: list[float] = []
     resids: list[float] = []
     for n in range(n_max):
         target = n * math.pi
+        if n and all(t <= target for _, t, _ in known):
+            # one ladder spacing above the last level, below the rung; for nu
+            # only where it clears the pole 2(2n-1+kappa) below level n
+            probe = roots[-1] + 4.0 * ups2
+            if ext.is_ladder or probe > 2.0 * (2 * n - 1 + rp.kappa) * ups2:
+                theta(probe)
         if all(t <= target for _, t, _ in known):
             # every level sits below its rung 2(2n+1+kappa), the ladders on it
             e_top = 2.0 * (2 * n + 1 + rp.kappa) + 0.2
@@ -389,7 +435,7 @@ def shoot_spectrum(
         lo = max(below)
         hi = min(p for p in known if p[1] > target)
         start = min(lo, hi, key=lambda p: abs(p[1] - target))
-        E, miss, slope = _solve(theta, target, *start, lo[:2], hi[:2], *_SCAN_STOP)
+        E, miss, slope = _solve(theta, target, *start, lo, hi, *_SCAN_STOP)
         if abs(miss) <= _SCAN_STOP[0]:  # not stopped by the bracket width
             E -= miss / slope
         root, miss, _ = _solve(fine, target, E, *fine(E), None, None, *_REFINE_STOP)
@@ -427,54 +473,80 @@ def _solve(theta, target, E, t, slope, lo, hi, tol, width) -> tuple[float, float
     where theta = t with derivative slope; returns E, theta - target and
     the slope of the last evaluation.
 
-    lo and hi are (E, theta) with theta(lo) <= target < theta(hi), or None
-    while that side is unknown.  Each step is Newton's from the latest point
-    while the last step halved |theta - target| and the Newton point lies
-    inside the bracket.  Otherwise it is regula falsi on the bracket,
-    halving the value at an end kept on two steps in a row (Illinois), or
-    bisection once two steps in a row fail to halve |theta - target|; while
-    one side is still unknown, it is twice the Newton step.
+    lo and hi are (E, theta, slope) with theta(lo) <= target < theta(hi),
+    or None while that side is unknown.  Each step is Newton's from the
+    latest point while the last step halved |theta - target| and the Newton
+    point lies inside the bracket.  Otherwise it is a secant step through
+    the bracket's ends on the lever L = sin(theta - target) / sqrt(slope)
+    (module docstring), halving the L of an end kept on two steps in a row
+    (Illinois); it is bisection where an end lies pi or more from the
+    target, and once two steps have failed to halve |theta - target| since
+    the last Newton step that did.  While one side is still unknown, it is
+    twice the Newton step.
     Ends at |theta - target| <= tol or a bracket of width * (1 + |E|).
     """
-    a, fa = (lo[0], lo[1] - target) if lo else (-math.inf, -math.inf)
-    b, fb = (hi[0], hi[1] - target) if hi else (math.inf, math.inf)
+    a, la = _end(lo, target, -math.inf)
+    b, lb = _end(hi, target, math.inf)
     f = t - target
+    lever = _lever(f, slope)
     if f > 0.0:
-        b, fb = E, f
+        b, lb = E, lever
     else:
-        a, fa = E, f
+        a, la = E, lever
     side = 0
     stalls = 0
+    halved = True
     for _ in range(_SOLVE_MAX_STEPS):
         if abs(f) <= tol or b - a <= width * (1.0 + abs(E)):
             return E, f, slope
         x = E - f / slope
-        if stalls or not a < x < b:
+        newton = halved and a < x < b
+        if not newton:
             if math.isinf(b - a):
                 x = 2.0 * x - E
-            elif stalls < 2:
-                x = b - fb * (b - a) / (fb - fa)
+            elif stalls >= 2 or la is None or lb is None or la == lb:
+                x = 0.5 * (a + b)
             else:
-                x = 0.5 * (a + b)
-            if not a < x < b:  # rounding on a collapsed bracket
-                x = 0.5 * (a + b)
+                x = b - lb * (b - a) / (lb - la)
+                if not a < x < b:  # rounding on a collapsed bracket
+                    x = 0.5 * (a + b)
         t, slope = theta(x)
-        stalls = stalls + 1 if abs(t - target) > 0.5 * abs(f) else 0
+        halved = abs(t - target) <= 0.5 * abs(f)
+        if not halved:
+            stalls += 1
+        elif newton:
+            stalls = 0
         E, f = x, t - target
+        lever = _lever(f, slope)
         if f > 0.0:
-            b, fb = E, f
-            if side == 1:
-                fa *= 0.5
+            b, lb = E, lever
+            if side == 1 and la is not None:
+                la *= 0.5
             side = 1
         else:
-            a, fa = E, f
-            if side == -1:
-                fb *= 0.5
+            a, la = E, lever
+            if side == -1 and lb is not None:
+                lb *= 0.5
             side = -1
     raise ConvergenceError(
         f"shoot_spectrum: theta - {target / math.pi:.0f} pi is still {f:.3g} "
         f"at E = {E:.6g}, bracket ({a:.6g}, {b:.6g})"
     )
+
+
+def _lever(f: float, slope: float) -> float | None:
+    """L = sin(f) / sqrt(slope) at theta - target = f, or None where
+    |f| >= pi and L no longer carries the sign of f."""
+    if abs(f) < math.pi and slope > 0.0:
+        return math.sin(f) / math.sqrt(slope)
+    return None
+
+
+def _end(point, target, missing) -> tuple[float, float | None]:
+    """(E, L) of a bracket end (E, theta, slope), or (missing, None)."""
+    if point is None:
+        return missing, None
+    return point[0], _lever(point[1] - target, point[2])
 
 
 # ---------------------------------------------------------------------------

@@ -134,13 +134,20 @@ def integrate(
     last = u  # the last non-zero u, so a step landing on 0 hides no crossing
     u2 = 0.0
 
-    while (x1 - x) * direction > 0.0:
+    # the builtins min, max and abs are spelled out below as comparisons
+    # that keep their argument order, and so their NaN, tie and signed-zero
+    # results wherever those reach the state
+    while True:
+        rest = (x1 - x) * direction  # |x1 - x| exactly while positive
+        if not rest > 0.0:
+            break
         if n_steps + n_rejected >= max_steps:
             raise ConvergenceError(
                 f"integrate: {max_steps} steps exhausted at x = {x:.6g} "
                 f"(target {x1:.6g})"
             )
-        h = min(h, abs(x1 - x))
+        if rest < h:  # h = min(h, |x1 - x|)
+            h = rest
         hs = h * direction
 
         ku1, kv1 = f(x, (u, v))
@@ -187,28 +194,31 @@ def integrate(
         err_u = 0.0 + e1 * ku1 + e2 * ku2 + e3 * ku3 + e4 * ku4 + e5 * ku5 + e6 * ku6
         err_v = 0.0 + e1 * kv1 + e2 * kv2 + e3 * kv3 + e4 * kv4 + e5 * kv5 + e6 * kv6
 
-        # relative error norm; the floor guards tiny and crossing components.
-        # The comparisons are max(norm, |err| / (rel_tol * max(|y|, |y_new|,
-        # 1e-290))) over component 0 then 1, spelled out with the builtin's
-        # argument order (and so its NaN and tie behaviour) but no calls.
-        scale = abs(u)
-        if abs(u_new) > scale:
-            scale = abs(u_new)
+        # relative error norm; the floor guards tiny and crossing components:
+        # max(norm, |err| / (rel_tol * max(|y|, |y_new|, 1e-290))) over
+        # component 0 then 1.  A zero's sign here only meets comparisons.
+        scale = -u if u < 0.0 else u
+        mag = -u_new if u_new < 0.0 else u_new
+        if mag > scale:
+            scale = mag
         if 1e-290 > scale:
             scale = 1e-290
-        ratio = abs(err_u) / (rel_tol * scale)
+        ratio = (-err_u if err_u < 0.0 else err_u) / (rel_tol * scale)
         norm = ratio if ratio > 0.0 else 0.0
-        scale = abs(v)
-        if abs(v_new) > scale:
-            scale = abs(v_new)
+        scale = -v if v < 0.0 else v
+        mag = -v_new if v_new < 0.0 else v_new
+        if mag > scale:
+            scale = mag
         if 1e-290 > scale:
             scale = 1e-290
-        ratio = abs(err_v) / (rel_tol * scale)
+        ratio = (-err_v if err_v < 0.0 else err_v) / (rel_tol * scale)
         if ratio > norm:
             norm = ratio
 
         if norm <= 1.0 or h <= h_floor:
-            x = x1 if abs(x1 - (x + hs)) < x_snap else x + hs
+            x += hs
+            if -x_snap < x1 - x < x_snap:
+                x = x1
             # Simpson's rule on u^2, with u at the midpoint from the cubic
             # Hermite interpolant of both ends' (u, u')
             um = 0.5 * (u + u_new) + 0.125 * hs * (v - v_new)
@@ -219,7 +229,11 @@ def integrate(
                 sign_changes += 1
             if u != 0.0:
                 last = u
-            big = max(abs(u), abs(v))
+            # big = max(|u|, |v|), which is only used once past the threshold
+            big = -u if u < 0.0 else u
+            mag = -v if v < 0.0 else v
+            if mag > big:
+                big = mag
             if big > threshold:
                 log_scale += math.log(big)
                 u, v = u / big, v / big
@@ -227,7 +241,7 @@ def integrate(
         else:
             n_rejected += 1
 
-        # h *= min(5.0, max(0.2, grow)), likewise spelled out
+        # h *= min(5.0, max(0.2, grow))
         grow = 0.9 * norm ** -0.2 if norm > 0.0 else 5.0
         if not grow > 0.2:
             grow = 0.2

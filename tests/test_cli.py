@@ -115,9 +115,11 @@ class TestSpectrum:
         # each ground rung 2(1 + kappa) turns less than 2/ups inside the
         # default window, so the CLI refuses before any solve; a window that
         # holds the rung reaches the float64 limits: the right data
-        # e^(ln chi) overflow (2e4, 3e4), the left power (ups x_min)^(1/2 +
+        # e^(ln chi) overflow (3e4), the left power (ups x_min)^(1/2 +
         # kappa) underflows to 0 (4e4, 1e6), the right start clamped at
-        # 1e-300 ends near 1e-204, whose square is 0 (532 at g2 = 7)
+        # 1e-300 ends near 1e-204, whose square is 0 (532 at g2 = 7).  At 2e4
+        # theta is a float-precision step whose bracket closes on the ladder
+        # level 2(1 + kappa) before any evaluation overflows
         from calogero.errors import ConvergenceError
         from calogero.oracle import ShootingConfig, shoot_spectrum
         from calogero.params import reduce
@@ -130,8 +132,12 @@ class TestSpectrum:
         assert "level 0 (scaled >= " in err and "Traceback" not in err
         rp = reduce(float(g1), float(g2))
         wide = ShootingConfig(x_max=(math.sqrt(2.0 * (1.0 + rp.kappa)) + 2.5) / rp.upsilon)
-        with pytest.raises(ConvergenceError, match="float64 range"):
-            shoot_spectrum(rp, extension_for(rp), 1, wide)
+        if g1 == "2e4":
+            got = shoot_spectrum(rp, extension_for(rp), 1, wide).energies[0]
+            assert got == pytest.approx(2.0 * (1.0 + rp.kappa) * rp.energy_scale(), rel=1e-11, abs=0.0)
+        else:
+            with pytest.raises(ConvergenceError, match="float64 range"):
+                shoot_spectrum(rp, extension_for(rp), 1, wide)
 
     def test_csv_format(self, capsys):
         code, out, _ = run(

@@ -237,6 +237,18 @@ DEEP = {
 }
 
 
+# deep ground states the old step rule was slow on: (g1, g2, nu, pinned
+# energies); the kappa = 0.466 cell is a benchmark draw (E0 = -98.6)
+CLIFFS = {
+    "kappa-0.3": (-0.16, 1.0, -1.3, ("-0x1.4efc53952795ep+6", "0x1.89aa708a37e24p+1")),
+    "kappa-0.466": (
+        -0.032835996078904306, 133.97456812019843, -1.2134807836065487,
+        ("-0x1.8a4eb2ffc7818p+6", "0x1.5aa5481d73228p+5", "0x1.7168b70d2efc2p+6"),
+    ),
+    "kappa-0.742": (0.300564, 57.6, -1.5613, ("-0x1.4b0a336a8152bp+11", "0x1.aabc77ae6793bp+4")),
+}
+
+
 class TestDeepGroundStates:
     @pytest.mark.parametrize("name", sorted(DEEP))
     def test_ground_state_matches_spectrum(self, name):
@@ -264,6 +276,29 @@ class TestDeepGroundStates:
         rp = reduce(g1, g2)
         shoot_spectrum(rp, extension_for(rp, nu=nu), 2)
         assert calls[0] <= 100
+
+    @pytest.mark.parametrize("name", sorted(CLIFFS))
+    def test_matching_angle_budget(self, monkeypatch, name):
+        # Theta evaluations at the scan tolerance before the ground state's
+        # refinement starts: floor, estimate, rung and the solve.  The energies
+        # are pinned from the regula-falsi iteration the lever secant replaced,
+        # which spent 12, 36 and 20 scan evaluations on these ground states
+        g1, g2, nu, pins = CLIFFS[name]
+        tols = []
+        real = oracle._theta
+
+        def counting(rp_, ext_, E, cfg, tol):
+            tols.append(tol)
+            return real(rp_, ext_, E, cfg, tol)
+
+        monkeypatch.setattr(oracle, "_theta", counting)
+        rp = reduce(g1, g2)
+        got = shoot_spectrum(rp, extension_for(rp, nu=nu), len(pins))
+        ground_scan = tols.index(oracle._REFINE_TOL)
+        assert ground_scan <= 7
+        assert len(tols) <= 8 * len(pins)
+        for e, pin in zip(got.energies, pins):
+            assert e == pytest.approx(float.fromhex(pin), rel=1e-13, abs=0.0)
 
     def test_explicit_match_point_wins(self):
         g1, g2, nu = DEEP["kappa-0.3"]
@@ -317,8 +352,34 @@ class TestSolve:
         def theta(E):
             return (0.5 if E > 1.0 else -0.5), 1e-3
 
-        E, _, _ = oracle._solve(theta, 0.0, 0.0, *theta(0.0), (0.0, -0.5), (3.0, 0.5), 1e-8, 1e-6)
+        lo, hi = (0.0, *theta(0.0)), (3.0, *theta(3.0))
+        E, _, _ = oracle._solve(theta, 0.0, 0.0, *theta(0.0), lo, hi, 1e-8, 1e-6)
         assert abs(E - 1.0) <= 2e-6
+
+    @pytest.mark.parametrize("target_n", [0, 2])
+    @pytest.mark.parametrize("below, above", [(12.0, 8.0), (200.0, 350.0)])
+    def test_a_cliff_from_its_shallow_side(self, target_n, below, above):
+        # a deep ground state's angle: -pi + b below e_c, +b above it, and a
+        # rise by pi over about 1/c.  tan(theta) is a Moebius function of E,
+        # so the lever sin(theta - n pi) / sqrt(slope) is a straight line.
+        # From the flat upper shoulder Newton leaves the bracket; a regula
+        # falsi on theta took 12 evaluations on the narrow bracket and ran
+        # out of its 100 steps on the wide one
+        b, c, e_c = 0.04, 200.0, -350.0
+        calls = []
+
+        def theta(E):
+            calls.append(E)
+            z = c * (E - e_c)
+            return target_n * math.pi + b - 0.5 * math.pi + math.atan(z), c / (1.0 + z * z)
+
+        root = e_c + math.tan(0.5 * math.pi - b) / c
+        lo, hi = (e_c - below, *theta(e_c - below)), (e_c + above, *theta(e_c + above))
+        calls.clear()
+        E, miss, _ = oracle._solve(theta, target_n * math.pi, *hi, lo, hi, 1e-13, 1e-15)
+        assert abs(miss) <= 1e-13
+        assert E == pytest.approx(root, rel=1e-14, abs=0.0)
+        assert len(calls) <= 3
 
 
 class TestRefusals:

@@ -184,19 +184,30 @@ def test_pinned_shooting_spectrum(monkeypatch):
     spec = oracle.shoot_spectrum(rp, extension_for(rp, nu=1.0), 5)
     assert [e.hex() for e in spec.energies] == [
         "0x1.03b03babc0683p+1",
+        "0x1.6ebc838c467f9p+2",
+        "0x1.32f0ce2c9e6ccp+3",
+        "0x1.b04f4b46d8923p+3",
+        "0x1.17438504c8ebcp+4",
+    ]
+    assert [r.hex() for r in spec.mismatch_residuals] == [
+        "0x1.0000000000000p-50",
+        "0x1.0000000000000p-51",
+        "0x1.0000000000000p-47",
+        "0x1.0000000000000p-49",
+        "0x1.0000000000000p-48",
+    ]
+    assert tally == [52, 9569, 301]
+    # the pins from before levels n >= 1 started one ladder spacing above
+    # level n - 1 ([64, 10601, 413] RK45 work then)
+    earlier = [
+        "0x1.03b03babc0683p+1",
         "0x1.6ebc838c467fbp+2",
         "0x1.32f0ce2c9e6c9p+3",
         "0x1.b04f4b46d8928p+3",
         "0x1.17438504c8ec0p+4",
     ]
-    assert [r.hex() for r in spec.mismatch_residuals] == [
-        "0x1.0000000000000p-50",
-        "0x1.0000000000000p-51",
-        "0x1.0000000000000p-50",
-        "0x1.6000000000000p-45",
-        "0x1.0000000000000p-48",
-    ]
-    assert tally == [64, 10601, 413]
+    for e, pin in zip(spec.energies, earlier):
+        assert e == pytest.approx(float.fromhex(pin), rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
