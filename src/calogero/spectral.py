@@ -36,8 +36,11 @@ slowly varying factor times cos(pi k) - sin(pi k) cot(pi t), with
 alpha = t - n, or psi(1 + n - t) - pi cot(pi t) at kappa = 0; freezing the
 factor inverts it for t in closed form, and a few such steps give an
 estimate of the level (`_level_estimate`).  Two evaluations around the
-estimate usually bracket the root; the bracket widens toward the gap's
-ends when they do not.
+estimate usually bracket the root; when they do not, the bracket widens
+toward the gap's ends, halving its way toward an end it would pass, so a
+root next to its pole costs a few more evaluations, not a walk across the
+gap.  `solve_w` is the same search on the ground gap, with the target
+shifted by tan mu.
 """
 
 from __future__ import annotations
@@ -268,8 +271,11 @@ def solve_w(mu: float, nu: float, rp: ReducedParams) -> float:
 
     Unique because the boundary function F is increasing in w and sweeps
     all of R, and tan theta is tan mu - F (kappa > 0) or F - tan mu
-    (kappa = 0).  `_brent` on an expanding bracket; the residual is
-    checked against 1e-10 * (1 + |tan nu|) before returning.
+    (kappa = 0).  With e = -4w, F(-e/4) = target is the ground gap's
+    boundary equation, so this is the ground level's root search in
+    `spectrum` with the target shifted by tan mu; at mu = 0 it returns
+    -e0/4 of the scaled ground level bit for bit.  The residual is checked against
+    1e-10 * (1 + |tan nu|) before returning.
     """
     if rp.kappa >= 1.0:
         raise DomainError(f"solve_w: kappa={rp.kappa} >= 1 has no extension family")
@@ -281,25 +287,8 @@ def solve_w(mu: float, nu: float, rp: ReducedParams) -> float:
     tmu = math.tan(mu)
     target = tmu - tnu if rp.kappa > 0.0 else tnu + tmu
     c, skew = _boundary_consts(rp)
-
-    def f(w: float) -> float:
-        return _boundary_F(rp, w, c, skew) - target
-
-    # f is increasing from -inf at the floor; expand the right edge until
-    # positive, keeping the last nonpositive edge as the left one
-    lo, f_lo = rp.w0 + 1e-13, None
-    hi = rp.w0 + 1.0
-    f_hi = f(hi)
-    while f_hi <= 0.0:
-        if hi > 1e280:
-            raise ConvergenceError(f"solve_w: no sign change for mu={mu}, nu={nu}")
-        lo, f_lo = hi, f_hi
-        hi = rp.w0 + 2.0 * (hi - rp.w0)
-        f_hi = f(hi)
-    if f_lo is None:
-        f_lo = f(lo)
-    # a root below w0 + 1e-13 leaves lo itself to the residual check
-    w = _brent(f, hi, f_hi, lo, f_lo)[0] if f_lo <= 0.0 else lo
+    e = _root_in_gap(rp, target, 0, _lowest_gap_floor(rp, target, c), _pole(rp, 0), c, skew)[0]
+    w = -0.25 * e
     resid = abs(math.tan(theta_of(mu, w, rp)) - tnu)
     if resid > 1e-10 * (1.0 + abs(tnu)):
         raise ConvergenceError(f"solve_w: residual {resid:.2e} too large at mu={mu}, nu={nu}")
@@ -436,72 +425,58 @@ def _root_in_gap(
 
     The search starts at the level's own estimate (`_level_estimate`) and
     evaluates e +- h, h its last correction; while both values have one
-    sign it widens h 64-fold toward the nudged end on the root's side,
-    keeping the nearer point as the other end, then `_brent` starts from
-    the two values of the sign change.  Every pair of points evaluated
-    must confirm the decreasing sweep.  Returns (root, residual).
-    Endpoint nudges are relative to each endpoint separately: the gap
-    ends can differ by many orders of magnitude when nu sits near +-pi/2.
+    sign it widens h 64-fold on the root's side, keeping the nearer point
+    as the other end, then `_brent` starts from the two values of the sign
+    change.  A probe that would reach an end of the gap (a pole, or the
+    ground floor) goes halfway from the last point on that side to the end
+    instead: a root next to its pole costs a few halvings, and no end is
+    ever evaluated.  Every pair of points evaluated must confirm the
+    decreasing sweep.  Returns (root, residual).
+
+    Within a few ulps of kappa = 1 the pole at lo and the zero of F above
+    it round to one float, which is then the root; any other gap without a
+    sign change is refused.
     """
-    a = lo + 1e-7 * max(1.0, abs(lo)) / 3.0
-    b = hi - 1e-7 * max(1.0, abs(hi)) / 3.0
 
     def g(e: float) -> float:
-        try:
-            return _boundary_F(rp, -0.25 * e, c, skew) - target
-        except DomainError:  # landed on an exact gamma pole; step off it
-            return _boundary_F(rp, -0.25 * math.nextafter(e, b), c, skew) - target
+        return _boundary_F(rp, -0.25 * e, c, skew) - target
+
+    def inward(x: float, end: float, d: float) -> float:
+        # est + d, or halfway from x to the end once est + d would reach it;
+        # x itself when no float lies between x and the end
+        y = est + d
+        if not (y < end if d > 0.0 else y > end):
+            y = 0.5 * (x + end)
+        return y if (x < y < end or end < y < x) else x
 
     noise = 1e-9 * (1.0 + abs(target))
     est, h = _level_estimate(rp, target, n, c)
-    bracket = None
-    if a < est < b:
-        h = max(h, 4.0 * math.ulp(est))
-        p, q = max(a, est - h), min(b, est + h)
-        gp, gq = g(p), g(q)
-        while True:
-            if gq > gp + noise:
-                # a genuine rise would break the one-root-per-gap argument;
-                # refuse rather than guess (sub-noise wiggles at the root are fine)
-                raise ConvergenceError(
-                    f"spectral scan not decreasing on ({lo:.6g}, {hi:.6g}) near e={p:.6g}"
-                )
-            if gp > 0.0 >= gq:
-                bracket = (p, gp, q, gq)
-                break
-            h *= 64.0
-            if gq > 0.0 and q < b:
-                p, gp = q, gq
-                q = min(b, est + h)
-                gq = g(q)
-            elif gp <= 0.0 and p > a:
-                q, gq = p, gp
-                p = max(a, est - h)
-                gp = g(p)
-            else:
-                break
-    if bracket is None:
-        # the estimate fell outside the nudged ends, or the sign change is
-        # not inside them: the crossing hugs an endpoint, maybe closer to
-        # its pole than the nudge.  Walk each nudged end toward its pole,
-        # halving the distance, until g takes the sign it has on that side
-        # of the root
-        ga, gb = g(a), g(b)
-        while gb > 0.0 and b < 0.5 * (b + hi) < hi:
-            b = 0.5 * (b + hi)
-            gb = g(b)
-        while ga <= 0.0 and lo < 0.5 * (a + lo) < a:
-            a = 0.5 * (a + lo)
-            ga = g(a)
-        if ga <= 0.0 and gb <= 0.0:
-            # no sign change even next to lo: kappa within ulps of 1 rounds the
-            # pole at lo and the zero above it to one float, which is the
-            # root; its residual is the smaller |g| of that one-ulp bracket
-            return lo, min(abs(g(lo)), abs(ga))
-        bracket = (a, ga, b, gb) if ga > 0.0 >= gb else None
-    if bracket is None:
-        raise ConvergenceError(f"no eigenvalue bracket inside gap ({lo:.6g}, {hi:.6g})")
-    root, resid = _brent(g, *bracket)
+    est = min(max(est, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+    h = max(h, 4.0 * math.ulp(est))
+    p, q = inward(est, lo, -h), inward(est, hi, h)
+    gp, gq = g(p), g(q)
+    while not gp > 0.0 >= gq:
+        # a genuine rise would break the one-root-per-gap argument; refuse
+        # rather than guess (sub-noise wiggles at the root are fine)
+        rise = gq > gp + noise
+        h *= 64.0
+        if not rise and gq > 0.0 and (up := inward(q, hi, h)) != q:
+            p, gp, q = q, gq, up
+            gq = g(q)
+        elif not rise and gp <= 0.0 and (down := inward(p, lo, -h)) != p:
+            q, gq, p = p, gp, down
+            gp = g(p)
+        elif n >= 1 and abs(2.0 * (2 * n + 1 - rp.kappa) - lo) <= 8.0 * math.ulp(lo):
+            # the zero of F above the pole at lo rounds onto it: that float
+            # is the root, its residual the smaller |g| of the one-ulp bracket
+            return lo, min(abs(g(lo)), abs(gp))
+        elif rise:
+            raise ConvergenceError(
+                f"spectral scan not decreasing on ({lo:.6g}, {hi:.6g}) near e={p:.6g}"
+            )
+        else:
+            raise ConvergenceError(f"no eigenvalue bracket inside gap ({lo:.6g}, {hi:.6g})")
+    root, resid = _brent(g, p, gp, q, gq)
     return root, abs(resid)
 
 

@@ -128,6 +128,33 @@ class TestSolveW:
             math.tan(nu), rel=1e-8, abs=1e-8
         )
 
+    @given(
+        kappa=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        # inside the 1e-6 window that snaps to Friedrichs
+        nu=st.floats(-HALF_PI + 2e-6, HALF_PI - 2e-6),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_optimum_is_the_ground_level(self, kappa, nu):
+        # the optimum representation mu = 0 fixes the ground state,
+        # E0 = -4 ups^2 w(0, nu): solve_w runs the ground level's own search
+        rp = rp_kappa(kappa)
+        if nu == 0.0 and rp.kappa > 0.0:
+            return  # spectrum takes the closed form there
+        try:
+            res = spectrum(rp, extension_for(rp, nu=nu), 1, scaled=True)
+        except ConvergenceError as exc:
+            assert "float64" in str(exc)
+            with pytest.raises(ConvergenceError, match="float64"):
+                solve_w(0.0, nu, rp)
+            return
+        if res.residuals[0] > 1e-10 * (1.0 + abs(math.tan(nu))):
+            # within ulps of kappa = 1 alpha_of rounds the ground root off;
+            # solve_w checks the same residual and refuses it
+            with pytest.raises(ConvergenceError, match="residual"):
+                solve_w(0.0, nu, rp)
+            return
+        assert solve_w(0.0, nu, rp) == -0.25 * res.energies[0]
+
     @given(kappa=st.floats(0.05, 0.9), w=st.floats(-0.3, 6.0))
     @settings(max_examples=60, deadline=None)
     def test_theta_in_range(self, kappa, w):
@@ -238,8 +265,8 @@ class TestSpectrumFrozen:
 
     def test_root_hugging_the_upper_pole(self):
         # kappa ~ 1.7e-4 puts each gap's zero and pole 4 kappa apart; at nu
-        # near pi/2 level 8 sits 1.04e-6 below its pole, closer than the
-        # 1e-7 relative endpoint nudge, and must still be found
+        # near pi/2 level 8 sits 1.04e-6 below its pole, 3.1e-8 of its
+        # value, and must still be found
         import mpmath as mp
 
         rp = reduce(-0.24999997, 1.0)
@@ -282,13 +309,24 @@ class TestGapRefusals:
         with pytest.raises(ConvergenceError, match="spectral scan not decreasing"):
             spectrum(rp, extension_for(rp, nu=1.0), 1)
 
-    def test_missing_sign_change_is_refused(self, monkeypatch):
-        # constant: no rise, and no sign change even after the walks
-        # toward the poles
-        monkeypatch.setattr(spectral, "_boundary_F", lambda rp, w, *consts: 1e3)
+    @pytest.mark.parametrize(
+        "boundary_F",
+        [
+            # constants: no rise, and no sign change even after halving toward
+            # the ground gap's floor or its pole
+            lambda rp, w, *consts: 1e3,
+            lambda rp, w, *consts: -1e3,
+            # a ground root at e = 2, then no sign change in the first
+            # excited gap, whose lower pole is no zero of F
+            lambda rp, w, *consts: w + 0.5 - math.tan(1.0) if w > rp.w0 else -1e3,
+        ],
+        ids=["above", "below", "excited-gap"],
+    )
+    def test_missing_sign_change_is_refused(self, monkeypatch, boundary_F):
+        monkeypatch.setattr(spectral, "_boundary_F", boundary_F)
         rp = rp_kappa(0.5)
         with pytest.raises(ConvergenceError, match="no eigenvalue bracket inside gap"):
-            spectrum(rp, extension_for(rp, nu=1.0), 1)
+            spectrum(rp, extension_for(rp, nu=1.0), 3)
 
 
 def _mp_boundary_root(kappa, nu, e):

@@ -2,20 +2,23 @@
 
 `spectrum`, `solve_w` and `theta_of` evaluate one boundary function of the
 shift w, with its kappa-only constant and fault skew built once per call,
-and find every root with one Brent-Dekker solver; `spectrum` starts it on
-a bracket around each level's own estimate.  The values below are exact
-(`float.hex`) results of that solver; a rearrangement of the boundary
-function, of the estimate or of the solver that keeps its arithmetic may
-not move a single bit, and one that does must say so.  `theta_of` makes no root
+and find every root with one Brent-Dekker solver, started on a bracket
+around each level's own estimate; `solve_w` is the ground level's search.
+The values below are exact (`float.hex`) results of that solver; a
+rearrangement of the boundary function, of the estimate or of the solver
+that keeps its arithmetic may not move a single bit, and one that does
+must say so.  `theta_of` makes no root
 search, so its pins guard the boundary function's arithmetic alone.  A
 spectrum pins its ground and 50th level and a digest of the `float.hex`
 strings of all 50 energies followed by all 50 residuals.  The solver's
 cost on these cells is bounded too, as a mean number of boundary-function
-evaluations per root, and so is the cost of small-kappa ground states.
+evaluations per root, and so is the cost of small-kappa ground states, of
+roots next to their poles and of `solve_w`.
 """
 
 import contextvars
 import hashlib
+import math
 
 import pytest
 
@@ -72,17 +75,17 @@ SKEWED = {
 # (kappa, mu, nu): w
 SOLVE_W = {
     (0.25, 0.0, 0.0): '-0x1.8000000000001p-2',
-    (0.25, 0.3, -0.4): '-0x1.2d94667450a5bp-4',
+    (0.25, 0.3, -0.4): '-0x1.2d94667450a58p-4',
     (0.25, 1.2, 1.3): '-0x1.f7b942d98a2efp-2',
     (0.25, 0.7, -1.5): '0x1.d27aca726e9c2p+13',
-    (0.5, 0.0, 0.0): '-0x1.ffffffffffffep-3',
-    (0.5, 0.3, -0.4): '0x1.ba031d981c25bp-6',
+    (0.5, 0.0, 0.0): '-0x1.fffffffffffffp-3',
+    (0.5, 0.3, -0.4): '0x1.ba031d981c287p-6',
     (0.5, 1.2, 1.3): '-0x1.cd149593b4dfep-2',
-    (0.5, 0.7, -1.5): '0x1.be9fd60351fc2p+5',
-    (0.75, 0.0, 0.0): '-0x1.fffffffffffffp-4',
-    (0.75, 0.3, -0.4): '0x1.363ddabf92a0cp-5',
-    (0.75, 1.2, 1.3): '-0x1.4220e9e9927bdp-2',
-    (0.75, 0.7, -1.5): '0x1.79bb4d9bdcfeap+2',
+    (0.5, 0.7, -1.5): '0x1.be9fd60351fc3p+5',
+    (0.75, 0.0, 0.0): '-0x1.ffffffffffffdp-4',
+    (0.75, 0.3, -0.4): '0x1.363ddabf92a11p-5',
+    (0.75, 1.2, 1.3): '-0x1.4220e9e9927bcp-2',
+    (0.75, 0.7, -1.5): '0x1.79bb4d9bdcfe9p+2',
 }
 
 # (kappa, mu, w): theta
@@ -140,6 +143,36 @@ def test_evaluations_per_root(monkeypatch):
     assert calls[0] / (50 * len(SPECTRA)) <= 6.0
 
 
+# (g1, nu, levels): roots within ~1e-6 of their poles, at kappa = 1 - 6e-15,
+# at nu 1e-5 from the kappa > 0 dive, and at kappa ~ 1.7e-4 next to the
+# Friedrichs end
+POLE_HUGGING = [
+    (0.749999999999988, 0.7376, 20),
+    (0.022**2 - 0.25, -0.5 * math.pi + 1e-5, 20),
+    (-0.24999997, 1.5693, 21),
+]
+
+
+@pytest.mark.parametrize("g1, nu, levels", POLE_HUGGING)
+def test_pole_hugging_evaluations_per_root(monkeypatch, g1, nu, levels):
+    # a root next to its pole is reached by halving toward the pole from
+    # its estimate (53.3, 16.4 and 15.2 per level when the search walked
+    # in from a nudged end instead)
+    calls = _counting_boundary_F(monkeypatch)
+    rp = reduce(g1, 1.0)
+    spectrum(rp, extension_for(rp, nu=nu), levels)
+    assert calls[0] / levels <= 8.0
+
+
+@pytest.mark.parametrize("kappa, mu, nu", sorted(SOLVE_W))
+def test_solve_w_evaluations(monkeypatch, kappa, mu, nu):
+    # the ground gap's search from its estimate, plus the residual check's
+    # one evaluation (up to 24 with a doubling bracket from the floor)
+    calls = _counting_boundary_F(monkeypatch)
+    solve_w(mu, nu, rp_kappa(kappa))
+    assert calls[0] <= 10
+
+
 @pytest.mark.parametrize("kappa", [0.001, 0.0033, 0.01, 0.02])
 @pytest.mark.parametrize("nu", [-1.5, -1.2, -0.898, -0.7, -0.5, -0.3, -0.1, 0.1, 0.5, 1.0, 1.5])
 def test_small_kappa_ground_state_evaluations(monkeypatch, kappa, nu):
@@ -154,3 +187,11 @@ def test_small_kappa_ground_state_evaluations(monkeypatch, kappa, nu):
         assert "float64" in str(exc) and calls[0] == 0
         return
     assert calls[0] <= 20
+
+
+def test_too_deep_solve_w_is_refused_before_any_evaluation(monkeypatch):
+    # tan mu - tan nu ~ 5.9 at kappa = 0.0025 puts the root past e ~ -1e300
+    calls = _counting_boundary_F(monkeypatch)
+    with pytest.raises(ConvergenceError, match="float64"):
+        solve_w(1.38, -0.63, rp_kappa(0.0025))
+    assert calls[0] == 0
