@@ -18,10 +18,9 @@ from .oracle import (
     sample_on_grid,
     shoot_spectrum,
 )
-from .params import Couplings, RegionClass, ReducedParams, classify, reduce
+from .params import (Couplings, Extension, ExtensionLabel, RegionClass, ReducedParams, classify,
+                     reduce)
 from .spectral import (
-    Extension,
-    ExtensionLabel,
     SpectrumResult,
     extension_for,
     ground_state_energy,

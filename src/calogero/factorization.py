@@ -55,7 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .params import ReducedParams
 from .specfun import gamma, kummer_phi, rgamma, tricomi_psi
 
@@ -154,13 +154,18 @@ class EvaluableSolution:
             raise DomainError(f"solution evaluation needs x > 0, got {x!r}")
         rho = self._ups2 * x * x
         s, sp, spp = self._S(rho, order)
-        return rho, math.exp(-0.5 * rho) * rho**self._q, s, sp, spp
+        try:
+            return rho, math.exp(-0.5 * rho) * rho**self._q, s, sp, spp
+        except OverflowError:  # rho^q past float64: kappa ~ 10 at g2 ~ 1e300
+            raise ConvergenceError(f"phi: rho^q = {rho:.4g}^{self._q:.4g} overflows") from None
 
     def _h(self, x: float, s: float, sp: float) -> float:
         # h = (1/2 + kappa)/x - upsilon^2 x + 2 upsilon^2 x S'/S
         return (0.5 + self._kappa) / x - self._ups2 * x + 2.0 * self._ups2 * x * sp / s
 
     def _phi_pp(self, x: float, rho: float, env: float, s: float, sp: float, spp: float) -> float:
+        if rho * rho == 0.0:  # rho below ~1.6e-162
+            raise ConvergenceError(f"phi'': rho^2 = {rho:.4g}^2 underflows float64 at x = {x:.4g}")
         g = self._q / rho - 0.5
         dphi = env * (g * s + sp)
         d2phi = env * ((g * g - self._q / (rho * rho)) * s + 2.0 * g * sp + spp)
@@ -220,6 +225,8 @@ def factorization_residual(phi: EvaluableSolution, f_triple, x: float, h_shift: 
     """
     rho, env, s, sp, spp = phi._jet(x, 2)
     h = phi._h(x, s, sp)
+    if env * s == 0.0:  # phi underflows far out, e^(-rho/2) from rho ~ 1490
+        raise ConvergenceError(f"factorization_residual: phi underflows to 0 at x = {x:.4g}")
     # h' = phi''/phi - h^2, not V + u - h^2: the check is not circular
     hp = phi._phi_pp(x, rho, env, s, sp, spp) / (env * s) - h * h
     h += h_shift

@@ -37,10 +37,16 @@ changes Z of u along each branch, so
     Theta(E) = pi (Z_L + Z_R) + phi_L - phi_R
 
 is the continuous angle of the left solution minus that of the right
-one.  Theta increases strictly with E (the left angle rises, the right
-one falls), it lies in (-pi, 0) below the ground state, and level n is
-the root of Theta(E) = n pi: floor(Theta / pi) + 1 levels lie below E,
-so no level can be missed or found twice.
+one.  Z_L also counts one node in (0, x_min) where u(x_min) has the sign
+opposite to the boundary combination's leading term at 0+ (2 cos nu L < 0
+for nu at kappa = 0, cos nu F- or F+ > 0 otherwise): next to kappa = 1,
+F-'s first coefficient -E / (4 (1 - kappa)) drives a node out through
+x_min as E rises (from E ~ ups^2 at kappa = 0.9999).  The sign gives only
+the parity of the nodes below x_min; while there is at most one, Theta
+increases strictly with E (the left angle rises, the right one falls), it
+lies in (-pi, 0) below the ground state, and level n is the root of
+Theta(E) = n pi: floor(Theta / pi) + 1 levels lie below E, so no level
+can be missed or found twice.
 
 Derivative.  Differentiating -u'' + (q - E) u = 0 in E gives
 (u u'_E - u' u_E)' = -u^2, and dphi/dE = -(u u'_E - u' u_E) / r^2 with
@@ -127,9 +133,8 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import ConvergenceError, DomainError
-from .params import ReducedParams
+from .params import Extension, ExtensionLabel, ReducedParams
 from .rk45 import integrate
-from .spectral import Extension, ExtensionLabel
 
 __all__ = [
     "ShootingConfig",
@@ -192,7 +197,6 @@ class OracleSpectrum:
     energies: tuple[float, ...]
     mismatch_residuals: tuple[float, ...]
     eigenfunctions: tuple[OracleEigenfunction, ...] | None
-    scaled: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +314,10 @@ def _theta(
     right = integrate(f, x_max, _right_state(rp, E, x_max), x_match, rel_tol=tol)
     ul, vl = left.y
     ur, vr = right.y
-    theta = (math.pi * (left.sign_changes + right.sign_changes)
+    # a node in (0, x_min) puts u(x_min) against the leading term at 0+
+    lead = -1.0 if not ext.is_ladder and rp.kappa == 0.0 else 1.0
+    z_left = left.sign_changes + (lead * u0 < 0.0)
+    theta = (math.pi * (z_left + right.sign_changes)
              + math.atan2(ul, vl) % math.pi - math.atan2(ur, vr) % math.pi)
     # head = u' u_E - u u'_E at x_min, the [0, x_min) part of the integral
     # of u^2, brought to the units of the left branch's end state
@@ -368,7 +375,6 @@ def shoot_spectrum(
     n_max: int,
     cfg: ShootingConfig | None = None,
     want_eigenfunctions: bool = False,
-    scaled: bool = False,
 ) -> OracleSpectrum:
     """First n_max eigenvalues by double shooting; ascending order."""
     if n_max < 1:
@@ -449,10 +455,7 @@ def shoot_spectrum(
     funcs = None
     if want_eigenfunctions:
         funcs = tuple(_eigenfunction(rp, ext, E, cfg) for E in roots)
-    unit = 1.0 / ups2 if scaled else 1.0
-    return OracleSpectrum(
-        tuple(r * unit for r in roots), tuple(resids), funcs, scaled
-    )
+    return OracleSpectrum(tuple(roots), tuple(resids), funcs)
 
 
 def _check_decay_room(rp: ReducedParams, cfg: ShootingConfig, n: int, e: float, bound: str = "") -> None:

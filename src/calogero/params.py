@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
-__all__ = ["Couplings", "ReducedParams", "RegionClass", "reduce", "classify"]
+__all__ = ["Couplings", "ReducedParams", "RegionClass", "ExtensionLabel", "Extension", "reduce",
+           "classify"]
 
 
 @dataclass(frozen=True)
@@ -68,6 +69,23 @@ class ReducedParams:
     def energy_scale(self) -> float:
         # spectra are naturally measured in units of upsilon^2 = sqrt(g2)
         return self.upsilon**2
+
+
+class ExtensionLabel(enum.Enum):
+    FRIEDRICHS = "friedrichs"
+    UNIQUE = "unique"
+    NU = "nu"
+
+
+@dataclass(frozen=True)
+class Extension:
+    # built against a coupling region by `spectral.extension_for`
+    label: ExtensionLabel
+    nu: float | None = None
+
+    @property
+    def is_ladder(self) -> bool:
+        return self.label is not ExtensionLabel.NU
 
 
 def reduce(g1: float, g2: float) -> ReducedParams:

@@ -46,7 +46,6 @@ shifted by tan mu.
 from __future__ import annotations
 
 import contextvars
-import enum
 import math
 import sys
 import warnings
@@ -55,7 +54,7 @@ from functools import lru_cache
 
 from .errors import ConvergenceError, DomainError
 from .factorization import EvaluableSolution, RepresentationParams, make_phi
-from .params import ReducedParams
+from .params import Extension, ExtensionLabel, ReducedParams
 from .specfun import (
     digamma,
     exp_halfline_quad,
@@ -67,8 +66,6 @@ from .specfun import (
 )
 
 __all__ = [
-    "ExtensionLabel",
-    "Extension",
     "extension_for",
     "theta_of",
     "solve_w",
@@ -82,22 +79,6 @@ __all__ = [
 
 _HALF_PI = 0.5 * math.pi
 _FRIEDRICHS_SNAP = 1e-6
-
-
-class ExtensionLabel(enum.Enum):
-    FRIEDRICHS = "friedrichs"
-    UNIQUE = "unique"
-    NU = "nu"
-
-
-@dataclass(frozen=True)
-class Extension:
-    label: ExtensionLabel
-    nu: float | None = None
-
-    @property
-    def is_ladder(self) -> bool:
-        return self.label is not ExtensionLabel.NU
 
 
 def extension_for(rp: ReducedParams, nu: float | None = None, friedrichs: bool = False) -> Extension:
@@ -274,7 +255,8 @@ def solve_w(mu: float, nu: float, rp: ReducedParams) -> float:
     (kappa = 0).  With e = -4w, F(-e/4) = target is the ground gap's
     boundary equation, so this is the ground level's root search in
     `spectrum` with the target shifted by tan mu; at mu = 0 it returns
-    -e0/4 of the scaled ground level bit for bit.  The residual is checked against
+    -e0/4 of the ground level bit for bit at g2 = 1, where the energy
+    unit upsilon^2 is exactly 1.  The residual is checked against
     1e-10 * (1 + |tan nu|) before returning.
     """
     if rp.kappa >= 1.0:
@@ -301,19 +283,17 @@ def solve_w(mu: float, nu: float, rp: ReducedParams) -> float:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """First n_max eigenvalues of one extension.
+    """The lowest eigenvalues of one extension, ascending.
 
-    energies are physical (units of upsilon^2 times the scaled roots)
-    unless scaled=True was requested, in which case they are e = E/ups^2.
-    residuals hold |lhs - rhs| of the defining equation at each root
-    (identically 0.0 for ladder/closed-form spectra).
+    energies are physical: upsilon^2 times the scaled roots e, so at
+    g2 = 1 they are the roots themselves bit for bit.  residuals hold
+    |lhs - rhs| of the defining equation at each root (identically 0.0
+    for ladder/closed-form spectra).
     """
 
     energies: tuple[float, ...]
-    n_max: int
     residuals: tuple[float, ...]
     method: str
-    scaled: bool = False
 
 
 def _pole(rp: ReducedParams, n: int) -> float:
@@ -480,23 +460,17 @@ def _root_in_gap(
     return root, abs(resid)
 
 
-def spectrum(
-    rp: ReducedParams,
-    ext: Extension,
-    n_max: int,
-    scaled: bool = False,
-) -> SpectrumResult:
+def spectrum(rp: ReducedParams, ext: Extension, n_max: int) -> SpectrumResult:
     """First n_max eigenvalues of the extension, in ascending order."""
     if n_max < 1:
         raise DomainError(f"spectrum: n_max must be >= 1, got {n_max}")
-    ups2 = rp.energy_scale()
-    unit = 1.0 if scaled else ups2
+    unit = rp.energy_scale()
 
     if ext.is_ladder:
         # for kappa >= 1 the Friedrichs extension IS the unique one; the
         # ladder formula covers both labels
         es = tuple(_pole(rp, n) * unit for n in range(n_max))
-        return SpectrumResult(es, n_max, (0.0,) * n_max, "pole-enumeration", scaled)
+        return SpectrumResult(es, (0.0,) * n_max, "pole-enumeration")
 
     nu = ext.nu
     if nu is None or not (-_HALF_PI < nu < _HALF_PI):
@@ -507,7 +481,7 @@ def spectrum(
     if nu == 0.0 and rp.kappa > 0.0:
         # F = 0 exactly at the denominator poles
         es = tuple(2.0 * (2 * n + 1 - rp.kappa) * unit for n in range(n_max))
-        return SpectrumResult(es, n_max, (0.0,) * n_max, "closed-form", scaled)
+        return SpectrumResult(es, (0.0,) * n_max, "closed-form")
 
     # boundary condition: F(-e/4) = -tan(nu) for kappa > 0, but +tan(nu)
     # for the digamma form at kappa = 0
@@ -523,11 +497,11 @@ def spectrum(
         roots.append(e * unit)
         resids.append(r)
         lo = hi
-    return SpectrumResult(tuple(roots), n_max, tuple(resids), "bracketed-root", scaled)
+    return SpectrumResult(tuple(roots), tuple(resids), "bracketed-root")
 
 
-def ground_state_energy(rp: ReducedParams, ext: Extension, scaled: bool = False) -> float:
-    return spectrum(rp, ext, 1, scaled=scaled).energies[0]
+def ground_state_energy(rp: ReducedParams, ext: Extension) -> float:
+    return spectrum(rp, ext, 1).energies[0]
 
 
 # ---------------------------------------------------------------------------
@@ -536,27 +510,19 @@ def ground_state_energy(rp: ReducedParams, ext: Extension, scaled: bool = False)
 
 @dataclass(frozen=True)
 class GroundState:
-    """L2-normalized ground state u(x) of one extension."""
+    """L2-normalized ground state u = norm_constant * solution of one
+    extension; solution is a representation's phi (the floor w0 on the
+    ladders, mu = 0 at the ground level's w for interior nu)."""
 
     energy: float
     norm_constant: float
-    solution: EvaluableSolution | None  # None for the closed-form ladder state
-    rp: ReducedParams
-    extension: Extension
+    solution: EvaluableSolution
 
     def __call__(self, x: float) -> float:
-        if self.solution is not None:
-            return self.norm_constant * self.solution.value_at(x)
-        k, ups = self.rp.kappa, self.rp.upsilon
-        rho = (ups * x) ** 2
-        return self.norm_constant * (ups * x) ** (0.5 + k) * math.exp(-0.5 * rho)
+        return self.norm_constant * self.solution.value_at(x)
 
     def derivative(self, x: float) -> float:
-        if self.solution is not None:
-            return self.norm_constant * self.solution.derivative_at(x)
-        k, ups = self.rp.kappa, self.rp.upsilon
-        u = self(x)
-        return ((0.5 + k) / x - ups * ups * x) * u
+        return self.norm_constant * self.solution.derivative_at(x)
 
 
 @lru_cache(maxsize=256)
@@ -590,13 +556,14 @@ def _nu_state_norm(kappa: float, upsilon: float, w: float) -> float:
 
 
 def ground_state_wavefunction(rp: ReducedParams, ext: Extension) -> GroundState:
-    """Normalized ground state; closed form on the ladder, mu=0 solution
-    with a cached numeric norm for interior nu."""
+    """Normalized ground state.  On the ladders it is the floor
+    representation's phi = e^(-rho/2) rho^(1/4 + kappa/2) with a closed-form
+    norm; for interior nu the mu = 0 solution with a cached numeric norm."""
     e0 = ground_state_energy(rp, ext)
     if ext.is_ladder:
-        # |U|^2 integrates to G(1+kappa)/(2 ups) against d rho; exact constant
+        # phi^2 integrates to G(1+kappa)/(2 ups) against dx; exact constant
         c = math.sqrt(2.0 * rp.upsilon / gamma(1.0 + rp.kappa))
-        return GroundState(e0, c, None, rp, ext)
+        return GroundState(e0, c, make_phi(RepresentationParams(0.0, rp.w0, rp)))
     w = -e0 / (4.0 * rp.energy_scale())
     if rp.kappa > 0.94:
         raise DomainError(
@@ -606,4 +573,4 @@ def ground_state_wavefunction(rp: ReducedParams, ext: Extension) -> GroundState:
         )
     rep = RepresentationParams(mu=0.0, w=w, rp=rp)
     q0 = _nu_state_norm(rp.kappa, rp.upsilon, w)
-    return GroundState(e0, 1.0 / math.sqrt(q0), make_phi(rep), rp, ext)
+    return GroundState(e0, 1.0 / math.sqrt(q0), make_phi(rep))

@@ -345,6 +345,25 @@ class TestFactorizeCheck:
         assert out == ""
         assert "Gamma(180.75) overflows" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # phi underflows to 0 at x = 2.1
+            ["--g1", "2.58", "--g2", "170162.5", "--mu", "0", "--w", "-0.0176"],
+            # rho^2 underflows
+            ["--g1", "0", "--g2", "5e-324"],
+            # rho^(1 - beta) overflows in the Psi series
+            ["--g1", "0", "--g2", "1e-300", "--mu", "0.3", "--w", "0.2"],
+            # rho^q overflows in phi's envelope
+            ["--g1", "100", "--g2", "1e300"],
+        ],
+    )
+    def test_float64_range_is_a_typed_refusal(self, capsys, argv):
+        code, out, err = run(capsys, ["factorize-check", *argv])
+        assert code == 4
+        assert out == ""
+        assert err.startswith("numerical failure:") and "Traceback" not in err
+
     def test_nan_superpotential_shift_fails(self, capsys):
         # a NaN residual must fail its check, not be passed over as smaller
         code, out, err = run(capsys, ["factorize-check", "--h-shift", "nan"])

@@ -26,7 +26,7 @@ PINS = {
     ("--g1", "0.75", "--g2", "1", "--mu", "0.3", "--w", "-1"):
         "530832f2fd99b908acff342eca410d9c7c4fafff47acc66dcb18b28b983b76ec",
     ("--g1", "-0.1875", "--g2", "1", "--mu", "0.9", "--w", "0.6", "--format", "csv"):
-        "8263515c21b2ba10b980e32452c8f02f42181d0f9057135fb436a603cf849429",
+        "adf40e2400e5469765f678624bb80147224a9e8a7d62ca0b906b313a863f95a7",
 }
 
 

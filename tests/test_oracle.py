@@ -7,7 +7,9 @@ nothing but the ODE and the boundary data, which is the whole point: two
 routes, one spectrum.
 """
 
+import ast
 import math
+import pathlib
 
 import pytest
 from hypothesis import given, settings
@@ -85,8 +87,7 @@ class TestFrozenSpectra:
     def test_quintet(self, kappa, nu):
         rp = _rp_for_kappa(kappa)
         ext = extension_for(rp, nu=nu)
-        spec = shoot_spectrum(rp, ext, 5, scaled=True)
-        assert spec.scaled
+        spec = shoot_spectrum(rp, ext, 5)
         assert spec.eigenfunctions is None
         for got, ref in zip(spec.energies, QUINTETS[(kappa, nu)]):
             assert got == pytest.approx(ref, rel=5e-9)
@@ -98,7 +99,7 @@ class TestFrozenSpectra:
         # reference root comes from psi(1/2 - e/4) = 2 psi(1)
         rp = _rp_for_kappa(0.0)
         ext = extension_for(rp, nu=0.0)
-        spec = shoot_spectrum(rp, ext, 1, scaled=True)
+        spec = shoot_spectrum(rp, ext, 1)
         assert spec.energies[0] == pytest.approx(-0.89506324003223515510, rel=1e-8)
 
 
@@ -106,21 +107,21 @@ class TestLadders:
     def test_friedrichs_ladder(self):
         rp = reduce(0.0, 1.0)  # kappa = 1/2
         ext = extension_for(rp, nu=None, friedrichs=True)
-        spec = shoot_spectrum(rp, ext, 3, scaled=True)
+        spec = shoot_spectrum(rp, ext, 3)
         for got, ref in zip(spec.energies, (3.0, 7.0, 11.0)):
             assert got == pytest.approx(ref, rel=1e-8)
 
     def test_unique_extension_ladder(self):
         rp = reduce(2.0, 1.0)  # kappa = 3/2, no boundary freedom left
         ext = extension_for(rp, nu=None)
-        spec = shoot_spectrum(rp, ext, 3, scaled=True)
+        spec = shoot_spectrum(rp, ext, 3)
         for got, ref in zip(spec.energies, (5.0, 9.0, 13.0)):
             assert got == pytest.approx(ref, rel=1e-8)
 
     def test_unique_kappa_one(self):
         rp = reduce(0.75, 1.0)
         ext = extension_for(rp, nu=None)
-        spec = shoot_spectrum(rp, ext, 3, scaled=True)
+        spec = shoot_spectrum(rp, ext, 3)
         for got, ref in zip(spec.energies, (4.0, 8.0, 12.0)):
             assert got == pytest.approx(ref, rel=1e-8)
 
@@ -129,7 +130,6 @@ class TestLadders:
         rp = reduce(0.0, 16.0)
         ext = extension_for(rp, nu=None, friedrichs=True)
         spec = shoot_spectrum(rp, ext, 2)
-        assert not spec.scaled
         assert spec.energies[0] == pytest.approx(12.0, rel=1e-8)
         assert spec.energies[1] == pytest.approx(28.0, rel=1e-8)
 
@@ -142,7 +142,7 @@ class TestWindowInvariance:
     def _first3(self, cfg):
         rp = reduce(0.0, 1.0)
         ext = extension_for(rp, nu=1.0)
-        return shoot_spectrum(rp, ext, 3, cfg, scaled=True).energies
+        return shoot_spectrum(rp, ext, 3, cfg).energies
 
     def test_truncation_insensitive(self):
         base = self._first3(ShootingConfig())
@@ -439,9 +439,9 @@ class TestRefusals:
         rp = reduce(0.0, 1.0)
         ext = extension_for(rp, nu=1.0)
         with pytest.raises(ConvergenceError, match="level 12 .* widen x_max"):
-            shoot_spectrum(rp, ext, 13, scaled=True)
-        wide = shoot_spectrum(rp, ext, 13, ShootingConfig(x_max=11.0), scaled=True)
-        for got, ref in zip(wide.energies, spectrum(rp, ext, 13, scaled=True).energies):
+            shoot_spectrum(rp, ext, 13)
+        wide = shoot_spectrum(rp, ext, 13, ShootingConfig(x_max=11.0))
+        for got, ref in zip(wide.energies, spectrum(rp, ext, 13).energies):
             assert got == pytest.approx(ref, rel=1e-9)
 
     def test_rejects_bad_n_max(self):
@@ -493,7 +493,7 @@ class TestOscillationCount:
     def test_extension_count(self, kappa, nu):
         rp = reduce(kappa * kappa - 0.25, 1.0)
         ext = extension_for(rp, nu=nu)
-        levels = spectrum(rp, ext, 12, scaled=True).energies
+        levels = spectrum(rp, ext, 12).energies
         lo = oracle._scan_floor(rp, ext)
         for e in _grid_off_levels(lo, 45.0, [lev for lev in levels if lev < 46.0], step=1.3):
             assert _levels_below(rp, ext, e) == sum(lev < e for lev in levels), e
@@ -522,7 +522,64 @@ class TestOscillationCount:
     def test_count_in_physical_units(self, kappa, nu, ups, e):
         rp = reduce(kappa * kappa - 0.25, ups ** 4)
         ext = extension_for(rp, nu=None if kappa >= 1.0 else nu)
-        levels = spectrum(rp, ext, 12, scaled=True).energies
+        levels = [lev / rp.energy_scale() for lev in spectrum(rp, ext, 12).energies]
         if any(abs(e - lev) <= 1e-6 * (1.0 + abs(lev)) for lev in levels):
             return
         assert _levels_below(rp, ext, e) == sum(lev < e for lev in levels)
+
+
+class TestNextToKappaOne:
+    # F-'s first Frobenius coefficient -E / (4 (1 - kappa)) drives a node of
+    # the left solution out through x_min as E rises; Theta counts it from the
+    # sign of u(x_min), or the ground state goes missing and levels 1..3 come
+    # back as levels 0..2
+
+    @pytest.mark.parametrize("kappa", [0.9999, 1.0 - 1e-6, 1.0 - 1e-7])
+    @pytest.mark.parametrize("nu", [-1.2, -0.4, 0.72, 1.3])
+    def test_first_levels_match_the_spectrum(self, kappa, nu):
+        rp = _rp_for_kappa(kappa)
+        ext = extension_for(rp, nu=nu)
+        got = shoot_spectrum(rp, ext, 3).energies
+        want = spectrum(rp, ext, 3).energies
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-9 * max(abs(w), rp.energy_scale())
+
+    @given(
+        kappa=st.one_of(st.floats(0.0, 0.999), st.floats(3.0, 7.0).map(lambda d: 1.0 - 10.0 ** -d)),
+        nu=st.floats(-1.4, 1.4),
+        g2=st.floats(0.1, 10.0),
+        shift=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_theta_does_not_decrease(self, kappa, nu, g2, shift):
+        # on a grid of step 0.7 ups^2 from the scan floor to level 2 or 3
+        rp = _rp_for_kappa(kappa, g2)
+        ext = extension_for(rp, nu=nu)
+        try:
+            lo = oracle._scan_floor(rp, ext)
+        except DomainError:  # a ground state too deep for the window
+            return
+        ups2 = rp.energy_scale()
+        cfg = ShootingConfig()
+        es = [lo + 0.7 * (i + shift) for i in range(int((14.0 - lo) / 0.7))]
+        thetas = [oracle._theta(rp, ext, e * ups2, cfg, oracle._SCAN_TOL)[0] for e in es]
+        assert thetas[0] > -math.pi
+        for e, t1, t2 in zip(es[1:], thetas, thetas[1:]):
+            assert t2 >= t1 - 1e-6, e
+
+
+def test_oracle_imports_nothing_it_checks():
+    # the oracle knows the ODE and its boundary data, not the spectral
+    # equations, special functions or representations it cross-checks
+    package = set()
+    for node in ast.walk(ast.parse(pathlib.Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = ["." * node.level + (node.module or "")]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            if name.startswith((".", "calogero")):
+                package.add(name.lstrip(".").removeprefix("calogero").lstrip("."))
+    assert package == {"errors", "params", "rk45"}

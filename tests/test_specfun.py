@@ -72,6 +72,23 @@ class TestGamma:
             gamma(float("nan"))
 
 
+# within 1e-9 of each negative integer, on both sides: the reflection's
+# sin(pi z) must keep its digits there (a reduction to [0, 1) leaves
+# 8.7e-9 relative at -1 - 1e-9)
+NEAR_POLES = [-m + d for m in range(1, 11) for d in (-1e-9, -1e-12, 1e-12, 1e-9)]
+
+
+@pytest.mark.parametrize("z", NEAR_POLES)
+def test_reflection_next_to_the_poles(z):
+    with mpmath.workdps(30):
+        ref = mpmath.gamma(mpmath.mpf(z))
+        ln_ref = float(mpmath.log(abs(ref)))
+    assert gamma(z) == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+    lg, sg = gammaln_signed(z)
+    assert sg == (1.0 if ref > 0 else -1.0)
+    assert lg == pytest.approx(ln_ref, rel=1e-13, abs=0.0)
+
+
 class TestGammalnSigned:
     @given(st.floats(min_value=-40.0, max_value=40.0, **finite).filter(lambda z: off_pole(z) and abs(z) > 1e-2))
     @settings(max_examples=150)

@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
-from calogero import spectral
+from calogero import oracle, spectral
 from calogero.errors import ConvergenceError, DomainError
+from calogero.oracle import ShootingConfig
 from calogero.params import reduce
 from calogero.spectral import (
     Extension,
@@ -141,7 +142,7 @@ class TestSolveW:
         if nu == 0.0 and rp.kappa > 0.0:
             return  # spectrum takes the closed form there
         try:
-            res = spectrum(rp, extension_for(rp, nu=nu), 1, scaled=True)
+            res = spectrum(rp, extension_for(rp, nu=nu), 1)
         except ConvergenceError as exc:
             assert "float64" in str(exc)
             with pytest.raises(ConvergenceError, match="float64"):
@@ -213,9 +214,8 @@ class TestSpectrumFrozen:
     @pytest.mark.parametrize("kappa,nu", sorted(QUINTETS))
     def test_five_roots(self, kappa, nu):
         rp = rp_kappa(kappa)
-        res = spectrum(rp, extension_for(rp, nu=nu), 5, scaled=True)
+        res = spectrum(rp, extension_for(rp, nu=nu), 5)
         assert res.method == "bracketed-root"
-        assert res.scaled
         for got, want in zip(res.energies, QUINTETS[(kappa, nu)]):
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
         assert all(r <= 1e-8 for r in res.residuals)
@@ -232,17 +232,17 @@ class TestSpectrumFrozen:
     )
     def test_ground_energies(self, kappa, nu, e0):
         rp = rp_kappa(kappa)
-        got = ground_state_energy(rp, extension_for(rp, nu=nu), scaled=True)
+        got = ground_state_energy(rp, extension_for(rp, nu=nu))
         assert got == pytest.approx(e0, rel=1e-12, abs=0.0)
 
     def test_near_friedrichs_endpoints(self):
         # nu = pi/2 - 0.01 is outside the snap window: a genuine family
         # member hugging the ladder from below
         rp = rp_kappa(0.5)
-        e0 = ground_state_energy(rp, extension_for(rp, nu=HALF_PI - 0.01), scaled=True)
+        e0 = ground_state_energy(rp, extension_for(rp, nu=HALF_PI - 0.01))
         assert e0 == pytest.approx(2.9775119888162752608, rel=1e-11)
         rp0 = rp_kappa(0.0)
-        e0 = ground_state_energy(rp0, extension_for(rp0, nu=-HALF_PI + 0.01), scaled=True)
+        e0 = ground_state_energy(rp0, extension_for(rp0, nu=-HALF_PI + 0.01))
         assert e0 == pytest.approx(1.9602346621788350009, rel=1e-11)
 
     def test_kappa_zero_deep_state(self):
@@ -250,14 +250,14 @@ class TestSpectrumFrozen:
         # -4 exp(tan nu - 2 gamma); the solver must follow it out to 1e43
         rp0 = rp_kappa(0.0)
         nu = HALF_PI - 0.01
-        e0 = ground_state_energy(rp0, extension_for(rp0, nu=nu), scaled=True)
+        e0 = ground_state_energy(rp0, extension_for(rp0, nu=nu))
         pred = 2.0 - 4.0 * math.exp(math.tan(nu) - 2.0 * EULER_GAMMA)
         assert e0 == pytest.approx(pred, rel=1e-9)
         assert e0 < -1e43
 
     def test_kappa_positive_deep_state(self):
         rp = rp_kappa(0.5)
-        e0 = ground_state_energy(rp, extension_for(rp, nu=-HALF_PI + 1e-5), scaled=True)
+        e0 = ground_state_energy(rp, extension_for(rp, nu=-HALF_PI + 1e-5))
         # F ~ (G(1-k)/G(1+k)) (-e/4)^k = -tan nu, so -e ~ 4 (|t| G(1+k)/G(1-k))^2
         t = abs(math.tan(-HALF_PI + 1e-5))
         pred = -4.0 * (t * math.gamma(1.5) / math.gamma(0.5)) ** 2
@@ -270,7 +270,7 @@ class TestSpectrumFrozen:
         import mpmath as mp
 
         rp = reduce(-0.24999997, 1.0)
-        energies = spectrum(rp, extension_for(rp, nu=1.5693), 21, scaled=True).energies
+        energies = spectrum(rp, extension_for(rp, nu=1.5693), 21).energies
         assert all(a < b for a, b in zip(energies, energies[1:]))
         e8 = energies[8]
         with mp.workdps(40):
@@ -392,7 +392,7 @@ class TestBoundarySolver:
     def test_roots_match_mpmath(self, kappa, nu, n, level):
         rp = rp_kappa(kappa)
         try:
-            energies = spectrum(rp, extension_for(rp, nu=nu), n, scaled=True).energies
+            energies = spectrum(rp, extension_for(rp, nu=nu), n).energies
         except ConvergenceError as exc:
             assert "float64" in str(exc)  # the documented refusal past e ~ -1e300
             return
@@ -410,7 +410,7 @@ class TestBoundarySolver:
         # and the zero 2(2n + 1 - kappa) of F round to one float in some
         # gaps; the root is that float, within the solver's 4 ulps
         rp = rp_kappa(1.0 - ulps_below_one * 2.0**-53)
-        energies = spectrum(rp, extension_for(rp, nu=nu), 6, scaled=True).energies
+        energies = spectrum(rp, extension_for(rp, nu=nu), 6).energies
         for n, e in enumerate(energies):
             # the reference finds the gap from the point it is given, and a
             # root on the float of a collapsed pole can sit below the pole
@@ -445,14 +445,14 @@ class TestReflectedGammaRatio:
 class TestLaddersAndClosedForms:
     def test_friedrichs_ladder(self):
         rp = rp_kappa(0.5)
-        res = spectrum(rp, extension_for(rp, friedrichs=True), 4, scaled=True)
+        res = spectrum(rp, extension_for(rp, friedrichs=True), 4)
         assert res.energies == (3.0, 7.0, 11.0, 15.0)
         assert res.method == "pole-enumeration"
         assert res.residuals == (0.0,) * 4
 
     def test_friedrichs_snap_energy(self):
         rp = rp_kappa(0.5)
-        e0 = ground_state_energy(rp, extension_for(rp, nu=1.5707963), scaled=True)
+        e0 = ground_state_energy(rp, extension_for(rp, nu=1.5707963))
         assert e0 == 3.0
 
     def test_unique_ladder(self):
@@ -462,16 +462,16 @@ class TestLaddersAndClosedForms:
 
     def test_nu_zero_closed_form(self):
         rp = rp_kappa(0.5)
-        res = spectrum(rp, extension_for(rp, nu=0.0), 3, scaled=True)
+        res = spectrum(rp, extension_for(rp, nu=0.0), 3)
         assert res.energies == (1.0, 5.0, 9.0)
         assert res.method == "closed-form"
 
     def test_physical_units(self):
-        # g2 = 16 means upsilon^2 = 4: physical energies are 4x the scaled
+        # g2 = 16 means upsilon^2 = 4: physical energies are 4x those at g2 = 1
         rp = rp_kappa(0.5, g2=16.0)
-        ext = extension_for(rp, nu=1.0)
-        es = spectrum(rp, ext, 3).energies
-        ss = spectrum(rp, ext, 3, scaled=True).energies
+        es = spectrum(rp, extension_for(rp, nu=1.0), 3).energies
+        rp1 = rp_kappa(0.5)
+        ss = spectrum(rp1, extension_for(rp1, nu=1.0), 3).energies
         for e, s in zip(es, ss):
             assert e == pytest.approx(4.0 * s, rel=1e-14, abs=0.0)
 
@@ -529,7 +529,7 @@ class TestSpectrumProperties:
     @settings(max_examples=40, deadline=None)
     def test_interlaces_ladder(self, kappa, nu):
         rp = rp_kappa(kappa)
-        es = spectrum(rp, extension_for(rp, nu=nu), 4, scaled=True).energies
+        es = spectrum(rp, extension_for(rp, nu=nu), 4).energies
         poles = [2.0 * (2 * n + 1 + kappa) for n in range(4)]
         assert es[0] < poles[0]
         for n in range(1, 4):
@@ -543,16 +543,16 @@ class TestSpectrumProperties:
     @settings(max_examples=40, deadline=None)
     def test_flow_increasing_kappa_positive(self, kappa, nu1, dnu):
         rp = rp_kappa(kappa)
-        a = ground_state_energy(rp, extension_for(rp, nu=nu1), scaled=True)
-        b = ground_state_energy(rp, extension_for(rp, nu=nu1 + dnu), scaled=True)
+        a = ground_state_energy(rp, extension_for(rp, nu=nu1))
+        b = ground_state_energy(rp, extension_for(rp, nu=nu1 + dnu))
         assert a < b < 2.0 * (1.0 + kappa)
 
     @given(nu1=st.floats(-1.4, 1.3), dnu=st.floats(0.05, 0.2))
     @settings(max_examples=40, deadline=None)
     def test_flow_decreasing_kappa_zero(self, nu1, dnu):
         rp = rp_kappa(0.0)
-        a = ground_state_energy(rp, extension_for(rp, nu=nu1), scaled=True)
-        b = ground_state_energy(rp, extension_for(rp, nu=nu1 + dnu), scaled=True)
+        a = ground_state_energy(rp, extension_for(rp, nu=nu1))
+        b = ground_state_energy(rp, extension_for(rp, nu=nu1 + dnu))
         assert a > b
         assert a < 2.0
 
@@ -564,7 +564,7 @@ class TestSpectrumProperties:
         # w = -e/4 above the floor w0, so excited roots have no positive
         # representation to ask this of.
         rp = rp_kappa(kappa)
-        e0 = ground_state_energy(rp, extension_for(rp, nu=nu), scaled=True)
+        e0 = ground_state_energy(rp, extension_for(rp, nu=nu))
         th = theta_of(0.0, -0.25 * e0, rp)
         assert math.tan(th) == pytest.approx(math.tan(nu), rel=1e-7, abs=1e-7)
 
@@ -592,6 +592,20 @@ class TestGroundState:
         x = 0.9
         want = c * (ups * x) ** 2.5 * math.exp(-0.5 * (ups * x) ** 2)
         assert gs(x) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("g2", [1.0, 5.0])
+    def test_ladder_state_on_the_oracle_grid(self, kappa, g2):
+        # the floor representation's phi is the closed form c (ups x)^(1/2+k) e^(-rho/2)
+        rp = rp_kappa(kappa, g2)
+        gs = ground_state_wavefunction(rp, extension_for(rp, friedrichs=True))
+        ups = rp.upsilon
+        c = math.sqrt(2.0 * ups / math.gamma(1.0 + kappa))
+        x_min, x_max, _ = ShootingConfig().resolved(ups)
+        n = oracle._N_GRID
+        for x in (x_min + (x_max - x_min) * i / (n - 1) for i in range(n)):
+            want = c * (ups * x) ** (0.5 + kappa) * math.exp(-0.5 * (ups * x) ** 2)
+            assert gs(x) == pytest.approx(want, rel=1e-14, abs=0.0), x
 
     def test_ladder_normalized(self):
         rp = reduce(3.75, 4.0)
