@@ -117,7 +117,8 @@ class EvaluableSolution:
             self._sin, self._cos = 1.0, 0.0
         if self._sin < 1e-15:
             self._sin, self._cos = 0.0, 1.0
-        if rep.at_floor:
+        self._at_floor = rep.at_floor
+        if self._at_floor:
             self._psi_scale = 0.0
         elif self._kappa > 0.0:
             self._psi_scale = gamma(self._alpha) * rgamma(self._kappa)
@@ -127,7 +128,7 @@ class EvaluableSolution:
     # -- S and its rho-derivatives ------------------------------------
 
     def _S(self, rho: float, order: int) -> tuple[float, float, float]:
-        if self.rep.at_floor:
+        if self._at_floor:
             return 1.0, 0.0, 0.0
         a, b, sc = self._alpha, self._beta, self._psi_scale
         s = sp = spp = 0.0
@@ -224,9 +225,9 @@ def factorization_residual(phi: EvaluableSolution, f_triple, x: float, h_shift: 
     checks can prove this test can fail.
     """
     rho, env, s, sp, spp = phi._jet(x, 2)
-    h = phi._h(x, s, sp)
     if env * s == 0.0:  # phi underflows far out, e^(-rho/2) from rho ~ 1490
         raise ConvergenceError(f"factorization_residual: phi underflows to 0 at x = {x:.4g}")
+    h = phi._h(x, s, sp)
     # h' = phi''/phi - h^2, not V + u - h^2: the check is not circular
     hp = phi._phi_pp(x, rho, env, s, sp, spp) / (env * s) - h * h
     h += h_shift

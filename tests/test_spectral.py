@@ -574,14 +574,21 @@ class TestSpectrumProperties:
 
 
 class TestGroundState:
-    def test_friedrichs_closed_form(self):
-        rp = rp_kappa(0.5)
+    @pytest.mark.parametrize("kappa", [0.0, 0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("g2", [1.0, 5.0])
+    def test_friedrichs_closed_form(self, kappa, g2):
+        # the floor representation's phi is c (ups x)^(1/2+k) e^(-rho/2),
+        # checked on the oracle grid
+        rp = rp_kappa(kappa, g2)
         gs = ground_state_wavefunction(rp, extension_for(rp, friedrichs=True))
-        assert gs.energy == pytest.approx(3.0, rel=1e-14, abs=0.0)
-        c = math.sqrt(2.0 / math.gamma(1.5))
-        for x in (0.2, 0.7, 1.5, 3.0):
-            want = c * x**1.0 * math.exp(-0.5 * x * x)
-            assert gs(x) == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert gs.energy == pytest.approx(2.0 * (1.0 + kappa) * rp.energy_scale(), rel=1e-14, abs=0.0)
+        ups = rp.upsilon
+        c = math.sqrt(2.0 * ups / math.gamma(1.0 + kappa))
+        x_min, x_max, _ = ShootingConfig().resolved(ups)
+        n = oracle._N_GRID
+        for x in (x_min + (x_max - x_min) * i / (n - 1) for i in range(n)):
+            want = c * (ups * x) ** (0.5 + kappa) * math.exp(-0.5 * (ups * x) ** 2)
+            assert gs(x) == pytest.approx(want, rel=1e-14, abs=0.0), x
 
     def test_unique_closed_form_units(self):
         # kappa = 2, upsilon^2 = 2: U = c (ups x)^{5/2} e^{-(ups x)^2/2}
@@ -592,20 +599,6 @@ class TestGroundState:
         x = 0.9
         want = c * (ups * x) ** 2.5 * math.exp(-0.5 * (ups * x) ** 2)
         assert gs(x) == pytest.approx(want, rel=1e-13, abs=0.0)
-
-    @pytest.mark.parametrize("kappa", [0.0, 0.5, 1.0, 2.5])
-    @pytest.mark.parametrize("g2", [1.0, 5.0])
-    def test_ladder_state_on_the_oracle_grid(self, kappa, g2):
-        # the floor representation's phi is the closed form c (ups x)^(1/2+k) e^(-rho/2)
-        rp = rp_kappa(kappa, g2)
-        gs = ground_state_wavefunction(rp, extension_for(rp, friedrichs=True))
-        ups = rp.upsilon
-        c = math.sqrt(2.0 * ups / math.gamma(1.0 + kappa))
-        x_min, x_max, _ = ShootingConfig().resolved(ups)
-        n = oracle._N_GRID
-        for x in (x_min + (x_max - x_min) * i / (n - 1) for i in range(n)):
-            want = c * (ups * x) ** (0.5 + kappa) * math.exp(-0.5 * (ups * x) ** 2)
-            assert gs(x) == pytest.approx(want, rel=1e-14, abs=0.0), x
 
     def test_ladder_normalized(self):
         rp = reduce(3.75, 4.0)
