@@ -304,14 +304,9 @@ def _theta(
     integrated to the match point at tol, and its derivative in E; level n
     is the root at n pi."""
     x_min, x_max, x_match = cfg.resolved(rp.upsilon)
-    g1, g2 = rp.g1, rp.g2
-
-    def f(x, y):
-        return (y[1], (g1 / (x * x) + g2 * x * x - E) * y[0])
-
     u0, v0 = _left_state(rp, ext, E, x_min)
-    left = integrate(f, x_min, (u0, v0), x_match, rel_tol=tol)
-    right = integrate(f, x_max, _right_state(rp, E, x_max), x_match, rel_tol=tol)
+    left = integrate(rp.g1, rp.g2, E, x_min, (u0, v0), x_match, rel_tol=tol)
+    right = integrate(rp.g1, rp.g2, E, x_max, _right_state(rp, E, x_max), x_match, rel_tol=tol)
     ul, vl = left.y
     ur, vr = right.y
     # a node in (0, x_min) puts u(x_min) against the leading term at 0+
@@ -598,10 +593,6 @@ def _eigenfunction(rp, ext, E, cfg) -> OracleEigenfunction:
     n = _N_GRID
     grid = [x_min + (x_max - x_min) * i / (n - 1) for i in range(n)]
     i_match = min(range(n), key=lambda i: abs(grid[i] - x_match))
-    g1, g2 = rp.g1, rp.g2
-
-    def f(x, y):
-        return (y[1], (g1 / (x * x) + g2 * x * x - E) * y[0])
 
     # sample left branch up to the match index, right branch down to it,
     # tracking the renormalization ledger per sample
@@ -614,7 +605,7 @@ def _eigenfunction(rp, ext, E, cfg) -> OracleEigenfunction:
         i = i_from
         while i != i_to:
             j = i + step_dir
-            res = integrate(f, x, y, grid[j], rel_tol=_REFINE_TOL)
+            res = integrate(rp.g1, rp.g2, E, x, y, grid[j], rel_tol=_REFINE_TOL)
             x, y, ls = grid[j], list(res.y), ls + res.log_scale
             out[j] = (y[0], ls)
             i = j

@@ -4,15 +4,19 @@ This exists so the shooting-method eigenvalue oracle shares no numerical
 machinery with the gamma-function spectral code it is checking: no numpy,
 no scipy, just the textbook tableau and proportional step control.
 
-Every system this package integrates is a second-order linear ODE written
-as a two-component state (u, u'), so `integrate` is a fused kernel for
-exactly two components: the six stages, the 5th-order update, the error
-estimate and its norm are unrolled into scalar locals, with no per-stage
-lists or copies.  It does the same float operations in the same order as
-the textbook loop over stages and components -- the (a*h) products, the
-stage sums left to right, (h*b)*k, the error summed from 0.0 including
-its zero second term, the norm maximized over component 0 then 1 -- so
-its results are bit-identical to that loop's.  `tests/test_rk45_pinned.py`
+It integrates the one equation every caller reduces to, the radial one
+
+    u'' = (g1/x^2 + g2 x^2 - E) u,
+
+as the state (u, u'), with the six stages, the 5th-order update, the
+error estimate and its norm unrolled into scalar locals and each stage's
+coefficient formed inline as g1 / (x*x) + g2 * x * x - E: no callable, no
+per-stage tuples.  It does the same float operations in the same order
+as the textbook loop over stages and components calling the right-hand
+side (u', (g1/(x*x) + g2*x*x - E) * u) -- the (a*h) products, the stage
+sums left to right, (h*b)*k, the error summed from 0.0 including its
+zero second term, the norm maximized over component 0 then 1 -- so its
+results are bit-identical to that loop's.  `tests/test_rk45_pinned.py`
 keeps that loop as the reference and pins its results with `float.hex`.
 
 Solutions of the radial problem sweep hundreds of orders of magnitude
@@ -20,30 +24,28 @@ under a potential barrier, so the state vector is renormalized to unit
 scale whenever its magnitude passes `_RENORM_THRESHOLD`, and the running
 log of the extracted factors is reported as `log_scale`: the true
 solution is y * exp(log_scale).  Renormalization commutes with the
-linear ODEs this package integrates.
+linear equation.
 
-`sign_changes` counts the strict sign changes of the first component
-between accepted steps (a step landing exactly on 0 is bridged to the
-next non-zero value).  Renormalization divides by a positive number, so
-it keeps every sign; for the oracle's (u, u') states this is the node
-count that indexes the eigenvalues.
+`sign_changes` counts the strict sign changes of u between accepted
+steps (a step landing exactly on 0 is bridged to the next non-zero
+value).  Renormalization divides by a positive number, so it keeps every
+sign; this is the node count that indexes the eigenvalues.
 
-`u2_integral` is the integral of the first component squared over the
-span, in the units of the returned state (divided by the square of every
-renormalization factor): Simpson's rule on each accepted step, with the
-midpoint value (u + u_new)/2 + h (u' - u'_new)/8 of the cubic Hermite
-interpolant of the step's end values (about 1e-8 relative on a sine
-squared at rel_tol 1e-10).  It costs a few flops per step, and the
-(u, u') arithmetic does not read it, so every other bit is unchanged.
-The oracle divides it by u^2 + u'^2 for the energy derivative of its
-matching angle.
+`u2_integral` is the integral of u squared over the span, in the units
+of the returned state (divided by the square of every renormalization
+factor): Simpson's rule on each accepted step, with the midpoint value
+(u + u_new)/2 + h (u' - u'_new)/8 of the cubic Hermite interpolant of the
+step's end values (about 1e-8 relative on a sine squared at rel_tol
+1e-10).  The (u, u') arithmetic does not read it, so every other bit is
+unchanged.  The oracle divides it by u^2 + u'^2 for the energy
+derivative of its matching angle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import ConvergenceError, DomainError
 
@@ -92,14 +94,16 @@ class IntegrationResult:
 
 
 def integrate(
-    f: Callable[[float, Sequence[float]], Sequence[float]],
+    g1: float,
+    g2: float,
+    E: float,
     x0: float,
     y0: Sequence[float],
     x1: float,
     rel_tol: float = 1e-10,
 ) -> IntegrationResult:
-    """Integrate y' = f(x, y) for a two-component y from x0 to x1 (either
-    direction); f(x, (y0, y1)) returns (dy0, dy1).
+    """Integrate u'' = (g1/x^2 + g2 x^2 - E) u for the state y = (u, u')
+    from x0 to x1 (either direction) on the half-line x > 0.
 
     The error control is purely relative, which is the right frame for
     solutions that pass through 1e-200 on their way up a barrier;
@@ -108,14 +112,14 @@ def integrate(
     1/128 of the span; more than `_MAX_STEPS` attempted steps raise
     ConvergenceError.
     """
-    if math.isnan(x0) or math.isnan(x1):
-        raise DomainError("integrate: NaN endpoint")
+    if not (0.0 < x0 < math.inf and 0.0 < x1 < math.inf):  # NaN included
+        raise DomainError(f"integrate: endpoints must lie in (0, inf), got ({x0!r}, {x1!r})")
     if len(y0) != 2:
         raise DomainError(f"integrate: state must have 2 components, got {len(y0)}")
     u, v = float(y0[0]), float(y0[1])
     if x1 == x0:
         return IntegrationResult(x0, (u, v), 0.0, 0, 0, 0, 0.0)
-    if rel_tol < 1e-14 or rel_tol > 1e-2:
+    if not 1e-14 <= rel_tol <= 1e-2:  # NaN included
         raise DomainError(f"integrate: rel_tol {rel_tol} outside [1e-14, 1e-2]")
 
     max_steps = _MAX_STEPS
@@ -133,10 +137,11 @@ def integrate(
     sign_changes = 0
     last = u  # the last non-zero u, so a step landing on 0 hides no crossing
     u2 = 0.0
+    q = g1 / (x * x) + g2 * x * x - E  # the coefficient at x
 
-    # the builtins min, max and abs are spelled out below as comparisons
-    # that keep their argument order, and so their NaN, tie and signed-zero
-    # results wherever those reach the state
+    # stage i has slopes (ku_i, kv_i) = (v_i, q(x_i) u_i); the builtins
+    # min, max and abs are spelled out below as comparisons that keep their
+    # argument order, and so their NaN, tie and signed-zero results
     while True:
         rest = (x1 - x) * direction  # |x1 - x| exactly while positive
         if not rest > 0.0:
@@ -150,47 +155,36 @@ def integrate(
             h = rest
         hs = h * direction
 
-        ku1, kv1 = f(x, (u, v))
+        ku1, kv1 = v, q * u
         a21 = _A21 * hs
-        ku2, kv2 = f(x + _C2 * hs, (u + a21 * ku1, v + a21 * kv1))
+        xc = x + _C2 * hs
+        ku2 = v + a21 * kv1
+        kv2 = (g1 / (xc * xc) + g2 * xc * xc - E) * (u + a21 * ku1)
         a31, a32 = _A31 * hs, _A32 * hs
-        ku3, kv3 = f(
-            x + _C3 * hs,
-            (u + a31 * ku1 + a32 * ku2, v + a31 * kv1 + a32 * kv2),
-        )
+        xc = x + _C3 * hs
+        ku3 = v + a31 * kv1 + a32 * kv2
+        kv3 = (g1 / (xc * xc) + g2 * xc * xc - E) * (u + a31 * ku1 + a32 * ku2)
         a41, a42, a43 = _A41 * hs, _A42 * hs, _A43 * hs
-        ku4, kv4 = f(
-            x + _C4 * hs,
-            (
-                u + a41 * ku1 + a42 * ku2 + a43 * ku3,
-                v + a41 * kv1 + a42 * kv2 + a43 * kv3,
-            ),
-        )
+        xc = x + _C4 * hs
+        ku4 = v + a41 * kv1 + a42 * kv2 + a43 * kv3
+        us = u + a41 * ku1 + a42 * ku2 + a43 * ku3
+        kv4 = (g1 / (xc * xc) + g2 * xc * xc - E) * us
         a51, a52, a53, a54 = _A51 * hs, _A52 * hs, _A53 * hs, _A54 * hs
-        ku5, kv5 = f(
-            x + _C5 * hs,
-            (
-                u + a51 * ku1 + a52 * ku2 + a53 * ku3 + a54 * ku4,
-                v + a51 * kv1 + a52 * kv2 + a53 * kv3 + a54 * kv4,
-            ),
-        )
-        a61, a62, a63, a64, a65 = (
-            _A61 * hs, _A62 * hs, _A63 * hs, _A64 * hs, _A65 * hs
-        )
-        ku6, kv6 = f(
-            x + _C6 * hs,
-            (
-                u + a61 * ku1 + a62 * ku2 + a63 * ku3 + a64 * ku4 + a65 * ku5,
-                v + a61 * kv1 + a62 * kv2 + a63 * kv3 + a64 * kv4 + a65 * kv5,
-            ),
-        )
+        xc = x + _C5 * hs
+        ku5 = v + a51 * kv1 + a52 * kv2 + a53 * kv3 + a54 * kv4
+        us = u + a51 * ku1 + a52 * ku2 + a53 * ku3 + a54 * ku4
+        q5 = g1 / (xc * xc) + g2 * xc * xc - E  # at x + hs, the next step's x
+        kv5 = q5 * us
+        a61, a62, a63, a64, a65 = _A61 * hs, _A62 * hs, _A63 * hs, _A64 * hs, _A65 * hs
+        xc = x + _C6 * hs
+        ku6 = v + a61 * kv1 + a62 * kv2 + a63 * kv3 + a64 * kv4 + a65 * kv5
+        us = u + a61 * ku1 + a62 * ku2 + a63 * ku3 + a64 * ku4 + a65 * ku5
+        kv6 = (g1 / (xc * xc) + g2 * xc * xc - E) * us
 
         b1, b3, b4, b6 = hs * _B51, hs * _B53, hs * _B54, hs * _B56
         u_new = u + b1 * ku1 + b3 * ku3 + b4 * ku4 + b6 * ku6
         v_new = v + b1 * kv1 + b3 * kv3 + b4 * kv4 + b6 * kv6
-        e1, e2, e3, e4, e5, e6 = (
-            hs * _E1, hs * _E2, hs * _E3, hs * _E4, hs * _E5, hs * _E6
-        )
+        e1, e2, e3, e4, e5, e6 = hs * _E1, hs * _E2, hs * _E3, hs * _E4, hs * _E5, hs * _E6
         err_u = 0.0 + e1 * ku1 + e2 * ku2 + e3 * ku3 + e4 * ku4 + e5 * ku5 + e6 * ku6
         err_v = 0.0 + e1 * kv1 + e2 * kv2 + e3 * kv3 + e4 * kv4 + e5 * kv5 + e6 * kv6
 
@@ -218,7 +212,8 @@ def integrate(
         if norm <= 1.0 or h <= h_floor:
             x += hs
             if -x_snap < x1 - x < x_snap:
-                x = x1
+                x = x1  # the last step: q is not read again
+            q = q5
             # Simpson's rule on u^2, with u at the midpoint from the cubic
             # Hermite interpolant of both ends' (u, u')
             um = 0.5 * (u + u_new) + 0.125 * hs * (v - v_new)

@@ -151,6 +151,29 @@ class TestPlumbing:
         with pytest.raises(ConvergenceError, match="more than 17 segments"):
             count_zeros(Couplings(-0.5, 0.0), 0.0, (1e-8, 1e-2))
 
+    def test_segments_toward_the_origin_span_at_most_e4(self, monkeypatch):
+        # at sigma = 0.01 over (1e-280, 1) the phase alone cuts 17 segments,
+        # each 38 wide in ln x; the step floor binds on those in xi = x / x_a,
+        # and the 2 zeros (2.05 predicted) read as 0
+        ends = []
+        real = nonexistence.integrate
+
+        def recording(g1, g2, E, x0, y0, x1, rel_tol):
+            ends.append(x1)
+            return real(g1, g2, E, x0, y0, x1, rel_tol=rel_tol)
+
+        monkeypatch.setattr(nonexistence, "integrate", recording)
+        r = count_zeros(Couplings(-0.2501, 0.0), 0.0, (1e-280, 1.0))
+        assert len(ends) == math.ceil(math.log(1e280) / nonexistence._LOG_WIDTH)
+        assert min(ends) >= math.exp(-nonexistence._LOG_WIDTH) * (1.0 - 1e-15)
+        assert r.observed_zeros == 2
+
+    @pytest.mark.parametrize("g2, interval", [(1.0, (1e-3, 1e80)), (0.0, (1e-3, 1e200))])
+    def test_coefficients_past_the_float64_range_are_refused(self, g2, interval):
+        # g2 x^4 overflows, and at 1e200 so does x^2 itself
+        with pytest.raises(ConvergenceError, match="overflows"):
+            count_zeros(Couplings(-1.25, g2), 0.0, interval)
+
     def test_rejects_bad_interval(self):
         with pytest.raises(DomainError, match="x_lo"):
             count_zeros(Couplings(-0.5, 0.0), 0.0, (1e-2, 1e-8))

@@ -1,9 +1,10 @@
 """Bit-identity guard for the fused Cash-Karp kernel.
 
-`integrate` unrolls the tableau into scalar locals for speed; it must
-still do the textbook loop's float operations in the textbook order.  The
-pinned values below are exact (`float.hex`) results of the list-based
-loop over stages and components that the kernel replaced, and
+`integrate` unrolls the tableau into scalar locals and forms the radial
+coefficient inline for speed; it must still do the textbook loop's float
+operations in the textbook order.  The pinned values below are exact
+(`float.hex`) results of the list-based loop over stages and components
+that the kernel replaced, run on the radial right-hand side, and
 `_textbook_integrate` is that loop, kept here as the reference for
 randomized problems.
 """
@@ -11,12 +12,13 @@ randomized problems.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from calogero import oracle, rk45
 from calogero.errors import ConvergenceError, DomainError
-from calogero.params import reduce
+from calogero.nonexistence import count_zeros
+from calogero.params import Couplings, reduce
 from calogero.rk45 import IntegrationResult, integrate
 from calogero.spectral import extension_for
 
@@ -28,7 +30,7 @@ def _textbook_integrate(f, x0, y0, x1, rel_tol=1e-10):
         raise DomainError("integrate: NaN endpoint")
     if x1 == x0:
         return IntegrationResult(x0, tuple(float(v) for v in y0), 0.0, 0, 0, 0, 0.0)
-    if rel_tol < 1e-14 or rel_tol > 1e-2:
+    if not 1e-14 <= rel_tol <= 1e-2:
         raise DomainError(f"integrate: rel_tol {rel_tol} outside [1e-14, 1e-2]")
 
     direction = 1.0 if x1 > x0 else -1.0
@@ -102,12 +104,13 @@ def _textbook_integrate(f, x0, y0, x1, rel_tol=1e-10):
 
 
 def _radial(g1, g2, E):
-    # the oracle's right-hand side for -u'' + (g1/x^2 + g2 x^2) u = E u
+    # the right-hand side of -u'' + (g1/x^2 + g2 x^2) u = E u
     return lambda x, y: (y[1], (g1 / (x * x) + g2 * x * x - E) * y[0])
 
 
 def _s_form(g1, g2, u):
-    # count_zeros' inward form in s = ln x
+    # the zero counter's equation in s = ln x, phi(s) = phi(e^s): the
+    # reference its rescaled radial segments are checked against
     def f(s, y):
         x2 = math.exp(2.0 * s)
         return (y[1], y[1] + (g1 + g2 * x2 * x2 + u * x2) * y[0])
@@ -116,40 +119,42 @@ def _s_form(g1, g2, u):
 
 
 # oracle-shaped problems in both directions at both oracle tolerances, two
-# of them renormalizing, and one of count_zeros' s-form;
-# name: (f, x0, y0, x1, rel_tol, pinned (x, y, log_scale) hex, n_steps, n_rejected)
+# of them renormalizing, and one of count_zeros' rescaled segments
+# (x_a = 1e-2 at g1 = -2, g2 = 1, u = 0.5, down one decade in xi = x/x_a);
+# name: ((g1, g2, E), x0, y0, x1, rel_tol, pinned (x, y, log_scale) hex,
+#        n_steps, n_rejected)
 PINNED = {
     "outward-scan": (
-        _radial(0.0, 1.0, 5.0), 0.02, (0.02, 1.0), 1.0, 1e-7,
+        (0.0, 1.0, 5.0), 0.02, (0.02, 1.0), 1.0, 1e-7,
         ("0x1.0000000000000p+0", ("0x1.865376010b8a0p-2", "-0x1.037ffebf70f95p-1"), "0x0.0p+0"),
         16, 2,
     ),
     "inward-refine": (
-        _radial(0.0, 1.0, 5.0), 8.0, (math.exp(-32.0), -8.0 * math.exp(-32.0)), 1.0, 1e-10,
+        (0.0, 1.0, 5.0), 8.0, (math.exp(-32.0), -8.0 * math.exp(-32.0)), 1.0, 1e-10,
         ("0x1.0000000000000p+0", ("0x1.3e1f84fd774b6p-8", "0x1.dd2f477c842bdp-7"), "0x0.0p+0"),
         608, 5,
     ),
     "outward-refine-attractive": (
-        _radial(-0.2, 1.0, -3.2), 0.02, (0.02 ** 0.7236, 0.7236 * 0.02 ** -0.2764), 1.0, 1e-10,
+        (-0.2, 1.0, -3.2), 0.02, (0.02 ** 0.7236, 0.7236 * 0.02 ** -0.2764), 1.0, 1e-10,
         ("0x1.0000000000000p+0", ("0x1.dc7ca6a361606p+0", "0x1.c935b301abcc6p+1"), "0x0.0p+0"),
         95, 2,
     ),
     "outward-renormalizes": (
-        _radial(0.75, 1.0, 1.0), 0.05, (0.05 ** 1.5, 1.5 * 0.05 ** 0.5), 30.0, 1e-10,
+        (0.75, 1.0, 1.0), 0.05, (0.05 ** 1.5, 1.5 * 0.05 ** 0.5), 30.0, 1e-10,
         ("0x1.e000000000000p+4", ("0x1.c3ccae75e7f94p+311", "0x1.a717533ae19cap+316"),
          "0x1.cc84f22cb84c0p+7"),
         9154, 3,
     ),
     "inward-renormalizes": (
-        _radial(0.0, 1.0, 3.0), 25.0, (1.0, -25.0), 1.0, 1e-7,
+        (0.0, 1.0, 3.0), 25.0, (1.0, -25.0), 1.0, 1e-7,
         ("0x1.0000000000000p+0", ("0x1.169bfd09f6229p+113", "0x1.030886dc00000p+85"),
          "0x1.ccbe4842136b5p+7"),
         1504, 6,
     ),
-    "count-zeros-s-form": (
-        _s_form(-2.0, 1.0, 0.5), 0.0, (1.0, 0.0), math.log(1e-3), 1e-9,
-        ("-0x1.ba18a998fffa0p+2", ("-0x1.40c5d89a68aa0p-6", "0x1.da44d9fe43bf2p-6"), "0x0.0p+0"),
-        142, 8,
+    "count-zeros-rescaled-segment": (
+        (-2.0, 1e-8, -5e-5), 1.0, (1.0, 0.0), 0.1, 1e-9,
+        ("0x1.999999999999ap-4", ("-0x1.36a8d2d6efb33p-2", "0x1.d32f0f42f6189p-2"), "0x0.0p+0"),
+        71, 5,
     ),
 }
 
@@ -160,8 +165,8 @@ def _bits(res):
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_pinned_results(name):
-    f, x0, y0, x1, tol, bits, n_steps, n_rejected = PINNED[name]
-    res = integrate(f, x0, y0, x1, rel_tol=tol)
+    coef, x0, y0, x1, tol, bits, n_steps, n_rejected = PINNED[name]
+    res = integrate(*coef, x0, y0, x1, rel_tol=tol)
     assert _bits(res) == bits
     assert (res.n_steps, res.n_rejected) == (n_steps, n_rejected)
 
@@ -212,49 +217,116 @@ def test_pinned_shooting_spectrum(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_reference_loop_reproduces_the_pins(name):
-    f, x0, y0, x1, tol, bits, n_steps, n_rejected = PINNED[name]
-    res = _textbook_integrate(f, x0, y0, x1, rel_tol=tol)
+    coef, x0, y0, x1, tol, bits, n_steps, n_rejected = PINNED[name]
+    res = _textbook_integrate(_radial(*coef), x0, y0, x1, rel_tol=tol)
     assert _bits(res) == bits
     assert (res.n_steps, res.n_rejected) == (n_steps, n_rejected)
 
 
-_coef = st.floats(-4.0, 4.0)
+def _outcome(run):
+    """The bits and the work of a run, or the type of what it raised."""
+    try:
+        res = run()
+    except (ConvergenceError, ZeroDivisionError, OverflowError) as e:
+        return type(e)
+    return _bits(res), res.n_steps, res.n_rejected, res.sign_changes, res.u2_integral.hex()
 
 
 @given(
-    m=st.tuples(_coef, _coef, _coef, _coef),
+    coef=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0), st.floats(-20.0, 20.0)),
     y0=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
-    x0=st.floats(-3.0, 3.0),
+    x0=st.floats(0.05, 4.0),
     span=st.floats(-6.0, 6.0).filter(lambda s: abs(s) > 1e-3),
     tol=st.sampled_from([1e-4, 1e-7, 1e-9, 1e-10, 1e-12]),
     threshold=st.sampled_from([1e100, 1e3]),
 )
 @settings(max_examples=60, deadline=None)
-def test_matches_the_textbook_loop_bit_for_bit(m, y0, x0, span, tol, threshold):
-    # a non-autonomous linear pair, renormalizing often at the low threshold
-    a, b, c, d = m
-    f = lambda x, y: (a * y[0] + b * math.sin(x) * y[1], c * x * y[0] + d * y[1])
+def test_matches_the_textbook_loop_bit_for_bit(coef, y0, x0, span, tol, threshold):
+    # the radial equation on both sides of its barrier and well, renormalizing
+    # often at the low threshold
+    assume(x0 + span > 0.02)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rk45, "_RENORM_THRESHOLD", threshold)
-        want = _textbook_integrate(f, x0, y0, x0 + span, rel_tol=tol)
-        got = integrate(f, x0, y0, x0 + span, rel_tol=tol)
-    assert _bits(got) == _bits(want)
-    assert (got.n_steps, got.n_rejected) == (want.n_steps, want.n_rejected)
+        want = _outcome(lambda: _textbook_integrate(_radial(*coef), x0, y0, x0 + span, tol))
+        got = _outcome(lambda: integrate(*coef, x0, y0, x0 + span, rel_tol=tol))
+    assert got == want
 
 
 @given(
     omega=st.floats(0.3, 12.0),
     phase=st.floats(0.0, 2.0 * math.pi),
-    span=st.floats(-9.0, 9.0).filter(lambda s: abs(s) > 1e-3),
+    span=st.floats(-0.99, 9.0).filter(lambda s: abs(s) > 1e-3),
     tol=st.sampled_from([1e-7, 1e-10]),
     threshold=st.sampled_from([1e100, 1e-1]),
 )
 @settings(max_examples=40, deadline=None)
 def test_sign_changes_match_the_textbook_loop(omega, phase, span, tol, threshold):
-    f = lambda x, y: (y[1], -omega * omega * y[0])
+    # E = omega^2 from x = 1
     y0 = (math.sin(phase), omega * math.cos(phase))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rk45, "_RENORM_THRESHOLD", threshold)
-        want = _textbook_integrate(f, 0.0, y0, span, rel_tol=tol)
-        got = integrate(f, 0.0, y0, span, rel_tol=tol)
+        want = _textbook_integrate(_radial(0.0, 0.0, omega * omega), 1.0, y0, 1.0 + span, tol)
+        got = integrate(0.0, 0.0, omega * omega, 1.0, y0, 1.0 + span, rel_tol=tol)
     assert got.sign_changes == want.sign_changes
+
+
+def _reference_zeros(g1, g2, u, x_lo, x_hi, init):
+    """Zero count by count_zeros' phase-sized knots (no width cap), with
+    phi'' = (g1/x^2 + g2 x^2 + u) phi outward and the s = ln x form inward,
+    through the textbook loop."""
+    if g1 < -0.25:
+        phase = math.sqrt(-g1 - 0.25) * math.log(x_hi / x_lo)
+    elif g2 < 0.0:
+        phase = 0.5 * math.sqrt(-g2) * (x_hi * x_hi - x_lo * x_lo)
+    else:
+        phase = 0.0
+    n_seg = max(16, math.ceil(phase / (math.pi / 8.0)))
+    if g1 >= -0.25 and g2 < 0.0:
+        t_lo, t_hi = x_lo * x_lo, x_hi * x_hi
+        knots = [math.sqrt(t_lo + (t_hi - t_lo) * i / n_seg) for i in range(n_seg + 1)]
+        f = lambda x, y: (y[1], (g1 / (x * x) + g2 * x * x + u) * y[0])
+        y = init
+    else:
+        s_lo, s_hi = math.log(x_lo), math.log(x_hi)
+        knots = [s_hi + (s_lo - s_hi) * i / n_seg for i in range(n_seg + 1)]
+        f = _s_form(g1, g2, u)
+        y = (init[0], init[1] * x_hi)
+    zeros = 0
+    for a, b in zip(knots, knots[1:]):
+        res = _textbook_integrate(f, a, y, b, rel_tol=1e-9)
+        zeros += res.sign_changes
+        y = res.y
+    return zeros
+
+
+@st.composite
+def _zero_count_cases(draw):
+    mode = draw(st.sampled_from(["origin", "infinity", "existence"]))
+    u = draw(st.floats(-30.0, 30.0))
+    if mode == "infinity":
+        g1, g2 = draw(st.floats(-0.25, 4.0)), draw(st.floats(-4.0, -0.01))
+        x_lo = draw(st.floats(0.01, 4.0))
+        x_hi = x_lo + draw(st.floats(0.1, 4.0))
+    else:
+        if mode == "origin":
+            g1, g2 = draw(st.floats(-4.0, -0.26)), draw(st.floats(-4.0, 4.0))
+            decades = draw(st.floats(0.5, 20.0))
+        else:
+            g1, g2 = draw(st.floats(-0.25, 4.0)), draw(st.floats(0.0, 4.0))
+            decades = draw(st.floats(0.5, 300.0))
+        # x_hi near 1, where u x^2 counts, or deep toward the origin
+        x_hi = 10.0 ** draw(st.one_of(st.floats(-1.0, 0.5), st.floats(-280.0, -1.0)))
+        x_lo = max(x_hi * 10.0 ** -decades, 1e-300)
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    init = (math.cos(angle), scale * math.sin(angle))
+    return g1, g2, u, (x_lo, x_hi), init
+
+
+@given(case=_zero_count_cases())
+@settings(max_examples=40, deadline=None)
+def test_count_zeros_matches_the_s_form_reference(case):
+    g1, g2, u, interval, init = case
+    assume(interval[0] < interval[1] and init != (0.0, 0.0))
+    got = count_zeros(Couplings(g1, g2), u, interval, init).observed_zeros
+    assert got == _reference_zeros(g1, g2, u, *interval, init)
