@@ -33,13 +33,20 @@ Quadrature notes.  The integral route has an integrable t^(a-1) endpoint
 singularity whenever a < 1, which ordinary interval-halving quadrature
 cannot chase to 1e-10.  After rescaling t -> t/rho it is evaluated with a
 double-exponential map t = exp(u - exp(-u)), trapezoid in u, which eats
-both the algebraic endpoint and the e^(-t) tail.
+both the algebraic endpoint and the e^(-t) tail.  The nodes t and the
+weights t^p e^(-t) dt/du depend only on the power p and the level, never
+on the integrand, so each level's are built once and held in a table of
+16 (p, level) entries as two float arrays; a call on a power in the table
+costs one g(t) and one product per node.  Psi at one (alpha, beta) over
+many rho, and the ground-state norm, reuse them.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from array import array
+from functools import lru_cache
 
 from .errors import ConvergenceError, DomainError
 
@@ -285,11 +292,11 @@ def kummer_phi(alpha: float, beta: float, rho: float) -> float:
     running sum is monotone and the stagnation stop is safe.  Phi(0, b;
     rho) = 1 exactly.
     """
-    if alpha < 0.0:
+    if not (alpha >= 0.0):
         raise DomainError(f"kummer_phi: alpha must be >= 0, got {alpha}")
-    if beta < 1.0:
+    if not (beta >= 1.0):
         raise DomainError(f"kummer_phi: beta must be >= 1, got {beta}")
-    if rho < 0.0:
+    if not (rho >= 0.0):
         raise DomainError(f"kummer_phi: rho must be >= 0, got {rho}")
     if alpha == 0.0 or rho == 0.0:
         return 1.0
@@ -304,6 +311,39 @@ def kummer_phi(alpha: float, beta: float, rho: float) -> float:
 # levels, and the number of halvings of the step before giving up
 _QUAD_REL_TOL = 1e-12
 _QUAD_MAX_LEVEL = 8
+# the u window and the level-0 step; the window is 28 level-0 steps wide
+_QUAD_U_LO, _QUAD_U_HI = -6.56, 7.4
+_QUAD_H0 = 0.5
+
+
+@lru_cache(maxsize=16)
+def _de_level(p1: float, level: int) -> tuple[array, array]:
+    """Abscissae t and weights t^p1 e^(-t) (1 + e^(-u)) of the nodes that
+    `level` adds to the trapezoid in u: all of them at level 0, the odd
+    multiples of the halved step after.
+
+    Nodes with t < 1e-305 or a weight below e^-745 are left out; they
+    added an exact 0.0 to the sum.  The weight is exp(ln_w) * (1 + e^-u),
+    the left part of the product exp(ln_w) * (1 + e^-u) * g(t), so
+    w * g(t) is that product's float.  Raises OverflowError where the
+    weight peaks past e^709 (p ~ 171 and up).
+    """
+    h = math.ldexp(_QUAD_H0, -level)
+    n = int(math.ceil((_QUAD_U_HI - _QUAD_U_LO) / _QUAD_H0)) << level
+    ts, ws = array("d"), array("d")
+    for i in range(n + 1) if level == 0 else range(1, n, 2):
+        u = _QUAD_U_LO + i * h
+        emu = math.exp(-u)
+        lt = u - emu
+        if lt < -702.0:  # t below 1e-305
+            continue
+        t = math.exp(lt)
+        ln_w = p1 * lt - t
+        if ln_w < -745.0:
+            continue
+        ts.append(t)
+        ws.append(math.exp(ln_w) * (1.0 + emu))
+    return ts, ws
 
 
 def exp_halfline_quad(g, p: float) -> float:
@@ -313,37 +353,27 @@ def exp_halfline_quad(g, p: float) -> float:
     sum in u converges geometrically in the level number.  Node weights
     are assembled in log space so the algebraic endpoint cannot overflow;
     nodes with t < 1e-305 are dropped, which for p > -0.95 discards a
-    relative mass below ~1e-14 (hence the p floor).
+    relative mass below ~1e-14 (hence the p floor).  g is called once per
+    kept node.
     """
-    if p <= -0.95:
-        raise DomainError(f"exp_halfline_quad: p must exceed -0.95, got {p}")
-    u_lo, u_hi = -6.56, 7.4
+    if not (-0.95 < p < math.inf):
+        raise DomainError(f"exp_halfline_quad: p must be finite and exceed -0.95, got {p}")
     p1 = p + 1.0
 
-    def node(u: float) -> float:
-        emu = math.exp(-u)
-        lt = u - emu
-        if lt < -702.0:  # t below 1e-305
-            return 0.0
-        t = math.exp(lt)
-        ln_w = p1 * lt - t
-        if ln_w < -745.0:
-            return 0.0
+    def level_sum(level: int) -> float:
         try:
-            return math.exp(ln_w) * (1.0 + emu) * g(t)
-        except OverflowError:  # the weight t^(p+1) e^(-t) peaks past e^709 from p ~ 171
+            ts, ws = _de_level(p1, level)
+            return math.fsum(w * g(t) for t, w in zip(ts, ws))
+        except OverflowError:  # a weight t^(p+1) e^(-t), or their sum, passes float64 from p ~ 170
             raise ConvergenceError(
                 f"exp_halfline_quad: integrand overflows float64 (p={p})"
             ) from None
 
-    h = 0.5
-    n = int(math.ceil((u_hi - u_lo) / h))
-    total = math.fsum(node(u_lo + i * h) for i in range(n + 1)) * h
-    for _ in range(_QUAD_MAX_LEVEL):
+    h = _QUAD_H0
+    total = level_sum(0) * h
+    for level in range(1, _QUAD_MAX_LEVEL + 1):
         h *= 0.5
-        n *= 2
-        odd = math.fsum(node(u_lo + i * h) for i in range(1, n, 2)) * h
-        new = 0.5 * total + odd
+        new = 0.5 * total + level_sum(level) * h
         if abs(new - total) <= _QUAD_REL_TOL * max(abs(new), 1e-300):
             return new
         total = new
@@ -365,11 +395,11 @@ def tricomi_psi_integral(alpha: float, beta: float, rho: float) -> float:
     (the double-exponential map wants the singular power above -0.95 with
     slack, and tiny alpha turns up whenever w sits just above its floor).
     """
-    if alpha <= 0.0:
+    if not (alpha > 0.0):
         raise DomainError(f"tricomi_psi_integral: alpha must be > 0, got {alpha}")
-    if beta < 1.0:
-        raise DomainError(f"tricomi_psi_integral: beta must be >= 1, got {beta}")
-    if rho <= 0.0:
+    if not (1.0 <= beta < math.inf):
+        raise DomainError(f"tricomi_psi_integral: beta must be finite and >= 1, got {beta}")
+    if not (rho > 0.0):
         raise DomainError(f"tricomi_psi_integral: rho must be > 0, got {rho}")
     c = beta - alpha - 1.0
 
@@ -382,10 +412,13 @@ def tricomi_psi_integral(alpha: float, beta: float, rho: float) -> float:
         # parts: with G(t) = g(t) e^(-t), int t^(a-1) G dt = -(1/a) int t^a G' dt
         # (boundary terms vanish), and G' = (g' - g) e^(-t), so the singular
         # power rises from a-1 to a.
+        c_rho, cm1 = c / rho, c - 1.0
+
         def g_minus_gprime(t: float) -> float:
-            base = math.exp(c * math.log1p(t / rho)) if t > 0.0 else 1.0
-            gp = c / rho * math.exp((c - 1.0) * math.log1p(t / rho)) if t > 0.0 else c / rho
-            return base - gp
+            if t > 0.0:
+                lg1 = math.log1p(t / rho)
+                return math.exp(c * lg1) - c_rho * math.exp(cm1 * lg1)
+            return 1.0 - c_rho
 
         integral = exp_halfline_quad(g_minus_gprime, alpha) / alpha
 
@@ -428,11 +461,11 @@ def tricomi_psi_series(alpha: float, beta: float, rho: float) -> float:
     """Psi via the two-series combination (non-integer beta only, rho <= 300:
     the router sends only rho <= 8 here, and a larger rho is refused), or
     via `tricomi_psi_integral` when 13 or more of its digits are lost."""
-    if alpha <= 0.0:
+    if not (alpha > 0.0):
         raise DomainError(f"tricomi_psi_series: alpha must be > 0, got {alpha}")
-    if beta < 1.0:
-        raise DomainError(f"tricomi_psi_series: beta must be >= 1, got {beta}")
-    if rho <= 0.0:
+    if not (1.0 <= beta < math.inf):
+        raise DomainError(f"tricomi_psi_series: beta must be finite and >= 1, got {beta}")
+    if not (rho > 0.0):
         raise DomainError(f"tricomi_psi_series: rho must be > 0, got {rho}")
     d = abs(beta - round(beta))
     if d < 1e-12:
@@ -485,11 +518,11 @@ def tricomi_psi(alpha: float, beta: float, rho: float) -> float:
 
     alpha = 0 is excluded by contract: Psi(0, b; rho) = 1 identically.
     """
-    if alpha <= 0.0:
+    if not (alpha > 0.0):
         raise DomainError(f"tricomi_psi: alpha must be > 0, got {alpha}")
-    if beta < 1.0:
-        raise DomainError(f"tricomi_psi: beta must be >= 1, got {beta}")
-    if rho <= 0.0:
+    if not (1.0 <= beta < math.inf):
+        raise DomainError(f"tricomi_psi: beta must be finite and >= 1, got {beta}")
+    if not (rho > 0.0):
         raise DomainError(f"tricomi_psi: rho must be > 0, got {rho}")
     if abs(beta - round(beta)) <= 1e-8 or rho > 8.0:
         # integer-ish beta degenerates the series form.  Large rho is routed
