@@ -256,8 +256,11 @@ def solve_w(mu: float, nu: float, rp: ReducedParams) -> float:
     boundary equation, so this is the ground level's root search in
     `spectrum` with the target shifted by tan mu; at mu = 0 it returns
     -e0/4 of the ground level bit for bit at g2 = 1, where the energy
-    unit upsilon^2 is exactly 1.  The residual is checked against
-    1e-10 * (1 + |tan nu|) before returning.
+    unit upsilon^2 is exactly 1.  The residual |F - target| = |tan theta -
+    tan nu| of that search is checked against 1e-10 * (1 + |tan nu|) before
+    returning; it is taken in the tangent directly, not through theta_of,
+    whose atan/tan round trip loses ulp(pi/2) / (pi/2 - |nu|) relative next
+    to nu = +-pi/2 and would refuse roots that spectrum accepts.
     """
     if rp.kappa >= 1.0:
         raise DomainError(f"solve_w: kappa={rp.kappa} >= 1 has no extension family")
@@ -269,12 +272,10 @@ def solve_w(mu: float, nu: float, rp: ReducedParams) -> float:
     tmu = math.tan(mu)
     target = tmu - tnu if rp.kappa > 0.0 else tnu + tmu
     c, skew = _boundary_consts(rp)
-    e = _root_in_gap(rp, target, 0, _lowest_gap_floor(rp, target, c), _pole(rp, 0), c, skew)[0]
-    w = -0.25 * e
-    resid = abs(math.tan(theta_of(mu, w, rp)) - tnu)
+    e, resid = _root_in_gap(rp, target, 0, _lowest_gap_floor(rp, target, c), _pole(rp, 0), c, skew)
     if resid > 1e-10 * (1.0 + abs(tnu)):
         raise ConvergenceError(f"solve_w: residual {resid:.2e} too large at mu={mu}, nu={nu}")
-    return w
+    return -0.25 * e
 
 
 # ---------------------------------------------------------------------------

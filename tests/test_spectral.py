@@ -156,6 +156,15 @@ class TestSolveW:
             return
         assert solve_w(0.0, nu, rp) == -0.25 * res.energies[0]
 
+    def test_residual_next_to_half_pi_is_the_ground_levels(self):
+        # tan nu ~ 5e5: an atan/tan round trip through theta alone is off
+        # by ~5e-5 there, past the 1e-10 * (1 + |tan nu|) bound
+        rp = rp_kappa(0.25)
+        nu = 1.5707943267948965
+        res = spectrum(rp, extension_for(rp, nu=nu), 1)
+        assert res.residuals[0] <= 1e-10 * (1.0 + abs(math.tan(nu)))
+        assert solve_w(0.0, nu, rp) == -0.25 * res.energies[0]
+
     @given(kappa=st.floats(0.05, 0.9), w=st.floats(-0.3, 6.0))
     @settings(max_examples=60, deadline=None)
     def test_theta_in_range(self, kappa, w):

@@ -166,8 +166,8 @@ def test_pole_hugging_evaluations_per_root(monkeypatch, g1, nu, levels):
 
 @pytest.mark.parametrize("kappa, mu, nu", sorted(SOLVE_W))
 def test_solve_w_evaluations(monkeypatch, kappa, mu, nu):
-    # the ground gap's search from its estimate, plus the residual check's
-    # one evaluation (up to 24 with a doubling bracket from the floor)
+    # the ground gap's search from its estimate; the residual check reuses
+    # the search's last value (up to 24 with a doubling bracket from the floor)
     calls = _counting_boundary_F(monkeypatch)
     solve_w(mu, nu, rp_kappa(kappa))
     assert calls[0] <= 10
