@@ -25,9 +25,12 @@ The two-series combination cancels catastrophically once rho is a few
 units large (the two Phi terms grow like e^rho while Psi decays like
 rho^(-a)).  Measured in float64 the worst case on the overlap test grid
 is ~2e-7, which busts the 1e-8 contract, so the combination counts the
-digits it lost: up to 5 it keeps its float64 value, up to 13 it re-runs
-itself in fixed elevated precision (mpmath), and past that, where its
-value is rounding noise, it hands over to the Laplace integral.
+digits it lost: up to 5 it keeps its float64 value, and past that it
+hands over to the Laplace integral, float64-exact wherever it converges.
+Where the integral refuses (large alpha at small rho, from alpha ~ 90
+on, and past alpha ~ 170 at any rho), a value that lost fewer than 13
+digits re-runs the combination in fixed elevated precision (mpmath); one
+that lost more is rounding noise, and refused.
 
 Quadrature notes.  The integral route has an integrable t^(a-1) endpoint
 singularity whenever a < 1, which ordinary interval-halving quadrature
@@ -431,6 +434,12 @@ def tricomi_psi_integral(alpha: float, beta: float, rho: float) -> float:
             f"tricomi_psi_integral: rho^(-alpha)/Gamma(alpha) overflows at "
             f"alpha={alpha}, rho={rho}"
         ) from None
+    if not integral >= sys.float_info.min:
+        # (1 + t/rho)^(beta-alpha-1) underflowed where the weight sits (large
+        # alpha, small rho): the sum lost its digits, though Psi did not
+        raise ConvergenceError(
+            f"tricomi_psi_integral: integrand underflows float64 at alpha={alpha}, rho={rho}"
+        )
     if scale < sys.float_info.min and integral > 0.0:
         # a subnormal scale drops digits (all of Psi(95, b; 80)) that the product keeps
         return math.exp(ln_scale + math.log(integral))
@@ -438,10 +447,13 @@ def tricomi_psi_integral(alpha: float, beta: float, rho: float) -> float:
 
 
 def _psi_two_series_mp(alpha: float, beta: float, rho: float, lost: float) -> float:
-    # Re-run the identical combination in elevated fixed precision.  The
-    # cancellation between the two Phi terms eats `lost` (< 13) decimal
-    # digits, so budget those plus a sound margin.  The term budget scales
-    # with rho (the Kummer tail needs ~rho + sqrt(rho * digits) terms).
+    # Re-run the identical combination in elevated fixed precision, for the
+    # band values (5 to 13 digits lost) the Laplace integral refuses: large
+    # alpha at small rho (from ~90), where its quadrature does not converge
+    # or its integrand underflows, and alpha past ~170, where its weights
+    # overflow.  Budget the `lost` digits plus a sound margin; the term
+    # budget scales with rho (the Kummer tail needs ~rho + sqrt(rho * digits)
+    # terms).
     import mpmath as mp
 
     dps = 26 + int(lost)
@@ -459,8 +471,15 @@ def _psi_two_series_mp(alpha: float, beta: float, rho: float, lost: float) -> fl
 
 def tricomi_psi_series(alpha: float, beta: float, rho: float) -> float:
     """Psi via the two-series combination (non-integer beta only, rho <= 300:
-    the router sends only rho <= 8 here, and a larger rho is refused), or
-    via `tricomi_psi_integral` when 13 or more of its digits are lost."""
+    the router sends only rho <= 8 here, and a larger rho is refused).
+
+    The combination keeps its float64 value when it loses at most 5 digits.
+    Past that it hands over to `tricomi_psi_integral`; where the integral
+    refuses, a value that lost fewer than 13 digits is re-run in mpmath and
+    one that lost more is refused.  A prefactor that underflowed (not an
+    exact pole of 1/Gamma, where its term truly vanishes) hides its term,
+    so it counts as every digit lost.
+    """
     if not (alpha > 0.0):
         raise DomainError(f"tricomi_psi_series: alpha must be > 0, got {alpha}")
     if not (1.0 <= beta < math.inf):
@@ -475,36 +494,42 @@ def tricomi_psi_series(alpha: float, beta: float, rho: float) -> float:
             f"tricomi_psi_series: rho={rho} exceeds the series-form budget (use the integral form)"
         )
     # float64 first; it is exact enough whenever little cancels.
-    t1 = gamma(1.0 - beta) * rgamma(alpha - beta + 1.0) * _phi_series(
-        alpha, beta, rho, _SERIES_REL_TOL, _SERIES_MAX_TERMS
-    )
+    p1 = gamma(1.0 - beta) * rgamma(alpha - beta + 1.0)
+    t1 = p1 * _phi_series(alpha, beta, rho, _SERIES_REL_TOL, _SERIES_MAX_TERMS)
     try:
         pw = rho ** (1.0 - beta)
     except OverflowError:
         raise ConvergenceError(f"tricomi_psi_series: rho^(1-beta) overflows at rho={rho}") from None
-    t2 = gamma(beta - 1.0) * rgamma(alpha) * pw * _phi_series(
+    p2 = gamma(beta - 1.0) * rgamma(alpha) * pw
+    t2 = p2 * _phi_series(
         alpha - beta + 1.0, 2.0 - beta, rho, _SERIES_REL_TOL, _SERIES_MAX_TERMS
     )
     val = t1 + t2
     num = abs(t1) + abs(t2)
-    if num == 0.0:
+    if abs(p2) < sys.float_info.min or (
+        abs(p1) < sys.float_info.min and not _is_nonpositive_int(alpha - beta + 1.0)
+    ):
+        lost = math.inf
+    elif num == 0.0:
         return val  # one term vanished on an exact pole, no cancellation
-    log_num = math.log10(num)
-    if not math.isfinite(log_num):
-        raise ConvergenceError(
-            f"tricomi_psi_series: Phi overflow at alpha={alpha}, rho={rho}"
-        )
-    log_val = math.log10(abs(val)) if val != 0.0 else -400.0
-    # digits lost: those that cancel, plus those Gamma(1 - beta) lacks within
-    # 0.1 of an integer beta (its sin(pi (1 - beta)) is good to ~eps/d)
-    lost = log_num - log_val + max(0.0, math.log10(0.1 / d))
-    if lost >= 13.0:
-        # val is rounding noise (num * 2^-53 scale) or exactly zero; the
-        # Laplace integral is float64-exact here
+    else:
+        log_num = math.log10(num)
+        if not math.isfinite(log_num):
+            raise ConvergenceError(
+                f"tricomi_psi_series: Phi overflow at alpha={alpha}, rho={rho}"
+            )
+        log_val = math.log10(abs(val)) if val != 0.0 else -400.0
+        # digits lost: those that cancel, plus those Gamma(1 - beta) lacks within
+        # 0.1 of an integer beta (its sin(pi (1 - beta)) is good to ~eps/d)
+        lost = log_num - log_val + max(0.0, math.log10(0.1 / d))
+        if lost <= 5.0:
+            return val
+    try:
         return tricomi_psi_integral(alpha, beta, rho)
-    if lost <= 5.0:
-        return val
-    return _psi_two_series_mp(alpha, beta, rho, lost)
+    except ConvergenceError:
+        if lost >= 13.0:  # val is rounding noise, or a term is hidden
+            raise
+        return _psi_two_series_mp(alpha, beta, rho, lost)
 
 
 def tricomi_psi(alpha: float, beta: float, rho: float) -> float:
@@ -513,8 +538,10 @@ def tricomi_psi(alpha: float, beta: float, rho: float) -> float:
     Routing: within 1e-8 of an integer beta the two-series form has lost
     (or is about to lose) all significance to the Gamma(1-beta) /
     Gamma(beta-1) blowup, and the Laplace integral takes over; elsewhere
-    the series combination is used.  Strictly positive, strictly
-    decreasing in rho, ~ rho^(-alpha) at infinity.
+    the series combination is used, which itself hands any value that
+    cancels more than 5 digits to the integral (see `tricomi_psi_series`).
+    Strictly positive, strictly decreasing in rho, ~ rho^(-alpha) at
+    infinity; where no route holds the value, a ConvergenceError.
 
     alpha = 0 is excluded by contract: Psi(0, b; rho) = 1 identically.
     """

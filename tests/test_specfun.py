@@ -6,11 +6,12 @@ downstream module leans on.
 """
 
 import math
+from unittest import mock
 
 import mpmath
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from calogero import specfun
@@ -367,6 +368,9 @@ class TestTricomiPsi:
             # beta near an integer: Gamma(1 - beta) lacks the digits that cancel
             (34.99033301109148, 1.0000314934977732, 0.005068561286593332),
             (45.321335049666764, 3.000000016423612, 4.726267507864416),
+            # 44 digits cancel where the float64 terms show 12.7: mpmath at
+            # 38 digits returned -1.2e-280
+            (154.94366628595776, 5.744469356588795, 4.30571037432872),
         ],
     )
     def test_series_matches_hyperu_where_it_cancels(self, a, b, r):
@@ -404,6 +408,84 @@ class TestTricomiPsi:
         with mpmath.workdps(40):
             ref = float(mpmath.hyperu(a, b, r))
         assert got == pytest.approx(ref, rel=1e-8, abs=0.0)
+
+    @given(
+        st.floats(min_value=math.log(1.2), max_value=math.log(100.0)),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=1.0, max_value=7.0, exclude_max=True),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_band_takes_the_integral_and_matches_hyperu(self, ln_a, u, b):
+        # the two series cancel ~1.74 sqrt(alpha rho) digits: alpha rho in
+        # [9, 55] (rho <= 8) puts most draws in the 5-13 digit band, which
+        # the series hands to the Laplace integral
+        a = math.exp(ln_a)
+        r = (9.0 + u * (min(55.0, 8.0 * a) - 9.0)) / a
+        assume(abs(b - round(b)) > 1e-6)
+        with mpmath.workdps(30):
+            am, bm, rm = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(r)
+            t1 = mpmath.gamma(1 - bm) * mpmath.rgamma(am - bm + 1) * mpmath.hyp1f1(am, bm, rm)
+            t2 = (mpmath.gamma(bm - 1) * mpmath.rgamma(am) * rm ** (1 - bm)
+                  * mpmath.hyp1f1(am - bm + 1, 2 - bm, rm))
+            ref = mpmath.hyperu(am, bm, rm)
+            lost = float(mpmath.log10((abs(t1) + abs(t2)) / ref))
+        assume(5.5 < lost < 12.5)
+        with mock.patch.object(specfun, "tricomi_psi_integral", wraps=tricomi_psi_integral) as integral:
+            got = tricomi_psi_series(a, b, r)
+        assert integral.call_count == 1
+        assert got == pytest.approx(float(ref), rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "args, refusal, pinned",
+        [
+            # 7.7 digits cancel, and the quadrature does not converge
+            ((146.3823893585053, 3.8581192521960097, 0.13595920013435034),
+             "no convergence at level 8", "0x1.6409f7cfca184p-838"),
+            # (1 + t/rho)^(beta-alpha-1) underflows over the whole weight, and
+            # the integral's 0.0 would stand for Psi = 1.36e-288
+            ((163.5431713875539, 2.0000240385494554, 0.0020309934977136893),
+             "integrand underflows", "0x1.a9a5c1c752aeap-957"),
+        ],
+    )
+    def test_band_falls_back_to_mpmath_where_the_integral_refuses(self, args, refusal, pinned):
+        with pytest.raises(ConvergenceError, match=refusal):
+            tricomi_psi_integral(*args)
+        assert tricomi_psi(*args).hex() == pinned
+
+    @pytest.mark.parametrize(
+        "a,b,r",
+        [
+            # 1/Gamma(172) underflows to 0.0, which hid the second term and
+            # left the first, negative with Gamma(1 - beta): Psi is 2.9e-320
+            # and 6.0e-300
+            (172.0, 1.9, 1.0),
+            (172.0, 5.5, 0.01),
+            # integer beta, the integral alone: its sum underflowed and lost
+            # 15 % of Psi = 2.1e-170
+            (106.88178639949531, 1.0, 0.0010509308007882214),
+        ],
+    )
+    def test_silently_wrong_values_are_refused(self, a, b, r):
+        with pytest.raises(ConvergenceError):
+            tricomi_psi(a, b, r)
+
+    @given(
+        st.floats(min_value=100.0, max_value=180.0),
+        st.floats(min_value=1.0, max_value=7.0),
+        st.floats(min_value=math.log(1e-4), max_value=math.log(8.0)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_large_alpha_is_positive_or_refused(self, a, b, ln_r):
+        r = math.exp(ln_r)
+        try:
+            got = tricomi_psi(a, b, r)
+        except ConvergenceError:
+            return
+        if got == 0.0:  # only where Psi itself rounds to zero
+            with mpmath.workdps(40):
+                assert float(mpmath.hyperu(a, b, r)) == 0.0
+        else:
+            assert got > 0.0
 
     def test_series_budget_exhaustion_raises(self, monkeypatch):
         # the float64 two-series route needs over 40 terms at rho = 10;

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
-from calogero import oracle, spectral
+from calogero import oracle, specfun, spectral
 from calogero.errors import ConvergenceError, DomainError
 from calogero.oracle import ShootingConfig
 from calogero.params import reduce
@@ -661,6 +661,23 @@ class TestGroundState:
             x, h = 1.1, 1e-6
             fd = (gs(x + h) - gs(x - h)) / (2.0 * h)
             assert gs.derivative(x) == pytest.approx(fd, rel=1e-7)
+
+    def test_interior_state_samples_without_mpmath(self, monkeypatch):
+        # alpha = 6.29: 182 of the state's Psi values on the oracle grid
+        # cancel 5 to 13 digits of the two-series form, and the Laplace
+        # integral answers every one of them
+        def escalation(*args):
+            raise AssertionError(f"mpmath escalation at {args}")
+
+        monkeypatch.setattr(specfun, "_psi_two_series_mp", escalation)
+        spectral._nu_state_norm.cache_clear()
+        rp = rp_kappa(0.19)
+        gs = ground_state_wavefunction(rp, extension_for(rp, nu=-1.05))
+        x_min, x_max, _ = ShootingConfig().resolved(rp.upsilon)
+        n = oracle._N_GRID
+        grid = [x_min + (x_max - x_min) * i / (n - 1) for i in range(n)]
+        vals = oracle.sample_on_grid(gs, grid).values
+        assert len(vals) == 801 and all(v > 0.0 for v in vals)
 
     def test_deep_state_has_unit_norm(self):
         # alpha ~ 50.5: near the origin every digit of the float64 Psi series
