@@ -104,7 +104,7 @@ def count_zeros(
     if g1 < -0.25:
         mode = "origin"
         rate = math.sqrt(-g1 - 0.25)
-        phase = rate * math.log(x_hi / x_lo)
+        phase = rate * (math.log(x_hi) - math.log(x_lo))  # x_hi / x_lo may overflow
     elif g2 < 0.0:
         mode = "infinity"
         rate = math.sqrt(-g2)

@@ -4,9 +4,9 @@ gamma-function spectral equations.
 The radial problem -u'' + (g1/x^2 + g2 x^2) u = E u is integrated with
 the package's own Cash-Karp RK45 from both ends toward an interior match
 point.  Left data comes from the Frobenius series fixed by the extension
-angle nu, right data from the leading decaying asymptotics; E is an
-eigenvalue exactly when the two solutions are proportional, i.e. their
-Wronskian at the match point vanishes.
+angle nu, right data from the asymptotics of the solution that decays at
+infinity; E is an eigenvalue exactly when the two solutions are
+proportional, i.e. their Wronskian at the match point vanishes.
 
 Left boundary data.  With s_pm = 1/2 +- kappa, the two Frobenius
 solutions are F_s = (ups x)^s sum_k a_k x^{2k},
@@ -23,11 +23,36 @@ collide and the second solution grows a logarithm,
 with the combination  sin(nu) F_{1/2} + 2 cos(nu) L  carrying boundary
 angle nu.
 
-Right boundary data.  chi = (ups x)^{-1/2 - 2w} exp(-(ups x)^2 / 2) with
-w = -E/(4 ups^2) is the decaying solution to leading order; the O(1/x^2)
-corrections it drops excite only the growing-at-infinity mode, which the
-inward integration suppresses by exp(-(x_max^2 - x_match^2) ups^2 / 2),
-around 1e-14 for the default window.
+Right boundary data.  In z = ups x, t = z^2, k = E/(4 ups^2) the
+solution decaying at infinity is z^(-1/2) W_{k,kappa/2}(t), whose
+asymptotic series (DLMF 13.19.3) gives
+
+    u = z^(2k - 1/2) e^(-t/2) sum_s T_s,   T_s = (a)_s (b)_s / s! (-t)^-s,
+
+a, b = 1/2 +- kappa/2 - k.  While s - 1 + b < 0 its terms may grow and
+shrink again (the series terminates at a ladder level, where a is a
+non-positive integer); past that it is summed up to its smallest term,
+or to the first term below the error the start allows.  The first term
+left out (with its E-derivative, which the slope below uses) is the
+error the series claims.  Where it is not small -- deep ground states and
+large kappa, for which the series diverges from its first term -- WKB
+data serve instead,
+
+    u'/u = -sqrt(q) - q'/(4q),   q = g1/x^2 + g2 x^2 - E,
+
+whose next order, over the modes' gap 2 sqrt(q), is the error they claim.
+An error in either excites the mode that grows at infinity, which the
+inward integration suppresses, relative to the wanted one, by
+exp(-2 int sqrt(q) dx) from the start down to x_lo, the outer turning
+point or the match point, whichever lies farther out; in y = z^2 that
+integral is int sqrt(y^2 - e y + g1) / y dy, in closed form (logarithms
+and, for g1 < 0, an arcsine).  The right branch starts at the first
+x_s = x_lo + j / (4 ups), j >= 1, where the error times the suppression
+is at most 1e-17 (no data claim less than 1e-15, their rounding), or at
+x_max.  Starts lie past the turning point, so q > 0 on [x_s, inf) and the
+branch has no sign change to miss.  Data are scaled to u = sum T_s (or 1):
+the scale z^(2k - 1/2) e^(-t/2) is only checked, and refused past the
+float64 range.
 
 Matching angle and level count.  Write each solution in Pruefer form,
 u = r sin(theta), u' = r cos(theta), and let phi = atan2(u, u') mod pi be
@@ -48,18 +73,19 @@ lies in (-pi, 0) below the ground state, and level n is the root of
 Theta(E) = n pi: floor(Theta / pi) + 1 levels lie below E, so no level
 can be missed or found twice.
 
-Derivative.  Differentiating -u'' + (q - E) u = 0 in E gives
+Derivative.  Differentiating -u'' + q u = 0 in E (dq/dE = -1) gives
 (u u'_E - u' u_E)' = -u^2, and dphi/dE = -(u u'_E - u' u_E) / r^2 with
 r^2 = u^2 + u'^2, so
 
     dTheta/dE = (int_{x_min}^{x_match} u_L^2 dx + head) / r_L^2
-                + int_{x_match}^{x_max} u_R^2 dx / r_R^2.
+                + int_{x_match}^{inf} u_R^2 dx / r_R^2.
 
 The integrator accumulates both integrals along the branches.  head =
 u' u_E - u u'_E at x_min, from the series data and their central
 difference in E (step ups^2), is the exact [0, x_min) part of the left
 integral; without it the slope is off by up to a few per cent.  The
-right data's own term, of order chi(x_max)^2, is left out.
+right integral's [x_s, inf) part is u u'_E - u' u_E = u^2 d(u'/u)/dE at
+x_s (u and u_E decay), from the E-derivative of the data's own terms.
 
 Deep ground states.  A ground state far below its rung decays like
 exp(-sqrt(-E) x) from the origin, so at the default match point 1/ups
@@ -116,20 +142,24 @@ sin(phi_L - phi_R) is the Wronskian at the match point normalized by the
 solution magnitudes, which also cancels the integrator's renormalization
 factors, so it vanishes exactly at the eigenvalues.
 
-Window.  The right boundary data hold only where the top level's turning
-point sqrt(e_n)/ups lies at least 2/ups inside x_max; past that the
-truncation error grows beyond 1e-9 relative, and the oracle raises
-ConvergenceError instead of returning the level.  The lowest energy the
-top level can have (its rung on a ladder, the pole below its gap for nu)
-is checked before any level is solved, the level itself after.  It raises
-the same where a branch leaves the float64 range: the right data's
-exponential overflows, or at large kappa the left power
-(ups x_min)^(1/2 + kappa) underflows to zero.
+Window.  x_max caps the right branch's start, and it is where the
+eigenfunction grid ends (the sweep starts there from the same data).  A
+level is refused with ConvergenceError where its turning point
+sqrt(e_n)/ups lies less than 2/ups inside x_max, where leading-order data
+at x_max were off by more than 1e-9 relative; with the data above, levels
+up to 0.7/ups inside come out within 1.4e-13 of the boundary equation
+(kappa = 1/2, nu = 1), so the check is now only conservative.  The
+lowest energy the top level can have (its rung on a ladder, the pole
+below its gap for nu) is checked before any level is solved, the level
+itself after.  The oracle raises the same where a branch leaves the
+float64 range: the right data's scale overflows, or at large kappa the
+left power (ups x_min)^(1/2 + kappa) underflows to zero.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 from .errors import ConvergenceError, DomainError
@@ -158,10 +188,18 @@ _SOLVE_MAX_STEPS = 100  # matching-angle evaluations per solve
 # scaled floor below which the match point follows the ground state's decay
 _DEEP_FLOOR = -16.0
 # least ups x_max - sqrt(e) of the top level: from 2.0 down the truncation
-# error passes 1e-9 relative (6.5e-11 at 2.23, 2.1e-9 at 1.89)
+# error of leading-order data at x_max passed 1e-9 relative (6.5e-11 at
+# 2.23, 2.1e-9 at 1.89)
 _DECAY_MARGIN = 2.0
+# a right branch starts where its data's error along the inward-decaying
+# mode, times that mode's suppression down to the match point or the
+# turning point, is this small
+_START_LEAK = 1e-17
+_START_STEP = 0.25  # ups x between the trial starts of a right branch
+_DATA_FLOOR = 1e-15  # rounding of the right data, relative to their largest term
+_LN_FLOAT_MAX = math.log(sys.float_info.max)
 _N_GRID = 801  # eigenfunction sample points on the window (odd)
-_SERIES_MAX_TERMS = 60  # Frobenius series terms at the left boundary
+_SERIES_MAX_TERMS = 60  # series terms in the boundary data at either end
 
 
 @dataclass(frozen=True)
@@ -277,20 +315,110 @@ def _left_state(rp: ReducedParams, ext: Extension, E: float, x: float):
     return sn * f + 2.0 * cn * L, sn * df + 2.0 * cn * dL
 
 
-def _right_state(rp: ReducedParams, E: float, x: float):
+def _right_state(rp: ReducedParams, E: float, x: float, need: float = 0.0):
+    """((u, u'), y_E, error) of the solution decaying at infinity at x:
+    y_E = d(u'/u)/dE, which makes u^2 y_E the integral of u^2 over
+    [x, inf), and error the relative amplitude of the inward-decaying mode
+    the data carry.  The data are the W-series, stopped at its smallest
+    term or at the first term below need, or WKB where that claims the
+    smaller error (see the module docstring)."""
     ups = rp.upsilon
-    w = -E / (4.0 * ups * ups)
+    k = E / (4.0 * ups * ups)
     z = ups * x
-    ln_chi = (-0.5 - 2.0 * w) * math.log(z) - 0.5 * z * z
-    try:
-        chi = math.exp(ln_chi) if ln_chi > -700.0 else 1e-300
-    except OverflowError:
+    t = z * z
+    a, b = 0.5 + 0.5 * rp.kappa - k, 0.5 - 0.5 * rp.kappa - k
+    # the terms T_s of sum_s (a)_s (b)_s / s! (-t)^-s, their k-derivatives
+    # dT_s, and the sums of T_s, s T_s, dT_s and s dT_s.  While a factor
+    # s - 1 + b <= s - 1 + a is negative the terms may grow and shrink
+    # again, so the series stops only past it, where |T_s| + |dT_s| falls
+    # below need or stops falling (the dT_s go on where a T_s is 0 and the
+    # series terminates).  The error adds the rounding of the largest term.
+    term, dterm, big = 1.0, 0.0, 1.0
+    ser, ser_s, ser_k, ser_sk = 1.0, 0.0, 0.0, 0.0
+    for s in range(1, _SERIES_MAX_TERMS + 1):
+        ratio = (s - 1 + a) * (s - 1 + b) / (-s * t)
+        nxt = term * ratio
+        dnxt = dterm * ratio + term * (2 * s - 1 - 2.0 * k) / (s * t)
+        size = abs(nxt) + abs(dnxt)
+        if s - 1 + b > 0.0 and (size <= need or size >= abs(term) + abs(dterm)):
+            break
+        term, dterm = nxt, dnxt
+        ser += term
+        ser_s += s * term
+        ser_k += dterm
+        ser_sk += s * dterm
+        if abs(term) > big:
+            big = abs(term)
+    err = (size + _DATA_FLOOR * big) / abs(ser)
+    # z d(ln u)/dz of u = z^(2k - 1/2) e^(-t/2) ser, and its k-derivative
+    dlog = 2.0 * k - 0.5 - t - 2.0 * ser_s / ser
+    dlog_k = 2.0 - 2.0 * (ser_sk * ser - ser_s * ser_k) / (ser * ser)
+    p = rp.g1 + t * (t - 4.0 * k)  # z^2 q, q = g1/z^2 + z^2 - e
+    if err > need and p > 0.0:
+        dp, ddp = 2.0 * (t * t - rp.g1), 2.0 * (t * t + 3.0 * rp.g1)  # z^3 q', z^4 q''
+        # the next WKB order of u'/u, over the modes' gap 2 sqrt(q)
+        err_wkb = abs(5.0 * dp * dp / (64.0 * p) - ddp / 16.0) / (p * p)
+        if err_wkb < err:
+            ser, err = 1.0, err_wkb
+            root = math.sqrt(p)
+            dlog = -root - 0.25 * dp / p
+            dlog_k = 2.0 * t / root - t * dp / (p * p)
+    # the data are scaled to u = ser; their leading-order scale
+    # z^(2k - 1/2) e^(-t/2) is only checked, and refused past float64
+    ln_chi = (2.0 * k - 0.5) * math.log(z) - 0.5 * t
+    if ln_chi > _LN_FLOAT_MAX:
         raise ConvergenceError(
             f"shoot_spectrum: the right boundary data e^{ln_chi:.4g} at E = {E:.6g} "
             "leave the float64 range"
-        ) from None
-    dchi = (-ups * ups * x - (0.5 + 2.0 * w) / x) * chi
-    return chi, dchi
+        )
+    return (ser, dlog / x * ser), dlog_k / (4.0 * ups * ups * x), err
+
+
+def _decay_exponent(g1: float, e: float, y: float) -> float:
+    """2 int^z sqrt(q) dz, q = g1/z^2 + z^2 - e, at y = z^2 where q >= 0,
+    in closed form up to a constant that depends on (g1, e) alone: with
+    R = y^2 - e y + g1 it is int sqrt(R) / y dy.  Each logarithm's
+    argument is a sum that cancels on one side of a sign change; there it
+    is rationalized with a product equal to y^2 (e^2 - 4 g1) or e^2 - 4 g1.
+    Raises ValueError at a double root of R, where they are singular."""
+    c = g1
+    disc = e * e - 4.0 * c
+    r = math.sqrt(max(y * y - e * y + c, 0.0))
+    s = 2.0 * y - e  # (2r + s)(2r - s) = -disc
+    out = r - 0.5 * e * math.log(2.0 * r + s if s >= 0.0 else -disc / (2.0 * r - s))
+    if c > 0.0:
+        rc, d = 2.0 * math.sqrt(c) * r, 2.0 * c - e * y  # |rc + d| |rc - d| = y^2 |disc|
+        out -= math.sqrt(c) * math.log((rc + d) / y if d >= 0.0 else y * abs(disc) / (rc - d))
+    elif c < 0.0:
+        arg = (2.0 * c - e * y) / (y * math.sqrt(disc))
+        out -= math.sqrt(-c) * math.asin(max(-1.0, min(1.0, arg)))
+    return out
+
+
+def _right_start(rp: ReducedParams, E: float, x_match: float, x_max: float):
+    """(x_s, (u, u'), y_E): the right branch's start, the first of x_lo + j
+    _START_STEP / ups (j = 1, 2, ...) whose data leak at most
+    _START_LEAK into the match point, or x_max.  x_lo is the match point or
+    the outer turning point, whichever lies farther out."""
+    ups = rp.upsilon
+    e = E / (ups * ups)
+    disc = e * e - 4.0 * rp.g1
+    y_turn = 0.5 * (e + math.sqrt(disc)) if disc >= 0.0 else 0.0
+    z_lo = max(math.sqrt(max(y_turn, 0.0)), ups * x_match)
+    z = z_lo + _START_STEP
+    try:
+        base = _decay_exponent(rp.g1, e, z_lo * z_lo)
+    except ValueError:  # q has a double root: start at x_max
+        z = math.inf
+    while z < ups * x_max:
+        need = _START_LEAK * math.exp(min(_decay_exponent(rp.g1, e, z * z) - base, 700.0))
+        if need >= _DATA_FLOOR:  # no data are better than their rounding
+            state, y_e, err = _right_state(rp, E, z / ups, need)
+            if err <= need:
+                return z / ups, state, y_e
+        z += _START_STEP
+    state, y_e, _ = _right_state(rp, E, x_max)
+    return x_max, state, y_e
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +434,8 @@ def _theta(
     x_min, x_max, x_match = cfg.resolved(rp.upsilon)
     u0, v0 = _left_state(rp, ext, E, x_min)
     left = integrate(rp.g1, rp.g2, E, x_min, (u0, v0), x_match, rel_tol=tol)
-    right = integrate(rp.g1, rp.g2, E, x_max, _right_state(rp, E, x_max), x_match, rel_tol=tol)
+    x_s, start, y_e = _right_start(rp, E, x_match, x_max)
+    right = integrate(rp.g1, rp.g2, E, x_s, start, x_match, rel_tol=tol)
     ul, vl = left.y
     ur, vr = right.y
     # a node in (0, x_min) puts u(x_min) against the leading term at 0+
@@ -322,13 +451,15 @@ def _theta(
     head = (v0 * (up - um) - u0 * (vp - vm)) / (2.0 * h) * math.exp(-2.0 * left.log_scale)
     r2_left, r2_right = ul * ul + vl * vl, ur * ur + vr * vr
     if r2_left == 0.0 or r2_right == 0.0:
-        # at large kappa the Frobenius power (ups x_min)^s underflows, and a
-        # right start clamped at 1e-300 can end below 1e-162, whose square is 0
+        # at large kappa the Frobenius power (ups x_min)^s underflows
         side = "left" if r2_left == 0.0 else "right"
         raise ConvergenceError(
             f"shoot_spectrum: the {side} solution at E = {E:.6g} leaves the float64 range"
         )
-    slope = (left.u2_integral + head) / r2_left + right.u2_integral / r2_right
+    # the [x_s, inf) part of the right integral, u^2 d(u'/u)/dE at x_s (as
+    # u and u_E decay there), in the units of the right branch's end state
+    tail = y_e * (start[0] * math.exp(-right.log_scale)) ** 2
+    slope = (left.u2_integral + head) / r2_left + (right.u2_integral + tail) / r2_right
     return theta, slope
 
 
@@ -612,7 +743,7 @@ def _eigenfunction(rp, ext, E, cfg) -> OracleEigenfunction:
         return out, y, ls
 
     left_vals, yl, lsl = sweep(0, i_match, list(_left_state(rp, ext, E, x_min)), +1)
-    right_vals, yr, lsr = sweep(n - 1, i_match, list(_right_state(rp, E, x_max)), -1)
+    right_vals, yr, lsr = sweep(n - 1, i_match, list(_right_state(rp, E, x_max)[0]), -1)
 
     # proportionality factor, from values unless the state nearly vanishes
     # at the match point, then from derivatives

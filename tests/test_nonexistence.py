@@ -168,6 +168,14 @@ class TestPlumbing:
         assert min(ends) >= math.exp(-nonexistence._LOG_WIDTH) * (1.0 - 1e-15)
         assert r.observed_zeros == 2
 
+    def test_an_interval_ratio_past_float64_keeps_its_phase(self):
+        # 1e10 / 1e-300 overflows, so the phase is sigma (ln x_hi - ln x_lo),
+        # 0.01 x 713.8: it was refused as "phase inf"
+        r = count_zeros(Couplings(-0.2501, 0.0), 0.0, (1e-300, 1e10))
+        sigma = math.sqrt(0.2501 - 0.25)
+        assert r.predicted_zeros == pytest.approx(sigma * 310.0 * math.log(10.0) / math.pi, rel=1e-12)
+        assert r.observed_zeros == 2
+
     @pytest.mark.parametrize("g2, interval", [(1.0, (1e-3, 1e80)), (0.0, (1e-3, 1e200))])
     def test_coefficients_past_the_float64_range_are_refused(self, g2, interval):
         # g2 x^4 overflows, and at 1e200 so does x^2 itself

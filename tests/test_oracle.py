@@ -10,6 +10,7 @@ routes, one spectrum.
 import ast
 import math
 import pathlib
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from calogero.oracle import (
     shoot_spectrum,
 )
 from calogero.params import reduce
+from calogero.rk45 import integrate
 from calogero.spectral import extension_for, ground_state_wavefunction, spectrum
 
 # scaled energies e = E / ups^2, keyed by (kappa, nu)
@@ -238,14 +240,17 @@ DEEP = {
 
 
 # deep ground states the old step rule was slow on: (g1, g2, nu, pinned
-# energies); the kappa = 0.466 cell is a benchmark draw (E0 = -98.6)
+# energies); the kappa = 0.466 cell is a benchmark draw (E0 = -98.6).  The
+# kappa = 0.466 and 0.742 pins are from the right branch's start where its
+# data hold; from x_max their first excited levels lay 9.7e-13 and 1.6e-12
+# (relative) away
 CLIFFS = {
     "kappa-0.3": (-0.16, 1.0, -1.3, ("-0x1.4efc53952795ep+6", "0x1.89aa708a37e24p+1")),
     "kappa-0.466": (
         -0.032835996078904306, 133.97456812019843, -1.2134807836065487,
-        ("-0x1.8a4eb2ffc7818p+6", "0x1.5aa5481d73228p+5", "0x1.7168b70d2efc2p+6"),
+        ("-0x1.8a4eb2ffc7814p+6", "0x1.5aa5481d74946p+5", "0x1.7168b70d2ef85p+6"),
     ),
-    "kappa-0.742": (0.300564, 57.6, -1.5613, ("-0x1.4b0a336a8152bp+11", "0x1.aabc77ae6793bp+4")),
+    "kappa-0.742": (0.300564, 57.6, -1.5613, ("-0x1.4b0a336a8152fp+11", "0x1.aabc77ae64b3ap+4")),
 }
 
 
@@ -457,6 +462,115 @@ class TestRefusals:
         bogus = Extension(ExtensionLabel.NU, 0.3)
         with pytest.raises(DomainError, match="kappa < 1"):
             shoot_spectrum(rp, bogus, 1)
+
+
+def _leading_order(rp, E, x):
+    """(chi, chi') of the leading-order decaying data
+    chi = (ups x)^(2k - 1/2) e^(-(ups x)^2 / 2), k = E / (4 ups^2)."""
+    ups = rp.upsilon
+    k, z = E / (4.0 * ups * ups), ups * x
+    chi = math.exp((2.0 * k - 0.5) * math.log(z) - 0.5 * z * z)
+    return chi, (2.0 * k - 0.5 - z * z) / x * chi
+
+
+def _check_start(rp, ext, e, cfg, tol):
+    """Theta and its slope with the right branch started at x_s against a
+    reference from leading-order data 12/ups out.  For Theta the reference
+    branch starts at x_s from the state those data reach there (at 1e-13),
+    so both share every step from x_s and only the start's data differ;
+    the slope's reference integrates the whole branch from 12/ups.  Also
+    checks that q > 0 from x_s to x_max."""
+    E = e * rp.energy_scale()
+    ups = rp.upsilon
+    _, x_max, x_match = cfg.resolved(ups)
+    x_s, _, _ = oracle._right_start(rp, E, x_match, x_max)
+    assert x_match < x_s <= x_max
+    for i in range(101):
+        x = x_s + (x_max - x_s) * i / 100
+        assert rp.g1 / (x * x) + rp.g2 * x * x - E > 0.0, x
+    theta, slope = oracle._theta(rp, ext, E, cfg, tol)
+    x_ref = max(12.0 / ups, x_max + 4.0 / ups)
+    far = _leading_order(rp, E, x_ref)
+    near = integrate(rp.g1, rp.g2, E, x_ref, far, x_s, rel_tol=1e-13).y
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_right_start", lambda *args: (x_s, near, 0.0))
+        assert theta == pytest.approx(oracle._theta(rp, ext, E, cfg, tol)[0], rel=0.0, abs=1e-12)
+        mp.setattr(oracle, "_right_start", lambda *args: (x_ref, far, 0.0))
+        assert slope == pytest.approx(oracle._theta(rp, ext, E, cfg, tol)[1], rel=1e-6, abs=0.0)
+
+
+# (g1, g2, nu or None for the ladder, ups x_max, scaled energies): a ground
+# state near -349 (matched four decay lengths out, as shoot_spectrum does),
+# a deep kappa = 0 ground state at the window's floor, the kappa = 1/2
+# Friedrichs and kappa = 2.5 unique ladders, kappa = 1/2, nu = 1 levels up
+# to 35.5, whose turning point lies 2.04/ups inside x_max, and levels 24 and
+# 30 of the Friedrichs ladder in a window to 14/ups, where the series' terms
+# grow to about 2000 before they fall
+START_CASES = {
+    "kappa-0.742-ground": (0.300564, 57.6, -1.5613, 8.0, (-349.3, -348.9, -340.0)),
+    "kappa-0-floor": (-0.25, 1.0, 1.2, 8.0, (-170.0, -40.0)),
+    "kappa-0.5-friedrichs": (0.0, 1.0, None, 8.0, (3.0, 7.0, 19.0, 31.0)),
+    "kappa-2.5-ladder": (6.0, 1.0, None, 8.0, (7.0, 11.0, 27.0)),
+    "kappa-0.5-nu-1": (0.0, 1.0, 1.0, 8.0, (2.03, 13.51, 29.36, 33.34, 35.5)),
+    "kappa-0.5-wide": (0.0, 1.0, None, 14.0, (99.0, 123.0)),
+}
+
+
+class TestRightStart:
+    # the right branch starts where its data's leak along the inward-decaying
+    # mode into the match point is at most 1e-17, not at x_max
+
+    @pytest.mark.parametrize("tol", [oracle._SCAN_TOL, oracle._REFINE_TOL])
+    @pytest.mark.parametrize("name", sorted(START_CASES))
+    def test_start_matches_a_wide_window(self, name, tol):
+        g1, g2, nu, z_max, es = START_CASES[name]
+        rp = reduce(g1, g2)
+        ext = extension_for(rp, nu=nu, friedrichs=nu is None and rp.kappa < 1.0)
+        cfg = ShootingConfig(x_max=z_max / rp.upsilon)
+        floor = oracle._scan_floor(rp, ext)
+        if floor < oracle._DEEP_FLOOR:
+            cfg = replace(cfg, x_match=4.0 / (rp.upsilon * math.sqrt(-floor)))
+        for e in es:
+            _check_start(rp, ext, e, cfg, tol)
+
+    def test_the_start_moves_in(self):
+        # the deep ground state starts within 2/ups of the origin, the
+        # ladder's ground level halfway, the top level next to x_max
+        rp = reduce(0.300564, 57.6)
+        ups = rp.upsilon
+        cfg = ShootingConfig(x_match=4.0 / (ups * math.sqrt(-oracle._scan_floor(rp, extension_for(rp, nu=-1.5613)))))
+        _, x_max, x_match = cfg.resolved(ups)
+        assert ups * oracle._right_start(rp, -349.0 * ups * ups, x_match, x_max)[0] < 2.0
+        rp = reduce(0.0, 1.0)
+        assert oracle._right_start(rp, 3.0, 1.0, 8.0)[0] < 5.0
+        assert oracle._right_start(rp, 35.5, 1.0, 8.0)[0] < 8.0
+
+    @given(
+        kappa=st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.5]),
+        nu=st.floats(-1.2, 1.2),
+        ups=st.floats(0.5, 3.0),
+        e=st.floats(-3.0, 35.5),
+        tol=st.sampled_from([oracle._SCAN_TOL, oracle._REFINE_TOL]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_start_in_physical_units(self, kappa, nu, ups, e, tol):
+        rp = reduce(kappa * kappa - 0.25, ups ** 4)
+        ext = extension_for(rp, nu=None if kappa >= 1.0 else nu)
+        _check_start(rp, ext, max(e, oracle._scan_floor(rp, ext)), ShootingConfig(), tol)
+
+    @pytest.mark.parametrize("g1, e", [(0.0, 17.45), (6.0, 9.0), (-0.2, 30.0), (0.3, -349.0),
+                                       (1e4, 201.0), (1e4, 2.0 * math.sqrt(1e4) * (1.0 - 1e-9))])
+    def test_decay_exponent_is_the_integral(self, g1, e):
+        # 2 int sqrt(q) dz from the outer turning point (or, in the last case,
+        # from the near-double root of q at z^2 = e/2) against scipy's quadrature
+        from scipy.integrate import quad
+
+        z_turn = math.sqrt(max(0.5 * (e + math.sqrt(max(e * e - 4.0 * g1, 0.0))), 0.0))
+        for z1, z2 in ((z_turn + 0.1, z_turn + 0.6), (max(z_turn, 0.3), z_turn + 3.0)):
+            want = 2.0 * quad(lambda z: math.sqrt(max(g1 / (z * z) + z * z - e, 0.0)), z1, z2,
+                              epsabs=1e-13, epsrel=1e-12)[0]
+            got = oracle._decay_exponent(g1, e, z2 * z2) - oracle._decay_exponent(g1, e, z1 * z1)
+            assert got == pytest.approx(want, rel=1e-10)
 
 
 def _levels_below(rp, ext, e):

@@ -171,11 +171,8 @@ def test_pinned_results(name):
     assert (res.n_steps, res.n_rejected) == (n_steps, n_rejected)
 
 
-def test_pinned_shooting_spectrum(monkeypatch):
-    """kappa = 1/2, nu = 1, five levels: the energies, the residuals and the
-    oracle's RK45 work ([integrations, steps, rejected], counted through its
-    `integrate`) of the count-bracketed Newton root hunt."""
-    tally = [0, 0, 0]
+def _counting_integrate(tally):
+    """oracle.integrate adding [integrations, steps, rejected] to tally."""
 
     def counting(*args, **kwargs):
         res = integrate(*args, **kwargs)
@@ -184,7 +181,57 @@ def test_pinned_shooting_spectrum(monkeypatch):
         tally[2] += res.n_rejected
         return res
 
-    monkeypatch.setattr(oracle, "integrate", counting)
+    return counting
+
+
+def test_pinned_shooting_spectrum(monkeypatch):
+    """kappa = 1/2, nu = 1, five levels: the energies, the residuals and the
+    oracle's RK45 work ([integrations, steps, rejected], counted through its
+    `integrate`) of the count-bracketed Newton root hunt."""
+    tally = [0, 0, 0]
+    monkeypatch.setattr(oracle, "integrate", _counting_integrate(tally))
+    rp = reduce(0.0, 1.0)
+    spec = oracle.shoot_spectrum(rp, extension_for(rp, nu=1.0), 5)
+    assert [e.hex() for e in spec.energies] == [
+        "0x1.03b03babc1355p+1",
+        "0x1.6ebc838c46d92p+2",
+        "0x1.32f0ce2c9e609p+3",
+        "0x1.b04f4b46d852dp+3",
+        "0x1.17438504c90a5p+4",
+    ]
+    assert [r.hex() for r in spec.mismatch_residuals] == [
+        "0x1.0000000000000p-51",
+        "0x0.0p+0",
+        "0x1.0000000000000p-50",
+        "0x1.4000000000000p-45",
+        "0x1.0000000000000p-47",
+    ]
+    assert tally == [52, 4540, 278]
+    # the right branch starting at x_max took [52, 9569, 301]: the start
+    # where its data hold saves at least 30 % of the steps, and no solve
+    # takes an extra integration
+    assert tally[0] == 52 and tally[1] <= 0.7 * 9569
+
+
+def _leading_order_start(rp, E, x_match, x_max):
+    """The right branch's start before it followed the level: x_max, the
+    leading-order data chi = z^(-1/2 - 2w) e^(-z^2/2) clamped at 1e-300,
+    and no [x_max, inf) part in the slope."""
+    ups = rp.upsilon
+    w = -E / (4.0 * ups * ups)
+    z = ups * x_max
+    ln_chi = (-0.5 - 2.0 * w) * math.log(z) - 0.5 * z * z
+    chi = math.exp(ln_chi) if ln_chi > -700.0 else 1e-300
+    return x_max, (chi, (-ups * ups * x_max - (0.5 + 2.0 * w) / x_max) * chi), 0.0
+
+
+def test_pinned_shooting_spectrum_from_x_max(monkeypatch):
+    """The same run with the right branch started at x_max from leading-order
+    data reproduces, bit for bit, what the oracle returned with that start:
+    the start is all that moved the pins above."""
+    tally = [0, 0, 0]
+    monkeypatch.setattr(oracle, "integrate", _counting_integrate(tally))
+    monkeypatch.setattr(oracle, "_right_start", _leading_order_start)
     rp = reduce(0.0, 1.0)
     spec = oracle.shoot_spectrum(rp, extension_for(rp, nu=1.0), 5)
     assert [e.hex() for e in spec.energies] == [
