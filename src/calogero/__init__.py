@@ -14,7 +14,6 @@ from .nonexistence import ZeroCountReport, count_zeros
 from .oracle import (
     OracleSpectrum,
     ShootingConfig,
-    eigenfunction_overlap,
     sample_on_grid,
     shoot_spectrum,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "ShootingConfig",
     "OracleSpectrum",
     "shoot_spectrum",
-    "eigenfunction_overlap",
     "sample_on_grid",
     "ZeroCountReport",
     "count_zeros",

@@ -134,21 +134,34 @@ turn the rest into bisection.  The scan tolerance needs
 only |Theta - n pi| <= 1e-4: the refinement starts from the Newton step
 off the scan's last point and runs the same iteration on Theta
 integrated at the refinement tolerance, with twice the Newton step while
-it has no bracket; regular levels take two evaluations there.  A solve
-that runs out of steps raises ConvergenceError.
+it has no bracket; regular levels take two evaluations there.  A Newton
+step below one ulp of E also ends a solve (at large kappa the last
+|Theta - n pi| can stay above 1e-13 there); a solve that runs out of steps
+raises ConvergenceError.
 
 The residual returned is |sin(Theta - n pi)| at the returned energy:
 sin(phi_L - phi_R) is the Wronskian at the match point normalized by the
 solution magnitudes, which also cancels the integrator's renormalization
 factors, so it vanishes exactly at the eigenvalues.
 
-Window.  x_max caps the right branch's start, and it is where the
-eigenfunction grid ends (the sweep starts there from the same data).  A
-level is refused with ConvergenceError where its turning point
-sqrt(e_n)/ups lies less than 2/ups inside x_max, where leading-order data
-at x_max were off by more than 1e-9 relative; with the data above, levels
-up to 0.7/ups inside come out within 1.4e-13 of the boundary equation
-(kappa = 1/2, nu = 1), so the check is now only conservative.  The
+State at the match point.  A solution at E is fixed by (u, u') at one
+point.  At an eigenvalue the two branches, each scaled to r = 1 at the
+match point, are one solution up to sign, and by the Lagrange identity
+above the two integrals of dTheta/dE add up to its exact int_0^inf u^2
+dx.  The L2-normalized level at the match point is therefore
+
+    (u, u') = (sin phi_L, cos phi_L) / sqrt(dTheta/dE),
+
+phi_L in [0, pi), which signs it u >= 0 there (the ground state's sign).
+The pair comes from the refinement's last evaluation, the one whose
+energy is returned, at no extra integration.
+
+Window.  x_max caps the right branch's start.  A level is refused with
+ConvergenceError where its turning point sqrt(e_n)/ups lies less than
+2/ups inside x_max, where leading-order data at x_max were off by more
+than 1e-9 relative; with the data above, levels up to 0.7/ups inside come
+out within 1.4e-13 of the boundary equation (kappa = 1/2, nu = 1), so the
+check is now only conservative.  The
 lowest energy the top level can have (its rung on a ladder, the pole
 below its gap for nu) is checked before any level is solved, the level
 itself after.  The oracle raises the same where a branch leaves the
@@ -171,13 +184,12 @@ __all__ = [
     "OracleEigenfunction",
     "OracleSpectrum",
     "shoot_spectrum",
-    "eigenfunction_overlap",
     "sample_on_grid",
 ]
 
 _EULER_GAMMA = 0.5772156649015328606
 
-_REFINE_TOL = 1e-10  # refinement and eigenfunction integration tolerance
+_REFINE_TOL = 1e-10  # refinement integration tolerance
 _SCAN_TOL = 1e-7  # bracketing integration tolerance
 # |theta - n pi| and bracket width (relative to 1 + |E|) that end the
 # solve at each integration tolerance; the refinement starts from the scan's
@@ -198,7 +210,6 @@ _START_LEAK = 1e-17
 _START_STEP = 0.25  # ups x between the trial starts of a right branch
 _DATA_FLOOR = 1e-15  # rounding of the right data, relative to their largest term
 _LN_FLOAT_MAX = math.log(sys.float_info.max)
-_N_GRID = 801  # eigenfunction sample points on the window (odd)
 _SERIES_MAX_TERMS = 60  # series terms in the boundary data at either end
 
 
@@ -234,7 +245,9 @@ class OracleEigenfunction:
 class OracleSpectrum:
     energies: tuple[float, ...]
     mismatch_residuals: tuple[float, ...]
-    eigenfunctions: tuple[OracleEigenfunction, ...] | None
+    # (u, u') of each L2-normalized level at x_match, signed so that u >= 0
+    match_states: tuple[tuple[float, float], ...]
+    x_match: float  # the match point used, a deep ground state's included
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +440,10 @@ def _right_start(rp: ReducedParams, E: float, x_match: float, x_max: float):
 
 def _theta(
     rp: ReducedParams, ext: Extension, E: float, cfg: ShootingConfig, tol: float
-) -> tuple[float, float]:
+) -> tuple[float, float, float]:
     """Matching angle pi (Z_L + Z_R) + phi_L - phi_R of the two solutions
-    integrated to the match point at tol, and its derivative in E; level n
-    is the root at n pi."""
+    integrated to the match point at tol, its derivative in E, and phi_L;
+    level n is the root at n pi."""
     x_min, x_max, x_match = cfg.resolved(rp.upsilon)
     u0, v0 = _left_state(rp, ext, E, x_min)
     left = integrate(rp.g1, rp.g2, E, x_min, (u0, v0), x_match, rel_tol=tol)
@@ -441,8 +454,8 @@ def _theta(
     # a node in (0, x_min) puts u(x_min) against the leading term at 0+
     lead = -1.0 if not ext.is_ladder and rp.kappa == 0.0 else 1.0
     z_left = left.sign_changes + (lead * u0 < 0.0)
-    theta = (math.pi * (z_left + right.sign_changes)
-             + math.atan2(ul, vl) % math.pi - math.atan2(ur, vr) % math.pi)
+    phi_left = math.atan2(ul, vl) % math.pi
+    theta = math.pi * (z_left + right.sign_changes) + phi_left - math.atan2(ur, vr) % math.pi
     # head = u' u_E - u u'_E at x_min, the [0, x_min) part of the integral
     # of u^2, brought to the units of the left branch's end state
     h = rp.energy_scale()
@@ -460,7 +473,7 @@ def _theta(
     # u and u_E decay there), in the units of the right branch's end state
     tail = y_e * (start[0] * math.exp(-right.log_scale)) ** 2
     slope = (left.u2_integral + head) / r2_left + (right.u2_integral + tail) / r2_right
-    return theta, slope
+    return theta, slope, phi_left
 
 
 def _scan_floor(rp: ReducedParams, ext: Extension) -> float:
@@ -496,13 +509,10 @@ def _ground_estimate(rp: ReducedParams, ext: Extension) -> float:
 
 
 def shoot_spectrum(
-    rp: ReducedParams,
-    ext: Extension,
-    n_max: int,
-    cfg: ShootingConfig | None = None,
-    want_eigenfunctions: bool = False,
+    rp: ReducedParams, ext: Extension, n_max: int, cfg: ShootingConfig | None = None
 ) -> OracleSpectrum:
-    """First n_max eigenvalues by double shooting; ascending order."""
+    """First n_max eigenvalues by double shooting, ascending, with each
+    level's L2-normalized state at the match point."""
     if n_max < 1:
         raise DomainError(f"shoot_spectrum: n_max must be >= 1, got {n_max}")
     if ext.label is ExtensionLabel.NU:
@@ -527,20 +537,23 @@ def shoot_spectrum(
         cfg = replace(cfg, x_match=4.0 / (rp.upsilon * math.sqrt(-e_lo)))
 
     known: list[tuple[float, float, float]] = []  # every (E, Theta, dTheta/dE) evaluated
+    phi_left: dict[float, float] = {}  # the left angle of every refinement evaluation
 
     def theta(E: float) -> tuple[float, float]:
-        t, slope = _theta(rp, ext, E, cfg, _SCAN_TOL)
+        t, slope, _ = _theta(rp, ext, E, cfg, _SCAN_TOL)
         known.append((E, t, slope))
         return t, slope
 
     def fine(E: float) -> tuple[float, float]:
-        return _theta(rp, ext, E, cfg, _REFINE_TOL)
+        t, slope, phi_left[E] = _theta(rp, ext, E, cfg, _REFINE_TOL)
+        return t, slope
 
     theta(e_lo * ups2)
     if deep:  # a start next to the cliff
         theta(_ground_estimate(rp, ext) * ups2)
     roots: list[float] = []
     resids: list[float] = []
+    states: list[tuple[float, float]] = []
     for n in range(n_max):
         target = n * math.pi
         if n and all(t <= target for _, t, _ in known):
@@ -570,18 +583,18 @@ def shoot_spectrum(
         E, miss, slope = _solve(theta, target, *start, lo, hi, *_SCAN_STOP)
         if abs(miss) <= _SCAN_STOP[0]:  # not stopped by the bracket width
             E -= miss / slope
-        root, miss, _ = _solve(fine, target, E, *fine(E), None, None, *_REFINE_STOP)
+        root, miss, slope = _solve(fine, target, E, *fine(E), None, None, *_REFINE_STOP)
         roots.append(root)
         resids.append(abs(math.sin(miss)))
+        # the solve ends on an evaluated energy; dTheta/dE there is the
+        # integral of u^2 for r = 1 at the match point
+        norm = math.sqrt(slope)
+        states.append((math.sin(phi_left[root]) / norm, math.cos(phi_left[root]) / norm))
 
     # the right boundary data hold only where the top level's turning point
     # sits well inside the window
     _check_decay_room(rp, cfg, n_top, roots[-1] / ups2)
-
-    funcs = None
-    if want_eigenfunctions:
-        funcs = tuple(_eigenfunction(rp, ext, E, cfg) for E in roots)
-    return OracleSpectrum(tuple(roots), tuple(resids), funcs)
+    return OracleSpectrum(tuple(roots), tuple(resids), tuple(states), cfg.resolved(rp.upsilon)[2])
 
 
 def _check_decay_room(rp: ReducedParams, cfg: ShootingConfig, n: int, e: float, bound: str = "") -> None:
@@ -612,7 +625,8 @@ def _solve(theta, target, E, t, slope, lo, hi, tol, width) -> tuple[float, float
     target, and once two steps have failed to halve |theta - target| since
     the last Newton step that did.  While one side is still unknown, it is
     twice the Newton step.
-    Ends at |theta - target| <= tol or a bracket of width * (1 + |E|).
+    Ends at |theta - target| <= tol, a bracket of width * (1 + |E|), or a
+    Newton step below one ulp of E.
     """
     a, la = _end(lo, target, -math.inf)
     b, lb = _end(hi, target, math.inf)
@@ -629,6 +643,8 @@ def _solve(theta, target, E, t, slope, lo, hi, tol, width) -> tuple[float, float
         if abs(f) <= tol or b - a <= width * (1.0 + abs(E)):
             return E, f, slope
         x = E - f / slope
+        if x == E:  # the Newton step is below one ulp of E
+            return E, f, slope
         newton = halved and a < x < b
         if not newton:
             if math.isinf(b - a):
@@ -679,7 +695,7 @@ def _end(point, target, missing) -> tuple[float, float | None]:
 
 
 # ---------------------------------------------------------------------------
-# eigenfunctions
+# sampled functions
 
 
 def _simpson(vals: list[float], xs: list[float]) -> float:
@@ -710,75 +726,6 @@ def _simpson(vals: list[float], xs: list[float]) -> float:
     return acc
 
 
-# sampled eigenfunctions carry a geometric tail below x_min, filled from the
-# series initial data directly (it converges for arbitrarily small x); without
-# it the overlap quadrature drops the [0, x_min) mass of states that stay
-# finite at the origin (s- = 1/2 - kappa <= 0 near kappa = 1/2) and distinct
-# states stop looking orthogonal
-_ORIGIN_DEPTH = 2.0 ** 24
-_ORIGIN_POINTS = 96
-
-
-def _eigenfunction(rp, ext, E, cfg) -> OracleEigenfunction:
-    x_min, x_max, x_match = cfg.resolved(rp.upsilon)
-    n = _N_GRID
-    grid = [x_min + (x_max - x_min) * i / (n - 1) for i in range(n)]
-    i_match = min(range(n), key=lambda i: abs(grid[i] - x_match))
-
-    # sample left branch up to the match index, right branch down to it,
-    # tracking the renormalization ledger per sample
-    def sweep(i_from, i_to, state, step_dir):
-        out = {}
-        x = grid[i_from]
-        y = state
-        ls = 0.0
-        out[i_from] = (y[0], ls)
-        i = i_from
-        while i != i_to:
-            j = i + step_dir
-            res = integrate(rp.g1, rp.g2, E, x, y, grid[j], rel_tol=_REFINE_TOL)
-            x, y, ls = grid[j], list(res.y), ls + res.log_scale
-            out[j] = (y[0], ls)
-            i = j
-        return out, y, ls
-
-    left_vals, yl, lsl = sweep(0, i_match, list(_left_state(rp, ext, E, x_min)), +1)
-    right_vals, yr, lsr = sweep(n - 1, i_match, list(_right_state(rp, E, x_max)[0]), -1)
-
-    # proportionality factor, from values unless the state nearly vanishes
-    # at the match point, then from derivatives
-    if abs(yl[0]) * abs(yr[0]) >= abs(yl[1]) * abs(yr[1]):
-        lam, ls_lam = yr[0] / yl[0], lsr - lsl
-    else:
-        lam, ls_lam = yr[1] / yl[1], lsr - lsl
-
-    merged = []
-    ls_ref = max(lsl + ls_lam, lsr)  # common ledger offset, keeps exp finite
-    for i in range(n):
-        if i <= i_match:
-            v, ls = left_vals[i]
-            merged.append(v * lam * math.exp(ls + ls_lam - ls_ref))
-        else:
-            v, ls = right_vals[i]
-            merged.append(v * math.exp(ls - ls_ref))
-
-    # origin tail: raw series values share the left sweep's scale (ledger 0)
-    head = [x_min * _ORIGIN_DEPTH ** (k / _ORIGIN_POINTS - 1.0)
-            for k in range(_ORIGIN_POINTS)]
-    head_scale = lam * math.exp(ls_lam - ls_ref)
-    head_vals = [_left_state(rp, ext, E, x)[0] * head_scale for x in head]
-    grid = head + grid
-    merged = head_vals + merged
-
-    peak = max(abs(v) for v in merged)
-    if peak == 0.0:
-        raise ConvergenceError(f"eigenfunction identically zero at E = {E:.6g}")
-    merged = [v / peak for v in merged]
-    norm2 = _simpson([v * v for v in merged], grid)
-    merged = [v / math.sqrt(norm2) for v in merged]
-    return OracleEigenfunction(tuple(grid), tuple(merged), _count_nodes(merged))
-
-
 def _count_nodes(vals) -> int:
     nodes = 0
     prev = 0.0
@@ -792,9 +739,8 @@ def _count_nodes(vals) -> int:
 
 
 def sample_on_grid(fn, grid) -> OracleEigenfunction:
-    """Sample a callable u(x) on a grid and L2-normalize it with the same
-    quadrature rule the oracle eigenfunctions use, so overlaps against them
-    are apples to apples."""
+    """Sample a callable u(x) on a grid and L2-normalize it on the grid
+    (composite Simpson); nodes counts its sign changes."""
     xs = [float(x) for x in grid]
     vals = [float(fn(x)) for x in xs]
     norm2 = _simpson([v * v for v in vals], xs)
@@ -803,11 +749,3 @@ def sample_on_grid(fn, grid) -> OracleEigenfunction:
     scale = 1.0 / math.sqrt(norm2)
     vals = [v * scale for v in vals]
     return OracleEigenfunction(tuple(xs), tuple(vals), _count_nodes(vals))
-
-
-def eigenfunction_overlap(f1: OracleEigenfunction, f2: OracleEigenfunction) -> float:
-    """|integral f1 f2 dx| over the shared grid (Simpson)."""
-    if f1.grid != f2.grid:
-        raise DomainError("eigenfunction_overlap: eigenfunctions on different grids")
-    xs = list(f1.grid)
-    return abs(_simpson([a * b for a, b in zip(f1.values, f2.values)], xs))

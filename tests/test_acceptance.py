@@ -6,11 +6,13 @@ reads as a checklist. A failing row prints automatically.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
 from calogero import acceptance, specfun
 from calogero.acceptance import run_acceptance
+from calogero.spectral import gamma_skew
 
 ROW_NAMES = [
     "1-friedrichs-ground-vs-oracle",
@@ -97,3 +99,31 @@ def test_psi_dual_route_compares_two_routes(monkeypatch):
     row = acceptance._c7_psi_dual_route()
     assert row.passed
     assert handed_over == []
+
+
+def test_wavefunction_fidelity_has_margin(table):
+    row = table["9-wavefunction-fidelity"]
+    assert 10.0 * row.value <= row.threshold
+
+
+def test_wavefunction_fidelity_sees_a_skewed_gamma():
+    # a 1e-6 skew of the boundary equations moves the analytic ground states
+    # by about 2e-7 of (u, u') at the match point
+    token = gamma_skew.set(1e-6)
+    try:
+        row = acceptance._c9_wavefunction_fidelity()
+    finally:
+        gamma_skew.reset(token)
+    assert row.passed is False
+
+
+def test_wavefunction_fidelity_sees_a_norm_error(monkeypatch):
+    # the analytic states must be normalized, not only shaped, like the shot ones
+    real = acceptance.ground_state_wavefunction
+
+    def off(rp, ext):
+        gs = real(rp, ext)
+        return replace(gs, norm_constant=gs.norm_constant * (1.0 + 1e-6))
+
+    monkeypatch.setattr(acceptance, "ground_state_wavefunction", off)
+    assert acceptance._c9_wavefunction_fidelity().passed is False

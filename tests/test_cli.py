@@ -463,6 +463,7 @@ class TestVerify:
         by_name = {r["name"]: r["passed"] for r in doc["results"]["rows"]}
         # the skew lands on the boundary-equation rows and nowhere else
         assert by_name["2-nu-zero-closed-form"] is False
+        assert by_name["9-wavefunction-fidelity"] is False
         assert by_name["1-friedrichs-ground-vs-oracle"] is True
         assert by_name["6-factorization-identity"] is True
         assert by_name["7-psi-dual-route"] is True

@@ -18,13 +18,7 @@ from hypothesis import strategies as st
 
 from calogero import oracle
 from calogero.errors import ConvergenceError, DomainError
-from calogero.oracle import (
-    OracleEigenfunction,
-    ShootingConfig,
-    eigenfunction_overlap,
-    sample_on_grid,
-    shoot_spectrum,
-)
+from calogero.oracle import ShootingConfig, sample_on_grid, shoot_spectrum
 from calogero.params import reduce
 from calogero.rk45 import integrate
 from calogero.spectral import extension_for, ground_state_wavefunction, spectrum
@@ -90,7 +84,7 @@ class TestFrozenSpectra:
         rp = _rp_for_kappa(kappa)
         ext = extension_for(rp, nu=nu)
         spec = shoot_spectrum(rp, ext, 5)
-        assert spec.eigenfunctions is None
+        assert len(spec.match_states) == 5
         for got, ref in zip(spec.energies, QUINTETS[(kappa, nu)]):
             assert got == pytest.approx(ref, rel=5e-9)
         assert max(spec.mismatch_residuals) < 1e-12
@@ -127,6 +121,15 @@ class TestLadders:
         for got, ref in zip(spec.energies, (4.0, 8.0, 12.0)):
             assert got == pytest.approx(ref, rel=1e-8)
 
+    @pytest.mark.parametrize("kappa", [1.0 + 0.1 * i for i in range(76)], ids="{:.1f}".format)
+    def test_large_kappa_ladders(self, kappa):
+        # at kappa in [6.9, 8.4] seven ground states reach a Newton step below
+        # one ulp of E while |Theta| is still above the 1e-13 stop
+        rp = _rp_for_kappa(kappa)
+        spec = shoot_spectrum(rp, extension_for(rp, nu=None), 3)
+        for n, got in enumerate(spec.energies):
+            assert got == pytest.approx(2.0 * (2 * n + 1 + kappa), rel=1e-10)
+
     def test_physical_units(self):
         # g2 = 16 means upsilon^2 = 4; physical energies are 4x the scaled ones
         rp = reduce(0.0, 16.0)
@@ -160,51 +163,35 @@ class TestWindowInvariance:
             assert abs(m - b) / abs(b) <= 1e-6
 
 
-@pytest.fixture(scope="module")
-def nu_family():
-    rp = reduce(0.0, 1.0)  # kappa = 1/2: cos-nu part stays finite at 0
-    ext = extension_for(rp, nu=1.0)
-    return shoot_spectrum(rp, ext, 3, want_eigenfunctions=True)
+def _pair_gap(got, want):
+    """max(|du|, |du'|) / hypot(u, u') of two (u, u') pairs."""
+    return max(abs(got[0] - want[0]), abs(got[1] - want[1])) / math.hypot(*want)
 
 
-class TestEigenfunctions:
-    def test_node_counts_match_level_index(self, nu_family):
-        assert [f.nodes for f in nu_family.eigenfunctions] == [0, 1, 2]
+def _laguerre_state(rp, n, x):
+    """(u, u') at x of ladder level n from the closed form
+    u = rho^(1/4 + kappa/2) e^(-rho/2) L_n^kappa(rho), rho = (ups x)^2,
+    normalized by int u^2 dx = Gamma(n + kappa + 1) / (2 ups n!)."""
+    from scipy.special import eval_genlaguerre
 
-    def test_grid_sane(self, nu_family):
-        for f in nu_family.eigenfunctions:
-            xs = f.grid
-            assert all(a < b for a, b in zip(xs, xs[1:]))
-            assert xs[0] < 1e-6  # the origin tail reaches well below x_min
-            assert all(math.isfinite(v) for v in f.values)
-
-    def test_self_overlap_is_one(self, nu_family):
-        for f in nu_family.eigenfunctions:
-            assert eigenfunction_overlap(f, f) == pytest.approx(1.0, abs=1e-8)
-
-    def test_distinct_states_orthogonal(self, nu_family):
-        fs = nu_family.eigenfunctions
-        for i in range(3):
-            for j in range(i + 1, 3):
-                assert eigenfunction_overlap(fs[i], fs[j]) <= 1e-4
-
-    def test_kappa_zero_log_states_orthogonal(self):
-        rp = reduce(-0.25, 1.0)
-        ext = extension_for(rp, nu=-1.0)
-        fs = shoot_spectrum(rp, ext, 2, want_eigenfunctions=True).eigenfunctions
-        assert [f.nodes for f in fs] == [0, 1]
-        assert eigenfunction_overlap(fs[0], fs[1]) <= 1e-4
-
-    def test_grid_mismatch_rejected(self, nu_family):
-        f = nu_family.eigenfunctions[0]
-        other = OracleEigenfunction(tuple(x + 1.0 for x in f.grid), f.values, f.nodes)
-        with pytest.raises(DomainError, match="different grids"):
-            eigenfunction_overlap(f, other)
+    k, ups = rp.kappa, rp.upsilon
+    rho = (ups * x) ** 2
+    a = 0.25 + 0.5 * k
+    lag = eval_genlaguerre(n, k, rho)
+    dlag = -eval_genlaguerre(n - 1, k + 1.0, rho) if n else 0.0
+    c = math.sqrt(2.0 * ups * math.factorial(n) / math.gamma(n + k + 1.0))
+    u = c * rho ** a * math.exp(-0.5 * rho) * lag
+    du_drho = c * rho ** a * math.exp(-0.5 * rho) * ((a / rho - 0.5) * lag + dlag)
+    return u, du_drho * 2.0 * ups * ups * x
 
 
-class TestAnalyticFidelity:
-    # the closed-form ground states and the shot ones must be the same
-    # function, not merely the same energy
+# row 9's threshold on the gap between two (u, u') pairs
+_PAIR_TOL = 1e-7
+
+
+class TestMatchState:
+    # each level's L2-normalized (u, u') at the match point, from the last
+    # refinement evaluation: (sin phi_L, cos phi_L) / sqrt(dTheta/dE)
 
     @pytest.mark.parametrize(
         "g1,g2,kwargs",
@@ -215,18 +202,58 @@ class TestAnalyticFidelity:
             (0.0, 1.0, dict(nu=0.0)),  # Tricomi-function form
         ],
     )
-    def test_ground_state_overlap(self, g1, g2, kwargs):
+    def test_ground_state_pair(self, g1, g2, kwargs):
         rp = reduce(g1, g2)
         ext = extension_for(rp, **kwargs)
-        spec = shoot_spectrum(rp, ext, 1, want_eigenfunctions=True)
-        analytic = sample_on_grid(ground_state_wavefunction(rp, ext), spec.eigenfunctions[0].grid)
-        assert eigenfunction_overlap(analytic, spec.eigenfunctions[0]) >= 0.9999
+        spec = shoot_spectrum(rp, ext, 1)
+        gs = ground_state_wavefunction(rp, ext)
+        x = spec.x_match
+        assert x == 1.0 / rp.upsilon
+        assert _pair_gap(spec.match_states[0], (gs(x), gs.derivative(x))) <= _PAIR_TOL
 
-    def test_sample_on_grid_normalizes(self):
-        grid = [0.01 * i for i in range(1, 402)]
-        f = sample_on_grid(lambda x: x * math.exp(-x * x / 2.0), grid)
-        assert eigenfunction_overlap(f, f) == pytest.approx(1.0, abs=1e-12)
-        assert f.nodes == 0
+    @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("g2", [1.0, 4.0])
+    def test_ladder_pairs_are_laguerre_states(self, kappa, g2):
+        # an independent reference for every level, up to sign
+        rp = _rp_for_kappa(kappa, g2)
+        spec = shoot_spectrum(rp, extension_for(rp, nu=None, friedrichs=True), 4)
+        for n, got in enumerate(spec.match_states):
+            u, du = _laguerre_state(rp, n, spec.x_match)
+            assert got[0] >= 0.0
+            assert min(_pair_gap(got, (u, du)), _pair_gap(got, (-u, -du))) <= _PAIR_TOL, n
+
+    def test_deep_ground_state_at_its_match_point(self):
+        # the pair is reported at the moved match point, 4 / sqrt(-e_floor)
+        g1, g2, nu = DEEP["kappa-0.3"]
+        rp = reduce(g1, g2)
+        ext = extension_for(rp, nu=nu)
+        spec = shoot_spectrum(rp, ext, 1)
+        x = 4.0 / (rp.upsilon * math.sqrt(-oracle._scan_floor(rp, ext)))
+        assert spec.x_match == x
+        gs = ground_state_wavefunction(rp, ext)
+        assert _pair_gap(spec.match_states[0], (gs(x), gs.derivative(x))) <= _PAIR_TOL
+
+    @pytest.mark.parametrize("g1,nu,n", [(0.0, 1.0, 3), (-0.25, -1.0, 2)])
+    def test_pairs_agree_across_match_points(self, g1, nu, n):
+        # each level's pair at x_match = 1, carried to 0.5 by the ODE, is the
+        # pair matched at 0.5: the same state with the same norm (the
+        # kappa = 0 levels run on the log boundary data)
+        rp = reduce(g1, 1.0)
+        ext = extension_for(rp, nu=nu)
+        here = shoot_spectrum(rp, ext, n)
+        there = shoot_spectrum(rp, ext, n, ShootingConfig(x_match=0.5))
+        assert (here.x_match, there.x_match) == (1.0, 0.5)
+        for E, pair, want in zip(here.energies, here.match_states, there.match_states):
+            res = integrate(rp.g1, rp.g2, E, 1.0, pair, 0.5, rel_tol=1e-12)
+            got = tuple(v * math.exp(res.log_scale) for v in res.y)
+            assert min(_pair_gap(got, want), _pair_gap(got, (-want[0], -want[1]))) <= 1e-8
+
+
+def test_sample_on_grid_normalizes():
+    grid = [0.01 * i for i in range(1, 402)]
+    f = sample_on_grid(lambda x: x * math.exp(-x * x / 2.0), grid)
+    assert oracle._simpson([v * v for v in f.values], grid) == pytest.approx(1.0, abs=1e-12)
+    assert f.nodes == 0
 
 
 # ground states far below the rung: kappa = 0.3 at nu = -1.3 (scaled
@@ -352,6 +379,20 @@ class TestSolve:
 
         E, miss, _ = oracle._solve(theta, 0.0, 2.0, *theta(2.0), None, None, 1e-13, 1e-11)
         assert E == pytest.approx(0.3, abs=1e-11)
+
+    def test_a_newton_step_below_one_ulp_ends_the_solve(self):
+        # the root lies 0.4 ulp below 0.3, where theta is still 2.2e-12 off
+        # target: 0.3 is the answer, after one evaluation
+        calls = []
+
+        def theta(E):
+            calls.append(E)
+            return 1e5 * (E - 0.3) + 1e5 * 0.4 * 2.0 ** -54, 1e5
+
+        E, miss, _ = oracle._solve(theta, 0.0, 0.3, *theta(0.3), None, None, 1e-13, 1e-11)
+        assert E == 0.3
+        assert miss > 1e-13
+        assert len(calls) == 1
 
     def test_a_step_ends_on_the_bracket_width(self):
         def theta(E):
@@ -488,7 +529,7 @@ def _check_start(rp, ext, e, cfg, tol):
     for i in range(101):
         x = x_s + (x_max - x_s) * i / 100
         assert rp.g1 / (x * x) + rp.g2 * x * x - E > 0.0, x
-    theta, slope = oracle._theta(rp, ext, E, cfg, tol)
+    theta, slope, _ = oracle._theta(rp, ext, E, cfg, tol)
     x_ref = max(12.0 / ups, x_max + 4.0 / ups)
     far = _leading_order(rp, E, x_ref)
     near = integrate(rp.g1, rp.g2, E, x_ref, far, x_s, rel_tol=1e-13).y
@@ -576,7 +617,7 @@ class TestRightStart:
 def _levels_below(rp, ext, e):
     """Levels below the scaled energy e by the oracle's own count:
     floor(Theta / pi) + 1, Theta being its matching angle."""
-    theta, _ = oracle._theta(rp, ext, e * rp.energy_scale(), ShootingConfig(), oracle._SCAN_TOL)
+    theta, _, _ = oracle._theta(rp, ext, e * rp.energy_scale(), ShootingConfig(), oracle._SCAN_TOL)
     assert theta > -math.pi
     return math.floor(theta / math.pi) + 1
 
@@ -621,9 +662,9 @@ class TestOscillationCount:
         cfg = ShootingConfig()
         for e in (oracle._scan_floor(rp, ext) + 0.5, 1.3, 6.1, 17.9, 30.3):
             h = 1e-4 * (1.0 + abs(e))
-            _, slope = oracle._theta(rp, ext, e, cfg, oracle._REFINE_TOL)
-            up, _ = oracle._theta(rp, ext, e + h, cfg, oracle._REFINE_TOL)
-            down, _ = oracle._theta(rp, ext, e - h, cfg, oracle._REFINE_TOL)
+            _, slope, _ = oracle._theta(rp, ext, e, cfg, oracle._REFINE_TOL)
+            up, _, _ = oracle._theta(rp, ext, e + h, cfg, oracle._REFINE_TOL)
+            down, _, _ = oracle._theta(rp, ext, e - h, cfg, oracle._REFINE_TOL)
             assert slope == pytest.approx((up - down) / (2.0 * h), rel=1e-2), e
 
     @given(

@@ -587,14 +587,14 @@ class TestGroundState:
     @pytest.mark.parametrize("g2", [1.0, 5.0])
     def test_friedrichs_closed_form(self, kappa, g2):
         # the floor representation's phi is c (ups x)^(1/2+k) e^(-rho/2),
-        # checked on the oracle grid
+        # checked on 801 points of the oracle's window
         rp = rp_kappa(kappa, g2)
         gs = ground_state_wavefunction(rp, extension_for(rp, friedrichs=True))
         assert gs.energy == pytest.approx(2.0 * (1.0 + kappa) * rp.energy_scale(), rel=1e-14, abs=0.0)
         ups = rp.upsilon
         c = math.sqrt(2.0 * ups / math.gamma(1.0 + kappa))
         x_min, x_max, _ = ShootingConfig().resolved(ups)
-        n = oracle._N_GRID
+        n = 801
         for x in (x_min + (x_max - x_min) * i / (n - 1) for i in range(n)):
             want = c * (ups * x) ** (0.5 + kappa) * math.exp(-0.5 * (ups * x) ** 2)
             assert gs(x) == pytest.approx(want, rel=1e-14, abs=0.0), x
@@ -663,9 +663,9 @@ class TestGroundState:
             assert gs.derivative(x) == pytest.approx(fd, rel=1e-7)
 
     def test_interior_state_samples_without_mpmath(self, monkeypatch):
-        # alpha = 6.29: 182 of the state's Psi values on the oracle grid
-        # cancel 5 to 13 digits of the two-series form, and the Laplace
-        # integral answers every one of them
+        # alpha = 6.29: 182 of the state's Psi values on 801 points of the
+        # oracle's window cancel 5 to 13 digits of the two-series form, and
+        # the Laplace integral answers every one of them
         def escalation(*args):
             raise AssertionError(f"mpmath escalation at {args}")
 
@@ -674,7 +674,7 @@ class TestGroundState:
         rp = rp_kappa(0.19)
         gs = ground_state_wavefunction(rp, extension_for(rp, nu=-1.05))
         x_min, x_max, _ = ShootingConfig().resolved(rp.upsilon)
-        n = oracle._N_GRID
+        n = 801
         grid = [x_min + (x_max - x_min) * i / (n - 1) for i in range(n)]
         vals = oracle.sample_on_grid(gs, grid).values
         assert len(vals) == 801 and all(v > 0.0 for v in vals)
