@@ -15,7 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .factorization import RepresentationParams, apply_a, factorization_residual, make_phi
+from .factorization import (
+    RepresentationParams,
+    factorization_residual,
+    kernel_sweep,
+    make_phi,
+    residual_sweep,
+)
 from .nonexistence import count_zeros
 from .oracle import shoot_spectrum
 from .params import Couplings, reduce
@@ -171,39 +177,13 @@ def _c5_monotone_flow():
 
 # --- 6: factorization identity ----------------------------------------------
 
-# test functions with hand derivatives; smooth, decaying, and one rational
-_SUITE = (
-    (
-        lambda x: x * x * math.exp(-0.5 * x * x),
-        lambda x: (2.0 * x - x**3) * math.exp(-0.5 * x * x),
-        lambda x: (2.0 - 5.0 * x * x + x**4) * math.exp(-0.5 * x * x),
-    ),
-    (
-        lambda x: x**3 / (1.0 + x * x),
-        lambda x: (3.0 * x * x + x**4) / (1.0 + x * x) ** 2,
-        lambda x: (6.0 * x - 2.0 * x**3) / (1.0 + x * x) ** 3,
-    ),
-    (
-        lambda x: math.sin(x) * math.exp(-x),
-        lambda x: (math.cos(x) - math.sin(x)) * math.exp(-x),
-        lambda x: -2.0 * math.cos(x) * math.exp(-x),
-    ),
-)
-
-_XS = (0.3, 0.7, 1.3, 2.1)
-
-
 def _c6_factorization_identity():
     worst = 0.0
     for g1 in (-0.25, -0.1875, 0.0, 2.0):
         rp = reduce(g1, 1.0)
         for mu, w in ((0.5 * math.pi, 0.0), (0.3, rp.w0), (1.0, 0.7)):
             phi = make_phi(RepresentationParams(mu, w, rp))
-            for f, fp, fpp in _SUITE:
-                for x in _XS:
-                    resid = factorization_residual(phi, (f, fp, fpp), x)
-                    rhs = -fpp(x) + (g1 / (x * x) + x * x + phi.rep.u) * f(x)
-                    worst = _worst(worst, abs(resid) / max(1.0, abs(rhs)))
+            worst = _worst(worst, residual_sweep(phi, factorization_residual)[0])
     return _row(
         "6-factorization-identity", worst, 1e-6,
         "b a f = (H - u) f over 12 representation points x 3 functions",
@@ -215,8 +195,7 @@ def _c6_kernel_at_floor():
     for g1, g2 in ((0.0, 1.0), (2.0, 4.0)):
         rp = reduce(g1, g2)
         phi = make_phi(RepresentationParams(0.3, rp.w0, rp))
-        for x in (0.4, 1.0, 1.7):
-            worst = _worst(worst, abs(apply_a(phi, phi, x)))
+        worst = _worst(worst, kernel_sweep(phi))
     return _row(
         "6-kernel-at-floor", worst, 1e-10,
         "a phi = 0 at the admissibility floor w = w0",

@@ -28,9 +28,15 @@ import re
 import sys
 
 from . import __version__
-from .acceptance import _SUITE, _XS, _worst, run_acceptance
+from .acceptance import run_acceptance
 from .errors import ConvergenceError, DomainError
-from .factorization import RepresentationParams, apply_a, factorization_residual, make_phi
+from .factorization import (
+    RepresentationParams,
+    factorization_residual,
+    kernel_sweep,
+    make_phi,
+    residual_sweep,
+)
 from .nonexistence import count_zeros
 from .params import Couplings, RegionClass, classify, reduce
 from .spectral import extension_for, gamma_skew, spectrum
@@ -294,14 +300,7 @@ def _cmd_factorize_check(args, parser) -> int:
     rep = RepresentationParams(args.mu, args.w, rp)
     phi = make_phi(rep)
 
-    worst = (0.0, 0.0)  # (relative residual, x)
-    for f, fp, fpp in _SUITE:
-        for x in _XS:
-            resid = factorization_residual(phi, (f, fp, fpp), x, h_shift=args.h_shift)
-            rhs = -fpp(x) + (args.g1 / (x * x) + args.g2 * x * x + rep.u) * f(x)
-            rel = abs(resid) / max(1.0, abs(rhs))
-            if rel > worst[0] or math.isnan(rel):  # a NaN residual must fail
-                worst = (rel, x)
+    worst = residual_sweep(phi, factorization_residual, args.h_shift)
     checks = [
         {
             "name": "factorization-residual",
@@ -314,7 +313,7 @@ def _cmd_factorize_check(args, parser) -> int:
 
     kernel_max = None
     if rep.at_floor:
-        kernel_max = _worst(*(abs(apply_a(phi, phi, x)) for x in (0.4, 1.0, 1.7)))
+        kernel_max = kernel_sweep(phi)
         checks.append(
             {
                 "name": "kernel-nontrivial",

@@ -43,7 +43,10 @@ that defect, with h' computed honestly from the series second derivative
 
 `apply_a`, `apply_b` and `factorization_residual` take phi, built once per
 representation by `make_phi`.  Each value at x reads one evaluation of S;
-the residual's, of order 2, gives phi, h and h' together.
+the residual's, of order 2, gives phi, h and h' together.  `residual_sweep`
+and `kernel_sweep` are the checks `factorize-check` and `verify` row 6
+report: the worst residual over three test functions at four points, and
+the worst |a phi|, zero at the floor w0.
 
 Derivatives of S use the contiguous relations
     Phi' = (alpha/beta) Phi(alpha+1, beta+1),   Psi' = -alpha Psi(alpha+1, beta+1),
@@ -66,6 +69,8 @@ __all__ = [
     "apply_a",
     "apply_b",
     "factorization_residual",
+    "residual_sweep",
+    "kernel_sweep",
 ]
 
 _HALF_PI = 0.5 * math.pi
@@ -237,3 +242,57 @@ def factorization_residual(phi: EvaluableSolution, f_triple, x: float, h_shift: 
     v = rp.g1 / (x * x) + rp.g2 * x * x
     rhs = -fppx + (v + 4.0 * rp.upsilon**2 * phi.rep.w) * fx
     return lhs - rhs
+
+
+# test functions (f, f', f'') with hand derivatives; smooth, decaying, and
+# one rational
+_PROBES = (
+    (
+        lambda x: x * x * math.exp(-0.5 * x * x),
+        lambda x: (2.0 * x - x**3) * math.exp(-0.5 * x * x),
+        lambda x: (2.0 - 5.0 * x * x + x**4) * math.exp(-0.5 * x * x),
+    ),
+    (
+        lambda x: x**3 / (1.0 + x * x),
+        lambda x: (3.0 * x * x + x**4) / (1.0 + x * x) ** 2,
+        lambda x: (6.0 * x - 2.0 * x**3) / (1.0 + x * x) ** 3,
+    ),
+    (
+        lambda x: math.sin(x) * math.exp(-x),
+        lambda x: (math.cos(x) - math.sin(x)) * math.exp(-x),
+        lambda x: -2.0 * math.cos(x) * math.exp(-x),
+    ),
+)
+_RESIDUAL_XS = (0.3, 0.7, 1.3, 2.1)
+_KERNEL_XS = (0.4, 1.0, 1.7)
+
+
+def residual_sweep(phi: EvaluableSolution, residual, h_shift: float = 0.0) -> tuple[float, float]:
+    """(worst relative residual, x) of b a f = (H - u) f over the test
+    functions at four points, each residual over max(1, |(H - u) f|).  The
+    first x of the worst value is kept; a NaN residual is the worst.
+
+    residual is `factorization_residual` as the caller looks it up, so a
+    wrapper installed on the caller's name (the benchmark's tracing) sees
+    every point."""
+    rp, u = phi.rep.rp, phi.rep.u
+    worst = (0.0, 0.0)
+    for f, fp, fpp in _PROBES:
+        for x in _RESIDUAL_XS:
+            resid = residual(phi, (f, fp, fpp), x, h_shift=h_shift)
+            rhs = -fpp(x) + (rp.g1 / (x * x) + rp.g2 * x * x + u) * f(x)
+            rel = abs(resid) / max(1.0, abs(rhs))
+            if rel > worst[0] or math.isnan(rel):
+                worst = (rel, x)
+    return worst
+
+
+def kernel_sweep(phi: EvaluableSolution) -> float:
+    """The worst |a phi| over three points, NaN if any is NaN; zero up to
+    rounding at the floor w0, where a annihilates phi."""
+    worst = 0.0
+    for x in _KERNEL_XS:
+        v = abs(apply_a(phi, phi, x))
+        if v > worst or math.isnan(v):
+            worst = v
+    return worst

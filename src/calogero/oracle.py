@@ -48,9 +48,9 @@ point or the match point, whichever lies farther out; in y = z^2 that
 integral is int sqrt(y^2 - e y + g1) / y dy, in closed form (logarithms
 and, for g1 < 0, an arcsine).  The right branch starts at the first
 x_s = x_lo + j / (4 ups), j >= 1, where the error times the suppression
-is at most 1e-17 (no data claim less than 1e-15, their rounding), or at
-x_max.  Starts lie past the turning point, so q > 0 on [x_s, inf) and the
-branch has no sign change to miss.  Data are scaled to u = sum T_s (or 1):
+is at most 1e-17 (no data claim less than 1e-15, their rounding).  Starts
+lie past the turning point, so q > 0 on [x_s, inf) and the branch has no
+sign change to miss.  Data are scaled to u = sum T_s (or 1):
 the scale z^(2k - 1/2) e^(-t/2) is only checked, and refused past the
 float64 range.
 
@@ -156,17 +156,12 @@ phi_L in [0, pi), which signs it u >= 0 there (the ground state's sign).
 The pair comes from the refinement's last evaluation, the one whose
 energy is returned, at no extra integration.
 
-Window.  x_max caps the right branch's start.  A level is refused with
-ConvergenceError where its turning point sqrt(e_n)/ups lies less than
-2/ups inside x_max, where leading-order data at x_max were off by more
-than 1e-9 relative; with the data above, levels up to 0.7/ups inside come
-out within 1.4e-13 of the boundary equation (kappa = 1/2, nu = 1), so the
-check is now only conservative.  The
-lowest energy the top level can have (its rung on a ladder, the pole
-below its gap for nu) is checked before any level is solved, the level
-itself after.  The oracle raises the same where a branch leaves the
-float64 range: the right data's scale overflows, or at large kappa the
-left power (ups x_min)^(1/2 + kappa) underflows to zero.
+Window.  The left branch starts at x_min.  The right branch has no outer
+bound: it starts where its own data hold (above), so its start follows
+each level's turning point sqrt(e_n)/ups out.  The oracle raises
+ConvergenceError where a branch leaves the float64 range: the right
+data's scale overflows, or at large kappa the left power
+(ups x_min)^(1/2 + kappa) underflows to zero.
 """
 
 from __future__ import annotations
@@ -199,10 +194,6 @@ _REFINE_STOP = (1e-13, 1e-11)
 _SOLVE_MAX_STEPS = 100  # matching-angle evaluations per solve
 # scaled floor below which the match point follows the ground state's decay
 _DEEP_FLOOR = -16.0
-# least ups x_max - sqrt(e) of the top level: from 2.0 down the truncation
-# error of leading-order data at x_max passed 1e-9 relative (6.5e-11 at
-# 2.23, 2.1e-9 at 1.89)
-_DECAY_MARGIN = 2.0
 # a right branch starts where its data's error along the inward-decaying
 # mode, times that mode's suppression down to the match point or the
 # turning point, is this small
@@ -215,30 +206,27 @@ _SERIES_MAX_TERMS = 60  # series terms in the boundary data at either end
 
 @dataclass(frozen=True)
 class ShootingConfig:
-    """Integration window, in physical x units (None means the
-    upsilon-scaled default)."""
+    """The left branch's start x_min and the match point x_match, in
+    physical x units (None means the upsilon-scaled default).  The right
+    branch has no setting: it starts where its own data hold."""
 
     x_min: float | None = None  # default 0.02 / upsilon
-    x_max: float | None = None  # default 8 / upsilon
     x_match: float | None = None  # default 1 / upsilon
 
-    def resolved(self, ups: float) -> tuple[float, float, float]:
+    def resolved(self, ups: float) -> tuple[float, float]:
         x_min = self.x_min if self.x_min is not None else 0.02 / ups
-        x_max = self.x_max if self.x_max is not None else 8.0 / ups
         x_match = self.x_match if self.x_match is not None else 1.0 / ups
-        if not (0.0 < x_min < x_match < x_max):
+        if not (0.0 < x_min < x_match):
             raise DomainError(
-                f"ShootingConfig: need 0 < x_min < x_match < x_max, got "
-                f"({x_min}, {x_match}, {x_max})"
+                f"ShootingConfig: need 0 < x_min < x_match, got ({x_min}, {x_match})"
             )
-        return x_min, x_max, x_match
+        return x_min, x_match
 
 
 @dataclass(frozen=True)
 class OracleEigenfunction:
     grid: tuple[float, ...]
     values: tuple[float, ...]  # L2-normalized over the grid
-    nodes: int
 
 
 @dataclass(frozen=True)
@@ -393,9 +381,12 @@ def _decay_exponent(g1: float, e: float, y: float) -> float:
     R = y^2 - e y + g1 it is int sqrt(R) / y dy.  Each logarithm's
     argument is a sum that cancels on one side of a sign change; there it
     is rationalized with a product equal to y^2 (e^2 - 4 g1) or e^2 - 4 g1.
-    Raises ValueError at a double root of R, where they are singular."""
+    At a double root of R (e^2 = 4 g1), where those products vanish,
+    sqrt(R) = y - e/2 for y >= e/2, and the integral is y - (e/2) ln y."""
     c = g1
     disc = e * e - 4.0 * c
+    if disc == 0.0:
+        return y - 0.5 * e * math.log(y)
     r = math.sqrt(max(y * y - e * y + c, 0.0))
     s = 2.0 * y - e  # (2r + s)(2r - s) = -disc
     out = r - 0.5 * e * math.log(2.0 * r + s if s >= 0.0 else -disc / (2.0 * r - s))
@@ -408,30 +399,27 @@ def _decay_exponent(g1: float, e: float, y: float) -> float:
     return out
 
 
-def _right_start(rp: ReducedParams, E: float, x_match: float, x_max: float):
+def _right_start(rp: ReducedParams, E: float, x_match: float):
     """(x_s, (u, u'), y_E): the right branch's start, the first of x_lo + j
-    _START_STEP / ups (j = 1, 2, ...) whose data leak at most
-    _START_LEAK into the match point, or x_max.  x_lo is the match point or
-    the outer turning point, whichever lies farther out."""
+    _START_STEP / ups (j = 1, 2, ...) whose data leak at most _START_LEAK
+    into the match point.  x_lo is the match point or the outer turning
+    point, whichever lies farther out."""
     ups = rp.upsilon
     e = E / (ups * ups)
     disc = e * e - 4.0 * rp.g1
     y_turn = 0.5 * (e + math.sqrt(disc)) if disc >= 0.0 else 0.0
     z_lo = max(math.sqrt(max(y_turn, 0.0)), ups * x_match)
     z = z_lo + _START_STEP
-    try:
-        base = _decay_exponent(rp.g1, e, z_lo * z_lo)
-    except ValueError:  # q has a double root: start at x_max
-        z = math.inf
-    while z < ups * x_max:
+    base = _decay_exponent(rp.g1, e, z_lo * z_lo)
+    # the loop ends: past x_lo, need grows like exp(2 int sqrt(q)) (clipped
+    # at e^700) while the data's error falls
+    while True:
         need = _START_LEAK * math.exp(min(_decay_exponent(rp.g1, e, z * z) - base, 700.0))
         if need >= _DATA_FLOOR:  # no data are better than their rounding
             state, y_e, err = _right_state(rp, E, z / ups, need)
             if err <= need:
                 return z / ups, state, y_e
         z += _START_STEP
-    state, y_e, _ = _right_state(rp, E, x_max)
-    return x_max, state, y_e
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +432,10 @@ def _theta(
     """Matching angle pi (Z_L + Z_R) + phi_L - phi_R of the two solutions
     integrated to the match point at tol, its derivative in E, and phi_L;
     level n is the root at n pi."""
-    x_min, x_max, x_match = cfg.resolved(rp.upsilon)
+    x_min, x_match = cfg.resolved(rp.upsilon)
     u0, v0 = _left_state(rp, ext, E, x_min)
     left = integrate(rp.g1, rp.g2, E, x_min, (u0, v0), x_match, rel_tol=tol)
-    x_s, start, y_e = _right_start(rp, E, x_match, x_max)
+    x_s, start, y_e = _right_start(rp, E, x_match)
     right = integrate(rp.g1, rp.g2, E, x_s, start, x_match, rel_tol=tol)
     ul, vl = left.y
     ur, vr = right.y
@@ -521,14 +509,6 @@ def shoot_spectrum(
         if rp.kappa >= 1.0:
             raise DomainError("shoot_spectrum: nu extensions exist only for kappa < 1")
     cfg = cfg or ShootingConfig()
-    # the lowest energy the top level can have, its rung on a ladder or the
-    # pole below its gap for nu, must leave the window room to decay before
-    # any level is solved
-    n_top = n_max - 1
-    if ext.is_ladder:
-        _check_decay_room(rp, cfg, n_top, 2.0 * (2 * n_top + 1 + rp.kappa), ">= ")
-    elif n_top > 0:
-        _check_decay_room(rp, cfg, n_top, 2.0 * (2 * n_top - 1 + rp.kappa), "> ")
     ups2 = rp.energy_scale()
     e_lo = _scan_floor(rp, ext)
     deep = e_lo < _DEEP_FLOOR
@@ -591,23 +571,7 @@ def shoot_spectrum(
         norm = math.sqrt(slope)
         states.append((math.sin(phi_left[root]) / norm, math.cos(phi_left[root]) / norm))
 
-    # the right boundary data hold only where the top level's turning point
-    # sits well inside the window
-    _check_decay_room(rp, cfg, n_top, roots[-1] / ups2)
-    return OracleSpectrum(tuple(roots), tuple(resids), tuple(states), cfg.resolved(rp.upsilon)[2])
-
-
-def _check_decay_room(rp: ReducedParams, cfg: ShootingConfig, n: int, e: float, bound: str = "") -> None:
-    """Refuse level n at scaled energy e (bound: "" for the level itself, or
-    the relation of the level to e) when its turning point lies within
-    `_DECAY_MARGIN` / ups of x_max."""
-    margin = rp.upsilon * cfg.resolved(rp.upsilon)[1] - math.sqrt(max(e, 0.0))
-    if margin < _DECAY_MARGIN:
-        raise ConvergenceError(
-            f"shoot_spectrum: level {n} (scaled {bound}{e:.4g}) turns "
-            f"{margin:.3g}/ups before x_max, short of the {_DECAY_MARGIN:g}/ups "
-            "its decay needs; widen x_max"
-        )
+    return OracleSpectrum(tuple(roots), tuple(resids), tuple(states), cfg.resolved(rp.upsilon)[1])
 
 
 def _solve(theta, target, E, t, slope, lo, hi, tol, width) -> tuple[float, float, float]:
@@ -726,21 +690,9 @@ def _simpson(vals: list[float], xs: list[float]) -> float:
     return acc
 
 
-def _count_nodes(vals) -> int:
-    nodes = 0
-    prev = 0.0
-    for v in vals:
-        if abs(v) < 1e-9:
-            continue
-        if prev != 0.0 and (v > 0.0) != (prev > 0.0):
-            nodes += 1
-        prev = v
-    return nodes
-
-
 def sample_on_grid(fn, grid) -> OracleEigenfunction:
     """Sample a callable u(x) on a grid and L2-normalize it on the grid
-    (composite Simpson); nodes counts its sign changes."""
+    (composite Simpson)."""
     xs = [float(x) for x in grid]
     vals = [float(fn(x)) for x in xs]
     norm2 = _simpson([v * v for v in vals], xs)
@@ -748,4 +700,4 @@ def sample_on_grid(fn, grid) -> OracleEigenfunction:
         raise DomainError(f"sample_on_grid: bad norm^2 = {norm2!r}")
     scale = 1.0 / math.sqrt(norm2)
     vals = [v * scale for v in vals]
-    return OracleEigenfunction(tuple(xs), tuple(vals), _count_nodes(vals))
+    return OracleEigenfunction(tuple(xs), tuple(vals))

@@ -82,23 +82,26 @@ class TestSpectrum:
         assert code == 0
         assert json.loads(out)["results"]["oracle"]["max_rel_gap"] <= 1e-3
 
-    @pytest.mark.parametrize("n,want", [(8, 0), (13, 4)])
-    def test_oracle_refuses_levels_the_window_truncates(self, capsys, n, want):
-        # level 12 turns 0.98 / ups before x_max = 8 / ups and would be off
-        # by 9e-6 relative; level 7 keeps a margin of 2.58 / ups
+    @pytest.mark.parametrize("n", [8, 13])
+    def test_oracle_returns_levels_past_the_old_window(self, capsys, n):
+        # level 12 turns 0.98 / ups before 8 / ups, where the right branch
+        # used to be capped, and is still within 1e-11 of the spectrum
         code, out, err = run(capsys, ["spectrum", "--g1", "0", "--g2", "1", "--nu", "1.0",
                                       "--n", str(n), "--oracle", "on"])
-        assert code == want
-        if want:
-            assert out == "" and "widen x_max" in err
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert len(doc["results"]["oracle"]["energies"]) == n
+        assert doc["checks"][0]["name"] == "oracle-agreement"
+        assert doc["checks"][0]["passed"] is True
+        assert doc["results"]["oracle"]["max_rel_gap"] <= 1e-11
 
-    def test_oracle_refuses_a_ladder_past_the_window_up_front(self, capsys):
-        # kappa = 100: the unique ladder starts at 202 (scaled), past the 36
-        # the default window holds; the refusal used to follow a 4-s solve
-        code, out, err = run(capsys, ["spectrum", "--g1", "1e4", "--g2", "1", "--unique",
-                                      "--oracle", "on", "--n", "3"])
+    def test_oracle_refuses_a_ladder_past_float64(self, capsys):
+        # kappa = 1000: the left power (ups x_min)^(1/2 + kappa) underflows
+        # to 0 at the first evaluation
+        code, out, err = run(capsys, ["spectrum", "--g1", "1e6", "--g2", "1", "--unique",
+                                      "--oracle", "on", "--n", "2"])
         assert code == 4
-        assert out == "" and "level 2 (scaled >= 210)" in err
+        assert out == "" and "left solution" in err and "float64 range" in err
 
     def test_root_next_to_the_pole(self, capsys):
         # level 8 sits 1.04e-6 below its pole, inside the endpoint nudge
@@ -109,35 +112,20 @@ class TestSpectrum:
         assert len(energies) == 21
         assert all(a < b for a, b in zip(energies, energies[1:]))
 
-    @pytest.mark.parametrize("g1,g2", [("2e4", "1"), ("3e4", "1"), ("4e4", "1"), ("1e6", "1"),
-                                       ("532.0221370307443", "7")])
-    def test_oracle_boundary_data_past_float64_are_refused(self, capsys, g1, g2):
-        # each ground rung 2(1 + kappa) turns less than 2/ups inside the
-        # default window, so the CLI refuses before any solve; a window that
-        # holds the rung reaches the float64 limits: the right data
-        # e^(ln chi) overflow (3e4), the left power (ups x_min)^(1/2 +
-        # kappa) underflows to 0 (4e4, 1e6), the right start clamped at
-        # 1e-300 ends near 1e-204, whose square is 0 (532 at g2 = 7).  At 2e4
-        # theta is a float-precision step whose bracket closes on the ladder
-        # level 2(1 + kappa) before any evaluation overflows
-        from calogero.errors import ConvergenceError
-        from calogero.oracle import ShootingConfig, shoot_spectrum
-        from calogero.params import reduce
-        from calogero.spectral import extension_for
-
+    @pytest.mark.parametrize("g1,g2,side", [("3e4", "1", "right boundary data"),
+                                            ("4e4", "1", "left solution"),
+                                            ("1e6", "1", "left solution"),
+                                            ("532.0221370307443", "7", "right boundary data")])
+    def test_oracle_boundary_data_past_float64_are_refused(self, capsys, g1, g2, side):
+        # the float64 limits of a large-kappa ground state: the right data
+        # e^(ln chi) overflow where the root hunt climbs (3e4, 532 at g2 =
+        # 7), the left power (ups x_min)^(1/2 + kappa) underflows to 0 (4e4,
+        # 1e6); 2e4, answered, is in test_oracle.py
         code, out, err = run(capsys, ["spectrum", "--g1", g1, "--g2", g2, "--unique",
                                       "--oracle", "on", "--n", "1"])
         assert code == 4
         assert out == ""
-        assert "level 0 (scaled >= " in err and "Traceback" not in err
-        rp = reduce(float(g1), float(g2))
-        wide = ShootingConfig(x_max=(math.sqrt(2.0 * (1.0 + rp.kappa)) + 2.5) / rp.upsilon)
-        if g1 == "2e4":
-            got = shoot_spectrum(rp, extension_for(rp), 1, wide).energies[0]
-            assert got == pytest.approx(2.0 * (1.0 + rp.kappa) * rp.energy_scale(), rel=1e-11, abs=0.0)
-        else:
-            with pytest.raises(ConvergenceError, match="float64 range"):
-                shoot_spectrum(rp, extension_for(rp), 1, wide)
+        assert side in err and "float64 range" in err and "Traceback" not in err
 
     def test_csv_format(self, capsys):
         code, out, _ = run(

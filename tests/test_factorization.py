@@ -16,7 +16,9 @@ from calogero.factorization import (
     apply_a,
     apply_b,
     factorization_residual,
+    kernel_sweep,
     make_phi,
+    residual_sweep,
 )
 from calogero.params import reduce
 from calogero.spectral import theta_of
@@ -189,6 +191,18 @@ class TestFactorizationIdentity:
         broken = abs(factorization_residual(phi, F1, x, h_shift=0.5))
         assert broken > 1e-3
         assert broken > 1e6 * max(clean, 1e-300)
+
+    def test_sweeps_fail_on_nan_and_keep_the_first_worst_x(self):
+        # the sweeps behind factorize-check and verify row 6: a NaN anywhere
+        # is the worst value, and among equal values the first x is reported
+        phi = make_phi(rep_of(0.0, 1.0, 0.4, 0.2))
+        worst, x = residual_sweep(phi, lambda phi, f, x, h_shift: math.nan if x == 1.3 else 0.0)
+        assert math.isnan(worst) and x == 1.3
+        assert residual_sweep(phi, lambda phi, f, x, h_shift: math.inf) == (math.inf, 0.3)
+        assert residual_sweep(phi, lambda phi, f, x, h_shift: 0.0) == (0.0, 0.0)
+        assert residual_sweep(phi, factorization_residual, 0.5)[0] > 1e-3
+        rp = reduce(0.75, 1.0)
+        assert kernel_sweep(make_phi(RepresentationParams(0.3, rp.w0, rp))) <= 1e-12
 
     def test_residual_at_floor_is_exact_algebra(self):
         rp = reduce(0.75, 1.0)

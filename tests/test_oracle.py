@@ -62,17 +62,16 @@ def _rp_for_kappa(kappa, g2=1.0):
 
 class TestShootingConfig:
     def test_defaults_scale_with_upsilon(self):
-        x_min, x_max, x_match = ShootingConfig().resolved(2.0)
+        x_min, x_match = ShootingConfig().resolved(2.0)
         assert x_min == pytest.approx(0.01)
-        assert x_max == pytest.approx(4.0)
         assert x_match == pytest.approx(0.5)
 
     def test_explicit_window_wins(self):
-        cfg = ShootingConfig(x_min=0.05, x_max=12.0, x_match=1.5)
-        assert cfg.resolved(1.0) == (0.05, 12.0, 1.5)
+        cfg = ShootingConfig(x_min=0.05, x_match=1.5)
+        assert cfg.resolved(1.0) == (0.05, 1.5)
 
     def test_rejects_disordered_window(self):
-        with pytest.raises(DomainError, match="x_min < x_match < x_max"):
+        with pytest.raises(DomainError, match="x_min < x_match"):
             ShootingConfig(x_min=2.0, x_match=1.0).resolved(1.0)
         with pytest.raises(DomainError):
             ShootingConfig(x_min=0.0).resolved(1.0)
@@ -140,9 +139,9 @@ class TestLadders:
 
 
 class TestWindowInvariance:
-    # contract: boundary truncation must not matter. Shrinking x_min or
-    # growing x_max moves the first eigenvalues by <= 1e-4 relative, and
-    # the match point inside [0.5/ups, 2/ups] by <= 1e-6.
+    # contract: boundary truncation must not matter. Shrinking x_min moves
+    # the first eigenvalues by <= 1e-4 relative, and the match point inside
+    # [0.5/ups, 2/ups] by <= 1e-6.
 
     def _first3(self, cfg):
         rp = reduce(0.0, 1.0)
@@ -151,7 +150,7 @@ class TestWindowInvariance:
 
     def test_truncation_insensitive(self):
         base = self._first3(ShootingConfig())
-        tight = self._first3(ShootingConfig(x_min=0.01, x_max=16.0))
+        tight = self._first3(ShootingConfig(x_min=0.01))
         for b, t in zip(base, tight):
             assert abs(t - b) / abs(b) <= 1e-4
 
@@ -253,7 +252,6 @@ def test_sample_on_grid_normalizes():
     grid = [0.01 * i for i in range(1, 402)]
     f = sample_on_grid(lambda x: x * math.exp(-x * x / 2.0), grid)
     assert oracle._simpson([v * v for v in f.values], grid) == pytest.approx(1.0, abs=1e-12)
-    assert f.nodes == 0
 
 
 # ground states far below the rung: kappa = 0.3 at nu = -1.3 (scaled
@@ -269,7 +267,7 @@ DEEP = {
 # deep ground states the old step rule was slow on: (g1, g2, nu, pinned
 # energies); the kappa = 0.466 cell is a benchmark draw (E0 = -98.6).  The
 # kappa = 0.466 and 0.742 pins are from the right branch's start where its
-# data hold; from x_max their first excited levels lay 9.7e-13 and 1.6e-12
+# data hold; from 8/ups their first excited levels lay 9.7e-13 and 1.6e-12
 # (relative) away
 CLIFFS = {
     "kappa-0.3": (-0.16, 1.0, -1.3, ("-0x1.4efc53952795ep+6", "0x1.89aa708a37e24p+1")),
@@ -340,7 +338,7 @@ class TestDeepGroundStates:
         real = oracle._theta
 
         def spy(rp_, ext_, E, cfg, tol):
-            seen.append(cfg.resolved(rp_.upsilon)[2])
+            seen.append(cfg.resolved(rp_.upsilon)[1])
             return real(rp_, ext_, E, cfg, tol)
 
         with pytest.MonkeyPatch.context() as mp:
@@ -428,6 +426,22 @@ class TestSolve:
         assert len(calls) <= 3
 
 
+class TestReach:
+    # the right branch starts past each level's own turning point, so the
+    # oracle reaches levels far above the old 8/ups cap: 30 levels, the
+    # top one turning at 11/ups (kappa = 1/2 ladder, e = 119)
+
+    @pytest.mark.parametrize("g1, ext_args", [(0.0, {"nu": 1.0}), (-0.25, {"nu": 1.0}),
+                                              (0.0, {"nu": None, "friedrichs": True})],
+                             ids=["kappa-0.5-nu-1", "kappa-0-nu-1", "kappa-0.5-friedrichs"])
+    def test_thirty_levels_match_the_spectrum(self, g1, ext_args):
+        rp = reduce(g1, 1.0)
+        ext = extension_for(rp, **ext_args)
+        got = shoot_spectrum(rp, ext, 30)
+        for n, (g, w) in enumerate(zip(got.energies, spectrum(rp, ext, 30).energies)):
+            assert g == pytest.approx(w, rel=1e-9, abs=0.0), n
+
+
 class TestRefusals:
     def test_too_deep_for_window(self):
         # tan(1.55) ~ 48: the kappa = 0 ground state sits around -4 e^49,
@@ -437,21 +451,18 @@ class TestRefusals:
         with pytest.raises(DomainError, match="too deep"):
             shoot_spectrum(rp, ext, 1)
 
-    def test_levels_past_the_window_are_refused(self):
-        # the right boundary data assume the turning point sits inside
-        # x_max = 8 / ups; the rung of level 15, e = 63, turns 0.06 / ups
-        # before it (the count used to stop there, after 15 solves)
-        rp = reduce(0.0, 1.0)
-        ext = extension_for(rp, nu=None, friedrichs=True)
-        with pytest.raises(ConvergenceError, match=r"level 15 \(scaled >= 63\) .* widen x_max"):
-            shoot_spectrum(rp, ext, 16)
+    @pytest.mark.parametrize("g1, g2", [(3e4, 1.0), (532.0221370307443, 7.0)])
+    def test_right_data_past_float64_are_refused(self, g1, g2):
+        # the root hunt reaches energies whose right data e^(ln chi)
+        # overflow; the refusal is typed, not a raw OverflowError
+        rp = reduce(g1, g2)
+        with pytest.raises(ConvergenceError, match="right boundary data .* float64 range"):
+            shoot_spectrum(rp, extension_for(rp), 1)
 
-    @pytest.mark.parametrize("g1, ext_args, n", [(1e4, {}, 3), (0.0, {"nu": 1.0}, 13)])
-    def test_top_level_past_the_window_is_refused_before_any_solve(self, monkeypatch, g1, ext_args, n):
-        # kappa = 100: every unique-ladder level lies at 2(2n+1+kappa) >= 202
-        # (scaled), far past the (8 - 2)^2 = 36 the default window holds, and
-        # the refusal used to take a solve of the ground state first; at
-        # kappa = 1/2, nu = 1 level 12 lies above the pole at 47
+    @pytest.mark.parametrize("g1", [4e4, 1e6])
+    def test_left_power_underflow_is_refused_at_the_first_evaluation(self, monkeypatch, g1):
+        # kappa = 200 and 1000: (ups x_min)^(1/2 + kappa) underflows to 0, so
+        # the floor's evaluation already refuses
         calls = []
         theta = oracle._theta
 
@@ -461,9 +472,9 @@ class TestRefusals:
 
         monkeypatch.setattr(oracle, "_theta", counted)
         rp = reduce(g1, 1.0)
-        with pytest.raises(ConvergenceError, match=f"level {n - 1} .* widen x_max"):
-            shoot_spectrum(rp, extension_for(rp, **ext_args), n)
-        assert calls == []
+        with pytest.raises(ConvergenceError, match="left solution .* float64 range"):
+            shoot_spectrum(rp, extension_for(rp), 1)
+        assert len(calls) == 1
 
     def test_scan_out_of_steps_is_refused(self, monkeypatch):
         # an unconverged energy is an error, not a result
@@ -480,15 +491,12 @@ class TestRefusals:
         with pytest.raises(ConvergenceError, match="0 pi is still"):
             shoot_spectrum(rp, extension_for(rp, nu=1.0), 1)
 
-    def test_levels_the_window_truncates_are_refused(self):
-        # level 12 turns 0.98 / ups before x_max = 8 / ups (9.2e-6 off)
-        rp = reduce(0.0, 1.0)
-        ext = extension_for(rp, nu=1.0)
-        with pytest.raises(ConvergenceError, match="level 12 .* widen x_max"):
-            shoot_spectrum(rp, ext, 13)
-        wide = shoot_spectrum(rp, ext, 13, ShootingConfig(x_max=11.0))
-        for got, ref in zip(wide.energies, spectrum(rp, ext, 13).energies):
-            assert got == pytest.approx(ref, rel=1e-9)
+    def test_ladder_next_to_the_float64_limits_is_answered(self):
+        # kappa = 141: theta is a float-precision step whose bracket closes
+        # on the ladder level 2(1 + kappa) before any evaluation overflows
+        rp = reduce(2e4, 1.0)
+        got = shoot_spectrum(rp, extension_for(rp), 1).energies[0]
+        assert got == pytest.approx(2.0 * (1.0 + rp.kappa) * rp.energy_scale(), rel=1e-11, abs=0.0)
 
     def test_rejects_bad_n_max(self):
         rp = reduce(0.0, 1.0)
@@ -514,23 +522,23 @@ def _leading_order(rp, E, x):
     return chi, (2.0 * k - 0.5 - z * z) / x * chi
 
 
-def _check_start(rp, ext, e, cfg, tol):
+def _check_start(rp, ext, e, cfg, tol, z_ref=12.0):
     """Theta and its slope with the right branch started at x_s against a
-    reference from leading-order data 12/ups out.  For Theta the reference
-    branch starts at x_s from the state those data reach there (at 1e-13),
-    so both share every step from x_s and only the start's data differ;
-    the slope's reference integrates the whole branch from 12/ups.  Also
-    checks that q > 0 from x_s to x_max."""
+    reference from leading-order data z_ref/ups out.  For Theta the
+    reference branch starts at x_s from the state those data reach there
+    (at 1e-13), so both share every step from x_s and only the start's data
+    differ; the slope's reference integrates the whole branch from
+    z_ref/ups.  Also checks that q > 0 from x_s to z_ref/ups."""
     E = e * rp.energy_scale()
     ups = rp.upsilon
-    _, x_max, x_match = cfg.resolved(ups)
-    x_s, _, _ = oracle._right_start(rp, E, x_match, x_max)
-    assert x_match < x_s <= x_max
+    _, x_match = cfg.resolved(ups)
+    x_s, _, _ = oracle._right_start(rp, E, x_match)
+    x_ref = z_ref / ups
+    assert x_match < x_s < x_ref
     for i in range(101):
-        x = x_s + (x_max - x_s) * i / 100
+        x = x_s + (x_ref - x_s) * i / 100
         assert rp.g1 / (x * x) + rp.g2 * x * x - E > 0.0, x
     theta, slope, _ = oracle._theta(rp, ext, E, cfg, tol)
-    x_ref = max(12.0 / ups, x_max + 4.0 / ups)
     far = _leading_order(rp, E, x_ref)
     near = integrate(rp.g1, rp.g2, E, x_ref, far, x_s, rel_tol=1e-13).y
     with pytest.MonkeyPatch.context() as mp:
@@ -540,51 +548,62 @@ def _check_start(rp, ext, e, cfg, tol):
         assert slope == pytest.approx(oracle._theta(rp, ext, E, cfg, tol)[1], rel=1e-6, abs=0.0)
 
 
-# (g1, g2, nu or None for the ladder, ups x_max, scaled energies): a ground
-# state near -349 (matched four decay lengths out, as shoot_spectrum does),
-# a deep kappa = 0 ground state at the window's floor, the kappa = 1/2
-# Friedrichs and kappa = 2.5 unique ladders, kappa = 1/2, nu = 1 levels up
-# to 35.5, whose turning point lies 2.04/ups inside x_max, and levels 24 and
-# 30 of the Friedrichs ladder in a window to 14/ups, where the series' terms
-# grow to about 2000 before they fall
+# (g1, g2, nu or None for the ladder, ups x_ref of the reference data,
+# scaled energies): a ground state near -349 (matched four decay lengths
+# out, as shoot_spectrum does), a deep kappa = 0 ground state at the scan
+# floor, the kappa = 1/2 Friedrichs and kappa = 2.5 unique ladders,
+# kappa = 1/2, nu = 1 levels up to 35.5, and levels 24 and 30 of the
+# Friedrichs ladder, whose turning points lie past 8/ups and where the
+# series' terms grow to about 2000 before they fall
 START_CASES = {
-    "kappa-0.742-ground": (0.300564, 57.6, -1.5613, 8.0, (-349.3, -348.9, -340.0)),
-    "kappa-0-floor": (-0.25, 1.0, 1.2, 8.0, (-170.0, -40.0)),
-    "kappa-0.5-friedrichs": (0.0, 1.0, None, 8.0, (3.0, 7.0, 19.0, 31.0)),
-    "kappa-2.5-ladder": (6.0, 1.0, None, 8.0, (7.0, 11.0, 27.0)),
-    "kappa-0.5-nu-1": (0.0, 1.0, 1.0, 8.0, (2.03, 13.51, 29.36, 33.34, 35.5)),
-    "kappa-0.5-wide": (0.0, 1.0, None, 14.0, (99.0, 123.0)),
+    "kappa-0.742-ground": (0.300564, 57.6, -1.5613, 12.0, (-349.3, -348.9, -340.0)),
+    "kappa-0-floor": (-0.25, 1.0, 1.2, 12.0, (-170.0, -40.0)),
+    "kappa-0.5-friedrichs": (0.0, 1.0, None, 12.0, (3.0, 7.0, 19.0, 31.0)),
+    "kappa-2.5-ladder": (6.0, 1.0, None, 12.0, (7.0, 11.0, 27.0)),
+    "kappa-0.5-nu-1": (0.0, 1.0, 1.0, 12.0, (2.03, 13.51, 29.36, 33.34, 35.5)),
+    "kappa-0.5-wide": (0.0, 1.0, None, 18.0, (99.0, 123.0)),
 }
 
 
 class TestRightStart:
     # the right branch starts where its data's leak along the inward-decaying
-    # mode into the match point is at most 1e-17, not at x_max
+    # mode into the match point is at most 1e-17
 
     @pytest.mark.parametrize("tol", [oracle._SCAN_TOL, oracle._REFINE_TOL])
     @pytest.mark.parametrize("name", sorted(START_CASES))
     def test_start_matches_a_wide_window(self, name, tol):
-        g1, g2, nu, z_max, es = START_CASES[name]
+        g1, g2, nu, z_ref, es = START_CASES[name]
         rp = reduce(g1, g2)
         ext = extension_for(rp, nu=nu, friedrichs=nu is None and rp.kappa < 1.0)
-        cfg = ShootingConfig(x_max=z_max / rp.upsilon)
+        cfg = ShootingConfig()
         floor = oracle._scan_floor(rp, ext)
         if floor < oracle._DEEP_FLOOR:
             cfg = replace(cfg, x_match=4.0 / (rp.upsilon * math.sqrt(-floor)))
         for e in es:
-            _check_start(rp, ext, e, cfg, tol)
+            _check_start(rp, ext, e, cfg, tol, z_ref)
 
     def test_the_start_moves_in(self):
         # the deep ground state starts within 2/ups of the origin, the
-        # ladder's ground level halfway, the top level next to x_max
+        # ladder's ground level halfway to 8/ups, e = 35.5 inside 8/ups
         rp = reduce(0.300564, 57.6)
         ups = rp.upsilon
         cfg = ShootingConfig(x_match=4.0 / (ups * math.sqrt(-oracle._scan_floor(rp, extension_for(rp, nu=-1.5613)))))
-        _, x_max, x_match = cfg.resolved(ups)
-        assert ups * oracle._right_start(rp, -349.0 * ups * ups, x_match, x_max)[0] < 2.0
+        _, x_match = cfg.resolved(ups)
+        assert ups * oracle._right_start(rp, -349.0 * ups * ups, x_match)[0] < 2.0
         rp = reduce(0.0, 1.0)
-        assert oracle._right_start(rp, 3.0, 1.0, 8.0)[0] < 5.0
-        assert oracle._right_start(rp, 35.5, 1.0, 8.0)[0] < 8.0
+        assert oracle._right_start(rp, 3.0, 1.0)[0] < 5.0
+        assert oracle._right_start(rp, 35.5, 1.0)[0] < 8.0
+
+    def test_start_past_a_double_root_of_q(self):
+        # kappa = 1.5 at E = 2: q = 1/x^2 + x^2 - 2 = (x - 1/x)^2 has a double
+        # root at x = 1, the match point, where the general closed form of
+        # the decay exponent is singular
+        rp = reduce(1.0, 1.0)
+        x_s, (u, du), y_e = oracle._right_start(rp, 2.0, 1.0)
+        assert 1.0 < x_s < 8.0
+        assert all(rp.g1 / (x * x) + rp.g2 * x * x - 2.0 > 0.0
+                   for x in (x_s + 0.05 * i for i in range(200)))
+        assert u > 0.0 and du < 0.0 and y_e > 0.0
 
     @given(
         kappa=st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.5]),
@@ -600,10 +619,12 @@ class TestRightStart:
         _check_start(rp, ext, max(e, oracle._scan_floor(rp, ext)), ShootingConfig(), tol)
 
     @pytest.mark.parametrize("g1, e", [(0.0, 17.45), (6.0, 9.0), (-0.2, 30.0), (0.3, -349.0),
-                                       (1e4, 201.0), (1e4, 2.0 * math.sqrt(1e4) * (1.0 - 1e-9))])
+                                       (1e4, 201.0), (1e4, 2.0 * math.sqrt(1e4) * (1.0 - 1e-9)),
+                                       (1.0, 2.0)])
     def test_decay_exponent_is_the_integral(self, g1, e):
-        # 2 int sqrt(q) dz from the outer turning point (or, in the last case,
-        # from the near-double root of q at z^2 = e/2) against scipy's quadrature
+        # 2 int sqrt(q) dz from the outer turning point (or, in the last two
+        # cases, from the near-double and the double root of q at z^2 = e/2)
+        # against scipy's quadrature
         from scipy.integrate import quad
 
         z_turn = math.sqrt(max(0.5 * (e + math.sqrt(max(e * e - 4.0 * g1, 0.0))), 0.0))

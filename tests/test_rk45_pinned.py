@@ -213,11 +213,12 @@ def test_pinned_shooting_spectrum(monkeypatch):
     assert tally[0] == 52 and tally[1] <= 0.7 * 9569
 
 
-def _leading_order_start(rp, E, x_match, x_max):
-    """The right branch's start before it followed the level: x_max, the
-    leading-order data chi = z^(-1/2 - 2w) e^(-z^2/2) clamped at 1e-300,
-    and no [x_max, inf) part in the slope."""
+def _leading_order_start(rp, E, x_match):
+    """The right branch's start before it followed the level: x_max = 8/ups,
+    the leading-order data chi = z^(-1/2 - 2w) e^(-z^2/2) clamped at
+    1e-300, and no [x_max, inf) part in the slope."""
     ups = rp.upsilon
+    x_max = 8.0 / ups
     w = -E / (4.0 * ups * ups)
     z = ups * x_max
     ln_chi = (-0.5 - 2.0 * w) * math.log(z) - 0.5 * z * z

@@ -18,7 +18,6 @@ from scipy.integrate import simpson
 
 from calogero import oracle, specfun, spectral
 from calogero.errors import ConvergenceError, DomainError
-from calogero.oracle import ShootingConfig
 from calogero.params import reduce
 from calogero.spectral import (
     Extension,
@@ -587,13 +586,13 @@ class TestGroundState:
     @pytest.mark.parametrize("g2", [1.0, 5.0])
     def test_friedrichs_closed_form(self, kappa, g2):
         # the floor representation's phi is c (ups x)^(1/2+k) e^(-rho/2),
-        # checked on 801 points of the oracle's window
+        # checked on 801 points from 0.02/ups to 8/ups
         rp = rp_kappa(kappa, g2)
         gs = ground_state_wavefunction(rp, extension_for(rp, friedrichs=True))
         assert gs.energy == pytest.approx(2.0 * (1.0 + kappa) * rp.energy_scale(), rel=1e-14, abs=0.0)
         ups = rp.upsilon
         c = math.sqrt(2.0 * ups / math.gamma(1.0 + kappa))
-        x_min, x_max, _ = ShootingConfig().resolved(ups)
+        x_min, x_max = 0.02 / ups, 8.0 / ups
         n = 801
         for x in (x_min + (x_max - x_min) * i / (n - 1) for i in range(n)):
             want = c * (ups * x) ** (0.5 + kappa) * math.exp(-0.5 * (ups * x) ** 2)
@@ -673,7 +672,7 @@ class TestGroundState:
         spectral._nu_state_norm.cache_clear()
         rp = rp_kappa(0.19)
         gs = ground_state_wavefunction(rp, extension_for(rp, nu=-1.05))
-        x_min, x_max, _ = ShootingConfig().resolved(rp.upsilon)
+        x_min, x_max = 0.02 / rp.upsilon, 8.0 / rp.upsilon
         n = 801
         grid = [x_min + (x_max - x_min) * i / (n - 1) for i in range(n)]
         vals = oracle.sample_on_grid(gs, grid).values
