@@ -6,8 +6,9 @@ Rows never assert; they report. The CLI and the test suite decide what
 to do with a failure.
 
 The rows marked quick in `_CHECKS` form the subset that must finish in a
-few seconds; the full table adds the oracle grids (a shooting run per
-parameter combination) and stays comfortably under two minutes.
+few seconds; it keeps row 3, the one oracle grid that sees a fault in each
+special function the boundary equations call.  The full table adds the
+other oracle rows and stays comfortably under two minutes.
 """
 
 from __future__ import annotations
@@ -67,6 +68,14 @@ def _rel(got, ref):
     return abs(got - ref) / abs(ref)
 
 
+# The oracle rows' thresholds are 100x their worst value at zero skew,
+# rounded up to a power of ten: rows 1, 2-vs-oracle, 3 and 4 read 4.3e-12,
+# 1.6e-11, 1.6e-11 and 3.9e-12 (the kappa = 3/4, nu = 0 ground state for
+# both nu rows), row 10's scaling law 7.4e-16.  A 1e-6 relative fault in the
+# argument of gammaln_signed, gammaln_shift, digamma or sinpi moves row 3 by
+# 9.8e-7 or more, which is why row 3 is in the quick subset.
+
+
 # --- 1: Friedrichs/unique ground state against the oracle ------------------
 
 
@@ -79,7 +88,7 @@ def _c1_friedrichs_ground():
         got = shoot_spectrum(rp, ext, 1).energies[0]
         worst = _worst(worst, _rel(got, ref))
     return _row(
-        "1-friedrichs-ground-vs-oracle", worst, 1e-3,
+        "1-friedrichs-ground-vs-oracle", worst, 1e-9,
         "E0 = 2 ups^2 (1+kappa) shot over five coupling points",
     )
 
@@ -107,7 +116,7 @@ def _c2_nu_zero_oracle():
         got = shoot_spectrum(rp, extension_for(rp, nu=0.0), 1).energies[0]
         worst = _worst(worst, _rel(got, 2.0 * rp.energy_scale() * (1.0 - kappa)))
     return _row(
-        "2-nu-zero-vs-oracle", worst, 1e-3,
+        "2-nu-zero-vs-oracle", worst, 1e-8,
         "the same ground states from the shooting side",
     )
 
@@ -125,7 +134,7 @@ def _c3_spectrum_equivalence():
         shot = shoot_spectrum(rp, ext, 5).energies
         worst = _worst(worst, *(_rel(s, f) for s, f in zip(shot, formula)))
     return _row(
-        "3-spectrum-equivalence", worst, 1e-3,
+        "3-spectrum-equivalence", worst, 1e-8,
         "first 5 levels, 12 (kappa, nu) combinations, formula vs shooting",
     )
 
@@ -144,7 +153,7 @@ def _c4_ladder_spacing():
         worst = _worst(worst, *(_rel(f, r) for f, r in zip(formula, refs)))
         worst = _worst(worst, *(_rel(s, r) for s, r in zip(shot, refs)))
     return _row(
-        "4-ladder-spacing-vs-oracle", worst, 1e-3,
+        "4-ladder-spacing-vs-oracle", worst, 1e-9,
         "E_n = 2 ups^2 (2n+1+kappa), n <= 4, three kappa values",
     )
 
@@ -310,7 +319,7 @@ def _c10_scaling_oracle():
     e4 = shoot_spectrum(rp4, extension_for(rp4, nu=1.0), 3).energies
     worst = _worst(*(_rel(b, 4.0 * a) for a, b in zip(e1, e4)))
     return _row(
-        "10-scaling-oracle", worst, 1e-3,
+        "10-scaling-oracle", worst, 1e-13,
         "the same scaling law on the shooting side",
     )
 
@@ -320,7 +329,7 @@ _CHECKS = (
     (_c1_friedrichs_ground, True),
     (_c2_nu_zero_closed_form, True),
     (_c2_nu_zero_oracle, False),
-    (_c3_spectrum_equivalence, False),
+    (_c3_spectrum_equivalence, True),
     (_c4_ladder_spacing, False),
     (_c5_monotone_flow, True),
     (_c6_factorization_identity, True),

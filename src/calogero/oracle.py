@@ -21,7 +21,27 @@ collide and the second solution grows a logarithm,
     b_0 = 0,   b_k = (-4k a_k - E b_{k-1} + g2 b_{k-2}) / (4 k^2),
 
 with the combination  sin(nu) F_{1/2} + 2 cos(nu) L  carrying boundary
-angle nu.
+angle nu.  Each series loop also carries the coefficients' E-derivatives,
+
+    da_k/dE = (-a_{k-1} - E da_{k-1}/dE + g2 da_{k-2}/dE) / (2k (2s + 2k - 1))
+
+(db_k/dE likewise), so the table depends on E alone and one table per
+Theta serves every trial start.
+
+Left start.  A sum carries the first term it leaves out plus its
+rounding, eps times its largest term; over |u| that is the data's error.
+It excites the other Frobenius mode, which grows against a combination
+holding F- like (x_match/x)^(2 kappa) on the way to the match point
+(against pure F+, a ladder, it decays).  The left branch starts at x_s,
+the largest of x_min and j x_match / 4 (j = 1..4) where the error times
+that growth is at most 1e-13, the refinement's stop on Theta (the right
+branch's 1e-17 lies below the series' own rounding).  The trial points are
+scanned outward from x_min, the floor, which is taken whatever its data
+claim; the scan stops at the first sign change of u, at the first point
+whose error alone exceeds the bound, and before a step in s = ln x across
+which u could turn twice: with u = sqrt(x) phi(s), phi'' = (kappa^2 + g2 x^4
+- E x^2) phi, so two nodes need ln(x_b/x_a) sqrt(E x_b^2 - kappa^2) >= pi
+(Sturm).  No node of u then lies between x_min and x_s.
 
 Right boundary data.  In z = ups x, t = z^2, k = E/(4 ups^2) the
 solution decaying at infinity is z^(-1/2) W_{k,kappa/2}(t), whose
@@ -62,12 +82,13 @@ changes Z of u along each branch, so
     Theta(E) = pi (Z_L + Z_R) + phi_L - phi_R
 
 is the continuous angle of the left solution minus that of the right
-one.  Z_L also counts one node in (0, x_min) where u(x_min) has the sign
+one.  Z_L also counts one node in (0, x_s) where u(x_s) has the sign
 opposite to the boundary combination's leading term at 0+ (2 cos nu L < 0
 for nu at kappa = 0, cos nu F- or F+ > 0 otherwise): next to kappa = 1,
 F-'s first coefficient -E / (4 (1 - kappa)) drives a node out through
 x_min as E rises (from E ~ ups^2 at kappa = 0.9999).  The sign gives only
-the parity of the nodes below x_min; while there is at most one, Theta
+the parity of the nodes below x_s, none of which lies past x_min (Left
+start); while there is at most one below x_min, Theta
 increases strictly with E (the left angle rises, the right one falls), it
 lies in (-pi, 0) below the ground state, and level n is the root of
 Theta(E) = n pi: floor(Theta / pi) + 1 levels lie below E, so no level
@@ -77,15 +98,15 @@ Derivative.  Differentiating -u'' + q u = 0 in E (dq/dE = -1) gives
 (u u'_E - u' u_E)' = -u^2, and dphi/dE = -(u u'_E - u' u_E) / r^2 with
 r^2 = u^2 + u'^2, so
 
-    dTheta/dE = (int_{x_min}^{x_match} u_L^2 dx + head) / r_L^2
+    dTheta/dE = (int_{x_s}^{x_match} u_L^2 dx + head) / r_L^2
                 + int_{x_match}^{inf} u_R^2 dx / r_R^2.
 
 The integrator accumulates both integrals along the branches.  head =
-u' u_E - u u'_E at x_min, from the series data and their central
-difference in E (step ups^2), is the exact [0, x_min) part of the left
-integral; without it the slope is off by up to a few per cent.  The
-right integral's [x_s, inf) part is u u'_E - u' u_E = u^2 d(u'/u)/dE at
-x_s (u and u_E decay), from the E-derivative of the data's own terms.
+u' u_E - u u'_E at the left start x_s, from the series and their own
+E-derivative, is the exact [0, x_s) part of the left integral (all of it
+where x_s is the match point).  The right integral's [x_s, inf) part is
+u u'_E - u' u_E = u^2 d(u'/u)/dE at the right start (u and u_E decay),
+from the E-derivative of the data's own terms.
 
 Deep ground states.  A ground state far below its rung decays like
 exp(-sqrt(-E) x) from the origin, so at the default match point 1/ups
@@ -134,10 +155,15 @@ turn the rest into bisection.  The scan tolerance needs
 only |Theta - n pi| <= 1e-4: the refinement starts from the Newton step
 off the scan's last point and runs the same iteration on Theta
 integrated at the refinement tolerance, with twice the Newton step while
-it has no bracket; regular levels take two evaluations there.  A Newton
-step below one ulp of E also ends a solve (at large kappa the last
-|Theta - n pi| can stay above 1e-13 there); a solve that runs out of steps
-raises ConvergenceError.
+it has no bracket; regular levels take two evaluations there.  A step
+without a bracket goes no farther than the scan's last bracket is wide,
+doubling that reach each time it cuts one: at large kappa Theta is a
+float-precision step whose slope throws Newton's step thousands of ups^2
+off (to E = -39 144 at kappa = 141).  A scan that narrows such a step to
+the refinement's bracket width, 1e-11 (1 + |E|), leaves the refinement
+two evaluations.  A Newton step below one ulp of E also ends a solve (at
+large kappa the last |Theta - n pi| can stay above 1e-13 there); a solve
+that runs out of steps raises ConvergenceError.
 
 The residual returned is |sin(Theta - n pi)| at the returned energy:
 sin(phi_L - phi_R) is the Wronskian at the match point normalized by the
@@ -156,12 +182,12 @@ phi_L in [0, pi), which signs it u >= 0 there (the ground state's sign).
 The pair comes from the refinement's last evaluation, the one whose
 energy is returned, at no extra integration.
 
-Window.  The left branch starts at x_min.  The right branch has no outer
-bound: it starts where its own data hold (above), so its start follows
-each level's turning point sqrt(e_n)/ups out.  The oracle raises
-ConvergenceError where a branch leaves the float64 range: the right
-data's scale overflows, or at large kappa the left power
-(ups x_min)^(1/2 + kappa) underflows to zero.
+Window.  Neither branch has a fixed start: each starts where its own data
+hold (above), the left one no deeper than x_min, the right one past each
+level's turning point sqrt(e_n)/ups.  The oracle raises ConvergenceError
+where a branch leaves the float64 range: the right data's scale
+overflows, or at large kappa the left power (ups x_min)^(1/2 + kappa)
+underflows to zero at the floor, whose sign the left scan needs.
 """
 
 from __future__ import annotations
@@ -184,12 +210,18 @@ __all__ = [
 
 _EULER_GAMMA = 0.5772156649015328606
 
-_REFINE_TOL = 1e-10  # refinement integration tolerance
+# refinement integration tolerance; where the left branch starts at the
+# match point the right one carries all of Theta's integration error, which
+# at 1e-10 put the kappa = 1/2, nu = 1 ground state 1.1e-11 off (5e-12 here)
+_REFINE_TOL = 4e-11
 _SCAN_TOL = 1e-7  # bracketing integration tolerance
 # |theta - n pi| and bracket width (relative to 1 + |E|) that end the
 # solve at each integration tolerance; the refinement starts from the scan's
-# last Newton step, whose error at 1e-4 is below the two tolerances' offset
-_SCAN_STOP = (1e-4, 1e-6)
+# last Newton step, whose error at 1e-4 is below the two tolerances' offset.
+# A scan ends on the width only on a float-precision step of Theta, which
+# it narrows as far as the refinement would.  The refinement's 1e-13 is
+# also the leak into Theta the left branch's start allows
+_SCAN_STOP = (1e-4, 1e-11)
 _REFINE_STOP = (1e-13, 1e-11)
 _SOLVE_MAX_STEPS = 100  # matching-angle evaluations per solve
 # scaled floor below which the match point follows the ground state's decay
@@ -198,7 +230,9 @@ _DEEP_FLOOR = -16.0
 # mode, times that mode's suppression down to the match point or the
 # turning point, is this small
 _START_LEAK = 1e-17
-_START_STEP = 0.25  # ups x between the trial starts of a right branch
+# the trial starts of a branch lie this far apart: in ups x past the right
+# one's x_lo, in units of x_match below the match point for the left one
+_START_STEP = 0.25
 _DATA_FLOOR = 1e-15  # rounding of the right data, relative to their largest term
 _LN_FLOAT_MAX = math.log(sys.float_info.max)
 _SERIES_MAX_TERMS = 60  # series terms in the boundary data at either end
@@ -206,9 +240,10 @@ _SERIES_MAX_TERMS = 60  # series terms in the boundary data at either end
 
 @dataclass(frozen=True)
 class ShootingConfig:
-    """The left branch's start x_min and the match point x_match, in
-    physical x units (None means the upsilon-scaled default).  The right
-    branch has no setting: it starts where its own data hold."""
+    """The left branch's deepest start x_min and the match point x_match,
+    in physical x units (None means the upsilon-scaled default).  Each
+    branch starts where its own data hold, the left one no deeper than
+    x_min."""
 
     x_min: float | None = None  # default 0.02 / upsilon
     x_match: float | None = None  # default 1 / upsilon
@@ -242,78 +277,117 @@ class OracleSpectrum:
 # boundary data
 
 
-def _frobenius(s: float, g2: float, E: float, ups: float, x: float):
-    """(F_s, F_s') at x from the series around the origin."""
-    a_km1, a_km2 = 1.0, 0.0
-    x2 = x * x
-    P = 1.0
-    dP = 0.0
-    xk = 1.0  # x^{2k}
+def _frobenius_table(s: float, g2: float, E: float, y_top: float, log: bool):
+    """Columns (a_k, da_k/dE) of F_s, at kappa = 0 (log) with (b_k, db_k/dE)
+    of L, from one recurrence loop: up to the first k >= 3 whose terms at
+    y_top = x^2 lie below the rounding of their largest, or
+    _SERIES_MAX_TERMS."""
+    eps = sys.float_info.epsilon
+    a, da, b, db = [1.0], [0.0], [0.0], [0.0]
+    a1, a2, da1, da2, b1, b2, db1, db2 = 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
+    big_a, big_b, yk = 1.0, 0.0, 1.0
     for k in range(1, _SERIES_MAX_TERMS + 1):
-        a_k = (-E * a_km1 + g2 * a_km2) / (2.0 * k * (2.0 * s + 2.0 * k - 1.0))
-        xk *= x2
-        term = a_k * xk
-        P += term
-        dP += 2.0 * k * a_k * xk / x
-        a_km2, a_km1 = a_km1, a_k
-        if abs(term) <= 1e-18 * abs(P) and k >= 3:
+        den = 2.0 * k * (2.0 * s + 2.0 * k - 1.0)  # 4 k^2 at s = 1/2
+        a1, a2 = (-E * a1 + g2 * a2) / den, a1
+        da1, da2 = (-a2 - E * da1 + g2 * da2) / den, da1
+        a.append(a1)
+        da.append(da1)
+        yk *= y_top
+        t_a = abs(a1) * yk
+        big_a = max(big_a, t_a)
+        small = k >= 3 and t_a <= eps * big_a
+        if log:
+            b1, b2 = (-4.0 * k * a1 - E * b1 + g2 * b2) / den, b1
+            db1, db2 = (-4.0 * k * da1 - b2 - E * db1 + g2 * db2) / den, db1
+            b.append(b1)
+            db.append(db1)
+            t_b = abs(b1) * yk
+            big_b = max(big_b, t_b)
+            small = small and t_b <= eps * big_b
+        if small:
             break
-    else:
-        raise ConvergenceError(
-            f"left boundary series stalled at x = {x:.4g}, E = {E:.4g}; shrink x_min"
-        )
+    return (a, da, b, db) if log else (a, da)
+
+
+def _sums(c, dc, y: float):
+    """(S, S1, SE, SE1, err) with S = sum_k c_k y^k, S1 = sum_k k c_k y^k and
+    SE, SE1 the same of dc, up to the first term (k >= 3) below the rounding
+    of the largest; err is that term plus the rounding, or inf where the
+    columns run out first."""
+    eps = sys.float_info.epsilon
+    s = s1 = se = se1 = big = 0.0
+    yk = 1.0
+    for k in range(len(c)):
+        t, te = c[k] * yk, dc[k] * yk
+        m = t if t >= 0.0 else -t
+        if k >= 3 and m <= eps * big:
+            return s, s1, se, se1, m + eps * big
+        if m > big:
+            big = m
+        s += t
+        s1 += k * t
+        se += te
+        se1 += k * te
+        yk *= y
+    return s, s1, se, se1, math.inf
+
+
+def _frobenius(s: float, cols, ups: float, x: float):
+    """[(F, F', F_E, F'_E, err)] at x from a table, with L's after F's at
+    kappa = 0; err bounds |dF| (|dL|) from truncation and rounding."""
     pw = (ups * x) ** s
-    return pw * P, pw * (s * P / x + dP)
-
-
-def _frobenius_log(g2: float, E: float, ups: float, x: float):
-    """kappa = 0 solutions (F_{1/2}, F_{1/2}', L, L') at x from one series
-    loop; see the module docstring."""
-    x2 = x * x
-    a_km1, a_km2 = 1.0, 0.0
-    b_km1, b_km2 = 0.0, 0.0
-    P, dP = 1.0, 0.0
-    B, dB = 0.0, 0.0
-    xk = 1.0
-    for k in range(1, _SERIES_MAX_TERMS + 1):
-        a_k = (-E * a_km1 + g2 * a_km2) / (4.0 * k * k)
-        b_k = (-4.0 * k * a_k - E * b_km1 + g2 * b_km2) / (4.0 * k * k)
-        xk *= x2
-        P += a_k * xk
-        dP += 2.0 * k * a_k * xk / x
-        B += b_k * xk
-        dB += 2.0 * k * b_k * xk / x
-        a_km2, a_km1 = a_km1, a_k
-        b_km2, b_km1 = b_km1, b_k
-        if abs(a_k * xk) <= 1e-18 * abs(P) and abs(b_k * xk) <= 1e-18 * (abs(B) + 1e-30) and k >= 3:
-            break
-    else:
-        raise ConvergenceError(
-            f"left boundary log-series stalled at x = {x:.4g}, E = {E:.4g}; shrink x_min"
-        )
-    pw = (ups * x) ** 0.5
-    F = pw * P
-    dF = pw * (0.5 * P / x + dP)
+    p, p1, pe, pe1, err = _sums(cols[0], cols[1], x * x)
+    f = (pw * p, pw * (s * p + 2.0 * p1) / x, pw * pe, pw * (s * pe + 2.0 * pe1) / x, pw * err)
+    if len(cols) == 2:
+        return (f,)
+    # L = F ln(ups x) + (ups x)^(1/2) sum_k b_k x^(2k)
+    q, q1, qe, qe1, err_b = _sums(cols[2], cols[3], x * x)
     ell = math.log(ups * x)
-    L = F * ell + pw * B
-    dL = dF * ell + F / x + pw * (0.5 * B / x + dB)
-    return F, dF, L, dL
+    return f, (
+        f[0] * ell + pw * q, f[1] * ell + f[0] / x + pw * (0.5 * q + 2.0 * q1) / x,
+        f[2] * ell + pw * qe, f[3] * ell + f[2] / x + pw * (0.5 * qe + 2.0 * qe1) / x,
+        f[4] * abs(ell) + pw * err_b,
+    )
 
 
-def _left_state(rp: ReducedParams, ext: Extension, E: float, x: float):
-    k, ups, g2 = rp.kappa, rp.upsilon, rp.g2
-    sp = 0.5 + k
+def _left_start(rp: ReducedParams, ext: Extension, E: float, x_min: float, x_match: float):
+    """(x_s, (u, u'), head): the left branch's start (see the module
+    docstring) and head = u' u_E - u u'_E there, the [0, x_s) part of the
+    integral of u^2."""
+    k = rp.kappa
     if ext.is_ladder:
-        return _frobenius(sp, g2, E, ups, x)
-    nu = ext.nu
-    if k > 0.0:
-        fp, dfp = _frobenius(sp, g2, E, ups, x)
-        fm, dfm = _frobenius(0.5 - k, g2, E, ups, x)
-        sn, cn = math.sin(nu), math.cos(nu)
-        return sn * fp + cn * fm, sn * dfp + cn * dfm
-    f, df, L, dL = _frobenius_log(g2, E, ups, x)
-    sn, cn = math.sin(nu), math.cos(nu)
-    return sn * f + 2.0 * cn * L, sn * df + 2.0 * cn * dL
+        parts = ((0.5 + k, (1.0,)),)
+    elif k > 0.0:
+        parts = ((0.5 + k, (math.sin(ext.nu),)), (0.5 - k, (math.cos(ext.nu),)))
+    else:
+        parts = ((0.5, (math.sin(ext.nu), 2.0 * math.cos(ext.nu))),)
+    # the trial starts, up to a step in s = ln x across which u could turn twice
+    xs = [x_min]
+    for x in (j * _START_STEP * x_match for j in range(1, round(1.0 / _START_STEP) + 1)):
+        if x > x_min:
+            if math.log(x / xs[-1]) * math.sqrt(max(E * x * x - k * k, 0.0)) >= math.pi:
+                break
+            xs.append(x)
+    tables = [(s, w, _frobenius_table(s, rp.g2, E, xs[-1] * xs[-1], len(w) == 2)) for s, w in parts]
+    growth = 2.0 * k if len(parts) == 2 else 0.0  # of the mode an error excites
+    for x in xs:
+        u = du = u_e = du_e = err = 0.0
+        for s, weights, cols in tables:
+            for w, f in zip(weights, _frobenius(s, cols, rp.upsilon, x)):
+                u, du, u_e, du_e = u + w * f[0], du + w * f[1], u_e + w * f[2], du_e + w * f[3]
+                err += abs(w) * f[4]
+        if x == x_min:
+            if math.isinf(err):
+                raise ConvergenceError(
+                    f"left boundary series stalled at x = {x:.4g}, E = {E:.4g}; shrink x_min"
+                )
+        elif u * start[1] <= 0.0 or err > _REFINE_STOP[0] * abs(u):
+            break  # past a node, or where no later start holds either
+        elif err * (x_match / x) ** growth > _REFINE_STOP[0] * abs(u):
+            continue
+        start = (x, u, du, u_e, du_e)
+    x, u, du, u_e, du_e = start
+    return x, (u, du), du * u_e - u * du_e
 
 
 def _right_state(rp: ReducedParams, E: float, x: float, need: float = 0.0):
@@ -433,23 +507,20 @@ def _theta(
     integrated to the match point at tol, its derivative in E, and phi_L;
     level n is the root at n pi."""
     x_min, x_match = cfg.resolved(rp.upsilon)
-    u0, v0 = _left_state(rp, ext, E, x_min)
-    left = integrate(rp.g1, rp.g2, E, x_min, (u0, v0), x_match, rel_tol=tol)
+    x_l, (u0, v0), head = _left_start(rp, ext, E, x_min, x_match)
+    left = integrate(rp.g1, rp.g2, E, x_l, (u0, v0), x_match, rel_tol=tol)
     x_s, start, y_e = _right_start(rp, E, x_match)
     right = integrate(rp.g1, rp.g2, E, x_s, start, x_match, rel_tol=tol)
     ul, vl = left.y
     ur, vr = right.y
-    # a node in (0, x_min) puts u(x_min) against the leading term at 0+
+    # a node in (0, x_l) puts u(x_l) against the leading term at 0+
     lead = -1.0 if not ext.is_ladder and rp.kappa == 0.0 else 1.0
     z_left = left.sign_changes + (lead * u0 < 0.0)
     phi_left = math.atan2(ul, vl) % math.pi
     theta = math.pi * (z_left + right.sign_changes) + phi_left - math.atan2(ur, vr) % math.pi
-    # head = u' u_E - u u'_E at x_min, the [0, x_min) part of the integral
-    # of u^2, brought to the units of the left branch's end state
-    h = rp.energy_scale()
-    up, vp = _left_state(rp, ext, E + h, x_min)
-    um, vm = _left_state(rp, ext, E - h, x_min)
-    head = (v0 * (up - um) - u0 * (vp - vm)) / (2.0 * h) * math.exp(-2.0 * left.log_scale)
+    # head, the [0, x_l) part of the integral of u^2, in the units of the
+    # left branch's end state
+    head *= math.exp(-2.0 * left.log_scale)
     r2_left, r2_right = ul * ul + vl * vl, ur * ur + vr * vr
     if r2_left == 0.0 or r2_right == 0.0:
         # at large kappa the Frobenius power (ups x_min)^s underflows
@@ -563,7 +634,11 @@ def shoot_spectrum(
         E, miss, slope = _solve(theta, target, *start, lo, hi, *_SCAN_STOP)
         if abs(miss) <= _SCAN_STOP[0]:  # not stopped by the bracket width
             E -= miss / slope
-        root, miss, slope = _solve(fine, target, E, *fine(E), None, None, *_REFINE_STOP)
+        # the refinement's steps without a bracket reach as far as the scan's
+        # last bracket is wide
+        reach = (min(p for p in known if p[1] > target)[0]
+                 - max(p for p in known if p[1] <= target)[0])
+        root, miss, slope = _solve(fine, target, E, *fine(E), None, None, *_REFINE_STOP, reach)
         roots.append(root)
         resids.append(abs(math.sin(miss)))
         # the solve ends on an evaluated energy; dTheta/dE there is the
@@ -574,7 +649,9 @@ def shoot_spectrum(
     return OracleSpectrum(tuple(roots), tuple(resids), tuple(states), cfg.resolved(rp.upsilon)[1])
 
 
-def _solve(theta, target, E, t, slope, lo, hi, tol, width) -> tuple[float, float, float]:
+def _solve(
+    theta, target, E, t, slope, lo, hi, tol, width, reach=math.inf
+) -> tuple[float, float, float]:
     """Root of theta(E) = target by a safeguarded Newton iteration, from E
     where theta = t with derivative slope; returns E, theta - target and
     the slope of the last evaluation.
@@ -588,7 +665,8 @@ def _solve(theta, target, E, t, slope, lo, hi, tol, width) -> tuple[float, float
     (Illinois); it is bisection where an end lies pi or more from the
     target, and once two steps have failed to halve |theta - target| since
     the last Newton step that did.  While one side is still unknown, it is
-    twice the Newton step.
+    twice the Newton step, cut to at most reach from E; each cut doubles
+    reach.
     Ends at |theta - target| <= tol, a bracket of width * (1 + |E|), or a
     Newton step below one ulp of E.
     """
@@ -610,10 +688,14 @@ def _solve(theta, target, E, t, slope, lo, hi, tol, width) -> tuple[float, float
         if x == E:  # the Newton step is below one ulp of E
             return E, f, slope
         newton = halved and a < x < b
-        if not newton:
-            if math.isinf(b - a):
+        if math.isinf(b - a):
+            if not newton:
                 x = 2.0 * x - E
-            elif stalls >= 2 or la is None or lb is None or la == lb:
+            if abs(x - E) > reach:
+                x = E + math.copysign(reach, x - E)
+                reach *= 2.0
+        elif not newton:
+            if stalls >= 2 or la is None or lb is None or la == lb:
                 x = 0.5 * (a + b)
             else:
                 x = b - lb * (b - a) / (lb - la)

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from calogero import acceptance, specfun
+from calogero import acceptance, specfun, spectral
 from calogero.acceptance import run_acceptance
 from calogero.spectral import gamma_skew
 
@@ -63,10 +63,48 @@ def test_quick_subset_is_a_subset(table):
     names = {row.name for row in quick}
     assert names < set(ROW_NAMES)
     assert all(row.passed for row in quick)
-    # quick mode must stay within interactive latency; the slow rows
-    # (oracle sweeps over many couplings) are exactly what it drops
-    assert "3-spectrum-equivalence" not in names
+    # quick mode keeps row 3, the one row that sees faults in digamma and
+    # sinpi (below), and drops the other oracle sweeps
+    assert "3-spectrum-equivalence" in names
+    assert "4-ladder-spacing-vs-oracle" not in names
     assert "1-friedrichs-ground-vs-oracle" in names
+
+
+# a 1e-6 relative fault in the argument each special function of the
+# boundary equations sees; a uniform 1e-6 scale of sinpi would be no fault,
+# since the equations use only a ratio of two sines
+_FAULTS = {
+    "gammaln_signed": lambda f: lambda z: f(z * (1.0 + 1e-6)),
+    "gammaln_shift": lambda f: lambda b, d: f(b * (1.0 + 1e-6), d),
+    "digamma": lambda f: lambda z: f(z * (1.0 + 1e-6)),
+    "sinpi": lambda f: lambda z: f(z * (1.0 + 1e-6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAULTS))
+def test_quick_table_sees_a_special_function_fault(monkeypatch, name):
+    monkeypatch.setattr(spectral, name, _FAULTS[name](getattr(spectral, name)))
+    failed = [row.name for row in run_acceptance(quick=True) if not row.passed]
+    assert "3-spectrum-equivalence" in failed
+
+
+def test_injected_gamma_bug_fails_rows_2_3_and_9():
+    token = gamma_skew.set(0.01)  # what `verify --inject-gamma-bug` sets
+    try:
+        failed = {row.name for row in run_acceptance(quick=True) if not row.passed}
+    finally:
+        gamma_skew.reset(token)
+    assert {"2-nu-zero-closed-form", "3-spectrum-equivalence", "9-wavefunction-fidelity"} <= failed
+
+
+@pytest.mark.parametrize("name", ["1-friedrichs-ground-vs-oracle", "2-nu-zero-vs-oracle",
+                                  "3-spectrum-equivalence", "4-ladder-spacing-vs-oracle",
+                                  "10-scaling-oracle"])
+def test_oracle_rows_have_margin(table, name):
+    # thresholds are 100x the worst value at zero skew, rounded up to a
+    # power of ten; a few ulps of platform noise keep more than 10x
+    row = table[name]
+    assert 10.0 * row.value <= row.threshold
 
 
 def test_nan_figure_fails_its_row(monkeypatch):

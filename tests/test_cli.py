@@ -112,20 +112,28 @@ class TestSpectrum:
         assert len(energies) == 21
         assert all(a < b for a, b in zip(energies, energies[1:]))
 
-    @pytest.mark.parametrize("g1,g2,side", [("3e4", "1", "right boundary data"),
-                                            ("4e4", "1", "left solution"),
-                                            ("1e6", "1", "left solution"),
-                                            ("532.0221370307443", "7", "right boundary data")])
+    @pytest.mark.parametrize("g1,g2,side", [("4e4", "1", "left solution"),
+                                            ("1e6", "1", "left solution")])
     def test_oracle_boundary_data_past_float64_are_refused(self, capsys, g1, g2, side):
-        # the float64 limits of a large-kappa ground state: the right data
-        # e^(ln chi) overflow where the root hunt climbs (3e4, 532 at g2 =
-        # 7), the left power (ups x_min)^(1/2 + kappa) underflows to 0 (4e4,
-        # 1e6); 2e4, answered, is in test_oracle.py
+        # the float64 limit of a large-kappa ground state: the left power
+        # (ups x_min)^(1/2 + kappa) underflows to 0 (4e4, 1e6); 2e4, answered,
+        # is in test_oracle.py
         code, out, err = run(capsys, ["spectrum", "--g1", g1, "--g2", g2, "--unique",
                                       "--oracle", "on", "--n", "1"])
         assert code == 4
         assert out == ""
         assert side in err and "float64 range" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("g1,g2", [("3e4", "1"), ("532.0221370307443", "7"), ("1e4", "1")])
+    def test_oracle_answers_large_kappa_ladders(self, capsys, g1, g2):
+        # the refinement's Newton runaway once carried these ground states (and
+        # 1e4's three levels) to energies whose right data overflow; its steps
+        # without a bracket now stay within the scan's reach
+        n = "3" if g1 == "1e4" else "1"
+        code, out, err = run(capsys, ["spectrum", "--g1", g1, "--g2", g2, "--unique",
+                                      "--oracle", "on", "--n", n])
+        assert code == 0 and err == ""
+        assert json.loads(out)["results"]["oracle"]["max_rel_gap"] <= 1e-10
 
     def test_csv_format(self, capsys):
         code, out, _ = run(
@@ -433,7 +441,7 @@ class TestVerify:
         assert code == 0
         doc = json.loads(out)
         rows = doc["results"]["rows"]
-        assert len(rows) == 11
+        assert len(rows) == 12  # row 3 joined the quick subset
         assert all(r["passed"] for r in rows)
         assert doc["checks"][0]["name"] == "all-rows-pass"
         assert doc["checks"][0]["value"] == 0
@@ -451,6 +459,7 @@ class TestVerify:
         by_name = {r["name"]: r["passed"] for r in doc["results"]["rows"]}
         # the skew lands on the boundary-equation rows and nowhere else
         assert by_name["2-nu-zero-closed-form"] is False
+        assert by_name["3-spectrum-equivalence"] is False
         assert by_name["9-wavefunction-fidelity"] is False
         assert by_name["1-friedrichs-ground-vs-oracle"] is True
         assert by_name["6-factorization-identity"] is True

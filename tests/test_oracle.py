@@ -266,16 +266,16 @@ DEEP = {
 
 # deep ground states the old step rule was slow on: (g1, g2, nu, pinned
 # energies); the kappa = 0.466 cell is a benchmark draw (E0 = -98.6).  The
-# kappa = 0.466 and 0.742 pins are from the right branch's start where its
-# data hold; from 8/ups their first excited levels lay 9.7e-13 and 1.6e-12
-# (relative) away
+# pins are from the left branch's start where its series hold: from x_min =
+# 0.02/ups the ground states lay 1.8e-10, 3.5e-10 and 1.5e-10 (relative)
+# from the spectrum, the error the left branch carried
 CLIFFS = {
-    "kappa-0.3": (-0.16, 1.0, -1.3, ("-0x1.4efc53952795ep+6", "0x1.89aa708a37e24p+1")),
+    "kappa-0.3": (-0.16, 1.0, -1.3, ("-0x1.4efc539421847p+6", "0x1.89aa708a55ce3p+1")),
     "kappa-0.466": (
         -0.032835996078904306, 133.97456812019843, -1.2134807836065487,
-        ("-0x1.8a4eb2ffc7814p+6", "0x1.5aa5481d74946p+5", "0x1.7168b70d2ef85p+6"),
+        ("-0x1.8a4eb2fd779b5p+6", "0x1.5aa5481db03dfp+5", "0x1.7168b70d4dd8cp+6"),
     ),
-    "kappa-0.742": (0.300564, 57.6, -1.5613, ("-0x1.4b0a336a8152fp+11", "0x1.aabc77ae64b3ap+4")),
+    "kappa-0.742": (0.300564, 57.6, -1.5613, ("-0x1.4b0a336b529ddp+11", "0x1.aabc77ae72686p+4")),
 }
 
 
@@ -329,6 +329,14 @@ class TestDeepGroundStates:
         assert len(tols) <= 8 * len(pins)
         for e, pin in zip(got.energies, pins):
             assert e == pytest.approx(float.fromhex(pin), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("name", sorted(CLIFFS))
+    def test_cliff_ground_states_match_the_spectrum(self, name):
+        g1, g2, nu, _ = CLIFFS[name]
+        rp = reduce(g1, g2)
+        ext = extension_for(rp, nu=nu)
+        got = shoot_spectrum(rp, ext, 1).energies[0]
+        assert got == pytest.approx(spectrum(rp, ext, 1).energies[0], rel=5e-11, abs=0.0)
 
     def test_explicit_match_point_wins(self):
         g1, g2, nu = DEEP["kappa-0.3"]
@@ -453,11 +461,15 @@ class TestRefusals:
 
     @pytest.mark.parametrize("g1, g2", [(3e4, 1.0), (532.0221370307443, 7.0)])
     def test_right_data_past_float64_are_refused(self, g1, g2):
-        # the root hunt reaches energies whose right data e^(ln chi)
-        # overflow; the refusal is typed, not a raw OverflowError
+        # energies whose right data e^(ln chi) overflow are refused, typed
+        # and not a raw OverflowError; the root hunt no longer runs to them
+        # from these ladders, whose ground states it answers
         rp = reduce(g1, g2)
+        ext = extension_for(rp)
         with pytest.raises(ConvergenceError, match="right boundary data .* float64 range"):
-            shoot_spectrum(rp, extension_for(rp), 1)
+            oracle._theta(rp, ext, 1e4 * rp.g2 ** 0.5 * (1.0 + rp.kappa), ShootingConfig(), oracle._SCAN_TOL)
+        got = shoot_spectrum(rp, ext, 1).energies[0]
+        assert got == pytest.approx(2.0 * (1.0 + rp.kappa) * rp.energy_scale(), rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("g1", [4e4, 1e6])
     def test_left_power_underflow_is_refused_at_the_first_evaluation(self, monkeypatch, g1):
@@ -490,6 +502,33 @@ class TestRefusals:
         rp = reduce(0.0, 1.0)
         with pytest.raises(ConvergenceError, match="0 pi is still"):
             shoot_spectrum(rp, extension_for(rp, nu=1.0), 1)
+
+    @pytest.mark.parametrize("kappa", [20.0, 50.0, 100.0])
+    def test_large_kappa_ladders_answer_or_refuse_quickly(self, monkeypatch, kappa):
+        # Theta is a float-precision step here; the refinement's first Newton
+        # step off it once ran to E = -39 144 (kappa = 141) or to where the
+        # right data overflow, deciding arbitrarily between an answer and a
+        # refusal in up to 6 s.  Its steps without a bracket now reach no
+        # farther than the scan's last bracket is wide (doubling per cut)
+        calls = []
+        real = oracle._theta
+
+        def counting(*args):
+            calls.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "_theta", counting)
+        rp = _rp_for_kappa(kappa)
+        try:
+            got = shoot_spectrum(rp, extension_for(rp, nu=None), 3).energies
+        except ConvergenceError:
+            got = None
+        if got is not None:
+            for n, e in enumerate(got):
+                assert e == pytest.approx(2.0 * (2 * n + 1 + kappa), rel=1e-10, abs=0.0)
+        # 26, 14 and 16 refinement evaluations (0.16, 0.27 and 0.52 s on a
+        # 2-vCPU VM), against 88, 2 and 93 before
+        assert calls.count(oracle._REFINE_TOL) <= 10 * 3
 
     def test_ladder_next_to_the_float64_limits_is_answered(self):
         # kappa = 141: theta is a float-precision step whose bracket closes
@@ -633,6 +672,98 @@ class TestRightStart:
                               epsabs=1e-13, epsrel=1e-12)[0]
             got = oracle._decay_exponent(g1, e, z2 * z2) - oracle._decay_exponent(g1, e, z1 * z1)
             assert got == pytest.approx(want, rel=1e-10)
+
+
+def _check_left_start(rp, ext, e, cfg):
+    """Theta at both tolerances and its slope at the refinement's, with the
+    left branch started at x_s, against a reference integrated at 1e-12 from
+    x_ref = x_min / 10, where the same tables give the series.  For Theta the
+    reference branch starts at x_s from the state it reaches there, so only
+    the start's data differ; the slope's reference runs the whole branch from
+    x_ref.  The reference's own error is 1e-12 times the growth of the mode
+    its steps excite, (x_s / x_ref)^(2 kappa) against F-, so Theta is held to
+    1e-11 times that, and no tighter than 1e-9.  Also checks that the sign
+    rule at x_s counts the nodes the reference crosses below x_s."""
+    E = e * rp.energy_scale()
+    x_min, x_match = cfg.resolved(rp.upsilon)
+    x_s, (u, _), _ = oracle._left_start(rp, ext, E, x_min, x_match)
+    assert x_min <= x_s <= x_match
+    x_ref = x_min / 10.0
+    ref = oracle._left_start(rp, ext, E, x_ref, x_ref)
+    assert ref[0] == x_ref
+    res = integrate(rp.g1, rp.g2, E, x_ref, ref[1], x_s, rel_tol=1e-12)
+    lead = -1.0 if not ext.is_ladder and rp.kappa == 0.0 else 1.0
+    assert res.sign_changes + (lead * ref[1][0] < 0.0) == (lead * u < 0.0)
+    growth = (x_s / x_ref) ** (2.0 * rp.kappa) if not ext.is_ladder else 1.0
+    for tol in (oracle._SCAN_TOL, oracle._REFINE_TOL):
+        theta, slope, _ = oracle._theta(rp, ext, E, cfg, tol)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_left_start", lambda *args: (x_s, res.y, 0.0))
+            want = oracle._theta(rp, ext, E, cfg, tol)[0]
+            assert theta == pytest.approx(want, rel=0.0, abs=max(1e-11 * growth, 1e-9))
+            mp.setattr(oracle, "_left_start", lambda *args: ref)
+            if tol == oracle._REFINE_TOL:
+                assert slope == pytest.approx(oracle._theta(rp, ext, E, cfg, tol)[1], rel=1e-6, abs=0.0)
+
+
+# (g1, g2, nu or None for the ladder, scaled energies): the verify row 3
+# worst cell kappa = 3/4, nu = 0 (pure F-), kappa = 1/4 and the log series
+# at kappa = 0 up to level 5 or 6, the kappa = 0 scan floor, a deep ground
+# state's match point (off its cliff, where Theta is a float-precision mix),
+# the node that leaves through x_min next to kappa = 1, and two ladders
+LEFT_START_CASES = {
+    "kappa-0.75-nu-0": (0.3125, 1.0, 0.0, (0.5, 4.9, 8.2, 16.0)),
+    "kappa-0.25-nu-m0.7": (-0.1875, 1.0, -0.7, (-1.0, 3.0, 9.0, 21.0)),
+    "kappa-0-nu-0.3": (-0.25, 1.0, 0.3, (-2.0, 4.0, 12.0, 30.0)),
+    "kappa-0-floor": (-0.25, 1.0, 1.2, (-170.0, -40.0)),
+    "kappa-0.742-deep": (0.300564, 57.6, -1.5613, (-340.0, -300.0)),
+    "kappa-near-1": (0.74980001, 1.0, 0.72, (0.5, 2.0, 6.0, 9.0, 20.0)),
+    "kappa-0.5-friedrichs": (0.0, 1.0, None, (3.0, 7.0, 19.0, 31.0)),
+    "kappa-2.5-ladder": (6.0, 1.0, None, (7.0, 11.0, 27.0)),
+}
+
+
+class TestLeftStart:
+    # the left branch starts where its series' leak into the match point is
+    # at most the refinement's stop on Theta, short of any node of u
+
+    @pytest.mark.parametrize("name", sorted(LEFT_START_CASES))
+    def test_start_matches_a_deeper_reference(self, name):
+        g1, g2, nu, es = LEFT_START_CASES[name]
+        rp = reduce(g1, g2)
+        ext = extension_for(rp, nu=nu, friedrichs=nu is None and rp.kappa < 1.0)
+        cfg = ShootingConfig()
+        floor = oracle._scan_floor(rp, ext)
+        if floor < oracle._DEEP_FLOOR:
+            cfg = replace(cfg, x_match=4.0 / (rp.upsilon * math.sqrt(-floor)))
+        for e in es:
+            _check_left_start(rp, ext, e, cfg)
+
+    def test_the_start_moves_out(self):
+        # row 3's worst cell starts at the match point; a node next to kappa
+        # = 1 and a level where two nodes could fit between trial points keep
+        # the start at x_min
+        def start(g1, nu, e):
+            rp = reduce(g1, 1.0)
+            ext = extension_for(rp, nu=nu, friedrichs=nu is None)
+            return oracle._left_start(rp, ext, e, 0.02, 1.0)[0]
+
+        assert start(0.3125, 0.0, 0.5) == 1.0
+        assert start(-0.1875, -0.7, 3.0) == 0.5
+        assert start(0.74980001, 0.72, 0.5) == 0.02
+        assert start(0.0, None, 31.0) == 0.02
+
+    def test_head_is_the_integral_from_the_origin(self):
+        # u' u_E - u u'_E at x_s is the integral of u^2 over (0, x_s): the
+        # same head at x_ref = 1e-3 plus the integral over (x_ref, x_s), for
+        # the pure F- combination at kappa = 3/4, whose u^2 is singular at 0
+        rp = reduce(0.3125, 1.0)
+        ext = extension_for(rp, nu=0.0)
+        x_s, _, head = oracle._left_start(rp, ext, 0.5, 0.02, 1.0)
+        x_ref, state, head_ref = oracle._left_start(rp, ext, 0.5, 1e-3, 1e-3)
+        res = integrate(rp.g1, rp.g2, 0.5, x_ref, state, x_s, rel_tol=1e-12)
+        got = head_ref + res.u2_integral * math.exp(2.0 * res.log_scale)
+        assert head == pytest.approx(got, rel=1e-8, abs=0.0)
 
 
 def _levels_below(rp, ext, e):

@@ -193,6 +193,93 @@ def test_pinned_shooting_spectrum(monkeypatch):
     rp = reduce(0.0, 1.0)
     spec = oracle.shoot_spectrum(rp, extension_for(rp, nu=1.0), 5)
     assert [e.hex() for e in spec.energies] == [
+        "0x1.03b03babc04a0p+1",
+        "0x1.6ebc838c4b7f7p+2",
+        "0x1.32f0ce2c9f348p+3",
+        "0x1.b04f4b46d8c9dp+3",
+        "0x1.17438504c9027p+4",
+    ]
+    assert [r.hex() for r in spec.mismatch_residuals] == [
+        "0x1.0000000000000p-50",
+        "0x0.0p+0",
+        "0x1.0000000000000p-49",
+        "0x1.2000000000000p-46",
+        "0x0.0p+0",
+    ]
+    # the left branch starting where its series hold, refined at 4e-11; from
+    # x_min at 1e-10 it took [52, 4540, 278] (below)
+    assert tally == [52, 4582, 239]
+
+
+def _series_at(s, g2, E, ups, x):
+    """(F_s, F_s') at x from the series summed to 1e-18 of their sum."""
+    a_km1, a_km2, P, dP, xk = 1.0, 0.0, 1.0, 0.0, 1.0
+    for k in range(1, 61):
+        a_k = (-E * a_km1 + g2 * a_km2) / (2.0 * k * (2.0 * s + 2.0 * k - 1.0))
+        xk *= x * x
+        P += a_k * xk
+        dP += 2.0 * k * a_k * xk / x
+        a_km2, a_km1 = a_km1, a_k
+        if abs(a_k * xk) <= 1e-18 * abs(P) and k >= 3:
+            break
+    pw = (ups * x) ** s
+    return pw * P, pw * (s * P / x + dP)
+
+
+def _log_series_at(g2, E, ups, x):
+    """kappa = 0: (F, F', L, L') at x from the series summed to 1e-18."""
+    a_km1, a_km2, b_km1, b_km2 = 1.0, 0.0, 0.0, 0.0
+    P, dP, B, dB, xk = 1.0, 0.0, 0.0, 0.0, 1.0
+    for k in range(1, 61):
+        a_k = (-E * a_km1 + g2 * a_km2) / (4.0 * k * k)
+        b_k = (-4.0 * k * a_k - E * b_km1 + g2 * b_km2) / (4.0 * k * k)
+        xk *= x * x
+        P += a_k * xk
+        dP += 2.0 * k * a_k * xk / x
+        B += b_k * xk
+        dB += 2.0 * k * b_k * xk / x
+        a_km2, a_km1, b_km2, b_km1 = a_km1, a_k, b_km1, b_k
+        if abs(a_k * xk) <= 1e-18 * abs(P) and abs(b_k * xk) <= 1e-18 * (abs(B) + 1e-30) and k >= 3:
+            break
+    pw = (ups * x) ** 0.5
+    F, dF, ell = pw * P, pw * (0.5 * P / x + dP), math.log(ups * x)
+    return F, dF, F * ell + pw * B, dF * ell + F / x + pw * (0.5 * B / x + dB)
+
+
+def _boundary_state(rp, ext, E, x):
+    k, ups, g2 = rp.kappa, rp.upsilon, rp.g2
+    if ext.is_ladder:
+        return _series_at(0.5 + k, g2, E, ups, x)
+    sn, cn = math.sin(ext.nu), math.cos(ext.nu)
+    if k > 0.0:
+        (fp, dfp), (fm, dfm) = (_series_at(s, g2, E, ups, x) for s in (0.5 + k, 0.5 - k))
+        return sn * fp + cn * fm, sn * dfp + cn * dfm
+    f, df, L, dL = _log_series_at(g2, E, ups, x)
+    return sn * f + 2.0 * cn * L, sn * df + 2.0 * cn * dL
+
+
+def _x_min_start(rp, ext, E, x_min, x_match):
+    """The left branch's start before it followed its series: x_min itself,
+    and head = u' u_E - u u'_E from a central difference of the data in E
+    (step ups^2)."""
+    h = rp.energy_scale()
+    u0, v0 = _boundary_state(rp, ext, E, x_min)
+    up, vp = _boundary_state(rp, ext, E + h, x_min)
+    um, vm = _boundary_state(rp, ext, E - h, x_min)
+    return x_min, (u0, v0), (v0 * (up - um) - u0 * (vp - vm)) / (2.0 * h)
+
+
+def test_pinned_shooting_spectrum_from_x_min(monkeypatch):
+    """The same run with the left branch started at x_min and refined at
+    1e-10 reproduces, bit for bit, what the oracle returned with that start:
+    the start and the tolerance are all that moved the pins above."""
+    tally = [0, 0, 0]
+    monkeypatch.setattr(oracle, "integrate", _counting_integrate(tally))
+    monkeypatch.setattr(oracle, "_left_start", _x_min_start)
+    monkeypatch.setattr(oracle, "_REFINE_TOL", 1e-10)
+    rp = reduce(0.0, 1.0)
+    spec = oracle.shoot_spectrum(rp, extension_for(rp, nu=1.0), 5)
+    assert [e.hex() for e in spec.energies] == [
         "0x1.03b03babc1355p+1",
         "0x1.6ebc838c46d92p+2",
         "0x1.32f0ce2c9e609p+3",
@@ -227,12 +314,14 @@ def _leading_order_start(rp, E, x_match):
 
 
 def test_pinned_shooting_spectrum_from_x_max(monkeypatch):
-    """The same run with the right branch started at x_max from leading-order
-    data reproduces, bit for bit, what the oracle returned with that start:
-    the start is all that moved the pins above."""
+    """The same run with the right branch also started at x_max from
+    leading-order data reproduces, bit for bit, what the oracle returned with
+    that start: the start is all that moved the pins of the run from x_min."""
     tally = [0, 0, 0]
     monkeypatch.setattr(oracle, "integrate", _counting_integrate(tally))
     monkeypatch.setattr(oracle, "_right_start", _leading_order_start)
+    monkeypatch.setattr(oracle, "_left_start", _x_min_start)
+    monkeypatch.setattr(oracle, "_REFINE_TOL", 1e-10)
     rp = reduce(0.0, 1.0)
     spec = oracle.shoot_spectrum(rp, extension_for(rp, nu=1.0), 5)
     assert [e.hex() for e in spec.energies] == [
