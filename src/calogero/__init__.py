@@ -13,7 +13,6 @@ from .factorization import (
 from .nonexistence import ZeroCountReport, count_zeros
 from .oracle import (
     OracleSpectrum,
-    ShootingConfig,
     sample_on_grid,
     shoot_spectrum,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "spectrum",
     "ground_state_energy",
     "ground_state_wavefunction",
-    "ShootingConfig",
     "OracleSpectrum",
     "shoot_spectrum",
     "sample_on_grid",

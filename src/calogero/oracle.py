@@ -114,12 +114,11 @@ the left solution is a float-precision mix of the decaying and growing
 modes and Theta is a step.  Where the scan floor (below) lies under -16
 (scaled), the match point moves, once per call and for every level, to
 four decay lengths of the floor, 4 / (ups sqrt(-e_floor)); at -16 that
-is 1/ups.  An explicit ShootingConfig.x_match wins.  Theta is still a
-cliff there: it sits at -pi + b below the root and at +b above it, b a
-few hundredths, and rises by pi within about 0.5 ups^2 of the root at
-e = -349.  Near the origin such a state sees only g1/x^2, so it is
-sqrt(x) K_kappa(sqrt(-E) x); matching the small-x form of K_kappa to the
-boundary combination gives the estimate
+is 1/ups.  Theta is still a cliff there: it sits at -pi + b below the
+root and at +b above it, b a few hundredths, and rises by pi within about
+0.5 ups^2 of the root at e = -349.  Near the origin such a state sees
+only g1/x^2, so it is sqrt(x) K_kappa(sqrt(-E) x); matching the small-x
+form of K_kappa to the boundary combination gives the estimate
 
     e0 = -4 (-tan(nu) Gamma(1+kappa) / Gamma(1-kappa))^(1/kappa),   kappa > 0,
     e0 = -4 exp(tan(nu) - 2 gamma),                                kappa = 0,
@@ -182,26 +181,28 @@ phi_L in [0, pi), which signs it u >= 0 there (the ground state's sign).
 The pair comes from the refinement's last evaluation, the one whose
 energy is returned, at no extra integration.
 
-Window.  Neither branch has a fixed start: each starts where its own data
-hold (above), the left one no deeper than x_min, the right one past each
-level's turning point sqrt(e_n)/ups.  The oracle raises ConvergenceError
-where a branch leaves the float64 range: the right data's scale
-overflows, or at large kappa the left power (ups x_min)^(1/2 + kappa)
-underflows to zero at the floor, whose sign the left scan needs.
+Window.  Nothing configures it: x_min = 0.02/ups, and x_match = 1/ups,
+or four decay lengths of a deep scan floor (above), both worked out once
+per call from the couplings and the extension.  Neither branch has a
+fixed start: each starts where its own data hold (above), the left one no
+deeper than x_min, the right one past each level's turning point
+sqrt(e_n)/ups.  The oracle raises ConvergenceError where a branch
+leaves the float64 range: the right data's scale overflows, or at large
+kappa the left power (ups x_min)^(1/2 + kappa) underflows to zero at the
+floor, whose sign the left scan needs.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
 from .params import Extension, ExtensionLabel, ReducedParams
 from .rk45 import integrate
 
 __all__ = [
-    "ShootingConfig",
     "OracleEigenfunction",
     "OracleSpectrum",
     "shoot_spectrum",
@@ -209,6 +210,10 @@ __all__ = [
 ]
 
 _EULER_GAMMA = 0.5772156649015328606
+
+# the left branch's deepest start and the match point, in units of 1/ups
+_X_MIN = 0.02
+_X_MATCH = 1.0
 
 # refinement integration tolerance; where the left branch starts at the
 # match point the right one carries all of Theta's integration error, which
@@ -236,26 +241,6 @@ _START_STEP = 0.25
 _DATA_FLOOR = 1e-15  # rounding of the right data, relative to their largest term
 _LN_FLOAT_MAX = math.log(sys.float_info.max)
 _SERIES_MAX_TERMS = 60  # series terms in the boundary data at either end
-
-
-@dataclass(frozen=True)
-class ShootingConfig:
-    """The left branch's deepest start x_min and the match point x_match,
-    in physical x units (None means the upsilon-scaled default).  Each
-    branch starts where its own data hold, the left one no deeper than
-    x_min."""
-
-    x_min: float | None = None  # default 0.02 / upsilon
-    x_match: float | None = None  # default 1 / upsilon
-
-    def resolved(self, ups: float) -> tuple[float, float]:
-        x_min = self.x_min if self.x_min is not None else 0.02 / ups
-        x_match = self.x_match if self.x_match is not None else 1.0 / ups
-        if not (0.0 < x_min < x_match):
-            raise DomainError(
-                f"ShootingConfig: need 0 < x_min < x_match, got ({x_min}, {x_match})"
-            )
-        return x_min, x_match
 
 
 @dataclass(frozen=True)
@@ -378,9 +363,7 @@ def _left_start(rp: ReducedParams, ext: Extension, E: float, x_min: float, x_mat
                 err += abs(w) * f[4]
         if x == x_min:
             if math.isinf(err):
-                raise ConvergenceError(
-                    f"left boundary series stalled at x = {x:.4g}, E = {E:.4g}; shrink x_min"
-                )
+                raise ConvergenceError(f"left boundary series stalled at x = {x:.4g}, E = {E:.4g}")
         elif u * start[1] <= 0.0 or err > _REFINE_STOP[0] * abs(u):
             break  # past a node, or where no later start holds either
         elif err * (x_match / x) ** growth > _REFINE_STOP[0] * abs(u):
@@ -500,13 +483,22 @@ def _right_start(rp: ReducedParams, E: float, x_match: float):
 # matching angle and root hunt
 
 
+def _window(rp: ReducedParams, e_lo: float) -> tuple[float, float]:
+    """(x_min, x_match) below a scan floor e_lo (scaled): under _DEEP_FLOOR
+    the match point lies four decay lengths 1/sqrt(-e_lo) of the deepest
+    ground state in reach from the origin (see the module docstring)."""
+    if e_lo < _DEEP_FLOOR:
+        return _X_MIN / rp.upsilon, 4.0 / (rp.upsilon * math.sqrt(-e_lo))
+    return _X_MIN / rp.upsilon, _X_MATCH / rp.upsilon
+
+
 def _theta(
-    rp: ReducedParams, ext: Extension, E: float, cfg: ShootingConfig, tol: float
+    rp: ReducedParams, ext: Extension, E: float, window: tuple[float, float], tol: float
 ) -> tuple[float, float, float]:
     """Matching angle pi (Z_L + Z_R) + phi_L - phi_R of the two solutions
-    integrated to the match point at tol, its derivative in E, and phi_L;
-    level n is the root at n pi."""
-    x_min, x_match = cfg.resolved(rp.upsilon)
+    integrated at tol to the match point of window = (x_min, x_match), its
+    derivative in E, and phi_L; level n is the root at n pi."""
+    x_min, x_match = window
     x_l, (u0, v0), head = _left_start(rp, ext, E, x_min, x_match)
     left = integrate(rp.g1, rp.g2, E, x_l, (u0, v0), x_match, rel_tol=tol)
     x_s, start, y_e = _right_start(rp, E, x_match)
@@ -567,9 +559,7 @@ def _ground_estimate(rp: ReducedParams, ext: Extension) -> float:
     return -4.0 * math.exp(t - 2.0 * _EULER_GAMMA)
 
 
-def shoot_spectrum(
-    rp: ReducedParams, ext: Extension, n_max: int, cfg: ShootingConfig | None = None
-) -> OracleSpectrum:
+def shoot_spectrum(rp: ReducedParams, ext: Extension, n_max: int) -> OracleSpectrum:
     """First n_max eigenvalues by double shooting, ascending, with each
     level's L2-normalized state at the match point."""
     if n_max < 1:
@@ -579,28 +569,24 @@ def shoot_spectrum(
             raise DomainError(f"shoot_spectrum: interior nu required, got {ext.nu!r}")
         if rp.kappa >= 1.0:
             raise DomainError("shoot_spectrum: nu extensions exist only for kappa < 1")
-    cfg = cfg or ShootingConfig()
     ups2 = rp.energy_scale()
     e_lo = _scan_floor(rp, ext)
-    deep = e_lo < _DEEP_FLOOR
-    if cfg.x_match is None and deep:
-        # four decay lengths 1/sqrt(-E) of the deepest ground state in reach
-        cfg = replace(cfg, x_match=4.0 / (rp.upsilon * math.sqrt(-e_lo)))
+    window = _window(rp, e_lo)
 
     known: list[tuple[float, float, float]] = []  # every (E, Theta, dTheta/dE) evaluated
     phi_left: dict[float, float] = {}  # the left angle of every refinement evaluation
 
     def theta(E: float) -> tuple[float, float]:
-        t, slope, _ = _theta(rp, ext, E, cfg, _SCAN_TOL)
+        t, slope, _ = _theta(rp, ext, E, window, _SCAN_TOL)
         known.append((E, t, slope))
         return t, slope
 
     def fine(E: float) -> tuple[float, float]:
-        t, slope, phi_left[E] = _theta(rp, ext, E, cfg, _REFINE_TOL)
+        t, slope, phi_left[E] = _theta(rp, ext, E, window, _REFINE_TOL)
         return t, slope
 
     theta(e_lo * ups2)
-    if deep:  # a start next to the cliff
+    if e_lo < _DEEP_FLOOR:  # a start next to the cliff
         theta(_ground_estimate(rp, ext) * ups2)
     roots: list[float] = []
     resids: list[float] = []
@@ -646,7 +632,7 @@ def shoot_spectrum(
         norm = math.sqrt(slope)
         states.append((math.sin(phi_left[root]) / norm, math.cos(phi_left[root]) / norm))
 
-    return OracleSpectrum(tuple(roots), tuple(resids), tuple(states), cfg.resolved(rp.upsilon)[1])
+    return OracleSpectrum(tuple(roots), tuple(resids), tuple(states), window[1])
 
 
 def _solve(

@@ -79,6 +79,9 @@ __all__ = [
 
 _HALF_PI = 0.5 * math.pi
 _FRIEDRICHS_SNAP = 1e-6
+# ln|e/4| of the deepest ground floor: -4 e^700 leaves the bracket's
+# midpoints inside float64, and a ground state estimated below it is refused
+_LN_DEEPEST = 700.0
 
 
 def extension_for(rp: ReducedParams, nu: float | None = None, friedrichs: bool = False) -> Extension:
@@ -308,7 +311,9 @@ def _lowest_gap_floor(rp: ReducedParams, target: float, c: float) -> float:
     # [z0, first pole), so a fixed offset below z0 suffices; target > 0
     # pushes the root toward -inf and the e -> -inf asymptotics of F are
     # inverted in logs (exponentially deep in target when kappa = 0), with
-    # c from `_boundary_consts`
+    # c from `_boundary_consts`.  That bound lies ln(1 + 1/target)/kappa
+    # e-folds below the root, so it is clipped at _LN_DEEPEST rather than
+    # refused; `_level_estimate` refuses a root past the clipped floor
     k = rp.kappa
     if target <= 0.0:
         z0 = 2.0 * (1.0 - k) if k > 0.0 else -0.9
@@ -317,11 +322,7 @@ def _lowest_gap_floor(rp: ReducedParams, target: float, c: float) -> float:
         ln_r = (math.log(target + 1.0) - c) / k
     else:
         ln_r = target + abs(c)
-    if ln_r > 690.0:
-        raise ConvergenceError(
-            f"ground state deeper than float64 range for this extension (ln|E| ~ {ln_r:.0f})"
-        )
-    return -4.0 * math.exp(ln_r) - 8.0
+    return -4.0 * math.exp(min(ln_r, _LN_DEEPEST)) - 8.0
 
 
 def _level_estimate(rp: ReducedParams, target: float, n: int, c: float) -> tuple[float, float]:
@@ -366,13 +367,19 @@ def _level_estimate(rp: ReducedParams, target: float, n: int, c: float) -> tuple
     if deep:
         # the log of the target's G(b+k)/G(b), resp. its psi
         lt = math.log(target) - c if k > 0.0 else target + c
+        ln_w = lt / k if k > 0.0 else lt
+        if ln_w > _LN_DEEPEST:
+            raise ConvergenceError(
+                "ground state deeper than float64 range for this extension "
+                f"(ln|E| ~ {ln_w + math.log(4.0):.0f})"
+            )
 
         def step(w: float) -> float:
             if k > 0.0:
                 return w * math.exp((lt - gammaln_shift(w + 0.5 * (1.0 - k), k)) / k)
             return w * math.exp(lt - digamma(w + 0.5))
 
-        w, dw = _fixed_point(step, math.exp(lt / k if k > 0.0 else lt))
+        w, dw = _fixed_point(step, math.exp(ln_w))
         return -4.0 * w, 4.0 * dw
 
     def step(a: float) -> float:

@@ -103,6 +103,13 @@ class TestSpectrum:
         assert code == 4
         assert out == "" and "left solution" in err and "float64 range" in err
 
+    def test_ground_state_past_float64_is_a_typed_refusal(self, capsys):
+        # kappa = 5e-4, nu = -1.2: the ground root lies near ln|E| ~ 1890
+        code, out, err = run(capsys, ["spectrum", "--g1", "-0.24999975", "--g2", "1",
+                                      "--nu", "-1.2"])
+        assert code == 4
+        assert out == "" and "float64 range" in err and "Traceback" not in err
+
     def test_root_next_to_the_pole(self, capsys):
         # level 8 sits 1.04e-6 below its pole, inside the endpoint nudge
         code, out, _ = run(capsys, ["spectrum", "--g1", "-0.24999997", "--g2", "1",

@@ -10,15 +10,14 @@ routes, one spectrum.
 import ast
 import math
 import pathlib
-from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from calogero import oracle
 from calogero.errors import ConvergenceError, DomainError
-from calogero.oracle import ShootingConfig, sample_on_grid, shoot_spectrum
+from calogero.oracle import sample_on_grid, shoot_spectrum
 from calogero.params import reduce
 from calogero.rk45 import integrate
 from calogero.spectral import extension_for, ground_state_wavefunction, spectrum
@@ -60,21 +59,9 @@ def _rp_for_kappa(kappa, g2=1.0):
     return reduce(kappa * kappa - 0.25, g2)
 
 
-class TestShootingConfig:
-    def test_defaults_scale_with_upsilon(self):
-        x_min, x_match = ShootingConfig().resolved(2.0)
-        assert x_min == pytest.approx(0.01)
-        assert x_match == pytest.approx(0.5)
-
-    def test_explicit_window_wins(self):
-        cfg = ShootingConfig(x_min=0.05, x_match=1.5)
-        assert cfg.resolved(1.0) == (0.05, 1.5)
-
-    def test_rejects_disordered_window(self):
-        with pytest.raises(DomainError, match="x_min < x_match"):
-            ShootingConfig(x_min=2.0, x_match=1.0).resolved(1.0)
-        with pytest.raises(DomainError):
-            ShootingConfig(x_min=0.0).resolved(1.0)
+def _window_for(rp, ext):
+    """The (x_min, x_match) shoot_spectrum uses for this extension."""
+    return oracle._window(rp, oracle._scan_floor(rp, ext))
 
 
 class TestFrozenSpectra:
@@ -143,21 +130,23 @@ class TestWindowInvariance:
     # the first eigenvalues by <= 1e-4 relative, and the match point inside
     # [0.5/ups, 2/ups] by <= 1e-6.
 
-    def _first3(self, cfg):
+    def _first3(self):
         rp = reduce(0.0, 1.0)
         ext = extension_for(rp, nu=1.0)
-        return shoot_spectrum(rp, ext, 3, cfg).energies
+        return shoot_spectrum(rp, ext, 3).energies
 
-    def test_truncation_insensitive(self):
-        base = self._first3(ShootingConfig())
-        tight = self._first3(ShootingConfig(x_min=0.01))
+    def test_truncation_insensitive(self, monkeypatch):
+        base = self._first3()
+        monkeypatch.setattr(oracle, "_X_MIN", 0.01)
+        tight = self._first3()
         for b, t in zip(base, tight):
             assert abs(t - b) / abs(b) <= 1e-4
 
     @pytest.mark.parametrize("x_match", [0.5, 2.0])
-    def test_match_point_invariant(self, x_match):
-        base = self._first3(ShootingConfig())
-        moved = self._first3(ShootingConfig(x_match=x_match))
+    def test_match_point_invariant(self, monkeypatch, x_match):
+        base = self._first3()
+        monkeypatch.setattr(oracle, "_X_MATCH", x_match)
+        moved = self._first3()
         for b, m in zip(base, moved):
             assert abs(m - b) / abs(b) <= 1e-6
 
@@ -227,20 +216,21 @@ class TestMatchState:
         rp = reduce(g1, g2)
         ext = extension_for(rp, nu=nu)
         spec = shoot_spectrum(rp, ext, 1)
-        x = 4.0 / (rp.upsilon * math.sqrt(-oracle._scan_floor(rp, ext)))
-        assert spec.x_match == x
+        x = _window_for(rp, ext)[1]
+        assert spec.x_match == x < 1.0 / rp.upsilon
         gs = ground_state_wavefunction(rp, ext)
         assert _pair_gap(spec.match_states[0], (gs(x), gs.derivative(x))) <= _PAIR_TOL
 
     @pytest.mark.parametrize("g1,nu,n", [(0.0, 1.0, 3), (-0.25, -1.0, 2)])
-    def test_pairs_agree_across_match_points(self, g1, nu, n):
+    def test_pairs_agree_across_match_points(self, monkeypatch, g1, nu, n):
         # each level's pair at x_match = 1, carried to 0.5 by the ODE, is the
         # pair matched at 0.5: the same state with the same norm (the
         # kappa = 0 levels run on the log boundary data)
         rp = reduce(g1, 1.0)
         ext = extension_for(rp, nu=nu)
         here = shoot_spectrum(rp, ext, n)
-        there = shoot_spectrum(rp, ext, n, ShootingConfig(x_match=0.5))
+        monkeypatch.setattr(oracle, "_X_MATCH", 0.5)
+        there = shoot_spectrum(rp, ext, n)
         assert (here.x_match, there.x_match) == (1.0, 0.5)
         for E, pair, want in zip(here.energies, here.match_states, there.match_states):
             res = integrate(rp.g1, rp.g2, E, 1.0, pair, 0.5, rel_tol=1e-12)
@@ -317,9 +307,9 @@ class TestDeepGroundStates:
         tols = []
         real = oracle._theta
 
-        def counting(rp_, ext_, E, cfg, tol):
+        def counting(rp_, ext_, E, window, tol):
             tols.append(tol)
-            return real(rp_, ext_, E, cfg, tol)
+            return real(rp_, ext_, E, window, tol)
 
         monkeypatch.setattr(oracle, "_theta", counting)
         rp = reduce(g1, g2)
@@ -338,28 +328,23 @@ class TestDeepGroundStates:
         got = shoot_spectrum(rp, ext, 1).energies[0]
         assert got == pytest.approx(spectrum(rp, ext, 1).energies[0], rel=5e-11, abs=0.0)
 
-    def test_explicit_match_point_wins(self):
+    def test_one_match_point_per_call(self, monkeypatch):
+        # every Theta evaluation of a deep call, excited levels included,
+        # matches at the ground state's point, four decay lengths of the floor
         g1, g2, nu = DEEP["kappa-0.3"]
         rp = reduce(g1, g2)
         ext = extension_for(rp, nu=nu)
         seen = []
         real = oracle._theta
 
-        def spy(rp_, ext_, E, cfg, tol):
-            seen.append(cfg.resolved(rp_.upsilon)[1])
-            return real(rp_, ext_, E, cfg, tol)
+        def spy(rp_, ext_, E, window, tol):
+            seen.append(window)
+            return real(rp_, ext_, E, window, tol)
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle, "_theta", spy)
-            shoot_spectrum(rp, ext, 1)
-            deep = set(seen)
-            seen.clear()
-            shoot_spectrum(rp, ext, 1, ShootingConfig(x_match=1.0))
-        # one match point per call: 4 / sqrt(-e_floor) by default
-        e_lo = oracle._scan_floor(rp, ext)
-        assert len(deep) == 1
-        assert deep.pop() == pytest.approx(4.0 / math.sqrt(-e_lo), rel=1e-15, abs=0.0)
-        assert set(seen) == {1.0}
+        monkeypatch.setattr(oracle, "_theta", spy)
+        spec = shoot_spectrum(rp, ext, 2)
+        assert set(seen) == {_window_for(rp, ext)}
+        assert spec.x_match == _window_for(rp, ext)[1] < 1.0 / rp.upsilon
 
 
 class TestSolve:
@@ -467,7 +452,7 @@ class TestRefusals:
         rp = reduce(g1, g2)
         ext = extension_for(rp)
         with pytest.raises(ConvergenceError, match="right boundary data .* float64 range"):
-            oracle._theta(rp, ext, 1e4 * rp.g2 ** 0.5 * (1.0 + rp.kappa), ShootingConfig(), oracle._SCAN_TOL)
+            oracle._theta(rp, ext, 1e4 * rp.g2 ** 0.5 * (1.0 + rp.kappa), _window_for(rp, ext), oracle._SCAN_TOL)
         got = shoot_spectrum(rp, ext, 1).energies[0]
         assert got == pytest.approx(2.0 * (1.0 + rp.kappa) * rp.energy_scale(), rel=1e-10, abs=0.0)
 
@@ -496,12 +481,25 @@ class TestRefusals:
             shoot_spectrum(rp, extension_for(rp, nu=1.0), 1)
 
     def test_refinement_out_of_steps_is_refused(self, monkeypatch):
-        # a stop the refinement cannot reach: its steps run out
+        # a refinement Theta that lies 0.5 above and below the ground state's
+        # target in turn: no evaluation meets the stop, the bracket stays
+        # wide and no Newton step falls below an ulp, so its steps run out
+        real = oracle._theta
+        refine = []
+
+        def off(rp_, ext_, E, window, tol):
+            t, slope, phi = real(rp_, ext_, E, window, tol)
+            if tol == oracle._REFINE_TOL:
+                refine.append(E)
+                t = 0.5 if len(refine) % 2 else -0.5
+            return t, slope, phi
+
+        monkeypatch.setattr(oracle, "_theta", off)
         monkeypatch.setattr(oracle, "_SOLVE_MAX_STEPS", 8)
-        monkeypatch.setattr(oracle, "_REFINE_STOP", (-1.0, -1.0))
         rp = reduce(0.0, 1.0)
         with pytest.raises(ConvergenceError, match="0 pi is still"):
             shoot_spectrum(rp, extension_for(rp, nu=1.0), 1)
+        assert len(refine) == 1 + 8  # the start and every step
 
     @pytest.mark.parametrize("kappa", [20.0, 50.0, 100.0])
     def test_large_kappa_ladders_answer_or_refuse_quickly(self, monkeypatch, kappa):
@@ -561,30 +559,43 @@ def _leading_order(rp, E, x):
     return chi, (2.0 * k - 0.5 - z * z) / x * chi
 
 
-def _check_start(rp, ext, e, cfg, tol, z_ref=12.0):
-    """Theta and its slope with the right branch started at x_s against a
-    reference from leading-order data z_ref/ups out.  For Theta the
-    reference branch starts at x_s from the state those data reach there
-    (at 1e-13), so both share every step from x_s and only the start's data
-    differ; the slope's reference integrates the whole branch from
-    z_ref/ups.  Also checks that q > 0 from x_s to z_ref/ups."""
+def _check_start(rp, ext, e, tol, z_ref=12.0):
+    """The right branch's start x_s against a reference from leading-order
+    data z_ref/ups out, carried in to x_s at 1e-13.  Theta's part is the
+    start data's own: the Wronskian W of the two states at x_s, constant
+    along the branch, over the product of their amplitudes r at the match
+    point (carried there at tol) is the sine of the gap between their angles
+    there, with no step of the branch's own integration in it.  The slope's
+    reference integrates the whole branch from z_ref/ups; both slopes are
+    taken at the refinement tolerance, since the start does not depend on
+    tol and at the scan's the two carry the u^2 integral's own error.  Also
+    checks that q > 0 from x_s to z_ref/ups."""
     E = e * rp.energy_scale()
     ups = rp.upsilon
-    _, x_match = cfg.resolved(ups)
-    x_s, _, _ = oracle._right_start(rp, E, x_match)
+    window = _window_for(rp, ext)
+    x_match = window[1]
+    x_s, start, _ = oracle._right_start(rp, E, x_match)
     x_ref = z_ref / ups
     assert x_match < x_s < x_ref
     for i in range(101):
         x = x_s + (x_ref - x_s) * i / 100
         assert rp.g1 / (x * x) + rp.g2 * x * x - E > 0.0, x
-    theta, slope, _ = oracle._theta(rp, ext, E, cfg, tol)
     far = _leading_order(rp, E, x_ref)
     near = integrate(rp.g1, rp.g2, E, x_ref, far, x_s, rel_tol=1e-13).y
+
+    def r_match(y):
+        res = integrate(rp.g1, rp.g2, E, x_s, y, x_match, rel_tol=tol)
+        return math.hypot(*res.y) * math.exp(res.log_scale)
+
+    assert start[0] * near[0] + start[1] * near[1] > 0.0  # not opposite
+    wronskian = start[0] * near[1] - start[1] * near[0]
+    # the start's leak is at most 1e-17; 1e-15 is the data's own rounding
+    assert abs(wronskian) / (r_match(start) * r_match(near)) <= 1e-15
+    slope = oracle._theta(rp, ext, E, window, oracle._REFINE_TOL)[1]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_right_start", lambda *args: (x_s, near, 0.0))
-        assert theta == pytest.approx(oracle._theta(rp, ext, E, cfg, tol)[0], rel=0.0, abs=1e-12)
         mp.setattr(oracle, "_right_start", lambda *args: (x_ref, far, 0.0))
-        assert slope == pytest.approx(oracle._theta(rp, ext, E, cfg, tol)[1], rel=1e-6, abs=0.0)
+        want = oracle._theta(rp, ext, E, window, oracle._REFINE_TOL)[1]
+    assert slope == pytest.approx(want, rel=1e-6, abs=0.0)
 
 
 # (g1, g2, nu or None for the ladder, ups x_ref of the reference data,
@@ -614,20 +625,15 @@ class TestRightStart:
         g1, g2, nu, z_ref, es = START_CASES[name]
         rp = reduce(g1, g2)
         ext = extension_for(rp, nu=nu, friedrichs=nu is None and rp.kappa < 1.0)
-        cfg = ShootingConfig()
-        floor = oracle._scan_floor(rp, ext)
-        if floor < oracle._DEEP_FLOOR:
-            cfg = replace(cfg, x_match=4.0 / (rp.upsilon * math.sqrt(-floor)))
         for e in es:
-            _check_start(rp, ext, e, cfg, tol, z_ref)
+            _check_start(rp, ext, e, tol, z_ref)
 
     def test_the_start_moves_in(self):
         # the deep ground state starts within 2/ups of the origin, the
         # ladder's ground level halfway to 8/ups, e = 35.5 inside 8/ups
         rp = reduce(0.300564, 57.6)
         ups = rp.upsilon
-        cfg = ShootingConfig(x_match=4.0 / (ups * math.sqrt(-oracle._scan_floor(rp, extension_for(rp, nu=-1.5613)))))
-        _, x_match = cfg.resolved(ups)
+        x_match = _window_for(rp, extension_for(rp, nu=-1.5613))[1]
         assert ups * oracle._right_start(rp, -349.0 * ups * ups, x_match)[0] < 2.0
         rp = reduce(0.0, 1.0)
         assert oracle._right_start(rp, 3.0, 1.0)[0] < 5.0
@@ -652,10 +658,13 @@ class TestRightStart:
         tol=st.sampled_from([oracle._SCAN_TOL, oracle._REFINE_TOL]),
     )
     @settings(max_examples=25, deadline=None)
+    # at the scan tolerance this draw's slope was once compared with its
+    # reference's, 1.02e-6 apart: both carried the u^2 integral's own error
+    @example(kappa=0.0, nu=1.0, ups=1.0, e=0.59375, tol=1e-7)
     def test_start_in_physical_units(self, kappa, nu, ups, e, tol):
         rp = reduce(kappa * kappa - 0.25, ups ** 4)
         ext = extension_for(rp, nu=None if kappa >= 1.0 else nu)
-        _check_start(rp, ext, max(e, oracle._scan_floor(rp, ext)), ShootingConfig(), tol)
+        _check_start(rp, ext, max(e, oracle._scan_floor(rp, ext)), tol)
 
     @pytest.mark.parametrize("g1, e", [(0.0, 17.45), (6.0, 9.0), (-0.2, 30.0), (0.3, -349.0),
                                        (1e4, 201.0), (1e4, 2.0 * math.sqrt(1e4) * (1.0 - 1e-9)),
@@ -674,7 +683,7 @@ class TestRightStart:
             assert got == pytest.approx(want, rel=1e-10)
 
 
-def _check_left_start(rp, ext, e, cfg):
+def _check_left_start(rp, ext, e):
     """Theta at both tolerances and its slope at the refinement's, with the
     left branch started at x_s, against a reference integrated at 1e-12 from
     x_ref = x_min / 10, where the same tables give the series.  For Theta the
@@ -685,7 +694,8 @@ def _check_left_start(rp, ext, e, cfg):
     1e-11 times that, and no tighter than 1e-9.  Also checks that the sign
     rule at x_s counts the nodes the reference crosses below x_s."""
     E = e * rp.energy_scale()
-    x_min, x_match = cfg.resolved(rp.upsilon)
+    window = _window_for(rp, ext)
+    x_min, x_match = window
     x_s, (u, _), _ = oracle._left_start(rp, ext, E, x_min, x_match)
     assert x_min <= x_s <= x_match
     x_ref = x_min / 10.0
@@ -696,14 +706,14 @@ def _check_left_start(rp, ext, e, cfg):
     assert res.sign_changes + (lead * ref[1][0] < 0.0) == (lead * u < 0.0)
     growth = (x_s / x_ref) ** (2.0 * rp.kappa) if not ext.is_ladder else 1.0
     for tol in (oracle._SCAN_TOL, oracle._REFINE_TOL):
-        theta, slope, _ = oracle._theta(rp, ext, E, cfg, tol)
+        theta, slope, _ = oracle._theta(rp, ext, E, window, tol)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "_left_start", lambda *args: (x_s, res.y, 0.0))
-            want = oracle._theta(rp, ext, E, cfg, tol)[0]
+            want = oracle._theta(rp, ext, E, window, tol)[0]
             assert theta == pytest.approx(want, rel=0.0, abs=max(1e-11 * growth, 1e-9))
             mp.setattr(oracle, "_left_start", lambda *args: ref)
             if tol == oracle._REFINE_TOL:
-                assert slope == pytest.approx(oracle._theta(rp, ext, E, cfg, tol)[1], rel=1e-6, abs=0.0)
+                assert slope == pytest.approx(oracle._theta(rp, ext, E, window, tol)[1], rel=1e-6, abs=0.0)
 
 
 # (g1, g2, nu or None for the ladder, scaled energies): the verify row 3
@@ -732,12 +742,8 @@ class TestLeftStart:
         g1, g2, nu, es = LEFT_START_CASES[name]
         rp = reduce(g1, g2)
         ext = extension_for(rp, nu=nu, friedrichs=nu is None and rp.kappa < 1.0)
-        cfg = ShootingConfig()
-        floor = oracle._scan_floor(rp, ext)
-        if floor < oracle._DEEP_FLOOR:
-            cfg = replace(cfg, x_match=4.0 / (rp.upsilon * math.sqrt(-floor)))
         for e in es:
-            _check_left_start(rp, ext, e, cfg)
+            _check_left_start(rp, ext, e)
 
     def test_the_start_moves_out(self):
         # row 3's worst cell starts at the match point; a node next to kappa
@@ -769,7 +775,7 @@ class TestLeftStart:
 def _levels_below(rp, ext, e):
     """Levels below the scaled energy e by the oracle's own count:
     floor(Theta / pi) + 1, Theta being its matching angle."""
-    theta, _, _ = oracle._theta(rp, ext, e * rp.energy_scale(), ShootingConfig(), oracle._SCAN_TOL)
+    theta, _, _ = oracle._theta(rp, ext, e * rp.energy_scale(), _window_for(rp, ext), oracle._SCAN_TOL)
     assert theta > -math.pi
     return math.floor(theta / math.pi) + 1
 
@@ -811,12 +817,12 @@ class TestOscillationCount:
         # dTheta/dE from the integrals of u^2 against a central difference
         rp = reduce(kappa * kappa - 0.25, 1.0)
         ext = extension_for(rp, nu=nu, friedrichs=nu is None)
-        cfg = ShootingConfig()
+        window = _window_for(rp, ext)
         for e in (oracle._scan_floor(rp, ext) + 0.5, 1.3, 6.1, 17.9, 30.3):
             h = 1e-4 * (1.0 + abs(e))
-            _, slope, _ = oracle._theta(rp, ext, e, cfg, oracle._REFINE_TOL)
-            up, _, _ = oracle._theta(rp, ext, e + h, cfg, oracle._REFINE_TOL)
-            down, _, _ = oracle._theta(rp, ext, e - h, cfg, oracle._REFINE_TOL)
+            _, slope, _ = oracle._theta(rp, ext, e, window, oracle._REFINE_TOL)
+            up, _, _ = oracle._theta(rp, ext, e + h, window, oracle._REFINE_TOL)
+            down, _, _ = oracle._theta(rp, ext, e - h, window, oracle._REFINE_TOL)
             assert slope == pytest.approx((up - down) / (2.0 * h), rel=1e-2), e
 
     @given(
@@ -867,9 +873,9 @@ class TestNextToKappaOne:
         except DomainError:  # a ground state too deep for the window
             return
         ups2 = rp.energy_scale()
-        cfg = ShootingConfig()
+        window = oracle._window(rp, lo)
         es = [lo + 0.7 * (i + shift) for i in range(int((14.0 - lo) / 0.7))]
-        thetas = [oracle._theta(rp, ext, e * ups2, cfg, oracle._SCAN_TOL)[0] for e in es]
+        thetas = [oracle._theta(rp, ext, e * ups2, window, oracle._SCAN_TOL)[0] for e in es]
         assert thetas[0] > -math.pi
         for e, t1, t2 in zip(es[1:], thetas, thetas[1:]):
             assert t2 >= t1 - 1e-6, e

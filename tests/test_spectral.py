@@ -302,6 +302,37 @@ class TestSpectrumFrozen:
         with pytest.raises(ConvergenceError, match="float64"):
             ground_state_energy(rp0, extension_for(rp0, nu=HALF_PI - 1e-5))
 
+    # kappa = 0.0019: the ground floor's bound lies ln(1 + 1/target)/kappa
+    # ~ 153 e-folds below these roots, past float64; it is clipped there, not
+    # refused.  The roots' relative error is the residual of F(w) = target
+    # over w dF/dw ~ kappa F (mpmath at 300 digits, which the 1e240-sized
+    # Gamma arguments need)
+    @pytest.mark.parametrize("mu, nu, want", [
+        (1.2483671301265757, 0.0797600065110875, 9.651565623730296e240),
+        (0.0, -math.atan(2.9), 0.25 * 3.576468014023612e240),
+    ], ids=["solve_w", "spectrum"])
+    def test_small_kappa_roots_near_1e240(self, mu, nu, want):
+        rp = rp_kappa(0.001923030537107642)
+        if mu:
+            w = solve_w(mu, nu, rp)
+        else:
+            w = -0.25 * ground_state_energy(rp, extension_for(rp, nu=nu))
+        assert w == pytest.approx(want, rel=1e-14, abs=0.0)
+        with mpmath.workdps(300):
+            k, a = mpmath.mpf(rp.kappa), (1 + mpmath.mpf(rp.kappa)) / 2 + mpmath.mpf(w)
+            f = mpmath.exp(mpmath.loggamma(1 - k) - mpmath.loggamma(1 + k)
+                           + mpmath.loggamma(a) - mpmath.loggamma(a - k))
+            target = mpmath.tan(mpmath.mpf(mu)) - mpmath.tan(mpmath.mpf(nu))
+            assert abs((f - target) / (k * f)) <= 1e-11
+
+    def test_small_kappa_root_past_float64_is_refused(self):
+        # kappa = 5e-4, nu = -1.2 puts the root near ln|E| ~ 1890: refused,
+        # typed, by the estimate below the clipped floor, before any
+        # evaluation of F
+        rp = rp_kappa(5e-4)
+        with pytest.raises(ConvergenceError, match="float64 range"):
+            spectrum(rp, extension_for(rp, nu=-1.2), 1)
+
 
 class TestGapRefusals:
     """The one-root-per-gap argument needs F(-e/4) to fall from +inf to
