@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
 from .params import ReducedParams
-from .specfun import gamma, kummer_phi, rgamma, tricomi_psi
+from .specfun import gamma, kummer_phi, rgamma, tricomi_psi, tricomi_psi_on
 
 __all__ = [
     "RepresentationParams",
@@ -156,12 +156,18 @@ class EvaluableSolution:
 
     def _jet(self, x: float, order: int) -> tuple[float, float, float, float, float]:
         # (rho, e^(-rho/2) rho^q, S, S', S'') at x from one `_S` call of `order`
+        rho = self._rho(x)
+        s, sp, spp = self._S(rho, order)
+        return rho, self._envelope(rho), s, sp, spp
+
+    def _rho(self, x: float) -> float:
         if not (x > 0.0 and math.isfinite(x)):
             raise DomainError(f"solution evaluation needs x > 0, got {x!r}")
-        rho = self._ups2 * x * x
-        s, sp, spp = self._S(rho, order)
+        return self._ups2 * x * x
+
+    def _envelope(self, rho: float) -> float:
         try:
-            return rho, math.exp(-0.5 * rho) * rho**self._q, s, sp, spp
+            return math.exp(-0.5 * rho) * rho**self._q
         except OverflowError:  # rho^q past float64: kappa ~ 10 at g2 ~ 1e300
             raise ConvergenceError(f"phi: rho^q = {rho:.4g}^{self._q:.4g} overflows") from None
 
@@ -181,6 +187,31 @@ class EvaluableSolution:
     def value_at(self, x: float) -> float:
         _, env, s, _, _ = self._jet(x, 0)
         return env * s
+
+    def values_on(self, xs) -> list[float]:
+        """phi at every x of xs, in their order (any order, repeats
+        allowed): env * (sin mu Phi + cos mu scale Psi) with Phi pointwise
+        and Psi from one inward sweep (`tricomi_psi_on`), two Psi calls for
+        the whole grid; S = 1 at the floor.  x <= 0 and rho^q past float64
+        raise what `value_at` raises.  Where the sweep refuses (a seed past
+        float64, say), each value is `value_at`'s, or its refusal."""
+        xs = [float(x) for x in xs]
+        rhos = [self._rho(x) for x in xs]
+        if self._at_floor:
+            ss = [1.0] * len(rhos)
+        else:
+            a, b = self._alpha, self._beta
+            ss = [0.0] * len(rhos)
+            if self._sin != 0.0:
+                ss = [s + self._sin * kummer_phi(a, b, rho) for s, rho in zip(ss, rhos)]
+            if self._cos != 0.0:
+                try:
+                    psi = tricomi_psi_on(a, b, rhos)
+                except (ConvergenceError, DomainError):
+                    return [self.value_at(x) for x in xs]
+                c = self._cos * self._psi_scale
+                ss = [s + c * p for s, p in zip(ss, psi)]
+        return [self._envelope(rho) * s for rho, s in zip(rhos, ss)]
 
     def derivative_at(self, x: float) -> float:
         rho, env, s, sp, _ = self._jet(x, 1)

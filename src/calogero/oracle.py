@@ -759,10 +759,16 @@ def _simpson(vals: list[float], xs: list[float]) -> float:
 
 
 def sample_on_grid(fn, grid) -> OracleEigenfunction:
-    """Sample a callable u(x) on a grid and L2-normalize it on the grid
-    (composite Simpson)."""
+    """Sample u(x) on a grid and L2-normalize it on the grid (composite
+    Simpson).  fn is a callable, or an object with `values_on(xs)` (a
+    `GroundState`, an `EvaluableSolution`), which then gives the whole
+    grid at once: the analytic states take their Psi from one inward
+    sweep of Kummer's equation, two Psi calls per grid, not one per point."""
     xs = [float(x) for x in grid]
-    vals = [float(fn(x)) for x in xs]
+    if hasattr(fn, "values_on"):
+        vals = [float(v) for v in fn.values_on(xs)]
+    else:
+        vals = [float(fn(x)) for x in xs]
     norm2 = _simpson([v * v for v in vals], xs)
     if not math.isfinite(norm2) or norm2 <= 0.0:
         raise DomainError(f"sample_on_grid: bad norm^2 = {norm2!r}")

@@ -42,6 +42,20 @@ on the integrand, so each level's are built once and held in a table of
 16 (p, level) entries as two float arrays; a call on a power in the table
 costs one g(t) and one product per node.  Psi at one (alpha, beta) over
 many rho, and the ground-state norm, reuse them.
+
+Psi along a grid.  `tricomi_psi_on` gives Psi at many rho from two router
+calls: Psi and Psi' = -alpha Psi(alpha+1, beta+1; rho) at the largest rho
+(at least just past 8, where both take the float64-exact integral), then
+Taylor steps of Kummer's equation rho S'' + (beta - rho) S' - alpha S = 0
+(DLMF 13.2.1) inward through the sorted rho (the Taylor method of Gil,
+Segura & Temme, *Numerical Methods for Special Functions*, SIAM 2007).  Inward is the stable direction: Psi / Phi grows toward the
+origin (their Wronskian has one sign), so whatever a step puts along
+Kummer's Phi decays relative to Psi.  Psi is completely monotone, so every
+Taylor term of an inward step is positive and nothing cancels in the sum.
+A step reaches at most rho/2 (half the distance to the singular point)
+and at most rho / sqrt((rho - beta)^2 + 4 alpha rho), the inverse gap
+between the local exponents of the two solutions, so a rounding error
+grows at most e-fold along Phi within one step.
 """
 
 from __future__ import annotations
@@ -64,6 +78,7 @@ __all__ = [
     "tricomi_psi",
     "tricomi_psi_series",
     "tricomi_psi_integral",
+    "tricomi_psi_on",
     "exp_halfline_quad",
 ]
 
@@ -559,3 +574,101 @@ def tricomi_psi(alpha: float, beta: float, rho: float) -> float:
         # publicly callable for cross-validation on the overlap region.
         return tricomi_psi_integral(alpha, beta, rho)
     return tricomi_psi_series(alpha, beta, rho)
+
+
+# ---------------------------------------------------------------------------
+# Psi along a grid
+
+
+# the sweep's seed lies at least just past rho = 8, where the router takes
+# the Laplace integral for Psi and Psi'; two Taylor terms running below
+# _SWEEP_REL_TOL of their sums end a step; past _SWEEP_MAX_TERMS terms in a
+# step, or past _SWEEP_MAX_STEPS steps plus 16 per point, the sweep refuses
+_SWEEP_SEED = math.nextafter(8.0, math.inf)
+_SWEEP_REL_TOL = 1e-17
+_SWEEP_MAX_TERMS = 400
+_SWEEP_MAX_STEPS = 1000
+
+
+def _kummer_step(alpha: float, beta: float, r: float, s: float, sp: float, h: float) -> tuple[float, float]:
+    """(S, S') at r + h from (S, S') at r, S a solution of Kummer's
+    equation, by its Taylor series in h about r.
+
+    With d_k = c_k h^k the k-th term, the equation gives
+
+        d_{k+2} = [(k + alpha) h d_k / (k + 1) - (k + beta - r) d_{k+1}] (h / r) / (k + 2),
+
+    S(r + h) = sum d_k and h S'(r + h) = sum k d_k.  For Psi and h < 0 every
+    term and both sums are positive.
+    """
+    hr, ah, br = h / r, alpha * h, beta - r
+    d0, d1 = s, sp * h
+    total, dtotal = d0 + d1, d1
+    small = False
+    for k in range(_SWEEP_MAX_TERMS):
+        k1 = k + 1.0
+        k2 = k1 + 1.0
+        d2 = ((k * h + ah) * d0 / k1 - (k + br) * d1) * hr / k2
+        total += d2
+        kd = k2 * d2
+        dtotal += kd
+        if abs(kd) <= _SWEEP_REL_TOL * dtotal and abs(d2) <= _SWEEP_REL_TOL * total:
+            if small:
+                return total, dtotal / h
+            small = True
+        else:
+            small = False
+        d0, d1 = d1, d2
+    raise ConvergenceError(
+        f"tricomi_psi_on: Taylor step {h:.4g} at rho={r:.4g} needs more than "
+        f"{_SWEEP_MAX_TERMS} terms (alpha={alpha}, beta={beta})"
+    )
+
+
+def tricomi_psi_on(alpha: float, beta: float, rhos) -> list[float]:
+    """Psi(alpha, beta; rho) at every rho of rhos, in their order (any
+    order, repeats allowed), by one inward Taylor sweep of Kummer's
+    equation seeded by two `tricomi_psi` calls (see "Psi along a grid"
+    above).  alpha > 0, beta >= 1 and every rho > 0, as for `tricomi_psi`.
+
+    Each step lands on the next point exactly: it never reaches past half
+    its own rho, so the next point minus this one is an exact float.  Raises
+    ConvergenceError where a seed is not a normal float, where the sweep
+    would take more than _SWEEP_MAX_STEPS + 16 steps per point, or where a
+    value leaves float64.
+    """
+    if not (alpha > 0.0):
+        raise DomainError(f"tricomi_psi_on: alpha must be > 0, got {alpha}")
+    if not (1.0 <= beta < math.inf):
+        raise DomainError(f"tricomi_psi_on: beta must be finite and >= 1, got {beta}")
+    rs = [float(r) for r in rhos]
+    if not all(0.0 < r < math.inf for r in rs):
+        raise DomainError("tricomi_psi_on: every rho must be finite and > 0")
+    out = [0.0] * len(rs)
+    if not rs:
+        return out
+    order = sorted(range(len(rs)), key=rs.__getitem__, reverse=True)
+    r = max(rs[order[0]], _SWEEP_SEED)
+    s = tricomi_psi(alpha, beta, r)
+    sp = -alpha * tricomi_psi(alpha + 1.0, beta + 1.0, r)
+    if not (s >= sys.float_info.min and -sp >= sys.float_info.min):
+        raise ConvergenceError(
+            f"tricomi_psi_on: seed Psi = {s!r}, Psi' = {sp!r} at rho={r} is not a normal float"
+        )
+    budget, steps = _SWEEP_MAX_STEPS + 16 * len(rs), 0
+    for i in order:
+        target = rs[i]
+        while r > target:
+            steps += 1
+            if steps > budget:
+                raise ConvergenceError(
+                    f"tricomi_psi_on: more than {budget} steps from rho={r} to {rs[order[-1]]}"
+                )
+            reach = r / max(2.0, math.hypot(r - beta, 2.0 * math.sqrt(alpha * r)))
+            nxt = max(target, r - reach)
+            s, sp = _kummer_step(alpha, beta, r, s, sp, nxt - r)
+            r = nxt
+        out[i] = s
+    if not (math.isfinite(s) and math.isfinite(sp)):
+        raise ConvergenceError(f"tricomi_psi_on: Psi leaves float64 by rho={r}")
+    return out

@@ -82,6 +82,10 @@ _FRIEDRICHS_SNAP = 1e-6
 # ln|e/4| of the deepest ground floor: -4 e^700 leaves the bracket's
 # midpoints inside float64, and a ground state estimated below it is refused
 _LN_DEEPEST = 700.0
+# F reads e through alpha = (1+k)/2 - e/4, which near e = 0 moves in steps
+# of ~4e-16 in e: below |e| = _E_FINE a root search counts its ulps (its
+# first step and its stopping width) at _E_FINE, still 1e6 times finer
+_E_FINE = 2.0**-20
 
 
 def extension_for(rp: ReducedParams, nu: float | None = None, friedrichs: bool = False) -> Extension:
@@ -190,8 +194,8 @@ def _brent(f, a: float, fa: float, b: float, fb: float) -> tuple[float, float]:
     Inverse quadratic or secant steps while they stay inside the bracket
     and shrink fast enough, bisection otherwise (Brent, *Algorithms for
     Minimization without Derivatives*, 1973, ch. 4).  Stops on an exact
-    zero or once the bracket spans at most four ulps, and returns the end
-    with the smaller |f| with its value (root, f(root)).
+    zero or once the bracket spans at most four ulps of max(|b|, _E_FINE),
+    and returns the end with the smaller |f| with its value (root, f(root)).
     """
     c, fc = a, fa
     d = e = b - a
@@ -202,7 +206,7 @@ def _brent(f, a: float, fa: float, b: float, fb: float) -> tuple[float, float]:
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = 2.0 * math.ulp(b)
+        tol = 2.0 * math.ulp(max(abs(b), _E_FINE))
         m = 0.5 * (c - b)
         if abs(m) <= tol or fb == 0.0:
             return b, fb
@@ -412,7 +416,8 @@ def _root_in_gap(
     decreases from +inf to -inf; (c, skew) from `_boundary_consts`.
 
     The search starts at the level's own estimate (`_level_estimate`) and
-    evaluates e +- h, h its last correction; while both values have one
+    evaluates e +- h, h its last correction but at least four ulps of
+    max(|e|, _E_FINE); while both values have one
     sign it widens h 64-fold on the root's side, keeping the nearer point
     as the other end, then `_brent` starts from the two values of the sign
     change.  A probe that would reach an end of the gap (a pole, or the
@@ -440,7 +445,7 @@ def _root_in_gap(
     noise = 1e-9 * (1.0 + abs(target))
     est, h = _level_estimate(rp, target, n, c)
     est = min(max(est, math.nextafter(lo, hi)), math.nextafter(hi, lo))
-    h = max(h, 4.0 * math.ulp(est))
+    h = max(h, 4.0 * math.ulp(max(abs(est), _E_FINE)))
     p, q = inward(est, lo, -h), inward(est, hi, h)
     gp, gq = g(p), g(q)
     while not gp > 0.0 >= gq:
@@ -528,6 +533,11 @@ class GroundState:
 
     def __call__(self, x: float) -> float:
         return self.norm_constant * self.solution.value_at(x)
+
+    def values_on(self, xs) -> list[float]:
+        """u at every x of xs, from one sweep of the solution's Psi
+        (`EvaluableSolution.values_on`)."""
+        return [self.norm_constant * v for v in self.solution.values_on(xs)]
 
     def derivative(self, x: float) -> float:
         return self.norm_constant * self.solution.derivative_at(x)

@@ -145,12 +145,13 @@ def test_state_norm_pinned(args, pinned):
 @pytest.mark.parametrize(
     "kappa, nu, g2, pinned",
     [
-        (0.3, 0.4, 2.0, "cca416d61bcbc6e28f756dc2598180c6d3cbe1e7498a1434b2dddbb0b3d3e0c6"),
-        (0.7, -1.0, 0.5, "05d7aab277c1b52d50dc72f62727a962351e40f9f637d4a021341b26f4ab2a30"),
+        (0.3, 0.4, 2.0, "b2e648e25843f7de514b9e45210d8fe8a9cb51b70c3974460ae2fb4f5d5bf030"),
+        (0.7, -1.0, 0.5, "12551c951c5a8a6d280905a24e243c639f332849c6691e4e644597ea8a17db6e"),
     ],
 )
 def test_sampled_ground_state_pinned(kappa, nu, g2, pinned):
-    # the oracle's default window (0.02, 8) / upsilon at its 801 points
+    # the oracle's default window (0.02, 8) / upsilon at its 801 points, Psi
+    # from one inward sweep seeded at rho = 64
     rp = reduce(kappa**2 - 0.25, g2)
     ups = g2**0.25
     x_min, x_max = 0.02 / ups, 8.0 / ups

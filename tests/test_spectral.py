@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
-from calogero import oracle, specfun, spectral
+from calogero import factorization, oracle, specfun, spectral
 from calogero.errors import ConvergenceError, DomainError
 from calogero.params import reduce
 from calogero.spectral import (
@@ -442,6 +442,27 @@ class TestBoundarySolver:
             # ground states) moves by cond rounding errors of F too
             assert abs(e - ref) <= 1e-13 * max(abs(ref), 1.0) * max(cond, 1.0)
 
+    @pytest.mark.parametrize("ulps_below_one", [1, 2, 3])
+    def test_ground_root_next_to_zero_is_found_in_few_evaluations(self, monkeypatch, ulps_below_one):
+        # a few ulps below kappa = 1 the ground root lies near 2e-16 and its
+        # estimate is 0.0 with no correction; the search starts 4 ulps of
+        # _E_FINE wide, not 4 ulps of 0.0 (a subnormal, ~170 widenings from
+        # the root), and stops 4 ulps of _E_FINE wide: F reads e through
+        # alpha, held to ulp(1/2), so its value moves in steps of ~4e-16
+        rp = rp_kappa(1.0 - ulps_below_one * 2.0**-53)
+        calls = []
+        inner = spectral._boundary_F
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(spectral, "_boundary_F", counted)
+        (e,) = spectrum(rp, extension_for(rp, nu=-0.3), 1).energies
+        assert len(calls) <= 40
+        ref, _ = _mp_boundary_root(rp.kappa, -0.3, e)
+        assert abs(e - ref) <= 4.0 * math.ulp(max(abs(ref), 1.0))
+
     @pytest.mark.parametrize("ulps_below_one", range(1, 13))
     @pytest.mark.parametrize("nu", [1.0, -1.0, 0.3, 1.5])
     def test_collapsed_gaps_next_to_kappa_one(self, ulps_below_one, nu):
@@ -692,7 +713,8 @@ class TestGroundState:
             fd = (gs(x + h) - gs(x - h)) / (2.0 * h)
             assert gs.derivative(x) == pytest.approx(fd, rel=1e-7)
 
-    def test_interior_state_samples_without_mpmath(self, monkeypatch):
+    @staticmethod
+    def _interior_state(monkeypatch):
         # alpha = 6.29: 182 of the state's Psi values on 801 points of the
         # oracle's window cancel 5 to 13 digits of the two-series form, and
         # the Laplace integral answers every one of them
@@ -705,9 +727,35 @@ class TestGroundState:
         gs = ground_state_wavefunction(rp, extension_for(rp, nu=-1.05))
         x_min, x_max = 0.02 / rp.upsilon, 8.0 / rp.upsilon
         n = 801
-        grid = [x_min + (x_max - x_min) * i / (n - 1) for i in range(n)]
-        vals = oracle.sample_on_grid(gs, grid).values
+        return gs, [x_min + (x_max - x_min) * i / (n - 1) for i in range(n)]
+
+    def test_interior_state_samples_without_mpmath(self, monkeypatch):
+        # the Psi router, one call per point: sample_on_grid would sweep
+        gs, grid = self._interior_state(monkeypatch)
+        vals = [gs(x) for x in grid]
         assert len(vals) == 801 and all(v > 0.0 for v in vals)
+
+    def test_interior_state_sweeps_without_mpmath(self, monkeypatch):
+        # the same grid through sample_on_grid: the sweep's two seeds past
+        # rho = 8 are all the Psi calls it makes, and it agrees with the
+        # router within the router's 1e-8
+        gs, grid = self._interior_state(monkeypatch)
+        calls = []
+        inner = specfun.tricomi_psi
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(specfun, "tricomi_psi", counted)
+        monkeypatch.setattr(factorization, "tricomi_psi", counted)
+        sampled = oracle.sample_on_grid(gs, grid)
+        assert len(calls) <= 4
+        vals = sampled.values
+        assert len(vals) == 801 and all(v > 0.0 for v in vals)
+        swept = gs.values_on(grid)
+        for x, v in zip(grid, swept):
+            assert abs(v - gs(x)) <= 1e-8 * abs(v)
 
     def test_deep_state_has_unit_norm(self):
         # alpha ~ 50.5: near the origin every digit of the float64 Psi series
