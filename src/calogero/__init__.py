@@ -6,7 +6,6 @@ from .errors import ConvergenceError, DomainError
 from .factorization import (
     RepresentationParams,
     apply_a,
-    apply_b,
     factorization_residual,
     make_phi,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "RepresentationParams",
     "make_phi",
     "apply_a",
-    "apply_b",
     "factorization_residual",
     "Extension",
     "ExtensionLabel",

@@ -214,13 +214,21 @@ def _c6_kernel_at_floor():
 # --- 7: special-function cross checks ---------------------------------------
 
 
+# (alpha, beta, rho): the series answers each itself, Psi(1.3, 1.5; 7)
+# cancelling the most, 4.8 of its 5 digits
+_PSI_DUAL_ROUTE_POINTS = tuple(
+    (alpha, beta, rho)
+    for alpha, beta in ((0.75, 1.5), (1.3, 1.5), (0.45, 1.25))
+    for rho in (0.8, 3.0, 7.0)
+)
+
+
 def _c7_psi_dual_route():
     worst = 0.0
-    for alpha, beta in ((0.75, 1.5), (1.3, 1.5), (0.45, 1.25)):
-        for rho in (0.8, 3.0, 7.0):
-            a = tricomi_psi_series(alpha, beta, rho)
-            b = tricomi_psi_integral(alpha, beta, rho)
-            worst = _worst(worst, abs(a - b) / abs(b))
+    for alpha, beta, rho in _PSI_DUAL_ROUTE_POINTS:
+        a = tricomi_psi_series(alpha, beta, rho)
+        b = tricomi_psi_integral(alpha, beta, rho)
+        worst = _worst(worst, abs(a - b) / abs(b))
     return _row(
         "7-psi-dual-route", worst, 1e-8,
         "series vs integral evaluation of the decaying solution",

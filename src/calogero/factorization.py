@@ -41,7 +41,7 @@ phi''/phi = V + 4 upsilon^2 w.  `factorization_residual` measures exactly
 that defect, with h' computed honestly from the series second derivative
 (phi''/phi - h^2), never by assuming the identity it is checking.
 
-`apply_a`, `apply_b` and `factorization_residual` take phi, built once per
+`apply_a` and `factorization_residual` take phi, built once per
 representation by `make_phi`.  Each value at x reads one evaluation of S;
 the residual's, of order 2, gives phi, h and h' together.  `residual_sweep`
 and `kernel_sweep` are the checks `factorize-check` and `verify` row 6
@@ -67,7 +67,6 @@ __all__ = [
     "EvaluableSolution",
     "make_phi",
     "apply_a",
-    "apply_b",
     "factorization_residual",
     "residual_sweep",
     "kernel_sweep",
@@ -237,19 +236,13 @@ def _value_and_derivative(f, x: float) -> tuple[float, float]:
         return f.value_at(x), f.derivative_at(x)
     if isinstance(f, tuple) and len(f) >= 2:
         return f[0](x), f[1](x)
-    raise DomainError("apply_a/apply_b need an EvaluableSolution or a (f, f') tuple of callables")
+    raise DomainError("apply_a needs an EvaluableSolution or a (f, f') tuple of callables")
 
 
 def apply_a(phi: EvaluableSolution, f, x: float) -> float:
     """(a f)(x) = f' - h f with h = phi'/phi.  Annihilates phi itself."""
     v, d = _value_and_derivative(f, x)
     return d - phi.superpotential_at(x) * v
-
-
-def apply_b(phi: EvaluableSolution, f, x: float) -> float:
-    """(b f)(x) = -f' - h f with h = phi'/phi.  Annihilates 1/phi."""
-    v, d = _value_and_derivative(f, x)
-    return -d - phi.superpotential_at(x) * v
 
 
 def factorization_residual(phi: EvaluableSolution, f_triple, x: float, h_shift: float = 0.0) -> float:

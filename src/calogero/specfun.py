@@ -27,14 +27,11 @@ The two-series combination cancels catastrophically once rho is a few
 units large (the two Phi terms grow like e^rho while Psi decays like
 rho^(-a)).  Measured in float64 the worst case on the overlap test grid
 is ~2e-7, which busts the 1e-8 contract, so the combination counts the
-digits it lost: up to 5 it keeps its float64 value, and past that it
-hands over to the Laplace integral, float64-exact wherever it converges.
-Where the integral refuses (large alpha at small rho, from alpha ~ 90
-on, and past alpha ~ 170 at any rho), a value that lost fewer than 13
-digits re-runs the combination in fixed elevated precision (mpmath); one
-that lost more is rounding noise.  Below rho = 8 the router takes a value
-that these routes refuse from the inward sweep of "Psi along a grid",
-seeded past rho = 8; above it, the refusal stands.
+digits it lost and refuses a value that lost more than 5.  The router
+`tricomi_psi` owns the whole fallback order: the series, then the Laplace
+integral (float64-exact wherever it converges; alone at integer b and past
+rho = 8), then, below rho = 8, the inward sweep of "Psi along a grid",
+seeded past rho = 8.  Where all of them refuse, the refusal stands.
 
 Quadrature notes.  The integral route has an integrable t^(a-1) endpoint
 singularity whenever a < 1, which ordinary interval-halving quadrature
@@ -352,28 +349,27 @@ _SERIES_REL_TOL = 1e-15
 _SERIES_MAX_TERMS = 800
 
 
-def _phi_series(a, b, rho, rel_tol, max_terms, one=1.0):
+def _phi_series(a: float, b: float, rho: float) -> float:
     """Raw Kummer series with the stagnation stop.
 
-    Generic over the scalar type: pass one=mpf(1) to run the same loop in
-    mpmath arithmetic.  Termination: |term| <= rel_tol * |sum| for three
-    consecutive terms (the series may alternate transiently when a < 0,
-    a single small term proves nothing there).
+    Termination: |term| <= _SERIES_REL_TOL * |sum| for three consecutive
+    terms (the series may alternate transiently when a < 0, a single small
+    term proves nothing there); past _SERIES_MAX_TERMS terms it refuses.
     """
-    term = one
-    total = one
+    term = 1.0
+    total = 1.0
     small = 0
-    for k in range(max_terms):
+    for k in range(_SERIES_MAX_TERMS):
         term = term * (a + k) / ((b + k) * (k + 1)) * rho
-        total = total + term
-        if abs(term) <= rel_tol * abs(total):
+        total += term
+        if abs(term) <= _SERIES_REL_TOL * abs(total):
             small += 1
             if small >= 3:
                 return total
         else:
             small = 0
     raise ConvergenceError(
-        f"kummer series: no convergence in {max_terms} terms (a={a}, b={b}, rho={rho})"
+        f"kummer series: no convergence in {_SERIES_MAX_TERMS} terms (a={a}, b={b}, rho={rho})"
     )
 
 
@@ -398,7 +394,7 @@ def kummer_phi(alpha: float, beta: float, rho: float) -> float:
         raise DomainError(f"kummer_phi: rho must be >= 0, got {rho}")
     if alpha == 0.0 or rho == 0.0:
         return 1.0
-    return _phi_series(alpha, beta, rho, _SERIES_REL_TOL, _SERIES_MAX_TERMS)
+    return _phi_series(alpha, beta, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -543,39 +539,14 @@ def tricomi_psi_integral(alpha: float, beta: float, rho: float) -> float:
     return scale * integral
 
 
-def _psi_two_series_mp(alpha: float, beta: float, rho: float, lost: float) -> float:
-    # Re-run the identical combination in elevated fixed precision, for the
-    # band values (5 to 13 digits lost) the Laplace integral refuses: large
-    # alpha at small rho (from ~90), where its quadrature does not converge
-    # or its integrand underflows, and alpha past ~170, where its weights
-    # overflow.  Budget the `lost` digits plus a sound margin; the term
-    # budget scales with rho (the Kummer tail needs ~rho + sqrt(rho * digits)
-    # terms).
-    import mpmath as mp
-
-    dps = 26 + int(lost)
-    max_terms = max(_SERIES_MAX_TERMS, int(3.0 * rho) + 200)
-    with mp.workdps(dps):
-        a, b, r = mp.mpf(alpha), mp.mpf(beta), mp.mpf(rho)
-        one = mp.mpf(1)
-        tol = mp.mpf(10) ** (-(dps - 6))
-        s1 = _phi_series(a, b, r, tol, max_terms, one)
-        s2 = _phi_series(a - b + 1, 2 - b, r, tol, max_terms, one)
-        t1 = mp.gamma(1 - b) * mp.rgamma(a - b + 1) * s1
-        t2 = mp.gamma(b - 1) * mp.rgamma(a) * r ** (1 - b) * s2
-        return float(t1 + t2)
-
-
 def tricomi_psi_series(alpha: float, beta: float, rho: float) -> float:
     """Psi via the two-series combination (non-integer beta only, rho <= 300:
     the router sends only rho <= 8 here, and a larger rho is refused).
 
-    The combination keeps its float64 value when it loses at most 5 digits.
-    Past that it hands over to `tricomi_psi_integral`; where the integral
-    refuses, a value that lost fewer than 13 digits is re-run in mpmath and
-    one that lost more is refused.  A prefactor that underflowed (not an
-    exact pole of 1/Gamma, where its term truly vanishes) hides its term,
-    so it counts as every digit lost.
+    Returns the float64 value when at most 5 digits cancel, and otherwise
+    raises ConvergenceError naming the digits lost.  A prefactor that
+    underflowed (not an exact pole of 1/Gamma, where its term truly
+    vanishes) hides its term, which is refused too.
     """
     if not (alpha > 0.0):
         raise DomainError(f"tricomi_psi_series: alpha must be > 0, got {alpha}")
@@ -590,59 +561,54 @@ def tricomi_psi_series(alpha: float, beta: float, rho: float) -> float:
         raise ConvergenceError(
             f"tricomi_psi_series: rho={rho} exceeds the series-form budget (use the integral form)"
         )
-    # float64 first; it is exact enough whenever little cancels.
     p1 = gamma(1.0 - beta) * rgamma(alpha - beta + 1.0)
-    t1 = p1 * _phi_series(alpha, beta, rho, _SERIES_REL_TOL, _SERIES_MAX_TERMS)
+    t1 = p1 * _phi_series(alpha, beta, rho)
     try:
         pw = rho ** (1.0 - beta)
     except OverflowError:
         raise ConvergenceError(f"tricomi_psi_series: rho^(1-beta) overflows at rho={rho}") from None
     p2 = gamma(beta - 1.0) * rgamma(alpha) * pw
-    t2 = p2 * _phi_series(
-        alpha - beta + 1.0, 2.0 - beta, rho, _SERIES_REL_TOL, _SERIES_MAX_TERMS
-    )
+    t2 = p2 * _phi_series(alpha - beta + 1.0, 2.0 - beta, rho)
     val = t1 + t2
     num = abs(t1) + abs(t2)
     if abs(p2) < sys.float_info.min or (
         abs(p1) < sys.float_info.min and not _is_nonpositive_int(alpha - beta + 1.0)
     ):
-        lost = math.inf
-    elif num == 0.0:
+        raise ConvergenceError(
+            f"tricomi_psi_series: a prefactor underflows and hides its term at "
+            f"alpha={alpha}, beta={beta}, rho={rho}"
+        )
+    if num == 0.0:
         return val  # one term vanished on an exact pole, no cancellation
-    else:
-        log_num = math.log10(num)
-        if not math.isfinite(log_num):
-            raise ConvergenceError(
-                f"tricomi_psi_series: Phi overflow at alpha={alpha}, rho={rho}"
-            )
-        log_val = math.log10(abs(val)) if val != 0.0 else -400.0
-        # digits lost: those that cancel, plus those Gamma(1 - beta) lacks within
-        # 0.1 of an integer beta (its sin(pi (1 - beta)) is good to ~eps/d)
-        lost = log_num - log_val + max(0.0, math.log10(0.1 / d))
-        if lost <= 5.0:
-            return val
-    try:
-        return tricomi_psi_integral(alpha, beta, rho)
-    except ConvergenceError:
-        if lost >= 13.0:  # val is rounding noise, or a term is hidden
-            raise
-        return _psi_two_series_mp(alpha, beta, rho, lost)
+    log_num = math.log10(num)
+    if not math.isfinite(log_num):
+        raise ConvergenceError(f"tricomi_psi_series: Phi overflow at alpha={alpha}, rho={rho}")
+    log_val = math.log10(abs(val)) if val != 0.0 else -400.0
+    # digits lost: those that cancel, plus those Gamma(1 - beta) lacks within
+    # 0.1 of an integer beta (its sin(pi (1 - beta)) is good to ~eps/d)
+    lost = log_num - log_val + max(0.0, math.log10(0.1 / d))
+    if lost > 5.0:
+        raise ConvergenceError(
+            f"tricomi_psi_series: {lost:.1f} digits cancel, more than 5, at "
+            f"alpha={alpha}, beta={beta}, rho={rho}"
+        )
+    return val
 
 
 def tricomi_psi(alpha: float, beta: float, rho: float) -> float:
     """Tricomi's confluent hypergeometric Psi(alpha, beta; rho).
 
-    Routing: within 1e-8 of an integer beta the two-series form has lost
-    (or is about to lose) all significance to the Gamma(1-beta) /
-    Gamma(beta-1) blowup, and the Laplace integral takes over; elsewhere
-    the series combination is used, which itself hands any value that
-    cancels more than 5 digits to the integral (see `tricomi_psi_series`).
-    Strictly positive, strictly decreasing in rho, ~ rho^(-alpha) at
-    infinity.  Below the sweep's seed at rho = 8+, a value both routes
-    refuse (large alpha at small rho, where the integral's scale
-    rho^(-alpha)/Gamma(alpha) or its integrand leaves float64) comes from
-    the inward sweep `tricomi_psi_on` instead; where no route holds the
-    value, a ConvergenceError.
+    The one place that orders Psi's routes.  The two-series form comes
+    first where it applies: off an integer beta (within 1e-8 it has lost,
+    or is about to lose, all significance to the Gamma(1-beta) /
+    Gamma(beta-1) blowup) and at rho <= 8 (past it the series must rebuild
+    the cancelled digits at ~40x the cost).  Where it refuses, or does not
+    apply, the Laplace integral follows.  Below the sweep's seed at
+    rho = 8+, a value both refuse (large alpha at small rho, where the
+    integral's scale rho^(-alpha)/Gamma(alpha) or its integrand leaves
+    float64) comes from the inward sweep `tricomi_psi_on`; where no route
+    holds the value, a ConvergenceError.  Strictly positive, strictly
+    decreasing in rho, ~ rho^(-alpha) at infinity.
 
     alpha = 0 is excluded by contract: Psi(0, b; rho) = 1 identically.
     """
@@ -653,20 +619,17 @@ def tricomi_psi(alpha: float, beta: float, rho: float) -> float:
     if not (rho > 0.0):
         raise DomainError(f"tricomi_psi: rho must be > 0, got {rho}")
     if abs(beta - round(beta)) <= 1e-8 or rho > 8.0:
-        # integer-ish beta degenerates the series form.  Large rho is routed
-        # to the integral too: past rho ~ 8 the series must rebuild the
-        # cancelled digits in software arithmetic at ~40x the cost, while
-        # the integral stays float64-exact at any rho.  Both branches remain
-        # publicly callable for cross-validation on the overlap region.
-        route = tricomi_psi_integral
+        routes = (tricomi_psi_integral,)
     else:
-        route = tricomi_psi_series
-    try:
-        return route(alpha, beta, rho)
-    except ConvergenceError:
-        if rho >= _SWEEP_SEED:  # the sweep seeds from this router there
-            raise
-        return tricomi_psi_on(alpha, beta, (rho,))[0]
+        routes = (tricomi_psi_series, tricomi_psi_integral)
+    for route in routes:
+        try:
+            return route(alpha, beta, rho)
+        except ConvergenceError as exc:
+            refusal = exc
+    if rho >= _SWEEP_SEED:  # the sweep seeds from this router there
+        raise refusal
+    return tricomi_psi_on(alpha, beta, (rho,))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -534,3 +534,33 @@ class TestSharedParser:
             fresh.append((proc.returncode, proc.stdout))
         assert [code for code, _ in in_process] == [0, 2, 0, 0, 0, 0, 0]
         assert in_process == fresh
+
+
+# mpmath is a test-only reference: with its import blocked, the quick table,
+# a Psi value that the series and the Laplace integral both refuse (7.7
+# digits cancel, the quadrature does not converge) and a factorize-check at
+# w = 60 all answer
+_WITHOUT_MPMATH = """
+import sys
+sys.modules["mpmath"] = None
+from calogero.cli import main
+from calogero.specfun import tricomi_psi
+assert main(["verify", "--quick"]) == 0
+assert main(["factorize-check", "--mu", "0.3", "--w", "60"]) == 0
+print("psi", tricomi_psi(146.3823893585053, 3.8581192521960097, 0.13595920013435034).hex())
+"""
+
+
+def test_runs_with_mpmath_blocked():
+    import mpmath
+
+    src = str(pathlib.Path(calogero.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_MPMATH], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    tag, value = proc.stdout.splitlines()[-1].split()
+    assert tag == "psi"
+    with mpmath.workdps(40):
+        ref = float(mpmath.hyperu(146.3823893585053, 3.8581192521960097, 0.13595920013435034))
+    assert float.fromhex(value) == pytest.approx(ref, rel=1e-12, abs=0.0)

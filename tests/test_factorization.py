@@ -14,7 +14,6 @@ from calogero.errors import DomainError
 from calogero.factorization import (
     RepresentationParams,
     apply_a,
-    apply_b,
     factorization_residual,
     kernel_sweep,
     make_phi,
@@ -153,18 +152,6 @@ class TestOperatorPair:
         sol = make_phi(rep_of(g1, g2, mu, w))
         scale = abs(sol.derivative_at(x)) + abs(sol.superpotential_at(x) * sol.value_at(x))
         assert abs(apply_a(sol, sol, x)) <= 1e-10 * scale
-
-    @pytest.mark.parametrize("g1,g2,mu,w", PROBE_REPS)
-    @pytest.mark.parametrize("x", [0.15, 0.8, 2.1])
-    def test_b_annihilates_inverse_phi(self, g1, g2, mu, w, x):
-        sol = make_phi(rep_of(g1, g2, mu, w))
-        inv = (
-            lambda t: 1.0 / sol.value_at(t),
-            lambda t: -sol.derivative_at(t) / sol.value_at(t) ** 2,
-        )
-        v, d = inv[0](x), inv[1](x)
-        scale = abs(d) + abs(sol.superpotential_at(x) * v)
-        assert abs(apply_b(sol, inv, x)) <= 1e-10 * scale
 
     def test_rejects_bare_callable(self):
         sol = make_phi(rep_of(0.0, 1.0, 0.3, 0.0))

@@ -246,12 +246,12 @@ class TestTrigamma:
     @given(st.floats(min_value=0.0, max_value=1e3, exclude_min=True, **finite))
     @settings(max_examples=300)
     def test_matches_mpmath_on_the_positive_axis(self, z):
-        if z < 1e-154:  # 1/z^2 leaves float64
+        with mpmath.workdps(30):
+            ref = float(mpmath.psi(1, mpmath.mpf(z)))
+        if ref == math.inf:  # psi'(z) ~ 1/z^2 leaves float64 below z ~ 7.5e-155
             assert trigamma(z) == math.inf
             return
-        with mpmath.workdps(30):
-            ref = mpmath.psi(1, mpmath.mpf(z))
-        assert abs(trigamma(z) - float(ref)) <= 1e-15 * float(ref)
+        assert abs(trigamma(z) - ref) <= 1e-15 * ref
 
     @given(
         st.tuples(st.integers(0, 10**3), st.floats(1e-150, 1.0, exclude_max=True)).map(
@@ -389,14 +389,22 @@ class TestTricomiPsi:
         assert tricomi_psi(0.5, 1.5, rho) == pytest.approx(rho**-0.5, rel=1e-12, abs=0.0)
 
     def test_branches_agree(self):
-        # the acceptance grid runs this too; keep a quick local version
-        worst = 0.0
+        # the acceptance grid runs this too; keep a quick local version.  The
+        # routes are compared only where the series answers: an over-budget
+        # point is refused with a type, and the router's integral answers it
+        worst, compared = 0.0, 0
         for a in (0.1, 0.6, 1.3, 2.5, 7.5):
             for b in (1.5, 2.25, 3.75):
                 for r in (0.1, 1.0, 10.0, 60.0):
-                    s = tricomi_psi_series(a, b, r)
+                    try:
+                        s = tricomi_psi_series(a, b, r)
+                    except ConvergenceError:
+                        assert tricomi_psi(a, b, r) == tricomi_psi_integral(a, b, r)
+                        continue
                     i = tricomi_psi_integral(a, b, r)
                     worst = max(worst, abs(s - i) / abs(s))
+                    compared += 1
+        assert compared == 38
         assert worst <= 1e-8
 
     def test_integer_beta_routes_to_integral(self):
@@ -465,12 +473,14 @@ class TestTricomiPsi:
             (154.94366628595776, 5.744469356588795, 4.30571037432872),
         ],
     )
-    def test_series_matches_hyperu_where_it_cancels(self, a, b, r):
+    def test_router_matches_hyperu_where_the_series_cancels(self, a, b, r):
+        with pytest.raises(ConvergenceError, match="digits cancel"):
+            tricomi_psi_series(a, b, r)
         with mpmath.workdps(40):
             ref = float(mpmath.hyperu(a, b, r))
-        assert tricomi_psi_series(a, b, r) == pytest.approx(ref, rel=1e-9, abs=0.0)
+        assert tricomi_psi(a, b, r) == pytest.approx(ref, rel=1e-9, abs=0.0)
 
-    def test_fully_cancelled_series_hands_over_to_the_integral(self, monkeypatch):
+    def test_router_hands_a_fully_cancelled_series_to_the_integral(self, monkeypatch):
         calls = []
 
         def counting(a, b, r):
@@ -478,9 +488,12 @@ class TestTricomiPsi:
             return tricomi_psi_integral(a, b, r)
 
         monkeypatch.setattr(specfun, "tricomi_psi_integral", counting)
-        tricomi_psi_series(59.87, 3.968, 5.139)
+        with pytest.raises(ConvergenceError, match="digits cancel"):
+            tricomi_psi_series(59.87, 3.968, 5.139)
+        assert calls == []
+        tricomi_psi(59.87, 3.968, 5.139)
         assert calls == [(59.87, 3.968, 5.139)]
-        tricomi_psi_series(1.3, 1.5, 3.0)
+        tricomi_psi(1.3, 1.5, 3.0)
         assert len(calls) == 1
 
     @given(
@@ -510,7 +523,7 @@ class TestTricomiPsi:
     def test_band_takes_the_integral_and_matches_hyperu(self, ln_a, u, b):
         # the two series cancel ~1.74 sqrt(alpha rho) digits: alpha rho in
         # [9, 55] (rho <= 8) puts most draws in the 5-13 digit band, which
-        # the series hands to the Laplace integral
+        # the series refuses and the router hands to the Laplace integral
         a = math.exp(ln_a)
         r = (9.0 + u * (min(55.0, 8.0 * a) - 9.0)) / a
         assume(abs(b - round(b)) > 1e-6)
@@ -522,27 +535,79 @@ class TestTricomiPsi:
             ref = mpmath.hyperu(am, bm, rm)
             lost = float(mpmath.log10((abs(t1) + abs(t2)) / ref))
         assume(5.5 < lost < 12.5)
+        with pytest.raises(ConvergenceError, match="digits cancel"):
+            tricomi_psi_series(a, b, r)
         with mock.patch.object(specfun, "tricomi_psi_integral", wraps=tricomi_psi_integral) as integral:
-            got = tricomi_psi_series(a, b, r)
+            got = tricomi_psi(a, b, r)
         assert integral.call_count == 1
         assert got == pytest.approx(float(ref), rel=1e-11, abs=0.0)
 
-    @pytest.mark.parametrize(
-        "args, refusal, pinned",
-        [
-            # 7.7 digits cancel, and the quadrature does not converge
-            ((146.3823893585053, 3.8581192521960097, 0.13595920013435034),
-             "no convergence at level 8", "0x1.6409f7cfca184p-838"),
-            # (1 + t/rho)^(beta-alpha-1) underflows over the whole weight, and
-            # the integral's 0.0 would stand for Psi = 1.36e-288
-            ((163.5431713875539, 2.0000240385494554, 0.0020309934977136893),
-             "integrand underflows", "0x1.a9a5c1c752aeap-957"),
-        ],
-    )
-    def test_band_falls_back_to_mpmath_where_the_integral_refuses(self, args, refusal, pinned):
-        with pytest.raises(ConvergenceError, match=refusal):
+    def test_band_falls_back_to_the_sweep_where_the_integral_refuses(self):
+        # 7.7 digits cancel, and the quadrature does not converge
+        args = (146.3823893585053, 3.8581192521960097, 0.13595920013435034)
+        with pytest.raises(ConvergenceError, match="digits cancel"):
+            tricomi_psi_series(*args)
+        with pytest.raises(ConvergenceError, match="no convergence at level 8"):
             tricomi_psi_integral(*args)
-        assert tricomi_psi(*args).hex() == pinned
+        with mpmath.workdps(40):
+            ref = float(mpmath.hyperu(*args))
+        assert tricomi_psi(*args) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_subnormal_sweep_seed_is_refused(self):
+        # (1 + t/rho)^(beta-alpha-1) underflows over the whole weight, and
+        # the sweep's seed Psi(alpha, beta; 8+) = 1.5e-320 is subnormal,
+        # although Psi = 1.36e-288 here
+        args = (163.5431713875539, 2.0000240385494554, 0.0020309934977136893)
+        with pytest.raises(ConvergenceError, match="integrand underflows"):
+            tricomi_psi_integral(*args)
+        with pytest.raises(ConvergenceError, match=r"seed Psi = 1\.5\d*e-320, .* is not a normal float"):
+            tricomi_psi(*args)
+
+    @given(
+        st.one_of(
+            # near an integer beta the series cancel ~log10(1/d) digits at
+            # any rho, and the integral refuses below rho ~ 0.01 from alpha ~ 90
+            st.tuples(
+                st.floats(min_value=90.0, max_value=140.0),
+                st.builds(lambda n, u: n + 10.0**u, st.integers(1, 3), st.floats(min_value=-8.0, max_value=-4.5)),
+                st.floats(min_value=math.log(1e-4), max_value=math.log(0.01)).map(math.exp),
+            ),
+            # off it they cancel ~1.74 sqrt(alpha rho) digits, 5 from
+            # alpha rho ~ 8, and the integral refuses there from alpha ~ 128
+            st.tuples(
+                st.floats(min_value=128.0, max_value=140.0),
+                st.floats(min_value=1.0, max_value=4.0),
+                st.floats(min_value=0.06, max_value=0.12),
+            ),
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_former_mpmath_band_matches_hyperu_or_refuses(self, args):
+        # the band that an elevated-precision re-run of the series once
+        # served: 5 to 13 digits cancel, and the Laplace integral refuses
+        a, b, r = args
+        assume(abs(b - round(b)) > 1e-9)
+        with mpmath.workdps(30):
+            am, bm, rm = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(r)
+            t1 = mpmath.gamma(1 - bm) * mpmath.rgamma(am - bm + 1) * mpmath.hyp1f1(am, bm, rm)
+            t2 = (mpmath.gamma(bm - 1) * mpmath.rgamma(am) * rm ** (1 - bm)
+                  * mpmath.hyp1f1(am - bm + 1, 2 - bm, rm))
+            ref = mpmath.hyperu(am, bm, rm)
+            lost = float(mpmath.log10((abs(t1) + abs(t2)) / ref))
+        assume(5.5 < lost < 12.5)
+        try:
+            tricomi_psi_integral(a, b, r)
+        except ConvergenceError:
+            pass
+        else:
+            assume(False)
+        with pytest.raises(ConvergenceError, match="digits cancel"):
+            tricomi_psi_series(a, b, r)
+        try:
+            got = tricomi_psi(a, b, r)
+        except ConvergenceError:
+            return
+        assert got == pytest.approx(float(ref), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize(
         "a,b,r",
@@ -600,11 +665,14 @@ class TestTricomiPsi:
             assert got > 0.0
 
     def test_series_budget_exhaustion_raises(self, monkeypatch):
-        # the float64 two-series route needs over 40 terms at rho = 10;
+        # the float64 two-series route needs over 40 terms at rho = 10, where
+        # it cancels 6.3 digits and the router answers from the integral;
         # reference from mpmath.hyperu at 30 digits (scipy's is off at 1e-10)
-        assert tricomi_psi_series(1.3, 1.5, 10.0) == pytest.approx(0.04574487860469938, rel=1e-13, abs=0.0)
+        with pytest.raises(ConvergenceError, match="digits cancel"):
+            tricomi_psi_series(1.3, 1.5, 10.0)
+        assert tricomi_psi(1.3, 1.5, 10.0) == pytest.approx(0.04574487860469938, rel=1e-13, abs=0.0)
         monkeypatch.setattr(specfun, "_SERIES_MAX_TERMS", 10)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match="no convergence in 10 terms"):
             tricomi_psi_series(1.3, 1.5, 10.0)
 
     @pytest.mark.parametrize("rho", [350.0, 450.0])
