@@ -153,6 +153,17 @@ class TestOperatorPair:
         scale = abs(sol.derivative_at(x)) + abs(sol.superpotential_at(x) * sol.value_at(x))
         assert abs(apply_a(sol, sol, x)) <= 1e-10 * scale
 
+    @pytest.mark.parametrize("g1,g2,mu,w", PROBE_REPS)
+    @pytest.mark.parametrize("x", [0.15, 0.8, 2.1])
+    def test_b_annihilates_inverse_phi(self, g1, g2, mu, w, x):
+        # b f = -f' - h f, the left factor of the b a that
+        # factorization_residual checks, sends 1/phi to 0 iff the
+        # superpotential h is phi'/phi at x
+        sol = make_phi(rep_of(g1, g2, mu, w))
+        v, d = 1.0 / sol.value_at(x), -sol.derivative_at(x) / sol.value_at(x) ** 2
+        scale = abs(d) + abs(sol.superpotential_at(x) * v)
+        assert abs(-d - sol.superpotential_at(x) * v) <= 1e-10 * scale
+
     def test_rejects_bare_callable(self):
         sol = make_phi(rep_of(0.0, 1.0, 0.3, 0.0))
         with pytest.raises(DomainError):

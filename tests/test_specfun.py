@@ -292,15 +292,21 @@ class TestDigammaShift:
         # it, a shift of b = alpha - kappa by kappa; the reference takes the
         # same float b, so its rounding is no part of the comparison, and
         # works with as many more digits as its subtraction cancels, so the
-        # difference itself keeps 30
+        # difference itself keeps 30.  psi(x) = psi(x + 1) - 1/x takes the
+        # pole out of that subtraction: the 1/x terms meet as the positive
+        # kappa / (b (b + kappa)), and psi(b + 1 + kappa) - psi(b + 1) >=
+        # kappa / (b + 2) cancels no more than ~log10((b + 2)^2 / kappa)
+        # digits, not the ~log10(1 / (b kappa)) of the unshifted pair, whose
+        # working precision reaches ~600 digits and a half-second reference
         b = alpha - kappa
         assume(b > 0.0)
         if kappa == 0.0:
             assert digamma_shift(b, kappa) == 0.0
             return
-        lost = math.ceil(math.log10(b + kappa + 1.0) - math.log10(kappa) + math.log10(1.0 + b + 1.0 / b))
+        lost = math.ceil(math.log10(b + kappa + 2.0) - math.log10(kappa) + math.log10(b + 2.0))
         with mpmath.workdps(30 + max(0, lost)):
-            ref = mpmath.digamma(mpmath.mpf(b) + mpmath.mpf(kappa)) - mpmath.digamma(mpmath.mpf(b))
+            bm, km = mpmath.mpf(b), mpmath.mpf(kappa)
+            ref = mpmath.digamma(bm + km + 1) - mpmath.digamma(bm + 1) + km / (bm * (bm + km))
         assert abs(digamma_shift(b, kappa) - float(ref)) <= 4e-15 * abs(float(ref))
 
     @pytest.mark.parametrize("b, d", [(6.520774560595715e17, 0.05), (1.370189597668985e33, 0.05), (1e17, -0.75)])
