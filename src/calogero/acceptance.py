@@ -69,11 +69,12 @@ def _rel(got, ref):
 
 
 # The oracle rows' thresholds are 100x their worst value at zero skew,
-# rounded up to a power of ten: rows 1, 2-vs-oracle, 3 and 4 read 4.3e-12,
-# 1.6e-11, 1.6e-11 and 3.9e-12 (the kappa = 3/4, nu = 0 ground state for
-# both nu rows), row 10's scaling law 7.4e-16.  A 1e-6 relative fault in the
-# argument of gammaln_signed, gammaln_shift, digamma or sinpi moves row 3 by
-# 9.8e-7 or more, which is why row 3 is in the quick subset.
+# rounded up to a power of ten: rows 1, 2-vs-oracle, 3 and 4 read 6.7e-16,
+# 6.7e-16, 5.1e-15 and 3.6e-16, row 9 6.1e-15 and row 10's scaling law
+# 4.4e-16, with the oracle's Taylor propagator truncating below rounding.
+# A 1e-6 relative fault in the argument of gammaln_signed, gammaln_shift,
+# digamma or sinpi moves row 3 by 9.8e-7 or more, which is why row 3 is in
+# the quick subset.
 
 
 # --- 1: Friedrichs/unique ground state against the oracle ------------------
@@ -88,7 +89,7 @@ def _c1_friedrichs_ground():
         got = shoot_spectrum(rp, ext, 1).energies[0]
         worst = _worst(worst, _rel(got, ref))
     return _row(
-        "1-friedrichs-ground-vs-oracle", worst, 1e-9,
+        "1-friedrichs-ground-vs-oracle", worst, 1e-13,
         "E0 = 2 ups^2 (1+kappa) shot over five coupling points",
     )
 
@@ -116,7 +117,7 @@ def _c2_nu_zero_oracle():
         got = shoot_spectrum(rp, extension_for(rp, nu=0.0), 1).energies[0]
         worst = _worst(worst, _rel(got, 2.0 * rp.energy_scale() * (1.0 - kappa)))
     return _row(
-        "2-nu-zero-vs-oracle", worst, 1e-8,
+        "2-nu-zero-vs-oracle", worst, 1e-13,
         "the same ground states from the shooting side",
     )
 
@@ -134,7 +135,7 @@ def _c3_spectrum_equivalence():
         shot = shoot_spectrum(rp, ext, 5).energies
         worst = _worst(worst, *(_rel(s, f) for s, f in zip(shot, formula)))
     return _row(
-        "3-spectrum-equivalence", worst, 1e-8,
+        "3-spectrum-equivalence", worst, 1e-12,
         "first 5 levels, 12 (kappa, nu) combinations, formula vs shooting",
     )
 
@@ -153,7 +154,7 @@ def _c4_ladder_spacing():
         worst = _worst(worst, *(_rel(f, r) for f, r in zip(formula, refs)))
         worst = _worst(worst, *(_rel(s, r) for s, r in zip(shot, refs)))
     return _row(
-        "4-ladder-spacing-vs-oracle", worst, 1e-9,
+        "4-ladder-spacing-vs-oracle", worst, 1e-13,
         "E_n = 2 ups^2 (2n+1+kappa), n <= 4, three kappa values",
     )
 
@@ -282,9 +283,9 @@ def _c8_oscillation():
 
 def _c9_wavefunction_fidelity():
     # (u, u') of the analytic ground state at the oracle's match point against
-    # the shot one, relative to |(u, u')|: worst 2.8e-9 measured, where a
+    # the shot one, relative to |(u, u')|: worst 6.1e-15 measured, where a
     # gamma_skew of 1e-6 reads 2.2e-7 and a 1e-6 error in the norm constant
-    # 9.0e-7; 1e-7 leaves 35x margin and fails both
+    # 9.0e-7; 1e-12 is 100x the worst value, rounded up, and fails both
     worst = 0.0
     for g1, g2, kwargs in (
         (0.75, 1.0, dict(nu=None)),  # kappa = 1
@@ -302,7 +303,7 @@ def _c9_wavefunction_fidelity():
         ref, dref = gs(x), gs.derivative(x)
         worst = _worst(worst, max(abs(u - ref), abs(du - dref)) / math.hypot(ref, dref))
     return _row(
-        "9-wavefunction-fidelity", worst, 1e-7,
+        "9-wavefunction-fidelity", worst, 1e-12,
         "(u, u') of the analytic ground state against the shot one at the match point, six cells",
     )
 

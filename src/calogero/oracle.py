@@ -1,12 +1,13 @@
 """Shooting-method eigenvalue oracle, numerically independent of the
 gamma-function spectral equations.
 
-The radial problem -u'' + (g1/x^2 + g2 x^2) u = E u is integrated with
-the package's own Cash-Karp RK45 from both ends toward an interior match
-point.  Left data comes from the Frobenius series fixed by the extension
-angle nu, right data from the asymptotics of the solution that decays at
-infinity; E is an eigenvalue exactly when the two solutions are
-proportional, i.e. their Wronskian at the match point vanishes.
+The radial problem -u'' + (g1/x^2 + g2 x^2) u = E u is propagated, with
+its E-derivative u_E, by the package's own Taylor-series steps (`taylor`)
+from both ends toward an interior match point.  Left data comes from the
+Frobenius series fixed by the extension angle nu, right data from the
+asymptotics of the solution that decays at infinity; E is an eigenvalue
+exactly when the two solutions are proportional, i.e. their Wronskian at
+the match point vanishes.
 
 Left boundary data.  With s_pm = 1/2 +- kappa, the two Frobenius
 solutions are F_s = (ups x)^s sum_k a_k x^{2k},
@@ -76,8 +77,9 @@ float64 range.
 
 Matching angle and level count.  Write each solution in Pruefer form,
 u = r sin(theta), u' = r cos(theta), and let phi = atan2(u, u') mod pi be
-its angle at the match point.  The integrator counts the strict sign
-changes Z of u along each branch, so
+its angle at the match point.  The propagator counts the strict sign
+changes Z of u along each branch, exactly, since no step holds two zeros
+(Sturm), so
 
     Theta(E) = pi (Z_L + Z_R) + phi_L - phi_R
 
@@ -94,19 +96,24 @@ lies in (-pi, 0) below the ground state, and level n is the root of
 Theta(E) = n pi: floor(Theta / pi) + 1 levels lie below E, so no level
 can be missed or found twice.
 
-Derivative.  Differentiating -u'' + q u = 0 in E (dq/dE = -1) gives
-(u u'_E - u' u_E)' = -u^2, and dphi/dE = -(u u'_E - u' u_E) / r^2 with
-r^2 = u^2 + u'^2, so
+Derivative.  Differentiating -u'' + q u = 0 in E (dq/dE = -1) gives the
+Lagrange identity W' = u^2 for W = u_E u' - u u'_E, and
+dphi/dE = W / r^2 with r^2 = u^2 + u'^2, so
 
-    dTheta/dE = (int_{x_s}^{x_match} u_L^2 dx + head) / r_L^2
-                + int_{x_match}^{inf} u_R^2 dx / r_R^2.
+    dTheta/dE = W_L / r_L^2 - W_R / r_R^2
 
-The integrator accumulates both integrals along the branches.  head =
-u' u_E - u u'_E at the left start x_s, from the series and their own
-E-derivative, is the exact [0, x_s) part of the left integral (all of it
-where x_s is the match point).  The right integral's [x_s, inf) part is
-u u'_E - u' u_E = u^2 d(u'/u)/dE at the right start (u and u_E decay),
-from the E-derivative of the data's own terms.
+at the match point, with W_L = int_0^{x_match} u_L^2 dx and W_R =
+-int_{x_match}^inf u_R^2 dx.  The propagator carries (u_E, u'_E) along
+each branch next to (u, u'), so W comes out of the last step with no
+quadrature.  The start data set W's initial value: at the left start x_s
+it is head = u' u_E - u u'_E from the series and their own E-derivative,
+the exact [0, x_s) part of the integral (all of it where x_s is the match
+point), carried by u_E data (u', -u) head / r^2; at the right start,
+-u^2 d(u'/u)/dE (u and u_E decay), the [x_s, inf) part, carried by
+u_E = 0, u'_E = u d(u'/u)/dE from the E-derivative of the data's own
+terms.  W_L >= 0 >= W_R, and the slope adds their magnitudes, which keeps
+it positive where only rounding is left of W_R (on a float-precision step
+of Theta at large kappa).
 
 Deep ground states.  A ground state far below its rung decays like
 exp(-sqrt(-E) x) from the origin, so at the default match point 1/ups
@@ -153,7 +160,7 @@ fail to halve |Theta - n pi|, with no Newton step between them that did,
 turn the rest into bisection.  The scan tolerance needs
 only |Theta - n pi| <= 1e-4: the refinement starts from the Newton step
 off the scan's last point and runs the same iteration on Theta
-integrated at the refinement tolerance, with twice the Newton step while
+propagated at the refinement tolerance, with twice the Newton step while
 it has no bracket; regular levels take two evaluations there.  A step
 without a bracket goes no farther than the scan's last bracket is wide,
 doubling that reach each time it cuts one: at large kappa Theta is a
@@ -166,13 +173,13 @@ that runs out of steps raises ConvergenceError.
 
 The residual returned is |sin(Theta - n pi)| at the returned energy:
 sin(phi_L - phi_R) is the Wronskian at the match point normalized by the
-solution magnitudes, which also cancels the integrator's renormalization
+solution magnitudes, which also cancels the propagator's renormalization
 factors, so it vanishes exactly at the eigenvalues.
 
 State at the match point.  A solution at E is fixed by (u, u') at one
 point.  At an eigenvalue the two branches, each scaled to r = 1 at the
 match point, are one solution up to sign, and by the Lagrange identity
-above the two integrals of dTheta/dE add up to its exact int_0^inf u^2
+above the two parts of dTheta/dE add up to its exact int_0^inf u^2
 dx.  The L2-normalized level at the match point is therefore
 
     (u, u') = (sin phi_L, cos phi_L) / sqrt(dTheta/dE),
@@ -200,7 +207,7 @@ from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
 from .params import Extension, ExtensionLabel, ReducedParams
-from .rk45 import integrate
+from .taylor import integrate
 
 __all__ = [
     "OracleEigenfunction",
@@ -215,13 +222,13 @@ _EULER_GAMMA = 0.5772156649015328606
 _X_MIN = 0.02
 _X_MATCH = 1.0
 
-# refinement integration tolerance; where the left branch starts at the
-# match point the right one carries all of Theta's integration error, which
-# at 1e-10 put the kappa = 1/2, nu = 1 ground state 1.1e-11 off (5e-12 here)
-_REFINE_TOL = 4e-11
-_SCAN_TOL = 1e-7  # bracketing integration tolerance
+# truncation tolerances of the Taylor steps while bracketing and while
+# refining; the refinement's is below float64 rounding, so each step's
+# series runs until its terms no longer move the sum
+_SCAN_TOL = 1e-10
+_REFINE_TOL = 1e-16
 # |theta - n pi| and bracket width (relative to 1 + |E|) that end the
-# solve at each integration tolerance; the refinement starts from the scan's
+# solve at each truncation tolerance; the refinement starts from the scan's
 # last Newton step, whose error at 1e-4 is below the two tolerances' offset.
 # A scan ends on the width only on a float-precision step of Theta, which
 # it narrows as far as the refinement would.  The refinement's 1e-13 is
@@ -496,13 +503,26 @@ def _theta(
     rp: ReducedParams, ext: Extension, E: float, window: tuple[float, float], tol: float
 ) -> tuple[float, float, float]:
     """Matching angle pi (Z_L + Z_R) + phi_L - phi_R of the two solutions
-    integrated at tol to the match point of window = (x_min, x_match), its
-    derivative in E, and phi_L; level n is the root at n pi."""
+    carried at truncation tolerance tol to the match point of window =
+    (x_min, x_match), its derivative in E, and phi_L; level n is the root
+    at n pi."""
     x_min, x_match = window
     x_l, (u0, v0), head = _left_start(rp, ext, E, x_min, x_match)
-    left = integrate(rp.g1, rp.g2, E, x_l, (u0, v0), x_match, rel_tol=tol)
+    big = max(abs(u0), abs(v0))
+    if big == 0.0:
+        # at large kappa the Frobenius power (ups x_min)^s underflows
+        raise ConvergenceError(
+            f"shoot_spectrum: the left solution at E = {E:.6g} leaves the float64 range"
+        )
+    # u_E data whose W = u_E u' - u u'_E is head: (v0, -u0) head / r0^2,
+    # with r0^2 = u0^2 + v0^2 formed from the scaled pair so it cannot underflow
+    a, b = u0 / big, v0 / big
+    w0 = head / ((a * a + b * b) * big)
+    left = integrate(rp.g1, rp.g2, E, x_l, (u0, v0), (w0 * b, -w0 * a), x_match, tol)
+    # the right data have u_E = 0 and u'_E = u y_E, so W = -u^2 y_E there:
+    # minus the integral of u^2 over [x_s, inf)
     x_s, start, y_e = _right_start(rp, E, x_match)
-    right = integrate(rp.g1, rp.g2, E, x_s, start, x_match, rel_tol=tol)
+    right = integrate(rp.g1, rp.g2, E, x_s, start, (0.0, start[0] * y_e), x_match, tol)
     ul, vl = left.y
     ur, vr = right.y
     # a node in (0, x_l) puts u(x_l) against the leading term at 0+
@@ -510,21 +530,19 @@ def _theta(
     z_left = left.sign_changes + (lead * u0 < 0.0)
     phi_left = math.atan2(ul, vl) % math.pi
     theta = math.pi * (z_left + right.sign_changes) + phi_left - math.atan2(ur, vr) % math.pi
-    # head, the [0, x_l) part of the integral of u^2, in the units of the
-    # left branch's end state
-    head *= math.exp(-2.0 * left.log_scale)
     r2_left, r2_right = ul * ul + vl * vl, ur * ur + vr * vr
     if r2_left == 0.0 or r2_right == 0.0:
-        # at large kappa the Frobenius power (ups x_min)^s underflows
         side = "left" if r2_left == 0.0 else "right"
         raise ConvergenceError(
             f"shoot_spectrum: the {side} solution at E = {E:.6g} leaves the float64 range"
         )
-    # the [x_s, inf) part of the right integral, u^2 d(u'/u)/dE at x_s (as
-    # u and u_E decay there), in the units of the right branch's end state
-    tail = y_e * (start[0] * math.exp(-right.log_scale)) ** 2
-    slope = (left.u2_integral + head) / r2_left + (right.u2_integral + tail) / r2_right
-    return theta, slope, phi_left
+    # W' = u^2 along each branch (Lagrange), so W_L = int_0^x_match u_L^2
+    # >= 0 and W_R = -int_x_match^inf u_R^2 <= 0, each in its branch's
+    # units; their magnitudes keep the slope positive where rounding alone
+    # is left of W_R (on a float-precision step of Theta at large kappa)
+    w_left = left.ye[0] * vl - ul * left.ye[1]
+    w_right = right.ye[0] * vr - ur * right.ye[1]
+    return theta, abs(w_left) / r2_left + abs(w_right) / r2_right, phi_left
 
 
 def _scan_floor(rp: ReducedParams, ext: Extension) -> float:

@@ -1,8 +1,10 @@
 """Embedded Cash-Karp Runge-Kutta 4(5) integrator on plain Python floats.
 
-This exists so the shooting-method eigenvalue oracle shares no numerical
-machinery with the gamma-function spectral code it is checking: no numpy,
-no scipy, just the textbook tableau and proportional step control.
+It serves `nonexistence.count_zeros`, the oscillation census outside the
+admissible cone, and shares no numerical machinery with the
+gamma-function spectral code: no numpy, no scipy, just the textbook
+tableau and proportional step control.  (The shooting oracle propagates
+with `taylor` instead.)
 
 It integrates the one equation every caller reduces to, the radial one
 
@@ -29,16 +31,7 @@ linear equation.
 `sign_changes` counts the strict sign changes of u between accepted
 steps (a step landing exactly on 0 is bridged to the next non-zero
 value).  Renormalization divides by a positive number, so it keeps every
-sign; this is the node count that indexes the eigenvalues.
-
-`u2_integral` is the integral of u squared over the span, in the units
-of the returned state (divided by the square of every renormalization
-factor): Simpson's rule on each accepted step, with the midpoint value
-(u + u_new)/2 + h (u' - u'_new)/8 of the cubic Hermite interpolant of the
-step's end values (about 1e-8 relative on a sine squared at rel_tol
-1e-10).  The (u, u') arithmetic does not read it, so every other bit is
-unchanged.  The oracle divides it by u^2 + u'^2 for the energy
-derivative of its matching angle.
+sign; this is the zero count the census compares with its prediction.
 """
 
 from __future__ import annotations
@@ -90,7 +83,6 @@ class IntegrationResult:
     n_steps: int
     n_rejected: int
     sign_changes: int  # strict sign changes of y[0] over accepted steps
-    u2_integral: float  # integral of y[0]^2 dx, in the units of the returned y
 
 
 def integrate(
@@ -118,7 +110,7 @@ def integrate(
         raise DomainError(f"integrate: state must have 2 components, got {len(y0)}")
     u, v = float(y0[0]), float(y0[1])
     if x1 == x0:
-        return IntegrationResult(x0, (u, v), 0.0, 0, 0, 0, 0.0)
+        return IntegrationResult(x0, (u, v), 0.0, 0, 0, 0)
     if not 1e-14 <= rel_tol <= 1e-2:  # NaN included
         raise DomainError(f"integrate: rel_tol {rel_tol} outside [1e-14, 1e-2]")
 
@@ -136,7 +128,6 @@ def integrate(
     n_rejected = 0
     sign_changes = 0
     last = u  # the last non-zero u, so a step landing on 0 hides no crossing
-    u2 = 0.0
     q = g1 / (x * x) + g2 * x * x - E  # the coefficient at x
 
     # stage i has slopes (ku_i, kv_i) = (v_i, q(x_i) u_i); the builtins
@@ -214,10 +205,6 @@ def integrate(
             if -x_snap < x1 - x < x_snap:
                 x = x1  # the last step: q is not read again
             q = q5
-            # Simpson's rule on u^2, with u at the midpoint from the cubic
-            # Hermite interpolant of both ends' (u, u')
-            um = 0.5 * (u + u_new) + 0.125 * hs * (v - v_new)
-            u2 += h * (u * u + 4.0 * um * um + u_new * u_new) / 6.0
             u, v = u_new, v_new
             n_steps += 1
             if u < 0.0 < last or last < 0.0 < u:
@@ -232,7 +219,6 @@ def integrate(
             if big > threshold:
                 log_scale += math.log(big)
                 u, v = u / big, v / big
-                u2 = u2 / big / big
         else:
             n_rejected += 1
 
@@ -242,4 +228,4 @@ def integrate(
             grow = 0.2
         h *= grow if grow < 5.0 else 5.0
 
-    return IntegrationResult(x, (u, v), log_scale, n_steps, n_rejected, sign_changes, u2)
+    return IntegrationResult(x, (u, v), log_scale, n_steps, n_rejected, sign_changes)

@@ -428,8 +428,9 @@ def _root_in_gap(
     decreasing sweep.  Returns (root, residual).
 
     Within a few ulps of kappa = 1 the pole at lo and the zero of F above
-    it round to one float, which is then the root; any other gap without a
-    sign change is refused.
+    it round to one float, which is then the root; a root that lies within
+    one ulp below the pole at hi is the float below hi.  Any other gap
+    without a sign change is refused.
     """
 
     def g(e: float) -> float:
@@ -460,6 +461,11 @@ def _root_in_gap(
         elif not rise and gp <= 0.0 and (down := inward(p, lo, -h)) != p:
             q, gq, p = p, gp, down
             gp = g(p)
+        elif not rise and 0.0 < gq < gp and q == math.nextafter(hi, lo):
+            # F still falls toward the pole at hi, so the root lies between
+            # the float below the pole and the pole itself: that float is
+            # the root to float64 precision
+            return q, gq
         elif n >= 1 and abs(2.0 * (2 * n + 1 - rp.kappa) - lo) <= 8.0 * math.ulp(lo):
             # the zero of F above the pole at lo rounds onto it: that float
             # is the root, its residual the smaller |g| of the one-ulp bracket

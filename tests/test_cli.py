@@ -70,7 +70,7 @@ class TestSpectrum:
         assert code == 0
         doc = json.loads(out)
         oracle = doc["results"]["oracle"]
-        assert oracle["max_rel_gap"] <= 1e-3
+        assert oracle["max_rel_gap"] <= 1e-13
         assert len(oracle["energies"]) == 2
         assert doc["checks"][0]["name"] == "oracle-agreement"
         assert doc["checks"][0]["passed"] is True
@@ -80,12 +80,12 @@ class TestSpectrum:
         code, out, _ = run(capsys, ["spectrum", "--g1", "-0.16", "--g2", "1", "--nu", "-1.3",
                                     "--n", "2", "--oracle", "on"])
         assert code == 0
-        assert json.loads(out)["results"]["oracle"]["max_rel_gap"] <= 1e-3
+        assert json.loads(out)["results"]["oracle"]["max_rel_gap"] <= 1e-13
 
     @pytest.mark.parametrize("n", [8, 13])
     def test_oracle_returns_levels_past_the_old_window(self, capsys, n):
         # level 12 turns 0.98 / ups before 8 / ups, where the right branch
-        # used to be capped, and is still within 1e-11 of the spectrum
+        # used to be capped, and is still within 1e-13 of the spectrum
         code, out, err = run(capsys, ["spectrum", "--g1", "0", "--g2", "1", "--nu", "1.0",
                                       "--n", str(n), "--oracle", "on"])
         assert code == 0 and err == ""
@@ -93,7 +93,7 @@ class TestSpectrum:
         assert len(doc["results"]["oracle"]["energies"]) == n
         assert doc["checks"][0]["name"] == "oracle-agreement"
         assert doc["checks"][0]["passed"] is True
-        assert doc["results"]["oracle"]["max_rel_gap"] <= 1e-11
+        assert doc["results"]["oracle"]["max_rel_gap"] <= 1e-13
 
     def test_oracle_refuses_a_ladder_past_float64(self, capsys):
         # kappa = 1000: the left power (ups x_min)^(1/2 + kappa) underflows

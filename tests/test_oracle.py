@@ -72,7 +72,7 @@ class TestFrozenSpectra:
         spec = shoot_spectrum(rp, ext, 5)
         assert len(spec.match_states) == 5
         for got, ref in zip(spec.energies, QUINTETS[(kappa, nu)]):
-            assert got == pytest.approx(ref, rel=5e-9)
+            assert got == pytest.approx(ref, rel=1e-13)
         assert max(spec.mismatch_residuals) < 1e-12
         assert list(spec.energies) == sorted(spec.energies)
 
@@ -82,7 +82,7 @@ class TestFrozenSpectra:
         rp = _rp_for_kappa(0.0)
         ext = extension_for(rp, nu=0.0)
         spec = shoot_spectrum(rp, ext, 1)
-        assert spec.energies[0] == pytest.approx(-0.89506324003223515510, rel=1e-8)
+        assert spec.energies[0] == pytest.approx(-0.89506324003223515510, rel=1e-14)
 
 
 class TestLadders:
@@ -91,21 +91,21 @@ class TestLadders:
         ext = extension_for(rp, nu=None, friedrichs=True)
         spec = shoot_spectrum(rp, ext, 3)
         for got, ref in zip(spec.energies, (3.0, 7.0, 11.0)):
-            assert got == pytest.approx(ref, rel=1e-8)
+            assert got == pytest.approx(ref, rel=1e-13)
 
     def test_unique_extension_ladder(self):
         rp = reduce(2.0, 1.0)  # kappa = 3/2, no boundary freedom left
         ext = extension_for(rp, nu=None)
         spec = shoot_spectrum(rp, ext, 3)
         for got, ref in zip(spec.energies, (5.0, 9.0, 13.0)):
-            assert got == pytest.approx(ref, rel=1e-8)
+            assert got == pytest.approx(ref, rel=1e-13)
 
     def test_unique_kappa_one(self):
         rp = reduce(0.75, 1.0)
         ext = extension_for(rp, nu=None)
         spec = shoot_spectrum(rp, ext, 3)
         for got, ref in zip(spec.energies, (4.0, 8.0, 12.0)):
-            assert got == pytest.approx(ref, rel=1e-8)
+            assert got == pytest.approx(ref, rel=1e-13)
 
     @pytest.mark.parametrize("kappa", [1.0 + 0.1 * i for i in range(76)], ids="{:.1f}".format)
     def test_large_kappa_ladders(self, kappa):
@@ -114,21 +114,21 @@ class TestLadders:
         rp = _rp_for_kappa(kappa)
         spec = shoot_spectrum(rp, extension_for(rp, nu=None), 3)
         for n, got in enumerate(spec.energies):
-            assert got == pytest.approx(2.0 * (2 * n + 1 + kappa), rel=1e-10)
+            assert got == pytest.approx(2.0 * (2 * n + 1 + kappa), rel=1e-12)
 
     def test_physical_units(self):
         # g2 = 16 means upsilon^2 = 4; physical energies are 4x the scaled ones
         rp = reduce(0.0, 16.0)
         ext = extension_for(rp, nu=None, friedrichs=True)
         spec = shoot_spectrum(rp, ext, 2)
-        assert spec.energies[0] == pytest.approx(12.0, rel=1e-8)
-        assert spec.energies[1] == pytest.approx(28.0, rel=1e-8)
+        assert spec.energies[0] == pytest.approx(12.0, rel=1e-14)
+        assert spec.energies[1] == pytest.approx(28.0, rel=1e-14)
 
 
 class TestWindowInvariance:
     # contract: boundary truncation must not matter. Shrinking x_min moves
-    # the first eigenvalues by <= 1e-4 relative, and the match point inside
-    # [0.5/ups, 2/ups] by <= 1e-6.
+    # the first eigenvalues by <= 1e-13 relative, and the match point inside
+    # [0.5/ups, 2/ups] by <= 1e-12.
 
     def _first3(self):
         rp = reduce(0.0, 1.0)
@@ -140,7 +140,7 @@ class TestWindowInvariance:
         monkeypatch.setattr(oracle, "_X_MIN", 0.01)
         tight = self._first3()
         for b, t in zip(base, tight):
-            assert abs(t - b) / abs(b) <= 1e-4
+            assert abs(t - b) / abs(b) <= 1e-13
 
     @pytest.mark.parametrize("x_match", [0.5, 2.0])
     def test_match_point_invariant(self, monkeypatch, x_match):
@@ -148,7 +148,7 @@ class TestWindowInvariance:
         monkeypatch.setattr(oracle, "_X_MATCH", x_match)
         moved = self._first3()
         for b, m in zip(base, moved):
-            assert abs(m - b) / abs(b) <= 1e-6
+            assert abs(m - b) / abs(b) <= 1e-12
 
 
 def _pair_gap(got, want):
@@ -173,8 +173,9 @@ def _laguerre_state(rp, n, x):
     return u, du_drho * 2.0 * ups * ups * x
 
 
-# row 9's threshold on the gap between two (u, u') pairs
-_PAIR_TOL = 1e-7
+# the gap allowed between two (u, u') pairs: the deep ground state's
+# 1.4e-12 is the worst, the analytic state's own error at its match point
+_PAIR_TOL = 1e-11
 
 
 class TestMatchState:
@@ -235,7 +236,7 @@ class TestMatchState:
         for E, pair, want in zip(here.energies, here.match_states, there.match_states):
             res = integrate(rp.g1, rp.g2, E, 1.0, pair, 0.5, rel_tol=1e-12)
             got = tuple(v * math.exp(res.log_scale) for v in res.y)
-            assert min(_pair_gap(got, want), _pair_gap(got, (-want[0], -want[1]))) <= 1e-8
+            assert min(_pair_gap(got, want), _pair_gap(got, (-want[0], -want[1]))) <= 1e-11
 
 
 def test_sample_on_grid_normalizes():
@@ -256,16 +257,17 @@ DEEP = {
 
 # deep ground states the old step rule was slow on: (g1, g2, nu, pinned
 # energies); the kappa = 0.466 cell is a benchmark draw (E0 = -98.6).  The
-# pins are from the left branch's start where its series hold: from x_min =
-# 0.02/ups the ground states lay 1.8e-10, 3.5e-10 and 1.5e-10 (relative)
-# from the spectrum, the error the left branch carried
+# pins are from the Taylor propagator; every level lies within 3.5e-15
+# (relative) of the spectrum, where RK45 at 4e-11 left them up to 6.4e-12
+# off and from x_min = 0.02/ups the ground states lay 1.8e-10, 3.5e-10 and
+# 1.5e-10 off
 CLIFFS = {
-    "kappa-0.3": (-0.16, 1.0, -1.3, ("-0x1.4efc539421847p+6", "0x1.89aa708a55ce3p+1")),
+    "kappa-0.3": (-0.16, 1.0, -1.3, ("-0x1.4efc5394218b7p+6", "0x1.89aa708a60923p+1")),
     "kappa-0.466": (
         -0.032835996078904306, 133.97456812019843, -1.2134807836065487,
-        ("-0x1.8a4eb2fd779b5p+6", "0x1.5aa5481db03dfp+5", "0x1.7168b70d4dd8cp+6"),
+        ("-0x1.8a4eb2fd779b0p+6", "0x1.5aa5481db7b9dp+5", "0x1.7168b70d4f69ap+6"),
     ),
-    "kappa-0.742": (0.300564, 57.6, -1.5613, ("-0x1.4b0a336b529ddp+11", "0x1.aabc77ae72686p+4")),
+    "kappa-0.742": (0.300564, 57.6, -1.5613, ("-0x1.4b0a336b529f4p+11", "0x1.aabc77ae78d20p+4")),
 }
 
 
@@ -276,8 +278,8 @@ class TestDeepGroundStates:
         rp = reduce(g1, g2)
         ext = extension_for(rp, nu=nu)
         got = shoot_spectrum(rp, ext, 1)
-        assert got.energies[0] == pytest.approx(spectrum(rp, ext, 1).energies[0], rel=1e-8)
-        assert got.mismatch_residuals[0] <= 1e-10
+        assert got.energies[0] == pytest.approx(spectrum(rp, ext, 1).energies[0], rel=1e-13)
+        assert got.mismatch_residuals[0] <= 1e-12
 
     # limits: a secant finish on the Wronskian spent 140 and 148
     # integrations on two levels, a bracketed finish 98 and 154; Newton on
@@ -300,9 +302,9 @@ class TestDeepGroundStates:
     @pytest.mark.parametrize("name", sorted(CLIFFS))
     def test_matching_angle_budget(self, monkeypatch, name):
         # Theta evaluations at the scan tolerance before the ground state's
-        # refinement starts: floor, estimate, rung and the solve.  The energies
-        # are pinned from the regula-falsi iteration the lever secant replaced,
-        # which spent 12, 36 and 20 scan evaluations on these ground states
+        # refinement starts: floor, estimate, rung and the solve.  The
+        # regula-falsi iteration the lever secant replaced spent 12, 36 and
+        # 20 scan evaluations on these ground states
         g1, g2, nu, pins = CLIFFS[name]
         tols = []
         real = oracle._theta
@@ -326,7 +328,7 @@ class TestDeepGroundStates:
         rp = reduce(g1, g2)
         ext = extension_for(rp, nu=nu)
         got = shoot_spectrum(rp, ext, 1).energies[0]
-        assert got == pytest.approx(spectrum(rp, ext, 1).energies[0], rel=5e-11, abs=0.0)
+        assert got == pytest.approx(spectrum(rp, ext, 1).energies[0], rel=3e-14, abs=0.0)
 
     def test_one_match_point_per_call(self, monkeypatch):
         # every Theta evaluation of a deep call, excited levels included,
@@ -432,7 +434,7 @@ class TestReach:
         ext = extension_for(rp, **ext_args)
         got = shoot_spectrum(rp, ext, 30)
         for n, (g, w) in enumerate(zip(got.energies, spectrum(rp, ext, 30).energies)):
-            assert g == pytest.approx(w, rel=1e-9, abs=0.0), n
+            assert g == pytest.approx(w, rel=1e-13, abs=0.0), n
 
 
 class TestRefusals:
@@ -524,8 +526,8 @@ class TestRefusals:
         if got is not None:
             for n, e in enumerate(got):
                 assert e == pytest.approx(2.0 * (2 * n + 1 + kappa), rel=1e-10, abs=0.0)
-        # 26, 14 and 16 refinement evaluations (0.16, 0.27 and 0.52 s on a
-        # 2-vCPU VM), against 88, 2 and 93 before
+        # 6 refinement evaluations each (0.03, 0.13 and 0.25 s on a 2-vCPU
+        # VM), against 88, 2 and 93 before that reach
         assert calls.count(oracle._REFINE_TOL) <= 10 * 3
 
     def test_ladder_next_to_the_float64_limits_is_answered(self):
@@ -561,15 +563,15 @@ def _leading_order(rp, E, x):
 
 def _check_start(rp, ext, e, tol, z_ref=12.0):
     """The right branch's start x_s against a reference from leading-order
-    data z_ref/ups out, carried in to x_s at 1e-13.  Theta's part is the
-    start data's own: the Wronskian W of the two states at x_s, constant
+    data z_ref/ups out, carried in to x_s by RK45 at 1e-13.  Theta's part is
+    the start data's own: the Wronskian W of the two states at x_s, constant
     along the branch, over the product of their amplitudes r at the match
-    point (carried there at tol) is the sine of the gap between their angles
-    there, with no step of the branch's own integration in it.  The slope's
-    reference integrates the whole branch from z_ref/ups; both slopes are
-    taken at the refinement tolerance, since the start does not depend on
-    tol and at the scan's the two carry the u^2 integral's own error.  Also
-    checks that q > 0 from x_s to z_ref/ups."""
+    point (carried there by the oracle's propagator at tol) is the sine of
+    the gap between their angles there, with no step of the branch's own
+    integration in it.  The slope's reference integrates the whole branch
+    from z_ref/ups; both slopes are taken at the refinement tolerance, since
+    the start does not depend on tol.  Also checks that q > 0 from x_s to
+    z_ref/ups."""
     E = e * rp.energy_scale()
     ups = rp.upsilon
     window = _window_for(rp, ext)
@@ -584,7 +586,7 @@ def _check_start(rp, ext, e, tol, z_ref=12.0):
     near = integrate(rp.g1, rp.g2, E, x_ref, far, x_s, rel_tol=1e-13).y
 
     def r_match(y):
-        res = integrate(rp.g1, rp.g2, E, x_s, y, x_match, rel_tol=tol)
+        res = oracle.integrate(rp.g1, rp.g2, E, x_s, y, (0.0, 0.0), x_match, tol)
         return math.hypot(*res.y) * math.exp(res.log_scale)
 
     assert start[0] * near[0] + start[1] * near[1] > 0.0  # not opposite
@@ -658,9 +660,9 @@ class TestRightStart:
         tol=st.sampled_from([oracle._SCAN_TOL, oracle._REFINE_TOL]),
     )
     @settings(max_examples=25, deadline=None)
-    # at the scan tolerance this draw's slope was once compared with its
-    # reference's, 1.02e-6 apart: both carried the u^2 integral's own error
-    @example(kappa=0.0, nu=1.0, ups=1.0, e=0.59375, tol=1e-7)
+    # this draw's slope once lay 1.02e-6 from its reference's, when both
+    # summed u^2 by Simpson's rule along RK45 steps
+    @example(kappa=0.0, nu=1.0, ups=1.0, e=0.59375, tol=1e-10)
     def test_start_in_physical_units(self, kappa, nu, ups, e, tol):
         rp = reduce(kappa * kappa - 0.25, ups ** 4)
         ext = extension_for(rp, nu=None if kappa >= 1.0 else nu)
@@ -761,15 +763,19 @@ class TestLeftStart:
 
     def test_head_is_the_integral_from_the_origin(self):
         # u' u_E - u u'_E at x_s is the integral of u^2 over (0, x_s): the
-        # same head at x_ref = 1e-3 plus the integral over (x_ref, x_s), for
-        # the pure F- combination at kappa = 3/4, whose u^2 is singular at 0
+        # same head at x_ref = 1e-3, carried to x_s as the Wronskian of the
+        # propagated (u, u_E), which grows by the integral over (x_ref, x_s),
+        # for the pure F- combination at kappa = 3/4, whose u^2 is singular at 0
         rp = reduce(0.3125, 1.0)
         ext = extension_for(rp, nu=0.0)
         x_s, _, head = oracle._left_start(rp, ext, 0.5, 0.02, 1.0)
-        x_ref, state, head_ref = oracle._left_start(rp, ext, 0.5, 1e-3, 1e-3)
-        res = integrate(rp.g1, rp.g2, 0.5, x_ref, state, x_s, rel_tol=1e-12)
-        got = head_ref + res.u2_integral * math.exp(2.0 * res.log_scale)
-        assert head == pytest.approx(got, rel=1e-8, abs=0.0)
+        x_ref, (u, v), head_ref = oracle._left_start(rp, ext, 0.5, 1e-3, 1e-3)
+        res = oracle.integrate(rp.g1, rp.g2, 0.5, x_ref, (u, v), (0.0, -head_ref / u), x_s, 1e-16)
+        (u, v), (ue, ve) = res.y, res.ye
+        got = (ue * v - u * ve) * math.exp(2.0 * res.log_scale)
+        # rounding at x_ref excites F+, which grows against F- by
+        # (x_s / x_ref)^(2 kappa) ~ 3e4 on the way out
+        assert head == pytest.approx(got, rel=1e-11, abs=0.0)
 
 
 def _levels_below(rp, ext, e):
@@ -855,7 +861,7 @@ class TestNextToKappaOne:
         got = shoot_spectrum(rp, ext, 3).energies
         want = spectrum(rp, ext, 3).energies
         for g, w in zip(got, want):
-            assert abs(g - w) <= 1e-9 * max(abs(w), rp.energy_scale())
+            assert abs(g - w) <= 1e-14 * max(abs(w), rp.energy_scale())
 
     @given(
         kappa=st.one_of(st.floats(0.0, 0.999), st.floats(3.0, 7.0).map(lambda d: 1.0 - 10.0 ** -d)),
@@ -895,4 +901,4 @@ def test_oracle_imports_nothing_it_checks():
         for name in names:
             if name.startswith((".", "calogero")):
                 package.add(name.lstrip(".").removeprefix("calogero").lstrip("."))
-    assert package == {"errors", "params", "rk45"}
+    assert package == {"errors", "params", "taylor"}

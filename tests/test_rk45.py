@@ -83,37 +83,6 @@ class TestSignChanges:
         assert integrate(0.0, 0.0, 1.0, 1.0, (-1.0, 2.0), 1.0).sign_changes == 0
 
 
-class TestSquareIntegral:
-    @pytest.mark.parametrize("omega", [0.7, 3.0])
-    @pytest.mark.parametrize("backward", [False, True])
-    def test_integral_of_sine_squared(self, omega, backward):
-        ends = (0.3, 5.1)
-        x0, x1 = ends[::-1] if backward else ends
-        res = integrate(0.0, 0.0, omega * omega, x0,
-                        (math.sin(omega * x0), omega * math.cos(omega * x0)), x1,
-                        rel_tol=1e-10)
-        primitive = lambda x: 0.5 * x - math.sin(2.0 * omega * x) / (4.0 * omega)
-        # Simpson on the Hermite cubic: about 1e-8 at this tolerance
-        assert res.u2_integral == pytest.approx(primitive(5.1) - primitive(0.3), rel=1e-7)
-
-    def test_renormalization_keeps_the_ratio_to_the_end_state(self, monkeypatch):
-        # the integral is kept in the units of the returned state, so its
-        # ratio to r^2 = u^2 + u'^2 does not depend on the rescalings;
-        # u'' = (1 + 0.5 x^2) u is g2 = 0.5, E = -1
-        def ratio():
-            res = integrate(0.0, 0.5, -1.0, 0.5, (1.0, -0.5), 6.5, rel_tol=1e-10)
-            return res.u2_integral / (res.y[0] ** 2 + res.y[1] ** 2), res.log_scale
-
-        want, no_scale = ratio()
-        monkeypatch.setattr(rk45, "_RENORM_THRESHOLD", 0.5)
-        got, log_scale = ratio()
-        assert no_scale == 0.0 and log_scale > 0.0
-        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-
-    def test_zero_span_integrates_nothing(self):
-        assert integrate(0.0, 0.0, 1.0, 1.0, (3.0, 2.0), 1.0).u2_integral == 0.0
-
-
 class TestRenormalization:
     def test_exponential_blowup(self):
         # u = e^(x - 1) through x = 601 cannot live in a float; the log ledger can

@@ -1,4 +1,5 @@
-"""Bit-identity guard for the fused Cash-Karp kernel.
+"""Bit-identity guard for the fused Cash-Karp kernel, and pinned runs
+of the shooting oracle.
 
 `integrate` unrolls the tableau into scalar locals and forms the radial
 coefficient inline for speed; it must still do the textbook loop's float
@@ -6,7 +7,11 @@ operations in the textbook order.  The pinned values below are exact
 (`float.hex`) results of the list-based loop over stages and components
 that the kernel replaced, run on the radial right-hand side, and
 `_textbook_integrate` is that loop, kept here as the reference for
-randomized problems.
+randomized problems.  `count_zeros` is the kernel's caller, and its
+counts are checked against that loop below.
+
+The oracle's shooting runs are pinned here too, with the work its Taylor
+propagator does, for the left and right starts it has had.
 """
 
 import math
@@ -20,7 +25,7 @@ from calogero.errors import ConvergenceError, DomainError
 from calogero.nonexistence import count_zeros
 from calogero.params import Couplings, reduce
 from calogero.rk45 import IntegrationResult, integrate
-from calogero.spectral import extension_for
+from calogero.spectral import extension_for, spectrum
 
 
 def _textbook_integrate(f, x0, y0, x1, rel_tol=1e-10):
@@ -29,7 +34,7 @@ def _textbook_integrate(f, x0, y0, x1, rel_tol=1e-10):
     if math.isnan(x0) or math.isnan(x1):
         raise DomainError("integrate: NaN endpoint")
     if x1 == x0:
-        return IntegrationResult(x0, tuple(float(v) for v in y0), 0.0, 0, 0, 0, 0.0)
+        return IntegrationResult(x0, tuple(float(v) for v in y0), 0.0, 0, 0, 0)
     if not 1e-14 <= rel_tol <= 1e-2:
         raise DomainError(f"integrate: rel_tol {rel_tol} outside [1e-14, 1e-2]")
 
@@ -45,7 +50,6 @@ def _textbook_integrate(f, x0, y0, x1, rel_tol=1e-10):
     n_rejected = 0
     sign_changes = 0
     last = y[0]
-    u2 = 0.0
     k = [[0.0] * n for _ in range(6)]
 
     while (x1 - x) * direction > 0.0:
@@ -81,8 +85,6 @@ def _textbook_integrate(f, x0, y0, x1, rel_tol=1e-10):
 
         if norm <= 1.0 or h <= 1e-13 * span:
             x = x1 if abs(x1 - (x + hs)) < 1e-14 * span else x + hs
-            um = 0.5 * (y[0] + y_new[0]) + 0.125 * hs * (y[1] - y_new[1])
-            u2 += h * (y[0] * y[0] + 4.0 * um * um + y_new[0] * y_new[0]) / 6.0
             y = y_new
             n_steps += 1
             if y[0] < 0.0 < last or last < 0.0 < y[0]:
@@ -93,14 +95,13 @@ def _textbook_integrate(f, x0, y0, x1, rel_tol=1e-10):
             if big > rk45._RENORM_THRESHOLD:
                 log_scale += math.log(big)
                 y = [v / big for v in y]
-                u2 = u2 / big / big
         else:
             n_rejected += 1
 
         grow = 0.9 * norm ** -0.2 if norm > 0.0 else 5.0
         h *= min(5.0, max(0.2, grow))
 
-    return IntegrationResult(x, tuple(y), log_scale, n_steps, n_rejected, sign_changes, u2)
+    return IntegrationResult(x, tuple(y), log_scale, n_steps, n_rejected, sign_changes)
 
 
 def _radial(g1, g2, E):
@@ -172,10 +173,12 @@ def test_pinned_results(name):
 
 
 def _counting_integrate(tally):
-    """oracle.integrate adding [integrations, steps, rejected] to tally."""
+    """oracle.integrate, the Taylor propagator, adding [integrations,
+    steps, rejected] to tally."""
+    real = oracle.integrate
 
     def counting(*args, **kwargs):
-        res = integrate(*args, **kwargs)
+        res = real(*args, **kwargs)
         tally[0] += 1
         tally[1] += res.n_steps
         tally[2] += res.n_rejected
@@ -184,31 +187,39 @@ def _counting_integrate(tally):
     return counting
 
 
+def _gaps_to_spectrum(spec, rp, ext):
+    want = spectrum(rp, ext, len(spec.energies)).energies
+    return [abs(g - w) / w for g, w in zip(spec.energies, want)]
+
+
 def test_pinned_shooting_spectrum(monkeypatch):
     """kappa = 1/2, nu = 1, five levels: the energies, the residuals and the
-    oracle's RK45 work ([integrations, steps, rejected], counted through its
-    `integrate`) of the count-bracketed Newton root hunt."""
+    oracle's propagator work ([integrations, steps, rejected], counted
+    through its `integrate`) of the count-bracketed Newton root hunt."""
     tally = [0, 0, 0]
     monkeypatch.setattr(oracle, "integrate", _counting_integrate(tally))
     rp = reduce(0.0, 1.0)
-    spec = oracle.shoot_spectrum(rp, extension_for(rp, nu=1.0), 5)
+    ext = extension_for(rp, nu=1.0)
+    spec = oracle.shoot_spectrum(rp, ext, 5)
+    # 1.1e-15, 3.1e-16, 1.9e-16, 1.3e-16 and 2.0e-16 from `spectrum`
+    # (relative); RK45 at 4e-11 put them up to 5.2e-12 off
     assert [e.hex() for e in spec.energies] == [
-        "0x1.03b03babc04a0p+1",
-        "0x1.6ebc838c4b7f7p+2",
-        "0x1.32f0ce2c9f348p+3",
-        "0x1.b04f4b46d8c9dp+3",
-        "0x1.17438504c9027p+4",
+        "0x1.03b03babc6148p+1",
+        "0x1.6ebc838c4dec9p+2",
+        "0x1.32f0ce2c9f834p+3",
+        "0x1.b04f4b46d8e16p+3",
+        "0x1.17438504c902ep+4",
     ]
     assert [r.hex() for r in spec.mismatch_residuals] == [
+        "0x1.0000000000000p-51",
+        "0x1.0000000000000p-51",
         "0x1.0000000000000p-50",
-        "0x0.0p+0",
         "0x1.0000000000000p-49",
-        "0x1.2000000000000p-46",
-        "0x0.0p+0",
+        "0x1.0000000000000p-48",
     ]
-    # the left branch starting where its series hold, refined at 4e-11; from
-    # x_min at 1e-10 it took [52, 4540, 278] (below)
-    assert tally == [52, 4582, 239]
+    assert max(_gaps_to_spectrum(spec, rp, ext)) <= 1e-14
+    # Taylor steps; the same hunt took [52, 4582, 239] RK45 steps
+    assert tally == [52, 215, 0]
 
 
 def _series_at(s, g2, E, ups, x):
@@ -270,34 +281,31 @@ def _x_min_start(rp, ext, E, x_min, x_match):
 
 
 def test_pinned_shooting_spectrum_from_x_min(monkeypatch):
-    """The same run with the left branch started at x_min and refined at
-    1e-10 reproduces, bit for bit, what the oracle returned with that start:
-    the start and the tolerance are all that moved the pins above."""
+    """The same run with the left branch started at x_min: level 0 lies
+    6.1e-15 from `spectrum` (relative), the others within 3.1e-16, and the
+    start where the series hold saves half of the steps."""
     tally = [0, 0, 0]
     monkeypatch.setattr(oracle, "integrate", _counting_integrate(tally))
     monkeypatch.setattr(oracle, "_left_start", _x_min_start)
-    monkeypatch.setattr(oracle, "_REFINE_TOL", 1e-10)
     rp = reduce(0.0, 1.0)
-    spec = oracle.shoot_spectrum(rp, extension_for(rp, nu=1.0), 5)
+    ext = extension_for(rp, nu=1.0)
+    spec = oracle.shoot_spectrum(rp, ext, 5)
     assert [e.hex() for e in spec.energies] == [
-        "0x1.03b03babc1355p+1",
-        "0x1.6ebc838c46d92p+2",
-        "0x1.32f0ce2c9e609p+3",
-        "0x1.b04f4b46d852dp+3",
-        "0x1.17438504c90a5p+4",
+        "0x1.03b03babc615fp+1",
+        "0x1.6ebc838c4dec9p+2",
+        "0x1.32f0ce2c9f833p+3",
+        "0x1.b04f4b46d8e16p+3",
+        "0x1.17438504c902dp+4",
     ]
     assert [r.hex() for r in spec.mismatch_residuals] == [
+        "0x1.0000000000000p-46",
         "0x1.0000000000000p-51",
+        "0x1.0000000000000p-49",
         "0x0.0p+0",
-        "0x1.0000000000000p-50",
-        "0x1.4000000000000p-45",
-        "0x1.0000000000000p-47",
+        "0x0.0p+0",
     ]
-    assert tally == [52, 4540, 278]
-    # the right branch starting at x_max took [52, 9569, 301]: the start
-    # where its data hold saves at least 30 % of the steps, and no solve
-    # takes an extra integration
-    assert tally[0] == 52 and tally[1] <= 0.7 * 9569
+    assert max(_gaps_to_spectrum(spec, rp, ext)) <= 1e-14
+    assert tally == [50, 415, 0]
 
 
 def _leading_order_start(rp, E, x_match):
@@ -315,41 +323,32 @@ def _leading_order_start(rp, E, x_match):
 
 def test_pinned_shooting_spectrum_from_x_max(monkeypatch):
     """The same run with the right branch also started at x_max from
-    leading-order data reproduces, bit for bit, what the oracle returned with
-    that start: the start is all that moved the pins of the run from x_min."""
+    leading-order data: every level lies within 2.0e-15 of `spectrum`
+    (relative), and the starts where the data hold save two thirds of the
+    steps."""
     tally = [0, 0, 0]
     monkeypatch.setattr(oracle, "integrate", _counting_integrate(tally))
     monkeypatch.setattr(oracle, "_right_start", _leading_order_start)
     monkeypatch.setattr(oracle, "_left_start", _x_min_start)
-    monkeypatch.setattr(oracle, "_REFINE_TOL", 1e-10)
     rp = reduce(0.0, 1.0)
-    spec = oracle.shoot_spectrum(rp, extension_for(rp, nu=1.0), 5)
+    ext = extension_for(rp, nu=1.0)
+    spec = oracle.shoot_spectrum(rp, ext, 5)
     assert [e.hex() for e in spec.energies] == [
-        "0x1.03b03babc0683p+1",
-        "0x1.6ebc838c467f9p+2",
-        "0x1.32f0ce2c9e6ccp+3",
-        "0x1.b04f4b46d8923p+3",
-        "0x1.17438504c8ebcp+4",
+        "0x1.03b03babc6144p+1",
+        "0x1.6ebc838c4dec8p+2",
+        "0x1.32f0ce2c9f832p+3",
+        "0x1.b04f4b46d8e24p+3",
+        "0x1.17438504c902dp+4",
     ]
     assert [r.hex() for r in spec.mismatch_residuals] == [
         "0x1.0000000000000p-50",
-        "0x1.0000000000000p-51",
-        "0x1.0000000000000p-47",
-        "0x1.0000000000000p-49",
-        "0x1.0000000000000p-48",
+        "0x0.0p+0",
+        "0x1.8000000000000p-49",
+        "0x1.2000000000000p-44",
+        "0x0.0p+0",
     ]
-    assert tally == [52, 9569, 301]
-    # the pins from before levels n >= 1 started one ladder spacing above
-    # level n - 1 ([64, 10601, 413] RK45 work then)
-    earlier = [
-        "0x1.03b03babc0683p+1",
-        "0x1.6ebc838c467fbp+2",
-        "0x1.32f0ce2c9e6c9p+3",
-        "0x1.b04f4b46d8928p+3",
-        "0x1.17438504c8ec0p+4",
-    ]
-    for e, pin in zip(spec.energies, earlier):
-        assert e == pytest.approx(float.fromhex(pin), rel=1e-13, abs=0.0)
+    assert max(_gaps_to_spectrum(spec, rp, ext)) <= 1e-14
+    assert tally == [50, 603, 0]
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
@@ -366,7 +365,7 @@ def _outcome(run):
         res = run()
     except (ConvergenceError, ZeroDivisionError, OverflowError) as e:
         return type(e)
-    return _bits(res), res.n_steps, res.n_rejected, res.sign_changes, res.u2_integral.hex()
+    return _bits(res), res.n_steps, res.n_rejected, res.sign_changes
 
 
 @given(

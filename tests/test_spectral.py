@@ -308,6 +308,33 @@ class TestSpectrumFrozen:
             assert 0 < pole - ref
             assert abs(e8 - ref) <= 1e-14 * ref
 
+    def test_root_within_an_ulp_below_the_upper_pole(self):
+        # kappa = 5.3e-9: level 33's root lies 1.4 ulps below the float of
+        # its pole 2 (67 + kappa), so no float inside the gap has F(-e/4)
+        # below the target; the float below the pole is the answer, as the
+        # float of the pole is next to kappa = 1 at the lower end
+        import mpmath as mp
+
+        rp = reduce(-0.24999999999999997, 1.0)
+        energies = spectrum(rp, extension_for(rp, nu=1.570795), 50).energies
+        assert all(a < b for a, b in zip(energies, energies[1:]))
+        e33 = energies[33]
+        assert e33 == math.nextafter(2.0 * (67 + rp.kappa), 0.0)
+        with mp.workdps(40):
+            k = mp.mpf(rp.kappa)
+            pole = 2 * (67 + k)
+
+            def boundary(e):  # F(-e/4) + tan nu, the kappa > 0 equation
+                a = (1 + k) / 2 - e / 4
+                return mp.gamma(1 - k) * mp.gamma(a) * mp.rgamma(a - k) / mp.gamma(1 + k) + mp.tan(
+                    mp.mpf(1.570795))
+
+            lo, hi = pole - mp.mpf("1e-12"), pole - mp.mpf("1e-30")
+            assert boundary(lo) > 0 > boundary(hi)
+            ref = mp.findroot(boundary, (lo, hi), solver="anderson", verify=False)
+            assert lo < ref < hi
+            assert abs(mp.mpf(e33) - ref) <= math.ulp(e33)
+
     def test_kappa_zero_overflow_refused(self):
         # past tan nu ~ 700 the kappa = 0 ground state leaves float64 range
         rp0 = rp_kappa(0.0)
