@@ -14,6 +14,10 @@ be written in exponent notation (`--nu -1e-3`).
 
 `main(argv)` may be called many times in one process: it builds its
 parser once, on the first call, and every later call reuses it.
+
+Importing this module and building the parser load no other module of the
+package than `errors`: a subcommand imports the library modules it calls
+when it first calls them.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import importlib
 import io
 import json
 import math
@@ -28,21 +33,41 @@ import re
 import sys
 
 from . import __version__
-from .acceptance import run_acceptance
 from .errors import ConvergenceError, DomainError
-from .factorization import (
-    RepresentationParams,
-    factorization_residual,
-    kernel_sweep,
-    make_phi,
-    residual_sweep,
-)
-from .nonexistence import count_zeros
-from .params import Couplings, RegionClass, classify, reduce
-from .spectral import extension_for, gamma_skew, spectrum
-from .oracle import shoot_spectrum
 
 __all__ = ["main"]
+
+# the library names the handlers call, each imported from its module on first
+# access (module __getattr__ below) and kept as an attribute of this module;
+# handlers call them as `_cli.<name>`, so a replaced attribute is the one called
+_LAZY = {
+    "run_acceptance": "acceptance",
+    "RepresentationParams": "factorization",
+    "factorization_residual": "factorization",
+    "kernel_sweep": "factorization",
+    "make_phi": "factorization",
+    "residual_sweep": "factorization",
+    "count_zeros": "nonexistence",
+    "shoot_spectrum": "oracle",
+    "Couplings": "params",
+    "RegionClass": "params",
+    "classify": "params",
+    "reduce": "params",
+    "extension_for": "spectral",
+    "gamma_skew": "spectral",
+    "spectrum": "spectral",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+_cli = sys.modules[__name__]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -104,8 +129,11 @@ def _render_csv(header: list[str], rows: list[list]) -> str:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write --out {out_path}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -132,11 +160,11 @@ def _reduced_dict(rp) -> dict:
 
 def _region_guard(g1: float, g2: float) -> None:
     """Exit 3 with the taxonomy message when no representation exists."""
-    region = classify(g1, g2)
+    region = _cli.classify(g1, g2)
     reasons = {
-        RegionClass.NoRepresentation_FallToCenter: "g1 < -1/4",
-        RegionClass.NoRepresentation_FallToInfinity: "g2 < 0",
-        RegionClass.CalogeroOnly: "g2 = 0 (no confining term)",
+        _cli.RegionClass.NoRepresentation_FallToCenter: "g1 < -1/4",
+        _cli.RegionClass.NoRepresentation_FallToInfinity: "g2 < 0",
+        _cli.RegionClass.CalogeroOnly: "g2 = 0 (no confining term)",
     }
     if region in reasons:
         print(
@@ -152,13 +180,13 @@ def _pick_extension(rp, args, parser):
     if args.unique:
         if rp.kappa < 1.0:
             parser.error("--unique needs kappa >= 1; this coupling has a family, pass --nu or --friedrichs")
-        ext = extension_for(rp, nu=None)
+        ext = _cli.extension_for(rp, nu=None)
     elif args.friedrichs:
-        ext = extension_for(rp, nu=None, friedrichs=True)
+        ext = _cli.extension_for(rp, nu=None, friedrichs=True)
     elif args.nu is not None:
-        ext = extension_for(rp, nu=args.nu)
+        ext = _cli.extension_for(rp, nu=args.nu)
     elif rp.kappa >= 1.0:
-        ext = extension_for(rp, nu=None)
+        ext = _cli.extension_for(rp, nu=None)
     else:
         parser.error("kappa < 1: the extension is not unique, pass --nu RADIANS or --friedrichs")
     return ext
@@ -170,9 +198,9 @@ def _pick_extension(rp, args, parser):
 
 def _cmd_spectrum(args, parser) -> int:
     _region_guard(args.g1, args.g2)
-    rp = reduce(args.g1, args.g2)
+    rp = _cli.reduce(args.g1, args.g2)
     ext = _pick_extension(rp, args, parser)
-    result = spectrum(rp, ext, args.n)
+    result = _cli.spectrum(rp, ext, args.n)
     ups2 = rp.energy_scale()
 
     results = {
@@ -185,7 +213,7 @@ def _cmd_spectrum(args, parser) -> int:
     checks: list = []
     oracle_energies = None
     if args.oracle == "on":
-        oracle_energies = list(shoot_spectrum(rp, ext, args.n).energies)
+        oracle_energies = list(_cli.shoot_spectrum(rp, ext, args.n).energies)
         gap = max(
             abs(o - f) / abs(f) for o, f in zip(oracle_energies, result.energies)
         )
@@ -224,7 +252,7 @@ def _cmd_spectrum(args, parser) -> int:
 
 def _cmd_sweep(args, parser) -> int:
     _region_guard(args.g1, args.g2)
-    rp = reduce(args.g1, args.g2)
+    rp = _cli.reduce(args.g1, args.g2)
     if rp.kappa >= 1.0:
         parser.error(f"sweep needs a one-parameter family (kappa < 1), got kappa = {rp.kappa:.6g}")
     lo, hi, count = args.sweep
@@ -240,8 +268,8 @@ def _cmd_sweep(args, parser) -> int:
     table = []
     interior_e0 = []
     for nu in nus:
-        ext = extension_for(rp, nu=nu)
-        energies = list(spectrum(rp, ext, args.n).energies)
+        ext = _cli.extension_for(rp, nu=nu)
+        energies = list(_cli.spectrum(rp, ext, args.n).energies)
         table.append((nu, energies))
         if not ext.is_ladder:
             interior_e0.append(energies[0])
@@ -296,11 +324,11 @@ def _cmd_sweep(args, parser) -> int:
 
 def _cmd_factorize_check(args, parser) -> int:
     _region_guard(args.g1, args.g2)
-    rp = reduce(args.g1, args.g2)
-    rep = RepresentationParams(args.mu, args.w, rp)
-    phi = make_phi(rep)
+    rp = _cli.reduce(args.g1, args.g2)
+    rep = _cli.RepresentationParams(args.mu, args.w, rp)
+    phi = _cli.make_phi(rep)
 
-    worst = residual_sweep(phi, factorization_residual, args.h_shift)
+    worst = _cli.residual_sweep(phi, _cli.factorization_residual, args.h_shift)
     checks = [
         {
             "name": "factorization-residual",
@@ -313,7 +341,7 @@ def _cmd_factorize_check(args, parser) -> int:
 
     kernel_max = None
     if rep.at_floor:
-        kernel_max = kernel_sweep(phi)
+        kernel_max = _cli.kernel_sweep(phi)
         checks.append(
             {
                 "name": "kernel-nontrivial",
@@ -378,7 +406,7 @@ def _cmd_nonexistence(args, parser) -> int:
     else:
         interval = (1e-4, 5.0)
 
-    report = count_zeros(Couplings(g1, g2), args.u, interval)
+    report = _cli.count_zeros(_cli.Couplings(g1, g2), args.u, interval)
     gap = abs(report.observed_zeros - report.predicted_zeros)
     tol = 1.0 + 0.1 * report.predicted_zeros
     checks = [
@@ -426,11 +454,11 @@ def _cmd_nonexistence(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
-    token = gamma_skew.set(0.01 if args.inject_gamma_bug else 0.0)
+    token = _cli.gamma_skew.set(0.01 if args.inject_gamma_bug else 0.0)
     try:
-        rows = run_acceptance(quick=args.quick)
+        rows = _cli.run_acceptance(quick=args.quick)
     finally:
-        gamma_skew.reset(token)
+        _cli.gamma_skew.reset(token)
 
     inputs = {
         "command": "verify",

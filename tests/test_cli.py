@@ -520,6 +520,11 @@ class TestSharedParser:
             ["--version"],
             ["sweep", "--g1", "0", "--g2", "1", "--sweep", "-1", "1", "3"],
             ["spectrum", "--g1", "0", "--g2", "1", "--nu", "-1e-3", "--format", "csv"],
+            # each of these imports its library modules on its first call
+            ["factorize-check"],
+            ["nonexistence", "--g1", "-1.25", "--g2", "1"],
+            ["verify", "--quick"],
+            ["spectrum", "--oracle", "on", "--n", "3", "--g1", "0", "--g2", "1", "--nu", "1"],
             first,
         ]
         monkeypatch.setenv("COLUMNS", "80")
@@ -532,8 +537,30 @@ class TestSharedParser:
             proc = subprocess.run([sys.executable, "-m", "calogero", *argv], env=env,
                                   capture_output=True, text=True, timeout=120)
             fresh.append((proc.returncode, proc.stdout))
-        assert [code for code, _ in in_process] == [0, 2, 0, 0, 0, 0, 0]
+        assert [code for code, _ in in_process] == [0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0]
         assert in_process == fresh
+
+
+class TestOutPath:
+    """An --out path that cannot be written is a usage error naming it."""
+
+    ARGVS = {
+        "spectrum": ["spectrum", "--g1", "0", "--g2", "1", "--nu", "1", "--n", "2"],
+        "sweep": ["sweep", "--g1", "0", "--g2", "1", "--sweep", "-1", "1", "3"],
+        "factorize-check": ["factorize-check"],
+        "nonexistence": ["nonexistence", "--g1", "-1.25", "--g2", "1"],
+        "verify": ["verify", "--quick"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(ARGVS))
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, command, target):
+        path = tmp_path if target == "directory" else tmp_path / "missing" / "out.json"
+        code, out, err = run(capsys, [*self.ARGVS[command], "--out", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("invalid request: cannot write --out ") and str(path) in err
 
 
 # mpmath is a test-only reference: with its import blocked, the quick table,
