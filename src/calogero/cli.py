@@ -24,11 +24,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import importlib
 import io
 import json
 import math
+import os
 import re
 import sys
 
@@ -125,6 +127,24 @@ def _render_csv(header: list[str], rows: list[list]) -> str:
             ]
         )
     return buf.getvalue()
+
+
+def _check_out(out_path: str | None) -> None:
+    """Refuse an --out path that cannot be written before any work runs: a
+    directory, or one whose parent is missing, no directory or not writable.
+    The file itself is not opened, which would truncate it on a later failure."""
+    if not out_path:
+        return
+    parent = os.path.dirname(os.path.abspath(out_path))
+    if os.path.isdir(out_path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise DomainError(f"cannot write --out {out_path}: {os.strerror(code)}")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -580,6 +600,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args, parser)
     except DomainError as exc:
         print(f"invalid request: {exc}", file=sys.stderr)

@@ -192,8 +192,9 @@ class EvaluableSolution:
         allowed): env * (sin mu Phi + cos mu scale Psi) with Phi pointwise
         and Psi from one inward sweep (`tricomi_psi_on`), two Psi calls for
         the whole grid; S = 1 at the floor.  x <= 0 and rho^q past float64
-        raise what `value_at` raises.  Where the sweep refuses (a seed past
-        float64, say), each value is `value_at`'s, or its refusal."""
+        raise what `value_at` raises.  Where the sweep refuses (more steps
+        than its budget, or a seed whose integral passes float64 from
+        alpha ~ 171), each value is `value_at`'s, or its refusal."""
         xs = [float(x) for x in xs]
         rhos = [self._rho(x) for x in xs]
         if self._at_floor:

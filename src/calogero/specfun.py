@@ -49,14 +49,21 @@ calls: Psi and Psi' = -alpha Psi(alpha+1, beta+1; rho) at the largest rho
 (at least just past 8, where both take the float64-exact integral), then
 Taylor steps of Kummer's equation rho S'' + (beta - rho) S' - alpha S = 0
 (DLMF 13.2.1) inward through the sorted rho (the Taylor method of Gil,
-Segura & Temme, *Numerical Methods for Special Functions*, SIAM 2007).  Inward is the stable direction: Psi / Phi grows toward the
-origin (their Wronskian has one sign), so whatever a step puts along
-Kummer's Phi decays relative to Psi.  Psi is completely monotone, so every
-Taylor term of an inward step is positive and nothing cancels in the sum.
-A step reaches at most rho/2 (half the distance to the singular point)
-and at most rho / sqrt((rho - beta)^2 + 4 alpha rho), the inverse gap
-between the local exponents of the two solutions, so a rounding error
-grows at most e-fold along Phi within one step.
+Segura & Temme, *Numerical Methods for Special Functions*, SIAM 2007).
+Inward is the stable direction: Psi / Phi grows toward the origin (their
+Wronskian has one sign), so whatever a step puts along Kummer's Phi decays
+relative to Psi.  Psi is completely monotone, so every Taylor term of an
+inward step is positive and nothing cancels in the sum.  A step reaches at
+most rho/2 (half the distance to the singular point) and at most
+rho / sqrt((rho - beta)^2 + 4 alpha rho), the inverse gap between the local
+exponents of the two solutions, so a rounding error grows at most e-fold
+along Phi within one step.  A step ends on the farthest point within that
+reach and gives every point it passes its Taylor polynomial by Horner
+(dense output), so an 801-point grid takes 80 to 400 steps, not 801.
+Kummer's equation is linear: where the seed Psi(alpha, beta; rho) is no
+normal float (from alpha ~ 139 at rho = 64, alpha ~ 158 at rho = 8), the
+sweep starts from the Laplace integral's log form, Psi and Psi' over an
+exact power of two (DLMF 13.4.4), and hands each value back with ldexp.
 """
 
 from __future__ import annotations
@@ -478,23 +485,19 @@ def exp_halfline_quad(g, p: float) -> float:
 # Tricomi function
 
 
-def tricomi_psi_integral(alpha: float, beta: float, rho: float) -> float:
-    """Psi via the Laplace integral, rescaled to a unit-decay weight:
+def _psi_laplace(alpha: float, beta: float, rho: float) -> tuple[float, float]:
+    """(integral, ln_scale) with Psi(alpha, beta; rho) = e^ln_scale * integral,
+    the Laplace integral rescaled to a unit-decay weight:
 
-        Psi = rho^(-alpha)/Gamma(alpha) *
-              int_0^inf t^(alpha-1) (1 + t/rho)^(beta-alpha-1) e^(-t) dt
+        integral  = int_0^inf t^(alpha-1) (1 + t/rho)^(beta-alpha-1) e^(-t) dt,
+        ln_scale  = -alpha ln rho - ln Gamma(alpha).
 
-    Valid for every beta >= 1 including integers.  For alpha < 0.5 one
-    integration by parts removes the t^(alpha-1) endpoint weight first
-    (the double-exponential map wants the singular power above -0.95 with
-    slack, and tiny alpha turns up whenever w sits just above its floor).
+    For alpha < 0.5 one integration by parts removes the t^(alpha-1)
+    endpoint weight first (the double-exponential map wants the singular
+    power above -0.95 with slack, and tiny alpha turns up whenever w sits
+    just above its floor).  Raises ConvergenceError where the quadrature
+    does (its weight overflows from alpha ~ 171).
     """
-    if not (alpha > 0.0):
-        raise DomainError(f"tricomi_psi_integral: alpha must be > 0, got {alpha}")
-    if not (1.0 <= beta < math.inf):
-        raise DomainError(f"tricomi_psi_integral: beta must be finite and >= 1, got {beta}")
-    if not (rho > 0.0):
-        raise DomainError(f"tricomi_psi_integral: rho must be > 0, got {rho}")
     c = beta - alpha - 1.0
 
     if alpha >= 0.5:
@@ -517,7 +520,24 @@ def tricomi_psi_integral(alpha: float, beta: float, rho: float) -> float:
         integral = exp_halfline_quad(g_minus_gprime, alpha) / alpha
 
     lg, _ = gammaln_signed(alpha)
-    ln_scale = -alpha * math.log(rho) - lg
+    return integral, -alpha * math.log(rho) - lg
+
+
+def tricomi_psi_integral(alpha: float, beta: float, rho: float) -> float:
+    """Psi via the Laplace integral, rescaled to a unit-decay weight:
+
+        Psi = rho^(-alpha)/Gamma(alpha) *
+              int_0^inf t^(alpha-1) (1 + t/rho)^(beta-alpha-1) e^(-t) dt
+
+    Valid for every beta >= 1 including integers (see `_psi_laplace`).
+    """
+    if not (alpha > 0.0):
+        raise DomainError(f"tricomi_psi_integral: alpha must be > 0, got {alpha}")
+    if not (1.0 <= beta < math.inf):
+        raise DomainError(f"tricomi_psi_integral: beta must be finite and >= 1, got {beta}")
+    if not (rho > 0.0):
+        raise DomainError(f"tricomi_psi_integral: rho must be > 0, got {rho}")
+    integral, ln_scale = _psi_laplace(alpha, beta, rho)
     try:
         scale = math.exp(ln_scale)
     except OverflowError:
@@ -606,8 +626,10 @@ def tricomi_psi(alpha: float, beta: float, rho: float) -> float:
     apply, the Laplace integral follows.  Below the sweep's seed at
     rho = 8+, a value both refuse (large alpha at small rho, where the
     integral's scale rho^(-alpha)/Gamma(alpha) or its integrand leaves
-    float64) comes from the inward sweep `tricomi_psi_on`; where no route
-    holds the value, a ConvergenceError.  Strictly positive, strictly
+    float64) comes from the inward sweep `tricomi_psi_on`, which starts
+    from a binary-scaled seed where Psi(alpha, beta; 8+) is no normal
+    float; where no route holds the value (the integral's weight passes
+    float64 from alpha ~ 171), a ConvergenceError.  Strictly positive, strictly
     decreasing in rho, ~ rho^(-alpha) at infinity.
 
     alpha = 0 is excluded by contract: Psi(0, b; rho) = 1 identically.
@@ -644,41 +666,22 @@ _SWEEP_SEED = math.nextafter(8.0, math.inf)
 _SWEEP_REL_TOL = 1e-17
 _SWEEP_MAX_TERMS = 400
 _SWEEP_MAX_STEPS = 1000
+_LN2 = math.log(2.0)
 
 
-def _kummer_step(alpha: float, beta: float, r: float, s: float, sp: float, h: float) -> tuple[float, float]:
-    """(S, S') at r + h from (S, S') at r, S a solution of Kummer's
-    equation, by its Taylor series in h about r.
-
-    With d_k = c_k h^k the k-th term, the equation gives
-
-        d_{k+2} = [(k + alpha) h d_k / (k + 1) - (k + beta - r) d_{k+1}] (h / r) / (k + 2),
-
-    S(r + h) = sum d_k and h S'(r + h) = sum k d_k.  For Psi and h < 0 every
-    term and both sums are positive.
-    """
-    hr, ah, br = h / r, alpha * h, beta - r
-    d0, d1 = s, sp * h
-    total, dtotal = d0 + d1, d1
-    small = False
-    for k in range(_SWEEP_MAX_TERMS):
-        k1 = k + 1.0
-        k2 = k1 + 1.0
-        d2 = ((k * h + ah) * d0 / k1 - (k + br) * d1) * hr / k2
-        total += d2
-        kd = k2 * d2
-        dtotal += kd
-        if abs(kd) <= _SWEEP_REL_TOL * dtotal and abs(d2) <= _SWEEP_REL_TOL * total:
-            if small:
-                return total, dtotal / h
-            small = True
-        else:
-            small = False
-        d0, d1 = d1, d2
-    raise ConvergenceError(
-        f"tricomi_psi_on: Taylor step {h:.4g} at rho={r:.4g} needs more than "
-        f"{_SWEEP_MAX_TERMS} terms (alpha={alpha}, beta={beta})"
-    )
+def _scaled_seed(alpha: float, beta: float, r: float) -> tuple[float, float, int]:
+    """(Psi 2^-e, Psi' 2^-e, e) at r >= 8, for a seed whose Psi or Psi' is
+    not a normal float: ln Psi(alpha, beta; r) and ln Psi(alpha+1, beta+1; r)
+    from the Laplace integral in log form, and e the power of two nearest
+    Psi.  Refuses where the integral does.  At r >= 8 the integral itself
+    stays near or above 1 (its scale carries the underflow), so its log holds
+    every digit."""
+    i0, ln0 = _psi_laplace(alpha, beta, r)
+    i1, ln1 = _psi_laplace(alpha + 1.0, beta + 1.0, r)
+    ln_psi = ln0 + math.log(i0)
+    e = round(ln_psi / _LN2)
+    shift = e * _LN2
+    return math.exp(ln_psi - shift), -alpha * math.exp(ln1 + math.log(i1) - shift), e
 
 
 def tricomi_psi_on(alpha: float, beta: float, rhos) -> list[float]:
@@ -687,11 +690,16 @@ def tricomi_psi_on(alpha: float, beta: float, rhos) -> list[float]:
     equation seeded by two `tricomi_psi` calls (see "Psi along a grid"
     above).  alpha > 0, beta >= 1 and every rho > 0, as for `tricomi_psi`.
 
-    Each step lands on the next point exactly: it never reaches past half
-    its own rho, so the next point minus this one is an exact float.  Raises
-    ConvergenceError where a seed is not a normal float, where the sweep
-    would take more than _SWEEP_MAX_STEPS + 16 steps per point, or where a
-    value leaves float64.
+    A step ends on the farthest point within its reach, or at its reach
+    when no point lies inside it; the points it passes take its Taylor
+    polynomial (dense output).  A step never reaches past half its own
+    rho, so every point minus the step's start is an exact float.  A seed
+    whose Psi or Psi' is not a normal float is replaced by the mantissas
+    of the Laplace integral's log form, scaled by an exact power of two
+    that the output takes back.  Raises ConvergenceError where that log
+    form refuses too (its integrand overflows from alpha ~ 171), where the
+    sweep would take more than _SWEEP_MAX_STEPS + 16 steps per point, or
+    where a value leaves float64.
     """
     if not (alpha > 0.0):
         raise DomainError(f"tricomi_psi_on: alpha must be > 0, got {alpha}")
@@ -700,31 +708,76 @@ def tricomi_psi_on(alpha: float, beta: float, rhos) -> list[float]:
     rs = [float(r) for r in rhos]
     if not all(0.0 < r < math.inf for r in rs):
         raise DomainError("tricomi_psi_on: every rho must be finite and > 0")
-    out = [0.0] * len(rs)
+    n = len(rs)
+    out = [0.0] * n
     if not rs:
         return out
-    order = sorted(range(len(rs)), key=rs.__getitem__, reverse=True)
-    r = max(rs[order[0]], _SWEEP_SEED)
+    order = sorted(range(n), key=rs.__getitem__, reverse=True)
+    desc = [rs[i] for i in order]
+    r = max(desc[0], _SWEEP_SEED)
     s = tricomi_psi(alpha, beta, r)
     sp = -alpha * tricomi_psi(alpha + 1.0, beta + 1.0, r)
+    e = 0
     if not (s >= sys.float_info.min and -sp >= sys.float_info.min):
-        raise ConvergenceError(
-            f"tricomi_psi_on: seed Psi = {s!r}, Psi' = {sp!r} at rho={r} is not a normal float"
-        )
-    budget, steps = _SWEEP_MAX_STEPS + 16 * len(rs), 0
-    for i in order:
-        target = rs[i]
-        while r > target:
-            steps += 1
-            if steps > budget:
-                raise ConvergenceError(
-                    f"tricomi_psi_on: more than {budget} steps from rho={r} to {rs[order[-1]]}"
-                )
-            reach = r / max(2.0, math.hypot(r - beta, 2.0 * math.sqrt(alpha * r)))
-            nxt = max(target, r - reach)
-            s, sp = _kummer_step(alpha, beta, r, s, sp, nxt - r)
-            r = nxt
-        out[i] = s
+        s, sp, e = _scaled_seed(alpha, beta, r)
+    budget, steps, j = _SWEEP_MAX_STEPS + 16 * n, 0, 0
+    while True:
+        while j < n and desc[j] == r:
+            out[order[j]] = s
+            j += 1
+        if j == n:
+            break
+        steps += 1
+        if steps > budget:
+            raise ConvergenceError(
+                f"tricomi_psi_on: more than {budget} steps from rho={r} to {desc[-1]}"
+            )
+        # the step ends on the farthest point within its reach, or at its reach
+        end = lo = r - r / max(2.0, math.hypot(r - beta, 2.0 * math.sqrt(alpha * r)))
+        i = j
+        while i < n and desc[i] >= lo:
+            end = desc[i]
+            i += 1
+        # the Taylor terms d_k = c_k h^k of S about r; the equation gives
+        #   d_{k+2} = [(k + alpha) h d_k / (k + 1) - (k + beta - r) d_{k+1}] (h / r) / (k + 2),
+        # S(r + h) = sum d_k and h S'(r + h) = sum k d_k.  For Psi and h < 0
+        # every term and both sums are positive.
+        h = end - r
+        hr, ah, br = h / r, alpha * h, beta - r
+        d0, d1 = s, sp * h
+        ds = [d0, d1]
+        total, dtotal = d0 + d1, d1
+        small = False
+        for k in range(_SWEEP_MAX_TERMS):
+            k1 = k + 1.0
+            k2 = k1 + 1.0
+            d2 = ((k * h + ah) * d0 / k1 - (k + br) * d1) * hr / k2
+            ds.append(d2)
+            total += d2
+            kd = k2 * d2
+            dtotal += kd
+            if abs(kd) <= _SWEEP_REL_TOL * dtotal and abs(d2) <= _SWEEP_REL_TOL * total:
+                if small:
+                    break
+                small = True
+            else:
+                small = False
+            d0, d1 = d1, d2
+        else:
+            raise ConvergenceError(
+                f"tricomi_psi_on: Taylor step {h:.4g} at rho={r:.4g} needs more than "
+                f"{_SWEEP_MAX_TERMS} terms (alpha={alpha}, beta={beta})"
+            )
+        # dense output: a point the step passes takes sum d_k t^k, t = (rho - r) / h
+        ds.reverse()
+        while desc[j] > end:
+            t = (desc[j] - r) / h
+            v = 0.0
+            for d in ds:
+                v = v * t + d
+            out[order[j]] = v
+            j += 1
+        r, s, sp = end, total, dtotal / h
     if not (math.isfinite(s) and math.isfinite(sp)):
         raise ConvergenceError(f"tricomi_psi_on: Psi leaves float64 by rho={r}")
-    return out
+    return [math.ldexp(v, e) for v in out] if e else out

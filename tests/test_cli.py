@@ -196,6 +196,7 @@ class TestSpectrum:
 
     def test_out_writes_file(self, capsys, tmp_path):
         target = tmp_path / "spec.json"
+        target.write_text("an existing file is replaced\n")
         code, out, _ = run(
             capsys,
             ["spectrum", "--g1", "0.75", "--g2", "1", "--unique", "--out", str(target)],
@@ -554,13 +555,29 @@ class TestOutPath:
 
     @pytest.mark.parametrize("command", sorted(ARGVS))
     @pytest.mark.parametrize("target", ["directory", "missing-parent"])
-    def test_unwritable_out_exits_2(self, capsys, tmp_path, command, target):
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, monkeypatch, command, target):
+        # refused before the handler runs: no library call is made
+        def no_work(*args, **kwargs):
+            raise AssertionError("the handler ran before --out was checked")
+
+        for name in calogero.cli._LAZY:
+            monkeypatch.setattr(calogero.cli, name, no_work, raising=False)
         path = tmp_path if target == "directory" else tmp_path / "missing" / "out.json"
         code, out, err = run(capsys, [*self.ARGVS[command], "--out", str(path)])
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("invalid request: cannot write --out ") and str(path) in err
+        reason = "Is a directory" if target == "directory" else "No such file or directory"
+        assert err.rstrip("\n").endswith(f": {reason}")
+
+    def test_out_parent_that_is_a_file_exits_2(self, capsys, tmp_path):
+        (tmp_path / "file").write_text("kept\n")
+        path = tmp_path / "file" / "out.json"
+        code, out, err = run(capsys, [*self.ARGVS["spectrum"], "--out", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"invalid request: cannot write --out {path}: Not a directory\n"
+        assert (tmp_path / "file").read_text() == "kept\n"
 
 
 # mpmath is a test-only reference: with its import blocked, the quick table,

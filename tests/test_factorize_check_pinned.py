@@ -19,7 +19,7 @@ from calogero.cli import main
 # argv after "factorize-check": sha256 of stdout (all exit 0)
 PINS = {
     ("--g1", "-0.25", "--g2", "2", "--mu", "0.4", "--w", "0.3"):
-        "32a1157cc01182c1c8072c8c9b4b062d772b7f4848bb55ce53e3a19bc5b7aee1",
+        "a0177cc30b09eb3f275ff0b1a93cbf781f3dcd5e4001d7b2d2fcbcc7ce556732",
     ("--g1", "0", "--g2", "1", "--mu", "1.1", "--w", "2.5"):
         "2a8e1c347d814f80396d03d34b4b85a1d22b0061695fb3f36a589f273eb23237",
     ("--g1", "2", "--g2", "3", "--mu", "0.7", "--w", "5"):
@@ -27,7 +27,7 @@ PINS = {
     ("--g1", "0.75", "--g2", "1", "--mu", "0.3", "--w", "-1"):
         "530832f2fd99b908acff342eca410d9c7c4fafff47acc66dcb18b28b983b76ec",
     ("--g1", "-0.1875", "--g2", "1", "--mu", "0.9", "--w", "0.6", "--format", "csv"):
-        "8f15aeda6529cf6d0bf0a9b36d32d25974e24ff64e3acb513a1b3d2f96c9b7e2",
+        "d19a44f20517e7372c933915b94e04db2f7133a8859ecdcf762e418ce7d72be1",
 }
 
 

@@ -5,6 +5,7 @@ and hyp1f1 and against the pointwise path they replace.
 """
 
 import math
+import sys
 
 import mpmath
 import pytest
@@ -109,10 +110,54 @@ def test_sweep_domain_errors(args):
         tricomi_psi_on(*args)
 
 
-def test_underflowing_seed_is_refused():
-    # Psi(80, 1.5; 1e4) ~ 1e-320 is subnormal: no digits to sweep from
-    with pytest.raises(ConvergenceError, match="normal float"):
-        tricomi_psi_on(80.0, 1.5, [1e4, 1.0])
+def test_underflowing_seed_is_swept_from_its_scaled_mantissa():
+    # the seed Psi(150, 1.5; 64) ~ 1.8e-334 is no float; the sweep starts
+    # from its mantissa over an exact power of two, and the values it
+    # carries back into float64 match hyperu
+    rhos = [64.0 * 0.9**i for i in range(80)]
+    vals = tricomi_psi_on(150.0, 1.5, rhos)
+    assert vals[0] == 0.0
+    with mpmath.workdps(30):
+        for rho, v in zip(rhos, vals):
+            ref = mpmath.hyperu(150.0, 1.5, rho)
+            if ref >= sys.float_info.min:
+                assert abs(v - ref) <= 1e-12 * ref, (rho, v, ref)
+    assert vals[-1] > sys.float_info.min
+
+
+def test_deep_ground_state_grid_is_swept():
+    # kappa = 0.34, nu = -1.45: alpha ~ 141.7 and the seed Psi(alpha, 1.34; 64)
+    # ~ 2.8e-314 is subnormal; hyperu checks the points where it is a normal float
+    alpha, beta, ups = ground_alpha(0.34**2 - 0.25, 1.0, -1.45)
+    assert 141.0 < alpha < 142.0
+    rhos = [ups * ups * x * x for x in oracle_grid(ups)]
+    vals = tricomi_psi_on(alpha, beta, rhos)
+    normal = 0
+    with mpmath.workdps(30):
+        for i in checked(len(rhos)):
+            ref = mpmath.hyperu(alpha, beta, rhos[i])
+            if ref >= sys.float_info.min:
+                normal += 1
+                assert abs(vals[i] - ref) <= REL * ref, (rhos[i], vals[i], ref)
+    assert normal >= 30
+
+
+@pytest.mark.parametrize("kappa, alpha", [(0.19, 6.29), (0.5, 88.15), (0.34, 141.7)])
+def test_subgrid_values_agree(kappa, alpha):
+    # dense output: a point's value depends on where the steps end, which
+    # its neighbours move; every other point of a grid reads the same
+    rhos = [x * x for x in oracle_grid(1.0)]
+    full = tricomi_psi_on(alpha, 1.0 + kappa, rhos)
+    half = tricomi_psi_on(alpha, 1.0 + kappa, rhos[::2])
+    for rho, a, b in zip(rhos[::2], full[::2], half):
+        assert abs(a - b) <= 1e-13 * abs(b), (rho, a, b)
+
+
+def test_seed_past_the_log_form_is_refused():
+    # Psi(alpha + 1, beta + 1) at the seed: the integral's weight t^alpha e^(-t)
+    # passes float64 from alpha ~ 171, in the log form as in the float one
+    with pytest.raises(ConvergenceError, match="overflows"):
+        tricomi_psi_on(171.5, 1.5, [64.0, 1.0])
 
 
 def test_step_budget_is_refused():
@@ -196,12 +241,13 @@ def test_values_on_envelope_overflow_is_typed():
 
 
 def test_refused_sweep_gives_the_pointwise_values():
-    # the grid reaches rho = 1e4, where the seed Psi(~81, 1.5) is subnormal;
-    # every value is then value_at's (there, e^(-rho/2) makes it 0.0)
+    # the grid reaches rho = 1e4, ~1e4 steps of about one unit from its
+    # seed down to 0.25, past the budget of 1000 + 16 per point; every
+    # value is then value_at's (there, e^(-rho/2) makes it 0.0)
     rp = reduce(0.0, 1.0)
     phi = make_phi(RepresentationParams(0.0, 80.0, rp))
     xs = [100.0, 2.0, 0.5]
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match="steps"):
         tricomi_psi_on(rp.alpha_of(80.0), rp.beta, [x * x for x in xs])
     assert phi.values_on(xs) == [phi.value_at(x) for x in xs]
 

@@ -6,6 +6,7 @@ downstream module leans on.
 """
 
 import math
+import sys
 from unittest import mock
 
 import mpmath
@@ -559,15 +560,25 @@ class TestTricomiPsi:
             ref = float(mpmath.hyperu(*args))
         assert tricomi_psi(*args) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
-    def test_subnormal_sweep_seed_is_refused(self):
+    def test_subnormal_sweep_seed_is_scaled(self):
         # (1 + t/rho)^(beta-alpha-1) underflows over the whole weight, and
         # the sweep's seed Psi(alpha, beta; 8+) = 1.5e-320 is subnormal,
-        # although Psi = 1.36e-288 here
+        # although Psi = 1.36e-288 here: the sweep starts from the seed's
+        # log form, scaled by a power of two
         args = (163.5431713875539, 2.0000240385494554, 0.0020309934977136893)
         with pytest.raises(ConvergenceError, match="integrand underflows"):
             tricomi_psi_integral(*args)
-        with pytest.raises(ConvergenceError, match=r"seed Psi = 1\.5\d*e-320, .* is not a normal float"):
-            tricomi_psi(*args)
+        assert 0.0 < tricomi_psi(*args[:2], math.nextafter(8.0, math.inf)) < sys.float_info.min
+        with mpmath.workdps(30):
+            ref = float(mpmath.hyperu(*args))
+        assert tricomi_psi(*args) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("b", [1.0, 1.5])
+    def test_seed_past_the_log_form_is_refused(self, b):
+        # from alpha ~ 171 the integral's weight passes float64, so neither
+        # the float nor the log form of the sweep's seed exists
+        with pytest.raises(ConvergenceError, match="integrand overflows"):
+            tricomi_psi(171.5, b, 0.01)
 
     @given(
         st.one_of(

@@ -149,8 +149,8 @@ def test_state_norm_pinned(args, pinned):
 @pytest.mark.parametrize(
     "kappa, nu, g2, pinned",
     [
-        (0.3, 0.4, 2.0, "12e90cdc9cd20ee30174ce4bb30a887e70f1df9ef0e4aa5a556b16a9a6f8ec89"),
-        (0.7, -1.0, 0.5, "dcfc37c5f9e4859558cc177a195e07a34731148b81f01c9c9eb7076959ea0158"),
+        (0.3, 0.4, 2.0, "63dc5d8453be95e5cee2e5eba0ca862ebfb03d4e84b40c5b451c350f32d7af27"),
+        (0.7, -1.0, 0.5, "93dc33cfb1e5efe6085da2eeac07e67bcf0c56a85d8e36f6f36c95bdbd991c13"),
     ],
 )
 def test_sampled_ground_state_pinned(kappa, nu, g2, pinned):
