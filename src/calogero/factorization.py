@@ -43,10 +43,12 @@ that defect, with h' computed honestly from the series second derivative
 
 `apply_a` and `factorization_residual` take phi, built once per
 representation by `make_phi`.  Each value at x reads one evaluation of S;
-the residual's, of order 2, gives phi, h and h' together.  `residual_sweep`
-and `kernel_sweep` are the checks `factorize-check` and `verify` row 6
-report: the worst residual over three test functions at four points, and
-the worst |a phi|, zero at the floor w0.
+the residual's, of order 2, gives phi, h and h' together, and phi keeps
+its last few, so the test functions evaluated at one x share it.
+`residual_sweep` and `kernel_sweep` are the checks `factorize-check` and
+`verify` row 6 report: the worst residual over three test functions at four
+points (four order-2 evaluations), and the worst |a phi|, zero at the
+floor w0.
 
 Derivatives of S use the contiguous relations
     Phi' = (alpha/beta) Phi(alpha+1, beta+1),   Psi' = -alpha Psi(alpha+1, beta+1),
@@ -73,6 +75,9 @@ __all__ = [
 ]
 
 _HALF_PI = 0.5 * math.pi
+# order-2 jets a phi keeps, at least the residual's four points: the
+# residual sweep evaluates every test function at the same x
+_JET_MEMO = 8
 
 
 @dataclass(frozen=True)
@@ -122,6 +127,7 @@ class EvaluableSolution:
         if self._sin < 1e-15:
             self._sin, self._cos = 0.0, 1.0
         self._at_floor = rep.at_floor
+        self._jets: dict[float, tuple[float, float, float, float, float]] = {}
         if self._at_floor:
             self._psi_scale = 0.0
         elif self._kappa > 0.0:
@@ -154,10 +160,20 @@ class EvaluableSolution:
     # -- x-space evaluations --------------------------------------------
 
     def _jet(self, x: float, order: int) -> tuple[float, float, float, float, float]:
-        # (rho, e^(-rho/2) rho^q, S, S', S'') at x from one `_S` call of `order`
+        # (rho, e^(-rho/2) rho^q, S, S', S'') at x from one `_S` call of
+        # `order`; an order-2 jet is kept and answers any later call at x,
+        # since S and S' do not depend on the order they were asked at
+        jet = self._jets.get(x)
+        if jet is not None:
+            return jet
         rho = self._rho(x)
         s, sp, spp = self._S(rho, order)
-        return rho, self._envelope(rho), s, sp, spp
+        jet = rho, self._envelope(rho), s, sp, spp
+        if order == 2:
+            if len(self._jets) >= _JET_MEMO:
+                self._jets.clear()
+            self._jets[x] = jet
+        return jet
 
     def _rho(self, x: float) -> float:
         if not (x > 0.0 and math.isfinite(x)):
@@ -192,26 +208,33 @@ class EvaluableSolution:
         allowed): env * (sin mu Phi + cos mu scale Psi) with Phi pointwise
         and Psi from one inward sweep (`tricomi_psi_on`), two Psi calls for
         the whole grid; S = 1 at the floor.  x <= 0 and rho^q past float64
-        raise what `value_at` raises.  Where the sweep refuses (more steps
-        than its budget, or a seed whose integral passes float64 from
-        alpha ~ 171), each value is `value_at`'s, or its refusal."""
+        raise what `value_at` raises.  A point whose envelope e^(-rho/2)
+        rho^q is 0.0 (from rho ~ 1490) takes `value_at`'s signed zero and
+        stays out of the sweep, which then starts from the largest rho
+        left.  Where the sweep refuses (more steps than its budget, or a
+        seed whose integral passes float64 from alpha ~ 171), each value is
+        `value_at`'s, or its refusal."""
         xs = [float(x) for x in xs]
         rhos = [self._rho(x) for x in xs]
+        envs = [self._envelope(rho) for rho in rhos]
         if self._at_floor:
-            ss = [1.0] * len(rhos)
-        else:
-            a, b = self._alpha, self._beta
-            ss = [0.0] * len(rhos)
-            if self._sin != 0.0:
-                ss = [s + self._sin * kummer_phi(a, b, rho) for s, rho in zip(ss, rhos)]
-            if self._cos != 0.0:
-                try:
-                    psi = tricomi_psi_on(a, b, rhos)
-                except (ConvergenceError, DomainError):
-                    return [self.value_at(x) for x in xs]
-                c = self._cos * self._psi_scale
-                ss = [s + c * p for s, p in zip(ss, psi)]
-        return [self._envelope(rho) * s for rho, s in zip(rhos, ss)]
+            return envs  # env * 1.0
+        live = [i for i, env in enumerate(envs) if env != 0.0]
+        out = [0.0 if env else self.value_at(x) for x, env in zip(xs, envs)]
+        a, b = self._alpha, self._beta
+        ss = [0.0] * len(live)
+        if self._sin != 0.0:
+            ss = [s + self._sin * kummer_phi(a, b, rhos[i]) for s, i in zip(ss, live)]
+        if self._cos != 0.0:
+            try:
+                psi = tricomi_psi_on(a, b, [rhos[i] for i in live])
+            except (ConvergenceError, DomainError):
+                return [self.value_at(x) for x in xs]
+            c = self._cos * self._psi_scale
+            ss = [s + c * p for s, p in zip(ss, psi)]
+        for i, s in zip(live, ss):
+            out[i] = envs[i] * s
+        return out
 
     def derivative_at(self, x: float) -> float:
         rho, env, s, sp, _ = self._jet(x, 1)

@@ -80,9 +80,10 @@ __all__ = [
 
 _HALF_PI = 0.5 * math.pi
 _FRIEDRICHS_SNAP = 1e-6
-# ln|e/4| of the deepest ground floor: -4 e^700 leaves the bracket's
-# midpoints inside float64, and a ground state estimated below it is refused
-_LN_DEEPEST = 700.0
+# ln|e/4| of the deepest ground floor: -4 e^708.39 - 8 = -1.786e308 lies
+# just inside float64 (ln(DBL_MAX/4) = 708.396), and a ground state
+# estimated below it is refused
+_LN_DEEPEST = 708.39
 # F reads e through alpha = (1+k)/2 - e/4, which near e = 0 moves in steps
 # of ~4e-16 in e: below |e| = _E_FINE a root search counts its ulps (its
 # first step and its stopping width) at _E_FINE, still 1e6 times finer
@@ -441,7 +442,8 @@ def _root_in_gap(
         # x itself when no float lies between x and the end
         y = est + d
         if not (y < end if d > 0.0 else y > end):
-            y = 0.5 * (x + end)
+            # 0.5 * (x + end) without its overflow next to the deepest floor
+            y = 0.5 * x + 0.5 * end
         return y if (x < y < end or end < y < x) else x
 
     noise = 1e-9 * (1.0 + abs(target))

@@ -305,6 +305,33 @@ class TestWorkBudget:
         assert len(kummer) == 3 * len(xs)
         assert len(psi) == 3 * len(xs)
 
+    def test_residual_sweep_is_one_order_two_evaluation_per_point(self, monkeypatch):
+        # 3 test functions at 4 points: 12 residuals, but phi's order-2 jet
+        # at each point is computed once and shared by the three
+        phi = make_phi(rep_of(0.0, 1.0, 0.7, 0.3))  # both Phi and Psi mixed in
+        kummer = self._count(monkeypatch, factorization, "kummer_phi")
+        psi = self._count(monkeypatch, factorization, "tricomi_psi")
+        residuals = self._count(monkeypatch, factorization, "factorization_residual")
+        residual_sweep(phi, factorization.factorization_residual)
+        assert len(residuals) == 12
+        assert len(kummer) == len(psi) == 3 * 4
+        assert len({rho for _, _, rho in kummer}) == 4
+
+    def test_kept_jets_give_the_fresh_floats(self):
+        # after the residual sweep phi answers its points from kept jets:
+        # every order gives a fresh phi's floats, and at most _JET_MEMO jets
+        # are kept
+        rep = rep_of(0.3, 1.7, 0.9, 1.4)
+        used = make_phi(rep)
+        residual_sweep(used, factorization_residual)
+        for x in (0.3, 0.7, 1.3, 2.1):
+            for name in ("value_at", "derivative_at", "second_derivative_at", "superpotential_at"):
+                assert getattr(used, name)(x) == getattr(make_phi(rep), name)(x)
+            assert factorization_residual(used, F2, x) == factorization_residual(make_phi(rep), F2, x)
+        for i in range(40):
+            used.second_derivative_at(0.05 + 0.1 * i)
+        assert len(used._jets) <= factorization._JET_MEMO
+
     def test_value_is_one_order_zero_evaluation(self, monkeypatch):
         phi = make_phi(rep_of(0.0, 1.0, 0.7, 0.3))
         kummer = self._count(monkeypatch, factorization, "kummer_phi")
@@ -320,8 +347,8 @@ class TestWorkBudget:
         assert cli.main(["factorize-check", "--g1", "0", "--g2", "1", "--mu", "0.3", "--w", "0.2"]) == 0
         capsys.readouterr()
         assert len(made) == 1
-        # 12 residual points at order 2, then phi on the 60-point grid: Phi
-        # pointwise, Psi from one sweep
-        assert len(kummer) == 12 * 3 + 60
-        assert len(psi) == 12 * 3
+        # 4 residual points at order 2, shared by the 3 test functions, then
+        # phi on the 60-point grid: Phi pointwise, Psi from one sweep
+        assert len(kummer) == 4 * 3 + 60
+        assert len(psi) == 4 * 3
         assert [len(rhos) for _, _, rhos in sweeps] == [60]

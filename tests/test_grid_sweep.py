@@ -9,6 +9,8 @@ import sys
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from calogero import factorization, oracle, specfun
 from calogero.errors import ConvergenceError, DomainError
@@ -153,6 +155,80 @@ def test_subgrid_values_agree(kappa, alpha):
         assert abs(a - b) <= 1e-13 * abs(b), (rho, a, b)
 
 
+def sweep_before_the_term_table(alpha, beta, rhos):
+    """`tricomi_psi_on` as its recurrence loop read before it took (k, k+1,
+    k+2) from a table and tested abs(kd) as -lim <= kd <= lim: the
+    reference its floats must equal bit for bit.  Inputs as the sweep
+    accepts them; refusals are not compared."""
+    rs = [float(r) for r in rhos]
+    n = len(rs)
+    out = [0.0] * n
+    order = sorted(range(n), key=rs.__getitem__, reverse=True)
+    desc = [rs[i] for i in order]
+    r = max(desc[0], specfun._SWEEP_SEED)
+    s = tricomi_psi(alpha, beta, r)
+    sp = -alpha * tricomi_psi(alpha + 1.0, beta + 1.0, r)
+    e = 0
+    if not (s >= sys.float_info.min and -sp >= sys.float_info.min):
+        s, sp, e = specfun._scaled_seed(alpha, beta, r)
+    j = 0
+    while True:
+        while j < n and desc[j] == r:
+            out[order[j]] = s
+            j += 1
+        if j == n:
+            break
+        end = lo = r - r / max(2.0, math.hypot(r - beta, 2.0 * math.sqrt(alpha * r)))
+        i = j
+        while i < n and desc[i] >= lo:
+            end = desc[i]
+            i += 1
+        h = end - r
+        hr, ah, br = h / r, alpha * h, beta - r
+        d0, d1 = s, sp * h
+        ds = [d0, d1]
+        total, dtotal = d0 + d1, d1
+        small = False
+        for k in range(specfun._SWEEP_MAX_TERMS):
+            k1 = k + 1.0
+            k2 = k1 + 1.0
+            d2 = ((k * h + ah) * d0 / k1 - (k + br) * d1) * hr / k2
+            ds.append(d2)
+            total += d2
+            kd = k2 * d2
+            dtotal += kd
+            if abs(kd) <= specfun._SWEEP_REL_TOL * dtotal and abs(d2) <= specfun._SWEEP_REL_TOL * total:
+                if small:
+                    break
+                small = True
+            else:
+                small = False
+            d0, d1 = d1, d2
+        ds.reverse()
+        while desc[j] > end:
+            t = (desc[j] - r) / h
+            v = 0.0
+            for d in ds:
+                v = v * t + d
+            out[order[j]] = v
+            j += 1
+        r, s, sp = end, total, dtotal / h
+    return [math.ldexp(v, e) for v in out] if e else out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    alpha=st.floats(0.01, 150.0),
+    beta=st.floats(1.0, 3.0),
+    rhos=st.lists(st.floats(1e-3, 80.0), min_size=1, max_size=25),
+)
+@example(alpha=141.7, beta=1.34, rhos=[64.0, 20.0, 3.5, 0.4, 0.01])  # binary-scaled seed
+@example(alpha=150.0, beta=1.5, rhos=[64.0 * 0.9**i for i in range(40)])
+@example(alpha=0.7, beta=1.0, rhos=[7.0, 7.0, 2.0, 1e-3])  # seed at 8+, repeats
+def test_sweep_is_the_loop_before_the_term_table_bit_for_bit(alpha, beta, rhos):
+    assert tricomi_psi_on(alpha, beta, rhos) == sweep_before_the_term_table(alpha, beta, rhos)
+
+
 def test_seed_past_the_log_form_is_refused():
     # Psi(alpha + 1, beta + 1) at the seed: the integral's weight t^alpha e^(-t)
     # passes float64 from alpha ~ 171, in the log form as in the float one
@@ -241,15 +317,42 @@ def test_values_on_envelope_overflow_is_typed():
 
 
 def test_refused_sweep_gives_the_pointwise_values():
-    # the grid reaches rho = 1e4, ~1e4 steps of about one unit from its
-    # seed down to 0.25, past the budget of 1000 + 16 per point; every
-    # value is then value_at's (there, e^(-rho/2) makes it 0.0)
+    # the grid reaches rho = 1369, where the envelope is still a float, and
+    # the sweep runs out of its budget of 1000 + 16 per point near rho = 476
+    # on the way down to 0.25; every value is then value_at's
     rp = reduce(0.0, 1.0)
     phi = make_phi(RepresentationParams(0.0, 80.0, rp))
-    xs = [100.0, 2.0, 0.5]
+    xs = [37.0, 2.0, 0.5]
+    assert phi._envelope(37.0**2) > 0.0
     with pytest.raises(ConvergenceError, match="steps"):
         tricomi_psi_on(rp.alpha_of(80.0), rp.beta, [x * x for x in xs])
     assert phi.values_on(xs) == [phi.value_at(x) for x in xs]
+
+
+def test_points_with_a_zero_envelope_stay_out_of_the_sweep(monkeypatch):
+    # at rho = 1e4 e^(-rho/2) rho^q is 0.0: that point takes value_at's
+    # signed zero, and the sweep starts from the largest rho left instead of
+    # walking ~1e4 unit steps into its budget
+    rp = reduce(0.0, 1.0)
+    phi = make_phi(RepresentationParams(0.0, 80.0, rp))
+    sweeps = []
+    inner = factorization.tricomi_psi_on
+
+    def counted(alpha, beta, rhos):
+        sweeps.append(list(rhos))
+        return inner(alpha, beta, rhos)
+
+    monkeypatch.setattr(factorization, "tricomi_psi_on", counted)
+    vals = phi.values_on([100.0, 2.0, 0.5])
+    assert sweeps == [[4.0, 0.25]]
+    alone = phi.values_on([2.0, 0.5])
+    assert vals == [phi.value_at(100.0)] + alone
+    assert vals[0] == 0.0 and math.copysign(1.0, vals[0]) == 1.0
+    for x, v in zip((2.0, 0.5), alone):
+        assert v == pytest.approx(phi.value_at(x), rel=1e-12, abs=0.0)
+    # a grid of zero envelopes only sweeps no point
+    assert phi.values_on([100.0, 60.0]) == [0.0, 0.0]
+    assert [rhos for rhos in sweeps if rhos] == [[4.0, 0.25]] * 2
 
 
 def test_ground_state_values_on_is_the_norm_times_the_solution():

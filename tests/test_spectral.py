@@ -336,10 +336,41 @@ class TestSpectrumFrozen:
             assert abs(mp.mpf(e33) - ref) <= math.ulp(e33)
 
     def test_kappa_zero_overflow_refused(self):
-        # past tan nu ~ 700 the kappa = 0 ground state leaves float64 range
+        # past tan nu ~ 709.5 the kappa = 0 ground state leaves float64 range
         rp0 = rp_kappa(0.0)
-        with pytest.raises(ConvergenceError, match="float64"):
-            ground_state_energy(rp0, extension_for(rp0, nu=HALF_PI - 1e-5))
+        for nu in (HALF_PI - 1e-5, math.atan(709.6), math.atan(712.0)):
+            with pytest.raises(ConvergenceError, match="float64"):
+                ground_state_energy(rp0, extension_for(rp0, nu=nu))
+
+    # ln|E| ~ 701.7, 705.4 and 709.7: the last is -1.7e308, next to the
+    # floor -4 e^_LN_DEEPEST - 8
+    @pytest.mark.parametrize("tan_nu", [701.5, 705.15, 709.5])
+    def test_kappa_zero_roots_down_to_the_float64_floor(self, tan_nu):
+        rp0 = rp_kappa(0.0)
+        nu = math.atan(tan_nu)
+        e0 = ground_state_energy(rp0, extension_for(rp0, nu=nu))
+        with mpmath.workdps(40):
+            t = mpmath.mpf(math.tan(nu))
+
+            def boundary(y):  # psi(1/2 + w) - 2 psi(1) - tan nu at w = e^y
+                return mpmath.digamma(0.5 + mpmath.exp(y)) - 2 * mpmath.digamma(1) - t
+
+            ref = -4 * mpmath.exp(mpmath.findroot(boundary, t - 2 * mpmath.euler))
+            assert abs(e0 - ref) <= 1e-12 * abs(ref)
+
+    def test_kappa_positive_root_next_to_the_float64_floor(self):
+        # ln w ~ 708.01, just inside the floor at 708.39: the bracket's
+        # halving steps toward the floor there pass float64 if they sum
+        # before halving
+        rp = rp_kappa(0.018503920156066216)
+        nu = -(HALF_PI - 2e-6)
+        e0 = ground_state_energy(rp, extension_for(rp, nu=nu))
+        with mpmath.workdps(40):
+            k = mpmath.mpf(rp.kappa)
+            c = mpmath.loggamma(1 - k) - mpmath.loggamma(1 + k)
+            # G(b + k)/G(b) = b^k (1 + O(1/b)) at b = w + (1 - k)/2 ~ e^708
+            ref = -4 * (mpmath.exp((mpmath.log(-mpmath.tan(mpmath.mpf(nu))) - c) / k) - (1 - k) / 2)
+            assert abs(e0 - ref) <= 1e-12 * abs(ref)
 
     # kappa = 0.0019: the ground floor's bound lies ln(1 + 1/target)/kappa
     # ~ 153 e-folds below these roots, past float64; it is clipped there, not
