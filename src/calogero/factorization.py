@@ -211,8 +211,10 @@ class EvaluableSolution:
         raise what `value_at` raises.  A point whose envelope e^(-rho/2)
         rho^q is 0.0 (from rho ~ 1490) takes `value_at`'s signed zero and
         stays out of the sweep, which then starts from the largest rho
-        left.  Where the sweep refuses (more steps than its budget, or a
-        seed whose integral passes float64 from alpha ~ 171), each value is
+        left: its steps end elsewhere than they would from the whole grid's
+        largest rho, so the other values may move in their last bits.
+        Where the sweep refuses (more steps than its budget, or a seed whose
+        integral passes float64 from alpha ~ 171), each value is
         `value_at`'s, or its refusal."""
         xs = [float(x) for x in xs]
         rhos = [self._rho(x) for x in xs]

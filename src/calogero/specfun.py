@@ -667,8 +667,6 @@ _SWEEP_REL_TOL = 1e-17
 _SWEEP_MAX_TERMS = 400
 _SWEEP_MAX_STEPS = 1000
 _LN2 = math.log(2.0)
-# (k, k + 1, k + 2) as floats for the recurrence's term k
-_SWEEP_TERMS = tuple((float(k), k + 1.0, k + 2.0) for k in range(_SWEEP_MAX_TERMS))
 
 
 def _scaled_seed(alpha: float, beta: float, r: float) -> tuple[float, float, int]:
@@ -750,15 +748,15 @@ def tricomi_psi_on(alpha: float, beta: float, rhos) -> list[float]:
         ds = [d0, d1]
         total, dtotal = d0 + d1, d1
         small = False
-        push, tol = ds.append, _SWEEP_REL_TOL
-        for k, k1, k2 in _SWEEP_TERMS:
+        for k in range(_SWEEP_MAX_TERMS):
+            k1 = k + 1.0
+            k2 = k1 + 1.0
             d2 = ((k * h + ah) * d0 / k1 - (k + br) * d1) * hr / k2
-            push(d2)
+            ds.append(d2)
             total += d2
             kd = k2 * d2
             dtotal += kd
-            lim = tol * dtotal
-            if -lim <= kd <= lim and abs(d2) <= tol * total:
+            if abs(kd) <= _SWEEP_REL_TOL * dtotal and abs(d2) <= _SWEEP_REL_TOL * total:
                 if small:
                     break
                 small = True

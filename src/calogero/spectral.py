@@ -82,7 +82,8 @@ _HALF_PI = 0.5 * math.pi
 _FRIEDRICHS_SNAP = 1e-6
 # ln|e/4| of the deepest ground floor: -4 e^708.39 - 8 = -1.786e308 lies
 # just inside float64 (ln(DBL_MAX/4) = 708.396), and a ground state
-# estimated below it is refused
+# estimated below it is refused.  This bounds the scaled e only: `spectrum`
+# refuses a root whose E = e upsilon^2 passes float64 (upsilon^2 > ~1.006)
 _LN_DEEPEST = 708.39
 # F reads e through alpha = (1+k)/2 - e/4, which near e = 0 moves in steps
 # of ~4e-16 in e: below |e| = _E_FINE a root search counts its ulps (its
@@ -516,6 +517,12 @@ def spectrum(rp: ReducedParams, ext: Extension, n_max: int) -> SpectrumResult:
     for n in range(n_max):
         hi = _pole(rp, n)
         e, r = _root_in_gap(rp, target, n, lo, hi, c, skew)
+        if not math.isfinite(e * unit):
+            # only a ground root next to the floor, in units upsilon^2 > 1
+            raise ConvergenceError(
+                "ground state deeper than float64 range for this extension "
+                f"(ln|E| ~ {math.log(-e) + math.log(unit):.0f})"
+            )
         roots.append(e * unit)
         resids.append(r)
         lo = hi

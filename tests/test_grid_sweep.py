@@ -9,8 +9,6 @@ import sys
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from calogero import factorization, oracle, specfun
 from calogero.errors import ConvergenceError, DomainError
@@ -153,80 +151,6 @@ def test_subgrid_values_agree(kappa, alpha):
     half = tricomi_psi_on(alpha, 1.0 + kappa, rhos[::2])
     for rho, a, b in zip(rhos[::2], full[::2], half):
         assert abs(a - b) <= 1e-13 * abs(b), (rho, a, b)
-
-
-def sweep_before_the_term_table(alpha, beta, rhos):
-    """`tricomi_psi_on` as its recurrence loop read before it took (k, k+1,
-    k+2) from a table and tested abs(kd) as -lim <= kd <= lim: the
-    reference its floats must equal bit for bit.  Inputs as the sweep
-    accepts them; refusals are not compared."""
-    rs = [float(r) for r in rhos]
-    n = len(rs)
-    out = [0.0] * n
-    order = sorted(range(n), key=rs.__getitem__, reverse=True)
-    desc = [rs[i] for i in order]
-    r = max(desc[0], specfun._SWEEP_SEED)
-    s = tricomi_psi(alpha, beta, r)
-    sp = -alpha * tricomi_psi(alpha + 1.0, beta + 1.0, r)
-    e = 0
-    if not (s >= sys.float_info.min and -sp >= sys.float_info.min):
-        s, sp, e = specfun._scaled_seed(alpha, beta, r)
-    j = 0
-    while True:
-        while j < n and desc[j] == r:
-            out[order[j]] = s
-            j += 1
-        if j == n:
-            break
-        end = lo = r - r / max(2.0, math.hypot(r - beta, 2.0 * math.sqrt(alpha * r)))
-        i = j
-        while i < n and desc[i] >= lo:
-            end = desc[i]
-            i += 1
-        h = end - r
-        hr, ah, br = h / r, alpha * h, beta - r
-        d0, d1 = s, sp * h
-        ds = [d0, d1]
-        total, dtotal = d0 + d1, d1
-        small = False
-        for k in range(specfun._SWEEP_MAX_TERMS):
-            k1 = k + 1.0
-            k2 = k1 + 1.0
-            d2 = ((k * h + ah) * d0 / k1 - (k + br) * d1) * hr / k2
-            ds.append(d2)
-            total += d2
-            kd = k2 * d2
-            dtotal += kd
-            if abs(kd) <= specfun._SWEEP_REL_TOL * dtotal and abs(d2) <= specfun._SWEEP_REL_TOL * total:
-                if small:
-                    break
-                small = True
-            else:
-                small = False
-            d0, d1 = d1, d2
-        ds.reverse()
-        while desc[j] > end:
-            t = (desc[j] - r) / h
-            v = 0.0
-            for d in ds:
-                v = v * t + d
-            out[order[j]] = v
-            j += 1
-        r, s, sp = end, total, dtotal / h
-    return [math.ldexp(v, e) for v in out] if e else out
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    alpha=st.floats(0.01, 150.0),
-    beta=st.floats(1.0, 3.0),
-    rhos=st.lists(st.floats(1e-3, 80.0), min_size=1, max_size=25),
-)
-@example(alpha=141.7, beta=1.34, rhos=[64.0, 20.0, 3.5, 0.4, 0.01])  # binary-scaled seed
-@example(alpha=150.0, beta=1.5, rhos=[64.0 * 0.9**i for i in range(40)])
-@example(alpha=0.7, beta=1.0, rhos=[7.0, 7.0, 2.0, 1e-3])  # seed at 8+, repeats
-def test_sweep_is_the_loop_before_the_term_table_bit_for_bit(alpha, beta, rhos):
-    assert tricomi_psi_on(alpha, beta, rhos) == sweep_before_the_term_table(alpha, beta, rhos)
 
 
 def test_seed_past_the_log_form_is_refused():

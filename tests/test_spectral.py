@@ -342,6 +342,21 @@ class TestSpectrumFrozen:
             with pytest.raises(ConvergenceError, match="float64"):
                 ground_state_energy(rp0, extension_for(rp0, nu=nu))
 
+    def test_kappa_zero_root_refused_past_float64_in_physical_units(self):
+        # tan nu = 709.5: the scaled root -1.71e308 fits float64, but at
+        # g2 = 4 (upsilon^2 = 2) E = -3.4e308 does not; at g2 = 1.1 it does
+        nu = math.atan(709.5)
+        rp4 = rp_kappa(0.0, g2=4.0)
+        ext4 = extension_for(rp4, nu=nu)
+        for f in (ground_state_energy, ground_state_wavefunction):
+            with pytest.raises(ConvergenceError, match="float64 range"):
+                f(rp4, ext4)
+        rp1 = rp_kappa(0.0, g2=1.0)
+        rp11 = rp_kappa(0.0, g2=1.1)
+        e1 = ground_state_energy(rp1, extension_for(rp1, nu=nu))
+        e11 = ground_state_energy(rp11, extension_for(rp11, nu=nu))
+        assert math.isfinite(e11) and e11 == e1 * rp11.energy_scale()
+
     # ln|E| ~ 701.7, 705.4 and 709.7: the last is -1.7e308, next to the
     # floor -4 e^_LN_DEEPEST - 8
     @pytest.mark.parametrize("tan_nu", [701.5, 705.15, 709.5])
