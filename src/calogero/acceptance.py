@@ -9,13 +9,30 @@ The rows marked quick in `_CHECKS` form the subset that must finish in a
 few seconds; it keeps row 3, the one oracle grid that sees a fault in each
 special function the boundary equations call.  The full table adds the
 other oracle rows and stays comfortably under two minutes.
+
+The oracle rows (1, 2-vs-oracle, 3, 4, 9, 10-oracle) read one table.
+`run_acceptance` gathers the (rp, ext) cells of the rows it runs, shoots
+each cell once at the largest level count a row asks of it, and every row
+reads the first n levels of its cells: a k-level run is the first k levels
+of a longer run bit for bit, since level n's solve never reads n_max.  The
+table is shot in shares, one per usable CPU and at most one per cell.  The
+parent keeps one share and forks a child for each other; a child sends its
+spectra back through a pipe with `marshal`, which keeps every float's bits,
+and a `DomainError` or `ConvergenceError` as the same type and message.
+The parent's share is lighter, since it runs the rows that need no oracle
+while the children work.  So the rows and their bytes are the same on any
+number of CPUs, and no child outlives the call.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
-from dataclasses import dataclass
+import os
+import threading
+from dataclasses import dataclass, replace
 
+from .errors import ConvergenceError, DomainError
 from .factorization import (
     RepresentationParams,
     factorization_residual,
@@ -24,7 +41,7 @@ from .factorization import (
     residual_sweep,
 )
 from .nonexistence import count_zeros
-from .oracle import shoot_spectrum
+from .oracle import OracleSpectrum, shoot_spectrum
 from .params import Couplings, reduce
 from .specfun import (
     gamma,
@@ -80,13 +97,19 @@ def _rel(got, ref):
 # --- 1: Friedrichs/unique ground state against the oracle ------------------
 
 
-def _c1_friedrichs_ground():
-    worst = 0.0
+def _c1_cells():
+    cells = []
     for g1, g2 in [(1.0, 1.0), (0.75, 1.0), (0.0, 1.0), (-3.0 / 16.0, 4.0), (-0.25, 1.0)]:
         rp = reduce(g1, g2)
-        ext = extension_for(rp, nu=None, friedrichs=True)
+        cells.append((rp, extension_for(rp, nu=None, friedrichs=True), 1))
+    return cells
+
+
+def _c1_friedrichs_ground(shot):
+    worst = 0.0
+    for rp, ext, n in _c1_cells():
         ref = 2.0 * rp.energy_scale() * (1.0 + rp.kappa)
-        got = shoot_spectrum(rp, ext, 1).energies[0]
+        got = shot(rp, ext, n).energies[0]
         worst = _worst(worst, _rel(got, ref))
     return _row(
         "1-friedrichs-ground-vs-oracle", worst, 1e-13,
@@ -110,12 +133,19 @@ def _c2_nu_zero_closed_form():
     )
 
 
-def _c2_nu_zero_oracle():
-    worst = 0.0
+def _c2_cells():
+    cells = []
     for kappa in (0.25, 0.5, 0.75):
-        rp = reduce(kappa * kappa - 0.25, 1.0)
-        got = shoot_spectrum(rp, extension_for(rp, nu=0.0), 1).energies[0]
-        worst = _worst(worst, _rel(got, 2.0 * rp.energy_scale() * (1.0 - kappa)))
+        rp = reduce(kappa * kappa - 0.25, 1.0)  # rp.kappa == kappa
+        cells.append((rp, extension_for(rp, nu=0.0), 1))
+    return cells
+
+
+def _c2_nu_zero_oracle(shot):
+    worst = 0.0
+    for rp, ext, n in _c2_cells():
+        got = shot(rp, ext, n).energies[0]
+        worst = _worst(worst, _rel(got, 2.0 * rp.energy_scale() * (1.0 - rp.kappa)))
     return _row(
         "2-nu-zero-vs-oracle", worst, 1e-13,
         "the same ground states from the shooting side",
@@ -125,15 +155,20 @@ def _c2_nu_zero_oracle():
 # --- 3: transcendental spectra against the oracle, full grid ----------------
 
 
-def _c3_spectrum_equivalence():
-    worst = 0.0
-    combos = [(k, nu) for k in (0.25, 0.5, 0.75, 0.0) for nu in (-1.0, 0.0, 1.0)]
-    for kappa, nu in combos:
+def _c3_cells():
+    cells = []
+    for kappa, nu in [(k, nu) for k in (0.25, 0.5, 0.75, 0.0) for nu in (-1.0, 0.0, 1.0)]:
         rp = reduce(kappa * kappa - 0.25, 1.0)
-        ext = extension_for(rp, nu=nu)
-        formula = spectrum(rp, ext, 5).energies
-        shot = shoot_spectrum(rp, ext, 5).energies
-        worst = _worst(worst, *(_rel(s, f) for s, f in zip(shot, formula)))
+        cells.append((rp, extension_for(rp, nu=nu), 5))
+    return cells
+
+
+def _c3_spectrum_equivalence(shot):
+    worst = 0.0
+    for rp, ext, n in _c3_cells():
+        formula = spectrum(rp, ext, n).energies
+        shots = shot(rp, ext, n).energies
+        worst = _worst(worst, *(_rel(s, f) for s, f in zip(shots, formula)))
     return _row(
         "3-spectrum-equivalence", worst, 1e-12,
         "first 5 levels, 12 (kappa, nu) combinations, formula vs shooting",
@@ -143,16 +178,22 @@ def _c3_spectrum_equivalence():
 # --- 4: ladder spacing -------------------------------------------------------
 
 
-def _c4_ladder_spacing():
-    worst = 0.0
+def _c4_cells():
+    cells = []
     for kappa in (0.5, 1.0, 2.0):
-        rp = reduce(kappa * kappa - 0.25, 1.0)
-        ext = extension_for(rp, nu=None, friedrichs=True)
-        formula = spectrum(rp, ext, 5).energies
-        refs = [2.0 * rp.energy_scale() * (2 * n + 1 + kappa) for n in range(5)]
-        shot = shoot_spectrum(rp, ext, 5).energies
+        rp = reduce(kappa * kappa - 0.25, 1.0)  # rp.kappa == kappa
+        cells.append((rp, extension_for(rp, nu=None, friedrichs=True), 5))
+    return cells
+
+
+def _c4_ladder_spacing(shot):
+    worst = 0.0
+    for rp, ext, n in _c4_cells():
+        formula = spectrum(rp, ext, n).energies
+        refs = [2.0 * rp.energy_scale() * (2 * k + 1 + rp.kappa) for k in range(n)]
+        shots = shot(rp, ext, n).energies
         worst = _worst(worst, *(_rel(f, r) for f, r in zip(formula, refs)))
-        worst = _worst(worst, *(_rel(s, r) for s, r in zip(shot, refs)))
+        worst = _worst(worst, *(_rel(s, r) for s, r in zip(shots, refs)))
     return _row(
         "4-ladder-spacing-vs-oracle", worst, 1e-13,
         "E_n = 2 ups^2 (2n+1+kappa), n <= 4, three kappa values",
@@ -281,12 +322,8 @@ def _c8_oscillation():
 # --- 9: wavefunction fidelity ------------------------------------------------
 
 
-def _c9_wavefunction_fidelity():
-    # (u, u') of the analytic ground state at the oracle's match point against
-    # the shot one, relative to |(u, u')|: worst 6.1e-15 measured, where a
-    # gamma_skew of 1e-6 reads 2.2e-7 and a 1e-6 error in the norm constant
-    # 9.0e-7; 1e-12 is 100x the worst value, rounded up, and fails both
-    worst = 0.0
+def _c9_cells():
+    cells = []
     for g1, g2, kwargs in (
         (0.75, 1.0, dict(nu=None)),  # kappa = 1
         (-0.25, 1.0, dict(nu=None, friedrichs=True)),  # kappa = 0
@@ -296,9 +333,19 @@ def _c9_wavefunction_fidelity():
         (-0.1875, 4.0, dict(nu=1.0)),  # kappa = 1/4, ups^2 = 2
     ):
         rp = reduce(g1, g2)
-        ext = extension_for(rp, **kwargs)
-        shot = shoot_spectrum(rp, ext, 1)
-        (u, du), x = shot.match_states[0], shot.x_match
+        cells.append((rp, extension_for(rp, **kwargs), 1))
+    return cells
+
+
+def _c9_wavefunction_fidelity(shot):
+    # (u, u') of the analytic ground state at the oracle's match point against
+    # the shot one, relative to |(u, u')|: worst 6.1e-15 measured, where a
+    # gamma_skew of 1e-6 reads 2.2e-7 and a 1e-6 error in the norm constant
+    # 9.0e-7; 1e-12 is 100x the worst value, rounded up, and fails both
+    worst = 0.0
+    for rp, ext, n in _c9_cells():
+        ground = shot(rp, ext, n)
+        (u, du), x = ground.match_states[0], ground.x_match
         gs = ground_state_wavefunction(rp, ext)
         ref, dref = gs(x), gs.derivative(x)
         worst = _worst(worst, max(abs(u - ref), abs(du - dref)) / math.hypot(ref, dref))
@@ -322,10 +369,13 @@ def _c10_scaling_formula():
     )
 
 
-def _c10_scaling_oracle():
+def _c10_cells():
     rp1, rp4 = reduce(0.0, 1.0), reduce(0.0, 16.0)
-    e1 = shoot_spectrum(rp1, extension_for(rp1, nu=1.0), 3).energies
-    e4 = shoot_spectrum(rp4, extension_for(rp4, nu=1.0), 3).energies
+    return [(rp1, extension_for(rp1, nu=1.0), 3), (rp4, extension_for(rp4, nu=1.0), 3)]
+
+
+def _c10_scaling_oracle(shot):
+    e1, e4 = (shot(*cell).energies for cell in _c10_cells())
     worst = _worst(*(_rel(b, 4.0 * a) for a, b in zip(e1, e4)))
     return _row(
         "10-scaling-oracle", worst, 1e-13,
@@ -333,26 +383,184 @@ def _c10_scaling_oracle():
     )
 
 
-# (function, part of the quick subset)
+# (function, part of the quick subset, the oracle cells it reads or None);
+# a row with cells is called with `shot`, the table's (rp, ext, n) lookup
 _CHECKS = (
-    (_c1_friedrichs_ground, True),
-    (_c2_nu_zero_closed_form, True),
-    (_c2_nu_zero_oracle, False),
-    (_c3_spectrum_equivalence, True),
-    (_c4_ladder_spacing, False),
-    (_c5_monotone_flow, True),
-    (_c6_factorization_identity, True),
-    (_c6_kernel_at_floor, True),
-    (_c7_psi_dual_route, True),
-    (_c7_psi_large_rho, True),
-    (_c7_phi_large_rho, True),
-    (_c8_oscillation, True),
-    (_c9_wavefunction_fidelity, True),
-    (_c10_scaling_formula, True),
-    (_c10_scaling_oracle, False),
+    (_c1_friedrichs_ground, True, _c1_cells),
+    (_c2_nu_zero_closed_form, True, None),
+    (_c2_nu_zero_oracle, False, _c2_cells),
+    (_c3_spectrum_equivalence, True, _c3_cells),
+    (_c4_ladder_spacing, False, _c4_cells),
+    (_c5_monotone_flow, True, None),
+    (_c6_factorization_identity, True, None),
+    (_c6_kernel_at_floor, True, None),
+    (_c7_psi_dual_route, True, None),
+    (_c7_psi_large_rho, True, None),
+    (_c7_phi_large_rho, True, None),
+    (_c8_oscillation, True, None),
+    (_c9_wavefunction_fidelity, True, _c9_cells),
+    (_c10_scaling_formula, True, None),
+    (_c10_scaling_oracle, False, _c10_cells),
 )
 
 
 def run_acceptance(quick: bool = False) -> tuple[CheckRow, ...]:
-    """Run the suite in table order; quick=True keeps only the fast rows."""
-    return tuple(fn() for fn, is_quick in _CHECKS if is_quick or not quick)
+    """Run the suite and report it in table order; quick=True keeps only the
+    fast rows.  The rows that read no oracle run while the oracle table's
+    children shoot their shares (module docstring)."""
+    checks = [(fn, cells) for fn, is_quick, cells in _CHECKS if is_quick or not quick]
+    shot, plain = _oracle_table(
+        (cell for _, cells in checks if cells for cell in cells()),
+        lambda: {fn: fn() for fn, cells in checks if cells is None},
+    )
+    return tuple(plain[fn] if cells is None else fn(shot) for fn, cells in checks)
+
+
+# --- the oracle table ---------------------------------------------------------
+
+
+# the parent's share is this many levels lighter, since it also runs the
+# rows that read no oracle (18-28 ms warm, about 10 levels' worth).  Cells
+# cost 1.2-2.6 ms a level, so the split is lumpy: measured warm on 2 CPUs,
+# 8 leaves the full table's two sides within 2 % of each other, where 16
+# leaves them 12 % apart
+_PARENT_LEVELS = 8
+
+
+def _oracle_table(cells, meanwhile=lambda: None):
+    """Shoot each (rp, ext) of the (rp, ext, n) cells once, at the largest n
+    asked, in shares across forked children, and call meanwhile() while
+    they work.  Returns (shot, what meanwhile returned), where shot(rp, ext,
+    n) gives a cell's first n levels.  Every child is reaped before this
+    returns or raises."""
+    table = _table_cells(cells)
+    shares = _split(table, max(1, min(_usable_cpus(), len(table))))
+    spectra: dict[tuple, OracleSpectrum] = {}
+
+    def keep(share, shots):
+        spectra.update(((rp, ext), s) for (rp, ext, _), s in zip(share, shots))
+
+    children = []
+    try:
+        for share in shares[1:]:
+            children.append(_fork(share))
+        keep(shares[0], _shoot(shares[0]))
+        result = meanwhile()
+        while children:
+            pid, fd, share = children.pop(0)
+            keep(share, _collect(pid, fd))
+    finally:
+        _reap(children)
+
+    def shot(rp, ext, n):
+        full = spectra[rp, ext]
+        return replace(full, energies=full.energies[:n], match_states=full.match_states[:n],
+                       mismatch_residuals=full.mismatch_residuals[:n])
+
+    return shot, result
+
+
+def _table_cells(cells) -> list[tuple]:
+    """(rp, ext, n) once per (rp, ext), at the largest n asked, in first-asked order."""
+    largest: dict[tuple, int] = {}
+    for rp, ext, n in cells:
+        largest[rp, ext] = max(n, largest.get((rp, ext), 0))
+    return [(rp, ext, n) for (rp, ext), n in largest.items()]
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork, or where
+    another thread runs (a forked child holds only the calling thread, so a
+    lock another thread held would stay held in it)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _split(cells, k: int) -> list[list[tuple]]:
+    """k shares of the cells, balanced by level count, share 0 (the
+    parent's) starting _PARENT_LEVELS levels heavy; a share keeps its cells
+    in table order."""
+    shares: list[list[tuple]] = [[] for _ in range(k)]
+    loads = [_PARENT_LEVELS] + [0] * (k - 1)
+    for cell in sorted(cells, key=lambda cell: -cell[2]):
+        i = loads.index(min(loads))
+        shares[i].append(cell)
+        loads[i] += cell[2]
+    order = {cell: i for i, cell in enumerate(cells)}
+    return [sorted(share, key=order.__getitem__) for share in shares]
+
+
+def _shoot(share) -> list[OracleSpectrum]:
+    # through the module global, which the benchmark's tracer wraps
+    return [shoot_spectrum(rp, ext, n) for rp, ext, n in share]
+
+
+def _fork(share) -> tuple[int, int, list]:
+    """Start a child that shoots share and writes its reply to a pipe:
+    ("ok", the spectra's fields) or (error type name, message).
+    Returns (pid, the pipe's read end, share)."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:  # the child never returns
+        code = 1
+        try:
+            os.close(r)
+            try:
+                reply = ("ok", [(s.energies, s.mismatch_residuals, s.match_states, s.x_match)
+                                for s in _shoot(share)])
+            except (DomainError, ConvergenceError) as e:
+                reply = ("DomainError" if isinstance(e, DomainError) else "ConvergenceError", str(e))
+            data = marshal.dumps(reply)
+            while data:
+                data = data[os.write(w, data):]
+            code = 0
+        except Exception as e:  # the parent reports the exit status
+            os.write(2, f"oracle worker: {type(e).__name__}: {e}\n".encode())
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, r, share
+
+
+def _collect(pid: int, fd: int) -> list[OracleSpectrum]:
+    """Read a child's reply to its end, reap the child (whatever happens),
+    and return its spectra or raise its error."""
+    chunks = []
+    try:
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+        status = os.waitpid(pid, 0)[1]
+    try:
+        tag, payload = marshal.loads(b"".join(chunks))
+    except (EOFError, ValueError, TypeError):
+        raise ConvergenceError(
+            f"oracle worker exited with status {os.waitstatus_to_exitcode(status)} and no result"
+        ) from None
+    if tag == "DomainError":
+        raise DomainError(payload)
+    if tag == "ConvergenceError":
+        raise ConvergenceError(payload)
+    return [OracleSpectrum(*fields) for fields in payload]
+
+
+def _reap(children) -> None:
+    """Stop and reap the children whose replies were not read."""
+    if not children:
+        return
+    import signal  # only on this error path
+
+    for pid, fd, _ in children:
+        os.close(fd)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)

@@ -391,7 +391,8 @@ def kummer_phi(alpha: float, beta: float, rho: float) -> float:
 
     All series terms are nonnegative in this parameter range, so the
     running sum is monotone and the stagnation stop is safe.  Phi(0, b;
-    rho) = 1 exactly.
+    rho) = 1 exactly.  A sum past float64 (Phi grows like e^rho, so from
+    rho ~ 700) raises ConvergenceError rather than returning inf.
     """
     if not (alpha >= 0.0):
         raise DomainError(f"kummer_phi: alpha must be >= 0, got {alpha}")
@@ -401,7 +402,10 @@ def kummer_phi(alpha: float, beta: float, rho: float) -> float:
         raise DomainError(f"kummer_phi: rho must be >= 0, got {rho}")
     if alpha == 0.0 or rho == 0.0:
         return 1.0
-    return _phi_series(alpha, beta, rho)
+    value = _phi_series(alpha, beta, rho)
+    if not math.isfinite(value):
+        raise ConvergenceError(f"kummer_phi: Phi({alpha!r}, {beta!r}; {rho!r}) overflows float64")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,16 @@ reads as a checklist. A failing row prints automatically.
 """
 
 import math
+import os
+import threading
 from dataclasses import replace
 
 import pytest
 
 from calogero import acceptance, specfun, spectral
 from calogero.acceptance import run_acceptance
+from calogero.errors import ConvergenceError, DomainError
+from calogero.oracle import OracleSpectrum, shoot_spectrum
 from calogero.spectral import gamma_skew
 
 ROW_NAMES = [
@@ -44,7 +48,7 @@ def test_table_is_complete(table):
 
 
 def test_rows_come_in_table_order(table):
-    # the rows run one after another, so the report lists them as tabled
+    # the rows that read no oracle run first, but the report lists them as tabled
     assert list(table) == ROW_NAMES
     quick = [row.name for row in run_acceptance(quick=True)]
     assert quick == [name for name in ROW_NAMES if name in quick]
@@ -107,13 +111,20 @@ def test_oracle_rows_have_margin(table, name):
     assert 10.0 * row.value <= row.threshold
 
 
-def test_nan_figure_fails_its_row(monkeypatch):
-    # max() would pass over a NaN that does not come first
-    class NaNSpectrum:
-        energies = (math.nan,)
+def _on_its_table(row, cells):
+    """The row, read off an oracle table shot from its own cells."""
+    shot, _ = acceptance._oracle_table(cells())
+    return row(shot)
 
-    monkeypatch.setattr(acceptance, "shoot_spectrum", lambda *args, **kwargs: NaNSpectrum)
-    row = acceptance._c1_friedrichs_ground()
+
+def test_nan_figure_fails_its_row(monkeypatch):
+    # max() would pass over a NaN that does not come first; the NaN crosses
+    # from a child's share too, when there is one
+    def nan_spectrum(rp, ext, n):
+        return OracleSpectrum((math.nan,) * n, (0.0,) * n, ((0.0, 1.0),) * n, 1.0)
+
+    monkeypatch.setattr(acceptance, "shoot_spectrum", nan_spectrum)
+    row = _on_its_table(acceptance._c1_friedrichs_ground, acceptance._c1_cells)
     assert row.passed is False
     assert math.isnan(row.value)
 
@@ -143,7 +154,7 @@ def test_wavefunction_fidelity_sees_a_skewed_gamma():
     # by about 2e-7 of (u, u') at the match point
     token = gamma_skew.set(1e-6)
     try:
-        row = acceptance._c9_wavefunction_fidelity()
+        row = _on_its_table(acceptance._c9_wavefunction_fidelity, acceptance._c9_cells)
     finally:
         gamma_skew.reset(token)
     assert row.passed is False
@@ -158,4 +169,114 @@ def test_wavefunction_fidelity_sees_a_norm_error(monkeypatch):
         return replace(gs, norm_constant=gs.norm_constant * (1.0 + 1e-6))
 
     monkeypatch.setattr(acceptance, "ground_state_wavefunction", off)
-    assert acceptance._c9_wavefunction_fidelity().passed is False
+    assert _on_its_table(acceptance._c9_wavefunction_fidelity, acceptance._c9_cells).passed is False
+
+
+# --- the oracle table: one shot per cell, split across forked children --------
+
+
+def _bits(rows):
+    return [(r.name, r.passed, r.value.hex(), r.threshold.hex(), r.detail) for r in rows]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("quick", [True, False])
+def test_rows_are_the_same_bits_on_any_share_count(monkeypatch, quick):
+    got = {}
+    for k in (1, 2, 3):
+        monkeypatch.setattr(acceptance, "_usable_cpus", lambda k=k: k)
+        got[k] = _bits(run_acceptance(quick=quick))
+    assert got[1] == got[2] == got[3]
+    _no_child_left()
+
+
+def test_table_shoots_each_cell_once_at_its_largest_level_count(monkeypatch):
+    calls = []
+
+    def counting(rp, ext, n):
+        calls.append(n)
+        return shoot_spectrum(rp, ext, n)
+
+    monkeypatch.setattr(acceptance, "_usable_cpus", lambda: 1)  # count in this process
+    monkeypatch.setattr(acceptance, "shoot_spectrum", counting)
+    run_acceptance(quick=False)
+    # 31 calls for 95 levels when each row shot its own cells
+    assert (len(calls), sum(calls)) == (22, 84)
+
+
+def test_a_short_run_is_the_first_levels_of_the_table():
+    cells = acceptance._c3_cells()
+    shot, _ = acceptance._oracle_table(cells)
+    for rp, ext, n in (cells[0], cells[4], cells[11]):  # (kappa, nu) = (1/4, -1), (1/2, 0), (0, 1)
+        for k in range(1, n):
+            assert shoot_spectrum(rp, ext, k) == shot(rp, ext, k)
+    _no_child_left()
+
+
+def _first_cell(share):
+    """(rp, ext) of the first cell in share 0 (the parent's) or 1 (the
+    child's) of the full table split in two."""
+    cells = [cell for _, _, cells in acceptance._CHECKS if cells for cell in cells()]
+    return acceptance._split(acceptance._table_cells(cells), 2)[share][0][:2]
+
+
+@pytest.mark.parametrize("share", [0, 1])
+@pytest.mark.parametrize("error", [ConvergenceError, DomainError])
+def test_a_share_that_raises_is_raised_as_itself_and_leaves_no_child(monkeypatch, share, error):
+    bad = _first_cell(share)
+
+    def failing(rp, ext, n):
+        if (rp, ext) == bad:
+            raise error(f"injected at {rp!r} {ext!r}")
+        return shoot_spectrum(rp, ext, n)
+
+    monkeypatch.setattr(acceptance, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(acceptance, "shoot_spectrum", failing)
+    with pytest.raises(error) as info:
+        run_acceptance(quick=False)
+    assert type(info.value) is error
+    assert str(info.value) == f"injected at {bad[0]!r} {bad[1]!r}"
+    _no_child_left()
+
+
+@pytest.mark.parametrize("die, status", [(lambda: os._exit(3), 3), (lambda: {}["untyped"], 1)])
+def test_a_child_without_a_result_is_a_convergence_error(monkeypatch, die, status):
+    bad = _first_cell(1)
+
+    def dying(rp, ext, n):
+        if (rp, ext) == bad:
+            die()
+        return shoot_spectrum(rp, ext, n)
+
+    monkeypatch.setattr(acceptance, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(acceptance, "shoot_spectrum", dying)
+    with pytest.raises(ConvergenceError, match=f"oracle worker exited with status {status} and no result"):
+        run_acceptance(quick=False)
+    _no_child_left()
+
+
+def test_a_row_that_raises_while_children_work_leaves_no_child(monkeypatch):
+    def failing(*args, **kwargs):
+        raise ConvergenceError("injected in row 8")
+
+    monkeypatch.setattr(acceptance, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(acceptance, "count_zeros", failing)
+    with pytest.raises(ConvergenceError, match="injected in row 8"):
+        run_acceptance(quick=False)
+    _no_child_left()
+
+
+def test_no_child_is_forked_while_another_thread_runs():
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert acceptance._usable_cpus() == 1
+    finally:
+        stop.set()
+        thread.join(timeout=10.0)
+    assert not thread.is_alive()

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calogero import cli, factorization
-from calogero.errors import DomainError
+from calogero.errors import ConvergenceError, DomainError
 from calogero.factorization import (
     RepresentationParams,
     apply_a,
@@ -136,6 +136,19 @@ class TestSolutionCalculus:
             assert sol.superpotential_at(x) == pytest.approx(
                 sol.derivative_at(x) / sol.value_at(x), rel=1e-11, abs=0.0
             )
+
+    @pytest.mark.parametrize("call", [
+        lambda phi: phi.value_at(26.0),  # rho = 676: Phi passes float64 where phi ~ e^588 does not
+        lambda phi: phi.value_at(100.0),  # the envelope is 0.0 there, so the product was NaN
+        lambda phi: phi.derivative_at(26.0),
+        lambda phi: phi.values_on([30.0, 2.0]),
+    ])
+    def test_phi_past_float64_is_a_typed_refusal(self, call):
+        # mu > 0 mixes in Phi(alpha, beta; rho), which grows like e^rho;
+        # these calls once returned inf or NaN
+        phi = make_phi(RepresentationParams(0.7, 80.0, reduce(0.0, 1.0)))
+        with pytest.raises(ConvergenceError, match=r"kummer_phi: Phi\(80\.75, 1\.5; [0-9.]+\) overflows"):
+            call(phi)
 
     def test_rejects_nonpositive_x(self):
         sol = make_phi(rep_of(0.0, 1.0, 0.3, 0.0))

@@ -373,6 +373,13 @@ class TestKummerPhi:
         with pytest.raises(DomainError):
             kummer_phi(1.0, 2.0, -1.0)
 
+    @pytest.mark.parametrize("rho", [676.0, 1e4, math.inf])
+    def test_sum_past_float64_is_refused(self, rho):
+        # Phi grows like e^rho; the series used to stop on inf <= tol * inf
+        with pytest.raises(ConvergenceError, match=rf"Phi\(80\.75, 1\.5; {rho!r}\) overflows float64"):
+            kummer_phi(80.75, 1.5, rho)
+        assert math.isfinite(kummer_phi(80.75, 1.5, 300.0))  # ~ e^480
+
     def test_budget_exhaustion_raises(self, monkeypatch):
         monkeypatch.setattr(specfun, "_SERIES_MAX_TERMS", 100)
         with pytest.raises(ConvergenceError):
