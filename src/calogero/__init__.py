@@ -41,7 +41,7 @@ _HOME = {
 
 _SUBMODULES = frozenset({
     "acceptance", "cli", "errors", "factorization", "nonexistence", "oracle",
-    "params", "rk45", "specfun", "spectral", "taylor",
+    "params", "specfun", "spectral", "taylor",
 })
 
 __all__ = ["__version__", *_HOME]

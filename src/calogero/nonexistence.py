@@ -15,25 +15,24 @@ factor a representation from. This module demonstrates the obstruction
 numerically: integrate, count sign changes, compare with the predicted
 density.
 
-Counting is arranged so a zero cannot be skipped: the adaptive
-Runge-Kutta engine counts the sign changes between its accepted steps,
-which its 1e-9 error control keeps to a small fraction of a wavelength
-whatever drives the oscillation (either coupling, or u). The interval
-is cut into segments each advancing the asymptotic phase by at most
-pi/8, which keeps every engine call inside its step budget. The engine
-integrates only the radial equation, here with E = -u. Toward the origin
-the segments are uniform in s = ln x, where the oscillation has a uniform
-wavelength, and each uses the equation's scale invariance: on [x_a, x_b],
-xi = x / x_a turns it into
+The count is exact by construction: `taylor.integrate` counts the strict
+sign changes of phi between its steps, and each step keeps |h| K <= 3 < pi
+with K^2 bounding the coefficient, so by Sturm comparison a step holds at
+most one zero whatever drives the oscillation (either coupling, or u).
+The propagator integrates the radial equation, here with E = -u, and its
+E-derivative, here started at (0, 0), where it stays.
+
+The interval is cut into segments uniform in s = ln x, inward from x_hi
+(or outward from x_lo when g2 < 0 drives the count), because near the
+origin g1/x^2 leaves the float range (x = 1e-300 squares to 0). Each
+segment [x_a, x_b] uses the equation's scale invariance: xi = x / x_a
+turns it into
 
     d^2 phi / dxi^2 = (g1/xi^2 + g2 x_a^4 xi^2 + u x_a^2) phi,
 
 the radial equation with couplings (g1, g2 x_a^4) and E = -u x_a^2,
 integrated from xi = 1 to x_b / x_a. The state carried across knots is
-(phi, dphi/ds) = (phi, xi dphi/dxi), so the 1/x^2 term stays g1/xi^2 and
-intervals down to 1e-300 keep every coefficient in range. A segment spans
-at most a factor e^4 in x: the engine's step floor, 1e-13 of the span,
-would bind once xi fell below about 1e-11.
+(phi, dphi/ds) = (phi, xi dphi/dxi), so the 1/x^2 term stays g1/xi^2.
 
 Inside the admissible cone the same counter doubles as an existence
 check: seeded with a positive-solution sample it must report zero sign
@@ -46,19 +45,18 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
-from .rk45 import integrate
+from .taylor import _MAX_STEPS, _STEP_PHASE, integrate
 
 __all__ = ["ZeroCountReport", "count_zeros"]
 
-# per-segment phase budget: one engine call across ~4 400 zeros would
-# exhaust its step budget
-_PHASE_CAP = math.pi / 8.0
-# widest segment toward the origin, in ln x (module docstring)
+# widest segment, in ln x: 1/xi^2 stays below e^8, so g1/xi^2 is finite for
+# every g1 the step bound in count_zeros admits (counts and times measured
+# the same at a width of 40)
 _LOG_WIDTH = 4.0
-# segment budget: 12 500 zeros, about 7 s of integration on a 2-vCPU VM; a
-# phase past it is refused before any knot is built (the default interval
-# at g1 = -1e300 would ask for 3.5e151 of them)
-_MAX_SEGMENTS = 100_000
+# zero budget: a count that predicts more is refused before it integrates
+# (g1 = -1e300 over the default interval would predict 4.4e150 zeros); a
+# count at the budget takes about 0.5 s on a 2-vCPU VM
+_MAX_ZEROS = 12_500
 
 
 @dataclass(frozen=True)
@@ -85,11 +83,10 @@ def count_zeros(
     itself: g1 < -1/4 integrates toward the origin (init given at x_hi),
     otherwise g2 < 0 integrates outward (init given at x_lo), otherwise
     the admissible-cone existence check runs inward from x_hi. `init` is
-    (phi, phi') at the seeding end. The segment count follows from the
-    phase budget `_PHASE_CAP`, with a floor of 16 segments and, toward the
-    origin, of one per `_LOG_WIDTH` of ln x; a phase that needs more than
-    `_MAX_SEGMENTS` is refused with ConvergenceError, and so is an x_hi
-    where g2 x^4 - u x^2 overflows.
+    (phi, phi') at the seeding end. Refused with ConvergenceError before
+    any step: a phase that predicts more than `_MAX_ZEROS` zeros, an x_hi
+    where g2 x^4 - u x^2 overflows, and a segment that needs more steps
+    than one propagator call may take.
     """
     g1, g2 = float(c.g1), float(c.g2)
     if not (math.isfinite(g1) and math.isfinite(g2) and math.isfinite(u)):
@@ -101,10 +98,11 @@ def count_zeros(
     if not (math.isfinite(v0) and math.isfinite(d0)) or (v0 == 0.0 and d0 == 0.0):
         raise DomainError(f"count_zeros: init must be finite and nonzero, got {init!r}")
 
+    s_lo, s_hi = math.log(x_lo), math.log(x_hi)
     if g1 < -0.25:
         mode = "origin"
         rate = math.sqrt(-g1 - 0.25)
-        phase = rate * (math.log(x_hi) - math.log(x_lo))  # x_hi / x_lo may overflow
+        phase = rate * (s_hi - s_lo)  # x_hi / x_lo may overflow
     elif g2 < 0.0:
         mode = "infinity"
         rate = math.sqrt(-g2)
@@ -115,37 +113,37 @@ def count_zeros(
         phase = 0.0
     predicted = phase / math.pi
 
-    if not phase <= _MAX_SEGMENTS * _PHASE_CAP:
+    if not predicted <= _MAX_ZEROS:
         raise ConvergenceError(
-            f"count_zeros: phase {phase:.3g} over ({x_lo!r}, {x_hi!r}) needs more than "
-            f"{_MAX_SEGMENTS} segments of at most pi/8"
+            f"count_zeros: phase {phase:.3g} over ({x_lo!r}, {x_hi!r}) predicts more than "
+            f"{_MAX_ZEROS} zeros"
         )
-    n_seg = max(16, math.ceil(phase / _PHASE_CAP))
+    x2 = x_hi * x_hi
+    if not math.isfinite(g2 * x2 * x2 - u * x2):
+        raise ConvergenceError(f"count_zeros: g2 x^4 - u x^2 overflows at x_hi = {x_hi!r}")
+    n_seg = max(1, math.ceil((s_hi - s_lo) / _LOG_WIDTH))
+    # a step is at most _STEP_PHASE / K long, and K >= sqrt|g1| / x, sqrt|g2| x
+    # and sqrt|u| on it, so a segment takes at least this many; the top one most
+    width = (s_hi - s_lo) / n_seg
+    x_top = math.exp(s_hi - width)
+    steps = max(math.sqrt(abs(g1)) * width, 0.5 * math.sqrt(abs(g2)) * (x2 - x_top * x_top),
+                math.sqrt(abs(u)) * (x_hi - x_top)) / _STEP_PHASE
+    if steps > _MAX_STEPS:
+        raise ConvergenceError(
+            f"count_zeros: x in ({x_top:.6g}, {x_hi!r}) needs at least {steps:.3g} steps, "
+            f"more than the {_MAX_STEPS} one call may take"
+        )
 
+    # each segment [x_a, x_b] in xi = x / x_a, outward when g2 < 0 drives the count
+    s0, s1, x0 = (s_lo, s_hi, x_lo) if mode == "infinity" else (s_hi, s_lo, x_hi)
+    knots = [s0 + (s1 - s0) * i / n_seg for i in range(n_seg + 1)]
+    y = (v0, d0 * x0)  # (phi, dphi/ds), dphi/ds = x phi'
     zeros = 0
-    if mode == "infinity":
-        # outward, uniform in x^2 so every segment carries equal phase
-        t_lo, t_hi = x_lo * x_lo, x_hi * x_hi
-        knots = [math.sqrt(t_lo + (t_hi - t_lo) * i / n_seg) for i in range(n_seg + 1)]
-        y = (v0, d0)
-        for a, b in zip(knots, knots[1:]):
-            res = integrate(g1, g2, -u, a, y, b, rel_tol=1e-9)
-            zeros += res.sign_changes
-            y = res.y  # renormalized is fine, the ODE is linear
-    else:
-        # inward, uniform in s = ln x; each segment [x_a, x_b] in xi = x / x_a
-        s_lo, s_hi = math.log(x_lo), math.log(x_hi)
-        n_seg = max(n_seg, math.ceil((s_hi - s_lo) / _LOG_WIDTH))
-        x2 = x_hi * x_hi
-        if not math.isfinite(g2 * x2 * x2 - u * x2):
-            raise ConvergenceError(f"count_zeros: g2 x^4 - u x^2 overflows at x_hi = {x_hi!r}")
-        knots = [s_hi + (s_lo - s_hi) * i / n_seg for i in range(n_seg + 1)]
-        y = (v0, d0 * x_hi)  # (phi, dphi/ds), dphi/ds = x phi'
-        for a, b in zip(knots, knots[1:]):
-            xa2, xi_b = math.exp(2.0 * a), math.exp(b - a)
-            res = integrate(g1, g2 * xa2 * xa2, -u * xa2, 1.0, y, xi_b, rel_tol=1e-9)
-            zeros += res.sign_changes
-            y = (res.y[0], xi_b * res.y[1])  # dphi/ds = xi dphi/dxi
+    for a, b in zip(knots, knots[1:]):
+        xa2, xi_b = math.exp(2.0 * a), math.exp(b - a)
+        res = integrate(g1, g2 * xa2 * xa2, -u * xa2, 1.0, y, (0.0, 0.0), xi_b)
+        zeros += res.sign_changes
+        y = (res.y[0], xi_b * res.y[1])  # dphi/ds = xi dphi/dxi
 
     return ZeroCountReport(
         interval=(x_lo, x_hi),

@@ -34,7 +34,7 @@ u'' = q u with q >= -K^2 has its zeros at least pi / K apart (Sturm
 comparison with u'' = -K^2 u), a step holds at most one zero of u.  The
 strict sign changes of u between the steps' ends therefore count the
 nodes exactly (a step that lands on 0 is bridged to the next non-zero
-value, as in `rk45`).
+value); `nonexistence.count_zeros` counts zeros this way too.
 
 Renormalization.  The state passes through hundreds of orders of
 magnitude under a barrier, so whenever max(|u|, |u'|) exceeds

@@ -45,11 +45,11 @@ def test_package_and_cli_load_only_what_they_name(statements, expected):
 
 @pytest.mark.parametrize("statements, module, absent", [
     ("import calogero.oracle", "oracle",
-     {"spectral", "specfun", "factorization", "acceptance", "nonexistence", "rk45"}),
-    ("import calogero.spectral", "spectral", {"oracle", "taylor", "acceptance", "nonexistence", "rk45"}),
+     {"spectral", "specfun", "factorization", "acceptance", "nonexistence"}),
+    ("import calogero.spectral", "spectral", {"oracle", "taylor", "acceptance", "nonexistence"}),
     # a submodule is an attribute of the package before anything imports it
     ("import calogero\ncalogero.oracle.shoot_spectrum", "oracle",
-     {"spectral", "specfun", "factorization", "acceptance", "nonexistence", "rk45"}),
+     {"spectral", "specfun", "factorization", "acceptance", "nonexistence"}),
 ])
 def test_a_module_loads_none_of_what_it_does_not_import(statements, module, absent):
     loaded = _loaded_by(statements)

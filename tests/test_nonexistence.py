@@ -2,18 +2,20 @@
 silence where one does."""
 
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from calogero import nonexistence
+from calogero import cli, nonexistence
 from calogero.errors import ConvergenceError, DomainError
 from calogero.factorization import RepresentationParams, make_phi
 from calogero.nonexistence import count_zeros
 from calogero.params import Couplings, reduce
+from cash_karp import textbook_integrate
 
 
 class TestOriginMode:
@@ -71,6 +73,16 @@ class TestZerosInsideASegment:
     @pytest.mark.parametrize("g1,g2,u,interval", [
         (-1.25, -1.0, 0.0, (1e-3, 10.0)),
         (-0.5, 0.0, -400.0, (1e-3, 1.0)),
+        # inward counts from 0 to 22 zeros, down to 1e-300; over (1e-300, 1e10)
+        # at g1 = -0.2501 the amplitude x^(1/2) falls far below DOP853's atol,
+        # so that count is pinned in TestPlumbing instead
+        (-0.5, 0.0, 0.0, (1e-8, 1e-2)),
+        (-1.25, 1.0, 0.0, (1e-6, 1.0)),
+        (-1.25, 1.0, 0.0, (1e-300, 1e-290)),
+        (0.0, 1.0, 0.0, (1e-6, 10.0)),
+        (-2.0, 1.0, 0.0, (1e-3, 3.0)),
+        (-100.0, 0.0, 0.0, (1e-3, 1.0)),
+        (-1.25, 1.0, 1e6, (1e-8, 1e-2)),
     ])
     def test_counts_every_zero(self, g1, g2, u, interval):
         r = count_zeros(Couplings(g1, g2), u, interval)
@@ -88,6 +100,17 @@ class TestInfinityMode:
         assert r.sigma_or_omega == pytest.approx(1.0)
         assert r.predicted_zeros == pytest.approx(300.0 / (2.0 * math.pi))
         assert r.observed_zeros in (47, 48, 49)
+
+    @pytest.mark.parametrize("g2, u, interval, zeros", [
+        (-1.0, 0.0, (10.0, 20.0), 48),
+        (-4.0, 0.0, (0.1, 30.0), 286),
+        (-1.0, -1e4, (10.0, 20.0), 322),
+        (-1.0, 0.0, (1e-6, 1.0), 0),
+    ])
+    def test_pinned_counts(self, g2, u, interval, zeros):
+        # the counts the textbook Cash-Karp loop gives too (`_reference_zeros`),
+        # up to 322 zeros driven by u
+        assert count_zeros(Couplings(0.0, g2), u, interval).observed_zeros == zeros
 
     def test_density_grows_linearly_in_x(self):
         # equal x^2 spans carry equal phase: (10,20) and (20,sqrt(700))
@@ -130,37 +153,37 @@ class TestPlumbing:
 
     def test_finer_segments_keep_the_count(self, monkeypatch):
         base = count_zeros(Couplings(-0.5, 0.0), 0.0, (1e-8, 1e-2))
-        # a tenth of the phase budget cuts 176 segments instead of 18
-        monkeypatch.setattr(nonexistence, "_PHASE_CAP", nonexistence._PHASE_CAP / 10.0)
+        # a tenth of the width cuts 35 segments instead of 4
+        monkeypatch.setattr(nonexistence, "_LOG_WIDTH", nonexistence._LOG_WIDTH / 10.0)
         fine = count_zeros(Couplings(-0.5, 0.0), 0.0, (1e-8, 1e-2))
         assert fine.observed_zeros == base.observed_zeros
 
     @pytest.mark.parametrize("g1, g2", [(-1e300, 1.0), (0.0, -1e300), (-1e8, 1.0)])
-    def test_phase_past_the_segment_budget_is_refused(self, g1, g2):
-        # -1e300 asks for 3.5e151 segments (or an infinite phase outward);
-        # -1e8 for 3.5e5, a few times the budget
+    def test_phase_past_the_zero_budget_is_refused(self, g1, g2):
+        # -1e300 predicts 4.4e150 zeros (or an infinite phase outward);
+        # -1e8 4.4e4, a few times the budget
         interval = (1e-8, 1e-2) if g1 < -0.25 else (10.0, 20.0)
-        with pytest.raises(ConvergenceError, match="segments"):
+        with pytest.raises(ConvergenceError, match="zeros"):
             count_zeros(Couplings(g1, g2), 0.0, interval)
 
     def test_budget_covers_the_phase_it_names(self, monkeypatch):
-        # 18 segments are needed at g1 = -1/2 over (1e-8, 1e-2)
-        monkeypatch.setattr(nonexistence, "_MAX_SEGMENTS", 18)
+        # 2.2 zeros are predicted at g1 = -1/2 over (1e-8, 1e-2)
+        monkeypatch.setattr(nonexistence, "_MAX_ZEROS", 3)
         assert count_zeros(Couplings(-0.5, 0.0), 0.0, (1e-8, 1e-2)).observed_zeros == 2
-        monkeypatch.setattr(nonexistence, "_MAX_SEGMENTS", 17)
-        with pytest.raises(ConvergenceError, match="more than 17 segments"):
+        monkeypatch.setattr(nonexistence, "_MAX_ZEROS", 2)
+        with pytest.raises(ConvergenceError, match="more than 2 zeros"):
             count_zeros(Couplings(-0.5, 0.0), 0.0, (1e-8, 1e-2))
 
     def test_segments_toward_the_origin_span_at_most_e4(self, monkeypatch):
-        # at sigma = 0.01 over (1e-280, 1) the phase alone cuts 17 segments,
-        # each 38 wide in ln x; the step floor binds on those in xi = x / x_a,
-        # and the 2 zeros (2.05 predicted) read as 0
+        # at sigma = 0.01 over (1e-280, 1) the 162 segments reach down to
+        # xi = x / x_a = e^-4, so g1 / xi^2 stays within e^8 |g1|, and the
+        # count finds the 2 zeros (2.05 predicted)
         ends = []
         real = nonexistence.integrate
 
-        def recording(g1, g2, E, x0, y0, x1, rel_tol):
+        def recording(g1, g2, E, x0, y0, ye0, x1):
             ends.append(x1)
-            return real(g1, g2, E, x0, y0, x1, rel_tol=rel_tol)
+            return real(g1, g2, E, x0, y0, ye0, x1)
 
         monkeypatch.setattr(nonexistence, "integrate", recording)
         r = count_zeros(Couplings(-0.2501, 0.0), 0.0, (1e-280, 1.0))
@@ -175,6 +198,35 @@ class TestPlumbing:
         sigma = math.sqrt(0.2501 - 0.25)
         assert r.predicted_zeros == pytest.approx(sigma * 310.0 * math.log(10.0) / math.pi, rel=1e-12)
         assert r.observed_zeros == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--g1", "-1.25", "--g2", "1", "--interval", "1e-3", "1e10"],
+        ["--g1", "0", "--g2", "1", "--force", "--interval", "1e-4", "1e4"],
+    ])
+    def test_an_unreachable_count_is_refused_at_once(self, argv, capsys):
+        # the segment at x_hi needs sqrt(g2) (x_hi^2 - x_a^2) / 6 steps or more,
+        # 1.7e19 and 1.7e7, past the propagator's budget of 1e5 per call
+        t0 = time.perf_counter()
+        assert cli.main(["nonexistence", *argv]) == 4
+        assert time.perf_counter() - t0 < 0.1
+        assert "needs at least" in capsys.readouterr().err
+
+    def test_the_step_bound_is_a_lower_bound(self, monkeypatch):
+        # (1e-4, 300) lies just inside the budget: the top segment, from 300
+        # down to 7.2, takes 15 019 steps against a bound of 14 991
+        steps = []
+        real = nonexistence.integrate
+
+        def recording(*args):
+            res = real(*args)
+            steps.append(res.n_steps)
+            return res
+
+        monkeypatch.setattr(nonexistence, "integrate", recording)
+        r = count_zeros(Couplings(-1.25, 1.0), 0.0, (1e-4, 300.0))
+        assert r.observed_zeros == 3
+        x_a = 300.0 * math.exp(-math.log(3e6) / len(steps))
+        assert steps[0] >= (300.0 ** 2 - x_a ** 2) / 6.0 > 0.9 * steps[0]
 
     @pytest.mark.parametrize("g2, interval", [(1.0, (1e-3, 1e80)), (0.0, (1e-3, 1e200))])
     def test_coefficients_past_the_float64_range_are_refused(self, g2, interval):
@@ -195,3 +247,75 @@ class TestPlumbing:
             count_zeros(Couplings(math.nan, 0.0), 0.0, (1e-4, 1e-2))
         with pytest.raises(DomainError, match="finite"):
             count_zeros(Couplings(-0.5, 0.0), math.inf, (1e-4, 1e-2))
+
+
+def _s_form(g1, g2, u):
+    # the zero counter's equation in s = ln x, phi(s) = phi(e^s): the
+    # reference its rescaled radial segments are checked against
+    def f(s, y):
+        x2 = math.exp(2.0 * s)
+        return (y[1], y[1] + (g1 + g2 * x2 * x2 + u * x2) * y[0])
+
+    return f
+
+
+def _reference_zeros(g1, g2, u, x_lo, x_hi, init):
+    """Zero count over knots that each carry at most pi/8 of the phase (at
+    least 16 of them), with phi'' = (g1/x^2 + g2 x^2 + u) phi outward and
+    the s = ln x form inward, through the textbook Cash-Karp loop."""
+    if g1 < -0.25:
+        phase = math.sqrt(-g1 - 0.25) * math.log(x_hi / x_lo)
+    elif g2 < 0.0:
+        phase = 0.5 * math.sqrt(-g2) * (x_hi * x_hi - x_lo * x_lo)
+    else:
+        phase = 0.0
+    n_seg = max(16, math.ceil(phase / (math.pi / 8.0)))
+    if g1 >= -0.25 and g2 < 0.0:
+        t_lo, t_hi = x_lo * x_lo, x_hi * x_hi
+        knots = [math.sqrt(t_lo + (t_hi - t_lo) * i / n_seg) for i in range(n_seg + 1)]
+        f = lambda x, y: (y[1], (g1 / (x * x) + g2 * x * x + u) * y[0])
+        y = init
+    else:
+        s_lo, s_hi = math.log(x_lo), math.log(x_hi)
+        knots = [s_hi + (s_lo - s_hi) * i / n_seg for i in range(n_seg + 1)]
+        f = _s_form(g1, g2, u)
+        y = (init[0], init[1] * x_hi)
+    zeros = 0
+    for a, b in zip(knots, knots[1:]):
+        res = textbook_integrate(f, a, y, b, rel_tol=1e-9)
+        zeros += res.sign_changes
+        y = res.y
+    return zeros
+
+
+@st.composite
+def _zero_count_cases(draw):
+    mode = draw(st.sampled_from(["origin", "infinity", "existence"]))
+    u = draw(st.floats(-30.0, 30.0))
+    if mode == "infinity":
+        g1, g2 = draw(st.floats(-0.25, 4.0)), draw(st.floats(-4.0, -0.01))
+        x_lo = draw(st.floats(0.01, 4.0))
+        x_hi = x_lo + draw(st.floats(0.1, 4.0))
+    else:
+        if mode == "origin":
+            g1, g2 = draw(st.floats(-4.0, -0.26)), draw(st.floats(-4.0, 4.0))
+            decades = draw(st.floats(0.5, 20.0))
+        else:
+            g1, g2 = draw(st.floats(-0.25, 4.0)), draw(st.floats(0.0, 4.0))
+            decades = draw(st.floats(0.5, 300.0))
+        # x_hi near 1, where u x^2 counts, or deep toward the origin
+        x_hi = 10.0 ** draw(st.one_of(st.floats(-1.0, 0.5), st.floats(-280.0, -1.0)))
+        x_lo = max(x_hi * 10.0 ** -decades, 1e-300)
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    init = (math.cos(angle), scale * math.sin(angle))
+    return g1, g2, u, (x_lo, x_hi), init
+
+
+@given(case=_zero_count_cases())
+@settings(max_examples=40, deadline=None)
+def test_count_zeros_matches_the_s_form_reference(case):
+    g1, g2, u, interval, init = case
+    assume(interval[0] < interval[1] and init != (0.0, 0.0))
+    got = count_zeros(Couplings(g1, g2), u, interval, init).observed_zeros
+    assert got == _reference_zeros(g1, g2, u, *interval, init)

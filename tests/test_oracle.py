@@ -19,8 +19,8 @@ from calogero import oracle
 from calogero.errors import ConvergenceError, DomainError
 from calogero.oracle import sample_on_grid, shoot_spectrum
 from calogero.params import reduce
-from calogero.rk45 import integrate
 from calogero.spectral import extension_for, ground_state_wavefunction, spectrum
+from cash_karp import integrate
 
 # scaled energies e = E / ups^2, keyed by (kappa, nu)
 QUINTETS = {
@@ -563,12 +563,12 @@ def _leading_order(rp, E, x):
 
 def _check_start(rp, ext, e, tol, z_ref=12.0):
     """The right branch's start x_s against a reference from leading-order
-    data z_ref/ups out, carried in to x_s by RK45 at 1e-13.  Theta's part is
-    the start data's own: the Wronskian W of the two states at x_s, constant
-    along the branch, over the product of their amplitudes r at the match
-    point (carried there by the oracle's propagator at tol) is the sine of
-    the gap between their angles there, with no step of the branch's own
-    integration in it.  The slope's reference integrates the whole branch
+    data z_ref/ups out, carried in to x_s by the textbook Cash-Karp loop at
+    1e-13.  Theta's part is the start data's own: the Wronskian W of the two
+    states at x_s, constant along the branch, over the product of their
+    amplitudes r at the match point (carried there by the oracle's
+    propagator at tol) is the sine of the gap between their angles there,
+    with no step of the branch's own integration in it.  The slope's reference integrates the whole branch
     from z_ref/ups; both slopes are taken at the refinement tolerance, since
     the start does not depend on tol.  Also checks that q > 0 from x_s to
     z_ref/ups."""

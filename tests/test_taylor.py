@@ -114,6 +114,24 @@ class TestNodeCount:
         res = integrate(0.0, 1.0, 3.0, 1.0, (-1.0, 2.0), (0.5, 0.5), 1.0)
         assert (res.sign_changes, res.n_steps, res.y, res.ye) == (0, 0, (-1.0, 2.0), (0.5, 0.5))
 
+    def test_renormalization_keeps_signs(self, monkeypatch):
+        # E = 9: u = sin(3 (x - 1)) from x = 1, zeros at 1 + k pi / 3 in (1, 11]
+        def run():
+            return integrate(0.0, 0.0, 9.0, 1.0, (0.0, 3.0), (0.0, 0.0), 11.0)
+
+        want = run()
+        monkeypatch.setattr(taylor, "_RENORM_THRESHOLD", 0.5)
+        got = run()
+        assert want.log_scale == 0.0 < got.log_scale
+        assert got.sign_changes == want.sign_changes == 9
+
+    def test_growth_without_zeros_counts_none(self):
+        # E = -1: u = -e^(x - 1) through x = 601 lives in the log ledger
+        res = integrate(0.0, 0.0, -1.0, 1.0, (-1.0, -1.0), (0.0, 0.0), 601.0)
+        assert res.sign_changes == 0
+        assert max(abs(v) for v in res.y) <= taylor._RENORM_THRESHOLD < math.exp(res.log_scale)
+        assert math.log(-res.y[0]) + res.log_scale == pytest.approx(600.0, rel=1e-12)
+
 
 def _regular(kappa, e, x):
     """(u, u') of the solution regular at 0, x^(kappa + 1/2) e^(-x^2/2)
