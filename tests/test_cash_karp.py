@@ -3,6 +3,7 @@
 The loop is the reference the oracle and zero-count tests compare with,
 so its results are pinned bit for bit (`float.hex`), with the work it
 does: a change to the loop that moves any reference value fails here.
+Solutions in closed form check that the pinned loop is also right.
 """
 
 import math
@@ -62,3 +63,34 @@ def test_reference_loop_reproduces_the_pins(name):
     res = integrate(*coef, x0, y0, x1, rel_tol=tol)
     assert _bits(res) == bits
     assert (res.n_steps, res.n_rejected) == (n_steps, n_rejected)
+
+
+E2 = math.exp(2.0)
+
+
+# name: ((g1, g2, E), x0, y0, x1, log of the solution's u at x1)
+CLOSED_FORMS = {
+    # E = -1: u = u' = e^(x - 1), forward, backward and through the ledger
+    "exponential": ((0.0, 0.0, -1.0), 1.0, (1.0, 1.0), 3.0, 2.0),
+    "backward": ((0.0, 0.0, -1.0), 3.0, (E2, E2), 1.0, 0.0),
+    "blowup-ledger": ((0.0, 0.0, -1.0), 1.0, (1.0, 1.0), 601.0, 600.0),
+    # E = 1: u = cos(x - 1), one full period
+    "harmonic-loop": ((0.0, 0.0, 1.0), 1.0, (1.0, 0.0), 1.0 + 2.0 * math.pi, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_reference_loop_follows_closed_forms(name):
+    coef, x0, y0, x1, log_u = CLOSED_FORMS[name]
+    res = integrate(*coef, x0, y0, x1, rel_tol=1e-11)
+    assert res.x == x1
+    assert max(abs(v) for v in res.y) <= 1e100
+    assert math.log(res.y[0]) + res.log_scale == pytest.approx(log_u, abs=1e-9 * (1.0 + log_u))
+
+
+@pytest.mark.parametrize("omega", [0.7, 3.0, 11.0])
+def test_reference_loop_counts_the_zeros_of_a_sine(omega):
+    # E = omega^2: u = sin(omega x) on [0.1, 9.9]
+    y0 = (math.sin(0.1 * omega), omega * math.cos(0.1 * omega))
+    res = integrate(0.0, 0.0, omega * omega, 0.1, y0, 9.9, rel_tol=1e-9)
+    assert res.sign_changes == sum(1 for k in range(1, 100) if 0.1 < k * math.pi / omega < 9.9)

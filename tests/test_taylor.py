@@ -1,7 +1,8 @@
 """The oracle's Taylor-series propagator of (u, u') and (u_E, u'_E).
 
-Checked against scipy's DOP853 (a test-only reference), against the
-closed-form ladder states for its node count, against an independent
+Checked against scipy's DOP853 (a test-only reference), against solutions
+in closed form, against the closed-form ladder states and sines for its
+node count, against an independent
 Gauss-Legendre integral of u^2 for the Wronskian it carries, and for its
 typed refusals.
 """
@@ -10,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from calogero import oracle, taylor
@@ -80,6 +81,73 @@ class TestAgainstDOP853:
         assert np.max(np.abs(got[:2] - want[:2])) <= bound * np.max(np.abs(want[:2]))
 
 
+class TestClosedForms:
+    # solutions known in closed form, in both directions and across splits
+
+    def test_exponential(self):
+        # E = -1: u = u' = e^(x - 1) from x = 1
+        res = integrate(0.0, 0.0, -1.0, 1.0, (1.0, 1.0), (0.0, 0.0), 3.0)
+        assert res.y[0] == pytest.approx(math.exp(2.0), rel=1e-13)
+        assert (res.x, res.log_scale) == (3.0, 0.0)
+
+    def test_backward(self):
+        e2 = math.exp(2.0)
+        res = integrate(0.0, 0.0, -1.0, 3.0, (e2, e2), (0.0, 0.0), 1.0)
+        assert res.x == 1.0
+        assert res.y[0] == pytest.approx(1.0, rel=1e-13)
+
+    def test_harmonic_loop(self):
+        # E = 1: u = cos(x - 1) from x = 1, one full period
+        res = integrate(0.0, 0.0, 1.0, 1.0, (1.0, 0.0), (0.0, 0.0), 1.0 + 2.0 * math.pi)
+        assert res.y[0] == pytest.approx(1.0, rel=1e-13)
+        assert abs(res.y[1]) < 1e-13
+
+    def test_polynomial_solution(self):
+        # g1 = g2 = E = 0: u = 1 + 2 (x - 1), and u_E'' = -u from (0, 0)
+        # gives u_E = -(t^2 / 2 + t^3 / 3), t = x - 1; both series end
+        res = integrate(0.0, 0.0, 0.0, 1.0, (1.0, 2.0), (0.0, 0.0), 4.0)
+        assert res.y == pytest.approx((7.0, 2.0), rel=1e-14)
+        assert res.ye == pytest.approx((-13.5, -12.0), rel=1e-14)
+
+    def test_segmenting_consistent(self):
+        # a barrier and a well: composition across a split at 1.7
+        g1, g2, E = 0.75, 1.0, 3.0
+        one = integrate(g1, g2, E, 0.3, (1.0, 0.5), (0.2, -0.1), 4.0)
+        mid = integrate(g1, g2, E, 0.3, (1.0, 0.5), (0.2, -0.1), 1.7)
+        two = integrate(g1, g2, E, 1.7, mid.y, mid.ye, 4.0)
+        for a, b in zip((*one.y, *one.ye), (*two.y, *two.ye)):
+            assert a == pytest.approx(b, rel=1e-11, abs=1e-12)
+
+    def test_scaled_state_times_ledger_is_the_solution(self):
+        res = integrate(0.0, 0.0, -1.0, 1.0, (1.0, 1.0), (0.0, 0.0), 51.0)
+        assert res.y[0] * math.exp(res.log_scale) == pytest.approx(math.exp(50.0), rel=1e-12)
+
+    def test_threshold_sets_the_scale(self, monkeypatch):
+        # g1 = 90: u = x^10, whose u'/u = 10/x is a ratio of the components
+        monkeypatch.setattr(taylor, "_RENORM_THRESHOLD", 1e10)
+        res = integrate(90.0, 0.0, 0.0, 1.0, (1.0, 10.0), (0.0, 0.0), 40.0)
+        assert max(abs(v) for v in res.y) <= 1e10
+        assert res.log_scale > 0.0
+        assert math.log(res.y[0]) + res.log_scale == pytest.approx(10.0 * math.log(40.0),
+                                                                   rel=1e-13)
+        # one common factor for both components keeps their ratio
+        assert res.y[1] / res.y[0] == pytest.approx(0.25, rel=1e-13)
+
+    @given(a=st.floats(-3.0, 3.0))
+    @settings(max_examples=40, deadline=None)
+    def test_exponential_flow(self, a):
+        # E = -a^2: u = e^(a (x - 1)), u' = a u
+        res = integrate(0.0, 0.0, -a * a, 1.0, (1.0, a), (0.0, 0.0), 2.0)
+        assert res.y[0] * math.exp(res.log_scale) == pytest.approx(math.exp(a), rel=1e-13)
+
+    @given(w=st.floats(0.3, 4.0), span=st.floats(1.0, 6.0))
+    @settings(max_examples=30, deadline=None)
+    def test_oscillator_energy(self, w, span):
+        res = integrate(0.0, 0.0, w * w, 1.0, (1.0, 0.0), (0.0, 0.0), 1.0 + span)
+        energy = res.y[1] ** 2 + w * w * res.y[0] ** 2
+        assert energy == pytest.approx(w * w, rel=1e-13)
+
+
 def _laguerre(kappa, n, x):
     """(u, u') of ladder level n at ups = 1, u = rho^(1/4 + kappa/2)
     e^(-rho/2) L_n^kappa(rho), rho = x^2, unnormalized."""
@@ -109,6 +177,46 @@ class TestNodeCount:
         assert res.sign_changes == nodes
         if n:
             assert nodes == n  # every node lies inside the span
+
+    @pytest.mark.parametrize("omega", [0.7, 3.0, 11.0])
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_counts_the_zeros_of_a_sine(self, omega, backward):
+        # E = omega^2: u = sin(omega x) on [0.1, 9.9], one sign change per
+        # zero k pi / omega
+        ends = (0.1, 9.9)
+        x0, x1 = ends[::-1] if backward else ends
+        y0 = (math.sin(omega * x0), omega * math.cos(omega * x0))
+        res = integrate(0.0, 0.0, omega * omega, x0, y0, (0.0, 0.0), x1)
+        zeros = sum(1 for k in range(1, 100) if 0.1 < k * math.pi / omega < 9.9)
+        assert res.sign_changes == zeros
+
+    @given(omega=st.floats(0.3, 12.0), phase=st.floats(0.0, 2.0 * math.pi),
+           span=st.floats(-0.99, 9.0).filter(lambda s: abs(s) > 1e-3),
+           threshold=st.sampled_from([1e100, 1e-1]))
+    @settings(max_examples=40, deadline=None)
+    def test_counts_the_zeros_of_a_shifted_sine(self, omega, phase, span, threshold):
+        # E = omega^2: u = sin(omega (x - 1) + phase) from x = 1, with or
+        # without renormalizing at every step; zeros within 1e-9 of an end
+        # are left out, where the count at either side is a matter of rounding
+        ends = sorted((phase, phase + omega * span))
+        ks = range(math.floor(ends[0] / math.pi) - 1, math.ceil(ends[1] / math.pi) + 2)
+        assume(all(abs(k * math.pi - end) > 1e-9 * (1.0 + abs(end)) for k in ks for end in ends))
+        zeros = sum(1 for k in ks if ends[0] < k * math.pi < ends[1])
+        y0 = (math.sin(phase), omega * math.cos(phase))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(taylor, "_RENORM_THRESHOLD", threshold)
+            res = integrate(0.0, 0.0, omega * omega, 1.0, y0, (0.0, 0.0), 1.0 + span)
+        assert res.sign_changes == zeros
+
+    @pytest.mark.parametrize("x1, zeros", [(3.0, 1), (1.5, 0)])
+    def test_a_step_that_lands_on_a_zero_counts_it_once(self, x1, zeros):
+        # u = x - 3/2 from x = 1: the first step, x / 2 long, ends on its zero
+        # at u = 0 exactly; the crossing is counted when u turns positive, and
+        # a zero at the end of the span is no sign change
+        first = integrate(0.0, 0.0, 0.0, 1.0, (-0.5, 1.0), (0.0, 0.0), 1.5)
+        assert (first.n_steps, first.y[0]) == (1, 0.0)
+        res = integrate(0.0, 0.0, 0.0, 1.0, (-0.5, 1.0), (0.0, 0.0), x1)
+        assert res.sign_changes == zeros
 
     def test_zero_span_counts_none(self):
         res = integrate(0.0, 1.0, 3.0, 1.0, (-1.0, 2.0), (0.5, 0.5), 1.0)
@@ -197,6 +305,20 @@ class TestRefusals:
     def test_states_must_have_two_components(self):
         with pytest.raises(DomainError, match="2 components"):
             integrate(0.0, 1.0, 1.0, 1.0, (1.0, 0.0, 0.0), (0.0, 0.0), 2.0)
+
+    @pytest.mark.parametrize("y0, ye0", [((1.0,), (0.0, 0.0)), ((1.0, 0.0), (0.0, 0.0, 0.0))])
+    def test_a_zero_span_still_checks_the_states(self, y0, ye0):
+        with pytest.raises(DomainError, match="2 components"):
+            integrate(0.0, 1.0, 1.0, 1.0, y0, ye0, 1.0)
+
+    @pytest.mark.parametrize("E, x0, x1, after", [(-1.0, 1.0, 2.0, "1.5"), (-1.0, 5.0, 1.0, "2.5"),
+                                                  (-100.0, 1.0, 2.0, "1.3")])
+    def test_a_step_is_half_of_x_or_three_over_k(self, monkeypatch, E, x0, x1, after):
+        # one step ends |h| = min(x / 2, 3 / K) on, K^2 = |E| here: the bound
+        # |h| K <= 3 < pi is what keeps a zero per step
+        monkeypatch.setattr(taylor, "_MAX_STEPS", 1)
+        with pytest.raises(ConvergenceError, match=f"at x = {after} "):
+            integrate(0.0, 0.0, E, x0, (1.0, 1.0), (0.0, 0.0), x1)
 
     def test_step_budget(self, monkeypatch):
         monkeypatch.setattr(taylor, "_MAX_STEPS", 3)
