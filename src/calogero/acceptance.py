@@ -5,10 +5,11 @@ worst observed value, the threshold it must stay under, and a pass flag.
 Rows never assert; they report. The CLI and the test suite decide what
 to do with a failure.
 
-The rows marked quick in `_CHECKS` form the subset that must finish in a
-few seconds; it keeps row 3, the one oracle grid that sees a fault in each
-special function the boundary equations call.  The full table adds the
-other oracle rows and stays comfortably under two minutes.
+The rows marked quick in `_CHECKS` form the subset behind `--quick`; it
+keeps row 3, the one oracle grid that sees a fault in each special function
+the boundary equations call.  The full table adds the other oracle rows.
+In-process, with the modules imported, the quick subset takes about 0.12 s
+and the full table about 0.14 s on a 2-vCPU Xeon VM (Python 3.11.7).
 
 The oracle rows (1, 2-vs-oracle, 3, 4, 9, 10-oracle) read one table.
 `run_acceptance` gathers the (rp, ext) cells of the rows it runs, shoots

@@ -6,6 +6,12 @@ Exit codes: 0 success, 2 invalid arguments or guarded region, 3 no
 representation exists for the couplings, 4 numerical failure or a check
 over threshold.
 
+Each subcommand's handler returns its report: the JSON fields, the CSV
+table, and the stderr line for a failed check.  `main` writes the report in
+the requested format and sets the exit code; a failed check still writes the
+whole report, then prints its line and exits 4.  A refusal (exit 2 or 3)
+writes nothing to stdout.
+
 JSON output is deterministic byte for byte for identical inputs: fixed
 key order, floats at 17 significant digits, no timestamps. The JSON
 schema is always {inputs, reduced_params, results, checks, version};
@@ -33,6 +39,7 @@ import math
 import os
 import re
 import sys
+from typing import NamedTuple
 
 from . import __version__
 from .errors import ConvergenceError, DomainError
@@ -160,14 +167,17 @@ def _emit(text: str, out_path: str | None) -> None:
             sys.stdout.write("\n")
 
 
-def _report(inputs: dict, reduced, results, checks: list) -> dict:
-    return {
-        "inputs": inputs,
-        "reduced_params": reduced,
-        "results": results,
-        "checks": checks,
-        "version": __version__,
-    }
+class _Report(NamedTuple):
+    """What a subcommand hands `main`: the JSON fields, the CSV table, and
+    the stderr line of a failed check (None when every check passed)."""
+
+    inputs: dict
+    reduced_params: dict | None
+    results: dict
+    checks: list
+    header: list[str]
+    rows: list[list]
+    failure: str | None
 
 
 def _reduced_dict(rp) -> dict:
@@ -196,33 +206,29 @@ def _region_guard(g1: float, g2: float) -> None:
 
 def _pick_extension(rp, args, parser):
     """The requested Extension. Extension flags are mutually exclusive
-    by parser construction; here only region compatibility is checked."""
-    if args.unique:
-        if rp.kappa < 1.0:
-            parser.error("--unique needs kappa >= 1; this coupling has a family, pass --nu or --friedrichs")
-        ext = _cli.extension_for(rp, nu=None)
-    elif args.friedrichs:
-        ext = _cli.extension_for(rp, nu=None, friedrichs=True)
-    elif args.nu is not None:
-        ext = _cli.extension_for(rp, nu=args.nu)
-    elif rp.kappa >= 1.0:
-        ext = _cli.extension_for(rp, nu=None)
-    else:
+    by parser construction; here only region compatibility is checked.
+    For kappa >= 1 `extension_for` gives the unique extension, whatever
+    the flags, and warns of an ignored nu."""
+    if args.unique and rp.kappa < 1.0:
+        parser.error("--unique needs kappa >= 1; this coupling has a family, pass --nu or --friedrichs")
+    if rp.kappa < 1.0 and args.nu is None and not args.friedrichs:
         parser.error("kappa < 1: the extension is not unique, pass --nu RADIANS or --friedrichs")
-    return ext
+    return _cli.extension_for(rp, nu=args.nu, friedrichs=args.friedrichs)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_spectrum(args, parser) -> int:
+def _cmd_spectrum(args, parser) -> _Report:
     _region_guard(args.g1, args.g2)
     rp = _cli.reduce(args.g1, args.g2)
     ext = _pick_extension(rp, args, parser)
     result = _cli.spectrum(rp, ext, args.n)
     ups2 = rp.energy_scale()
 
+    inputs = {"command": "spectrum", "g1": args.g1, "g2": args.g2, "extension": ext.label.value,
+              "nu": ext.nu, "n": args.n, "oracle": args.oracle}
     results = {
         "method": result.method,
         "energies": list(result.energies),
@@ -230,47 +236,24 @@ def _cmd_spectrum(args, parser) -> int:
         "residuals": list(result.residuals),
         "oracle": None,
     }
+    header = ["n", "energy", "scaled_energy", "residual"]
+    rows = [[i, e, e / ups2, r] for i, (e, r) in enumerate(zip(result.energies, result.residuals))]
     checks: list = []
-    oracle_energies = None
+    failure = None
     if args.oracle == "on":
         oracle_energies = list(_cli.shoot_spectrum(rp, ext, args.n).energies)
-        gap = max(
-            abs(o - f) / abs(f) for o, f in zip(oracle_energies, result.energies)
-        )
+        gap = max(abs(o - f) / abs(f) for o, f in zip(oracle_energies, result.energies))
         results["oracle"] = {"energies": oracle_energies, "max_rel_gap": gap}
-        checks.append(
-            {"name": "oracle-agreement", "passed": gap <= 1e-3, "value": gap, "threshold": 1e-3}
-        )
-
-    inputs = {
-        "command": "spectrum",
-        "g1": args.g1,
-        "g2": args.g2,
-        "extension": ext.label.value,
-        "nu": ext.nu,
-        "n": args.n,
-        "oracle": args.oracle,
-    }
-    if args.format == "json":
-        _emit(_render_json(_report(inputs, _reduced_dict(rp), results, checks)), args.out)
-    else:
-        header = ["n", "energy", "scaled_energy", "residual"]
-        rows = [
-            [i, e, e / ups2, r]
-            for i, (e, r) in enumerate(zip(result.energies, result.residuals))
-        ]
-        if oracle_energies is not None:
-            header.append("oracle_energy")
-            for row, oe in zip(rows, oracle_energies):
-                row.append(oe)
-        _emit(_render_csv(header, rows), args.out)
-    if any(not c["passed"] for c in checks):
-        print("oracle disagrees with the spectral equations beyond 1e-3", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+        checks.append({"name": "oracle-agreement", "passed": gap <= 1e-3, "value": gap, "threshold": 1e-3})
+        header.append("oracle_energy")
+        for row, oe in zip(rows, oracle_energies):
+            row.append(oe)
+        if not checks[0]["passed"]:
+            failure = "oracle disagrees with the spectral equations beyond 1e-3"
+    return _Report(inputs, _reduced_dict(rp), results, checks, header, rows, failure)
 
 
-def _cmd_sweep(args, parser) -> int:
+def _cmd_sweep(args, parser) -> _Report:
     _region_guard(args.g1, args.g2)
     rp = _cli.reduce(args.g1, args.g2)
     if rp.kappa >= 1.0:
@@ -309,82 +292,42 @@ def _cmd_sweep(args, parser) -> int:
     expected = "decreasing" if rp.kappa == 0.0 else "increasing"
     if direction == "single-point":
         expected = "single-point"
-    checks = [
-        {
-            "name": "e0-monotone",
-            "passed": direction == expected,
-            "value": direction,
-            "threshold": expected,
-        }
-    ]
+    passed = direction == expected
 
-    inputs = {
-        "command": "sweep",
-        "g1": args.g1,
-        "g2": args.g2,
-        "nu_lo": lo,
-        "nu_hi": hi,
-        "count": count,
-        "n": args.n,
-    }
-    if args.format == "json":
-        results = {
-            "rows": [{"nu": nu, "energies": es} for nu, es in table],
-            "e0_direction": direction,
-        }
-        _emit(_render_json(_report(inputs, _reduced_dict(rp), results, checks)), args.out)
-    else:
-        header = ["nu"] + [f"E{i}" for i in range(args.n)]
-        _emit(_render_csv(header, [[nu] + es for nu, es in table]), args.out)
-    if not checks[0]["passed"]:
-        print(f"ground-state flow is {direction}, expected {expected}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    inputs = {"command": "sweep", "g1": args.g1, "g2": args.g2, "nu_lo": lo, "nu_hi": hi,
+              "count": count, "n": args.n}
+    results = {"rows": [{"nu": nu, "energies": es} for nu, es in table], "e0_direction": direction}
+    checks = [{"name": "e0-monotone", "passed": passed, "value": direction, "threshold": expected}]
+    return _Report(
+        inputs, _reduced_dict(rp), results, checks,
+        ["nu"] + [f"E{i}" for i in range(args.n)],
+        [[nu] + es for nu, es in table],
+        None if passed else f"ground-state flow is {direction}, expected {expected}",
+    )
 
 
-def _cmd_factorize_check(args, parser) -> int:
+def _cmd_factorize_check(args, parser) -> _Report:
     _region_guard(args.g1, args.g2)
     rp = _cli.reduce(args.g1, args.g2)
     rep = _cli.RepresentationParams(args.mu, args.w, rp)
     phi = _cli.make_phi(rep)
 
     worst = _cli.residual_sweep(phi, _cli.factorization_residual, args.h_shift)
-    checks = [
-        {
-            "name": "factorization-residual",
-            "passed": worst[0] <= 1e-6,
-            "value": worst[0],
-            "threshold": 1e-6,
-            "at_x": worst[1],
-        }
-    ]
+    checks = [{"name": "factorization-residual", "passed": worst[0] <= 1e-6, "value": worst[0],
+               "threshold": 1e-6, "at_x": worst[1]}]
 
     kernel_max = None
     if rep.at_floor:
         kernel_max = _cli.kernel_sweep(phi)
-        checks.append(
-            {
-                "name": "kernel-nontrivial",
-                "passed": kernel_max <= 1e-10,
-                "value": kernel_max,
-                "threshold": 1e-10,
-            }
-        )
+        checks.append({"name": "kernel-nontrivial", "passed": kernel_max <= 1e-10, "value": kernel_max,
+                       "threshold": 1e-10})
 
     grid = [0.05 + (6.0 / rp.upsilon - 0.05) * i / 59.0 for i in range(60)]
     values = phi.values_on(grid)
     min_phi = math.nan if any(math.isnan(v) for v in values) else min(values)
-    checks.append(
-        {"name": "phi-positive", "passed": min_phi > 0.0, "value": min_phi, "threshold": 0.0}
-    )
+    checks.append({"name": "phi-positive", "passed": min_phi > 0.0, "value": min_phi, "threshold": 0.0})
 
-    inputs = {
-        "command": "factorize-check",
-        "g1": args.g1,
-        "g2": args.g2,
-        "mu": args.mu,
-        "w": args.w,
-    }
+    inputs = {"command": "factorize-check", "g1": args.g1, "g2": args.g2, "mu": args.mu, "w": args.w}
     results = {
         "u": rep.u,
         "at_floor": rep.at_floor,
@@ -393,20 +336,20 @@ def _cmd_factorize_check(args, parser) -> int:
         "kernel_max": kernel_max,
         "min_phi_on_grid": min_phi,
     }
-    if args.format == "json":
-        _emit(_render_json(_report(inputs, _reduced_dict(rp), results, checks)), args.out)
-    else:
-        rows = [[c["name"], c["value"], c["threshold"], c["passed"]] for c in checks]
-        _emit(_render_csv(["check", "value", "threshold", "passed"], rows), args.out)
-    for c in checks:
-        if not c["passed"]:
-            where = f" at x = {_fmt(c['at_x'])}" if "at_x" in c else ""
-            print(f"check {c['name']} failed{where}", file=sys.stderr)
-            return EXIT_NUMERICAL
-    return EXIT_OK
+    failure = None
+    first = next((c for c in checks if not c["passed"]), None)
+    if first is not None:
+        where = f" at x = {_fmt(first['at_x'])}" if "at_x" in first else ""
+        failure = f"check {first['name']} failed{where}"
+    return _Report(
+        inputs, _reduced_dict(rp), results, checks,
+        ["check", "value", "threshold", "passed"],
+        [[c["name"], c["value"], c["threshold"], c["passed"]] for c in checks],
+        failure,
+    )
 
 
-def _cmd_nonexistence(args, parser) -> int:
+def _cmd_nonexistence(args, parser) -> _Report:
     g1, g2 = args.g1, args.g2
     in_cone = g1 >= -0.25 and g2 >= 0.0
     if in_cone and not args.force:
@@ -415,7 +358,7 @@ def _cmd_nonexistence(args, parser) -> int:
             "nothing to demonstrate; pass --force to count zeros anyway",
             file=sys.stderr,
         )
-        return EXIT_USAGE
+        raise SystemExit(EXIT_USAGE)
 
     if args.interval is not None:
         interval = (args.interval[0], args.interval[1])
@@ -427,93 +370,48 @@ def _cmd_nonexistence(args, parser) -> int:
         interval = (1e-4, 5.0)
 
     report = _cli.count_zeros(_cli.Couplings(g1, g2), args.u, interval)
-    gap = abs(report.observed_zeros - report.predicted_zeros)
-    tol = 1.0 + 0.1 * report.predicted_zeros
-    checks = [
-        {
-            "name": "zero-count-within-tolerance",
-            "passed": gap <= tol,
-            "value": gap,
-            "threshold": tol,
-        }
-    ]
-    inputs = {
-        "command": "nonexistence",
-        "g1": g1,
-        "g2": g2,
-        "u": args.u,
-        "x_lo": interval[0],
-        "x_hi": interval[1],
-        "force": bool(args.force),
-    }
-    results = {
-        "mode": report.mode,
-        "observed_zeros": report.observed_zeros,
-        "predicted_zeros": report.predicted_zeros,
-        "sigma_or_omega": report.sigma_or_omega,
-    }
-    if args.format == "json":
-        _emit(_render_json(_report(inputs, None, results, checks)), args.out)
-    else:
-        _emit(
-            _render_csv(
-                ["x_lo", "x_hi", "mode", "observed", "predicted", "sigma_or_omega", "u"],
-                [[interval[0], interval[1], report.mode, report.observed_zeros,
-                  report.predicted_zeros, report.sigma_or_omega, args.u]],
-            ),
-            args.out,
-        )
-    if not checks[0]["passed"]:
-        print(
-            f"observed {report.observed_zeros} zeros vs predicted "
-            f"{report.predicted_zeros:.2f} (allowed slack {tol:.2f})",
-            file=sys.stderr,
-        )
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    observed, predicted = report.observed_zeros, report.predicted_zeros
+    gap = abs(observed - predicted)
+    tol = 1.0 + 0.1 * predicted
+    passed = gap <= tol
+    inputs = {"command": "nonexistence", "g1": g1, "g2": g2, "u": args.u, "x_lo": interval[0],
+              "x_hi": interval[1], "force": bool(args.force)}
+    results = {"mode": report.mode, "observed_zeros": observed, "predicted_zeros": predicted,
+               "sigma_or_omega": report.sigma_or_omega}
+    checks = [{"name": "zero-count-within-tolerance", "passed": passed, "value": gap, "threshold": tol}]
+    return _Report(
+        inputs, None, results, checks,
+        ["x_lo", "x_hi", "mode", "observed", "predicted", "sigma_or_omega", "u"],
+        [[*interval, report.mode, observed, predicted, report.sigma_or_omega, args.u]],
+        None if passed else
+        f"observed {observed} zeros vs predicted {predicted:.2f} (allowed slack {tol:.2f})",
+    )
 
 
-def _cmd_verify(args, parser) -> int:
+def _cmd_verify(args, parser) -> _Report:
     token = _cli.gamma_skew.set(0.01 if args.inject_gamma_bug else 0.0)
     try:
         rows = _cli.run_acceptance(quick=args.quick)
     finally:
         _cli.gamma_skew.reset(token)
 
-    inputs = {
-        "command": "verify",
-        "quick": bool(args.quick),
-        "inject_gamma_bug": bool(args.inject_gamma_bug),
-    }
-    n_failed = sum(1 for r in rows if not r.passed)
-    results = {
-        "rows": [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "value": r.value,
-                "threshold": r.threshold,
-                "detail": r.detail,
-            }
-            for r in rows
-        ]
-    }
-    checks = [
-        {"name": "all-rows-pass", "passed": n_failed == 0, "value": n_failed, "threshold": 0}
-    ]
-    if args.format == "json":
-        _emit(_render_json(_report(inputs, None, results, checks)), args.out)
-    else:
-        table = [
-            ["PASS" if r.passed else "FAIL", r.name, r.value, r.threshold, r.detail]
-            for r in rows
-        ]
-        _emit(_render_csv(["status", "name", "value", "threshold", "detail"], table), args.out)
-    if n_failed:
-        first = next(r for r in rows if not r.passed)
-        print(f"first failing row: {first.name} ({first.value:.3e} > {first.threshold:.0e})", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    failed = [r for r in rows if not r.passed]
+    inputs = {"command": "verify", "quick": bool(args.quick), "inject_gamma_bug": bool(args.inject_gamma_bug)}
+    results = {"rows": [
+        {"name": r.name, "passed": r.passed, "value": r.value, "threshold": r.threshold, "detail": r.detail}
+        for r in rows
+    ]}
+    checks = [{"name": "all-rows-pass", "passed": not failed, "value": len(failed), "threshold": 0}]
+    failure = None
+    if failed:
+        first = failed[0]
+        failure = f"first failing row: {first.name} ({first.value:.3e} > {first.threshold:.0e})"
+    return _Report(
+        inputs, None, results, checks,
+        ["status", "name", "value", "threshold", "detail"],
+        [["PASS" if r.passed else "FAIL", r.name, r.value, r.threshold, r.detail] for r in rows],
+        failure,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -601,13 +499,28 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_out(args.out)
-        return args.func(args, parser)
+        report = args.func(args, parser)
+        if args.format == "json":
+            text = _render_json({
+                "inputs": report.inputs,
+                "reduced_params": report.reduced_params,
+                "results": report.results,
+                "checks": report.checks,
+                "version": __version__,
+            })
+        else:
+            text = _render_csv(report.header, report.rows)
+        _emit(text, args.out)
     except DomainError as exc:
         print(f"invalid request: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    if report.failure is not None:
+        print(report.failure, file=sys.stderr)
+        return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -19,9 +19,12 @@ degenerates (0/0) at integer b, while the Laplace integral
 
     Psi = 1/G(a) int_0^inf t^(a-1) (1+t)^(b-a-1) e^(-rho t) dt
 
-holds for every b >= 1.  The public router uses the integral within 1e-8
-of an integer b and the combination elsewhere; tests drive both branches
-on overlapping arguments and demand 1e-8 agreement.
+holds for every b >= 1.  The public router takes the combination first
+where it applies, at rho <= 8 and more than 1e-8 from an integer b; the
+integral where the combination refuses or does not apply; and below
+rho = 8 the inward sweep for a value both refuse (the order is given in
+full below).  Tests drive both routes on overlapping arguments and demand
+1e-8 agreement.
 
 The two-series combination cancels catastrophically once rho is a few
 units large (the two Phi terms grow like e^rho while Psi decays like

@@ -34,7 +34,9 @@ u'' = q u with q >= -K^2 has its zeros at least pi / K apart (Sturm
 comparison with u'' = -K^2 u), a step holds at most one zero of u.  The
 strict sign changes of u between the steps' ends therefore count the
 nodes exactly (a step that lands on 0 is bridged to the next non-zero
-value); `nonexistence.count_zeros` counts zeros this way too.
+value); `nonexistence.count_zeros` counts zeros this way too.  Where K
+is so large that 3/K no longer moves x (K^2 past float64 included), the
+call is refused with `ConvergenceError`.
 
 Renormalization.  The state passes through hundreds of orders of
 magnitude under a barrier, so whenever max(|u|, |u'|) exceeds
@@ -117,6 +119,10 @@ def integrate(
         k2 = abs(g1) / (lo * lo) + abs(g2) * hi * hi + abs(E)
         if h * h * k2 > c2:
             h = _STEP_PHASE / math.sqrt(k2)
+            if x + h * direction == x:
+                raise ConvergenceError(
+                    f"integrate: a step of 3/K no longer moves x = {x:.6g} (K^2 = {k2:.3g})"
+                )
         hs = h * direction
 
         # the scaled quartic P_j = p_j h^(j+2) / x0^2 and the source's h^2

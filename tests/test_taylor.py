@@ -320,6 +320,14 @@ class TestRefusals:
         with pytest.raises(ConvergenceError, match=f"at x = {after} "):
             integrate(0.0, 0.0, E, x0, (1.0, 1.0), (0.0, 0.0), x1)
 
+    @pytest.mark.parametrize("g1, g2, E, x1, k2", [(1e308, 1.0, 0.0, 0.5, "inf"), (0.0, 1e308, 0.0, 2.0, "inf"),
+                                                   (0.0, 0.0, 1e308, 2.0, "1e[+]308")])
+    def test_a_step_that_no_longer_moves_x_is_refused(self, g1, g2, E, x1, k2):
+        # K^2 past float64 made the step 0 (a division by zero, or NaN terms);
+        # K = 1e154 makes it 3e-154, below the rounding of x = 1
+        with pytest.raises(ConvergenceError, match=f"no longer moves x = 1 [(]K\\^2 = {k2}[)]"):
+            integrate(g1, g2, E, 1.0, (1.0, 0.0), (0.0, 0.0), x1)
+
     def test_step_budget(self, monkeypatch):
         monkeypatch.setattr(taylor, "_MAX_STEPS", 3)
         with pytest.raises(ConvergenceError, match="steps exhausted"):
