@@ -6,11 +6,11 @@ Exit codes: 0 success, 2 invalid arguments or guarded region, 3 no
 representation exists for the couplings, 4 numerical failure or a check
 over threshold.
 
-Each subcommand's handler returns its report: the JSON fields, the CSV
-table, and the stderr line for a failed check.  `main` writes the report in
-the requested format and sets the exit code; a failed check still writes the
-whole report, then prints its line and exits 4.  A refusal (exit 2 or 3)
-writes nothing to stdout.
+Each subcommand's handler returns its report, the tuple (inputs,
+reduced_params, results, checks, CSV header, CSV rows, failure line), and
+`main` writes it in the requested format and sets the exit code: a failed
+check still writes the whole report, then prints its failure line to stderr
+and exits 4.  A refusal (exit 2 or 3) writes nothing to stdout.
 
 JSON output is deterministic byte for byte for identical inputs: fixed
 key order, floats at 17 significant digits, no timestamps. The JSON
@@ -39,7 +39,6 @@ import math
 import os
 import re
 import sys
-from typing import NamedTuple
 
 from . import __version__
 from .errors import ConvergenceError, DomainError
@@ -167,19 +166,6 @@ def _emit(text: str, out_path: str | None) -> None:
             sys.stdout.write("\n")
 
 
-class _Report(NamedTuple):
-    """What a subcommand hands `main`: the JSON fields, the CSV table, and
-    the stderr line of a failed check (None when every check passed)."""
-
-    inputs: dict
-    reduced_params: dict | None
-    results: dict
-    checks: list
-    header: list[str]
-    rows: list[list]
-    failure: str | None
-
-
 def _reduced_dict(rp) -> dict:
     return {"kappa": rp.kappa, "upsilon": rp.upsilon, "w0": rp.w0, "u0": rp.u0}
 
@@ -220,7 +206,7 @@ def _pick_extension(rp, args, parser):
 # subcommands
 
 
-def _cmd_spectrum(args, parser) -> _Report:
+def _cmd_spectrum(args, parser):
     _region_guard(args.g1, args.g2)
     rp = _cli.reduce(args.g1, args.g2)
     ext = _pick_extension(rp, args, parser)
@@ -250,10 +236,10 @@ def _cmd_spectrum(args, parser) -> _Report:
             row.append(oe)
         if not checks[0]["passed"]:
             failure = "oracle disagrees with the spectral equations beyond 1e-3"
-    return _Report(inputs, _reduced_dict(rp), results, checks, header, rows, failure)
+    return inputs, _reduced_dict(rp), results, checks, header, rows, failure
 
 
-def _cmd_sweep(args, parser) -> _Report:
+def _cmd_sweep(args, parser):
     _region_guard(args.g1, args.g2)
     rp = _cli.reduce(args.g1, args.g2)
     if rp.kappa >= 1.0:
@@ -298,15 +284,13 @@ def _cmd_sweep(args, parser) -> _Report:
               "count": count, "n": args.n}
     results = {"rows": [{"nu": nu, "energies": es} for nu, es in table], "e0_direction": direction}
     checks = [{"name": "e0-monotone", "passed": passed, "value": direction, "threshold": expected}]
-    return _Report(
-        inputs, _reduced_dict(rp), results, checks,
-        ["nu"] + [f"E{i}" for i in range(args.n)],
-        [[nu] + es for nu, es in table],
-        None if passed else f"ground-state flow is {direction}, expected {expected}",
-    )
+    header = ["nu"] + [f"E{i}" for i in range(args.n)]
+    rows = [[nu] + es for nu, es in table]
+    failure = None if passed else f"ground-state flow is {direction}, expected {expected}"
+    return inputs, _reduced_dict(rp), results, checks, header, rows, failure
 
 
-def _cmd_factorize_check(args, parser) -> _Report:
+def _cmd_factorize_check(args, parser):
     _region_guard(args.g1, args.g2)
     rp = _cli.reduce(args.g1, args.g2)
     rep = _cli.RepresentationParams(args.mu, args.w, rp)
@@ -341,15 +325,12 @@ def _cmd_factorize_check(args, parser) -> _Report:
     if first is not None:
         where = f" at x = {_fmt(first['at_x'])}" if "at_x" in first else ""
         failure = f"check {first['name']} failed{where}"
-    return _Report(
-        inputs, _reduced_dict(rp), results, checks,
-        ["check", "value", "threshold", "passed"],
-        [[c["name"], c["value"], c["threshold"], c["passed"]] for c in checks],
-        failure,
-    )
+    header = ["check", "value", "threshold", "passed"]
+    rows = [[c["name"], c["value"], c["threshold"], c["passed"]] for c in checks]
+    return inputs, _reduced_dict(rp), results, checks, header, rows, failure
 
 
-def _cmd_nonexistence(args, parser) -> _Report:
+def _cmd_nonexistence(args, parser):
     g1, g2 = args.g1, args.g2
     in_cone = g1 >= -0.25 and g2 >= 0.0
     if in_cone and not args.force:
@@ -379,16 +360,15 @@ def _cmd_nonexistence(args, parser) -> _Report:
     results = {"mode": report.mode, "observed_zeros": observed, "predicted_zeros": predicted,
                "sigma_or_omega": report.sigma_or_omega}
     checks = [{"name": "zero-count-within-tolerance", "passed": passed, "value": gap, "threshold": tol}]
-    return _Report(
-        inputs, None, results, checks,
-        ["x_lo", "x_hi", "mode", "observed", "predicted", "sigma_or_omega", "u"],
-        [[*interval, report.mode, observed, predicted, report.sigma_or_omega, args.u]],
-        None if passed else
-        f"observed {observed} zeros vs predicted {predicted:.2f} (allowed slack {tol:.2f})",
-    )
+    header = ["x_lo", "x_hi", "mode", "observed", "predicted", "sigma_or_omega", "u"]
+    rows = [[*interval, report.mode, observed, predicted, report.sigma_or_omega, args.u]]
+    failure = None
+    if not passed:
+        failure = f"observed {observed} zeros vs predicted {predicted:.2f} (allowed slack {tol:.2f})"
+    return inputs, None, results, checks, header, rows, failure
 
 
-def _cmd_verify(args, parser) -> _Report:
+def _cmd_verify(args, parser):
     token = _cli.gamma_skew.set(0.01 if args.inject_gamma_bug else 0.0)
     try:
         rows = _cli.run_acceptance(quick=args.quick)
@@ -406,12 +386,9 @@ def _cmd_verify(args, parser) -> _Report:
     if failed:
         first = failed[0]
         failure = f"first failing row: {first.name} ({first.value:.3e} > {first.threshold:.0e})"
-    return _Report(
-        inputs, None, results, checks,
-        ["status", "name", "value", "threshold", "detail"],
-        [["PASS" if r.passed else "FAIL", r.name, r.value, r.threshold, r.detail] for r in rows],
-        failure,
-    )
+    header = ["status", "name", "value", "threshold", "detail"]
+    table = [["PASS" if r.passed else "FAIL", r.name, r.value, r.threshold, r.detail] for r in rows]
+    return inputs, None, results, checks, header, table, failure
 
 
 # ---------------------------------------------------------------------------
@@ -499,17 +476,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_out(args.out)
-        report = args.func(args, parser)
+        inputs, reduced_params, results, checks, header, rows, failure = args.func(args, parser)
         if args.format == "json":
             text = _render_json({
-                "inputs": report.inputs,
-                "reduced_params": report.reduced_params,
-                "results": report.results,
-                "checks": report.checks,
+                "inputs": inputs,
+                "reduced_params": reduced_params,
+                "results": results,
+                "checks": checks,
                 "version": __version__,
             })
         else:
-            text = _render_csv(report.header, report.rows)
+            text = _render_csv(header, rows)
         _emit(text, args.out)
     except DomainError as exc:
         print(f"invalid request: {exc}", file=sys.stderr)
@@ -517,8 +494,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    if report.failure is not None:
-        print(report.failure, file=sys.stderr)
+    if failure is not None:
+        print(failure, file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 

@@ -35,8 +35,9 @@ comparison with u'' = -K^2 u), a step holds at most one zero of u.  The
 strict sign changes of u between the steps' ends therefore count the
 nodes exactly (a step that lands on 0 is bridged to the next non-zero
 value); `nonexistence.count_zeros` counts zeros this way too.  Where K
-is so large that 3/K no longer moves x (K^2 past float64 included), the
-call is refused with `ConvergenceError`.
+is so large that 3/K no longer moves x (K^2 past float64 included), or an
+endpoint's square underflows to 0, the call is refused with
+`ConvergenceError`.
 
 Renormalization.  The state passes through hundreds of orders of
 magnitude under a barrier, so whenever max(|u|, |u'|) exceeds
@@ -93,6 +94,8 @@ def integrate(
     tolerance of each step's series."""
     if not (0.0 < x0 < math.inf and 0.0 < x1 < math.inf):  # NaN included
         raise DomainError(f"integrate: endpoints must lie in (0, inf), got ({x0!r}, {x1!r})")
+    if min(x0, x1) * min(x0, x1) == 0.0:
+        raise ConvergenceError(f"integrate: x = {min(x0, x1):.3g} squares to 0 in float64, so K^2 is no float")
     if len(y0) != 2 or len(ye0) != 2:
         raise DomainError(f"integrate: states must have 2 components, got {len(y0)} and {len(ye0)}")
     if not 0.0 < rel_tol <= 1e-2:  # NaN included

@@ -328,6 +328,12 @@ class TestRefusals:
         with pytest.raises(ConvergenceError, match=f"no longer moves x = 1 [(]K\\^2 = {k2}[)]"):
             integrate(g1, g2, E, 1.0, (1.0, 0.0), (0.0, 0.0), x1)
 
+    @pytest.mark.parametrize("g1, x0, x1", [(1.0, 1e-200, 1.0), (0.0, 1e-300, 1.0), (0.0, 1.0, 5e-324)])
+    def test_an_endpoint_whose_square_underflows_is_refused(self, g1, x0, x1):
+        # g1 / x^2 divided by zero, also at g1 = 0
+        with pytest.raises(ConvergenceError, match="squares to 0"):
+            integrate(g1, 1.0, 0.0, x0, (1.0, 0.0), (0.0, 0.0), x1)
+
     def test_step_budget(self, monkeypatch):
         monkeypatch.setattr(taylor, "_MAX_STEPS", 3)
         with pytest.raises(ConvergenceError, match="steps exhausted"):
