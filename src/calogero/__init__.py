@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 _HOME = {
     "ConvergenceError": "errors",
     "DomainError": "errors",
-    "Couplings": "params",
     "RegionClass": "params",
     "ReducedParams": "params",
     "classify": "params",

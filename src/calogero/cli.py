@@ -2,15 +2,18 @@
 
 Subcommands: spectrum, sweep, factorize-check, nonexistence, verify.
 Data goes to stdout (or --out) as JSON or CSV; diagnostics go to stderr.
-Exit codes: 0 success, 2 invalid arguments or guarded region, 3 no
+Exit codes: 0 success, 2 invalid arguments or an invalid request, 3 no
 representation exists for the couplings, 4 numerical failure or a check
 over threshold.
 
-Each subcommand's handler returns its report, the tuple (inputs,
-reduced_params, results, checks, CSV header, CSV rows, failure line), and
-`main` writes it in the requested format and sets the exit code: a failed
-check still writes the whole report, then prints its failure line to stderr
-and exits 4.  A refusal (exit 2 or 3) writes nothing to stdout.
+Each subcommand's handler takes the parsed arguments, calls the library
+and returns its report, the tuple (inputs, reduced_params, results, checks,
+CSV header, CSV rows, failure line); `main` writes it in the requested
+format and sets the exit code: a failed check still writes the whole
+report, then prints its failure line to stderr and exits 4.  Past parsing,
+every refusal but exit 3 is a DomainError (exit 2) or ConvergenceError
+(exit 4), raised where its rule lives and printed by `main` as one stderr
+line; a refusal writes nothing to stdout.
 
 JSON output is deterministic byte for byte for identical inputs: fixed
 key order, floats at 17 significant digits, no timestamps. The JSON
@@ -39,6 +42,7 @@ import math
 import os
 import re
 import sys
+import warnings
 
 from . import __version__
 from .errors import ConvergenceError, DomainError
@@ -50,6 +54,8 @@ __all__ = ["main"]
 # handlers call them as `_cli.<name>`, so a replaced attribute is the one called
 _LAZY = {
     "run_acceptance": "acceptance",
+    "KERNEL_THRESHOLD": "factorization",
+    "RESIDUAL_THRESHOLD": "factorization",
     "RepresentationParams": "factorization",
     "factorization_residual": "factorization",
     "kernel_sweep": "factorization",
@@ -57,7 +63,6 @@ _LAZY = {
     "residual_sweep": "factorization",
     "count_zeros": "nonexistence",
     "shoot_spectrum": "oracle",
-    "Couplings": "params",
     "RegionClass": "params",
     "classify": "params",
     "reduce": "params",
@@ -190,26 +195,19 @@ def _region_guard(g1: float, g2: float) -> None:
         raise SystemExit(EXIT_NO_REPRESENTATION)
 
 
-def _pick_extension(rp, args, parser):
-    """The requested Extension. Extension flags are mutually exclusive
-    by parser construction; here only region compatibility is checked.
-    For kappa >= 1 `extension_for` gives the unique extension, whatever
-    the flags, and warns of an ignored nu."""
-    if args.unique and rp.kappa < 1.0:
-        parser.error("--unique needs kappa >= 1; this coupling has a family, pass --nu or --friedrichs")
-    if rp.kappa < 1.0 and args.nu is None and not args.friedrichs:
-        parser.error("kappa < 1: the extension is not unique, pass --nu RADIANS or --friedrichs")
-    return _cli.extension_for(rp, nu=args.nu, friedrichs=args.friedrichs)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_spectrum(args, parser):
+def _cmd_spectrum(args):
     _region_guard(args.g1, args.g2)
     rp = _cli.reduce(args.g1, args.g2)
-    ext = _pick_extension(rp, args, parser)
+    # an ignored nu's warning as one plain line: Python's format names a source line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ext = _cli.extension_for(rp, nu=args.nu, friedrichs=args.friedrichs)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     result = _cli.spectrum(rp, ext, args.n)
     ups2 = rp.energy_scale()
 
@@ -239,25 +237,25 @@ def _cmd_spectrum(args, parser):
     return inputs, _reduced_dict(rp), results, checks, header, rows, failure
 
 
-def _cmd_sweep(args, parser):
+def _cmd_sweep(args):
     _region_guard(args.g1, args.g2)
     rp = _cli.reduce(args.g1, args.g2)
     if rp.kappa >= 1.0:
-        parser.error(f"sweep needs a one-parameter family (kappa < 1), got kappa = {rp.kappa:.6g}")
+        raise DomainError(f"sweep needs a one-parameter family (kappa < 1), got kappa = {rp.kappa:.6g}")
     lo, hi, count = args.sweep
     if not (count.is_integer() and count >= 2):
-        parser.error(f"--sweep COUNT must be a whole number >= 2, got {count:g}")
+        raise DomainError(f"--sweep COUNT must be a whole number >= 2, got {count:g}")
     count = int(count)
     if not (lo < hi):
-        parser.error("--sweep wants LO < HI")
-    if abs(lo) > 0.5 * math.pi + 1e-12 or abs(hi) > 0.5 * math.pi + 1e-12:
-        parser.error("sweep endpoints must lie in [-pi/2, pi/2]")
+        raise DomainError("--sweep wants LO < HI")
 
+    # every row's extension first, so an endpoint past pi/2 is refused
+    # before any spectrum runs
     nus = [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    exts = [_cli.extension_for(rp, nu=nu) for nu in nus]
     table = []
     interior_e0 = []
-    for nu in nus:
-        ext = _cli.extension_for(rp, nu=nu)
+    for nu, ext in zip(nus, exts):
         energies = list(_cli.spectrum(rp, ext, args.n).energies)
         table.append((nu, energies))
         if not ext.is_ladder:
@@ -290,21 +288,22 @@ def _cmd_sweep(args, parser):
     return inputs, _reduced_dict(rp), results, checks, header, rows, failure
 
 
-def _cmd_factorize_check(args, parser):
+def _cmd_factorize_check(args):
     _region_guard(args.g1, args.g2)
     rp = _cli.reduce(args.g1, args.g2)
     rep = _cli.RepresentationParams(args.mu, args.w, rp)
     phi = _cli.make_phi(rep)
 
     worst = _cli.residual_sweep(phi, _cli.factorization_residual, args.h_shift)
-    checks = [{"name": "factorization-residual", "passed": worst[0] <= 1e-6, "value": worst[0],
-               "threshold": 1e-6, "at_x": worst[1]}]
+    tol = _cli.RESIDUAL_THRESHOLD
+    checks = [{"name": "factorization-residual", "passed": worst[0] <= tol, "value": worst[0],
+               "threshold": tol, "at_x": worst[1]}]
 
     kernel_max = None
     if rep.at_floor:
-        kernel_max = _cli.kernel_sweep(phi)
-        checks.append({"name": "kernel-nontrivial", "passed": kernel_max <= 1e-10, "value": kernel_max,
-                       "threshold": 1e-10})
+        kernel_max, tol = _cli.kernel_sweep(phi), _cli.KERNEL_THRESHOLD
+        checks.append({"name": "kernel-nontrivial", "passed": kernel_max <= tol, "value": kernel_max,
+                       "threshold": tol})
 
     grid = [0.05 + (6.0 / rp.upsilon - 0.05) * i / 59.0 for i in range(60)]
     values = phi.values_on(grid)
@@ -330,30 +329,19 @@ def _cmd_factorize_check(args, parser):
     return inputs, _reduced_dict(rp), results, checks, header, rows, failure
 
 
-def _cmd_nonexistence(args, parser):
+def _cmd_nonexistence(args):
     g1, g2 = args.g1, args.g2
-    in_cone = g1 >= -0.25 and g2 >= 0.0
-    if in_cone and not args.force:
-        print(
-            "existence region (g1 >= -1/4, g2 >= 0): a positive solution exists, "
-            "nothing to demonstrate; pass --force to count zeros anyway",
-            file=sys.stderr,
-        )
-        raise SystemExit(EXIT_USAGE)
+    region = _cli.classify(g1, g2)
+    defaults = {_cli.RegionClass.NoRepresentation_FallToCenter: (1e-8, 1e-2),
+                _cli.RegionClass.NoRepresentation_FallToInfinity: (10.0, 20.0)}
+    if region not in defaults and not args.force:
+        raise DomainError("existence region (g1 >= -1/4, g2 >= 0): a positive solution exists, "
+                          "nothing to demonstrate; pass --force to count zeros anyway")
+    interval = tuple(args.interval or defaults.get(region, (1e-4, 5.0)))
 
-    if args.interval is not None:
-        interval = (args.interval[0], args.interval[1])
-    elif g1 < -0.25:
-        interval = (1e-8, 1e-2)
-    elif g2 < 0.0:
-        interval = (10.0, 20.0)
-    else:
-        interval = (1e-4, 5.0)
-
-    report = _cli.count_zeros(_cli.Couplings(g1, g2), args.u, interval)
+    report = _cli.count_zeros(g1, g2, args.u, interval)
     observed, predicted = report.observed_zeros, report.predicted_zeros
-    gap = abs(observed - predicted)
-    tol = 1.0 + 0.1 * predicted
+    gap, tol = abs(observed - predicted), report.slack
     passed = gap <= tol
     inputs = {"command": "nonexistence", "g1": g1, "g2": g2, "u": args.u, "x_lo": interval[0],
               "x_hi": interval[1], "force": bool(args.force)}
@@ -368,7 +356,7 @@ def _cmd_nonexistence(args, parser):
     return inputs, None, results, checks, header, rows, failure
 
 
-def _cmd_verify(args, parser):
+def _cmd_verify(args):
     token = _cli.gamma_skew.set(0.01 if args.inject_gamma_bug else 0.0)
     try:
         rows = _cli.run_acceptance(quick=args.quick)
@@ -472,11 +460,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _check_out(args.out)
-        inputs, reduced_params, results, checks, header, rows, failure = args.func(args, parser)
+        inputs, reduced_params, results, checks, header, rows, failure = args.func(args)
         if args.format == "json":
             text = _render_json({
                 "inputs": inputs,

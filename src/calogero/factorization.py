@@ -257,17 +257,11 @@ def make_phi(rep: RepresentationParams) -> EvaluableSolution:
     return EvaluableSolution(rep)
 
 
-def _value_and_derivative(f, x: float) -> tuple[float, float]:
-    if hasattr(f, "value_at"):
-        return f.value_at(x), f.derivative_at(x)
-    if isinstance(f, tuple) and len(f) >= 2:
-        return f[0](x), f[1](x)
-    raise DomainError("apply_a needs an EvaluableSolution or a (f, f') tuple of callables")
-
-
-def apply_a(phi: EvaluableSolution, f, x: float) -> float:
+def apply_a(phi: EvaluableSolution, f: EvaluableSolution, x: float) -> float:
     """(a f)(x) = f' - h f with h = phi'/phi.  Annihilates phi itself."""
-    v, d = _value_and_derivative(f, x)
+    if not isinstance(f, EvaluableSolution):
+        raise DomainError(f"apply_a needs an EvaluableSolution, got {type(f).__name__}")
+    v, d = f.value_at(x), f.derivative_at(x)
     return d - phi.superpotential_at(x) * v
 
 
@@ -315,6 +309,9 @@ _PROBES = (
 )
 _RESIDUAL_XS = (0.3, 0.7, 1.3, 2.1)
 _KERNEL_XS = (0.4, 1.0, 1.7)
+# the pass thresholds of the two sweeps, for `factorize-check` and verify row 6
+RESIDUAL_THRESHOLD = 1e-6
+KERNEL_THRESHOLD = 1e-10
 
 
 def residual_sweep(phi: EvaluableSolution, residual, h_shift: float = 0.0) -> tuple[float, float]:

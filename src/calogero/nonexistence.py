@@ -45,6 +45,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
+from .params import RegionClass, classify
 from .taylor import _MAX_STEPS, _STEP_PHASE, integrate
 
 __all__ = ["ZeroCountReport", "count_zeros"]
@@ -70,25 +71,25 @@ class ZeroCountReport:
     sigma_or_omega: float
     mode: str  # "origin" | "infinity" | "existence"
 
+    @property
+    def slack(self) -> float:
+        """The |observed - predicted| that the CLI's check and verify row 8 allow."""
+        return 1.0 + 0.1 * self.predicted_zeros
 
-def count_zeros(
-    c,
-    u: float,
-    interval: tuple[float, float],
-    init: tuple[float, float] = (1.0, 0.0),
-) -> ZeroCountReport:
+
+def count_zeros(g1: float, g2: float, u: float, interval: tuple[float, float],
+                init: tuple[float, float] = (1.0, 0.0)) -> ZeroCountReport:
     """Count strict sign changes of the solution seeded by `init`.
 
-    `c` carries the couplings (anything with .g1/.g2). The mode picks
-    itself: g1 < -1/4 integrates toward the origin (init given at x_hi),
-    otherwise g2 < 0 integrates outward (init given at x_lo), otherwise
-    the admissible-cone existence check runs inward from x_hi. `init` is
-    (phi, phi') at the seeding end. Refused with ConvergenceError before
-    any step: a phase that predicts more than `_MAX_ZEROS` zeros, an x_hi
-    where g2 x^4 - u x^2 overflows, and a segment that needs more steps
-    than one propagator call may take.
+    The mode follows `params.classify`: fall to the center integrates
+    toward the origin (init given at x_hi), fall to infinity outward (init
+    given at x_lo), and every other region runs the existence check inward
+    from x_hi. `init` is (phi, phi') at the seeding end. Refused with
+    ConvergenceError before any step: a phase that predicts more than
+    `_MAX_ZEROS` zeros, an x_hi where g2 x^4 - u x^2 overflows, and a
+    segment that needs more steps than one propagator call may take.
     """
-    g1, g2 = float(c.g1), float(c.g2)
+    g1, g2 = float(g1), float(g2)
     if not (math.isfinite(g1) and math.isfinite(g2) and math.isfinite(u)):
         raise DomainError(f"count_zeros: need finite g1, g2, u, got ({g1!r}, {g2!r}, {u!r})")
     x_lo, x_hi = float(interval[0]), float(interval[1])
@@ -99,11 +100,12 @@ def count_zeros(
         raise DomainError(f"count_zeros: init must be finite and nonzero, got {init!r}")
 
     s_lo, s_hi = math.log(x_lo), math.log(x_hi)
-    if g1 < -0.25:
+    region = classify(g1, g2)
+    if region is RegionClass.NoRepresentation_FallToCenter:
         mode = "origin"
         rate = math.sqrt(-g1 - 0.25)
         phase = rate * (s_hi - s_lo)  # x_hi / x_lo may overflow
-    elif g2 < 0.0:
+    elif region is RegionClass.NoRepresentation_FallToInfinity:
         mode = "infinity"
         rate = math.sqrt(-g2)
         phase = 0.5 * rate * (x_hi * x_hi - x_lo * x_lo)

@@ -27,16 +27,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
-__all__ = ["Couplings", "ReducedParams", "RegionClass", "ExtensionLabel", "Extension", "reduce",
-           "classify"]
-
-
-@dataclass(frozen=True)
-class Couplings:
-    """Raw potential couplings: V(x) = g1/x^2 + g2 x^2."""
-
-    g1: float
-    g2: float
+__all__ = ["ReducedParams", "RegionClass", "ExtensionLabel", "Extension", "reduce", "classify"]
 
 
 class RegionClass(enum.Enum):

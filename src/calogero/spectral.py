@@ -108,7 +108,8 @@ def extension_for(rp: ReducedParams, nu: float | None = None, friedrichs: bool =
     if friedrichs:
         return Extension(ExtensionLabel.FRIEDRICHS)
     if nu is None:
-        raise DomainError("extension_for: kappa < 1 needs nu, or friedrichs=True")
+        raise DomainError("extension_for: only kappa >= 1 has one extension; "
+                          f"kappa={rp.kappa:.6g} needs nu or friedrichs")
     if not math.isfinite(nu) or abs(nu) > _HALF_PI + 1e-12:
         raise DomainError(f"extension_for: nu={nu!r} outside [-pi/2, pi/2]")
     if abs(abs(nu) - _HALF_PI) < _FRIEDRICHS_SNAP:

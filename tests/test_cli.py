@@ -171,9 +171,11 @@ class TestSpectrum:
         assert err == f"no generalized oscillator representation: {reason}\n"
 
     def test_family_without_extension_flag_is_usage_error(self, capsys):
+        # the library's refusal, worded for both its callers
         code, _, err = run(capsys, ["spectrum", "--g1", "0", "--g2", "1"])
         assert code == 2
-        assert "--nu" in err
+        assert err.startswith("invalid request: extension_for: ")
+        assert err.endswith("only kappa >= 1 has one extension; kappa=0.5 needs nu or friedrichs\n")
 
     def test_unique_flag_rejected_below_threshold(self, capsys):
         code, _, err = run(capsys, ["spectrum", "--g1", "0", "--g2", "1", "--unique"])
@@ -236,6 +238,31 @@ def test_option_after_value_taking_flag_is_still_an_error(capsys):
     code, _, err = run(capsys, ["spectrum", "--g1", "0", "--g2", "1", "--nu", "--unique"])
     assert code == 2
     assert "--nu: expected one argument" in err
+
+
+# every request refused after parsing, each through DomainError and main
+_REFUSED = {
+    "unique-in-family": ["spectrum", "--g1", "0", "--g2", "1", "--unique"],
+    "no-extension-flag": ["spectrum", "--g1", "0", "--g2", "1"],
+    "nu-out-of-range": ["spectrum", "--g1", "0", "--g2", "1", "--nu", "2"],
+    "sweep-unique-region": ["sweep", "--g1", "2", "--g2", "1", "--sweep", "-1", "1", "5"],
+    "sweep-fractional-count": ["sweep", "--g1", "0", "--g2", "1", "--sweep", "-1", "1", "2.5"],
+    "sweep-lo-not-below-hi": ["sweep", "--g1", "0", "--g2", "1", "--sweep", "1", "1", "3"],
+    "sweep-endpoint-past-half-pi": ["sweep", "--g1", "0", "--g2", "1", "--sweep", "-1", "1.6", "3"],
+    "nonexistence-in-cone": ["nonexistence", "--g1", "0", "--g2", "1"],
+    "nonexistence-g2-zero": ["nonexistence", "--g1", "0.5", "--g2", "0"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_REFUSED.values()), ids=list(_REFUSED))
+def test_refusal_after_parsing_is_one_invalid_request_line(capsys, monkeypatch, argv):
+    # the whole sweep is refused before its first spectrum
+    monkeypatch.setattr(calogero.cli, "spectrum", None)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert err.startswith("invalid request: ")
+    assert "usage:" not in err
 
 
 class TestSweep:

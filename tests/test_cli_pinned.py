@@ -5,7 +5,8 @@ the sha256 of its whole stdout and its stderr verbatim.  The table covers
 every subcommand in JSON and in CSV, checks that pass and checks that fail
 (a failed check still prints the whole report, then exits 4 with one line
 on stderr), and the refusals: exit 2 for a bad request, 3 where no
-representation exists, 4 for a numerical failure.  Full `verify`, the nine
+representation exists, 4 for a numerical failure.  A warning is one plain
+stderr line, pinned like the rest.  Full `verify`, the nine
 oracle levels and the deep ground state are the digests CI pins on the
 command line.  A change that keeps the arithmetic may not move a byte; one
 that does must say so.
@@ -22,12 +23,6 @@ import pytest
 from calogero import cli
 
 _EMPTY = hashlib.sha256(b"").hexdigest()
-
-# argparse's usage line as `parser.error` prints it, wrapped at 80 columns
-_USAGE = (
-    "usage: calogero [-h] [--version]\n"
-    "                {spectrum,sweep,factorize-check,nonexistence,verify} ...\n"
-)
 
 # argv: (exit code, sha256 of stdout, stderr)
 PINS = {
@@ -47,8 +42,11 @@ PINS = {
         (0, "c062d17ac25a679a33412c961a322505b1d475a137bcef75ad482b94b938741a", ""),
     "spectrum --g1 2 --g2 1":
         (0, "7bac98cb1b4b3fb027f957640296b19de6cdef5722504dc383336f3bb7fb5ec8", ""),
-    "spectrum --g1 2 --g2 1 --nu 0.3":
-        (0, "7bac98cb1b4b3fb027f957640296b19de6cdef5722504dc383336f3bb7fb5ec8", ""),
+    "spectrum --g1 2 --g2 1 --nu 0.3": (
+        0,
+        "7bac98cb1b4b3fb027f957640296b19de6cdef5722504dc383336f3bb7fb5ec8",
+        "warning: kappa=1.5 >= 1: operator is essentially self-adjoint, nu=0.3 ignored\n",
+    ),
     "spectrum --g1 2 --g2 1 --friedrichs":
         (0, "7bac98cb1b4b3fb027f957640296b19de6cdef5722504dc383336f3bb7fb5ec8", ""),
     "spectrum --g1 0 --g2 16 --friedrichs --n 2 --format csv":
@@ -56,12 +54,14 @@ PINS = {
     "spectrum --g1 0 --g2 1 --unique": (
         2,
         _EMPTY,
-        _USAGE + "calogero: error: --unique needs kappa >= 1; this coupling has a family, pass --nu or --friedrichs\n",
+        "invalid request: extension_for: only kappa >= 1 has one extension; kappa=0.5 needs nu or "
+        "friedrichs\n",
     ),
     "spectrum --g1 0 --g2 1": (
         2,
         _EMPTY,
-        _USAGE + "calogero: error: kappa < 1: the extension is not unique, pass --nu RADIANS or --friedrichs\n",
+        "invalid request: extension_for: only kappa >= 1 has one extension; kappa=0.5 needs nu or "
+        "friedrichs\n",
     ),
     "spectrum --g1 0 --g2 1 --nu 1.0 --out .":
         (2, _EMPTY, "invalid request: cannot write --out .: Is a directory\n"),
@@ -116,7 +116,7 @@ PINS = {
     "nonexistence --g1 0 --g2 1": (
         2,
         _EMPTY,
-        "existence region (g1 >= -1/4, g2 >= 0): a positive solution exists, nothing to demonstrate; pass --force to count zeros anyway\n",
+        "invalid request: existence region (g1 >= -1/4, g2 >= 0): a positive solution exists, nothing to demonstrate; pass --force to count zeros anyway\n",
     ),
     "nonexistence --g1 -1.25 --g2 1 --interval 1e-3 1e10": (
         4,
@@ -147,9 +147,6 @@ PINS = {
         "first failing row: 2-nu-zero-closed-form (1.670e-02 > 1e-10)\n",
     ),
 }
-
-# argv: the warning a kappa >= 1 coupling gives for an ignored nu
-WARNS = {"spectrum --g1 2 --g2 1 --nu 0.3": "nu=0.3 ignored"}
 
 # argv: (library name, map of each energy it returns), then the pin
 FAULTS = {
@@ -196,12 +193,7 @@ def _run(argv, monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv", list(PINS))
 def test_cli_bytes(argv, monkeypatch, capsys):
-    if argv in WARNS:
-        with pytest.warns(UserWarning, match=WARNS[argv]):
-            got = _run(argv, monkeypatch, capsys)
-    else:
-        got = _run(argv, monkeypatch, capsys)
-    assert got == PINS[argv]
+    assert _run(argv, monkeypatch, capsys) == PINS[argv]
 
 
 @pytest.mark.parametrize("argv", list(FAULTS))

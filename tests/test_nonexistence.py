@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -14,7 +14,7 @@ from calogero import cli, nonexistence
 from calogero.errors import ConvergenceError, DomainError
 from calogero.factorization import RepresentationParams, make_phi
 from calogero.nonexistence import count_zeros
-from calogero.params import Couplings, reduce
+from calogero.params import RegionClass, classify, reduce
 from cash_karp import textbook_integrate
 
 
@@ -23,7 +23,7 @@ class TestOriginMode:
     # sigma ln(x_hi/x_lo) is ~6.9 rad, predicting ~2.2 zeros
 
     def test_example_counts(self):
-        r = count_zeros(Couplings(-0.5, 0.0), 0.0, (1e-8, 1e-2))
+        r = count_zeros(-0.5, 0.0, 0.0, (1e-8, 1e-2))
         assert r.mode == "origin"
         assert r.sigma_or_omega == pytest.approx(0.5)
         assert r.predicted_zeros == pytest.approx(0.5 * math.log(1e6) / math.pi)
@@ -31,23 +31,23 @@ class TestOriginMode:
         assert abs(r.observed_zeros - r.predicted_zeros) <= 1.0 + 0.1 * r.predicted_zeros
 
     def test_doubling_log_range_doubles_count(self):
-        single = count_zeros(Couplings(-4.25, 0.0), 0.0, (1e-6, 1.0))
-        double = count_zeros(Couplings(-4.25, 0.0), 0.0, (1e-12, 1.0))
+        single = count_zeros(-4.25, 0.0, 0.0, (1e-6, 1.0))
+        double = count_zeros(-4.25, 0.0, 0.0, (1e-12, 1.0))
         assert abs(double.observed_zeros - 2 * single.observed_zeros) <= 1
 
     def test_origin_wins_in_the_doubly_bad_quadrant(self):
         # with both couplings bad, the near-origin count is still set by
         # sigma alone (the g2 x^2 term dies out as x -> 0)
-        both = count_zeros(Couplings(-0.5, -1.0), 0.0, (1e-8, 1e-2))
+        both = count_zeros(-0.5, -1.0, 0.0, (1e-8, 1e-2))
         assert both.mode == "origin"
         assert both.observed_zeros in (2, 3)
 
     @settings(max_examples=25, deadline=None)
     @given(angle=st.floats(0.01, math.pi - 0.01))
     def test_initial_phase_shifts_count_by_at_most_one(self, angle):
-        base = count_zeros(Couplings(-1.25, 0.0), 0.0, (1e-4, 1e-1))
+        base = count_zeros(-1.25, 0.0, 0.0, (1e-4, 1e-1))
         other = count_zeros(
-            Couplings(-1.25, 0.0), 0.0, (1e-4, 1e-1),
+            -1.25, 0.0, 0.0, (1e-4, 1e-1),
             init=(math.cos(angle), math.sin(angle)),
         )
         assert abs(other.observed_zeros - base.observed_zeros) <= 1
@@ -85,17 +85,17 @@ class TestZerosInsideASegment:
         (-1.25, 1.0, 1e6, (1e-8, 1e-2)),
     ])
     def test_counts_every_zero(self, g1, g2, u, interval):
-        r = count_zeros(Couplings(g1, g2), u, interval)
+        r = count_zeros(g1, g2, u, interval)
         assert r.observed_zeros == _dop853_zeros(g1, g2, u, interval)
 
     def test_nonexistence_example_counts_18(self):
-        r = count_zeros(Couplings(-1.25, -1.0), 0.0, (1e-3, 10.0))
+        r = count_zeros(-1.25, -1.0, 0.0, (1e-3, 10.0))
         assert r.observed_zeros == 18
 
 
 class TestInfinityMode:
     def test_example_counts(self):
-        r = count_zeros(Couplings(0.0, -1.0), 0.0, (10.0, 20.0))
+        r = count_zeros(0.0, -1.0, 0.0, (10.0, 20.0))
         assert r.mode == "infinity"
         assert r.sigma_or_omega == pytest.approx(1.0)
         assert r.predicted_zeros == pytest.approx(300.0 / (2.0 * math.pi))
@@ -110,12 +110,12 @@ class TestInfinityMode:
     def test_pinned_counts(self, g2, u, interval, zeros):
         # the counts the textbook Cash-Karp loop gives too (`_reference_zeros`),
         # up to 322 zeros driven by u
-        assert count_zeros(Couplings(0.0, g2), u, interval).observed_zeros == zeros
+        assert count_zeros(0.0, g2, u, interval).observed_zeros == zeros
 
     def test_density_grows_linearly_in_x(self):
         # equal x^2 spans carry equal phase: (10,20) and (20,sqrt(700))
-        a = count_zeros(Couplings(0.0, -1.0), 0.0, (10.0, 20.0))
-        b = count_zeros(Couplings(0.0, -1.0), 0.0, (20.0, math.sqrt(700.0)))
+        a = count_zeros(0.0, -1.0, 0.0, (10.0, 20.0))
+        b = count_zeros(0.0, -1.0, 0.0, (20.0, math.sqrt(700.0)))
         assert abs(a.observed_zeros - b.observed_zeros) <= 1
 
 
@@ -126,7 +126,7 @@ class TestExistenceMode:
         phi = make_phi(RepresentationParams(0.0, u / (4.0 * rp.upsilon**2), rp))
         x_hi = 5.0
         r = count_zeros(
-            Couplings(0.0, 1.0), u, (1e-4, x_hi),
+            0.0, 1.0, u, (1e-4, x_hi),
             init=(phi.value_at(x_hi), phi.derivative_at(x_hi)),
         )
         assert r.mode == "existence"
@@ -139,7 +139,7 @@ class TestExistenceMode:
         phi = make_phi(RepresentationParams(0.0, rp.w0, rp))
         x_hi = 4.0
         r = count_zeros(
-            Couplings(2.0, 4.0), rp.u0, (1e-3, x_hi),
+            2.0, 4.0, rp.u0, (1e-3, x_hi),
             init=(phi.value_at(x_hi), phi.derivative_at(x_hi)),
         )
         assert r.observed_zeros == 0
@@ -147,15 +147,15 @@ class TestExistenceMode:
 
 class TestPlumbing:
     def test_report_records_inputs(self):
-        r = count_zeros(Couplings(-0.5, 0.0), 1.5, (1e-4, 1e-2))
+        r = count_zeros(-0.5, 0.0, 1.5, (1e-4, 1e-2))
         assert r.interval == (1e-4, 1e-2)
         assert r.u == 1.5
 
     def test_finer_segments_keep_the_count(self, monkeypatch):
-        base = count_zeros(Couplings(-0.5, 0.0), 0.0, (1e-8, 1e-2))
+        base = count_zeros(-0.5, 0.0, 0.0, (1e-8, 1e-2))
         # a tenth of the width cuts 35 segments instead of 4
         monkeypatch.setattr(nonexistence, "_LOG_WIDTH", nonexistence._LOG_WIDTH / 10.0)
-        fine = count_zeros(Couplings(-0.5, 0.0), 0.0, (1e-8, 1e-2))
+        fine = count_zeros(-0.5, 0.0, 0.0, (1e-8, 1e-2))
         assert fine.observed_zeros == base.observed_zeros
 
     @pytest.mark.parametrize("g1, g2", [(-1e300, 1.0), (0.0, -1e300), (-1e8, 1.0)])
@@ -164,15 +164,15 @@ class TestPlumbing:
         # -1e8 4.4e4, a few times the budget
         interval = (1e-8, 1e-2) if g1 < -0.25 else (10.0, 20.0)
         with pytest.raises(ConvergenceError, match="zeros"):
-            count_zeros(Couplings(g1, g2), 0.0, interval)
+            count_zeros(g1, g2, 0.0, interval)
 
     def test_budget_covers_the_phase_it_names(self, monkeypatch):
         # 2.2 zeros are predicted at g1 = -1/2 over (1e-8, 1e-2)
         monkeypatch.setattr(nonexistence, "_MAX_ZEROS", 3)
-        assert count_zeros(Couplings(-0.5, 0.0), 0.0, (1e-8, 1e-2)).observed_zeros == 2
+        assert count_zeros(-0.5, 0.0, 0.0, (1e-8, 1e-2)).observed_zeros == 2
         monkeypatch.setattr(nonexistence, "_MAX_ZEROS", 2)
         with pytest.raises(ConvergenceError, match="more than 2 zeros"):
-            count_zeros(Couplings(-0.5, 0.0), 0.0, (1e-8, 1e-2))
+            count_zeros(-0.5, 0.0, 0.0, (1e-8, 1e-2))
 
     def test_segments_toward_the_origin_span_at_most_e4(self, monkeypatch):
         # at sigma = 0.01 over (1e-280, 1) the 162 segments reach down to
@@ -186,7 +186,7 @@ class TestPlumbing:
             return real(g1, g2, E, x0, y0, ye0, x1)
 
         monkeypatch.setattr(nonexistence, "integrate", recording)
-        r = count_zeros(Couplings(-0.2501, 0.0), 0.0, (1e-280, 1.0))
+        r = count_zeros(-0.2501, 0.0, 0.0, (1e-280, 1.0))
         assert len(ends) == math.ceil(math.log(1e280) / nonexistence._LOG_WIDTH)
         assert min(ends) >= math.exp(-nonexistence._LOG_WIDTH) * (1.0 - 1e-15)
         assert r.observed_zeros == 2
@@ -194,7 +194,7 @@ class TestPlumbing:
     def test_an_interval_ratio_past_float64_keeps_its_phase(self):
         # 1e10 / 1e-300 overflows, so the phase is sigma (ln x_hi - ln x_lo),
         # 0.01 x 713.8: it was refused as "phase inf"
-        r = count_zeros(Couplings(-0.2501, 0.0), 0.0, (1e-300, 1e10))
+        r = count_zeros(-0.2501, 0.0, 0.0, (1e-300, 1e10))
         sigma = math.sqrt(0.2501 - 0.25)
         assert r.predicted_zeros == pytest.approx(sigma * 310.0 * math.log(10.0) / math.pi, rel=1e-12)
         assert r.observed_zeros == 2
@@ -223,7 +223,7 @@ class TestPlumbing:
             return res
 
         monkeypatch.setattr(nonexistence, "integrate", recording)
-        r = count_zeros(Couplings(-1.25, 1.0), 0.0, (1e-4, 300.0))
+        r = count_zeros(-1.25, 1.0, 0.0, (1e-4, 300.0))
         assert r.observed_zeros == 3
         x_a = 300.0 * math.exp(-math.log(3e6) / len(steps))
         assert steps[0] >= (300.0 ** 2 - x_a ** 2) / 6.0 > 0.9 * steps[0]
@@ -232,21 +232,21 @@ class TestPlumbing:
     def test_coefficients_past_the_float64_range_are_refused(self, g2, interval):
         # g2 x^4 overflows, and at 1e200 so does x^2 itself
         with pytest.raises(ConvergenceError, match="overflows"):
-            count_zeros(Couplings(-1.25, g2), 0.0, interval)
+            count_zeros(-1.25, g2, 0.0, interval)
 
     def test_rejects_bad_interval(self):
         with pytest.raises(DomainError, match="x_lo"):
-            count_zeros(Couplings(-0.5, 0.0), 0.0, (1e-2, 1e-8))
+            count_zeros(-0.5, 0.0, 0.0, (1e-2, 1e-8))
         with pytest.raises(DomainError, match="x_lo"):
-            count_zeros(Couplings(-0.5, 0.0), 0.0, (0.0, 1.0))
+            count_zeros(-0.5, 0.0, 0.0, (0.0, 1.0))
 
     def test_rejects_bad_init_and_couplings(self):
         with pytest.raises(DomainError, match="init"):
-            count_zeros(Couplings(-0.5, 0.0), 0.0, (1e-4, 1e-2), init=(0.0, 0.0))
+            count_zeros(-0.5, 0.0, 0.0, (1e-4, 1e-2), init=(0.0, 0.0))
         with pytest.raises(DomainError, match="finite"):
-            count_zeros(Couplings(math.nan, 0.0), 0.0, (1e-4, 1e-2))
+            count_zeros(math.nan, 0.0, 0.0, (1e-4, 1e-2))
         with pytest.raises(DomainError, match="finite"):
-            count_zeros(Couplings(-0.5, 0.0), math.inf, (1e-4, 1e-2))
+            count_zeros(-0.5, 0.0, math.inf, (1e-4, 1e-2))
 
 
 def _s_form(g1, g2, u):
@@ -317,5 +317,27 @@ def _zero_count_cases(draw):
 def test_count_zeros_matches_the_s_form_reference(case):
     g1, g2, u, interval, init = case
     assume(interval[0] < interval[1] and init != (0.0, 0.0))
-    got = count_zeros(Couplings(g1, g2), u, interval, init).observed_zeros
+    got = count_zeros(g1, g2, u, interval, init).observed_zeros
     assert got == _reference_zeros(g1, g2, u, *interval, init)
+
+
+_MODE = {
+    RegionClass.NoRepresentation_FallToCenter: "origin",
+    RegionClass.NoRepresentation_FallToInfinity: "infinity",
+}
+
+
+@given(
+    g1=st.one_of(st.just(-0.25), st.floats(-3.0, 3.0)),
+    g2=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+)
+# g1 < -1/4 with g2 < 0 is fall to the center, so it counts toward the origin
+@example(g1=-0.5, g2=-1.0)
+@example(g1=-0.25, g2=0.0)
+@example(g1=-0.2500001, g2=0.0)
+@example(g1=0.0, g2=-1e-300)
+@settings(max_examples=60, deadline=None)
+def test_mode_follows_classify(g1, g2):
+    # over a short interval near 1, where every count is quick
+    mode = count_zeros(g1, g2, 0.0, (0.5, 1.0)).mode
+    assert mode == _MODE.get(classify(g1, g2), "existence")
