@@ -7,8 +7,10 @@ every subcommand in JSON and in CSV, checks that pass and checks that fail
 on stderr), and the refusals: exit 2 for a bad request, 3 where no
 representation exists, 4 for a numerical failure.  A warning is one plain
 stderr line, pinned like the rest.  Full `verify`, the nine
-oracle levels and the deep ground state are the digests CI pins on the
-command line.  A change that keeps the arithmetic may not move a byte; one
+oracle levels, the deep ground state and the seven boundary-root runs (a
+root next to its pole, one ulp below it, kappa -> 1, the deep kappa = 0
+dives and a sweep from one dive to the other) are the digests CI pins on
+the command line.  A change that keeps the arithmetic may not move a byte; one
 that does must say so.
 
 `FAULTS` pins the two failure lines no real input reaches: the library name
@@ -73,6 +75,23 @@ PINS = {
         (0, "e183cfd4091f46c30f587c979ea6f087f15a068fea669104432e7cca54937abc", ""),
     "sweep --g1 0 --g2 1 --sweep -1.5707963267948966 1.5707963267948966 3":
         (0, "0355f7256ac1e29c405209735e88707130f46e7030ccce8a81d45da26ed20913", ""),
+    # boundary-root runs that CI pins: roots next to their poles and one
+    # ulp below them, kappa within ulps of 1, kappa = 0 ground states near
+    # -1.76e217 and at ln|E| ~ 705, and a sweep through both dives
+    "spectrum --g1 -0.24999997 --g2 1 --nu 1.5693 --n 21":
+        (0, "8616e11f9796e6e5a10657d7f71b0ecbb792e001b8effb5336e16dfd8a5a633e", ""),
+    "spectrum --g1 -0.24999999999999997 --g2 1 --nu 1.570795 --n 50":
+        (0, "36b208b2093b9b803524a20d22762a3efbbe6d162f69932c9a755d58218089d0", ""),
+    "spectrum --g1 0.749999999999988 --g2 1 --nu 0.7376 --n 20":
+        (0, "81403682519f696c3b91ebcf92452f7128ef42805f9d29abfb8d71eef8c9ae9c", ""),
+    "spectrum --g1 -0.25 --g2 1 --nu 1.5687963 --n 50":
+        (0, "2d1197bb56e9a1d1662e576f11f170691027fdc3e640ea68a991e4f6c86b3230", ""),
+    "spectrum --g1 -0.25 --g2 1 --nu 1.5693781897607493":
+        (0, "7d4ad6ebee45c436235fb51e1edb05b67a02c42b5294be20ab629ab98471ddc6", ""),
+    "sweep --g1 -0.16 --g2 1 --sweep -1.5 1.5 16 --n 4":
+        (0, "288c61bdc55b30f76da1b1b41b80dd18b8078a549b3004b585d37d4026720e56", ""),
+    "spectrum --g1 0.7499999999999998 --g2 1 --nu 1 --n 3":
+        (0, "43d12815844b4bc512d3ac68fe75cc16f9acd313433dcaf1a36e66c966c394e7", ""),
     "factorize-check --g1 -0.25 --g2 2 --mu 0.4 --w 0.3":
         (0, "a0177cc30b09eb3f275ff0b1a93cbf781f3dcd5e4001d7b2d2fcbcc7ce556732", ""),
     "factorize-check --g1 0 --g2 1 --mu 1.1 --w 2.5":
