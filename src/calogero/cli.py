@@ -98,30 +98,48 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+# json.dumps of a str, without its dispatch: how keys and strings are written
+_json_str = json.encoder.encode_basestring_ascii
+_JSON_TYPES = frozenset((dict, list, tuple, bool, int, float, str, type(None)))
+# a subclass is written as the first of these it is an instance of (bool before int)
+_JSON_BASES = (dict, list, tuple, bool, int, float, str)
+
+
 def _render_json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    pad_in = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f"{pad_in}{json.dumps(k)}: {_render_json(v, indent + 1)}" for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{pad_in}{_render_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
+    """obj as JSON, each level of a dict, list or tuple indented two spaces
+    on its own lines; floats by `_fmt`, strings and dict keys as json.dumps
+    writes them.  Dispatches on the exact type, and a float in a list is
+    written in place rather than by a call per value; anything not JSON is
+    a TypeError."""
+    t = type(obj)
+    if t not in _JSON_TYPES:
+        t = next((base for base in _JSON_BASES if isinstance(obj, base)), None)
+        if t is None:
+            raise TypeError(f"unrenderable type {type(obj)!r}")
+    if t is float:
         return _fmt(obj)
+    if t is str:
+        return _json_str(obj)
+    if t is bool:
+        return "true" if obj else "false"
+    if t is int:
+        return str(obj)
     if obj is None:
         return "null"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise TypeError(f"unrenderable type {type(obj)!r}")
+    if not obj:
+        return "{}" if t is dict else "[]"
+    inner = indent + 1
+    if t is dict:
+        brackets = "{}"
+        items = [
+            f"{_json_str(k) if type(k) is str else json.dumps(k)}: {_render_json(v, inner)}"
+            for k, v in obj.items()
+        ]
+    else:
+        brackets = "[]"
+        items = [f"{v:.17g}" if type(v) is float and math.isfinite(v) else _render_json(v, inner) for v in obj]
+    pad_in = "  " * inner
+    return f"{brackets[0]}\n{pad_in}" + f",\n{pad_in}".join(items) + f"\n{'  ' * indent}{brackets[1]}"
 
 
 def _render_csv(header: list[str], rows: list[list]) -> str:

@@ -123,8 +123,10 @@ def sinpi(z: float) -> float:
 
     z minus its nearest integer m is exact, so pi (z - m) keeps every
     digit however close z is to m or however large |z| is.  The one sine
-    of pi z in the package: the reflections of `gamma` and
-    `gammaln_signed` and the boundary function's gamma ratio take it.
+    of pi z in the package's values: the reflections of `gamma` and
+    `gammaln_signed` and of the boundary function's gamma ratio take it.
+    Only `spectral._level_estimate` takes a raw sin(pi kappa): it steers a
+    root search's start, which the search corrects to its tolerance.
     """
     m = round(z)
     s = math.sin(math.pi * (z - m))
@@ -166,7 +168,7 @@ def gammaln_signed(z: float) -> tuple[float, float]:
     The log form never overflows on ratio work, which is what the
     spectral equations need when both gamma arguments sit near poles.
     """
-    if math.isnan(z) or math.isinf(z):
+    if not math.isfinite(z):
         raise DomainError(f"gammaln_signed: non-finite argument {z!r}")
     if _is_nonpositive_int(z):
         raise DomainError(f"gammaln_signed: pole at z = {z}")
@@ -201,6 +203,8 @@ _DIGAMMA_TAIL = (
     691.0 / 32760.0,
     -1.0 / 12.0,
 )
+# the same, highest order first, for digamma's Horner loop
+_DIGAMMA_TAIL_HORNER = tuple(reversed(_DIGAMMA_TAIL))
 
 
 def digamma(z: float) -> float:
@@ -212,7 +216,7 @@ def digamma(z: float) -> float:
     the cotangent taken of z minus its nearest integer: that difference
     is exact, so the pole term keeps every digit next to each pole.
     """
-    if math.isnan(z) or math.isinf(z):
+    if not math.isfinite(z):
         raise DomainError(f"digamma: non-finite argument {z!r}")
     if _is_nonpositive_int(z):
         raise DomainError(f"digamma: pole at z = {z}")
@@ -225,7 +229,7 @@ def digamma(z: float) -> float:
     inv = 1.0 / z
     inv2 = inv * inv
     tail = 0.0
-    for c in reversed(_DIGAMMA_TAIL):
+    for c in _DIGAMMA_TAIL_HORNER:
         tail = (tail + c) * inv2
     return acc + math.log(z) - 0.5 * inv + tail
 
@@ -304,15 +308,16 @@ def trigamma(z: float) -> float:
     return acc + inv + 0.5 * inv2 + tail * inv
 
 
-# ln Gamma Stirling tail coefficients B_{2n} / (2n (2n-1))
-_STIRLING_TAIL = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
+# ln Gamma Stirling tail terms (B_{2n} / (2n (2n-1)), 1 - 2n): gammaln_shift
+# sums coefficient * b^power * expm1(power * ln((b+d)/b)) over them
+_STIRLING_TERMS = (
+    (1.0 / 12.0, -1),
+    (-1.0 / 360.0, -3),
+    (1.0 / 1260.0, -5),
+    (-1.0 / 1680.0, -7),
+    (1.0 / 1188.0, -9),
+    (-691.0 / 360360.0, -11),
+    (1.0 / 156.0, -13),
 )
 
 
@@ -333,7 +338,7 @@ def gammaln_shift(b: float, d: float) -> float:
     a quantity of the size of the answer.  Arguments below 15 are lifted
     by the recurrence first.
     """
-    if math.isnan(b) or math.isnan(d) or math.isinf(b) or math.isinf(d):
+    if not (math.isfinite(b) and math.isfinite(d)):
         raise DomainError(f"gammaln_shift: non-finite arguments ({b!r}, {d!r})")
     if b <= 0.0 or b + d <= 0.0:
         raise DomainError(f"gammaln_shift: needs b > 0 and b + d > 0, got ({b}, {d})")
@@ -347,9 +352,8 @@ def gammaln_shift(b: float, d: float) -> float:
     la = math.log1p(d / b)  # ln((b+d)/b)
     main = (b - 0.5) * la + d * (math.log(b) + la - 1.0)
     tail = 0.0
-    for n, c in enumerate(_STIRLING_TAIL, start=1):
-        m = 2 * n - 1
-        tail += c * b ** (-m) * math.expm1(-m * la)
+    for c, m in _STIRLING_TERMS:
+        tail += c * b ** m * math.expm1(m * la)
     return main + tail + corr
 
 

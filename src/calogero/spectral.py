@@ -26,9 +26,11 @@ The same F fixes the small-x coefficients (A~, B~) of a representation
 solution (see the factorization module), hence its boundary angle
 theta(mu, w) and the inverse problem w(mu, nu), used to build the
 representation that generates a given extension.  All three go through
-`_boundary_F`, whose kappa-only constant and fault skew `_boundary_consts`
-builds once per call, and every root is found by the one Brent-Dekker
-solver `_brent`, started on a sign change whose two values are known.
+`_boundary_F`, the one evaluation of F: it forms alpha = (1+k)/2 + w and
+takes the gamma ratio (or the digamma) in its own body, with the
+kappa-only constant and fault skew that `_boundary_consts` builds once per
+call.  Every root is found by the one Brent-Dekker solver `_brent`,
+started on a sign change whose two values are known.
 
 A spectrum finds that sign change next to each level.  On gap n the
 reflection formula G(z) G(1-z) = pi / sin(pi z) (DLMF 5.5.3) writes F as a
@@ -153,42 +155,39 @@ def _boundary_F(rp: ReducedParams, w: float, c: float, skew: float) -> float:
 
     with (c, skew) from `_boundary_consts`.  theta_of, solve_w and the
     spectrum (at w = -e/4) all go through it, and skew perturbs it here.
+    The gamma ratio is taken in log space, c = ln G(1-k) - ln G(1+k): 0.0
+    on the exact poles of G(alpha-k), +-inf on overflow.  Below alpha = 0
+    both gammas are reflected, leaving one log-gamma shift and two sines.
     """
-    value = _gamma_ratio(rp, w, c) if rp.kappa > 0.0 else digamma(0.5 + w) - c
+    k = rp.kappa
+    if k > 0.0:
+        a = 0.5 * (1.0 + k) + w
+        am = a - k
+        if am <= 0.0 and am == math.floor(am):
+            value = 0.0
+        elif a <= 0.0 and a == math.floor(a):  # pole of the numerator
+            value = math.inf
+        elif a > 0.0 and am > 0.0:
+            # deep roots push alpha past 1e16, where alpha - k is not even a
+            # distinct float; hand the shift -k over exactly and never subtract
+            # two lgamma values of size alpha*ln(alpha)
+            ln_r = c - gammaln_shift(a, -k)
+            value = math.exp(ln_r) if ln_r <= 709.0 else math.inf
+        elif a < 0.0:
+            # reflect both: G(a)/G(a-k) = [sin pi(a-k) / sin pi a] G(1-a+k)/G(1-a)
+            ratio = sinpi(am) / sinpi(a)
+            ln_r = c + gammaln_shift(1.0 - a, k)
+            value = ratio * math.exp(ln_r) if ln_r <= 709.0 else math.copysign(math.inf, ratio)
+        else:
+            lg3, s3 = gammaln_signed(a)
+            lg4, s4 = gammaln_signed(am)
+            ln_r = c + lg3 - lg4
+            value = math.inf * s3 * s4 if ln_r > 709.0 else s3 * s4 * math.exp(ln_r)
+    else:
+        value = digamma(0.5 + w) - c
     if skew != 0.0 and math.isfinite(value):
         return value + skew * (1.0 + abs(value))
     return value
-
-
-def _gamma_ratio(rp: ReducedParams, w: float, c: float) -> float:
-    """G(1-k)/G(1+k) * G(alpha)/G(alpha-k) with alpha = (1+k)/2 + w and
-    c = ln G(1-k) - ln G(1+k), in log space; 0.0 on the exact poles of
-    G(alpha-k), +-inf on overflow.  Below alpha = 0 both gammas are
-    reflected, leaving one log-gamma shift and two sines."""
-    k = rp.kappa
-    a = rp.alpha_of(w)
-    am = a - k
-    if am <= 0.0 and am == math.floor(am):
-        return 0.0
-    if a <= 0.0 and a == math.floor(a):  # pole of the numerator
-        return math.inf
-    if a > 0.0 and am > 0.0:
-        # deep roots push alpha past 1e16, where alpha - k is not even a
-        # distinct float; hand the shift -k over exactly and never subtract
-        # two lgamma values of size alpha*ln(alpha)
-        ln_r = c - gammaln_shift(a, -k)
-        return math.exp(ln_r) if ln_r <= 709.0 else math.inf
-    if a < 0.0:
-        # reflect both: G(a)/G(a-k) = [sin pi(a-k) / sin pi a] G(1-a+k)/G(1-a)
-        ratio = sinpi(am) / sinpi(a)
-        ln_r = c + gammaln_shift(1.0 - a, k)
-        return ratio * math.exp(ln_r) if ln_r <= 709.0 else math.copysign(math.inf, ratio)
-    lg3, s3 = gammaln_signed(a)
-    lg4, s4 = gammaln_signed(am)
-    ln_r = c + lg3 - lg4
-    if ln_r > 709.0:
-        return math.inf * s3 * s4
-    return s3 * s4 * math.exp(ln_r)
 
 
 def _brent(f, a: float, fa: float, b: float, fb: float) -> tuple[float, float]:
@@ -200,6 +199,8 @@ def _brent(f, a: float, fa: float, b: float, fb: float) -> tuple[float, float]:
     Minimization without Derivatives*, 1973, ch. 4).  Stops on an exact
     zero or once the bracket spans at most four ulps of max(|b|, _E_FINE),
     and returns the end with the smaller |f| with its value (root, f(root)).
+    The builtins max and min are written out as the comparisons they make,
+    which give the same floats, NaN included, without a call.
     """
     c, fc = a, fa
     d = e = b - a
@@ -210,7 +211,8 @@ def _brent(f, a: float, fa: float, b: float, fb: float) -> tuple[float, float]:
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = 2.0 * math.ulp(max(abs(b), _E_FINE))
+        ab = abs(b)
+        tol = 2.0 * math.ulp(_E_FINE if _E_FINE > ab else ab)
         m = 0.5 * (c - b)
         if abs(m) <= tol or fb == 0.0:
             return b, fb
@@ -225,7 +227,8 @@ def _brent(f, a: float, fa: float, b: float, fb: float) -> tuple[float, float]:
             if p > 0.0:
                 q = -q
             p = abs(p)
-            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+            bound, eq = 3.0 * m * q - abs(tol * q), abs(e * q)
+            if 2.0 * p < (eq if eq < bound else bound):
                 e, d = d, p / q
             else:
                 d = e = m
@@ -355,6 +358,9 @@ def _level_estimate(rp: ReducedParams, target: float, n: int, c: float) -> tuple
     """
     k = rp.kappa
     if n > 0:
+        # the raw sin(pi k), not `sinpi`: it only steers the start, and any
+        # start ends on a root within the search's tolerance, but another
+        # start may end on another float within it, so it is kept as it is
         cos_k, sin_k = math.cos(math.pi * k), math.sin(math.pi * k)
 
         def step(t: float) -> float:
@@ -448,16 +454,21 @@ def _root_in_gap(
             y = 0.5 * x + 0.5 * end
         return y if (x < y < end or end < y < x) else x
 
-    noise = 1e-9 * (1.0 + abs(target))
     est, h = _level_estimate(rp, target, n, c)
-    est = min(max(est, math.nextafter(lo, hi)), math.nextafter(hi, lo))
-    h = max(h, 4.0 * math.ulp(max(abs(est), _E_FINE)))
+    # est clamped to the floats inside the gap and h raised to its floor:
+    # max and min written as the comparisons they make
+    first, last = math.nextafter(lo, hi), math.nextafter(hi, lo)
+    est = first if first > est else est
+    est = last if last < est else est
+    ae = abs(est)
+    h_min = 4.0 * math.ulp(_E_FINE if _E_FINE > ae else ae)
+    h = h_min if h_min > h else h
     p, q = inward(est, lo, -h), inward(est, hi, h)
     gp, gq = g(p), g(q)
     while not gp > 0.0 >= gq:
         # a genuine rise would break the one-root-per-gap argument; refuse
         # rather than guess (sub-noise wiggles at the root are fine)
-        rise = gq > gp + noise
+        rise = gq > gp + 1e-9 * (1.0 + abs(target))
         h *= 64.0
         if not rise and gq > 0.0 and (up := inward(q, hi, h)) != q:
             p, gp, q = q, gq, up

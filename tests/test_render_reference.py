@@ -104,7 +104,8 @@ def test_non_finite_float_is_a_convergence_error(obj):
 
 
 @pytest.mark.parametrize(
-    "obj", [object(), {"a": {1, 2}}, [1.0, b"bytes"], ({"x": 1j},), [1.0, math.inf, object()], {object(): 1.0}]
+    "obj",
+    [object(), {"a": {1, 2}}, [1.0, b"bytes"], ({"x": 1j},), [1.0, math.inf, object()], {object(): 1.0}],
 )
 def test_first_refusal_matches_reference(obj):
     # the first bad value in writing order is the one refused

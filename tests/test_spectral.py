@@ -580,7 +580,7 @@ class TestReflectedGammaRatio:
         alpha = t - n
         w = alpha - 0.5 * (1.0 + kappa)
         assert rp.kappa == kappa and rp.alpha_of(w) == alpha
-        got = spectral._gamma_ratio(rp, w, spectral._boundary_consts(rp)[0])
+        got = spectral._boundary_F(rp, w, spectral._boundary_consts(rp)[0], 0.0)
         with mpmath.workdps(30):
             k = mpmath.mpf(kappa)
             ref = mpmath.gamma(1 - k) / mpmath.gamma(1 + k) * mpmath.gamma(alpha) * mpmath.rgamma(alpha - k)
