@@ -36,13 +36,14 @@ A spectrum finds that sign change next to each level.  On gap n the
 reflection formula G(z) G(1-z) = pi / sin(pi z) (DLMF 5.5.3) writes F as a
 slowly varying factor times cos(pi k) - sin(pi k) cot(pi t), with
 alpha = t - n, or psi(1 + n - t) - pi cot(pi t) at kappa = 0; freezing the
-factor inverts it for t in closed form, and a few such steps give an
-estimate of the level (`_level_estimate`).  Two evaluations around the
-estimate usually bracket the root; when they do not, the bracket widens
-toward the gap's ends, halving its way toward an end it would pass, so a
-root next to its pole costs a few more evaluations, not a walk across the
-gap.  `solve_w` is the same search on the ground gap, with the target
-shifted by tan mu.
+factor inverts it for t in closed form, and the fixed point of that
+inversion, converged by secants to within an ulp, is the level
+(`_level_estimate`).  F at the estimate and at its neighbour four ulps
+toward the root then change sign: that certificate is the root, in two
+evaluations.  When they do not, the bracket widens toward the gap's ends,
+halving its way toward an end it would pass, so a root next to its pole
+costs a few more evaluations, not a walk across the gap.  `solve_w` is the
+same search on the ground gap, with the target shifted by tan mu.
 """
 
 from __future__ import annotations
@@ -164,16 +165,17 @@ def _boundary_F(rp: ReducedParams, w: float, c: float, skew: float) -> float:
     k = rp.kappa
     if k > 0.0:
         a = 0.5 * (1.0 + k) + w
-        am = a - k
+        am = 0.5 * (1.0 - k) + w
         if am <= 0.0 and am == math.floor(am):
             value = 0.0
         elif a <= 0.0 and a == math.floor(a):  # pole of the numerator
             value = math.inf
         elif a > 0.0 and am > 0.0:
-            # deep roots push alpha past 1e16, where alpha - k is not even a
-            # distinct float; hand the shift -k over exactly and never subtract
-            # two lgamma values of size alpha*ln(alpha)
-            ln_r = c - gammaln_shift(a, -k)
+            # alpha - k formed from the exact 1 - k, and the shift k handed
+            # over exactly: deep roots push alpha past 1e16, where alpha - k
+            # is not even a distinct float, and next to kappa = 1 it is a
+            # small difference; never subtract two lgamma values
+            ln_r = c + gammaln_shift(am, k)
             value = math.exp(ln_r) if ln_r <= 709.0 else math.inf
         elif a < 0.0:
             # reflect both: G(a)/G(a-k) = [sin pi(a-k) / sin pi a] G(1-a+k)/G(1-a)
@@ -272,11 +274,10 @@ def solve_w(mu: float, nu: float, rp: ReducedParams) -> float:
     boundary equation, so this is the ground level's root search in
     `spectrum` with the target shifted by tan mu; at mu = 0 it returns
     -e0/4 of the ground level bit for bit at g2 = 1, where the energy
-    unit upsilon^2 is exactly 1.  The residual |F - target| = |tan theta -
-    tan nu| of that search is checked against 1e-10 * (1 + |tan nu|) before
-    returning; it is taken in the tangent directly, not through theta_of,
-    whose atan/tan round trip loses ulp(pi/2) / (pi/2 - |nu|) relative next
-    to nu = +-pi/2 and would refuse roots that spectrum accepts.
+    unit upsilon^2 is exactly 1.  The root is accepted on that search's
+    certificate, a sign change of F - target across at most four ulps, as
+    `spectrum` accepts it: a residual bound would refuse roots next to
+    nu = +-pi/2, where F is steep and four ulps span a large residual.
     """
     if rp.kappa >= 1.0:
         raise DomainError(f"solve_w: kappa={rp.kappa} >= 1 has no extension family")
@@ -288,9 +289,7 @@ def solve_w(mu: float, nu: float, rp: ReducedParams) -> float:
     tmu = math.tan(mu)
     target = tmu - tnu if rp.kappa > 0.0 else tnu + tmu
     c, skew = _boundary_consts(rp)
-    e, resid = _root_in_gap(rp, target, 0, _lowest_gap_floor(rp, target, c), _pole(rp, 0), c, skew)
-    if resid > 1e-10 * (1.0 + abs(tnu)):
-        raise ConvergenceError(f"solve_w: residual {resid:.2e} too large at mu={mu}, nu={nu}")
+    e = _root_in_gap(rp, target, 0, _lowest_gap_floor(rp, target, c), _pole(rp, 0), c, skew)[0]
     return -0.25 * e
 
 
@@ -344,8 +343,9 @@ def _lowest_gap_floor(rp: ReducedParams, target: float, c: float) -> float:
 
 
 def _level_estimate(rp: ReducedParams, target: float, n: int, c: float) -> tuple[float, float]:
-    """(e, h): a start for the root of F(-e/4) = target in gap n, and the
-    size of its last correction; c from `_boundary_consts`.
+    """(e, h): the root of F(-e/4) = target in gap n from a fixed point of
+    F's reflected or asymptotic form, and a bound on its error; c from
+    `_boundary_consts`.
 
     In gap n >= 1 write alpha = t - n with t in (0, 1) and x = 1 + n - t.
     The reflection formula G(z) G(1-z) = pi / sin(pi z) makes F a slowly
@@ -355,34 +355,41 @@ def _level_estimate(rp: ReducedParams, target: float, n: int, c: float) -> tuple
         kappa = 0:  F = psi(x) - pi cot pi t - c,
 
     so with S (resp. psi(x)) frozen, t = 1/2 - atan(y)/pi solves for t in
-    closed form.  The ground gap has alpha in (0, inf).  Below alpha = 1
-    (target below F there: 1/G(1+k), resp. Euler's gamma) the recurrence
-    G(z+1) = z G(z) leaves 1 - k/alpha, resp. -1/alpha, times a slowly
-    varying factor; above it the e -> -inf asymptotics G(b+k)/G(b) ~ w^k
-    with b = alpha - k = w + (1-k)/2, resp. psi(w + 1/2) ~ ln w, are
-    inverted as a fixed point on w = -e/4.  Each form takes three
-    fixed-point steps, then Aitken's extrapolation.
+    closed form.  Three such steps with S from ln G(x+k) - ln G(x) ~
+    k [ln z + (1-k^2)/(24 z^2)], z = x - (1-k)/2 (Tricomi and Erdelyi, Pacific
+    J. Math. 1 (1951) 133), resp. psi(x) ~ ln z + 1/(24 z^2), start it with
+    no special-function call.  The ground gap has alpha in (0, inf).  Below
+    alpha = 1 (target below F there: 1/G(1+k), resp. Euler's gamma) the
+    recurrence G(z+1) = z G(z) leaves 1 - k/alpha, resp. -1/alpha, times a
+    slowly varying factor; above it the e -> -inf asymptotics G(b+k)/G(b) ~
+    w^k with b = alpha - k = w + (1-k)/2, resp. psi(w + 1/2) ~ ln w, are
+    inverted on w = -e/4.  Each form rearranges F = target exactly, so its
+    fixed point, which `_fixed_point` converges, is the root up to rounding.
     """
     k = rp.kappa
     if n > 0:
-        # the raw sin(pi k), not `sinpi`: it only steers the start, and any
-        # start ends on a root within the search's tolerance, but another
-        # start may end on another float within it, so it is kept as it is
+        # the raw sin(pi k), not `sinpi`: it only steers the estimate, which
+        # the search certifies or widens from
         cos_k, sin_k = math.cos(math.pi * k), math.sin(math.pi * k)
 
-        def step(t: float) -> float:
+        def step(t: float, exact: bool = True) -> float:
+            # ln G(x+k) - ln G(x), resp. psi(x), or their series to 1/z^2
             x = 1.0 + n - t
-            if k > 0.0:
-                y = (cos_k - target * math.exp(-c - gammaln_shift(x, k))) / sin_k
+            if exact:
+                s = gammaln_shift(x, k) if k > 0.0 else digamma(x)
             else:
-                y = (digamma(x) - c - target) / math.pi
+                z = x - 0.5 * (1.0 - k)
+                s = (math.log(z) + (1.0 - k * k) / (24.0 * z * z)) * (k if k > 0.0 else 1.0)
+            y = (cos_k - target * math.exp(-c - s)) / sin_k if k > 0.0 else (s - c - target) / math.pi
             return 0.5 - math.atan(y) / math.pi
 
-        t, dt = _fixed_point(step, 0.5)
-        return 2.0 * (1.0 + k) + 4.0 * (n - t), 4.0 * dt
+        t = 0.5
+        for _ in range(3):
+            t = step(t, False)
+        return _fixed_point(step, t, 0.0, 1.0, 2.0 * (1.0 + k) + 4.0 * n)
     if k > 0.0:
-        # F(alpha = 1) = e^c / G(1-k) = 1/G(1+k)
-        deep = target > 0.0 and math.log(target) - c >= gammaln_shift(1.0 - k, k)
+        # F(alpha = 1) = 1/G(1+k); math.lgamma, since it only picks the form
+        deep = target > 0.0 and math.log(target) >= -math.lgamma(1.0 + k)
     else:
         deep = target >= -0.5 * c  # F(alpha = 1) = psi(1) - 2 psi(1)
     if deep:
@@ -396,12 +403,11 @@ def _level_estimate(rp: ReducedParams, target: float, n: int, c: float) -> tuple
             )
 
         def step(w: float) -> float:
-            if k > 0.0:
-                return w * math.exp((lt - gammaln_shift(w + 0.5 * (1.0 - k), k)) / k)
-            return w * math.exp(lt - digamma(w + 0.5))
+            # capped, so that a secant far below the root cannot overflow
+            x = (lt - gammaln_shift(w + 0.5 * (1.0 - k), k)) / k if k > 0.0 else lt - digamma(w + 0.5)
+            return w * math.exp(x if x < 709.0 else 709.0)
 
-        w, dw = _fixed_point(step, math.exp(ln_w))
-        return -4.0 * w, 4.0 * dw
+        return _fixed_point(step, math.exp(ln_w), 0.0, math.exp(_LN_DEEPEST), 0.0)
 
     def step(a: float) -> float:
         if k > 0.0:
@@ -409,21 +415,38 @@ def _level_estimate(rp: ReducedParams, target: float, n: int, c: float) -> tuple
             return k / den if den > k else 1.0
         return 1.0 / max(1.0, digamma(1.0 + a) - c - target)
 
-    a, da = _fixed_point(step, 0.5)
-    return 2.0 * (1.0 + k) - 4.0 * a, 4.0 * da
+    return _fixed_point(step, 0.5, 0.0, 1.0, 2.0 * (1.0 + k))
 
 
-def _fixed_point(step, v: float) -> tuple[float, float]:
-    """Three steps of v <- step(v), then Aitken's delta-squared
-    extrapolation when the steps shrink; (v, size of the last correction)."""
-    d_prev = d = 0.0
-    for _ in range(3):
-        d_prev, d = d, step(v) - v
-        v += d
-    if abs(d) < abs(d_prev):
-        d = d * d / (d_prev - d)
-        v += d
-    return v, abs(d)
+def _fixed_point(step, v: float, lo: float, hi: float, e0: float) -> tuple[float, float]:
+    """(e, h) with e = e0 - 4 v at the fixed point v = step(v), h a bound
+    on its error: two plain steps, then secants on r(v) = step(v) - v
+    through its last two values, each clamped to the step's range [lo, hi].
+    h is the last correction in e times its ratio to the one before, which
+    overstates the error once the secants converge faster than linearly.
+    Stops once h is within one ulp of max(|e|, _E_FINE), the search's
+    first probe and a quarter of its stopping width, when the corrections
+    stall in rounding, or after eight secants.  Each step is one gammaln_shift or digamma call: 2.6-2.8 per
+    excited level and about 5 per ground level on the `spectra` mix.
+    """
+    v0, r0 = v, step(v) - v
+    v = v0 + r0
+    d, r = r0, step(v) - v
+    for _ in range(8):
+        s = (r - r0) / (v - v0) if v != v0 else 0.0
+        v0, r0, d0 = v, r, d
+        v = v - r / s if s != 0.0 else v + r
+        v = lo if v < lo else (hi if v > hi else v)
+        d = v - v0
+        if not abs(d) < abs(d0):  # stalled in the step's rounding
+            h = 4.0 * abs(d)
+            break
+        h = 4.0 * abs(d) * abs(d / d0)
+        ae = abs(e0 - 4.0 * v)
+        if h <= math.ulp(_E_FINE if _E_FINE > ae else ae):
+            break
+        r = step(v) - v
+    return e0 - 4.0 * v, h
 
 
 def _root_in_gap(
@@ -432,16 +455,21 @@ def _root_in_gap(
     """The root of F(-e/4) = target in e in gap n, (lo, hi), where F(-e/4)
     decreases from +inf to -inf; (c, skew) from `_boundary_consts`.
 
-    The search starts at the level's own estimate (`_level_estimate`) and
-    evaluates e +- h, h its last correction but at least four ulps of
-    max(|e|, _E_FINE); while both values have one
-    sign it widens h 64-fold on the root's side, keeping the nearer point
-    as the other end, then `_brent` starts from the two values of the sign
-    change.  A probe that would reach an end of the gap (a pole, or the
-    ground floor) goes halfway from the last point on that side to the end
-    instead: a root next to its pole costs a few halvings, and no end is
-    ever evaluated.  Every pair of points evaluated must confirm the
-    decreasing sweep.  Returns (root, residual).
+    The search evaluates F at the level's own estimate (`_level_estimate`)
+    and at its neighbour e +- h on the root's side, which the sign of the
+    first value names; h is the estimate's error bound, but at least one
+    ulp of max(|e|, _E_FINE) (four on the ground gap).  A sign change there
+    certifies the root: with a converged estimate it lies inside `_brent`'s
+    stopping width of four ulps, and `_brent` takes its better end without
+    a further evaluation, so a root costs two.
+    While both values have one sign the bracket widens h 64-fold on the
+    root's side, keeping the nearer point as the other end, then `_brent`
+    starts from the two values of the sign change.  A probe that would
+    reach an end of the gap (a pole, or the ground floor) goes halfway from
+    the last point on that side to the end instead: a root next to its pole
+    costs a few halvings, and no end is ever evaluated.  Every pair of
+    points evaluated must confirm the decreasing sweep.  Returns (root,
+    residual).
 
     Within a few ulps of kappa = 1 the pole at lo and the zero of F above
     it round to one float, which is then the root; a root that lies within
@@ -462,16 +490,23 @@ def _root_in_gap(
         return y if (x < y < end or end < y < x) else x
 
     est, h = _level_estimate(rp, target, n, c)
-    # est clamped to the floats inside the gap and h raised to its floor:
-    # max and min written as the comparisons they make
+    # est clamped to the floats inside the gap and h raised to one ulp, or
+    # to four on the ground gap, whose forms round apart from F by a few
+    # ulps: max and min written as the comparisons they make
     first, last = math.nextafter(lo, hi), math.nextafter(hi, lo)
     est = first if first > est else est
     est = last if last < est else est
     ae = abs(est)
-    h_min = 4.0 * math.ulp(_E_FINE if _E_FINE > ae else ae)
-    h = h_min if h_min > h else h
+    ulp = math.ulp(_E_FINE if _E_FINE > ae else ae) * (1.0 if n else 4.0)
+    h = ulp if ulp > h else h
+    # the estimate, then its neighbour h toward the root (away from it when
+    # the estimate is the gap's last float on that side)
+    gx = g(est)
     p, q = inward(est, lo, -h), inward(est, hi, h)
-    gp, gq = g(p), g(q)
+    if gx > 0.0 and q != est or p == est:
+        p, gp, gq = est, gx, g(q)
+    else:
+        q, gq, gp = est, gx, g(p)
     while not gp > 0.0 >= gq:
         # a genuine rise would break the one-root-per-gap argument; refuse
         # rather than guess (sub-noise wiggles at the root are fine)

@@ -1,5 +1,7 @@
 """The boundary function as it was written before its evaluation was made
-flat: the tests' reference for `spectral._boundary_F`, kept verbatim.
+flat: the tests' reference for `spectral._boundary_F`, kept verbatim but
+for alpha - kappa, which both form from the exact 1 - kappa and shift by
+kappa (`gammaln_shift(alpha - kappa, kappa)`).
 
 `_boundary_F` dispatches to `_gamma_ratio`, which takes alpha from
 `ReducedParams.alpha_of` and calls `gammaln_shift`, `gammaln_signed`,
@@ -133,16 +135,17 @@ def _gamma_ratio(rp, w: float, c: float) -> float:
     reflected, leaving one log-gamma shift and two sines."""
     k = rp.kappa
     a = rp.alpha_of(w)
-    am = a - k
+    am = 0.5 * (1.0 - k) + w
     if am <= 0.0 and am == math.floor(am):
         return 0.0
     if a <= 0.0 and a == math.floor(a):  # pole of the numerator
         return math.inf
     if a > 0.0 and am > 0.0:
-        # deep roots push alpha past 1e16, where alpha - k is not even a
-        # distinct float; hand the shift -k over exactly and never subtract
-        # two lgamma values of size alpha*ln(alpha)
-        ln_r = c - gammaln_shift(a, -k)
+        # alpha - k formed from the exact 1 - k, and the shift k handed
+        # over exactly: deep roots push alpha past 1e16, where alpha - k
+        # is not even a distinct float, and next to kappa = 1 it is a
+        # small difference; never subtract two lgamma values
+        ln_r = c + gammaln_shift(am, k)
         return math.exp(ln_r) if ln_r <= 709.0 else math.inf
     if a < 0.0:
         # reflect both: G(a)/G(a-k) = [sin pi(a-k) / sin pi a] G(1-a+k)/G(1-a)

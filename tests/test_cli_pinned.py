@@ -29,17 +29,17 @@ _EMPTY = hashlib.sha256(b"").hexdigest()
 # argv: (exit code, sha256 of stdout, stderr)
 PINS = {
     "spectrum --g1 0 --g2 1 --nu 1.0":
-        (0, "435cd26bea115d005ec37d747ec54f922adf120faf55a10bcefa31198a70f24a", ""),
+        (0, "05bbbc137071ec54f42b2d15da61271a074f62bebb675a667bdccf84e68eb599", ""),
     "spectrum --g1 0 --g2 1 --nu 1.0 --format csv":
-        (0, "f0ffa7ea8694b30ace96a01f4ec34a7b1e2105c561eea96fdd94cad6be1de14c", ""),
+        (0, "137581cf8bcea6f9a2324ed80a78088c3f08c6f0e90522b4789281b6747c5db3", ""),
     "spectrum --g1 0 --g2 1 --nu 1.0 --n 3 --oracle on":
-        (0, "8c20cc2dce4b39c6d2bf68469525c79ae7f7a695efb787bd1aa55faa5a204c2a", ""),
+        (0, "22ebc0643bb7499ef0e4619f01021bbe13ac9b76b95b861869e3cd79b224820b", ""),
     "spectrum --g1 0 --g2 1 --nu 1.0 --n 3 --oracle on --format csv":
-        (0, "146ee06a06fddf62a4f98cb5d5e6c283ae6d28783f5a4390a84e5dfdedb205d2", ""),
+        (0, "8244ab80344990a8235848a237251d0e8142fbb255f92d5083879acce0ee9bd1", ""),
     "spectrum --g1 0 --g2 1 --nu 1.0 --n 9 --oracle on":
-        (0, "8039ad49f7070bc946df59c27b268fb97dff64e07a39382222a2198156c990c8", ""),
+        (0, "f17774661376fe940c43d055e7c7a1eff6cc673750eae6e0ac8c7bde46c5d36b", ""),
     "spectrum --g1 0.300564 --g2 57.6 --nu -1.5613 --n 2 --oracle on":
-        (0, "cc6247270b6ee6d7f83713dd5323389ae9486f6331edffc141774d6663f7ad82", ""),
+        (0, "031b6736ea839370693c69855b0cb970f8d9f94bd37a95639b1d163fdd21503e", ""),
     "spectrum --g1 0.75 --g2 1 --unique --n 3":
         (0, "c062d17ac25a679a33412c961a322505b1d475a137bcef75ad482b94b938741a", ""),
     "spectrum --g1 2 --g2 1":
@@ -70,28 +70,28 @@ PINS = {
     "spectrum --g1 -1 --g2 1 --nu 0":
         (3, _EMPTY, "no generalized oscillator representation: g1 < -1/4\n"),
     "sweep --g1 -0.16 --g2 1 --sweep -1.5 1.5 5 --n 2":
-        (0, "a265425f11b9fa648d4c5ad095d196b60a71701b8535d5dd5361c09484ea73e0", ""),
+        (0, "4b1065ff13bcf119d70a3621ea26bd2b625237a5435038690a766eb9ff1ce2ea", ""),
     "sweep --g1 -0.16 --g2 1 --sweep -1.5 1.5 5 --n 2 --format csv":
-        (0, "e183cfd4091f46c30f587c979ea6f087f15a068fea669104432e7cca54937abc", ""),
+        (0, "07069df48b46e431e958d44bacef815d89d43f3135858b547236822def42f182", ""),
     "sweep --g1 0 --g2 1 --sweep -1.5707963267948966 1.5707963267948966 3":
         (0, "0355f7256ac1e29c405209735e88707130f46e7030ccce8a81d45da26ed20913", ""),
     # boundary-root runs that CI pins: roots next to their poles and one
     # ulp below them, kappa within ulps of 1, kappa = 0 ground states near
     # -1.76e217 and at ln|E| ~ 705, and a sweep through both dives
     "spectrum --g1 -0.24999997 --g2 1 --nu 1.5693 --n 21":
-        (0, "8616e11f9796e6e5a10657d7f71b0ecbb792e001b8effb5336e16dfd8a5a633e", ""),
+        (0, "578e8f039eff1d01210949c32457965a9433a58819bc55db0111424c58168943", ""),
     "spectrum --g1 -0.24999999999999997 --g2 1 --nu 1.570795 --n 50":
-        (0, "36b208b2093b9b803524a20d22762a3efbbe6d162f69932c9a755d58218089d0", ""),
+        (0, "0f14a8159d5e74c5089c34f9df57c4888e0338a2e65b005586f631f038225616", ""),
     "spectrum --g1 0.749999999999988 --g2 1 --nu 0.7376 --n 20":
-        (0, "81403682519f696c3b91ebcf92452f7128ef42805f9d29abfb8d71eef8c9ae9c", ""),
+        (0, "701831ac26171b8771b62b947acb34b8839639176d24450694ebe55c11979101", ""),
     "spectrum --g1 -0.25 --g2 1 --nu 1.5687963 --n 50":
         (0, "2d1197bb56e9a1d1662e576f11f170691027fdc3e640ea68a991e4f6c86b3230", ""),
     "spectrum --g1 -0.25 --g2 1 --nu 1.5693781897607493":
         (0, "7d4ad6ebee45c436235fb51e1edb05b67a02c42b5294be20ab629ab98471ddc6", ""),
     "sweep --g1 -0.16 --g2 1 --sweep -1.5 1.5 16 --n 4":
-        (0, "288c61bdc55b30f76da1b1b41b80dd18b8078a549b3004b585d37d4026720e56", ""),
+        (0, "b2295628ee6dede055ec443bca89a10d642b91ff9e3bc8c682a2c586630a0344", ""),
     "spectrum --g1 0.7499999999999998 --g2 1 --nu 1 --n 3":
-        (0, "43d12815844b4bc512d3ac68fe75cc16f9acd313433dcaf1a36e66c966c394e7", ""),
+        (0, "2db5b2864b094e61c060f31325983ad19a83497bef433fe2b1f43388cb9f6cac", ""),
     # 8.3e-7 above -pi/2 at kappa = 1/4: the dive side's ground state near
     # -2.6e24 and levels 1 and 2 just above 2.5 and 6.5
     "spectrum --g1 -0.1875 --g2 1 --nu -1.5707955 --n 3":
@@ -147,26 +147,26 @@ PINS = {
         "numerical failure: count_zeros: x in (2.37137e+08, 10000000000.0) needs at least 1.67e+19 steps, more than the 100000 one call may take\n",
     ),
     "verify":
-        (0, "51a4dfbbc34e31602998f6fba6405d9a137a10d7913be30fc9c3017a7c6ca89d", ""),
+        (0, "10308dc57c0a26c4159d4d236f01caa2610d0b984b0de51b9a0313272e0bae4b", ""),
     "verify --format csv":
-        (0, "3497f6a91fccf55e803473c6202bae14faaf79a279cd4af92acfaa2ef8071485", ""),
+        (0, "ce42f7d3a19c649d1a793e323b23ff6a8bea465b7989d6a885203b40ab78948e", ""),
     "verify --quick":
-        (0, "4294f52bb57c2b5a5463c59b9515254f8ac78a4396703bc212bf859bd2497dcd", ""),
+        (0, "9c09a975daa0a080856047c6c3e2135cfbf0016a8e06b20ffcee280ab4287e96", ""),
     "verify --quick --format csv":
-        (0, "0a1b92fdf2027e3d0e080e145aad601ec6f52f0bbe3253fb46e8eedd19ee0e18", ""),
+        (0, "ce6c6d14fd8906c10e5110df4de7e72984eaf1b883620f14e0a65ab1f663d771", ""),
     "verify --inject-gamma-bug": (
         4,
-        "fb384a2e63e672a2d850527d3ea0847750b04f8ba6282a0728c5667c81dd987f",
+        "7fb8610b8e11e5b6b225b5b49129ed65db94682fb14913c3deb5559641f900ab",
         "first failing row: 2-nu-zero-closed-form (1.670e-02 > 1e-10)\n",
     ),
     "verify --quick --inject-gamma-bug": (
         4,
-        "36f35d846064ba672f7f24fbd9adc7a2c273c3dbfd2d997001c28a8d8e777ec3",
+        "695d10fdf76c8287ac2e8261b7e2c9acef303bd4d03819693bc869f39f19404f",
         "first failing row: 2-nu-zero-closed-form (1.670e-02 > 1e-10)\n",
     ),
     "verify --quick --inject-gamma-bug --format csv": (
         4,
-        "bac4bd33d42a962f43fa23d82ad9edecc9c00e5cf57a973a9ec181dfeae1758b",
+        "43c8c9902d23eb0088903b8aaa8e36cf96df9feefec97420b12548e9a480ddbe",
         "first failing row: 2-nu-zero-closed-form (1.670e-02 > 1e-10)\n",
     ),
 }
@@ -182,22 +182,22 @@ FAULTS = {
 FAULT_PINS = {
     "spectrum --g1 0 --g2 1 --nu 1.0 --n 3 --oracle on": (
         4,
-        "e6932ee2f7296096fe383dee99a193dee980ded842a3eff637476ac8229e5911",
+        "c4319a6ca22d2b0541ea36888e58d501bb33b4c4639e2e7009777fc68bc297b5",
         "oracle disagrees with the spectral equations beyond 1e-3\n",
     ),
     "spectrum --g1 0 --g2 1 --nu 1.0 --n 3 --oracle on --format csv": (
         4,
-        "91d16faca732934f50517e1fd4c19423f8c365c6216add58fa3788ff6791b9f7",
+        "a63a17c665ae0c079ed8928060b6cc8b32d50fb0d81e1b80e286a063c018f2e8",
         "oracle disagrees with the spectral equations beyond 1e-3\n",
     ),
     "sweep --g1 -0.16 --g2 1 --sweep -1.5 1.5 5 --n 2": (
         4,
-        "8c49d341d54144829c94524518ed12f95375d50b291937f213252de0a6887485",
+        "39282b178a15da6a2cf283454038421ffc6376a4defba6b0b12c5e8a6fda4856",
         "ground-state flow is decreasing, expected increasing\n",
     ),
     "sweep --g1 -0.16 --g2 1 --sweep -1.5 1.5 5 --n 2 --format csv": (
         4,
-        "162a4cc0e8af67b3909601cd5896066a854d5b0bfdf75708bc9a70ef5c7a8450",
+        "0ea18bbd4a0029d94b14bc9a184b833d788237bb93a06dde602ac647ce074d3c",
         "ground-state flow is decreasing, expected increasing\n",
     ),
 }

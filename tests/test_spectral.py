@@ -8,6 +8,7 @@ done independently of this package's gamma/digamma code.
 
 import contextvars
 import math
+import random
 import sys
 
 import mpmath
@@ -177,13 +178,30 @@ class TestSolveW:
             with pytest.raises(ConvergenceError, match="float64"):
                 solve_w(0.0, nu, rp)
             return
-        if res.residuals[0] > 1e-10 * (1.0 + abs(math.tan(nu))):
-            # within ulps of kappa = 1 alpha_of rounds the ground root off;
-            # solve_w checks the same residual and refuses it
-            with pytest.raises(ConvergenceError, match="residual"):
-                solve_w(0.0, nu, rp)
-            return
         assert solve_w(0.0, nu, rp) == -0.25 * res.energies[0]
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_seeded_draws_next_to_half_pi(self, side):
+        # kappa uniform in [0, 1), pi/2 - |nu| log-uniform in [1e-16, 1e-3]:
+        # wherever spectrum answers a ground state, solve_w(0, nu) accepts
+        # the same certified root and returns -e0/4 bit for bit (at +nu a
+        # residual bound of 1e-10 (1 + |tan nu|) refused 229 of 298)
+        rng = random.Random(5)
+        answered = 0
+        for _ in range(300):
+            kappa = rng.random()
+            nu = side * (HALF_PI - math.exp(rng.uniform(math.log(1e-16), math.log(1e-3))))
+            rp = rp_kappa(kappa)
+            if abs(nu) >= HALF_PI:
+                continue  # rounded onto pi/2: the Friedrichs extension
+            try:
+                res = spectrum(rp, extension_for(rp, nu=nu), 1)
+            except ConvergenceError as exc:
+                assert "float64" in str(exc)
+                continue
+            answered += 1
+            assert solve_w(0.0, nu, rp) == -0.25 * res.energies[0], (kappa, nu)
+        assert answered >= 250
 
     def test_residual_next_to_half_pi_is_the_ground_levels(self):
         # tan nu ~ 5e5: an atan/tan round trip through theta alone is off
@@ -564,6 +582,57 @@ class TestBoundarySolver:
         assert len(calls) <= 40
         ref, _ = _mp_boundary_root(rp.kappa, -0.3, e)
         assert abs(e - ref) <= 4.0 * math.ulp(max(abs(ref), 1.0))
+
+    @pytest.mark.parametrize("g1", [(1.0 - 1e-8) ** 2 - 0.25, 0.75 - 2.0**-52])
+    @pytest.mark.parametrize("nu", [-1.0, -0.3, 0.3, 1.0])
+    def test_ground_root_next_to_kappa_one_within_the_stopping_width(self, g1, nu):
+        # kappa = 1 - 1e-8 and 1 - 2^-53 (the float below 1): alpha - kappa
+        # is formed from the exact 1 - kappa, so level 0, near 2 (1 - kappa),
+        # agrees with the 40-digit root within the search's stopping width,
+        # four ulps of _E_FINE, ~8.5e-22 absolute (up to 27 % off when it
+        # was alpha_of(w) - kappa)
+        rp = reduce(g1, 1.0)
+        (e,) = spectrum(rp, extension_for(rp, nu=nu), 1).energies
+        ref, _ = _mp_boundary_root(rp.kappa, nu, e)
+        assert abs(e - ref) <= 4.0 * math.ulp(spectral._E_FINE)
+
+    @given(
+        kappa=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+        # within ~1e-16 of -pi/2 a level's root rounds onto the pole below
+        # it and the gap is refused
+        nu=st.floats(-HALF_PI + 1e-12, HALF_PI - 1e-12),
+        n=st.integers(1, 30),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_every_root_is_certified_by_a_sign_change(self, kappa, nu, n):
+        # F - target at a returned root and at a float of its gap within
+        # four ulps of max(|e|, _E_FINE) have opposite signs (or the root is
+        # an exact zero); the exits are the float below a pole F still falls
+        # toward, and a pole at the lower end that the zero above it rounds
+        # onto
+        rp = rp_kappa(kappa)
+        if nu == 0.0 and rp.kappa > 0.0:
+            return  # closed form
+        try:
+            energies = spectrum(rp, extension_for(rp, nu=nu), n).energies
+        except ConvergenceError as exc:
+            assert "float64" in str(exc)
+            return
+        c, skew = spectral._boundary_consts(rp)
+        target = -math.tan(nu) if rp.kappa > 0.0 else math.tan(nu)
+
+        def g(e):
+            return spectral._boundary_F(rp, -0.25 * e, c, skew) - target
+
+        for level, e in enumerate(energies):
+            lo, hi = spectral._pole(rp, level - 1), spectral._pole(rp, level)
+            if e == math.nextafter(hi, lo) or (level and e == lo):
+                continue
+            ge = g(e)
+            width = 4.0 * math.ulp(max(abs(e), spectral._E_FINE))
+            near = [e + s * width * j / 4.0 for s in (1.0, -1.0) for j in (1, 2, 3, 4)]
+            near = [x for x in near if (level == 0 or lo < x) and x < hi]
+            assert ge == 0.0 or any((g(x) > 0.0) != (ge > 0.0) for x in near), (level, e)
 
     @pytest.mark.parametrize("ulps_below_one", range(1, 13))
     @pytest.mark.parametrize("nu", [1.0, -1.0, 0.3, 1.5])
