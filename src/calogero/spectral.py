@@ -38,9 +38,10 @@ slowly varying factor times cos(pi k) - sin(pi k) cot(pi t), with
 alpha = t - n, or psi(1 + n - t) - pi cot(pi t) at kappa = 0; freezing the
 factor inverts it for t in closed form, and the fixed point of that
 inversion, converged by secants to within an ulp, is the level
-(`_level_estimate`).  F at the estimate and at its neighbour four ulps
-toward the root then change sign: that certificate is the root, in two
-evaluations.  When they do not, the bracket widens toward the gap's ends,
+(`_level_estimate`).  F at the estimate and at its neighbour one ulp
+toward the root (four on the ground gap) then change sign: that
+certificate is the root, in two evaluations.  When they do not, the
+bracket widens toward the gap's ends,
 halving its way toward an end it would pass, so a root next to its pole
 costs a few more evaluations, not a walk across the gap.  `solve_w` is the
 same search on the ground gap, with the target shifted by tan mu.
@@ -426,8 +427,9 @@ def _fixed_point(step, v: float, lo: float, hi: float, e0: float) -> tuple[float
     overstates the error once the secants converge faster than linearly.
     Stops once h is within one ulp of max(|e|, _E_FINE), the search's
     first probe and a quarter of its stopping width, when the corrections
-    stall in rounding, or after eight secants.  Each step is one gammaln_shift or digamma call: 2.6-2.8 per
-    excited level and about 5 per ground level on the `spectra` mix.
+    stall in rounding, or after eight secants.  Each step is one
+    gammaln_shift or digamma call: 2.6-2.8 per excited level and about 5
+    per ground level on the `spectra` mix.
     """
     v0, r0 = v, step(v) - v
     v = v0 + r0
@@ -461,15 +463,14 @@ def _root_in_gap(
     ulp of max(|e|, _E_FINE) (four on the ground gap).  A sign change there
     certifies the root: with a converged estimate it lies inside `_brent`'s
     stopping width of four ulps, and `_brent` takes its better end without
-    a further evaluation, so a root costs two.
-    While both values have one sign the bracket widens h 64-fold on the
-    root's side, keeping the nearer point as the other end, then `_brent`
-    starts from the two values of the sign change.  A probe that would
-    reach an end of the gap (a pole, or the ground floor) goes halfway from
-    the last point on that side to the end instead: a root next to its pole
-    costs a few halvings, and no end is ever evaluated.  Every pair of
-    points evaluated must confirm the decreasing sweep.  Returns (root,
-    residual).
+    a further evaluation, so a root costs two.  While both values have one
+    sign the bracket widens h 64-fold on the root's side, keeping the
+    nearer point as the other end, then `_brent` starts from the two values
+    of the sign change.  A probe that would reach an end of the gap (a
+    pole, or the ground floor) goes halfway from the last point on that
+    side to the end instead: a root next to its pole costs a few halvings,
+    and no end is ever evaluated.  Every pair of points evaluated must
+    confirm the decreasing sweep.  Returns (root, residual).
 
     Within a few ulps of kappa = 1 the pole at lo and the zero of F above
     it round to one float, which is then the root; a root that lies within
