@@ -2,9 +2,10 @@
 
 Everything downstream reduces to three ingredients:
 
-* the Euler gamma function and its logarithmic derivatives (digamma,
-  trigamma), with the differences ln G(b+d) - ln G(b) and psi(b+d) - psi(b)
-  formed without cancellation (`gammaln_shift`, `digamma_shift`),
+* the Euler gamma function (`math.gamma` and `math.lgamma` with typed
+  errors) and its logarithmic derivatives (digamma, trigamma), with the
+  differences ln G(b+d) - ln G(b) and psi(b+d) - psi(b) formed without
+  cancellation (`gammaln_shift`, `digamma_shift`),
 * the Kummer series  Phi(a, b; rho) = sum_k (a)_k / (b)_k * rho^k / k!,
 * the Tricomi function Psi(a, b; rho), the solution of the confluent
   hypergeometric equation that decays like rho^(-a) at infinity.
@@ -23,13 +24,15 @@ holds for every b >= 1.  The public router takes the combination first
 where it applies, at rho <= 8 and more than 1e-8 from an integer b; the
 integral where the combination refuses or does not apply; and below
 rho = 8 the inward sweep for a value both refuse (the order is given in
-full below).  Tests drive both routes on overlapping arguments and demand
-1e-8 agreement.
+full below).  Against mpmath.hyperu the router holds 1e-8; where the
+series answers, the two routes agree to 1e-11 on the tests' overlap grid
+and to 1e-12 on the nine points of `verify`'s row 7-psi-dual-route, whose
+threshold is 1e-10.
 
 The two-series combination cancels catastrophically once rho is a few
 units large (the two Phi terms grow like e^rho while Psi decays like
 rho^(-a)).  Measured in float64 the worst case on the overlap test grid
-is ~2e-7, which busts the 1e-8 contract, so the combination counts the
+is ~2e-7, which busts the router's 1e-8, so the combination counts the
 digits it lost and refuses a value that lost more than 5.  The router
 `tricomi_psi` owns the whole fallback order: the series, then the Laplace
 integral (float64-exact wherever it converges; alone at integer b and past
@@ -95,25 +98,6 @@ __all__ = [
     "exp_halfline_quad",
 ]
 
-_LN_SQRT_2PI = 0.9189385332046727417803297364056
-_LN_PI = 1.1447298858494001741434273513531
-
-# Lanczos approximation, g = 7, 9 coefficients.  Relative error of the
-# rational part is a few 1e-15 over Re z >= 0.5.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
 def _is_nonpositive_int(z: float) -> bool:
     return z <= 0.0 and z == math.floor(z)
 
@@ -123,73 +107,69 @@ def sinpi(z: float) -> float:
 
     z minus its nearest integer m is exact, so pi (z - m) keeps every
     digit however close z is to m or however large |z| is.  The one sine
-    of pi z in the package's values: the reflections of `gamma` and
-    `gammaln_signed` and of the boundary function's gamma ratio take it.
-    Only `spectral._level_estimate` takes a raw sin(pi kappa): it steers a
-    root search's start, which the search corrects to its tolerance.
+    of pi z in the package's values: `trigamma`'s reflection, the boundary
+    function's gamma ratio and the closed-form norm take it.  Only
+    `spectral._level_estimate` takes a raw sin(pi kappa): it steers a root
+    search's start, which the search corrects to its tolerance.
     """
     m = round(z)
     s = math.sin(math.pi * (z - m))
     return -s if m & 1 else s
 
 
-def _lanczos_sum(zm1: float) -> float:
-    # rational part A_g(z) with z = zm1 + 1
-    acc = _LANCZOS_C[0]
-    for k in range(1, 9):
-        acc += _LANCZOS_C[k] / (zm1 + k)
-    return acc
-
-
 def gamma(z: float) -> float:
-    """Euler gamma for real z off the poles {0, -1, -2, ...}.
-
-    Lanczos approximation for z >= 0.5, reflection through `sinpi` below,
-    which keeps its digits next to every pole.  Relative error is a few
-    1e-15, comfortably below 1e-12 for |z| <= 50.
-    """
-    if math.isnan(z) or math.isinf(z):
+    """Euler gamma for real z off the poles {0, -1, -2, ...}: `math.gamma`,
+    good to a few ulps on both sides of every pole.  A value past float64
+    (z > 171.62, or |z| < 5.6e-309) is a ConvergenceError; between the poles
+    below z ~ -178 it underflows to a signed zero."""
+    if not math.isfinite(z):
         raise DomainError(f"gamma: non-finite argument {z!r}")
     if _is_nonpositive_int(z):
         raise DomainError(f"gamma: pole at z = {z}")
-    if z < 0.5:
-        return math.pi / (sinpi(z) * gamma(1.0 - z))
-    zm1 = z - 1.0
-    t = zm1 + _LANCZOS_G + 0.5
     try:
-        return math.sqrt(2.0 * math.pi) * t ** (zm1 + 0.5) * math.exp(-t) * _lanczos_sum(zm1)
-    except OverflowError:  # t ** (z - 1/2) leaves float64 from z ~ 143
-        raise ConvergenceError(f"gamma: Gamma({z}) overflows the float64 Lanczos form") from None
+        return math.gamma(z)
+    except OverflowError:
+        raise ConvergenceError(f"gamma: Gamma({z}) overflows float64") from None
 
 
 def gammaln_signed(z: float) -> tuple[float, float]:
-    """(log |Gamma(z)|, sign) for real z off the poles.
+    """(log |Gamma(z)|, sign) for real z off the poles: `math.lgamma`, and
+    -1.0 where floor(z) is negative and odd.
 
     The log form never overflows on ratio work, which is what the
-    spectral equations need when both gamma arguments sit near poles.
+    spectral equations need when both gamma arguments sit near poles; it
+    leaves float64 only past z ~ 2.5e305, a ConvergenceError.
     """
     if not math.isfinite(z):
         raise DomainError(f"gammaln_signed: non-finite argument {z!r}")
     if _is_nonpositive_int(z):
         raise DomainError(f"gammaln_signed: pole at z = {z}")
-    if z >= 0.5:
-        zm1 = z - 1.0
-        t = zm1 + _LANCZOS_G + 0.5
-        return (_LN_SQRT_2PI + (zm1 + 0.5) * math.log(t) - t + math.log(_lanczos_sum(zm1)), 1.0)
-    # reflection: Gamma(z) = pi / (sin(pi z) Gamma(1-z)); 1-z >= 0.5 here
-    ln1z, _ = gammaln_signed(1.0 - z)
-    sp = sinpi(z)
-    return (_LN_PI - math.log(abs(sp)) - ln1z, 1.0 if sp > 0.0 else -1.0)
+    try:
+        lg = math.lgamma(z)
+    except OverflowError:
+        raise ConvergenceError(f"gammaln_signed: ln Gamma({z}) overflows float64") from None
+    return lg, -1.0 if z < 0.0 and math.floor(z) & 1 else 1.0
 
 
 def rgamma(z: float) -> float:
-    """1 / Gamma(z), entire: returns 0.0 at the poles of Gamma."""
+    """1 / Gamma(z), entire: returns 0.0 at the poles of Gamma.
+
+    1 / `math.gamma`; where Gamma overflows, 1/Gamma is subnormal or zero
+    and taken as sign * exp(-ln |Gamma|).  Where 1/Gamma passes float64
+    (between the poles below z ~ -171) it is a ConvergenceError.
+    """
+    if not math.isfinite(z):
+        raise DomainError(f"rgamma: non-finite argument {z!r}")
     if _is_nonpositive_int(z):
         return 0.0
-    lg, sg = gammaln_signed(z)
-    if lg > 709.0:  # 1/Gamma underflows; sign times true zero
-        return 0.0 * sg
-    return sg * math.exp(-lg)
+    try:
+        g = math.gamma(z)
+    except OverflowError:
+        lg, sg = gammaln_signed(z)
+        return sg * math.exp(-lg)
+    if abs(g) * sys.float_info.max < 1.0:  # Gamma's underflow to zero included
+        raise ConvergenceError(f"rgamma: 1/Gamma({z}) overflows float64")
+    return 1.0 / g
 
 
 # digamma asymptotic series coefficients: -B_{2n}/(2n) for the expansion

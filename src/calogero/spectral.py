@@ -389,7 +389,8 @@ def _level_estimate(rp: ReducedParams, target: float, n: int, c: float) -> tuple
             t = step(t, False)
         return _fixed_point(step, t, 0.0, 1.0, 2.0 * (1.0 + k) + 4.0 * n)
     if k > 0.0:
-        # F(alpha = 1) = 1/G(1+k); math.lgamma, since it only picks the form
+        # F(alpha = 1) = 1/G(1+k); math.lgamma is `gammaln_signed`'s value
+        # without the checks that 1 + k in (1, 2) never trips
         deep = target > 0.0 and math.log(target) >= -math.lgamma(1.0 + k)
     else:
         deep = target >= -0.5 * c  # F(alpha = 1) = psi(1) - 2 psi(1)
@@ -528,6 +529,11 @@ def _root_in_gap(
             # the zero of F above the pole at lo rounds onto it: that float
             # is the root, its residual the smaller |g| of the one-ulp bracket
             return lo, min(abs(g(lo)), abs(gp))
+        elif n >= 1 and gq < gp <= 0.0 and p == math.nextafter(lo, hi):
+            # F is below the target and still falls at the float above the
+            # pole at lo, so the root lies between the pole and that float:
+            # it is the root to float64 precision
+            return p, -gp
         elif rise:
             raise ConvergenceError(
                 f"spectral scan not decreasing on ({lo:.6g}, {hi:.6g}) near e={p:.6g}"

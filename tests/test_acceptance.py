@@ -144,6 +144,22 @@ def test_psi_dual_route_compares_two_routes():
     assert acceptance._c7_psi_dual_route().passed
 
 
+@pytest.mark.parametrize("name", ["tricomi_psi_series", "tricomi_psi_integral"])
+def test_psi_dual_route_sees_a_1e9_fault_in_either_route(monkeypatch, name):
+    # the routes agree to 9.7e-13; a 1e-9 relative error in one of them
+    # is ten times the row's 1e-10 threshold
+    real = getattr(acceptance, name)
+    monkeypatch.setattr(acceptance, name, lambda a, b, r: real(a, b, r) * (1.0 + 1e-9))
+    row = acceptance._c7_psi_dual_route()
+    assert row.passed is False
+    assert row.value >= 9e-10
+
+
+def test_psi_dual_route_has_margin(table):
+    row = table["7-psi-dual-route"]
+    assert 10.0 * row.value <= row.threshold
+
+
 def test_wavefunction_fidelity_has_margin(table):
     row = table["9-wavefunction-fidelity"]
     assert 10.0 * row.value <= row.threshold

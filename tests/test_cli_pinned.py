@@ -29,17 +29,17 @@ _EMPTY = hashlib.sha256(b"").hexdigest()
 # argv: (exit code, sha256 of stdout, stderr)
 PINS = {
     "spectrum --g1 0 --g2 1 --nu 1.0":
-        (0, "05bbbc137071ec54f42b2d15da61271a074f62bebb675a667bdccf84e68eb599", ""),
+        (0, "2201a8113d91771a857e2d02974807156782213f85aa3e1e485740808e8f9d8f", ""),
     "spectrum --g1 0 --g2 1 --nu 1.0 --format csv":
-        (0, "137581cf8bcea6f9a2324ed80a78088c3f08c6f0e90522b4789281b6747c5db3", ""),
+        (0, "8b8763b4d60b1093afc5c01d33a76f1f1dea5ff62d0bf616428823991aea5e6a", ""),
     "spectrum --g1 0 --g2 1 --nu 1.0 --n 3 --oracle on":
-        (0, "22ebc0643bb7499ef0e4619f01021bbe13ac9b76b95b861869e3cd79b224820b", ""),
+        (0, "c4188b2eba59ef3cfcfa0dd203104aae0ccd1c4d09e256cc83f18a8c894e0e13", ""),
     "spectrum --g1 0 --g2 1 --nu 1.0 --n 3 --oracle on --format csv":
-        (0, "8244ab80344990a8235848a237251d0e8142fbb255f92d5083879acce0ee9bd1", ""),
+        (0, "203303dbe2f1dc6d81f3bd4664ede987866551bbb3b40e5af7336b4182d1ecae", ""),
     "spectrum --g1 0 --g2 1 --nu 1.0 --n 9 --oracle on":
-        (0, "f17774661376fe940c43d055e7c7a1eff6cc673750eae6e0ac8c7bde46c5d36b", ""),
+        (0, "bee48f26558eccdd38b7e1f77754d3d69d5e630816431d7f4a6a2db41e53d7db", ""),
     "spectrum --g1 0.300564 --g2 57.6 --nu -1.5613 --n 2 --oracle on":
-        (0, "031b6736ea839370693c69855b0cb970f8d9f94bd37a95639b1d163fdd21503e", ""),
+        (0, "a63a956794632906e8f13bbe9f87905b7216b99c3d2d8fdea740e1016ab96920", ""),
     "spectrum --g1 0.75 --g2 1 --unique --n 3":
         (0, "c062d17ac25a679a33412c961a322505b1d475a137bcef75ad482b94b938741a", ""),
     "spectrum --g1 2 --g2 1":
@@ -70,42 +70,46 @@ PINS = {
     "spectrum --g1 -1 --g2 1 --nu 0":
         (3, _EMPTY, "no generalized oscillator representation: g1 < -1/4\n"),
     "sweep --g1 -0.16 --g2 1 --sweep -1.5 1.5 5 --n 2":
-        (0, "4b1065ff13bcf119d70a3621ea26bd2b625237a5435038690a766eb9ff1ce2ea", ""),
+        (0, "aa1c3efd21d5a467ab8acd3be608b340d93d4264e1dc34358529986de066510b", ""),
     "sweep --g1 -0.16 --g2 1 --sweep -1.5 1.5 5 --n 2 --format csv":
-        (0, "07069df48b46e431e958d44bacef815d89d43f3135858b547236822def42f182", ""),
+        (0, "87efa45cbf3b8544675f3f82fc49b9fbe07c342655ab94e2ec47e18bda07610f", ""),
     "sweep --g1 0 --g2 1 --sweep -1.5707963267948966 1.5707963267948966 3":
         (0, "0355f7256ac1e29c405209735e88707130f46e7030ccce8a81d45da26ed20913", ""),
     # boundary-root runs that CI pins: roots next to their poles and one
     # ulp below them, kappa within ulps of 1, kappa = 0 ground states near
     # -1.76e217 and at ln|E| ~ 705, and a sweep through both dives
     "spectrum --g1 -0.24999997 --g2 1 --nu 1.5693 --n 21":
-        (0, "578e8f039eff1d01210949c32457965a9433a58819bc55db0111424c58168943", ""),
+        (0, "c888a618ca404e92bdbe00383b80151e1a57abf5658b6e013f7d5571bfd517d4", ""),
     "spectrum --g1 -0.24999999999999997 --g2 1 --nu 1.570795 --n 50":
-        (0, "0f14a8159d5e74c5089c34f9df57c4888e0338a2e65b005586f631f038225616", ""),
+        (0, "d8e174d5e8c3ba79da7930aa58f1e87dd571f44c8c3a46c24e1327f489c9992b", ""),
     "spectrum --g1 0.749999999999988 --g2 1 --nu 0.7376 --n 20":
-        (0, "701831ac26171b8771b62b947acb34b8839639176d24450694ebe55c11979101", ""),
+        (0, "3f79a234cf556d198c918e2632c0c3f361cf96ae4eecc7bec3b2fbc71e1a9668", ""),
     "spectrum --g1 -0.25 --g2 1 --nu 1.5687963 --n 50":
         (0, "2d1197bb56e9a1d1662e576f11f170691027fdc3e640ea68a991e4f6c86b3230", ""),
     "spectrum --g1 -0.25 --g2 1 --nu 1.5693781897607493":
         (0, "7d4ad6ebee45c436235fb51e1edb05b67a02c42b5294be20ab629ab98471ddc6", ""),
     "sweep --g1 -0.16 --g2 1 --sweep -1.5 1.5 16 --n 4":
-        (0, "b2295628ee6dede055ec443bca89a10d642b91ff9e3bc8c682a2c586630a0344", ""),
+        (0, "132f6fd4bb3b545561d6523432651f88a35f5c88bdd2a9c72bc2532467df8017", ""),
     "spectrum --g1 0.7499999999999998 --g2 1 --nu 1 --n 3":
-        (0, "2db5b2864b094e61c060f31325983ad19a83497bef433fe2b1f43388cb9f6cac", ""),
+        (0, "62ea48b9194b19b7ca304d76b38a5c2a6595f480f83b0ab4dd8ec25be4333f43", ""),
     # 8.3e-7 above -pi/2 at kappa = 1/4: the dive side's ground state near
     # -2.6e24 and levels 1 and 2 just above 2.5 and 6.5
     "spectrum --g1 -0.1875 --g2 1 --nu -1.5707955 --n 3":
-        (0, "ab3d22cf1d096ed4cbf687312b515a8a9d5e95a3f98c4a335aabeb7412448634", ""),
+        (0, "f6ce1d7b9f597cfe62210529fcff6961acabbf567bca5bf9f6aa46ee9ec2a935", ""),
+    # tan nu ~ -1.6e16 at kappa = 1/8: levels 1 and 2 round onto the poles
+    # below them and are the floats just above those poles
+    "spectrum --g1 -0.234375 --g2 1 --nu -1.5707963267948961 --n 3":
+        (0, "80b33c69a43306083599dc30e644645bd4138cb7261af434ab79935a325c8514", ""),
     "factorize-check --g1 -0.25 --g2 2 --mu 0.4 --w 0.3":
-        (0, "a0177cc30b09eb3f275ff0b1a93cbf781f3dcd5e4001d7b2d2fcbcc7ce556732", ""),
+        (0, "e3ff6ae5d11fc7f1928dbe5de5b013f7f1393af3c974aa929b3acb1821748b07", ""),
     "factorize-check --g1 0 --g2 1 --mu 1.1 --w 2.5":
-        (0, "2a8e1c347d814f80396d03d34b4b85a1d22b0061695fb3f36a589f273eb23237", ""),
+        (0, "f9b25332565309a8960b4b3926b0062af49dece6cdf958f7df204b2c63c1f145", ""),
     "factorize-check --g1 2 --g2 3 --mu 0.7 --w 5":
-        (0, "160f8a8f2c42ca63ee2606de553061afc34ff6b9c4afad704165edb3f7a9a0d6", ""),
+        (0, "17d2a445b81ddf2d2e394a29adc239da256da190066faaa8ec8fa8d22b00a754", ""),
     "factorize-check --g1 0.75 --g2 1 --mu 0.3 --w -1":
         (0, "530832f2fd99b908acff342eca410d9c7c4fafff47acc66dcb18b28b983b76ec", ""),
     "factorize-check --g1 -0.1875 --g2 1 --mu 0.9 --w 0.6 --format csv":
-        (0, "d19a44f20517e7372c933915b94e04db2f7133a8859ecdcf762e418ce7d72be1", ""),
+        (0, "51a6312e54087ea9b73bb25fb5a2de3cc395300a3e95b391473daade5853a5c4", ""),
     "factorize-check --h-shift 0.01": (
         4,
         "8094eaf0340a05bb5f036e48f1c786f71d23b64ef7c44d78e963724ff916de6a",
@@ -117,7 +121,10 @@ PINS = {
         "check factorization-residual failed at x = 1.3\n",
     ),
     "factorize-check --g1 0 --g2 1 --mu 0.3 --w 180":
-        (4, _EMPTY, "numerical failure: gamma: Gamma(180.75) overflows the float64 Lanczos form\n"),
+        (4, _EMPTY, "numerical failure: gamma: Gamma(180.75) overflows float64\n"),
+    # Gamma(150.75), the scale of phi, fits float64 (up to 171.6)
+    "factorize-check --g1 0 --g2 1 --mu 0.3 --w 150":
+        (0, "b1334f0132d7873c6b4c025880624755f1884d9b2e95f537dc5c66a07c1eb9e5", ""),
     "nonexistence --g1 -1.25 --g2 1":
         (0, "a6b993ce5dddd1c0dfa0a3786f1332833c46b4114f226a48c7e1ba3e677f873e", ""),
     "nonexistence --g1 -1.25 --g2 1 --format csv":
@@ -147,26 +154,26 @@ PINS = {
         "numerical failure: count_zeros: x in (2.37137e+08, 10000000000.0) needs at least 1.67e+19 steps, more than the 100000 one call may take\n",
     ),
     "verify":
-        (0, "10308dc57c0a26c4159d4d236f01caa2610d0b984b0de51b9a0313272e0bae4b", ""),
+        (0, "cc6896f9880532e58aceed6b4fc080dd6f59fdeb826c14ce9442bc1250786565", ""),
     "verify --format csv":
-        (0, "ce42f7d3a19c649d1a793e323b23ff6a8bea465b7989d6a885203b40ab78948e", ""),
+        (0, "81fb77a968b47f7b9dfad8227f65f607ba930f5003a380197adf6f6fd7fdae9c", ""),
     "verify --quick":
-        (0, "9c09a975daa0a080856047c6c3e2135cfbf0016a8e06b20ffcee280ab4287e96", ""),
+        (0, "758dfb8a7753f0d22c61b1b07e6b5bfca2e97252193f01a0135130444ca0d066", ""),
     "verify --quick --format csv":
-        (0, "ce6c6d14fd8906c10e5110df4de7e72984eaf1b883620f14e0a65ab1f663d771", ""),
+        (0, "267b078d1ffd16b0b0760f280a374d8705722215819eab8d2c307595659d3549", ""),
     "verify --inject-gamma-bug": (
         4,
-        "7fb8610b8e11e5b6b225b5b49129ed65db94682fb14913c3deb5559641f900ab",
+        "ce6734e29f447f903e01a10c9b1f5994551dc57d0a89eec0f06d40cd34be8c93",
         "first failing row: 2-nu-zero-closed-form (1.670e-02 > 1e-10)\n",
     ),
     "verify --quick --inject-gamma-bug": (
         4,
-        "695d10fdf76c8287ac2e8261b7e2c9acef303bd4d03819693bc869f39f19404f",
+        "18496d750211a0956ff6bcc45e515a1c849f035fe2aef4c820fd7a6217c0eb06",
         "first failing row: 2-nu-zero-closed-form (1.670e-02 > 1e-10)\n",
     ),
     "verify --quick --inject-gamma-bug --format csv": (
         4,
-        "43c8c9902d23eb0088903b8aaa8e36cf96df9feefec97420b12548e9a480ddbe",
+        "076c3d7da944a0891736d070506cae46485688b435bef05228d146fcab4c459c",
         "first failing row: 2-nu-zero-closed-form (1.670e-02 > 1e-10)\n",
     ),
 }
@@ -182,22 +189,22 @@ FAULTS = {
 FAULT_PINS = {
     "spectrum --g1 0 --g2 1 --nu 1.0 --n 3 --oracle on": (
         4,
-        "c4319a6ca22d2b0541ea36888e58d501bb33b4c4639e2e7009777fc68bc297b5",
+        "4e9a4ba3dde87f3cae68f54c1481f6192d466a3be1c39415371ef1379f198891",
         "oracle disagrees with the spectral equations beyond 1e-3\n",
     ),
     "spectrum --g1 0 --g2 1 --nu 1.0 --n 3 --oracle on --format csv": (
         4,
-        "a63a17c665ae0c079ed8928060b6cc8b32d50fb0d81e1b80e286a063c018f2e8",
+        "5bf276f873cd49af7f91746e24eb045c61c18d34433bc66a485b7c9efad28fcf",
         "oracle disagrees with the spectral equations beyond 1e-3\n",
     ),
     "sweep --g1 -0.16 --g2 1 --sweep -1.5 1.5 5 --n 2": (
         4,
-        "39282b178a15da6a2cf283454038421ffc6376a4defba6b0b12c5e8a6fda4856",
+        "e101a8511f8888ba3c27c766944ece7de11afee3022e7ed4beffc80b768055bc",
         "ground-state flow is decreasing, expected increasing\n",
     ),
     "sweep --g1 -0.16 --g2 1 --sweep -1.5 1.5 5 --n 2 --format csv": (
         4,
-        "0ea18bbd4a0029d94b14bc9a184b833d788237bb93a06dde602ac647ce074d3c",
+        "ea3a41bd9bcb14ebdd3a846be77cf3b641c99ea51287bd3c8a6fac0b1ac219dd",
         "ground-state flow is decreasing, expected increasing\n",
     ),
 }

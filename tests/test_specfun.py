@@ -6,6 +6,7 @@ downstream module leans on.
 """
 
 import math
+import random
 import sys
 from unittest import mock
 
@@ -50,16 +51,18 @@ class TestGamma:
         assert gamma(-0.5) == pytest.approx(-2.0 * math.sqrt(math.pi), rel=1e-13, abs=0.0)
         assert gamma(-1.5) == pytest.approx(4.0 / 3.0 * math.sqrt(math.pi), rel=1e-13, abs=0.0)
 
-    @given(st.floats(min_value=1e-3, max_value=50.0, **finite))
-    @settings(max_examples=200)
-    def test_matches_stdlib_on_positive_axis(self, z):
-        assert gamma(z) == pytest.approx(math.gamma(z), rel=1e-12, abs=0.0)
-
     @given(st.floats(min_value=-50.0, max_value=50.0, **finite).filter(off_pole))
     @settings(max_examples=200)
     def test_accuracy_contract_both_signs(self, z):
-        # scipy computes through an unrelated code path (Cephes)
-        assert gamma(z) == pytest.approx(float(scipy.special.gamma(z)), rel=1e-12, abs=0.0)
+        # scipy computes through an unrelated code path (Cephes); where
+        # Gamma leaves float64 (|z| < 5.6e-309) the answer is a typed refusal
+        with mpmath.workdps(40):
+            overflows = abs(mpmath.gamma(mpmath.mpf(z))) > sys.float_info.max
+        if overflows:
+            with pytest.raises(ConvergenceError):
+                gamma(z)
+        else:
+            assert gamma(z) == pytest.approx(float(scipy.special.gamma(z)), rel=1e-12, abs=0.0)
 
     @given(st.floats(min_value=0.5, max_value=49.0, **finite))
     @settings(max_examples=100)
@@ -74,6 +77,107 @@ class TestGamma:
     def test_nan_raises(self):
         with pytest.raises(DomainError):
             gamma(float("nan"))
+
+
+def _draws(seed: int, n: int) -> list[float]:
+    """n seeded draws uniform on (-50, 171.6), Gamma's float64 range with
+    the poles below it, and n/4 within 1e-15 to 0.5 of a pole."""
+    rng = random.Random(seed)
+    zs = [rng.uniform(-50.0, 171.6) for _ in range(n)]
+    for _ in range(n // 4):
+        z = -rng.randint(0, 49) + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-15.0, -0.3)
+        if z != round(z):
+            zs.append(z)
+    return zs
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_gamma_functions_against_40_digit_mpmath(seed):
+    """The accuracy contract of gamma, rgamma and gammaln_signed: 2e-15
+    relative for Gamma and 1/Gamma, 4e-15 max(1, |ln Gamma|) absolute for
+    ln |Gamma| with the right sign.  Next to a pole ln |Gamma(z)| is the
+    reflection's difference ln pi - ln |sin pi z| - ln Gamma(1 - z), whose
+    terms round on the scale of ln Gamma(1 - z): 9e-15 absolute at
+    z = -16 + 3.2e-14, where ln |Gamma| is 0.40 and ln Gamma(1 - z) 30.7,
+    so there that scale counts."""
+    worst = {"gamma": 0.0, "rgamma": 0.0, "gammaln_signed": 0.0}
+    with mpmath.workdps(40):
+        for z in _draws(seed, 2000):
+            ref = mpmath.gamma(mpmath.mpf(z))
+            ln_ref = float(mpmath.log(abs(ref)))
+            worst["gamma"] = max(worst["gamma"], float(abs(gamma(z) / ref - 1)))
+            worst["rgamma"] = max(worst["rgamma"], float(abs(rgamma(z) * ref - 1)))
+            lg, sg = gammaln_signed(z)
+            assert sg == (1.0 if ref > 0 else -1.0), z
+            scale = max(1.0, abs(ln_ref))
+            if z < 0.5:
+                scale = max(scale, math.lgamma(1.0 - z))
+            worst["gammaln_signed"] = max(worst["gammaln_signed"], abs(lg - ln_ref) / scale)
+    assert worst["gamma"] <= 2e-15, worst
+    assert worst["rgamma"] <= 2e-15, worst
+    assert worst["gammaln_signed"] <= 4e-15, worst
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_log_gamma_away_from_the_poles_against_40_digit_mpmath(seed):
+    # the uniform draws alone hold the plain scale max(1, |ln Gamma|)
+    rng = random.Random(seed)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for z in (rng.uniform(-50.0, 171.6) for _ in range(2000)):
+            ln_ref = float(mpmath.loggamma(mpmath.mpf(z)).real)
+            worst = max(worst, abs(gammaln_signed(z)[0] - ln_ref) / max(1.0, abs(ln_ref)))
+    assert worst <= 4e-15
+
+
+class TestGammaAtTheEdgesOfFloat64:
+    def test_gamma_past_float64_is_a_typed_refusal(self):
+        # Gamma(z) ~ 1/z passes float64 for |z| < 5.6e-309
+        for z in (5e-324, -5e-324, 1e-309, 171.7, 180.75):
+            with pytest.raises(ConvergenceError):
+                gamma(z)
+
+    def test_gamma_at_the_top_of_float64(self):
+        with mpmath.workdps(40):
+            ref = mpmath.gamma(171.6)
+        assert gamma(171.6) == pytest.approx(float(ref), rel=2e-15, abs=0.0)
+
+    def test_gamma_underflow_is_a_signed_zero(self):
+        assert gamma(-200.5) == 0.0 and math.copysign(1.0, gamma(-200.5)) == -1.0
+
+    @pytest.mark.parametrize("z", [-171.5, -200.5, -184.25])
+    def test_reciprocal_past_float64_is_a_typed_refusal(self, z):
+        # |1/Gamma(-171.5)| ~ 5e308; at -200.5 Gamma underflows to -0.0
+        with pytest.raises(ConvergenceError):
+            rgamma(z)
+
+    @pytest.mark.parametrize("z", [171.7, 175.0, 5e-324, -5e-324, 1e-310])
+    def test_reciprocal_where_gamma_overflows(self, z):
+        # 1/Gamma is subnormal there; exp(-ln Gamma) keeps it to ~1e-13 relative
+        with mpmath.workdps(40):
+            ref = mpmath.rgamma(mpmath.mpf(z))
+        assert rgamma(z) == pytest.approx(float(ref), rel=2e-13, abs=0.0)
+        assert math.copysign(1.0, rgamma(z)) == math.copysign(1.0, z)
+
+    def test_reciprocal_underflows_past_its_subnormals(self):
+        assert rgamma(200.0) == 0.0
+
+    def test_log_gamma_at_the_smallest_subnormal(self):
+        # ln Gamma(z) = -ln z - euler z + ..., 744.44 at the smallest subnormal
+        with mpmath.workdps(40):
+            ref = float(mpmath.loggamma(mpmath.mpf(5e-324)))
+        assert gammaln_signed(5e-324) == (pytest.approx(ref, rel=4e-15, abs=0.0), 1.0)
+        assert gammaln_signed(-5e-324) == (pytest.approx(ref, rel=4e-15, abs=0.0), -1.0)
+
+    def test_log_gamma_past_float64_is_a_typed_refusal(self):
+        with pytest.raises(ConvergenceError):
+            gammaln_signed(1e306)
+
+    @pytest.mark.parametrize("name", ["gamma", "rgamma", "gammaln_signed"])
+    @pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan])
+    def test_non_finite_argument_is_a_domain_error(self, name, z):
+        with pytest.raises(DomainError):
+            getattr(specfun, name)(z)
 
 
 # within 1e-9 of each negative integer, on both sides: the reflection's
@@ -419,7 +523,7 @@ class TestTricomiPsi:
                     worst = max(worst, abs(s - i) / abs(s))
                     compared += 1
         assert compared == 38
-        assert worst <= 1e-8
+        assert worst <= 1e-10  # 1.0e-11 at Psi(7.5, 2.25; 1)
 
     def test_integer_beta_routes_to_integral(self):
         # the series form must refuse integer beta; the router must not
@@ -580,12 +684,28 @@ class TestTricomiPsi:
             ref = float(mpmath.hyperu(*args))
         assert tricomi_psi(*args) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("b", [1.0, 1.5])
-    def test_seed_past_the_log_form_is_refused(self, b):
+    def test_seed_past_the_log_form_is_refused(self):
         # from alpha ~ 171 the integral's weight passes float64, so neither
-        # the float nor the log form of the sweep's seed exists
+        # the float nor the log form of the sweep's seed exists, and at an
+        # integer beta the series does not apply
         with pytest.raises(ConvergenceError, match="integrand overflows"):
-            tricomi_psi(171.5, b, 0.01)
+            tricomi_psi(171.5, 1.0, 0.01)
+
+    @pytest.mark.parametrize(
+        "a,b,r",
+        [
+            (171.5, 1.5, 0.01),  # 1.4e-308, 4.7e-14 from hyperu
+            (172.0, 5.5, 0.01),  # 6.0e-300, 1.6e-14 from hyperu
+        ],
+    )
+    def test_series_answers_past_the_integral_range(self, a, b, r):
+        # the integral refuses from alpha ~ 171, and Gamma(beta - 1) and
+        # 1/Gamma(alpha) (subnormal past 171.6) hold the series' prefactors
+        with pytest.raises(ConvergenceError, match="integrand overflows"):
+            tricomi_psi_integral(a, b, r)
+        with mpmath.workdps(40):
+            ref = float(mpmath.hyperu(a, b, r))
+        assert tricomi_psi(a, b, r) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     @given(
         st.one_of(
@@ -636,11 +756,10 @@ class TestTricomiPsi:
     @pytest.mark.parametrize(
         "a,b,r",
         [
-            # 1/Gamma(172) underflows to 0.0, which hid the second term and
-            # left the first, negative with Gamma(1 - beta): Psi is 2.9e-320
-            # and 6.0e-300
+            # Psi is 2.9e-320, and the second term, whose prefactor holds the
+            # subnormal 1/Gamma(172), carries it: the first is negative with
+            # Gamma(1 - beta), so the series refuses the underflowed prefactor
             (172.0, 1.9, 1.0),
-            (172.0, 5.5, 0.01),
         ],
     )
     def test_silently_wrong_values_are_refused(self, a, b, r):

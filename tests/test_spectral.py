@@ -426,10 +426,11 @@ class TestSpectrumFrozen:
     # ~ 153 e-folds below these roots, past float64; it is clipped there, not
     # refused.  The roots' relative error is the residual of F(w) = target
     # over w dF/dw ~ kappa F (mpmath at 300 digits, which the 1e240-sized
-    # Gamma arguments need)
+    # Gamma arguments need).  The pinned w lie 1.8e-13 and 5.0e-15 relative
+    # from the 300-digit roots 9.6515656237265027e240 and 8.9411700350539032e239
     @pytest.mark.parametrize("mu, nu, want", [
-        (1.2483671301265757, 0.0797600065110875, 9.651565623730296e240),
-        (0.0, -math.atan(2.9), 0.25 * 3.576468014023612e240),
+        (1.2483671301265757, 0.0797600065110875, 9.65156562372481e240),
+        (0.0, -math.atan(2.9), 8.941170035053948e239),
     ], ids=["solve_w", "spectrum"])
     def test_small_kappa_roots_near_1e240(self, mu, nu, want):
         rp = rp_kappa(0.001923030537107642)
@@ -583,6 +584,21 @@ class TestBoundarySolver:
         ref, _ = _mp_boundary_root(rp.kappa, -0.3, e)
         assert abs(e - ref) <= 4.0 * math.ulp(max(abs(ref), 1.0))
 
+    def test_root_that_rounds_onto_the_pole_below_is_the_float_above_it(self):
+        # tan nu ~ -1.6e16 puts levels 1 and 2 within an ulp above the poles
+        # 2 (1 + k) and 2 (3 + k) at kappa = 1/8, where F is already below
+        # the target at the first float of each gap
+        rp = reduce(0.125**2 - 0.25, 1.0)
+        nu = -1.5707963267948961
+        energies = spectrum(rp, extension_for(rp, nu=nu), 3).energies
+        assert energies[1:] == (math.nextafter(2.25, 3.0), math.nextafter(6.25, 7.0))
+        # the 40-digit roots: level 1's rounds to the returned float, level
+        # 2's to the pole itself, half an ulp below the returned float
+        for e in energies[1:]:
+            ref, _ = _mp_boundary_root(rp.kappa, nu, e)
+            assert abs(e - ref) <= math.ulp(e)
+        assert _mp_boundary_root(rp.kappa, nu, energies[1])[0] == energies[1]
+
     @pytest.mark.parametrize("g1", [(1.0 - 1e-8) ** 2 - 0.25, 0.75 - 2.0**-52])
     @pytest.mark.parametrize("nu", [-1.0, -0.3, 0.3, 1.0])
     def test_ground_root_next_to_kappa_one_within_the_stopping_width(self, g1, nu):
@@ -598,8 +614,9 @@ class TestBoundarySolver:
 
     @given(
         kappa=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
-        # within ~1e-16 of -pi/2 a level's root rounds onto the pole below
-        # it and the gap is refused
+        # within ~1e-15 of +-pi/2 a level next to a pole can still be refused:
+        # F(-e/4) is flat over pairs of floats there, or reads the pole one
+        # float early, so the walk sees no fall or a rise
         nu=st.floats(-HALF_PI + 1e-12, HALF_PI - 1e-12),
         n=st.integers(1, 30),
     )
@@ -608,8 +625,8 @@ class TestBoundarySolver:
         # F - target at a returned root and at a float of its gap within
         # four ulps of max(|e|, _E_FINE) have opposite signs (or the root is
         # an exact zero); the exits are the float below a pole F still falls
-        # toward, and a pole at the lower end that the zero above it rounds
-        # onto
+        # toward, the float above a pole F has already fallen past, and a
+        # pole at the lower end that the zero above it rounds onto
         rp = rp_kappa(kappa)
         if nu == 0.0 and rp.kappa > 0.0:
             return  # closed form
@@ -626,7 +643,7 @@ class TestBoundarySolver:
 
         for level, e in enumerate(energies):
             lo, hi = spectral._pole(rp, level - 1), spectral._pole(rp, level)
-            if e == math.nextafter(hi, lo) or (level and e == lo):
+            if e == math.nextafter(hi, lo) or (level and e in (lo, math.nextafter(lo, hi))):
                 continue
             ge = g(e)
             width = 4.0 * math.ulp(max(abs(e), spectral._E_FINE))
@@ -993,23 +1010,13 @@ class TestGroundState:
         gs = ground_state_wavefunction(rp, extension_for(rp, nu=-1.5))
         assert float(_quad_norm(gs)) == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("nu", [-1.53])
-    def test_deep_state_norm_refused_not_crashed(self, nu):
-        # Gamma(alpha) at alpha ~ 150 is out of reach of the float64 Lanczos
-        # form: a typed refusal
+    # alpha ~ 95, ~ 99, ~ 110 and ~ 151: Psi^2 nears the subnormals, and
+    # Gamma(alpha)^2 overflows past alpha ~ 100; Gamma(alpha) itself holds
+    # to alpha = 171.6, so each state is built, and has unit norm to 3e-15
+    @pytest.mark.parametrize("nu", [-1.51934, -1.5204, -1.523, -1.53])
+    def test_deepest_states_have_unit_norm(self, nu):
         rp = rp_kappa(0.5)
-        with pytest.raises(ConvergenceError, match="Psi|Gamma|psi"):
-            ground_state_wavefunction(rp, extension_for(rp, nu=nu))
-
-    # alpha ~ 95, ~ 99 and ~ 110: Psi^2 nears the subnormals, and Gamma(alpha)^2
-    # overflows past alpha ~ 100
-    @pytest.mark.parametrize("nu", [-1.51934, -1.5204, -1.523])
-    def test_deepest_states_have_unit_norm_or_refuse(self, nu):
-        rp = rp_kappa(0.5)
-        try:
-            gs = ground_state_wavefunction(rp, extension_for(rp, nu=nu))
-        except ConvergenceError:
-            return
+        gs = ground_state_wavefunction(rp, extension_for(rp, nu=nu))
         assert math.isfinite(gs.norm_constant)
         assert float(_quad_norm(gs)) == pytest.approx(1.0, abs=1e-10)
 
