@@ -91,12 +91,12 @@ def _rel(got, ref):
 
 # The oracle rows' thresholds are 100x their worst value at zero skew,
 # rounded up to a power of ten: rows 1, 2-vs-oracle, 3 and 4 read 6.7e-16,
-# 6.7e-16, 6.9e-15 and 3.6e-16, row 9 6.7e-15 and row 10's scaling law
+# 6.7e-16, 4.6e-15 and 3.6e-16, row 9 6.7e-15 and row 10's scaling law
 # 4.4e-16, with the oracle's Taylor propagator truncating below rounding.
 # Row 7-psi-dual-route follows the same rule: 9.7e-13 at worst, 1e-10.
-# A 1e-6 relative fault in the argument of gammaln_signed, gammaln_shift,
-# digamma or sinpi moves row 3 by 9.8e-7 or more, which is why row 3 is in
-# the quick subset.
+# A 1e-6 relative fault in the argument of gamma, gammaln_signed,
+# gammaln_shift, digamma or sinpi moves row 3 by 1.6e-7 or more, which is
+# why row 3 is in the quick subset.
 
 
 # --- 1: Friedrichs/unique ground state against the oracle ------------------

@@ -2,10 +2,9 @@
 
 Everything downstream reduces to three ingredients:
 
-* the Euler gamma function (`math.gamma` and `math.lgamma` with typed
-  errors) and its logarithmic derivatives (digamma, trigamma), with the
-  differences ln G(b+d) - ln G(b) and psi(b+d) - psi(b) formed without
-  cancellation (`gammaln_shift`, `digamma_shift`),
+* the Euler gamma function (`math.gamma`, `math.lgamma`) and its log
+  derivatives (digamma, trigamma), with ln G(b+d) - ln G(b) and psi(b+d) -
+  psi(b) formed without cancellation (`gammaln_shift`, `digamma_shift`),
 * the Kummer series  Phi(a, b; rho) = sum_k (a)_k / (b)_k * rho^k / k!,
 * the Tricomi function Psi(a, b; rho), the solution of the confluent
   hypergeometric equation that decays like rho^(-a) at infinity.
@@ -24,10 +23,9 @@ holds for every b >= 1.  The public router takes the combination first
 where it applies, at rho <= 8 and more than 1e-8 from an integer b; the
 integral where the combination refuses or does not apply; and below
 rho = 8 the inward sweep for a value both refuse (the order is given in
-full below).  Against mpmath.hyperu the router holds 1e-8; where the
-series answers, the two routes agree to 1e-11 on the tests' overlap grid
-and to 1e-12 on the nine points of `verify`'s row 7-psi-dual-route, whose
-threshold is 1e-10.
+full below).  Against mpmath.hyperu the router holds 1e-8; where the series
+answers, the routes agree to 1e-11 on the tests' overlap grid and to 1e-12
+on `verify`'s row 7-psi-dual-route, whose threshold is 1e-10.
 
 The two-series combination cancels catastrophically once rho is a few
 units large (the two Phi terms grow like e^rho while Psi decays like
@@ -107,8 +105,8 @@ def sinpi(z: float) -> float:
 
     z minus its nearest integer m is exact, so pi (z - m) keeps every
     digit however close z is to m or however large |z| is.  The one sine
-    of pi z in the package's values: `trigamma`'s reflection, the boundary
-    function's gamma ratio and the closed-form norm take it.  Only
+    of pi z in the package's values: `trigamma`'s reflection and the
+    boundary function's gamma ratio take it.  Only
     `spectral._level_estimate` takes a raw sin(pi kappa): it steers a root
     search's start, which the search corrects to its tolerance.
     """
@@ -134,11 +132,9 @@ def gamma(z: float) -> float:
 
 def gammaln_signed(z: float) -> tuple[float, float]:
     """(log |Gamma(z)|, sign) for real z off the poles: `math.lgamma`, and
-    -1.0 where floor(z) is negative and odd.
-
-    The log form never overflows on ratio work, which is what the
-    spectral equations need when both gamma arguments sit near poles; it
-    leaves float64 only past z ~ 2.5e305, a ConvergenceError.
+    -1.0 where floor(z) is negative and odd.  The log form never overflows
+    on ratio work, which the spectral equations need when both gamma
+    arguments sit near poles; past z ~ 2.5e305 it is a ConvergenceError.
     """
     if not math.isfinite(z):
         raise DomainError(f"gammaln_signed: non-finite argument {z!r}")
@@ -152,12 +148,9 @@ def gammaln_signed(z: float) -> tuple[float, float]:
 
 
 def rgamma(z: float) -> float:
-    """1 / Gamma(z), entire: returns 0.0 at the poles of Gamma.
-
-    1 / `math.gamma`; where Gamma overflows, 1/Gamma is subnormal or zero
-    and taken as sign * exp(-ln |Gamma|).  Where 1/Gamma passes float64
-    (between the poles below z ~ -171) it is a ConvergenceError.
-    """
+    """1 / Gamma(z), entire (0.0 at Gamma's poles): 1 / `math.gamma`, and
+    sign * exp(-ln |Gamma|), a subnormal or zero, where Gamma overflows.
+    Past float64 (between the poles below z ~ -171) a ConvergenceError."""
     if not math.isfinite(z):
         raise DomainError(f"rgamma: non-finite argument {z!r}")
     if _is_nonpositive_int(z):
@@ -550,14 +543,26 @@ def tricomi_psi_integral(alpha: float, beta: float, rho: float) -> float:
     return scale * integral
 
 
+def _series_prefactor(g: float, z: float, pw: float) -> float:
+    """g / Gamma(z) * pw, or 0.0 (refused as a hidden term) where 1/Gamma or
+    pw is subnormal, its digits shed.  Past z = 171 1/Gamma(z) is 1/Gamma(z - m)
+    over (z - m)_m, z - m <= 171 exact.  A subnormal g = Gamma(1 - beta) is
+    kept: its term is below 1e-2 of the other."""
+    m = min(16, math.ceil(z - 171.0)) if z > 171.0 else 0
+    r = rgamma(z - m)
+    if abs(r) < sys.float_info.min or pw < sys.float_info.min:
+        return 0.0
+    return g * r * pw / math.prod([z - m + j for j in range(m)])
+
+
 def tricomi_psi_series(alpha: float, beta: float, rho: float) -> float:
     """Psi via the two-series combination (non-integer beta only, rho <= 300:
     the router sends only rho <= 8 here, and a larger rho is refused).
 
     Returns the float64 value when at most 5 digits cancel, and otherwise
     raises ConvergenceError naming the digits lost.  A prefactor that
-    underflowed (not an exact pole of 1/Gamma, where its term truly
-    vanishes) hides its term, which is refused too.
+    underflowed or lost digits (not an exact pole of 1/Gamma, where its
+    term truly vanishes) hides its term, which is refused too.
     """
     if not (alpha > 0.0):
         raise DomainError(f"tricomi_psi_series: alpha must be > 0, got {alpha}")
@@ -572,13 +577,13 @@ def tricomi_psi_series(alpha: float, beta: float, rho: float) -> float:
         raise ConvergenceError(
             f"tricomi_psi_series: rho={rho} exceeds the series-form budget (use the integral form)"
         )
-    p1 = gamma(1.0 - beta) * rgamma(alpha - beta + 1.0)
+    p1 = _series_prefactor(gamma(1.0 - beta), alpha - beta + 1.0, 1.0)
     t1 = p1 * _phi_series(alpha, beta, rho)
     try:
         pw = rho ** (1.0 - beta)
     except OverflowError:
         raise ConvergenceError(f"tricomi_psi_series: rho^(1-beta) overflows at rho={rho}") from None
-    p2 = gamma(beta - 1.0) * rgamma(alpha) * pw
+    p2 = _series_prefactor(gamma(beta - 1.0), alpha, pw)
     t2 = p2 * _phi_series(alpha - beta + 1.0, 2.0 - beta, rho)
     val = t1 + t2
     num = abs(t1) + abs(t2)

@@ -142,10 +142,11 @@ def _boundary_consts(rp: ReducedParams) -> tuple[float, float]:
 
     and the gamma_skew in force.  theta_of, solve_w and spectrum build
     them once per call and hand them to every `_boundary_F` evaluation.
+    c is the log of the gammas' ratio (1.2e-15 off at worst, 2.6e-15 by logs).
     """
     k = rp.kappa
     if k > 0.0:
-        c = gammaln_signed(1.0 - k)[0] - gammaln_signed(1.0 + k)[0]
+        c = math.log(gamma(1.0 - k) / gamma(1.0 + k))
     else:
         c = 2.0 * digamma(1.0)
     return c, gamma_skew.get()
@@ -475,8 +476,9 @@ def _root_in_gap(
 
     Within a few ulps of kappa = 1 the pole at lo and the zero of F above
     it round to one float, which is then the root; a root that lies within
-    one ulp below the pole at hi is the float below hi.  Any other gap
-    without a sign change is refused.
+    one ulp below the pole at hi is the float below hi, and one within one
+    ulp above the pole at lo the float above lo.  Any other gap without a
+    sign change is refused.
     """
 
     def g(e: float) -> float:
@@ -529,10 +531,11 @@ def _root_in_gap(
             # the zero of F above the pole at lo rounds onto it: that float
             # is the root, its residual the smaller |g| of the one-ulp bracket
             return lo, min(abs(g(lo)), abs(gp))
-        elif n >= 1 and gq < gp <= 0.0 and p == math.nextafter(lo, hi):
-            # F is below the target and still falls at the float above the
-            # pole at lo, so the root lies between the pole and that float:
-            # it is the root to float64 precision
+        elif not rise and n >= 1 and gp <= 0.0 and p == math.nextafter(lo, hi) and (
+            (gl := g(lo)) > 0.0 or gl + target < 0.0 < gp + target
+        ):
+            # F at or below the target there, and above it or of the other
+            # sign (alpha past the pole) at lo: F falls from +inf between them
             return p, -gp
         elif rise:
             raise ConvergenceError(
@@ -625,7 +628,7 @@ def _nu_state_norm(kappa: float, upsilon: float, w: float) -> float:
     """Q0 = integral of phi(mu=0, w)^2 over (0, inf) in closed form, for
     the ground state's alpha = (1+k)/2 + w > 0:
 
-        kappa in (0,1):  pi G(alpha) [psi(alpha) - psi(alpha-k)] / (2 ups sin(pi k) G(k)^2 G(alpha-k))
+        kappa in (0,1):  G(1-k) G(alpha) [psi(alpha) - psi(alpha-k)] / (2 ups G(k) G(alpha-k))
         kappa = 0:       psi'(alpha) / (2 ups)
 
     phi = scale e^(-rho/2) rho^(1/4+k/2) Psi(alpha, 1+k; rho) with scale =
@@ -633,9 +636,9 @@ def _nu_state_norm(kappa: float, upsilon: float, w: float) -> float:
     infinity, so the Lagrange identity int_x^inf phi^2 = (phi d_E phi' -
     phi' d_E phi)(x) gives Q0 from the small-x coefficients of phi and
     their E-derivatives as x -> 0 (Titchmarsh, *Eigenfunction Expansions*
-    I, ch. 2; DLMF 13.10).  Above alpha - k = 0 the gamma ratio and
-    the digamma difference are shifts of alpha - k by k, with nothing to
-    cancel however deep the state; at the pole alpha - k = -m the ratio
+    I, ch. 2; DLMF 13.10).  Above alpha - k = 0 the digamma difference
+    and (from 1) the gamma ratio are shifts of alpha - k by k, with nothing
+    to cancel however deep the state; at the pole alpha - k = -m the ratio
     [psi(alpha) - psi(alpha-k)] / G(alpha-k) takes its limit (-1)^m m!.
     """
     alpha = 0.5 * (1.0 + kappa) + w
@@ -644,13 +647,15 @@ def _nu_state_norm(kappa: float, upsilon: float, w: float) -> float:
     else:
         am = alpha - kappa
         if am > 0.0:
-            r = math.exp(gammaln_shift(am, kappa)) * digamma_shift(am, kappa)
+            # below 1 the shift's recurrence sums logs ~ ln(1/am) that cancel
+            g = math.exp(gammaln_shift(am, kappa)) if am >= 1.0 else gamma(alpha) * rgamma(am)
+            r = g * digamma_shift(am, kappa)
         elif am == math.floor(am):
             m = -int(am)
             r = gamma(alpha) * (-1) ** m * math.factorial(m)
         else:
             r = gamma(alpha) * rgamma(am) * (digamma(alpha) - digamma(am))
-        q0 = math.pi * r / (2.0 * upsilon * sinpi(kappa) * gamma(kappa) ** 2)
+        q0 = r * gamma(1.0 - kappa) / (2.0 * upsilon * gamma(kappa))  # = pi r / (sin(pi k) G(k)^2)
     # a deep state's Q0 ~ kappa^2 alpha^(kappa-1) sinks toward the subnormals
     if not (math.isfinite(q0) and q0 >= sys.float_info.min):
         raise ConvergenceError(

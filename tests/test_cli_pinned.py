@@ -29,17 +29,17 @@ _EMPTY = hashlib.sha256(b"").hexdigest()
 # argv: (exit code, sha256 of stdout, stderr)
 PINS = {
     "spectrum --g1 0 --g2 1 --nu 1.0":
-        (0, "2201a8113d91771a857e2d02974807156782213f85aa3e1e485740808e8f9d8f", ""),
+        (0, "251c109873a3d7471c187b73370f3ed501db465469fba9b852a734f291ce15fd", ""),
     "spectrum --g1 0 --g2 1 --nu 1.0 --format csv":
-        (0, "8b8763b4d60b1093afc5c01d33a76f1f1dea5ff62d0bf616428823991aea5e6a", ""),
+        (0, "330eed3456306998d22b5ad85c818b6dd49eb5e09656a59ee6268ba3ef4ff787", ""),
     "spectrum --g1 0 --g2 1 --nu 1.0 --n 3 --oracle on":
-        (0, "c4188b2eba59ef3cfcfa0dd203104aae0ccd1c4d09e256cc83f18a8c894e0e13", ""),
+        (0, "ba2ae56c55bc9c08165f998923266e090f1a2468fe307993accf5902042862ff", ""),
     "spectrum --g1 0 --g2 1 --nu 1.0 --n 3 --oracle on --format csv":
-        (0, "203303dbe2f1dc6d81f3bd4664ede987866551bbb3b40e5af7336b4182d1ecae", ""),
+        (0, "97fa24ef83d7a170cdc262e582e311de7ee1c32e389807d20a6d6166de4721f6", ""),
     "spectrum --g1 0 --g2 1 --nu 1.0 --n 9 --oracle on":
-        (0, "bee48f26558eccdd38b7e1f77754d3d69d5e630816431d7f4a6a2db41e53d7db", ""),
+        (0, "97ea38f873208e76a4d0a4a4c2d9d774dcaea025e42fdb3c54b298c6bb940925", ""),
     "spectrum --g1 0.300564 --g2 57.6 --nu -1.5613 --n 2 --oracle on":
-        (0, "a63a956794632906e8f13bbe9f87905b7216b99c3d2d8fdea740e1016ab96920", ""),
+        (0, "506fec64856152a915e33bd37f91bfa4e131e4567a4935869e5706d50e2aaf95", ""),
     "spectrum --g1 0.75 --g2 1 --unique --n 3":
         (0, "c062d17ac25a679a33412c961a322505b1d475a137bcef75ad482b94b938741a", ""),
     "spectrum --g1 2 --g2 1":
@@ -70,18 +70,18 @@ PINS = {
     "spectrum --g1 -1 --g2 1 --nu 0":
         (3, _EMPTY, "no generalized oscillator representation: g1 < -1/4\n"),
     "sweep --g1 -0.16 --g2 1 --sweep -1.5 1.5 5 --n 2":
-        (0, "aa1c3efd21d5a467ab8acd3be608b340d93d4264e1dc34358529986de066510b", ""),
+        (0, "3dc692e51f3036f3bfc0530f73d093c0b8c054cca79ef643f05e54ff2982fb47", ""),
     "sweep --g1 -0.16 --g2 1 --sweep -1.5 1.5 5 --n 2 --format csv":
-        (0, "87efa45cbf3b8544675f3f82fc49b9fbe07c342655ab94e2ec47e18bda07610f", ""),
+        (0, "5e6914448d3620e6e32f85e462818151df51d10030994f683f7b5de2d2d13ede", ""),
     "sweep --g1 0 --g2 1 --sweep -1.5707963267948966 1.5707963267948966 3":
         (0, "0355f7256ac1e29c405209735e88707130f46e7030ccce8a81d45da26ed20913", ""),
     # boundary-root runs that CI pins: roots next to their poles and one
     # ulp below them, kappa within ulps of 1, kappa = 0 ground states near
     # -1.76e217 and at ln|E| ~ 705, and a sweep through both dives
     "spectrum --g1 -0.24999997 --g2 1 --nu 1.5693 --n 21":
-        (0, "c888a618ca404e92bdbe00383b80151e1a57abf5658b6e013f7d5571bfd517d4", ""),
+        (0, "394babb6f45c2a8bfdbd21084cc638b78c2908699afdd729bf123f3c1c9c2fb3", ""),
     "spectrum --g1 -0.24999999999999997 --g2 1 --nu 1.570795 --n 50":
-        (0, "d8e174d5e8c3ba79da7930aa58f1e87dd571f44c8c3a46c24e1327f489c9992b", ""),
+        (0, "fcac9e3865fcf01ef323c5e4e19f814bd80153d462aa85ea6a59959e2461330d", ""),
     "spectrum --g1 0.749999999999988 --g2 1 --nu 0.7376 --n 20":
         (0, "3f79a234cf556d198c918e2632c0c3f361cf96ae4eecc7bec3b2fbc71e1a9668", ""),
     "spectrum --g1 -0.25 --g2 1 --nu 1.5687963 --n 50":
@@ -89,17 +89,17 @@ PINS = {
     "spectrum --g1 -0.25 --g2 1 --nu 1.5693781897607493":
         (0, "7d4ad6ebee45c436235fb51e1edb05b67a02c42b5294be20ab629ab98471ddc6", ""),
     "sweep --g1 -0.16 --g2 1 --sweep -1.5 1.5 16 --n 4":
-        (0, "132f6fd4bb3b545561d6523432651f88a35f5c88bdd2a9c72bc2532467df8017", ""),
+        (0, "d4b54326a9559dc0a05ce0bb395e229c5d54e090ebfe3ffd47e527d41b0b9413", ""),
     "spectrum --g1 0.7499999999999998 --g2 1 --nu 1 --n 3":
         (0, "62ea48b9194b19b7ca304d76b38a5c2a6595f480f83b0ab4dd8ec25be4333f43", ""),
     # 8.3e-7 above -pi/2 at kappa = 1/4: the dive side's ground state near
     # -2.6e24 and levels 1 and 2 just above 2.5 and 6.5
     "spectrum --g1 -0.1875 --g2 1 --nu -1.5707955 --n 3":
-        (0, "f6ce1d7b9f597cfe62210529fcff6961acabbf567bca5bf9f6aa46ee9ec2a935", ""),
+        (0, "1473e2daa4a1b07b9c37f5981563ff72cc82b7416feffd3651d85d39048dbdfa", ""),
     # tan nu ~ -1.6e16 at kappa = 1/8: levels 1 and 2 round onto the poles
     # below them and are the floats just above those poles
     "spectrum --g1 -0.234375 --g2 1 --nu -1.5707963267948961 --n 3":
-        (0, "80b33c69a43306083599dc30e644645bd4138cb7261af434ab79935a325c8514", ""),
+        (0, "609572b211995fc441c6f77f42470f77e1fa87217e2f51628c7869e8f42cc670", ""),
     "factorize-check --g1 -0.25 --g2 2 --mu 0.4 --w 0.3":
         (0, "e3ff6ae5d11fc7f1928dbe5de5b013f7f1393af3c974aa929b3acb1821748b07", ""),
     "factorize-check --g1 0 --g2 1 --mu 1.1 --w 2.5":
@@ -154,26 +154,26 @@ PINS = {
         "numerical failure: count_zeros: x in (2.37137e+08, 10000000000.0) needs at least 1.67e+19 steps, more than the 100000 one call may take\n",
     ),
     "verify":
-        (0, "cc6896f9880532e58aceed6b4fc080dd6f59fdeb826c14ce9442bc1250786565", ""),
+        (0, "256cd131f2bd6909637f0a275dea3d3d97aee3ad2f0c9afa242980b1e08beb9f", ""),
     "verify --format csv":
-        (0, "81fb77a968b47f7b9dfad8227f65f607ba930f5003a380197adf6f6fd7fdae9c", ""),
+        (0, "53e4b589b78e563e650b49253713ab5a4f2ab468d0deaaf80dfad70556b4dd42", ""),
     "verify --quick":
-        (0, "758dfb8a7753f0d22c61b1b07e6b5bfca2e97252193f01a0135130444ca0d066", ""),
+        (0, "cd0d952894ae739274ce418755f907e9e3928ad9470aab2af19a381fa5086739", ""),
     "verify --quick --format csv":
-        (0, "267b078d1ffd16b0b0760f280a374d8705722215819eab8d2c307595659d3549", ""),
+        (0, "2d47c063ea775ccabdaf1d08b9a2d642a1c04d5d6186ecf139ead347a9bc10cf", ""),
     "verify --inject-gamma-bug": (
         4,
-        "ce6734e29f447f903e01a10c9b1f5994551dc57d0a89eec0f06d40cd34be8c93",
+        "a163e55223ab3d08739e36eb84197425746e673882b7536344617e578e04c354",
         "first failing row: 2-nu-zero-closed-form (1.670e-02 > 1e-10)\n",
     ),
     "verify --quick --inject-gamma-bug": (
         4,
-        "18496d750211a0956ff6bcc45e515a1c849f035fe2aef4c820fd7a6217c0eb06",
+        "99d9670e365147466a21d27b96444d1bff139a9695d8e6f7e35b2b3fac7300eb",
         "first failing row: 2-nu-zero-closed-form (1.670e-02 > 1e-10)\n",
     ),
     "verify --quick --inject-gamma-bug --format csv": (
         4,
-        "076c3d7da944a0891736d070506cae46485688b435bef05228d146fcab4c459c",
+        "d9676191a0473f28278f03dc71f42025740a6905530de689fb5d47ae3b72cf48",
         "first failing row: 2-nu-zero-closed-form (1.670e-02 > 1e-10)\n",
     ),
 }
@@ -189,22 +189,22 @@ FAULTS = {
 FAULT_PINS = {
     "spectrum --g1 0 --g2 1 --nu 1.0 --n 3 --oracle on": (
         4,
-        "4e9a4ba3dde87f3cae68f54c1481f6192d466a3be1c39415371ef1379f198891",
+        "b3ca8898c1fc30af4eef5ba072edc177373d981d62b13905718fa40dc9e7dd9e",
         "oracle disagrees with the spectral equations beyond 1e-3\n",
     ),
     "spectrum --g1 0 --g2 1 --nu 1.0 --n 3 --oracle on --format csv": (
         4,
-        "5bf276f873cd49af7f91746e24eb045c61c18d34433bc66a485b7c9efad28fcf",
+        "082ef2903bcc180d3b0407ec3693a450a3348129ceda8274b426c4612ff7e576",
         "oracle disagrees with the spectral equations beyond 1e-3\n",
     ),
     "sweep --g1 -0.16 --g2 1 --sweep -1.5 1.5 5 --n 2": (
         4,
-        "e101a8511f8888ba3c27c766944ece7de11afee3022e7ed4beffc80b768055bc",
+        "eb6296641e37b6f4434027ba5c2fbfb108eddf492acbc00b04990c47cbf72a1c",
         "ground-state flow is decreasing, expected increasing\n",
     ),
     "sweep --g1 -0.16 --g2 1 --sweep -1.5 1.5 5 --n 2 --format csv": (
         4,
-        "ea3a41bd9bcb14ebdd3a846be77cf3b641c99ea51287bd3c8a6fac0b1ac219dd",
+        "f3117510e577f998a859d8ee7aa0ea1be69f749cdfcc97b0717cf6917a30f788",
         "ground-state flow is decreasing, expected increasing\n",
     ),
 }

@@ -426,11 +426,11 @@ class TestSpectrumFrozen:
     # ~ 153 e-folds below these roots, past float64; it is clipped there, not
     # refused.  The roots' relative error is the residual of F(w) = target
     # over w dF/dw ~ kappa F (mpmath at 300 digits, which the 1e240-sized
-    # Gamma arguments need).  The pinned w lie 1.8e-13 and 5.0e-15 relative
+    # Gamma arguments need).  The pinned w lie 6.2e-14 and 1.2e-13 relative
     # from the 300-digit roots 9.6515656237265027e240 and 8.9411700350539032e239
     @pytest.mark.parametrize("mu, nu, want", [
-        (1.2483671301265757, 0.0797600065110875, 9.65156562372481e240),
-        (0.0, -math.atan(2.9), 8.941170035053948e239),
+        (1.2483671301265757, 0.0797600065110875, 9.651565623725908e240),
+        (0.0, -math.atan(2.9), 8.941170035054964e239),
     ], ids=["solve_w", "spectrum"])
     def test_small_kappa_roots_near_1e240(self, mu, nu, want):
         rp = rp_kappa(0.001923030537107642)
@@ -599,6 +599,19 @@ class TestBoundarySolver:
             assert abs(e - ref) <= math.ulp(e)
         assert _mp_boundary_root(rp.kappa, nu, energies[1])[0] == energies[1]
 
+    def test_root_above_a_pole_where_F_is_flat_is_the_float_above_it(self):
+        # next to nu = -pi/2 F(-e/4) holds one value over pairs of floats
+        # above the pole 2 (5 + k) (alpha moves one ulp per two floats of e)
+        # and wiggles by 0.5 out of -2.3e14 there, below the noise: level 3
+        # is the first float of its gap, where F is already below the target
+        k = 0.39195047351510726
+        rp = reduce(k * k - 0.25, 1.0)
+        nu = -1.5707963267948957
+        energies = spectrum(rp, extension_for(rp, nu=nu), 4).energies
+        assert energies[3] == math.nextafter(spectral._pole(rp, 2), math.inf)
+        for e in energies[1:]:
+            assert _mp_boundary_root(rp.kappa, nu, e)[0] == e
+
     @pytest.mark.parametrize("g1", [(1.0 - 1e-8) ** 2 - 0.25, 0.75 - 2.0**-52])
     @pytest.mark.parametrize("nu", [-1.0, -0.3, 0.3, 1.0])
     def test_ground_root_next_to_kappa_one_within_the_stopping_width(self, g1, nu):
@@ -614,9 +627,9 @@ class TestBoundarySolver:
 
     @given(
         kappa=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
-        # within ~1e-15 of +-pi/2 a level next to a pole can still be refused:
-        # F(-e/4) is flat over pairs of floats there, or reads the pole one
-        # float early, so the walk sees no fall or a rise
+        # within ~1e-15 of +-pi/2 a level next to the pole above it can still
+        # be refused: F(-e/4) reads that pole one float early, so the walk
+        # sees a rise or no sign change
         nu=st.floats(-HALF_PI + 1e-12, HALF_PI - 1e-12),
         n=st.integers(1, 30),
     )
