@@ -545,9 +545,9 @@ def tricomi_psi_integral(alpha: float, beta: float, rho: float) -> float:
 
 def _series_prefactor(g: float, z: float, pw: float) -> float:
     """g / Gamma(z) * pw, or 0.0 (refused as a hidden term) where 1/Gamma or
-    pw is subnormal, its digits shed.  Past z = 171 1/Gamma(z) is 1/Gamma(z - m)
-    over (z - m)_m, z - m <= 171 exact.  A subnormal g = Gamma(1 - beta) is
-    kept: its term is below 1e-2 of the other."""
+    pw is subnormal, its digits shed.  Past z = 171, 1/Gamma(z) is taken as
+    1/Gamma(z - m) / (z - m)_m with z - m <= 171 (exact).  A subnormal
+    g = Gamma(1 - beta) is kept: its term is below 1e-2 of the other."""
     m = min(16, math.ceil(z - 171.0)) if z > 171.0 else 0
     r = rgamma(z - m)
     if abs(r) < sys.float_info.min or pw < sys.float_info.min:

@@ -142,7 +142,8 @@ def _boundary_consts(rp: ReducedParams) -> tuple[float, float]:
 
     and the gamma_skew in force.  theta_of, solve_w and spectrum build
     them once per call and hand them to every `_boundary_F` evaluation.
-    c is the log of the gammas' ratio (1.2e-15 off at worst, 2.6e-15 by logs).
+    c is the log of the gammas' ratio, 1.2e-15 off at worst; the difference
+    of their logs, next to ln G's zeros at 1 and 2, is up to 2.6e-15 off.
     """
     k = rp.kappa
     if k > 0.0:
