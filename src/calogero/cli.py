@@ -22,7 +22,11 @@ CSV carries the results table with a header row. Negative numbers may
 be written in exponent notation (`--nu -1e-3`).
 
 `main(argv)` may be called many times in one process: it builds its
-parser once, on the first call, and every later call reuses it.
+parser once, on the first call, and every later call reuses it.  An argv
+that names a subcommand is parsed once, by that subcommand's parser, as
+argparse's subparsers action would hand it on; where that parser leaves
+an argument over, or argv names no subcommand, the full parser parses it
+again, so every usage line, error, --help and --version is argparse's own.
 
 Importing this module and building the parser load no other module of the
 package than `errors`: a subcommand imports the library modules it calls
@@ -418,11 +422,12 @@ def _add_extension_flags(sp) -> None:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and shared by every
-    later one.  Parsing writes nothing to it: each parse_args makes a fresh
-    Namespace, the defaults and the negative-number pattern are fixed here,
-    and error, --help and --version only print and exit."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command-line parser and its {subcommand: parser} map, built on
+    the first call and shared by every later one.  Parsing writes nothing
+    to them: each parse makes a fresh Namespace, the defaults and the
+    negative-number pattern are fixed here, and error, --help and --version
+    only print and exit."""
     parser = argparse.ArgumentParser(
         prog="calogero",
         description="Spectra and factorizations of -d^2/dx^2 + g1/x^2 + g2 x^2 on the half-line.",
@@ -474,11 +479,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     for sp in sub.choices.values():
         sp._negative_number_matcher = _NEGATIVE_NUMBER
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser (see `_parsers`)."""
+    return _parsers()[0]
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), parsing argv once where it can.
+
+    The full parser hands everything after a subcommand's name to that
+    subcommand's parse_known_args and refuses what it leaves over; when it
+    leaves nothing, the Namespace is the subcommand's with `command` first,
+    which is what the full parse returns.  Every other argv (no subcommand
+    first, an argument left over, or one starting "--=", which the full
+    parser refuses as an ambiguous --help/--version before the subcommand's
+    parser sees it) is parsed by the full parser."""
+    parser, subparsers = _parsers()
+    sub = subparsers.get(argv[0]) if argv else None
+    if sub is not None and not any(a.startswith("--=") for a in argv):
+        args, extras = sub.parse_known_args(argv[1:])
+        if not extras:
+            return argparse.Namespace(command=argv[0], **vars(args))
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         _check_out(args.out)
         inputs, reduced_params, results, checks, header, rows, failure = args.func(args)

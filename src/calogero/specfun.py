@@ -176,8 +176,6 @@ _DIGAMMA_TAIL = (
     691.0 / 32760.0,
     -1.0 / 12.0,
 )
-# the same, highest order first, for digamma's Horner loop
-_DIGAMMA_TAIL_HORNER = tuple(reversed(_DIGAMMA_TAIL))
 
 
 def digamma(z: float) -> float:
@@ -191,9 +189,9 @@ def digamma(z: float) -> float:
     """
     if not math.isfinite(z):
         raise DomainError(f"digamma: non-finite argument {z!r}")
-    if _is_nonpositive_int(z):
-        raise DomainError(f"digamma: pole at z = {z}")
-    if z < 0.0:
+    if z <= 0.0:
+        if z == math.floor(z):
+            raise DomainError(f"digamma: pole at z = {z}")
         return digamma(1.0 - z) - math.pi / math.tan(math.pi * (z - round(z)))
     acc = 0.0
     while z < 10.0:
@@ -201,9 +199,9 @@ def digamma(z: float) -> float:
         z += 1.0
     inv = 1.0 / z
     inv2 = inv * inv
-    tail = 0.0
-    for c in _DIGAMMA_TAIL_HORNER:
-        tail = (tail + c) * inv2
+    # the _DIGAMMA_TAIL series in 1/z^2 by Horner, highest order first
+    tail = ((((((-1.0 / 12.0 * inv2 + 691.0 / 32760.0) * inv2 - 1.0 / 132.0) * inv2 + 1.0 / 240.0) * inv2
+              - 1.0 / 252.0) * inv2 + 1.0 / 120.0) * inv2 - 1.0 / 12.0) * inv2
     return acc + math.log(z) - 0.5 * inv + tail
 
 
@@ -281,19 +279,6 @@ def trigamma(z: float) -> float:
     return acc + inv + 0.5 * inv2 + tail * inv
 
 
-# ln Gamma Stirling tail terms (B_{2n} / (2n (2n-1)), 1 - 2n): gammaln_shift
-# sums coefficient * b^power * expm1(power * ln((b+d)/b)) over them
-_STIRLING_TERMS = (
-    (1.0 / 12.0, -1),
-    (-1.0 / 360.0, -3),
-    (1.0 / 1260.0, -5),
-    (-1.0 / 1680.0, -7),
-    (1.0 / 1188.0, -9),
-    (-691.0 / 360360.0, -11),
-    (1.0 / 156.0, -13),
-)
-
-
 def gammaln_shift(b: float, d: float) -> float:
     """ln Gamma(b + d) - ln Gamma(b) for b > 0, b + d > 0, no cancellation.
 
@@ -324,9 +309,15 @@ def gammaln_shift(b: float, d: float) -> float:
         b += 1.0
     la = math.log1p(d / b)  # ln((b+d)/b)
     main = (b - 0.5) * la + d * (math.log(b) + la - 1.0)
-    tail = 0.0
-    for c, m in _STIRLING_TERMS:
-        tail += c * b ** m * math.expm1(m * la)
+    # the Stirling tail, B_{2n} / (2n (2n-1)) * b^m * expm1(m la) with
+    # m = 1 - 2n, lowest order first
+    tail = (1.0 / 12.0 * b ** -1 * math.expm1(-la)
+            - 1.0 / 360.0 * b ** -3 * math.expm1(-3 * la)
+            + 1.0 / 1260.0 * b ** -5 * math.expm1(-5 * la)
+            - 1.0 / 1680.0 * b ** -7 * math.expm1(-7 * la)
+            + 1.0 / 1188.0 * b ** -9 * math.expm1(-9 * la)
+            - 691.0 / 360360.0 * b ** -11 * math.expm1(-11 * la)
+            + 1.0 / 156.0 * b ** -13 * math.expm1(-13 * la))
     return main + tail + corr
 
 

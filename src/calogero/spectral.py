@@ -478,8 +478,11 @@ def _root_in_gap(
     Within a few ulps of kappa = 1 the pole at lo and the zero of F above
     it round to one float, which is then the root; a root that lies within
     one ulp below the pole at hi is the float below hi, and one within one
-    ulp above the pole at lo the float above lo.  Any other gap without a
-    sign change is refused.
+    ulp above the pole at lo the float above lo.  Both are certified by F
+    at the pole's own float, where alpha may round onto or past the pole.
+    At the float below hi alpha may round onto the pole too, and F reads
+    +inf there: a probe that lands on it halves back toward the root
+    instead.  Any other gap without a sign change is refused.
     """
 
     def g(e: float) -> float:
@@ -538,6 +541,23 @@ def _root_in_gap(
             # F at or below the target there, and above it or of the other
             # sign (alpha past the pole) at lo: F falls from +inf between them
             return p, -gp
+        elif (
+            rp.kappa > 0.0 and gp > 0.0 and gq == math.inf and q == math.nextafter(hi, lo)
+            and p < (mid := 0.5 * p + 0.5 * q) < q
+        ):
+            # alpha at the float below hi rounds onto the pole, so F reads
+            # +inf one float early: probe halfway from p toward it instead
+            q, gq = mid, g(mid)
+        elif (
+            rp.kappa > 0.0 and gp > 0.0 < gq and q == math.nextafter(hi, lo) and p == math.nextafter(q, lo)
+            and ((gh := g(hi)) <= 0.0 or gh + target > 0.0 > gp + target)
+        ):
+            # F above the target at the two floats below hi (alpha at the
+            # upper one may round onto the pole, F = +inf there), and at or
+            # below it, or of the other sign (alpha onto or past the pole),
+            # at hi: F falls to -inf between p and hi, and the float below hi
+            # is the root, its residual the smaller g of the two
+            return q, min(gp, gq)
         elif rise:
             raise ConvergenceError(
                 f"spectral scan not decreasing on ({lo:.6g}, {hi:.6g}) near e={p:.6g}"

@@ -1,16 +1,22 @@
 """End-to-end command-line behaviour, driven through main(argv) in-process."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import calogero
+from calogero import cli
 from calogero.cli import main
 
 
@@ -585,6 +591,105 @@ class TestSharedParser:
             fresh.append((proc.returncode, proc.stdout))
         assert [code for code, _ in in_process] == [0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0]
         assert in_process == fresh
+
+
+def _parse_outcome(parse, argv):
+    """("args", repr of the Namespace, stdout, stderr) of a parse, ("exit",
+    code, stdout, stderr) of one that exits, at 80 columns."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = parse(list(argv))
+        except SystemExit as exc:
+            return "exit", exc.code, out.getvalue(), err.getvalue()
+    assert type(args) is argparse.Namespace
+    return "args", repr(args), out.getvalue(), err.getvalue()
+
+
+def _subcommand_flags():
+    """{subcommand: [(option string, values it takes, its choices or None)]}
+    read off the full parser, so a new flag is drawn as soon as it exists."""
+    flags = {}
+    for name, sub in cli._parsers()[1].items():
+        flags[name] = [
+            (opt, 0 if action.nargs == 0 else action.nargs or 1, action.choices)
+            for action in sub._actions for opt in action.option_strings
+        ]
+    return flags
+
+
+_FLAGS = _subcommand_flags()
+_VALUES = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["-1e-3", "1E+2", "-.5", "-7", "0x10", "1_0", "on", "off", "json", "csv", ".", "out.json"]),
+    st.sampled_from(["", "abc", "1e", "x y", "-", "--", "-x", "--g", "--nu", "--quick", "-1e", "--=1"]),
+    st.text(max_size=6),
+)
+_STRAYS = st.sampled_from(
+    ["--help", "-h", "--version", "--", "--bogus", "-x", "--=x", "--=", "--g", "--ver", "--he", "-hx", "---",
+     "spectrum", "verify"]
+)
+
+
+@st.composite
+def _argvs(draw):
+    head = draw(st.lists(st.sampled_from(["--help", "-h", "--version", "--bogus", "--"]), max_size=1))
+    name = draw(st.one_of(st.sampled_from(sorted(_FLAGS)), st.sampled_from(["spectrumx", "spec", "", "-1"])))
+    argv = [*head, name] if draw(st.booleans()) or not head else head
+    flags = _FLAGS.get(name, _FLAGS["spectrum"])
+    # each flag once or not at all (a dropped required flag included), in
+    # any order, its values well formed, malformed or too few
+    for opt, nargs, choices in draw(st.permutations(flags)):
+        if draw(st.integers(0, 3)) == 0:
+            continue
+        values = st.one_of(st.sampled_from(sorted(choices)), _VALUES) if choices else _VALUES
+        count = nargs if draw(st.integers(0, 5)) else draw(st.integers(0, 4))
+        argv += [opt, *draw(st.lists(values, min_size=count, max_size=count))]
+        if draw(st.integers(0, 6)) == 0:
+            argv.append(draw(_STRAYS))
+    return argv
+
+
+class TestParseOnce:
+    """main parses an argv that names a subcommand with that subcommand's
+    parser only; every argv parses to the Namespace, or exits with the code
+    and the bytes, that the full parser gives."""
+
+    @given(argv=_argvs())
+    @settings(max_examples=400, deadline=None)
+    @example(argv=["spectrum", "--g1", "0", "--g2", "1", "--nu", "1", "--bogus"])
+    @example(argv=["spectrum", "--=x"])  # the full parser refuses it as an ambiguous --help/--version
+    @example(argv=["spectrum", "--g1", "0", "--g2", "1", "--nu", "1", "--", "--=x"])
+    @example(argv=["spectrum", "--", "--g1", "0"])
+    @example(argv=["spectrum", "--version"])
+    @example(argv=["--version", "spectrum"])
+    @example(argv=["sweep", "-h"])
+    @example(argv=["verify", "--quick", "--qu"])
+    @example(argv=["factorize-check"])
+    @example(argv=[])
+    def test_parse_matches_the_full_parser(self, argv):
+        assert _parse_outcome(cli._parse_args, argv) == _parse_outcome(cli.build_parser().parse_args, argv)
+
+    def test_leftover_argument_is_refused_with_the_top_level_usage(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run(capsys, ["spectrum", "--g1", "0", "--g2", "1", "--nu", "1", "--bogus"])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: calogero [-h] [--version]")
+        assert err.endswith("unrecognized arguments: --bogus\n")
+
+    def test_main_parses_with_the_subcommand_parser_only(self, capsys, monkeypatch):
+        calls = []
+        parse = argparse.ArgumentParser.parse_known_args
+
+        def counted(self, *args, **kwargs):
+            calls.append(self.prog)
+            return parse(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        assert run(capsys, ["spectrum", "--g1", "0.75", "--g2", "1", "--unique", "--n", "2"])[0] == 0
+        assert calls == ["calogero spectrum"]
 
 
 class TestOutPath:

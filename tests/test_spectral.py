@@ -599,6 +599,29 @@ class TestBoundarySolver:
             assert abs(e - ref) <= math.ulp(e)
         assert _mp_boundary_root(rp.kappa, nu, energies[1])[0] == energies[1]
 
+    @pytest.mark.parametrize(
+        "g1, nu, n, at_pole",
+        [
+            # tan nu ~ 3.5e15 puts level 3 within an ulp below the pole
+            # 2 (7 + k) at kappa = 0.603 and 0.530, where alpha at that pole's
+            # float rounds onto it (F = +inf); at kappa = 0.603 it does at
+            # the float below too, so F reads the pole one float early there
+            (0.11318955985047002, 1.5707963267948963, 26, True),
+            (0.03127312060734, 1.5707963267948963, 21, True),
+            # level 3 lies 65 ulps below the pole at kappa = 0.0353: the
+            # widened probe lands on the float below the pole, reads +inf
+            # there, and halves back to the sign change
+            (0.03534361914668904**2 - 0.25, 1.5707963267941578, 6, False),
+        ],
+    )
+    def test_root_below_a_pole_that_alpha_rounds_onto(self, g1, nu, n, at_pole):
+        rp = reduce(g1, 1.0)
+        energies = spectrum(rp, extension_for(rp, nu=nu), n).energies
+        assert (energies[3] == math.nextafter(spectral._pole(rp, 3), 0.0)) == at_pole
+        for e in energies:
+            ref, _ = _mp_boundary_root(rp.kappa, nu, e)
+            assert abs(e - ref) <= 4.0 * math.ulp(max(abs(e), spectral._E_FINE))
+
     def test_root_above_a_pole_where_F_is_flat_is_the_float_above_it(self):
         # next to nu = -pi/2 F(-e/4) holds one value over pairs of floats
         # above the pole 2 (5 + k) (alpha moves one ulp per two floats of e)
@@ -627,10 +650,8 @@ class TestBoundarySolver:
 
     @given(
         kappa=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
-        # within ~1e-15 of +-pi/2 a level next to the pole above it can still
-        # be refused: F(-e/4) reads that pole one float early, so the walk
-        # sees a rise or no sign change
-        nu=st.floats(-HALF_PI + 1e-12, HALF_PI - 1e-12),
+        # every interior nu, up to the floats next to +-pi/2
+        nu=st.floats(-HALF_PI, HALF_PI, exclude_min=True, exclude_max=True),
         n=st.integers(1, 30),
     )
     @settings(max_examples=40, deadline=None)
