@@ -658,7 +658,7 @@ class TestParseOnce:
     and the bytes, that the full parser gives."""
 
     @given(argv=_argvs())
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @example(argv=["spectrum", "--g1", "0", "--g2", "1", "--nu", "1", "--bogus"])
     @example(argv=["spectrum", "--=x"])  # the full parser refuses it as an ambiguous --help/--version
     @example(argv=["spectrum", "--g1", "0", "--g2", "1", "--nu", "1", "--", "--=x"])
