@@ -436,6 +436,8 @@ def _right_state(rp: ReducedParams, E: float, x: float, need: float = 0.0):
             f"shoot_spectrum: the right boundary data e^{ln_chi:.4g} at E = {E:.6g} "
             "leave the float64 range"
         )
+    if not all(map(math.isfinite, (ser, dlog, dlog_k, err))):
+        raise ConvergenceError(f"shoot_spectrum: the right boundary data at E = {E:.6g} are not finite")
     return (ser, dlog / x * ser), dlog_k / (4.0 * ups * ups * x), err
 
 
@@ -475,14 +477,17 @@ def _right_start(rp: ReducedParams, E: float, x_match: float):
     z_lo = max(math.sqrt(max(y_turn, 0.0)), ups * x_match)
     z = z_lo + _START_STEP
     base = _decay_exponent(rp.g1, e, z_lo * z_lo)
-    # the loop ends: past x_lo, need grows like exp(2 int sqrt(q)) (clipped
-    # at e^700) while the data's error falls
+    # past x_lo, need grows like exp(2 int sqrt(q)) while the data's error
+    # falls; past need's clip, e^700, or where z stops moving, none holds
     while True:
-        need = _START_LEAK * math.exp(min(_decay_exponent(rp.g1, e, z * z) - base, 700.0))
+        gain = _decay_exponent(rp.g1, e, z * z) - base
+        need = _START_LEAK * math.exp(min(gain, 700.0))
         if need >= _DATA_FLOOR:  # no data are better than their rounding
             state, y_e, err = _right_state(rp, E, z / ups, need)
             if err <= need:
                 return z / ups, state, y_e
+        if not gain < 700.0 or z + _START_STEP == z:
+            raise ConvergenceError(f"shoot_spectrum: no right boundary data at E = {E:.6g} hold")
         z += _START_STEP
 
 
@@ -542,7 +547,10 @@ def _theta(
     # is left of W_R (on a float-precision step of Theta at large kappa)
     w_left = left.ye[0] * vl - ul * left.ye[1]
     w_right = right.ye[0] * vr - ur * right.ye[1]
-    return theta, abs(w_left) / r2_left + abs(w_right) / r2_right, phi_left
+    slope = abs(w_left) / r2_left + abs(w_right) / r2_right
+    if not (math.isfinite(theta) and math.isfinite(slope)):  # a NaN no bracket may compare
+        raise ConvergenceError(f"shoot_spectrum: the matching angle at E = {E:.6g} is not finite")
+    return theta, slope, phi_left
 
 
 def _scan_floor(rp: ReducedParams, ext: Extension) -> float:

@@ -26,25 +26,24 @@ The same F fixes the small-x coefficients (A~, B~) of a representation
 solution (see the factorization module), hence its boundary angle
 theta(mu, w) and the inverse problem w(mu, nu), used to build the
 representation that generates a given extension.  All three go through
-`_boundary_F`, the one evaluation of F: it forms alpha = (1+k)/2 + w and
-takes the gamma ratio (or the digamma) in its own body, with the
-kappa-only constant and fault skew that `_boundary_consts` builds once per
-call.  Every root is found by the one Brent-Dekker solver `_brent`,
-started on a sign change whose two values are known.
+`_boundary_F`, the one evaluation of F, with the kappa-only constant and
+fault skew that `_boundary_consts` builds once per call.  Every root is
+found by the one Brent-Dekker solver `_brent`, started on a sign change
+whose two values are known.
 
-A spectrum finds that sign change next to each level.  On gap n the
-reflection formula G(z) G(1-z) = pi / sin(pi z) (DLMF 5.5.3) writes F as a
-slowly varying factor times cos(pi k) - sin(pi k) cot(pi t), with
-alpha = t - n, or psi(1 + n - t) - pi cot(pi t) at kappa = 0; freezing the
-factor inverts it for t in closed form, and the fixed point of that
-inversion, converged by secants to within an ulp, is the level
-(`_level_estimate`).  F at the estimate and at its neighbour one ulp
-toward the root (four on the ground gap) then change sign: that
-certificate is the root, in two evaluations.  When they do not, the
-bracket widens toward the gap's ends,
-halving its way toward an end it would pass, so a root next to its pole
-costs a few more evaluations, not a walk across the gap.  `solve_w` is the
-same search on the ground gap, with the target shifted by tan mu.
+Each gap is searched in a variable of its own, measured from a pole,
+whose floats F takes as they are: t = alpha + n in [0, 1] on gap n >= 1,
+where the reflection formula G(z) G(1-z) = pi / sin(pi z) (DLMF 5.5.3)
+leaves sin pi(t-k) / sin pi t (pi cot pi t at kappa = 0) and a slowly
+varying factor, and alpha - kappa, from the exact 1 - kappa, on the ground
+gap.  So F cannot round onto a pole, and at t = 0, 1 it is its limit from
+inside.  Freezing the slowly varying factor inverts F in closed form; the
+fixed point of that inversion is the level's estimate (`_level_estimate`),
+and F at it and at its neighbour one float toward the root (no finer than a
+quarter ulp of e) change sign: that certificate is the root, in two
+evaluations.  Otherwise the bracket widens toward the gap's end, the pole
+included.  e is formed once, clamped into the open gap (`_energy`).
+`solve_w` is the same search on the ground gap, target shifted by tan mu.
 """
 
 from __future__ import annotations
@@ -88,10 +87,6 @@ _HALF_PI = 0.5 * math.pi
 # estimated below it is refused.  This bounds the scaled e only: `spectrum`
 # refuses a root whose E = e upsilon^2 passes float64 (upsilon^2 > ~1.006)
 _LN_DEEPEST = 708.39
-# F reads e through alpha = (1+k)/2 - e/4, which near e = 0 moves in steps
-# of ~4e-16 in e: below |e| = _E_FINE a root search counts its ulps (its
-# first step and its stopping width) at _E_FINE, still 1e6 times finer
-_E_FINE = 2.0**-20
 
 
 def extension_for(rp: ReducedParams, nu: float | None = None, friedrichs: bool = False) -> Extension:
@@ -153,59 +148,73 @@ def _boundary_consts(rp: ReducedParams) -> tuple[float, float]:
     return c, gamma_skew.get()
 
 
-def _boundary_F(rp: ReducedParams, w: float, c: float, skew: float) -> float:
-    """The boundary function of the shift w, increasing in w:
+def _gamma_shift(k: float, x: float) -> float:
+    # ln G(x+k) - ln G(x), resp. psi(x) at kappa = 0: the special function
+    # of F's reflected and shifted forms and of their fixed-point steps
+    return gammaln_shift(x, k) if k > 0.0 else digamma(x)
 
-        kappa > 0:  G(1-k) G(alpha) / [G(1+k) G(alpha-k)],  alpha = (1+k)/2 + w
-        kappa = 0:  psi(1/2 + w) - 2 psi(1)
 
-    with (c, skew) from `_boundary_consts`.  theta_of, solve_w and the
-    spectrum (at w = -e/4) all go through it, and skew perturbs it here.
-    The gamma ratio is taken in log space, c = ln G(1-k) - ln G(1+k): 0.0
-    on the exact poles of G(alpha-k), +-inf on overflow.  Below alpha = 0
-    both gammas are reflected, leaving one log-gamma shift and two sines.
+def _boundary_F(rp: ReducedParams, v: float, n: int, c: float, skew: float, shift=_gamma_shift) -> float:
+    """The boundary function at the point v of gap n, increasing in v:
+
+        kappa > 0:  G(1-k) G(alpha) / [G(1+k) G(alpha-k)]
+        kappa = 0:  psi(alpha) - 2 psi(1)
+
+    with (c, skew) from `_boundary_consts`, skew perturbing it here.  On
+    gap n >= 1 v = t = alpha + n in [0, 1], and by the reflection formula
+
+        kappa > 0:  e^(c + ln G(x+k) - ln G(x)) sin pi(t-k) / sin pi t,  x = 1 + n - t
+        kappa = 0:  psi(x) - pi cot pi t - c,
+
+    c = ln G(1-k) - ln G(1+k), resp. 2 psi(1).  On the ground gap
+    v = alpha - kappa, and the ratio is a shift of v by kappa (never a
+    difference of two lgamma values: past alpha = 1e16 alpha - k is not
+    even a distinct float).  F is 0.0 at v = 0 there, the pole of
+    G(alpha - k), and at the poles of G(alpha) that end each gap its limit
+    from inside: -inf at t = 0 and alpha = 0, +inf at t = 1; +-inf also on
+    overflow.  shift is `_gamma_shift`, or a root search's cached one.
     """
     k = rp.kappa
-    if k > 0.0:
-        a = 0.5 * (1.0 + k) + w
-        am = 0.5 * (1.0 - k) + w
-        if am <= 0.0 and am == math.floor(am):
-            value = 0.0
-        elif a <= 0.0 and a == math.floor(a):  # pole of the numerator
-            value = math.inf
-        elif a > 0.0 and am > 0.0:
-            # alpha - k formed from the exact 1 - k, and the shift k handed
-            # over exactly: deep roots push alpha past 1e16, where alpha - k
-            # is not even a distinct float, and next to kappa = 1 it is a
-            # small difference; never subtract two lgamma values
-            ln_r = c + gammaln_shift(am, k)
-            value = math.exp(ln_r) if ln_r <= 709.0 else math.inf
-        elif a < 0.0:
-            # reflect both: G(a)/G(a-k) = [sin pi(a-k) / sin pi a] G(1-a+k)/G(1-a)
-            ratio = sinpi(am) / sinpi(a)
-            ln_r = c + gammaln_shift(1.0 - a, k)
+    if n:
+        if v == 0.0 or v == 1.0:
+            value = math.inf if v else -math.inf
+        elif k > 0.0:
+            ratio = sinpi(v - k) / sinpi(v)
+            ln_r = c + shift(k, 1.0 + n - v)
             value = ratio * math.exp(ln_r) if ln_r <= 709.0 else math.copysign(math.inf, ratio)
         else:
-            lg3, s3 = gammaln_signed(a)
-            lg4, s4 = gammaln_signed(am)
-            ln_r = c + lg3 - lg4
-            value = math.inf * s3 * s4 if ln_r > 709.0 else s3 * s4 * math.exp(ln_r)
+            # the reflection psi(z) = psi(1-z) - pi cot(pi z) of `digamma`,
+            # with z - round(z) taken as t minus its nearest integer
+            value = shift(k, 1.0 + n - v) - math.pi / math.tan(math.pi * (v - round(v))) - c
+    elif k == 0.0:
+        value = shift(k, v) - c if v > 0.0 else -math.inf
+    elif v > 0.0:
+        ln_r = c + shift(k, v)
+        value = math.exp(ln_r) if ln_r <= 709.0 else math.inf
+    elif v == 0.0:
+        value = 0.0
+    elif (a := v + k) > 0.0:
+        lg3, s3 = gammaln_signed(a)
+        lg4, s4 = gammaln_signed(v)
+        ln_r = c + lg3 - lg4
+        value = math.inf * s3 * s4 if ln_r > 709.0 else s3 * s4 * math.exp(ln_r)
     else:
-        value = digamma(0.5 + w) - c
+        value = -math.inf
     if skew != 0.0 and math.isfinite(value):
         return value + skew * (1.0 + abs(value))
     return value
 
 
-def _brent(f, a: float, fa: float, b: float, fb: float) -> tuple[float, float]:
+def _brent(f, a: float, fa: float, b: float, fb: float, u: float) -> tuple[float, float]:
     """Brent-Dekker zeroin on a bracket whose values are already known:
     fa and fb of opposite signs, a zero counting with the negatives.
 
     Inverse quadratic or secant steps while they stay inside the bracket
     and shrink fast enough, bisection otherwise (Brent, *Algorithms for
     Minimization without Derivatives*, 1973, ch. 4).  Stops on an exact
-    zero or once the bracket spans at most four ulps of max(|b|, _E_FINE),
-    and returns the end with the smaller |f| with its value (root, f(root)).
+    zero or once the bracket spans at most four ulps of b, or four u where
+    u is wider, and returns the end with the smaller |f| with its value
+    (root, f(root)); an infinite end only ever bisects.
     The builtins max and min are written out as the comparisons they make,
     which give the same floats, NaN included, without a call.
     """
@@ -218,8 +227,8 @@ def _brent(f, a: float, fa: float, b: float, fb: float) -> tuple[float, float]:
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        ab = abs(b)
-        tol = 2.0 * math.ulp(_E_FINE if _E_FINE > ab else ab)
+        tol = math.ulp(b)
+        tol = 2.0 * (u if u > tol else tol)
         m = 0.5 * (c - b)
         if abs(m) <= tol or fb == 0.0:
             return b, fb
@@ -257,11 +266,12 @@ def theta_of(mu: float, w: float, rp: ReducedParams) -> float:
         raise DomainError(f"theta_of: kappa={rp.kappa} >= 1 has no boundary angle")
     if not (0.0 <= mu <= _HALF_PI + 1e-15):
         raise DomainError(f"theta_of: mu={mu} outside [0, pi/2]")
-    if w <= rp.w0:
-        raise DomainError(f"theta_of: w={w} at or below the floor w0={rp.w0}")
+    if not (rp.w0 < w < math.inf):
+        raise DomainError(f"theta_of: w={w} not a finite shift above the floor w0={rp.w0}")
     if abs(mu - _HALF_PI) < 1e-12:
         raise DomainError("theta_of: mu = pi/2 solution has a one-sided asymptotic")
-    f = _boundary_F(rp, w, *_boundary_consts(rp))
+    # w > w0 is the ground gap, whose point is alpha - kappa from the exact 1 - kappa
+    f = _boundary_F(rp, 0.5 * (1.0 - rp.kappa) + w, 0, *_boundary_consts(rp))
     if rp.kappa > 0.0:
         smu, cmu = math.sin(mu), math.cos(mu)
         return math.atan2(smu - cmu * f, cmu)
@@ -278,9 +288,10 @@ def solve_w(mu: float, nu: float, rp: ReducedParams) -> float:
     `spectrum` with the target shifted by tan mu; at mu = 0 it returns
     -e0/4 of the ground level bit for bit at g2 = 1, where the energy
     unit upsilon^2 is exactly 1.  The root is accepted on that search's
-    certificate, a sign change of F - target across at most four ulps, as
-    `spectrum` accepts it: a residual bound would refuse roots next to
-    nu = +-pi/2, where F is steep and four ulps span a large residual.
+    certificate, a sign change of F - target across at most four ulps of
+    alpha - kappa, as `spectrum` accepts it: a residual bound would refuse
+    roots next to nu = +-pi/2, where F is steep and four ulps span a large
+    residual.
     """
     if rp.kappa >= 1.0:
         raise DomainError(f"solve_w: kappa={rp.kappa} >= 1 has no extension family")
@@ -291,9 +302,8 @@ def solve_w(mu: float, nu: float, rp: ReducedParams) -> float:
     tnu = math.tan(nu)
     tmu = math.tan(mu)
     target = tmu - tnu if rp.kappa > 0.0 else tnu + tmu
-    c, skew = _boundary_consts(rp)
-    e = _root_in_gap(rp, target, 0, _lowest_gap_floor(rp, target, c), _pole(rp, 0), c, skew)[0]
-    return -0.25 * e
+    v = _root_in_gap(rp, target, 0, *_boundary_consts(rp))[0]
+    return -0.25 * _energy(rp, 0, v)
 
 
 # ---------------------------------------------------------------------------
@@ -319,77 +329,97 @@ def _pole(rp: ReducedParams, n: int) -> float:
     return 2.0 * (2 * n + 1 + rp.kappa)
 
 
+def _float_width(v: float, e: float) -> float:
+    # one float of the point v, or of its energy e = e0 - 4v where that is
+    # coarser: the search resolves its root no finer than its answer
+    u, ue = math.ulp(v), 0.25 * math.ulp(e)
+    return ue if ue > u else u
+
+
+def _energy(rp: ReducedParams, n: int, v: float) -> float:
+    """The scaled e of the point v of gap n (see `_boundary_F`), clamped
+    into the open gap: e = 2 (2n + 1 + k) - 4t on gap n >= 1, and
+    e = 2 (1 - k) - 4 (alpha - kappa) on the ground gap.  A root nearer a
+    pole than e can express lands on the gap's last float."""
+    hi = _pole(rp, n)
+    if n:
+        e, lo = hi - 4.0 * v, _pole(rp, n - 1)
+    else:
+        e, lo = 2.0 * (1.0 - rp.kappa) - 4.0 * v, -math.inf
+    first, last = math.nextafter(lo, hi), math.nextafter(hi, lo)
+    return first if first > e else (last if last < e else e)
+
+
 def _lowest_gap_floor(rp: ReducedParams, target: float, c: float) -> float:
-    # scaled e with F(-e/4) > target, i.e. strictly below the ground root:
-    # the lower end of the ground gap, to which its bracket may widen.
-    # F's first zero z0 splits the gap: a root with target <= 0 lies in
-    # [z0, first pole), so a fixed offset below z0 suffices; target > 0
-    # pushes the root toward -inf and the e -> -inf asymptotics of F are
-    # inverted in logs (exponentially deep in target when kappa = 0), with
-    # c from `_boundary_consts`.  That bound lies ln(1 + 1/target)/kappa
-    # e-folds below the root, so it is clipped at _LN_DEEPEST rather than
-    # refused; `_level_estimate` refuses a root past the clipped floor.
-    # Past target ~ 1e9 (nu within ~1e-9 of the endpoint on the diving
-    # side) ln(1 + 1/target) sinks toward the rounding of ln F at the
-    # floor, and F there can fall short of the target: the margin in
-    # ln F is kept at 1e-9 at least
+    # alpha - kappa with F > target, past the ground root: the ground gap's
+    # floor in e, to which its bracket may widen.  F's zero at alpha = kappa
+    # splits the gap: a root with target <= 0 lies at or below it; target > 0
+    # pushes it toward e -> -inf, and the asymptotics of F are inverted in
+    # logs, with c from `_boundary_consts`.  That bound lies
+    # ln(1 + 1/target)/kappa e-folds past the root, so it is clipped at
+    # _LN_DEEPEST, past which `_level_estimate` refuses the root.  Past
+    # target ~ 1e9 ln(1 + 1/target) sinks toward the rounding of ln F at the
+    # floor: the margin in ln F is kept at 1e-9 at least
     k = rp.kappa
     if target <= 0.0:
-        z0 = 2.0 * (1.0 - k) if k > 0.0 else -0.9
-        return z0 - 2.0
+        return 0.5 if k > 0.0 else 1.225
     if k > 0.0:
         ln_t = math.log(target)
         ln_r = (max(math.log(target + 1.0), ln_t + 1e-9) - c) / k
     else:
         ln_r = target + abs(c)
-    return -4.0 * math.exp(min(ln_r, _LN_DEEPEST)) - 8.0
+    return math.exp(min(ln_r, _LN_DEEPEST)) + 2.0
 
 
-def _level_estimate(rp: ReducedParams, target: float, n: int, c: float) -> tuple[float, float]:
-    """(e, h): the root of F(-e/4) = target in gap n from a fixed point of
-    F's reflected or asymptotic form, and a bound on its error; c from
-    `_boundary_consts`.
+def _level_estimate(rp: ReducedParams, target: float, n: int, c: float, shift) -> tuple[float, float]:
+    """(v, h): the point of gap n (see `_boundary_F`) where F = target,
+    from a fixed point of F's reflected or asymptotic form, and a bound on
+    its error; c from `_boundary_consts`.
 
-    In gap n >= 1 write alpha = t - n with t in (0, 1) and x = 1 + n - t.
-    The reflection formula G(z) G(1-z) = pi / sin(pi z) makes F a slowly
-    varying factor times cot(pi t):
+    In gap n >= 1, with x = 1 + n - t, F is a slowly varying factor times
+    cot(pi t):
 
         kappa > 0:  F = S(x) (cos pi k - sin pi k cot pi t),  S = e^(c + ln G(x+k) - ln G(x))
         kappa = 0:  F = psi(x) - pi cot pi t - c,
 
-    so with S (resp. psi(x)) frozen, t = 1/2 - atan(y)/pi solves for t in
-    closed form.  Three such steps with S from ln G(x+k) - ln G(x) ~
-    k [ln z + (1-k^2)/(24 z^2)], z = x - (1-k)/2 (Tricomi and Erdelyi, Pacific
-    J. Math. 1 (1951) 133), resp. psi(x) ~ ln z + 1/(24 z^2), start it with
-    no special-function call.  The ground gap has alpha in (0, inf).  Below
-    alpha = 1 (target below F there: 1/G(1+k), resp. Euler's gamma) the
-    recurrence G(z+1) = z G(z) leaves 1 - k/alpha, resp. -1/alpha, times a
-    slowly varying factor; above it the e -> -inf asymptotics G(b+k)/G(b) ~
-    w^k with b = alpha - k = w + (1-k)/2, resp. psi(w + 1/2) ~ ln w, are
-    inverted on w = -e/4.  Each form rearranges F = target exactly, so its
-    fixed point, which `_fixed_point` converges, is the root up to rounding.
+    so with S (resp. psi(x)) frozen, pi t = atan2(sin pi k, cos pi k -
+    target/S), resp. atan2(pi, psi(x) - c - target), solves for t in
+    closed form, to full relative precision next to either pole.  Three
+    such steps start it with no special-function call: S from the
+    difference of two `math.lgamma` values, which loses ~|ln G(x)| ulps,
+    resp. psi(x) ~ ln z + 1/(24 z^2), z = x - 1/2.  The ground gap has
+    alpha in (0, inf) and its point b = alpha - kappa.  Below alpha = 1
+    (target below F there: 1/G(1+k), resp. Euler's gamma) the recurrence
+    G(z+1) = z G(z) writes F as 1 - k/alpha, resp. -1/alpha, times a
+    slowly varying factor, so b = k q/(1 - q) with q the target over that
+    factor (three lgamma steps start it), resp. alpha = 1/(psi(1 + alpha) -
+    c - target); above it the e -> -inf asymptotics G(b+k)/G(b) ~ b^k,
+    resp. psi(b) ~ ln b, are inverted on b.  Each form rearranges
+    F = target exactly, so its fixed point, which `_fixed_point` converges,
+    is the root up to rounding.  shift is the search's `_gamma_shift`.
     """
     k = rp.kappa
     if n > 0:
-        # the raw sin(pi k), not `sinpi`: it only steers the estimate, which
-        # the search certifies or widens from
-        cos_k, sin_k = math.cos(math.pi * k), math.sin(math.pi * k)
+        sin_k, cos_k = sinpi(k), math.cos(math.pi * k)
 
         def step(t: float, exact: bool = True) -> float:
-            # ln G(x+k) - ln G(x), resp. psi(x), or their series to 1/z^2
+            # ln G(x+k) - ln G(x), resp. psi(x), or their cheap stand-ins
             x = 1.0 + n - t
             if exact:
-                s = gammaln_shift(x, k) if k > 0.0 else digamma(x)
+                s = shift(k, x)
+            elif k > 0.0:
+                s = math.lgamma(x + k) - math.lgamma(x)
             else:
-                z = x - 0.5 * (1.0 - k)
-                s = (math.log(z) + (1.0 - k * k) / (24.0 * z * z)) * (k if k > 0.0 else 1.0)
-            y = (cos_k - target * math.exp(-c - s)) / sin_k if k > 0.0 else (s - c - target) / math.pi
-            return 0.5 - math.atan(y) / math.pi
+                z = x - 0.5
+                s = math.log(z) + 1.0 / (24.0 * z * z)
+            if k > 0.0:
+                return math.atan2(sin_k, cos_k - target * math.exp(-c - s)) / math.pi
+            return math.atan2(math.pi, s - c - target) / math.pi
 
         t = 0.5
         for _ in range(3):
             t = step(t, False)
-        return _fixed_point(step, t, 0.0, 1.0, 2.0 * (1.0 + k) + 4.0 * n)
+        return _fixed_point(step, t, 0.0, 1.0, _pole(rp, n))
     if k > 0.0:
         # F(alpha = 1) = 1/G(1+k); math.lgamma is `gammaln_signed`'s value
         # without the checks that 1 + k in (1, 2) never trips
@@ -399,40 +429,44 @@ def _level_estimate(rp: ReducedParams, target: float, n: int, c: float) -> tuple
     if deep:
         # the log of the target's G(b+k)/G(b), resp. its psi
         lt = math.log(target) - c if k > 0.0 else target + c
-        ln_w = lt / k if k > 0.0 else lt
-        if ln_w > _LN_DEEPEST:
+        ln_b = lt / k if k > 0.0 else lt
+        if ln_b > _LN_DEEPEST:
             raise ConvergenceError(
                 "ground state deeper than float64 range for this extension "
-                f"(ln|E| ~ {ln_w + math.log(4.0):.0f})"
+                f"(ln|E| ~ {ln_b + math.log(4.0):.0f})"
             )
 
-        def step(w: float) -> float:
+        def step(b: float) -> float:
             # capped, so that a secant far below the root cannot overflow
-            x = (lt - gammaln_shift(w + 0.5 * (1.0 - k), k)) / k if k > 0.0 else lt - digamma(w + 0.5)
-            return w * math.exp(x if x < 709.0 else 709.0)
+            x = (lt - shift(k, b)) / (k if k > 0.0 else 1.0)
+            return b * math.exp(x if x < 709.0 else 709.0)
 
-        return _fixed_point(step, math.exp(ln_w), 0.0, math.exp(_LN_DEEPEST), 0.0)
+        return _fixed_point(step, math.exp(ln_b), 1.0 - k, math.exp(_LN_DEEPEST), 2.0 * (1.0 - k))
 
-    def step(a: float) -> float:
+    def step(b: float, exact: bool = True) -> float:
         if k > 0.0:
-            den = 1.0 - target * math.exp(-c - gammaln_shift(1.0 + a - k, k))
-            return k / den if den > k else 1.0
-        return 1.0 / max(1.0, digamma(1.0 + a) - c - target)
+            s = shift(k, 1.0 + b) if exact else math.lgamma(1.0 + b + k) - math.lgamma(1.0 + b)
+            q = target * math.exp(-c - s)
+            return k * q / (1.0 - q) if 1.0 - q > k else 1.0 - k
+        return 1.0 / max(1.0, shift(k, 1.0 + b) - c - target)
 
-    return _fixed_point(step, 0.5, 0.0, 1.0, 2.0 * (1.0 + k))
+    b = 0.5 - k
+    for _ in range(3 if k > 0.0 else 0):
+        b = step(b, False)
+    return _fixed_point(step, b, -k, 1.0 - k, 2.0 * (1.0 - k))
 
 
 def _fixed_point(step, v: float, lo: float, hi: float, e0: float) -> tuple[float, float]:
-    """(e, h) with e = e0 - 4 v at the fixed point v = step(v), h a bound
-    on its error: two plain steps, then secants on r(v) = step(v) - v
-    through its last two values, each clamped to the step's range [lo, hi].
-    h is the last correction in e times its ratio to the one before, which
-    overstates the error once the secants converge faster than linearly.
-    Stops once h is within one ulp of max(|e|, _E_FINE), the search's
-    first probe and a quarter of its stopping width, when the corrections
-    stall in rounding, or after eight secants.  Each step is one
-    gammaln_shift or digamma call: 2.6-2.8 per excited level and about 5
-    per ground level on the `spectra` mix.
+    """(v, h) at the fixed point v = step(v), h a bound on its error: two
+    plain steps, then secants on r(v) = step(v) - v through its last two
+    values, each clamped to the step's range [lo, hi].  h is the last
+    correction times its ratio to the one before, which overstates the
+    error once the secants converge faster than linearly.  Stops once h
+    is within one float of v, counted no finer than a quarter ulp of its
+    energy e0 - 4v (`_float_width`): the search's first probe and a quarter
+    of its stopping width.  Stops too when the corrections stall in
+    rounding, or after eight secants.  Each step is one gammaln_shift or
+    digamma call.
     """
     v0, r0 = v, step(v) - v
     v = v0 + r0
@@ -444,127 +478,83 @@ def _fixed_point(step, v: float, lo: float, hi: float, e0: float) -> tuple[float
         v = lo if v < lo else (hi if v > hi else v)
         d = v - v0
         if not abs(d) < abs(d0):  # stalled in the step's rounding
-            h = 4.0 * abs(d)
+            h = abs(d)
             break
-        h = 4.0 * abs(d) * abs(d / d0)
-        ae = abs(e0 - 4.0 * v)
-        if h <= math.ulp(_E_FINE if _E_FINE > ae else ae):
+        h = abs(d) * abs(d / d0)
+        if h <= _float_width(v, e0 - 4.0 * v):
             break
         r = step(v) - v
-    return e0 - 4.0 * v, h
+    return v, h
 
 
-def _root_in_gap(
-    rp: ReducedParams, target: float, n: int, lo: float, hi: float, c: float, skew: float
-) -> tuple[float, float]:
-    """The root of F(-e/4) = target in e in gap n, (lo, hi), where F(-e/4)
-    decreases from +inf to -inf; (c, skew) from `_boundary_consts`.
+def _root_in_gap(rp: ReducedParams, target: float, n: int, c: float, skew: float) -> tuple[float, float]:
+    """(v, residual): the point v of gap n (see `_boundary_F`) where
+    F = target, and |F - target| there; (c, skew) from `_boundary_consts`.
+    F rises with v from -inf at the gap's upper end in e to +inf at the
+    lower, or past the target at the ground gap's floor.
 
-    The search evaluates F at the level's own estimate (`_level_estimate`)
-    and at its neighbour e +- h on the root's side, which the sign of the
-    first value names; h is the estimate's error bound, but at least one
-    ulp of max(|e|, _E_FINE) (four on the ground gap).  A sign change there
-    certifies the root: with a converged estimate it lies inside `_brent`'s
-    stopping width of four ulps, and `_brent` takes its better end without
-    a further evaluation, so a root costs two.  While both values have one
-    sign the bracket widens h 64-fold on the root's side, keeping the
-    nearer point as the other end, then `_brent` starts from the two values
-    of the sign change.  A probe that would reach an end of the gap (a
-    pole, or the ground floor) goes halfway from the last point on that
-    side to the end instead: a root next to its pole costs a few halvings,
-    and no end is ever evaluated.  Every pair of points evaluated must
-    confirm the decreasing sweep.  Returns (root, residual).
-
-    Within a few ulps of kappa = 1 the pole at lo and the zero of F above
-    it round to one float, which is then the root; a root that lies within
-    one ulp below the pole at hi is the float below hi, and one within one
-    ulp above the pole at lo the float above lo.  Both are certified by F
-    at the pole's own float, where alpha may round onto or past the pole.
-    At the float below hi alpha may round onto the pole too, and F reads
-    +inf there: a probe that lands on it halves back toward the root
-    instead.  Any other gap without a sign change is refused.
+    F at the level's estimate (`_level_estimate`) and at its neighbour
+    v +- h on the root's side, which the first value's sign names, certify
+    the root if they change sign: h is the estimate's error bound, but at
+    least one float of v counted no finer than a quarter ulp of e
+    (`_float_width`), four on the ground gap, whose forms round apart from
+    F by a few.  `_brent` stops within four such floats and takes the
+    better end with no further evaluation, so a root costs two.  Otherwise
+    the bracket widens h 64-fold on the root's side up to the gap's end,
+    a pole included, where F is its limit: a root nearer the pole than the
+    last float before it brackets with the pole.  The only refusals are a
+    fall of F, which would break the one-root-per-gap argument, and a gap
+    without a sign change.
     """
 
-    def g(e: float) -> float:
-        return _boundary_F(rp, -0.25 * e, c, skew) - target
+    last = [math.nan, 0.0]
 
-    def inward(x: float, end: float, d: float) -> float:
-        # est + d, or halfway from x to the end once est + d would reach it;
-        # x itself when no float lies between x and the end
-        y = est + d
-        if not (y < end if d > 0.0 else y > end):
-            # 0.5 * (x + end) without its overflow next to the deepest floor
-            y = 0.5 * x + 0.5 * end
-        return y if (x < y < end or end < y < x) else x
+    def shift(k: float, x: float) -> float:
+        # the search's Gamma shifts share a one-entry cache: F at the
+        # estimate takes the fixed point's last shift where x is the same
+        if x != last[0]:
+            last[:] = x, _gamma_shift(k, x)
+        return last[1]
 
-    est, h = _level_estimate(rp, target, n, c)
-    # est clamped to the floats inside the gap and h raised to one ulp, or
-    # to four on the ground gap, whose forms round apart from F by a few
-    # ulps: max and min written as the comparisons they make
-    first, last = math.nextafter(lo, hi), math.nextafter(hi, lo)
-    est = first if first > est else est
-    est = last if last < est else est
-    ae = abs(est)
-    ulp = math.ulp(_E_FINE if _E_FINE > ae else ae) * (1.0 if n else 4.0)
-    h = ulp if ulp > h else h
-    # the estimate, then its neighbour h toward the root (away from it when
-    # the estimate is the gap's last float on that side)
+    def g(v: float) -> float:
+        return _boundary_F(rp, v, n, c, skew, shift) - target
+
+    lo, hi = (0.0, 1.0) if n else (-rp.kappa, _lowest_gap_floor(rp, target, c))
+    est, h = _level_estimate(rp, target, n, c, shift)
+    # est clamped to the gap and h raised to one float: max and min written
+    # as the comparisons they make
+    est = lo if lo > est else (hi if hi < est else est)
+    u = _float_width(est, _energy(rp, n, est))
+    h0 = u if n else 4.0 * u
+    h = h0 if h0 > h else h
+    # the estimate, then its neighbour h toward the root
     gx = g(est)
-    p, q = inward(est, lo, -h), inward(est, hi, h)
-    if gx > 0.0 and q != est or p == est:
-        p, gp, gq = est, gx, g(q)
+    if gx > 0.0:
+        q, gq, p = est, gx, est - h
+        p = lo if lo > p else p
+        gp = g(p)
     else:
-        q, gq, gp = est, gx, g(p)
-    while not gp > 0.0 >= gq:
-        # a genuine rise would break the one-root-per-gap argument; refuse
+        p, gp, q = est, gx, est + h
+        q = hi if hi < q else q
+        gq = g(q)
+    while not gp <= 0.0 < gq:
+        # a genuine fall would break the one-root-per-gap argument; refuse
         # rather than guess (sub-noise wiggles at the root are fine)
-        rise = gq > gp + 1e-9 * (1.0 + abs(target))
+        fall = gp > gq + 1e-9 * (1.0 + abs(target))
         h *= 64.0
-        if not rise and gq > 0.0 and (up := inward(q, hi, h)) != q:
-            p, gp, q = q, gq, up
-            gq = g(q)
-        elif not rise and gp <= 0.0 and (down := inward(p, lo, -h)) != p:
-            q, gq, p = p, gp, down
+        if not fall and gp > 0.0 and p > lo:
+            q, gq, p = p, gp, max(est - h, lo)
             gp = g(p)
-        elif not rise and 0.0 < gq < gp and q == math.nextafter(hi, lo):
-            # F still falls toward the pole at hi, so the root lies between
-            # the float below the pole and the pole itself: that float is
-            # the root to float64 precision
-            return q, gq
-        elif n >= 1 and abs(2.0 * (2 * n + 1 - rp.kappa) - lo) <= 8.0 * math.ulp(lo):
-            # the zero of F above the pole at lo rounds onto it: that float
-            # is the root, its residual the smaller |g| of the one-ulp bracket
-            return lo, min(abs(g(lo)), abs(gp))
-        elif not rise and n >= 1 and gp <= 0.0 and p == math.nextafter(lo, hi) and (
-            (gl := g(lo)) > 0.0 or gl + target < 0.0 < gp + target
-        ):
-            # F at or below the target there, and above it or of the other
-            # sign (alpha past the pole) at lo: F falls from +inf between them
-            return p, -gp
-        elif (
-            rp.kappa > 0.0 and gp > 0.0 and gq == math.inf and q == math.nextafter(hi, lo)
-            and p < (mid := 0.5 * p + 0.5 * q) < q
-        ):
-            # alpha at the float below hi rounds onto the pole, so F reads
-            # +inf one float early: probe halfway from p toward it instead
-            q, gq = mid, g(mid)
-        elif (
-            rp.kappa > 0.0 and gp > 0.0 < gq and q == math.nextafter(hi, lo) and p == math.nextafter(q, lo)
-            and ((gh := g(hi)) <= 0.0 or gh + target > 0.0 > gp + target)
-        ):
-            # F above the target at the two floats below hi (alpha at the
-            # upper one may round onto the pole, F = +inf there), and at or
-            # below it, or of the other sign (alpha onto or past the pole),
-            # at hi: F falls to -inf between p and hi, and the float below hi
-            # is the root, its residual the smaller g of the two
-            return q, min(gp, gq)
-        elif rise:
+        elif not fall and gq <= 0.0 and q < hi:
+            p, gp, q = q, gq, min(est + h, hi)
+            gq = g(q)
+        elif fall:
             raise ConvergenceError(
-                f"spectral scan not decreasing on ({lo:.6g}, {hi:.6g}) near e={p:.6g}"
+                f"spectral scan not decreasing in gap {n} near e={_energy(rp, n, p):.6g}"
             )
         else:
-            raise ConvergenceError(f"no eigenvalue bracket inside gap ({lo:.6g}, {hi:.6g})")
-    root, resid = _brent(g, p, gp, q, gq)
+            raise ConvergenceError(f"no eigenvalue bracket inside gap {n} below e={_pole(rp, n):.6g}")
+    root, resid = _brent(g, p, gp, q, gq, u)
     return root, abs(resid)
 
 
@@ -598,10 +588,9 @@ def spectrum(rp: ReducedParams, ext: Extension, n_max: int) -> SpectrumResult:
     c, skew = _boundary_consts(rp)
     roots = []
     resids = []
-    lo = _lowest_gap_floor(rp, target, c)
     for n in range(n_max):
-        hi = _pole(rp, n)
-        e, r = _root_in_gap(rp, target, n, lo, hi, c, skew)
+        v, r = _root_in_gap(rp, target, n, c, skew)
+        e = _energy(rp, n, v)
         if not math.isfinite(e * unit):
             # only a ground root next to the floor, in units upsilon^2 > 1
             raise ConvergenceError(
@@ -610,7 +599,6 @@ def spectrum(rp: ReducedParams, ext: Extension, n_max: int) -> SpectrumResult:
             )
         roots.append(e * unit)
         resids.append(r)
-        lo = hi
     return SpectrumResult(tuple(roots), tuple(resids), "bracketed-root")
 
 

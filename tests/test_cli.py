@@ -9,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 from unittest import mock
 
 import pytest
@@ -136,6 +137,27 @@ class TestSpectrum:
         assert code == 4
         assert out == ""
         assert side in err and "float64 range" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("g1,g2,message", [
+        # the left table's powers x^(2k) overflow where its coefficients
+        # underflow: Theta is NaN at the scan's top, E = 1.4e-23, and was
+        # compared in the bracket search (a raw ValueError, exit 1)
+        ("1", "1e-47", "matching angle at E = 1.40281e-23 is not finite"),
+        # the right data are (inf, nan) at E = 0, so no start held them and
+        # the walk to the right start never ended
+        ("1e20", "1e-300", "right boundary data at E = 0 are not finite"),
+    ])
+    def test_oracle_non_finite_data_are_refused_at_once(self, g1, g2, message):
+        # in a fresh interpreter under a timeout, so that a walk that never
+        # ends fails the test rather than hangs it
+        src = str(pathlib.Path(calogero.__file__).resolve().parents[1])
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "calogero", "spectrum", "--g1", g1, "--g2", g2,
+                               "--unique", "--oracle", "on", "--n", "1"],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=5)
+        assert time.perf_counter() - start < 1.0
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert message in proc.stderr and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("g1,g2", [("3e4", "1"), ("532.0221370307443", "7"), ("1e4", "1")])
     def test_oracle_answers_large_kappa_ladders(self, capsys, g1, g2):

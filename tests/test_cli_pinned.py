@@ -29,15 +29,15 @@ _EMPTY = hashlib.sha256(b"").hexdigest()
 # argv: (exit code, sha256 of stdout, stderr)
 PINS = {
     "spectrum --g1 0 --g2 1 --nu 1.0":
-        (0, "251c109873a3d7471c187b73370f3ed501db465469fba9b852a734f291ce15fd", ""),
+        (0, "01352a6b2292e9f24fd25f5b0976ea55102fb0935818e55bb9ae91b5c897550b", ""),
     "spectrum --g1 0 --g2 1 --nu 1.0 --format csv":
-        (0, "330eed3456306998d22b5ad85c818b6dd49eb5e09656a59ee6268ba3ef4ff787", ""),
+        (0, "41c7ee0c93bd32ab2c6f44ffd90cca91f715349aca023a470beeaf0a6c0bb2fd", ""),
     "spectrum --g1 0 --g2 1 --nu 1.0 --n 3 --oracle on":
-        (0, "ba2ae56c55bc9c08165f998923266e090f1a2468fe307993accf5902042862ff", ""),
+        (0, "b10390ffba4b8e67fe3dd5ed91ab42ebd63236f6a01fd54776b4a714ce9428c3", ""),
     "spectrum --g1 0 --g2 1 --nu 1.0 --n 3 --oracle on --format csv":
-        (0, "97fa24ef83d7a170cdc262e582e311de7ee1c32e389807d20a6d6166de4721f6", ""),
+        (0, "269ab7cddb4cf5aae4cc3c114b1563c0b922fb69a37984b54d9e02ea0522fcca", ""),
     "spectrum --g1 0 --g2 1 --nu 1.0 --n 9 --oracle on":
-        (0, "97ea38f873208e76a4d0a4a4c2d9d774dcaea025e42fdb3c54b298c6bb940925", ""),
+        (0, "41f97adf99dc4326e3c57fa6f94ec7e8350c42f3f2fb436db5f0f0a5bf3b258d", ""),
     "spectrum --g1 0.300564 --g2 57.6 --nu -1.5613 --n 2 --oracle on":
         (0, "506fec64856152a915e33bd37f91bfa4e131e4567a4935869e5706d50e2aaf95", ""),
     "spectrum --g1 0.75 --g2 1 --unique --n 3":
@@ -70,36 +70,36 @@ PINS = {
     "spectrum --g1 -1 --g2 1 --nu 0":
         (3, _EMPTY, "no generalized oscillator representation: g1 < -1/4\n"),
     "sweep --g1 -0.16 --g2 1 --sweep -1.5 1.5 5 --n 2":
-        (0, "3dc692e51f3036f3bfc0530f73d093c0b8c054cca79ef643f05e54ff2982fb47", ""),
+        (0, "8ef0e3b83711e8ba77490a9bd338b092c9fd591c9ffb7003077ea641f46ee69d", ""),
     "sweep --g1 -0.16 --g2 1 --sweep -1.5 1.5 5 --n 2 --format csv":
-        (0, "5e6914448d3620e6e32f85e462818151df51d10030994f683f7b5de2d2d13ede", ""),
+        (0, "5e0accbf21449be6602c72ab6f64fe54f30a5b21ba9e8ac47eebe8bfbcad0e44", ""),
     "sweep --g1 0 --g2 1 --sweep -1.5707963267948966 1.5707963267948966 3":
         (0, "0355f7256ac1e29c405209735e88707130f46e7030ccce8a81d45da26ed20913", ""),
     # boundary-root runs that CI pins: roots next to their poles and one
     # ulp below them, kappa within ulps of 1, kappa = 0 ground states near
     # -1.76e217 and at ln|E| ~ 705, and a sweep through both dives
     "spectrum --g1 -0.24999997 --g2 1 --nu 1.5693 --n 21":
-        (0, "394babb6f45c2a8bfdbd21084cc638b78c2908699afdd729bf123f3c1c9c2fb3", ""),
+        (0, "701275237caad5b6371a628159e62384241d19768ece8e76e2c2885b0f53da4f", ""),
     "spectrum --g1 -0.24999999999999997 --g2 1 --nu 1.570795 --n 50":
-        (0, "fcac9e3865fcf01ef323c5e4e19f814bd80153d462aa85ea6a59959e2461330d", ""),
+        (0, "d28bf065d92720cee31c0af4e6ac9e803ec52350955a7c15b1471cae9672fba7", ""),
     "spectrum --g1 0.749999999999988 --g2 1 --nu 0.7376 --n 20":
-        (0, "3f79a234cf556d198c918e2632c0c3f361cf96ae4eecc7bec3b2fbc71e1a9668", ""),
+        (0, "d6db9599015cf027a38c9bf01efec2f684958e2a5144bfb483089cd2e9829d1b", ""),
     "spectrum --g1 -0.25 --g2 1 --nu 1.5687963 --n 50":
-        (0, "2d1197bb56e9a1d1662e576f11f170691027fdc3e640ea68a991e4f6c86b3230", ""),
+        (0, "2e3e88ac95b3e9f1d9b4950e47670bde4edc4fe922d59e1eccfbf4c8842d8ebe", ""),
     "spectrum --g1 -0.25 --g2 1 --nu 1.5693781897607493":
-        (0, "7d4ad6ebee45c436235fb51e1edb05b67a02c42b5294be20ab629ab98471ddc6", ""),
+        (0, "095b0f2a3e127a21c31894bf516bf2a3709be0afa02bb47f289ad23a62e3000a", ""),
     "sweep --g1 -0.16 --g2 1 --sweep -1.5 1.5 16 --n 4":
-        (0, "d4b54326a9559dc0a05ce0bb395e229c5d54e090ebfe3ffd47e527d41b0b9413", ""),
+        (0, "8fb15ec141c7d2f6efbea6b26a06994b3c444c0bf4ce441b85ef1d8eac88f33f", ""),
     "spectrum --g1 0.7499999999999998 --g2 1 --nu 1 --n 3":
-        (0, "62ea48b9194b19b7ca304d76b38a5c2a6595f480f83b0ab4dd8ec25be4333f43", ""),
+        (0, "f5b9c1edf02e3f3dd9fd552ecfad24b41ace81f0ff5965bbfcdc2616cfd34830", ""),
     # 8.3e-7 above -pi/2 at kappa = 1/4: the dive side's ground state near
     # -2.6e24 and levels 1 and 2 just above 2.5 and 6.5
     "spectrum --g1 -0.1875 --g2 1 --nu -1.5707955 --n 3":
-        (0, "1473e2daa4a1b07b9c37f5981563ff72cc82b7416feffd3651d85d39048dbdfa", ""),
+        (0, "14203e8173ebb542e649211f3283bc65e17cee653aeeabe26554affc4500891c", ""),
     # tan nu ~ -1.6e16 at kappa = 1/8: levels 1 and 2 round onto the poles
     # below them and are the floats just above those poles
     "spectrum --g1 -0.234375 --g2 1 --nu -1.5707963267948961 --n 3":
-        (0, "609572b211995fc441c6f77f42470f77e1fa87217e2f51628c7869e8f42cc670", ""),
+        (0, "60ebd27a4989a9bdc04c84c16e426d22dee04a1902e664ee36a1dc2747fdef5f", ""),
     "factorize-check --g1 -0.25 --g2 2 --mu 0.4 --w 0.3":
         (0, "e3ff6ae5d11fc7f1928dbe5de5b013f7f1393af3c974aa929b3acb1821748b07", ""),
     "factorize-check --g1 0 --g2 1 --mu 1.1 --w 2.5":
@@ -154,26 +154,26 @@ PINS = {
         "numerical failure: count_zeros: x in (2.37137e+08, 10000000000.0) needs at least 1.67e+19 steps, more than the 100000 one call may take\n",
     ),
     "verify":
-        (0, "256cd131f2bd6909637f0a275dea3d3d97aee3ad2f0c9afa242980b1e08beb9f", ""),
+        (0, "d576bce11e68aa47388266e9bcc008587f2446da4289830490746392427d9f43", ""),
     "verify --format csv":
-        (0, "53e4b589b78e563e650b49253713ab5a4f2ab468d0deaaf80dfad70556b4dd42", ""),
+        (0, "de89c13d6038cd0b5cd72f273ddac43df9374177ee0d5d6bfa9c1c3562aa371a", ""),
     "verify --quick":
-        (0, "cd0d952894ae739274ce418755f907e9e3928ad9470aab2af19a381fa5086739", ""),
+        (0, "5b2721ba293dc4c9a8669fdc69a0cf02ed6959c9e2987f1263fa7c984a61f281", ""),
     "verify --quick --format csv":
-        (0, "2d47c063ea775ccabdaf1d08b9a2d642a1c04d5d6186ecf139ead347a9bc10cf", ""),
+        (0, "843b0f1d769986a3682292e77d641162d1834cec15bd8162e37812941e3bcad9", ""),
     "verify --inject-gamma-bug": (
         4,
-        "a163e55223ab3d08739e36eb84197425746e673882b7536344617e578e04c354",
+        "b2b63168176ac442818800b845bcde814a8c9a5612642967e9d88a45966dd1b6",
         "first failing row: 2-nu-zero-closed-form (1.670e-02 > 1e-10)\n",
     ),
     "verify --quick --inject-gamma-bug": (
         4,
-        "99d9670e365147466a21d27b96444d1bff139a9695d8e6f7e35b2b3fac7300eb",
+        "192620fe5644c289095311b177695badb3f1454a9dc85cfbb0aeecbfd4d87632",
         "first failing row: 2-nu-zero-closed-form (1.670e-02 > 1e-10)\n",
     ),
     "verify --quick --inject-gamma-bug --format csv": (
         4,
-        "d9676191a0473f28278f03dc71f42025740a6905530de689fb5d47ae3b72cf48",
+        "ef8d441ce9d81980cf81fe08f6d596a93e0adccdc30d10b1aaa1cc14b300a939",
         "first failing row: 2-nu-zero-closed-form (1.670e-02 > 1e-10)\n",
     ),
 }
@@ -189,22 +189,22 @@ FAULTS = {
 FAULT_PINS = {
     "spectrum --g1 0 --g2 1 --nu 1.0 --n 3 --oracle on": (
         4,
-        "b3ca8898c1fc30af4eef5ba072edc177373d981d62b13905718fa40dc9e7dd9e",
+        "847189bafa412720f348fd166e074acc1448296e31278d7271ead3ba51a28347",
         "oracle disagrees with the spectral equations beyond 1e-3\n",
     ),
     "spectrum --g1 0 --g2 1 --nu 1.0 --n 3 --oracle on --format csv": (
         4,
-        "082ef2903bcc180d3b0407ec3693a450a3348129ceda8274b426c4612ff7e576",
+        "b01a699f48c9421ebf6cc9dc45401b4fa633e8a00c5c73c20d11beb0c3f5ebb7",
         "oracle disagrees with the spectral equations beyond 1e-3\n",
     ),
     "sweep --g1 -0.16 --g2 1 --sweep -1.5 1.5 5 --n 2": (
         4,
-        "eb6296641e37b6f4434027ba5c2fbfb108eddf492acbc00b04990c47cbf72a1c",
+        "d05c9c5ceacb64e5c196da6e6bcc83365f1248a4334ec6379a112350e83195f4",
         "ground-state flow is decreasing, expected increasing\n",
     ),
     "sweep --g1 -0.16 --g2 1 --sweep -1.5 1.5 5 --n 2 --format csv": (
         4,
-        "f3117510e577f998a859d8ee7aa0ea1be69f749cdfcc97b0717cf6917a30f788",
+        "69bfb8bd25f19981e8c41786acd4332ccb89ef7e1c8c01f1fdb1c2b99d859f91",
         "ground-state flow is decreasing, expected increasing\n",
     ),
 }

@@ -149,8 +149,10 @@ def test_state_norm_pinned(args, pinned):
 @pytest.mark.parametrize(
     "kappa, nu, g2, pinned",
     [
-        # E0 one ulp below its value before the certified root search
-        (0.3, 0.4, 2.0, "5a097f6f74e321fc3efc72ec538c272d01c9c2c00ab495914fce80c14b8b45b0"),
+        # E0 one ulp below its value before the certified root search, where
+        # it lay one ulp above the 40-digit root; one ulp below that root
+        # since the search runs in alpha - kappa
+        (0.3, 0.4, 2.0, "61b44587b1241c7be4f934f844998c168329046cba8c0989487e3374f01f5663"),
         (0.7, -1.0, 0.5, "94fa1bc2da66c43006443045ec67ba883b6d4e3bdc9ca1badd00a2c5430a4c82"),
     ],
 )

@@ -229,6 +229,9 @@ class TestSolveW:
             theta_of(HALF_PI, 0.0, rp)
         with pytest.raises(DomainError):
             theta_of(0.3, rp.w0, rp)
+        for w in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="not a finite shift"):
+                theta_of(0.3, w, rp)
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +534,39 @@ def _mp_boundary_root(kappa, nu, e):
         return float(ref), float(cond)
 
 
+def _stopping_width(rp, n, e):
+    """The search's stopping width around a level e, in e: four floats of
+    its point v (t = alpha + n, or alpha - kappa on the ground gap), each
+    no finer than a quarter ulp of e (`spectral._float_width`), four times
+    as wide in e = e0 - 4v, and one ulp of e for forming it."""
+    v = (spectral._pole(rp, n) - e) / 4.0 if n else (2.0 * (1.0 - rp.kappa) - e) / 4.0
+    return 16.0 * spectral._float_width(v, e) + math.ulp(e)
+
+
+def _nearer_the_pole(rp, n, e, ref):
+    """e is its gap's last float before a pole, and the 40-digit root ref
+    lies nearer that pole than e does: no float inside the gap is nearer."""
+    hi = spectral._pole(rp, n)
+    if e == math.nextafter(hi, -math.inf):
+        return hi - ref < hi - e
+    lo = spectral._pole(rp, n - 1) if n else -math.inf
+    return e == math.nextafter(lo, math.inf) and ref - lo < e - lo
+
+
+def _f_rounding(rp, ref, cond):
+    """How far F's own rounding moves a root: F = e^(c + shift) is good to
+    a few ulps of |c| + 1, relative, where c = ln G(1-k) - ln G(1+k) (~37
+    at the float below kappa = 1, where the shift cancels it), and the root
+    moves by cond times that."""
+    c = spectral._boundary_consts(rp)[0]
+    return 8.0 * (1.0 + abs(c)) * 2.0**-53 * cond * abs(ref)
+
+
+def _agrees_with_mpmath(rp, nu, n, e):
+    ref, _ = _mp_boundary_root(rp.kappa, nu, e)
+    return abs(e - ref) <= _stopping_width(rp, n, e) or _nearer_the_pole(rp, n, e, ref)
+
+
 class TestBoundarySolver:
     @given(
         # within ~1e-14 of kappa = 1 the zero and the pole at either end of
@@ -565,11 +601,13 @@ class TestBoundarySolver:
 
     @pytest.mark.parametrize("ulps_below_one", [1, 2, 3])
     def test_ground_root_next_to_zero_is_found_in_few_evaluations(self, monkeypatch, ulps_below_one):
-        # a few ulps below kappa = 1 the ground root lies near 2e-16 and its
-        # estimate is 0.0 with no correction; the search starts 4 ulps of
-        # _E_FINE wide, not 4 ulps of 0.0 (a subnormal, ~170 widenings from
-        # the root), and stops 4 ulps of _E_FINE wide: F reads e through
-        # alpha, held to ulp(1/2), so its value moves in steps of ~4e-16
+        # a few ulps below kappa = 1 the ground root lies near 2e-16, where
+        # alpha - kappa, formed from the exact 1 - kappa, still has floats
+        # 1e-32 apart and F takes them as they are: no plateau of equal F
+        # values across the floats of the search.  Its estimate rounds apart
+        # from F by ~100 ulps there (c ~ 37 cancels against the shift), so the
+        # bracket widens once (9 evaluations; up to 40 when F read e through
+        # alpha, which moved in steps of ~4e-16 in e)
         rp = rp_kappa(1.0 - ulps_below_one * 2.0**-53)
         calls = []
         inner = spectral._boundary_F
@@ -580,73 +618,101 @@ class TestBoundarySolver:
 
         monkeypatch.setattr(spectral, "_boundary_F", counted)
         (e,) = spectrum(rp, extension_for(rp, nu=-0.3), 1).energies
-        assert len(calls) <= 40
-        ref, _ = _mp_boundary_root(rp.kappa, -0.3, e)
-        assert abs(e - ref) <= 4.0 * math.ulp(max(abs(ref), 1.0))
+        assert len(calls) <= 12
+        ref, cond = _mp_boundary_root(rp.kappa, -0.3, e)
+        assert abs(e - ref) <= _f_rounding(rp, ref, cond)
 
-    def test_root_that_rounds_onto_the_pole_below_is_the_float_above_it(self):
+    def test_evaluations_per_root_on_seeded_draws(self, monkeypatch):
+        # 4 000 draws: kappa = 0 for 30 % of them and uniform in (0, 1)
+        # otherwise, nu uniform in (-1.4, 1.4), levels 0-2, each root's
+        # _boundary_F evaluations counted.  Ground roots with |e| < 0.5 took
+        # 6.73 (kappa = 0) and 5.14 (kappa > 0) when the search ran in e and
+        # F read it through alpha, flat across many floats of e; excited
+        # roots took 2.12.  Now 2.08, 2.90 and 2.02
+        calls = []
+        inner = spectral._boundary_F
+
+        def counted(*args):
+            calls.append(args[2])  # the gap
+            return inner(*args)
+
+        monkeypatch.setattr(spectral, "_boundary_F", counted)
+        rng = random.Random(7)
+        counts = {"ground, kappa = 0": [], "ground, kappa > 0": [], "excited": []}
+        for _ in range(4000):
+            kappa = 0.0 if rng.random() < 0.3 else rng.random()
+            nu = rng.uniform(-1.4, 1.4)
+            rp = rp_kappa(kappa)
+            calls.clear()
+            try:
+                energies = spectrum(rp, extension_for(rp, nu=nu), 3).energies
+            except ConvergenceError as exc:
+                assert "float64" in str(exc)
+                continue
+            if abs(energies[0]) < 0.5:
+                counts["ground, kappa = 0" if kappa == 0.0 else "ground, kappa > 0"].append(calls.count(0))
+            counts["excited"] += [calls.count(1), calls.count(2)]
+        mean = {key: sum(v) / len(v) for key, v in counts.items()}
+        assert len(counts["ground, kappa = 0"]) > 200 and len(counts["ground, kappa > 0"]) > 400
+        assert mean["ground, kappa = 0"] <= 3.0 and mean["ground, kappa > 0"] <= 3.0, mean
+        assert mean["excited"] <= 2.12, mean
+
+    def test_roots_within_an_ulp_above_their_poles(self):
         # tan nu ~ -1.6e16 puts levels 1 and 2 within an ulp above the poles
         # 2 (1 + k) and 2 (3 + k) at kappa = 1/8, where F is already below
-        # the target at the first float of each gap
+        # the target at the first float of each gap in e; level 2's 40-digit
+        # root rounds onto the pole itself
         rp = reduce(0.125**2 - 0.25, 1.0)
         nu = -1.5707963267948961
         energies = spectrum(rp, extension_for(rp, nu=nu), 3).energies
-        assert energies[1:] == (math.nextafter(2.25, 3.0), math.nextafter(6.25, 7.0))
-        # the 40-digit roots: level 1's rounds to the returned float, level
-        # 2's to the pole itself, half an ulp below the returned float
-        for e in energies[1:]:
-            ref, _ = _mp_boundary_root(rp.kappa, nu, e)
-            assert abs(e - ref) <= math.ulp(e)
-        assert _mp_boundary_root(rp.kappa, nu, energies[1])[0] == energies[1]
+        assert 2.25 < energies[1] < 2.25 + 4e-15 and 6.25 < energies[2] < 6.25 + 4e-15
+        for n in (1, 2):
+            assert _agrees_with_mpmath(rp, nu, n, energies[n])
 
     @pytest.mark.parametrize(
-        "g1, nu, n, at_pole",
+        "g1, nu, n",
         [
             # tan nu ~ 3.5e15 puts level 3 within an ulp below the pole
-            # 2 (7 + k) at kappa = 0.603 and 0.530, where alpha at that pole's
-            # float rounds onto it (F = +inf); at kappa = 0.603 it does at
-            # the float below too, so F reads the pole one float early there
-            (0.11318955985047002, 1.5707963267948963, 26, True),
-            (0.03127312060734, 1.5707963267948963, 21, True),
-            # level 3 lies 65 ulps below the pole at kappa = 0.0353: the
-            # widened probe lands on the float below the pole, reads +inf
-            # there, and halves back to the sign change
-            (0.03534361914668904**2 - 0.25, 1.5707963267941578, 6, False),
+            # 2 (7 + k) at kappa = 0.603 and 0.530, where alpha formed from e
+            # rounded onto the pole at its float and, at kappa = 0.603, at the
+            # float below it too
+            (0.11318955985047002, 1.5707963267948963, 26),
+            (0.03127312060734, 1.5707963267948963, 21),
+            # level 3 lies 65 ulps below the pole at kappa = 0.0353
+            (0.03534361914668904**2 - 0.25, 1.5707963267941578, 6),
         ],
     )
-    def test_root_below_a_pole_that_alpha_rounds_onto(self, g1, nu, n, at_pole):
+    def test_roots_within_ulps_below_their_poles(self, g1, nu, n):
         rp = reduce(g1, 1.0)
         energies = spectrum(rp, extension_for(rp, nu=nu), n).energies
-        assert (energies[3] == math.nextafter(spectral._pole(rp, 3), 0.0)) == at_pole
-        for e in energies:
-            ref, _ = _mp_boundary_root(rp.kappa, nu, e)
-            assert abs(e - ref) <= 4.0 * math.ulp(max(abs(e), spectral._E_FINE))
+        for level, e in enumerate(energies):
+            assert _agrees_with_mpmath(rp, nu, level, e), level
 
-    def test_root_above_a_pole_where_F_is_flat_is_the_float_above_it(self):
-        # next to nu = -pi/2 F(-e/4) holds one value over pairs of floats
-        # above the pole 2 (5 + k) (alpha moves one ulp per two floats of e)
-        # and wiggles by 0.5 out of -2.3e14 there, below the noise: level 3
-        # is the first float of its gap, where F is already below the target
+    def test_roots_above_their_poles_next_to_minus_half_pi(self):
+        # next to nu = -pi/2 F(-e/4), read through alpha, held one value over
+        # pairs of floats above the pole 2 (5 + k) and wiggled by 0.5 out of
+        # -2.3e14 there; F of t has no such plateau, and levels 1-3 lie
+        # within a few floats above their poles
         k = 0.39195047351510726
         rp = reduce(k * k - 0.25, 1.0)
         nu = -1.5707963267948957
         energies = spectrum(rp, extension_for(rp, nu=nu), 4).energies
-        assert energies[3] == math.nextafter(spectral._pole(rp, 2), math.inf)
-        for e in energies[1:]:
-            assert _mp_boundary_root(rp.kappa, nu, e)[0] == e
+        for n in (1, 2, 3):
+            assert 0.0 < energies[n] - spectral._pole(rp, n - 1) <= 4.0 * math.ulp(energies[n])
+            assert _agrees_with_mpmath(rp, nu, n, energies[n])
 
     @pytest.mark.parametrize("g1", [(1.0 - 1e-8) ** 2 - 0.25, 0.75 - 2.0**-52])
     @pytest.mark.parametrize("nu", [-1.0, -0.3, 0.3, 1.0])
     def test_ground_root_next_to_kappa_one_within_the_stopping_width(self, g1, nu):
-        # kappa = 1 - 1e-8 and 1 - 2^-53 (the float below 1): alpha - kappa
-        # is formed from the exact 1 - kappa, so level 0, near 2 (1 - kappa),
-        # agrees with the 40-digit root within the search's stopping width,
-        # four ulps of _E_FINE, ~8.5e-22 absolute (up to 27 % off when it
-        # was alpha_of(w) - kappa)
+        # kappa = 1 - 1e-8 and 1 - 2^-53 (the float below 1): the search
+        # runs in alpha - kappa, formed from the exact 1 - kappa, so level 0,
+        # near 2 (1 - kappa), agrees with the 40-digit root to F's own
+        # rounding, 1e-14 relative (4 ulps of 2^-20, ~8.5e-22 absolute, when
+        # the search ran in e; up to 27 % off when F formed alpha_of(w) - kappa)
         rp = reduce(g1, 1.0)
         (e,) = spectrum(rp, extension_for(rp, nu=nu), 1).energies
-        ref, _ = _mp_boundary_root(rp.kappa, nu, e)
-        assert abs(e - ref) <= 4.0 * math.ulp(spectral._E_FINE)
+        ref, cond = _mp_boundary_root(rp.kappa, nu, e)
+        assert abs(e - ref) <= _stopping_width(rp, 0, e) + _f_rounding(rp, ref, cond)
 
     @given(
         kappa=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
@@ -656,11 +722,10 @@ class TestBoundarySolver:
     )
     @settings(max_examples=40, deadline=None)
     def test_every_root_is_certified_by_a_sign_change(self, kappa, nu, n):
-        # F - target at a returned root and at a float of its gap within
-        # four ulps of max(|e|, _E_FINE) have opposite signs (or the root is
-        # an exact zero); the exits are the float below a pole F still falls
-        # toward, the float above a pole F has already fallen past, and a
-        # pole at the lower end that the zero above it rounds onto
+        # F - target at a returned point v of gap n and at a point of the
+        # gap within four floats of v (each no finer than a quarter ulp of
+        # e, `spectral._float_width`) have opposite signs, or v is an exact
+        # zero; a gap's ends, the poles, count with their limits from inside
         rp = rp_kappa(kappa)
         if nu == 0.0 and rp.kappa > 0.0:
             return  # closed form
@@ -671,19 +736,18 @@ class TestBoundarySolver:
             return
         c, skew = spectral._boundary_consts(rp)
         target = -math.tan(nu) if rp.kappa > 0.0 else math.tan(nu)
-
-        def g(e):
-            return spectral._boundary_F(rp, -0.25 * e, c, skew) - target
-
         for level, e in enumerate(energies):
-            lo, hi = spectral._pole(rp, level - 1), spectral._pole(rp, level)
-            if e == math.nextafter(hi, lo) or (level and e in (lo, math.nextafter(lo, hi))):
-                continue
-            ge = g(e)
-            width = 4.0 * math.ulp(max(abs(e), spectral._E_FINE))
-            near = [e + s * width * j / 4.0 for s in (1.0, -1.0) for j in (1, 2, 3, 4)]
-            near = [x for x in near if (level == 0 or lo < x) and x < hi]
-            assert ge == 0.0 or any((g(x) > 0.0) != (ge > 0.0) for x in near), (level, e)
+            v, _ = spectral._root_in_gap(rp, target, level, c, skew)
+            assert spectral._energy(rp, level, v) == e
+
+            def g(x):
+                return spectral._boundary_F(rp, x, level, c, skew) - target
+
+            lo, hi = (0.0, 1.0) if level else (-rp.kappa, math.inf)
+            u = spectral._float_width(v, e)
+            near = [min(max(v + s * u * j, lo), hi) for s in (1.0, -1.0) for j in (1, 2, 3, 4)]
+            gv = g(v)
+            assert gv == 0.0 or any((g(x) > 0.0) != (gv > 0.0) for x in near), (level, e)
 
     @pytest.mark.parametrize("ulps_below_one", range(1, 13))
     @pytest.mark.parametrize("nu", [1.0, -1.0, 0.3, 1.5])
@@ -704,9 +768,9 @@ class TestBoundarySolver:
 
 class TestReflectedGammaRatio:
     @given(
-        # kappa and t = alpha + n on a 2^-20 grid, so that alpha = t - n,
-        # alpha - kappa and 1 - alpha are exact floats for n <= 1e4, and the
-        # comparison sees the evaluation alone, not the rounding of its input
+        # kappa and t = alpha + n on a 2^-20 grid, so that alpha = t - n is
+        # an exact float for n <= 1e4 and the mpmath reference takes the
+        # same point
         kappa=st.integers(1, 2**20 - 1).map(lambda i: i / 2**20),
         n=st.integers(1, 10**4),
         t=st.integers(1, 2**20 - 1).map(lambda i: i / 2**20),
@@ -715,9 +779,8 @@ class TestReflectedGammaRatio:
     def test_matches_mpmath(self, kappa, n, t):
         rp = rp_kappa(kappa)
         alpha = t - n
-        w = alpha - 0.5 * (1.0 + kappa)
-        assert rp.kappa == kappa and rp.alpha_of(w) == alpha
-        got = spectral._boundary_F(rp, w, spectral._boundary_consts(rp)[0], 0.0)
+        assert rp.kappa == kappa
+        got = spectral._boundary_F(rp, t, n, spectral._boundary_consts(rp)[0], 0.0)
         with mpmath.workdps(30):
             k = mpmath.mpf(kappa)
             ref = mpmath.gamma(1 - k) / mpmath.gamma(1 + k) * mpmath.gamma(alpha) * mpmath.rgamma(alpha - k)
@@ -812,10 +875,10 @@ class TestNextToHalfPi:
         rp = rp_kappa(kappa)
         target = -math.tan(nu)
         c, skew = spectral._boundary_consts(rp)
-        lo = spectral._lowest_gap_floor(rp, target, c)
-        assert spectral._boundary_F(rp, -0.25 * lo, c, skew) > target
+        top = spectral._lowest_gap_floor(rp, target, c)
+        assert spectral._boundary_F(rp, top, 0, c, skew) > target
         res = spectrum(rp, extension_for(rp, nu=nu), 1)
-        assert lo < res.energies[0] < -1e19
+        assert spectral._energy(rp, 0, top) < res.energies[0] < -1e19
         assert res.residuals[0] <= 1e-10 * (1.0 + abs(math.tan(nu)))
         assert solve_w(0.0, nu, rp) == -0.25 * res.energies[0]
 
