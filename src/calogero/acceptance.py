@@ -8,9 +8,6 @@ to do with a failure.
 The rows marked quick in `_CHECKS` form the subset behind `--quick`; it
 keeps row 3, the one oracle grid that sees a fault in each special function
 the boundary equations call.  The full table adds the other oracle rows.
-In-process, with the modules imported, the quick subset takes 0.08 s and the
-full table 0.09 s; through the CLI, interpreter start included, 0.20 s and
-0.19 s (2-vCPU Xeon VM, Python 3.11.7, best of nine fresh processes).
 
 The oracle rows (1, 2-vs-oracle, 3, 4, 9, 10-oracle) read one table.
 `run_acceptance` gathers the (rp, ext) cells of the rows it runs, shoots
@@ -91,8 +88,9 @@ def _rel(got, ref):
 
 # The oracle rows' thresholds are 100x their worst value at zero skew,
 # rounded up to a power of ten: rows 1, 2-vs-oracle, 3 and 4 read 6.7e-16,
-# 6.7e-16, 4.6e-15 and 3.6e-16, row 9 6.7e-15 and row 10's scaling law
-# 4.4e-16, with the oracle's Taylor propagator truncating below rounding.
+# 6.7e-16, 4.6e-15 and 3.6e-16 and row 9 6.7e-15, with the oracle's Taylor
+# propagator truncating below rounding; row 10's scaling law reads 0 by
+# construction, since the oracle solves the g2 = 1 problem at every g2.
 # Row 7-psi-dual-route follows the same rule: 9.7e-13 at worst, 1e-10.
 # A 1e-6 relative fault in the argument of gamma, gammaln_signed,
 # gammaln_shift, digamma or sinpi moves row 3 by 1.6e-7 or more, which is

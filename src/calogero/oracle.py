@@ -1,52 +1,56 @@
 """Shooting-method eigenvalue oracle, numerically independent of the
 gamma-function spectral equations.
 
-The radial problem -u'' + (g1/x^2 + g2 x^2) u = E u is propagated, with
-its E-derivative u_E, by the package's own Taylor-series steps (`taylor`)
-from both ends toward an interior match point.  Left data comes from the
+The dilation z = ups x (ups = g2^(1/4)) maps H(g1, g2) onto ups^2 H(g1, 1),
+so the oracle solves -u'' + (g1/z^2 + z^2 - e) u = 0, e = E / ups^2, and
+converts once, on return: E = ups^2 e, x_match = z_match / ups, and each
+level's pair (u, u') there is (sqrt(ups) u, ups^(3/2) u'), int u^2 dx = 1.
+Everything below is in z and e.  The problem is propagated, with its
+e-derivative u_e, by the package's own Taylor-series steps (`taylor`) from
+both ends toward an interior match point.  Left data comes from the
 Frobenius series fixed by the extension angle nu, right data from the
-asymptotics of the solution that decays at infinity; E is an eigenvalue
+asymptotics of the solution that decays at infinity; e is an eigenvalue
 exactly when the two solutions are proportional, i.e. their Wronskian at
 the match point vanishes.
 
 Left boundary data.  With s_pm = 1/2 +- kappa, the two Frobenius
-solutions are F_s = (ups x)^s sum_k a_k x^{2k},
+solutions are F_s = z^s sum_k a_k z^{2k},
 
-    a_0 = 1,   a_k = (-E a_{k-1} + g2 a_{k-2}) / (2k (2s + 2k - 1)),
+    a_0 = 1,   a_k = (-e a_{k-1} + a_{k-2}) / (2k (2s + 2k - 1)),
 
 and the extension nu selects  sin(nu) F_{s+} + cos(nu) F_{s-}  (for
 kappa >= 1 or Friedrichs, pure F_{s+}).  At kappa = 0 the exponents
 collide and the second solution grows a logarithm,
 
-    L = F_{1/2} ln(ups x) + (ups x)^{1/2} sum_k b_k x^{2k},
-    b_0 = 0,   b_k = (-4k a_k - E b_{k-1} + g2 b_{k-2}) / (4 k^2),
+    L = F_{1/2} ln z + z^{1/2} sum_k b_k z^{2k},
+    b_0 = 0,   b_k = (-4k a_k - e b_{k-1} + b_{k-2}) / (4 k^2),
 
 with the combination  sin(nu) F_{1/2} + 2 cos(nu) L  carrying boundary
-angle nu.  Each series loop also carries the coefficients' E-derivatives,
+angle nu.  Each series loop also carries the coefficients' e-derivatives,
 
-    da_k/dE = (-a_{k-1} - E da_{k-1}/dE + g2 da_{k-2}/dE) / (2k (2s + 2k - 1))
+    da_k/de = (-a_{k-1} - e da_{k-1}/de + da_{k-2}/de) / (2k (2s + 2k - 1))
 
-(db_k/dE likewise), so the table depends on E alone and one table per
+(db_k/de likewise), so the table depends on e alone and one table per
 Theta serves every trial start.
 
 Left start.  A sum carries the first term it leaves out plus its
 rounding, eps times its largest term; over |u| that is the data's error.
 It excites the other Frobenius mode, which grows against a combination
-holding F- like (x_match/x)^(2 kappa) on the way to the match point
-(against pure F+, a ladder, it decays).  The left branch starts at x_s,
-the largest of x_min and j x_match / 4 (j = 1..4) where the error times
+holding F- like (z_match/z)^(2 kappa) on the way to the match point
+(against pure F+, a ladder, it decays).  The left branch starts at z_s,
+the largest of z_min and j z_match / 4 (j = 1..4) where the error times
 that growth is at most 1e-13, the refinement's stop on Theta (the right
 branch's 1e-17 lies below the series' own rounding).  The trial points are
-scanned outward from x_min, the floor, which is taken whatever its data
+scanned outward from z_min, the floor, which is taken whatever its data
 claim; the scan stops at the first sign change of u, at the first point
-whose error alone exceeds the bound, and before a step in s = ln x across
-which u could turn twice: with u = sqrt(x) phi(s), phi'' = (kappa^2 + g2 x^4
-- E x^2) phi, so two nodes need ln(x_b/x_a) sqrt(E x_b^2 - kappa^2) >= pi
-(Sturm).  No node of u then lies between x_min and x_s.
+whose error alone exceeds the bound, and before a step in s = ln z across
+which u could turn twice: with u = sqrt(z) phi(s), phi'' = (kappa^2 + z^4
+- e z^2) phi, so two nodes need ln(z_b/z_a) sqrt(e z_b^2 - kappa^2) >= pi
+(Sturm).  No node of u then lies between z_min and z_s.
 
-Right boundary data.  In z = ups x, t = z^2, k = E/(4 ups^2) the
-solution decaying at infinity is z^(-1/2) W_{k,kappa/2}(t), whose
-asymptotic series (DLMF 13.19.3) gives
+Right boundary data.  With t = z^2 and k = e/4 the solution decaying at
+infinity is z^(-1/2) W_{k,kappa/2}(t), whose asymptotic series
+(DLMF 13.19.3) gives
 
     u = z^(2k - 1/2) e^(-t/2) sum_s T_s,   T_s = (a)_s (b)_s / s! (-t)^-s,
 
@@ -54,23 +58,23 @@ a, b = 1/2 +- kappa/2 - k.  While s - 1 + b < 0 its terms may grow and
 shrink again (the series terminates at a ladder level, where a is a
 non-positive integer); past that it is summed up to its smallest term,
 or to the first term below the error the start allows.  The first term
-left out (with its E-derivative, which the slope below uses) is the
+left out (with its e-derivative, which the slope below uses) is the
 error the series claims.  Where it is not small -- deep ground states and
 large kappa, for which the series diverges from its first term -- WKB
 data serve instead,
 
-    u'/u = -sqrt(q) - q'/(4q),   q = g1/x^2 + g2 x^2 - E,
+    u'/u = -sqrt(q) - q'/(4q),   q = g1/z^2 + z^2 - e,
 
 whose next order, over the modes' gap 2 sqrt(q), is the error they claim.
 An error in either excites the mode that grows at infinity, which the
 inward integration suppresses, relative to the wanted one, by
-exp(-2 int sqrt(q) dx) from the start down to x_lo, the outer turning
-point or the match point, whichever lies farther out; in y = z^2 that
-integral is int sqrt(y^2 - e y + g1) / y dy, in closed form (logarithms
-and, for g1 < 0, an arcsine).  The right branch starts at the first
-x_s = x_lo + j / (4 ups), j >= 1, where the error times the suppression
+exp(-2 int sqrt(q) dz) from the start down to z_lo, the outer turning
+point or the match point, whichever lies farther out; in t that integral
+is int sqrt(t^2 - e t + g1) / t dt, in closed form (logarithms and, for
+g1 < 0, an arcsine).  The right branch starts at the first
+z_s = z_lo + j / 4, j >= 1, where the error times the suppression
 is at most 1e-17 (no data claim less than 1e-15, their rounding).  Starts
-lie past the turning point, so q > 0 on [x_s, inf) and the branch has no
+lie past the turning point, so q > 0 on [z_s, inf) and the branch has no
 sign change to miss.  Data are scaled to u = sum T_s (or 1):
 the scale z^(2k - 1/2) e^(-t/2) is only checked, and refused past the
 float64 range.
@@ -81,51 +85,51 @@ its angle at the match point.  The propagator counts the strict sign
 changes Z of u along each branch, exactly, since no step holds two zeros
 (Sturm), so
 
-    Theta(E) = pi (Z_L + Z_R) + phi_L - phi_R
+    Theta(e) = pi (Z_L + Z_R) + phi_L - phi_R
 
 is the continuous angle of the left solution minus that of the right
-one.  Z_L also counts one node in (0, x_s) where u(x_s) has the sign
+one.  Z_L also counts one node in (0, z_s) where u(z_s) has the sign
 opposite to the boundary combination's leading term at 0+ (2 cos nu L < 0
 for nu at kappa = 0, cos nu F- or F+ > 0 otherwise): next to kappa = 1,
-F-'s first coefficient -E / (4 (1 - kappa)) drives a node out through
-x_min as E rises (from E ~ ups^2 at kappa = 0.9999).  The sign gives only
-the parity of the nodes below x_s, none of which lies past x_min (Left
-start); while there is at most one below x_min, Theta
-increases strictly with E (the left angle rises, the right one falls), it
+F-'s first coefficient -e / (4 (1 - kappa)) drives a node out through
+z_min as e rises (from e ~ 1 at kappa = 0.9999).  The sign gives only
+the parity of the nodes below z_s, none of which lies past z_min (Left
+start); while there is at most one below z_min, Theta
+increases strictly with e (the left angle rises, the right one falls), it
 lies in (-pi, 0) below the ground state, and level n is the root of
-Theta(E) = n pi: floor(Theta / pi) + 1 levels lie below E, so no level
+Theta(e) = n pi: floor(Theta / pi) + 1 levels lie below e, so no level
 can be missed or found twice.
 
-Derivative.  Differentiating -u'' + q u = 0 in E (dq/dE = -1) gives the
-Lagrange identity W' = u^2 for W = u_E u' - u u'_E, and
-dphi/dE = W / r^2 with r^2 = u^2 + u'^2, so
+Derivative.  Differentiating -u'' + q u = 0 in e (dq/de = -1) gives the
+Lagrange identity W' = u^2 for W = u_e u' - u u'_e, and
+dphi/de = W / r^2 with r^2 = u^2 + u'^2, so
 
-    dTheta/dE = W_L / r_L^2 - W_R / r_R^2
+    dTheta/de = W_L / r_L^2 - W_R / r_R^2
 
-at the match point, with W_L = int_0^{x_match} u_L^2 dx and W_R =
--int_{x_match}^inf u_R^2 dx.  The propagator carries (u_E, u'_E) along
+at the match point, with W_L = int_0^{z_match} u_L^2 dz and W_R =
+-int_{z_match}^inf u_R^2 dz.  The propagator carries (u_e, u'_e) along
 each branch next to (u, u'), so W comes out of the last step with no
-quadrature.  The start data set W's initial value: at the left start x_s
-it is head = u' u_E - u u'_E from the series and their own E-derivative,
-the exact [0, x_s) part of the integral (all of it where x_s is the match
-point), carried by u_E data (u', -u) head / r^2; at the right start,
--u^2 d(u'/u)/dE (u and u_E decay), the [x_s, inf) part, carried by
-u_E = 0, u'_E = u d(u'/u)/dE from the E-derivative of the data's own
+quadrature.  The start data set W's initial value: at the left start z_s
+it is head = u' u_e - u u'_e from the series and their own e-derivative,
+the exact [0, z_s) part of the integral (all of it where z_s is the match
+point), carried by u_e data (u', -u) head / r^2; at the right start,
+-u^2 d(u'/u)/de (u and u_e decay), the [z_s, inf) part, carried by
+u_e = 0, u'_e = u d(u'/u)/de from the e-derivative of the data's own
 terms.  W_L >= 0 >= W_R, and the slope adds their magnitudes, which keeps
 it positive where only rounding is left of W_R (on a float-precision step
 of Theta at large kappa).
 
 Deep ground states.  A ground state far below its rung decays like
-exp(-sqrt(-E) x) from the origin, so at the default match point 1/ups
+exp(-sqrt(-e) z) from the origin, so at the default match point z = 1
 the left solution is a float-precision mix of the decaying and growing
-modes and Theta is a step.  Where the scan floor (below) lies under -16
-(scaled), the match point moves, once per call and for every level, to
-four decay lengths of the floor, 4 / (ups sqrt(-e_floor)); at -16 that
-is 1/ups.  Theta is still a cliff there: it sits at -pi + b below the
-root and at +b above it, b a few hundredths, and rises by pi within about
-0.5 ups^2 of the root at e = -349.  Near the origin such a state sees
-only g1/x^2, so it is sqrt(x) K_kappa(sqrt(-E) x); matching the small-x
-form of K_kappa to the boundary combination gives the estimate
+modes and Theta is a step.  Where the scan floor (below) lies under -16,
+the match point moves, once per call and for every level, to four decay
+lengths of the floor, z = 4 / sqrt(-e_floor); at -16 that is 1.  Theta
+is still a cliff there: it sits at -pi + b below the root and at +b above
+it, b a few hundredths, and rises by pi within about 0.5 of the root at
+e = -349.  Near the origin such a state sees only g1/z^2, so it is
+sqrt(z) K_kappa(sqrt(-e) z); matching the small-z form of K_kappa to the
+boundary combination gives the estimate
 
     e0 = -4 (-tan(nu) Gamma(1+kappa) / Gamma(1-kappa))^(1/kappa),   kappa > 0,
     e0 = -4 exp(tan(nu) - 2 gamma),                                kappa = 0,
@@ -136,21 +140,21 @@ ln(1 - tan nu) for ln(-tan nu), resp. tan nu + 2 gamma, and 8 more.
 
 Root hunt.  Each level is bracketed between evaluated energies on either
 side of n pi -- the floor below the ground state, the rung
-2 ups^2 (2n+1+kappa) + 0.2 ups^2 that every level n sits below, and the
-points of earlier solves -- and started from the end nearest to n pi.
-Before the rung two probes start each level near its root: a deep ground
-state's estimate e0 above, and for level n >= 1 one ladder spacing above
-the last level, E_{n-1} + 4 ups^2, which lies below the rung (for nu it
-is skipped where it does not clear the pole 2 ups^2 (2n-1+kappa) that
-level n lies above).  The solve is a safeguarded Newton iteration on
-Theta.  Newton's step from a shoulder of a cliff overshoots, so where it
-leaves the bracket or stalls the step is a secant on the lever
+2 (2n+1+kappa) + 0.2 that every level n sits below, and the points of
+earlier solves -- and started from the end nearest to n pi.  Before the
+rung two probes start each level near its root: a deep ground state's
+estimate e0 above, and for level n >= 1 one ladder spacing above the last
+level, e_{n-1} + 4, which lies below the rung (for nu it is skipped where
+it does not clear the pole 2 (2n-1+kappa) that level n lies above).  The
+solve is a safeguarded Newton iteration on Theta.  Newton's step from a
+shoulder of a cliff overshoots, so where it leaves the bracket or stalls
+the step is a secant on the lever
 
-    L(E) = sin(Theta - n pi) / sqrt(dTheta/dE),
+    L(e) = sin(Theta - n pi) / sqrt(dTheta/de),
 
-which is linear in E wherever tan(Theta) is a Moebius function of E:
-tan(Theta) = (alpha E + beta) / (gamma E + delta) gives dTheta/dE =
-(alpha delta - beta gamma) / R^2 and sin(Theta) = +-(alpha E + beta) / R.
+which is linear in e wherever tan(Theta) is a Moebius function of e:
+tan(Theta) = (alpha e + beta) / (gamma e + delta) gives dTheta/de =
+(alpha delta - beta gamma) / R^2 and sin(Theta) = +-(alpha e + beta) / R.
 Across the cliff at e = -349, L's slope stays within 5 % over
 [-352.1, -346.7] while Theta rises by 3.1.  The secant runs through the
 bracket's ends, halving the L of an end kept on two steps in a row
@@ -164,10 +168,10 @@ propagated at the refinement tolerance, with twice the Newton step while
 it has no bracket; regular levels take two evaluations there.  A step
 without a bracket goes no farther than the scan's last bracket is wide,
 doubling that reach each time it cuts one: at large kappa Theta is a
-float-precision step whose slope throws Newton's step thousands of ups^2
-off (to E = -39 144 at kappa = 141).  A scan that narrows such a step to
-the refinement's bracket width, 1e-11 (1 + |E|), leaves the refinement
-two evaluations.  A Newton step below one ulp of E also ends a solve (at
+float-precision step whose slope throws Newton's step thousands off (to
+e = -39 144 at kappa = 141).  A scan that narrows such a step to the
+refinement's bracket width, 1e-11 (1 + |e|), leaves the refinement
+two evaluations.  A Newton step below one ulp of e also ends a solve (at
 large kappa the last |Theta - n pi| can stay above 1e-13 there); a solve
 that runs out of steps raises ConvergenceError.
 
@@ -176,27 +180,25 @@ sin(phi_L - phi_R) is the Wronskian at the match point normalized by the
 solution magnitudes, which also cancels the propagator's renormalization
 factors, so it vanishes exactly at the eigenvalues.
 
-State at the match point.  A solution at E is fixed by (u, u') at one
+State at the match point.  A solution at e is fixed by (u, u') at one
 point.  At an eigenvalue the two branches, each scaled to r = 1 at the
 match point, are one solution up to sign, and by the Lagrange identity
-above the two parts of dTheta/dE add up to its exact int_0^inf u^2
-dx.  The L2-normalized level at the match point is therefore
+above the two parts of dTheta/de add up to its exact int_0^inf u^2
+dz.  The L2-normalized level at the match point is therefore
 
-    (u, u') = (sin phi_L, cos phi_L) / sqrt(dTheta/dE),
+    (u, u') = (sin phi_L, cos phi_L) / sqrt(dTheta/de),
 
 phi_L in [0, pi), which signs it u >= 0 there (the ground state's sign).
 The pair comes from the refinement's last evaluation, the one whose
 energy is returned, at no extra integration.
 
-Window.  Nothing configures it: x_min = 0.02/ups, and x_match = 1/ups,
-or four decay lengths of a deep scan floor (above), both worked out once
-per call from the couplings and the extension.  Neither branch has a
-fixed start: each starts where its own data hold (above), the left one no
-deeper than x_min, the right one past each level's turning point
-sqrt(e_n)/ups.  The oracle raises ConvergenceError where a branch
-leaves the float64 range: the right data's scale overflows, or at large
-kappa the left power (ups x_min)^(1/2 + kappa) underflows to zero at the
-floor, whose sign the left scan needs.
+Window.  Nothing configures it: z_min = 0.02, and z_match = 1 or four
+decay lengths of a deep scan floor (above), once per call.  Each branch
+starts where its own data hold (above), the left one no deeper than
+z_min, the right one past each level's turning point sqrt(e_n).  A branch
+that leaves the float64 range raises ConvergenceError (the right data's
+scale overflows, or at large kappa the left power z_min^(1/2 + kappa)
+underflows to zero), as does a level whose e ups^2 leaves it.
 """
 
 from __future__ import annotations
@@ -218,7 +220,7 @@ __all__ = [
 
 _EULER_GAMMA = 0.5772156649015328606
 
-# the left branch's deepest start and the match point, in units of 1/ups
+# the left branch's deepest start and the match point, in z
 _X_MIN = 0.02
 _X_MATCH = 1.0
 
@@ -227,7 +229,7 @@ _X_MATCH = 1.0
 # series runs until its terms no longer move the sum
 _SCAN_TOL = 1e-10
 _REFINE_TOL = 1e-16
-# |theta - n pi| and bracket width (relative to 1 + |E|) that end the
+# |theta - n pi| and bracket width (relative to 1 + |e|) that end the
 # solve at each truncation tolerance; the refinement starts from the scan's
 # last Newton step, whose error at 1e-4 is below the two tolerances' offset.
 # A scan ends on the width only on a float-precision step of Theta, which
@@ -242,8 +244,8 @@ _DEEP_FLOOR = -16.0
 # mode, times that mode's suppression down to the match point or the
 # turning point, is this small
 _START_LEAK = 1e-17
-# the trial starts of a branch lie this far apart: in ups x past the right
-# one's x_lo, in units of x_match below the match point for the left one
+# the trial starts of a branch lie this far apart: in z past the right
+# one's z_lo, in units of z_match below the match point for the left one
 _START_STEP = 0.25
 _DATA_FLOOR = 1e-15  # rounding of the right data, relative to their largest term
 _LN_FLOAT_MAX = math.log(sys.float_info.max)
@@ -269,10 +271,10 @@ class OracleSpectrum:
 # boundary data
 
 
-def _frobenius_table(s: float, g2: float, E: float, y_top: float, log: bool):
-    """Columns (a_k, da_k/dE) of F_s, at kappa = 0 (log) with (b_k, db_k/dE)
+def _frobenius_table(s: float, e: float, y_top: float, log: bool):
+    """Columns (a_k, da_k/de) of F_s, at kappa = 0 (log) with (b_k, db_k/de)
     of L, from one recurrence loop: up to the first k >= 3 whose terms at
-    y_top = x^2 lie below the rounding of their largest, or
+    y_top = z^2 lie below the rounding of their largest, or
     _SERIES_MAX_TERMS."""
     eps = sys.float_info.epsilon
     a, da, b, db = [1.0], [0.0], [0.0], [0.0]
@@ -280,8 +282,8 @@ def _frobenius_table(s: float, g2: float, E: float, y_top: float, log: bool):
     big_a, big_b, yk = 1.0, 0.0, 1.0
     for k in range(1, _SERIES_MAX_TERMS + 1):
         den = 2.0 * k * (2.0 * s + 2.0 * k - 1.0)  # 4 k^2 at s = 1/2
-        a1, a2 = (-E * a1 + g2 * a2) / den, a1
-        da1, da2 = (-a2 - E * da1 + g2 * da2) / den, da1
+        a1, a2 = (-e * a1 + a2) / den, a1
+        da1, da2 = (-a2 - e * da1 + da2) / den, da1
         a.append(a1)
         da.append(da1)
         yk *= y_top
@@ -289,8 +291,8 @@ def _frobenius_table(s: float, g2: float, E: float, y_top: float, log: bool):
         big_a = max(big_a, t_a)
         small = k >= 3 and t_a <= eps * big_a
         if log:
-            b1, b2 = (-4.0 * k * a1 - E * b1 + g2 * b2) / den, b1
-            db1, db2 = (-4.0 * k * da1 - b2 - E * db1 + g2 * db2) / den, db1
+            b1, b2 = (-4.0 * k * a1 - e * b1 + b2) / den, b1
+            db1, db2 = (-4.0 * k * da1 - b2 - e * db1 + db2) / den, db1
             b.append(b1)
             db.append(db1)
             t_b = abs(b1) * yk
@@ -324,27 +326,27 @@ def _sums(c, dc, y: float):
     return s, s1, se, se1, math.inf
 
 
-def _frobenius(s: float, cols, ups: float, x: float):
-    """[(F, F', F_E, F'_E, err)] at x from a table, with L's after F's at
+def _frobenius(s: float, cols, z: float):
+    """[(F, F', F_e, F'_e, err)] at z from a table, with L's after F's at
     kappa = 0; err bounds |dF| (|dL|) from truncation and rounding."""
-    pw = (ups * x) ** s
-    p, p1, pe, pe1, err = _sums(cols[0], cols[1], x * x)
-    f = (pw * p, pw * (s * p + 2.0 * p1) / x, pw * pe, pw * (s * pe + 2.0 * pe1) / x, pw * err)
+    pw = z ** s
+    p, p1, pe, pe1, err = _sums(cols[0], cols[1], z * z)
+    f = (pw * p, pw * (s * p + 2.0 * p1) / z, pw * pe, pw * (s * pe + 2.0 * pe1) / z, pw * err)
     if len(cols) == 2:
         return (f,)
-    # L = F ln(ups x) + (ups x)^(1/2) sum_k b_k x^(2k)
-    q, q1, qe, qe1, err_b = _sums(cols[2], cols[3], x * x)
-    ell = math.log(ups * x)
+    # L = F ln z + z^(1/2) sum_k b_k z^(2k)
+    q, q1, qe, qe1, err_b = _sums(cols[2], cols[3], z * z)
+    ell = math.log(z)
     return f, (
-        f[0] * ell + pw * q, f[1] * ell + f[0] / x + pw * (0.5 * q + 2.0 * q1) / x,
-        f[2] * ell + pw * qe, f[3] * ell + f[2] / x + pw * (0.5 * qe + 2.0 * qe1) / x,
+        f[0] * ell + pw * q, f[1] * ell + f[0] / z + pw * (0.5 * q + 2.0 * q1) / z,
+        f[2] * ell + pw * qe, f[3] * ell + f[2] / z + pw * (0.5 * qe + 2.0 * qe1) / z,
         f[4] * abs(ell) + pw * err_b,
     )
 
 
-def _left_start(rp: ReducedParams, ext: Extension, E: float, x_min: float, x_match: float):
-    """(x_s, (u, u'), head): the left branch's start (see the module
-    docstring) and head = u' u_E - u u'_E there, the [0, x_s) part of the
+def _left_start(rp: ReducedParams, ext: Extension, e: float, z_min: float, z_match: float):
+    """(z_s, (u, u'), head): the left branch's start (see the module
+    docstring) and head = u' u_e - u u'_e there, the [0, z_s) part of the
     integral of u^2."""
     k = rp.kappa
     if ext.is_ladder:
@@ -353,43 +355,41 @@ def _left_start(rp: ReducedParams, ext: Extension, E: float, x_min: float, x_mat
         parts = ((0.5 + k, (math.sin(ext.nu),)), (0.5 - k, (math.cos(ext.nu),)))
     else:
         parts = ((0.5, (math.sin(ext.nu), 2.0 * math.cos(ext.nu))),)
-    # the trial starts, up to a step in s = ln x across which u could turn twice
-    xs = [x_min]
-    for x in (j * _START_STEP * x_match for j in range(1, round(1.0 / _START_STEP) + 1)):
-        if x > x_min:
-            if math.log(x / xs[-1]) * math.sqrt(max(E * x * x - k * k, 0.0)) >= math.pi:
+    # the trial starts, up to a step in s = ln z across which u could turn twice
+    zs = [z_min]
+    for z in (j * _START_STEP * z_match for j in range(1, round(1.0 / _START_STEP) + 1)):
+        if z > z_min:
+            if math.log(z / zs[-1]) * math.sqrt(max(e * z * z - k * k, 0.0)) >= math.pi:
                 break
-            xs.append(x)
-    tables = [(s, w, _frobenius_table(s, rp.g2, E, xs[-1] * xs[-1], len(w) == 2)) for s, w in parts]
+            zs.append(z)
+    tables = [(s, w, _frobenius_table(s, e, zs[-1] * zs[-1], len(w) == 2)) for s, w in parts]
     growth = 2.0 * k if len(parts) == 2 else 0.0  # of the mode an error excites
-    for x in xs:
+    for z in zs:
         u = du = u_e = du_e = err = 0.0
         for s, weights, cols in tables:
-            for w, f in zip(weights, _frobenius(s, cols, rp.upsilon, x)):
+            for w, f in zip(weights, _frobenius(s, cols, z)):
                 u, du, u_e, du_e = u + w * f[0], du + w * f[1], u_e + w * f[2], du_e + w * f[3]
                 err += abs(w) * f[4]
-        if x == x_min:
+        if z == z_min:
             if math.isinf(err):
-                raise ConvergenceError(f"left boundary series stalled at x = {x:.4g}, E = {E:.4g}")
+                raise ConvergenceError(f"left boundary series stalled at z = {z:.4g}, e = {e:.4g}")
         elif u * start[1] <= 0.0 or err > _REFINE_STOP[0] * abs(u):
             break  # past a node, or where no later start holds either
-        elif err * (x_match / x) ** growth > _REFINE_STOP[0] * abs(u):
+        elif err * (z_match / z) ** growth > _REFINE_STOP[0] * abs(u):
             continue
-        start = (x, u, du, u_e, du_e)
-    x, u, du, u_e, du_e = start
-    return x, (u, du), du * u_e - u * du_e
+        start = (z, u, du, u_e, du_e)
+    z, u, du, u_e, du_e = start
+    return z, (u, du), du * u_e - u * du_e
 
 
-def _right_state(rp: ReducedParams, E: float, x: float, need: float = 0.0):
-    """((u, u'), y_E, error) of the solution decaying at infinity at x:
-    y_E = d(u'/u)/dE, which makes u^2 y_E the integral of u^2 over
-    [x, inf), and error the relative amplitude of the inward-decaying mode
+def _right_state(rp: ReducedParams, e: float, z: float, need: float = 0.0):
+    """((u, u'), y_e, error) of the solution decaying at infinity at z:
+    y_e = d(u'/u)/de, which makes u^2 y_e the integral of u^2 over
+    [z, inf), and error the relative amplitude of the inward-decaying mode
     the data carry.  The data are the W-series, stopped at its smallest
     term or at the first term below need, or WKB where that claims the
     smaller error (see the module docstring)."""
-    ups = rp.upsilon
-    k = E / (4.0 * ups * ups)
-    z = ups * x
+    k = e / 4.0
     t = z * z
     a, b = 0.5 + 0.5 * rp.kappa - k, 0.5 - 0.5 * rp.kappa - k
     # the terms T_s of sum_s (a)_s (b)_s / s! (-t)^-s, their k-derivatives
@@ -433,12 +433,12 @@ def _right_state(rp: ReducedParams, E: float, x: float, need: float = 0.0):
     ln_chi = (2.0 * k - 0.5) * math.log(z) - 0.5 * t
     if ln_chi > _LN_FLOAT_MAX:
         raise ConvergenceError(
-            f"shoot_spectrum: the right boundary data e^{ln_chi:.4g} at E = {E:.6g} "
+            f"shoot_spectrum: the right boundary data e^{ln_chi:.4g} at e = {e:.6g} "
             "leave the float64 range"
         )
     if not all(map(math.isfinite, (ser, dlog, dlog_k, err))):
-        raise ConvergenceError(f"shoot_spectrum: the right boundary data at E = {E:.6g} are not finite")
-    return (ser, dlog / x * ser), dlog_k / (4.0 * ups * ups * x), err
+        raise ConvergenceError(f"shoot_spectrum: the right boundary data at e = {e:.6g} are not finite")
+    return (ser, dlog / z * ser), dlog_k / (4.0 * z), err
 
 
 def _decay_exponent(g1: float, e: float, y: float) -> float:
@@ -465,29 +465,27 @@ def _decay_exponent(g1: float, e: float, y: float) -> float:
     return out
 
 
-def _right_start(rp: ReducedParams, E: float, x_match: float):
-    """(x_s, (u, u'), y_E): the right branch's start, the first of x_lo + j
-    _START_STEP / ups (j = 1, 2, ...) whose data leak at most _START_LEAK
-    into the match point.  x_lo is the match point or the outer turning
-    point, whichever lies farther out."""
-    ups = rp.upsilon
-    e = E / (ups * ups)
+def _right_start(rp: ReducedParams, e: float, z_match: float):
+    """(z_s, (u, u'), y_e): the right branch's start, the first of z_lo + j
+    _START_STEP (j = 1, 2, ...) whose data leak at most _START_LEAK into
+    the match point.  z_lo is the match point or the outer turning point,
+    whichever lies farther out."""
     disc = e * e - 4.0 * rp.g1
     y_turn = 0.5 * (e + math.sqrt(disc)) if disc >= 0.0 else 0.0
-    z_lo = max(math.sqrt(max(y_turn, 0.0)), ups * x_match)
+    z_lo = max(math.sqrt(max(y_turn, 0.0)), z_match)
     z = z_lo + _START_STEP
     base = _decay_exponent(rp.g1, e, z_lo * z_lo)
-    # past x_lo, need grows like exp(2 int sqrt(q)) while the data's error
+    # past z_lo, need grows like exp(2 int sqrt(q)) while the data's error
     # falls; past need's clip, e^700, or where z stops moving, none holds
     while True:
         gain = _decay_exponent(rp.g1, e, z * z) - base
         need = _START_LEAK * math.exp(min(gain, 700.0))
         if need >= _DATA_FLOOR:  # no data are better than their rounding
-            state, y_e, err = _right_state(rp, E, z / ups, need)
+            state, y_e, err = _right_state(rp, e, z, need)
             if err <= need:
-                return z / ups, state, y_e
+                return z, state, y_e
         if not gain < 700.0 or z + _START_STEP == z:
-            raise ConvergenceError(f"shoot_spectrum: no right boundary data at E = {E:.6g} hold")
+            raise ConvergenceError(f"shoot_spectrum: no right boundary data at e = {e:.6g} hold")
         z += _START_STEP
 
 
@@ -495,42 +493,38 @@ def _right_start(rp: ReducedParams, E: float, x_match: float):
 # matching angle and root hunt
 
 
-def _window(rp: ReducedParams, e_lo: float) -> tuple[float, float]:
-    """(x_min, x_match) below a scan floor e_lo (scaled): under _DEEP_FLOOR
-    the match point lies four decay lengths 1/sqrt(-e_lo) of the deepest
-    ground state in reach from the origin (see the module docstring)."""
-    if e_lo < _DEEP_FLOOR:
-        return _X_MIN / rp.upsilon, 4.0 / (rp.upsilon * math.sqrt(-e_lo))
-    return _X_MIN / rp.upsilon, _X_MATCH / rp.upsilon
+def _window(e_lo: float) -> tuple[float, float]:
+    """(z_min, z_match) below a scan floor e_lo: under _DEEP_FLOOR the
+    match point lies four decay lengths 1/sqrt(-e_lo) of the deepest ground
+    state in reach from the origin (see the module docstring)."""
+    return _X_MIN, (4.0 / math.sqrt(-e_lo) if e_lo < _DEEP_FLOOR else _X_MATCH)
 
 
 def _theta(
-    rp: ReducedParams, ext: Extension, E: float, window: tuple[float, float], tol: float
+    rp: ReducedParams, ext: Extension, e: float, window: tuple[float, float], tol: float
 ) -> tuple[float, float, float]:
     """Matching angle pi (Z_L + Z_R) + phi_L - phi_R of the two solutions
     carried at truncation tolerance tol to the match point of window =
-    (x_min, x_match), its derivative in E, and phi_L; level n is the root
+    (z_min, z_match), its derivative in e, and phi_L; level n is the root
     at n pi."""
-    x_min, x_match = window
-    x_l, (u0, v0), head = _left_start(rp, ext, E, x_min, x_match)
+    z_min, z_match = window
+    z_l, (u0, v0), head = _left_start(rp, ext, e, z_min, z_match)
     big = max(abs(u0), abs(v0))
     if big == 0.0:
-        # at large kappa the Frobenius power (ups x_min)^s underflows
-        raise ConvergenceError(
-            f"shoot_spectrum: the left solution at E = {E:.6g} leaves the float64 range"
-        )
-    # u_E data whose W = u_E u' - u u'_E is head: (v0, -u0) head / r0^2,
+        # at large kappa the Frobenius power z_min^s underflows
+        raise ConvergenceError(f"shoot_spectrum: the left solution at e = {e:.6g} leaves the float64 range")
+    # u_e data whose W = u_e u' - u u'_e is head: (v0, -u0) head / r0^2,
     # with r0^2 = u0^2 + v0^2 formed from the scaled pair so it cannot underflow
     a, b = u0 / big, v0 / big
     w0 = head / ((a * a + b * b) * big)
-    left = integrate(rp.g1, rp.g2, E, x_l, (u0, v0), (w0 * b, -w0 * a), x_match, tol)
-    # the right data have u_E = 0 and u'_E = u y_E, so W = -u^2 y_E there:
-    # minus the integral of u^2 over [x_s, inf)
-    x_s, start, y_e = _right_start(rp, E, x_match)
-    right = integrate(rp.g1, rp.g2, E, x_s, start, (0.0, start[0] * y_e), x_match, tol)
+    left = integrate(rp.g1, 1.0, e, z_l, (u0, v0), (w0 * b, -w0 * a), z_match, tol)
+    # the right data have u_e = 0 and u'_e = u y_e, so W = -u^2 y_e there:
+    # minus the integral of u^2 over [z_s, inf)
+    z_s, start, y_e = _right_start(rp, e, z_match)
+    right = integrate(rp.g1, 1.0, e, z_s, start, (0.0, start[0] * y_e), z_match, tol)
     ul, vl = left.y
     ur, vr = right.y
-    # a node in (0, x_l) puts u(x_l) against the leading term at 0+
+    # a node in (0, z_l) puts u(z_l) against the leading term at 0+
     lead = -1.0 if not ext.is_ladder and rp.kappa == 0.0 else 1.0
     z_left = left.sign_changes + (lead * u0 < 0.0)
     phi_left = math.atan2(ul, vl) % math.pi
@@ -538,18 +532,16 @@ def _theta(
     r2_left, r2_right = ul * ul + vl * vl, ur * ur + vr * vr
     if r2_left == 0.0 or r2_right == 0.0:
         side = "left" if r2_left == 0.0 else "right"
-        raise ConvergenceError(
-            f"shoot_spectrum: the {side} solution at E = {E:.6g} leaves the float64 range"
-        )
-    # W' = u^2 along each branch (Lagrange), so W_L = int_0^x_match u_L^2
-    # >= 0 and W_R = -int_x_match^inf u_R^2 <= 0, each in its branch's
+        raise ConvergenceError(f"shoot_spectrum: the {side} solution at e = {e:.6g} leaves the float64 range")
+    # W' = u^2 along each branch (Lagrange), so W_L = int_0^z_match u_L^2
+    # >= 0 and W_R = -int_z_match^inf u_R^2 <= 0, each in its branch's
     # units; their magnitudes keep the slope positive where rounding alone
     # is left of W_R (on a float-precision step of Theta at large kappa)
     w_left = left.ye[0] * vl - ul * left.ye[1]
     w_right = right.ye[0] * vr - ur * right.ye[1]
     slope = abs(w_left) / r2_left + abs(w_right) / r2_right
     if not (math.isfinite(theta) and math.isfinite(slope)):  # a NaN no bracket may compare
-        raise ConvergenceError(f"shoot_spectrum: the matching angle at E = {E:.6g} is not finite")
+        raise ConvergenceError(f"shoot_spectrum: the matching angle at e = {e:.6g} is not finite")
     return theta, slope, phi_left
 
 
@@ -595,25 +587,24 @@ def shoot_spectrum(rp: ReducedParams, ext: Extension, n_max: int) -> OracleSpect
             raise DomainError(f"shoot_spectrum: interior nu required, got {ext.nu!r}")
         if rp.kappa >= 1.0:
             raise DomainError("shoot_spectrum: nu extensions exist only for kappa < 1")
-    ups2 = rp.energy_scale()
     e_lo = _scan_floor(rp, ext)
-    window = _window(rp, e_lo)
+    window = _window(e_lo)
 
-    known: list[tuple[float, float, float]] = []  # every (E, Theta, dTheta/dE) evaluated
+    known: list[tuple[float, float, float]] = []  # every (e, Theta, dTheta/de) evaluated
     phi_left: dict[float, float] = {}  # the left angle of every refinement evaluation
 
-    def theta(E: float) -> tuple[float, float]:
-        t, slope, _ = _theta(rp, ext, E, window, _SCAN_TOL)
-        known.append((E, t, slope))
+    def theta(e: float) -> tuple[float, float]:
+        t, slope, _ = _theta(rp, ext, e, window, _SCAN_TOL)
+        known.append((e, t, slope))
         return t, slope
 
-    def fine(E: float) -> tuple[float, float]:
-        t, slope, phi_left[E] = _theta(rp, ext, E, window, _REFINE_TOL)
+    def fine(e: float) -> tuple[float, float]:
+        t, slope, phi_left[e] = _theta(rp, ext, e, window, _REFINE_TOL)
         return t, slope
 
-    theta(e_lo * ups2)
+    theta(e_lo)
     if e_lo < _DEEP_FLOOR:  # a start next to the cliff
-        theta(_ground_estimate(rp, ext) * ups2)
+        theta(_ground_estimate(rp, ext))
     roots: list[float] = []
     resids: list[float] = []
     states: list[tuple[float, float]] = []
@@ -622,13 +613,13 @@ def shoot_spectrum(rp: ReducedParams, ext: Extension, n_max: int) -> OracleSpect
         if n and all(t <= target for _, t, _ in known):
             # one ladder spacing above the last level, below the rung; for nu
             # only where it clears the pole 2(2n-1+kappa) below level n
-            probe = roots[-1] + 4.0 * ups2
-            if ext.is_ladder or probe > 2.0 * (2 * n - 1 + rp.kappa) * ups2:
+            probe = roots[-1] + 4.0
+            if ext.is_ladder or probe > 2.0 * (2 * n - 1 + rp.kappa):
                 theta(probe)
         if all(t <= target for _, t, _ in known):
             # every level sits below its rung 2(2n+1+kappa), the ladders on it
             e_top = 2.0 * (2 * n + 1 + rp.kappa) + 0.2
-            if theta(e_top * ups2)[0] <= target:
+            if theta(e_top)[0] <= target:
                 raise ConvergenceError(
                     f"shoot_spectrum: found {n} of {n_max} eigenvalues in "
                     f"scaled window ({e_lo:.3g}, {e_top:.3g})"
@@ -643,32 +634,39 @@ def shoot_spectrum(rp: ReducedParams, ext: Extension, n_max: int) -> OracleSpect
         lo = max(below)
         hi = min(p for p in known if p[1] > target)
         start = min(lo, hi, key=lambda p: abs(p[1] - target))
-        E, miss, slope = _solve(theta, target, *start, lo, hi, *_SCAN_STOP)
+        e, miss, slope = _solve(theta, target, *start, lo, hi, *_SCAN_STOP)
         if abs(miss) <= _SCAN_STOP[0]:  # not stopped by the bracket width
-            E -= miss / slope
+            e -= miss / slope
         # the refinement's steps without a bracket reach as far as the scan's
         # last bracket is wide
         reach = (min(p for p in known if p[1] > target)[0]
                  - max(p for p in known if p[1] <= target)[0])
-        root, miss, slope = _solve(fine, target, E, *fine(E), None, None, *_REFINE_STOP, reach)
+        root, miss, slope = _solve(fine, target, e, *fine(e), None, None, *_REFINE_STOP, reach)
         roots.append(root)
         resids.append(abs(math.sin(miss)))
-        # the solve ends on an evaluated energy; dTheta/dE there is the
+        # the solve ends on an evaluated energy; dTheta/de there is the
         # integral of u^2 for r = 1 at the match point
         norm = math.sqrt(slope)
         states.append((math.sin(phi_left[root]) / norm, math.cos(phi_left[root]) / norm))
 
-    return OracleSpectrum(tuple(roots), tuple(resids), tuple(states), window[1])
+    # the one conversion to physical units (module docstring)
+    ups, unit = rp.upsilon, rp.energy_scale()
+    energies = tuple(e * unit for e in roots)
+    if not all(map(math.isfinite, energies)):
+        raise ConvergenceError(f"shoot_spectrum: a level e ups^2 leaves float64 (ups^2 = {unit:.3g})")
+    root_ups = math.sqrt(ups)
+    states = [(root_ups * u, ups * root_ups * du) for u, du in states]
+    return OracleSpectrum(energies, tuple(resids), tuple(states), window[1] / ups)
 
 
 def _solve(
-    theta, target, E, t, slope, lo, hi, tol, width, reach=math.inf
+    theta, target, e, t, slope, lo, hi, tol, width, reach=math.inf
 ) -> tuple[float, float, float]:
-    """Root of theta(E) = target by a safeguarded Newton iteration, from E
-    where theta = t with derivative slope; returns E, theta - target and
+    """Root of theta(e) = target by a safeguarded Newton iteration, from e
+    where theta = t with derivative slope; returns e, theta - target and
     the slope of the last evaluation.
 
-    lo and hi are (E, theta, slope) with theta(lo) <= target < theta(hi),
+    lo and hi are (e, theta, slope) with theta(lo) <= target < theta(hi),
     or None while that side is unknown.  Each step is Newton's from the
     latest point while the last step halved |theta - target| and the Newton
     point lies inside the bracket.  Otherwise it is a secant step through
@@ -677,34 +675,34 @@ def _solve(
     (Illinois); it is bisection where an end lies pi or more from the
     target, and once two steps have failed to halve |theta - target| since
     the last Newton step that did.  While one side is still unknown, it is
-    twice the Newton step, cut to at most reach from E; each cut doubles
+    twice the Newton step, cut to at most reach from e; each cut doubles
     reach.
-    Ends at |theta - target| <= tol, a bracket of width * (1 + |E|), or a
-    Newton step below one ulp of E.
+    Ends at |theta - target| <= tol, a bracket of width * (1 + |e|), or a
+    Newton step below one ulp of e.
     """
     a, la = _end(lo, target, -math.inf)
     b, lb = _end(hi, target, math.inf)
     f = t - target
     lever = _lever(f, slope)
     if f > 0.0:
-        b, lb = E, lever
+        b, lb = e, lever
     else:
-        a, la = E, lever
+        a, la = e, lever
     side = 0
     stalls = 0
     halved = True
     for _ in range(_SOLVE_MAX_STEPS):
-        if abs(f) <= tol or b - a <= width * (1.0 + abs(E)):
-            return E, f, slope
-        x = E - f / slope
-        if x == E:  # the Newton step is below one ulp of E
-            return E, f, slope
+        if abs(f) <= tol or b - a <= width * (1.0 + abs(e)):
+            return e, f, slope
+        x = e - f / slope
+        if x == e:  # the Newton step is below one ulp of e
+            return e, f, slope
         newton = halved and a < x < b
         if math.isinf(b - a):
             if not newton:
-                x = 2.0 * x - E
-            if abs(x - E) > reach:
-                x = E + math.copysign(reach, x - E)
+                x = 2.0 * x - e
+            if abs(x - e) > reach:
+                x = e + math.copysign(reach, x - e)
                 reach *= 2.0
         elif not newton:
             if stalls >= 2 or la is None or lb is None or la == lb:
@@ -719,21 +717,21 @@ def _solve(
             stalls += 1
         elif newton:
             stalls = 0
-        E, f = x, t - target
+        e, f = x, t - target
         lever = _lever(f, slope)
         if f > 0.0:
-            b, lb = E, lever
+            b, lb = e, lever
             if side == 1 and la is not None:
                 la *= 0.5
             side = 1
         else:
-            a, la = E, lever
+            a, la = e, lever
             if side == -1 and lb is not None:
                 lb *= 0.5
             side = -1
     raise ConvergenceError(
         f"shoot_spectrum: theta - {target / math.pi:.0f} pi is still {f:.3g} "
-        f"at E = {E:.6g}, bracket ({a:.6g}, {b:.6g})"
+        f"at e = {e:.6g}, bracket ({a:.6g}, {b:.6g})"
     )
 
 
@@ -746,7 +744,7 @@ def _lever(f: float, slope: float) -> float | None:
 
 
 def _end(point, target, missing) -> tuple[float, float | None]:
-    """(E, L) of a bracket end (E, theta, slope), or (missing, None)."""
+    """(e, L) of a bracket end (e, theta, slope), or (missing, None)."""
     if point is None:
         return missing, None
     return point[0], _lever(point[1] - target, point[2])

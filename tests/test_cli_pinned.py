@@ -39,7 +39,7 @@ PINS = {
     "spectrum --g1 0 --g2 1 --nu 1.0 --n 9 --oracle on":
         (0, "41f97adf99dc4326e3c57fa6f94ec7e8350c42f3f2fb436db5f0f0a5bf3b258d", ""),
     "spectrum --g1 0.300564 --g2 57.6 --nu -1.5613 --n 2 --oracle on":
-        (0, "506fec64856152a915e33bd37f91bfa4e131e4567a4935869e5706d50e2aaf95", ""),
+        (0, "bbd28bea28f02d1f4e1542feaf3c794e455321ba3b9c1496392758873503a361", ""),
     "spectrum --g1 0.75 --g2 1 --unique --n 3":
         (0, "c062d17ac25a679a33412c961a322505b1d475a137bcef75ad482b94b938741a", ""),
     "spectrum --g1 2 --g2 1":
@@ -154,16 +154,16 @@ PINS = {
         "numerical failure: count_zeros: x in (2.37137e+08, 10000000000.0) needs at least 1.67e+19 steps, more than the 100000 one call may take\n",
     ),
     "verify":
-        (0, "d576bce11e68aa47388266e9bcc008587f2446da4289830490746392427d9f43", ""),
+        (0, "c64c8793ed37c513d66d22d7ea2df27de18e5db2f4afbb6fae3005ab57a9e560", ""),
     "verify --format csv":
-        (0, "de89c13d6038cd0b5cd72f273ddac43df9374177ee0d5d6bfa9c1c3562aa371a", ""),
+        (0, "3cda5bb0e1917c48c21318bd8e9515b570ad82dc55c57fcf7dd8998018f9558a", ""),
     "verify --quick":
         (0, "5b2721ba293dc4c9a8669fdc69a0cf02ed6959c9e2987f1263fa7c984a61f281", ""),
     "verify --quick --format csv":
         (0, "843b0f1d769986a3682292e77d641162d1834cec15bd8162e37812941e3bcad9", ""),
     "verify --inject-gamma-bug": (
         4,
-        "b2b63168176ac442818800b845bcde814a8c9a5612642967e9d88a45966dd1b6",
+        "816f372e3c3516fa61775feb83346711af970f6ed7ab509a75c2d044c25a5557",
         "first failing row: 2-nu-zero-closed-form (1.670e-02 > 1e-10)\n",
     ),
     "verify --quick --inject-gamma-bug": (

@@ -349,7 +349,7 @@ class TestRefusals:
         rp = reduce(0.0, 1.0)
         ext = extension_for(rp, nu=1.0)
         monkeypatch.setattr(oracle, "_left_start", lambda *args: (0.02, (0.0, 0.0), 0.0))
-        with pytest.raises(ConvergenceError, match="left solution at E = 3 leaves the float64 range"):
+        with pytest.raises(ConvergenceError, match="left solution at e = 3 leaves the float64 range"):
             oracle._theta(rp, ext, 3.0, (0.02, 1.0), oracle._REFINE_TOL)
 
     @pytest.mark.parametrize("scale", [1e-170, 1e-320])
@@ -362,11 +362,11 @@ class TestRefusals:
         x_s, (u, v), head = oracle._left_start(rp, ext, 3.0, 0.02, 1.0)
         monkeypatch.setattr(oracle, "_left_start", lambda *args: (
             x_s, (u * scale, v * scale), head * scale * scale))
-        with pytest.raises(ConvergenceError, match="left solution at E = 3 leaves the float64 range"):
+        with pytest.raises(ConvergenceError, match="left solution at e = 3 leaves the float64 range"):
             oracle._theta(rp, ext, 3.0, (0.02, 1.0), oracle._REFINE_TOL)
 
     def test_right_data_past_float64_are_refused(self):
         rp = reduce(3e4, 1.0)
         ext = extension_for(rp)
         with pytest.raises(ConvergenceError, match="right boundary data .* leave the float64 range"):
-            oracle._theta(rp, ext, 1e4 * (1.0 + rp.kappa), oracle._window(rp, 0.0), oracle._SCAN_TOL)
+            oracle._theta(rp, ext, 1e4 * (1.0 + rp.kappa), oracle._window(0.0), oracle._SCAN_TOL)
