@@ -317,10 +317,12 @@ def _cmd_factorize_check(args):
     rep = _cli.RepresentationParams(args.mu, args.w, rp)
     phi = _cli.make_phi(rep)
 
-    worst = _cli.residual_sweep(phi, _cli.factorization_residual, args.h_shift)
+    # phi and the checks work in z = ups x; the worst point is reported in x
+    worst, worst_z = _cli.residual_sweep(phi, _cli.factorization_residual, args.h_shift)
+    worst_x = worst_z / rp.upsilon
     tol = _cli.RESIDUAL_THRESHOLD
-    checks = [{"name": "factorization-residual", "passed": worst[0] <= tol, "value": worst[0],
-               "threshold": tol, "at_x": worst[1]}]
+    checks = [{"name": "factorization-residual", "passed": worst <= tol, "value": worst,
+               "threshold": tol, "at_x": worst_x}]
 
     kernel_max = None
     if rep.at_floor:
@@ -328,8 +330,7 @@ def _cmd_factorize_check(args):
         checks.append({"name": "kernel-nontrivial", "passed": kernel_max <= tol, "value": kernel_max,
                        "threshold": tol})
 
-    grid = [0.05 + (6.0 / rp.upsilon - 0.05) * i / 59.0 for i in range(60)]
-    values = phi.values_on(grid)
+    values = phi.values_on([0.05 + (6.0 - 0.05) * i / 59.0 for i in range(60)])
     min_phi = math.nan if any(math.isnan(v) for v in values) else min(values)
     checks.append({"name": "phi-positive", "passed": min_phi > 0.0, "value": min_phi, "threshold": 0.0})
 
@@ -337,8 +338,8 @@ def _cmd_factorize_check(args):
     results = {
         "u": rep.u,
         "at_floor": rep.at_floor,
-        "max_relative_residual": worst[0],
-        "worst_x": worst[1],
+        "max_relative_residual": worst,
+        "worst_x": worst_x,
         "kernel_max": kernel_max,
         "min_phi_on_grid": min_phi,
     }

@@ -1,10 +1,18 @@
 """Factorized (oscillator) representations on the half-line.
 
-For each admissible shift u = 4 upsilon^2 w (w >= w0) and mixing angle
-mu, the potential V = g1/x^2 + g2 x^2 admits a strictly positive solution
-of  -phi'' + V phi = -4 upsilon^2 w phi  of the form
+Units.  The dilation z = upsilon x (upsilon = g2^(1/4)) maps
+H = -d^2/dx^2 + g1/x^2 + g2 x^2 onto upsilon^2 H1 with
+H1 = -d^2/dz^2 + g1/z^2 + z^2, so the family depends on kappa, mu and w
+alone and everything here works in z: phi, its superpotential and the
+check of the factorization.  upsilon enters once, in the physical shift
+u = 4 upsilon^2 w (`RepresentationParams.u`); a physical state
+sqrt(upsilon) phi(upsilon x) is `spectral.GroundState`'s conversion.
 
-    phi(x) = e^(-rho/2) rho^q S(rho),     rho = (upsilon x)^2, q = 1/4 + kappa/2,
+For each admissible shift w >= w0 and mixing angle mu, the potential
+V = g1/z^2 + z^2 admits a strictly positive solution of
+-phi'' + V phi = -4 w phi of the form
+
+    phi(z) = e^(-rho/2) rho^q S(rho),     rho = z^2, q = 1/4 + kappa/2,
 
 with S a two-dimensional mixture of confluent hypergeometric solutions:
 
@@ -22,7 +30,7 @@ rho -> 0
     kappa in (0,1):  S -> A~ + B~ rho^(-kappa),
         A~ = sin(mu) - cos(mu) G(1-k)G(alpha) / [G(1+k)G(alpha-k)],
         B~ = cos(mu),
-    kappa = 0:       S -> A~ + B~ ln(upsilon x),
+    kappa = 0:       S -> A~ + B~ ln z,
         A~ = sin(mu) + cos(mu) (2 psi(1) - psi(alpha)),
         B~ = -2 cos(mu),
 
@@ -33,18 +41,18 @@ psi(alpha) - 2 psi(1)) that spectral's boundary function evaluates.
 
 From phi the superpotential h = phi'/phi defines the first-order pair
 
-    (a f)(x) = f'(x) - h(x) f(x),      (b f)(x) = -f'(x) - h(x) f(x),
+    (a f)(z) = f'(z) - h(z) f(z),      (b f)(z) = -f'(z) - h(z) f(z),
 
 and the second-order identity  b a f = -f'' + (h' + h^2) f  must equal
--f'' + V f + 4 upsilon^2 w f  for every smooth f, since h' + h^2 =
-phi''/phi = V + 4 upsilon^2 w.  `factorization_residual` measures exactly
-that defect, with h' computed honestly from the series second derivative
+(H1 - 4w) f = -f'' + V f + 4 w f  for every smooth f, since h' + h^2 =
+phi''/phi = V + 4 w.  `factorization_residual` measures exactly that
+defect, with h' computed honestly from the series second derivative
 (phi''/phi - h^2), never by assuming the identity it is checking.
 
 `apply_a` and `factorization_residual` take phi, built once per
-representation by `make_phi`.  Each value at x reads one evaluation of S;
+representation by `make_phi`.  Each value at z reads one evaluation of S;
 the residual's, of order 2, gives phi, h and h' together, and phi keeps
-its last few, so the test functions evaluated at one x share it.
+its last few, so the test functions evaluated at one z share it.
 `residual_sweep` and `kernel_sweep` are the checks `factorize-check` and
 `verify` row 6 report: the worst residual over three test functions at four
 points (four order-2 evaluations), and the worst |a phi|, zero at the
@@ -110,13 +118,12 @@ class RepresentationParams:
 
 
 class EvaluableSolution:
-    """Positive solution phi with analytic first and second derivatives."""
+    """Positive solution phi(z) with analytic first and second derivatives."""
 
     def __init__(self, rep: RepresentationParams):
         self.rep = rep
         rp = rep.rp
         self._kappa = rp.kappa
-        self._ups2 = rp.upsilon**2
         self._q = 0.25 + 0.5 * rp.kappa
         self._alpha = rp.alpha_of(rep.w)
         self._beta = rp.beta
@@ -157,99 +164,97 @@ class EvaluableSolution:
                 spp += c * (a * (a + 1.0)) * tricomi_psi(a + 2.0, b + 2.0, rho)
         return s, sp, spp
 
-    # -- x-space evaluations --------------------------------------------
+    # -- z-space evaluations --------------------------------------------
 
-    def _jet(self, x: float, order: int) -> tuple[float, float, float, float, float]:
-        # (rho, e^(-rho/2) rho^q, S, S', S'') at x from one `_S` call of
-        # `order`; an order-2 jet is kept and answers any later call at x,
+    def _jet(self, z: float, order: int) -> tuple[float, float, float, float, float]:
+        # (rho, e^(-rho/2) rho^q, S, S', S'') at z from one `_S` call of
+        # `order`; an order-2 jet is kept and answers any later call at z,
         # since S and S' do not depend on the order they were asked at
-        jet = self._jets.get(x)
+        jet = self._jets.get(z)
         if jet is not None:
             return jet
-        rho = self._rho(x)
+        rho = self._rho(z)
         s, sp, spp = self._S(rho, order)
         jet = rho, self._envelope(rho), s, sp, spp
         if order == 2:
             if len(self._jets) >= _JET_MEMO:
                 self._jets.clear()
-            self._jets[x] = jet
+            self._jets[z] = jet
         return jet
 
-    def _rho(self, x: float) -> float:
-        if not (x > 0.0 and math.isfinite(x)):
-            raise DomainError(f"solution evaluation needs x > 0, got {x!r}")
-        return self._ups2 * x * x
+    def _rho(self, z: float) -> float:
+        if not (z > 0.0 and math.isfinite(z)):
+            raise DomainError(f"solution evaluation needs z > 0, got {z!r}")
+        return z * z
 
     def _envelope(self, rho: float) -> float:
         try:
             return math.exp(-0.5 * rho) * rho**self._q
-        except OverflowError:  # rho^q past float64: kappa ~ 10 at g2 ~ 1e300
+        except OverflowError:  # rho^q past float64: kappa ~ 10 at z ~ 1e150
             raise ConvergenceError(f"phi: rho^q = {rho:.4g}^{self._q:.4g} overflows") from None
 
-    def _h(self, x: float, s: float, sp: float) -> float:
-        # h = (1/2 + kappa)/x - upsilon^2 x + 2 upsilon^2 x S'/S
-        return (0.5 + self._kappa) / x - self._ups2 * x + 2.0 * self._ups2 * x * sp / s
+    def _h(self, z: float, s: float, sp: float) -> float:
+        # h = (1/2 + kappa)/z - z + 2 z S'/S
+        return (0.5 + self._kappa) / z - z + 2.0 * z * sp / s
 
-    def _phi_pp(self, x: float, rho: float, env: float, s: float, sp: float, spp: float) -> float:
+    def _phi_pp(self, z: float, rho: float, env: float, s: float, sp: float, spp: float) -> float:
         if rho * rho == 0.0:  # rho below ~1.6e-162
-            raise ConvergenceError(f"phi'': rho^2 = {rho:.4g}^2 underflows float64 at x = {x:.4g}")
+            raise ConvergenceError(f"phi'': rho^2 = {rho:.4g}^2 underflows float64 at z = {z:.4g}")
         g = self._q / rho - 0.5
         dphi = env * (g * s + sp)
         d2phi = env * ((g * g - self._q / (rho * rho)) * s + 2.0 * g * sp + spp)
-        c = 2.0 * self._ups2 * x
-        return 2.0 * self._ups2 * dphi + c * c * d2phi
+        c = 2.0 * z
+        return 2.0 * dphi + c * c * d2phi
 
-    def value_at(self, x: float) -> float:
-        _, env, s, _, _ = self._jet(x, 0)
+    def value_at(self, z: float) -> float:
+        _, env, s, _, _ = self._jet(z, 0)
         return env * s
 
-    def values_on(self, xs) -> list[float]:
-        """phi at every x of xs, in their order (any order, repeats
+    def values_on(self, zs) -> list[float]:
+        """phi at every z of zs, in their order (any order, repeats
         allowed): env * (sin mu Phi + cos mu scale Psi) with Phi pointwise
         and Psi from one inward sweep (`tricomi_psi_on`), two Psi calls for
-        the whole grid; S = 1 at the floor.  x <= 0 and rho^q past float64
+        the whole grid; S = 1 at the floor.  z <= 0 and rho^q past float64
         raise what `value_at` raises.  A point whose envelope e^(-rho/2)
-        rho^q is 0.0 (from rho ~ 1490) takes `value_at`'s signed zero and
-        stays out of the sweep, which then starts from the largest rho
-        left: its steps end elsewhere than they would from the whole grid's
-        largest rho, so the other values may move in their last bits.
-        Where the sweep refuses (more steps than its budget, or a seed whose
-        integral passes float64 from alpha ~ 171), each value is
-        `value_at`'s, or its refusal."""
-        xs = [float(x) for x in xs]
-        rhos = [self._rho(x) for x in xs]
+        rho^q is 0.0 (from rho ~ 1490) is +0.0, since S > 0, and stays out
+        of the sweep, which then starts from the largest rho left: its steps
+        end elsewhere than they would from the whole grid's largest rho, so
+        the other values may move in their last bits.  Phi, which grows like
+        e^rho, overflows at such a point, and a mixture with sin mu > 0 is
+        refused there as `value_at` refuses it.  Where the sweep refuses
+        (more steps than its budget, or a seed whose integral passes float64
+        from alpha ~ 171), each other value is `value_at`'s, or its
+        refusal."""
+        zs = [float(z) for z in zs]
+        rhos = [self._rho(z) for z in zs]
         envs = [self._envelope(rho) for rho in rhos]
         if self._at_floor:
             return envs  # env * 1.0
-        live = [i for i, env in enumerate(envs) if env != 0.0]
-        out = [0.0 if env else self.value_at(x) for x, env in zip(xs, envs)]
         a, b = self._alpha, self._beta
-        ss = [0.0] * len(live)
-        if self._sin != 0.0:
-            ss = [s + self._sin * kummer_phi(a, b, rhos[i]) for s, i in zip(ss, live)]
+        ss = [self._sin * kummer_phi(a, b, rho) for rho in rhos] if self._sin != 0.0 else [0.0] * len(zs)
         if self._cos != 0.0:
+            live = [i for i, env in enumerate(envs) if env != 0.0]
             try:
                 psi = tricomi_psi_on(a, b, [rhos[i] for i in live])
             except (ConvergenceError, DomainError):
-                return [self.value_at(x) for x in xs]
+                return [self.value_at(z) if env else 0.0 for z, env in zip(zs, envs)]
             c = self._cos * self._psi_scale
-            ss = [s + c * p for s, p in zip(ss, psi)]
-        for i, s in zip(live, ss):
-            out[i] = envs[i] * s
-        return out
+            for i, p in zip(live, psi):
+                ss[i] += c * p
+        return [env * s for env, s in zip(envs, ss)]
 
-    def derivative_at(self, x: float) -> float:
-        rho, env, s, sp, _ = self._jet(x, 1)
-        # d phi/d rho, then chain through rho = (upsilon x)^2
+    def derivative_at(self, z: float) -> float:
+        rho, env, s, sp, _ = self._jet(z, 1)
+        # d phi/d rho, then chain through rho = z^2
         dphi_drho = env * ((self._q / rho - 0.5) * s + sp)
-        return 2.0 * self._ups2 * x * dphi_drho
+        return 2.0 * z * dphi_drho
 
-    def second_derivative_at(self, x: float) -> float:
-        return self._phi_pp(x, *self._jet(x, 2))
+    def second_derivative_at(self, z: float) -> float:
+        return self._phi_pp(z, *self._jet(z, 2))
 
-    def superpotential_at(self, x: float) -> float:
-        _, _, s, sp, _ = self._jet(x, 1)
-        return self._h(x, s, sp)
+    def superpotential_at(self, z: float) -> float:
+        _, _, s, sp, _ = self._jet(z, 1)
+        return self._h(z, s, sp)
 
 
 def make_phi(rep: RepresentationParams) -> EvaluableSolution:
@@ -257,34 +262,33 @@ def make_phi(rep: RepresentationParams) -> EvaluableSolution:
     return EvaluableSolution(rep)
 
 
-def apply_a(phi: EvaluableSolution, f: EvaluableSolution, x: float) -> float:
-    """(a f)(x) = f' - h f with h = phi'/phi.  Annihilates phi itself."""
+def apply_a(phi: EvaluableSolution, f: EvaluableSolution, z: float) -> float:
+    """(a f)(z) = f' - h f with h = phi'/phi.  Annihilates phi itself."""
     if not isinstance(f, EvaluableSolution):
         raise DomainError(f"apply_a needs an EvaluableSolution, got {type(f).__name__}")
-    v, d = f.value_at(x), f.derivative_at(x)
-    return d - phi.superpotential_at(x) * v
+    v, d = f.value_at(z), f.derivative_at(z)
+    return d - phi.superpotential_at(z) * v
 
 
-def factorization_residual(phi: EvaluableSolution, f_triple, x: float, h_shift: float = 0.0) -> float:
-    """(b a f)(x) - [-f'' + V f + 4 upsilon^2 w f](x); zero up to rounding.
+def factorization_residual(phi: EvaluableSolution, f_triple, z: float, h_shift: float = 0.0) -> float:
+    """(b a f)(z) - [-f'' + V f + 4 w f](z), V = g1/z^2 + z^2; zero up to
+    rounding.
 
     f_triple is (f, f', f'') as callables.  phi, h and h' come from one
-    order-2 evaluation of phi at x.  h_shift displaces the superpotential
+    order-2 evaluation of phi at z.  h_shift displaces the superpotential
     by a constant, which must break the identity; it exists so integrity
     checks can prove this test can fail.
     """
-    rho, env, s, sp, spp = phi._jet(x, 2)
+    rho, env, s, sp, spp = phi._jet(z, 2)
     if env * s == 0.0:  # phi underflows far out, e^(-rho/2) from rho ~ 1490
-        raise ConvergenceError(f"factorization_residual: phi underflows to 0 at x = {x:.4g}")
-    h = phi._h(x, s, sp)
-    # h' = phi''/phi - h^2, not V + u - h^2: the check is not circular
-    hp = phi._phi_pp(x, rho, env, s, sp, spp) / (env * s) - h * h
+        raise ConvergenceError(f"factorization_residual: phi underflows to 0 at z = {z:.4g}")
+    h = phi._h(z, s, sp)
+    # h' = phi''/phi - h^2, not V + 4w - h^2: the check is not circular
+    hp = phi._phi_pp(z, rho, env, s, sp, spp) / (env * s) - h * h
     h += h_shift
-    fx, fppx = f_triple[0](x), f_triple[2](x)
-    lhs = -fppx + (hp + h * h) * fx
-    rp = phi.rep.rp
-    v = rp.g1 / (x * x) + rp.g2 * x * x
-    rhs = -fppx + (v + 4.0 * rp.upsilon**2 * phi.rep.w) * fx
+    fz, fppz = f_triple[0](z), f_triple[2](z)
+    lhs = -fppz + (hp + h * h) * fz
+    rhs = -fppz + (phi.rep.rp.g1 / (z * z) + z * z + 4.0 * phi.rep.w) * fz
     return lhs - rhs
 
 
@@ -307,30 +311,30 @@ _PROBES = (
         lambda x: -2.0 * math.cos(x) * math.exp(-x),
     ),
 )
-_RESIDUAL_XS = (0.3, 0.7, 1.3, 2.1)
-_KERNEL_XS = (0.4, 1.0, 1.7)
+_RESIDUAL_ZS = (0.3, 0.7, 1.3, 2.1)
+_KERNEL_ZS = (0.4, 1.0, 1.7)
 # the pass thresholds of the two sweeps, for `factorize-check` and verify row 6
 RESIDUAL_THRESHOLD = 1e-6
 KERNEL_THRESHOLD = 1e-10
 
 
 def residual_sweep(phi: EvaluableSolution, residual, h_shift: float = 0.0) -> tuple[float, float]:
-    """(worst relative residual, x) of b a f = (H - u) f over the test
-    functions at four points, each residual over max(1, |(H - u) f|).  The
-    first x of the worst value is kept; a NaN residual is the worst.
+    """(worst relative residual, z) of b a f = (H1 - 4w) f over the test
+    functions at four points, each residual over max(1, |(H1 - 4w) f|).
+    The first z of the worst value is kept; a NaN residual is the worst.
 
     residual is `factorization_residual` as the caller looks it up, so a
     wrapper installed on the caller's name (the benchmark's tracing) sees
     every point."""
-    rp, u = phi.rep.rp, phi.rep.u
+    g1, w = phi.rep.rp.g1, phi.rep.w
     worst = (0.0, 0.0)
     for f, fp, fpp in _PROBES:
-        for x in _RESIDUAL_XS:
-            resid = residual(phi, (f, fp, fpp), x, h_shift=h_shift)
-            rhs = -fpp(x) + (rp.g1 / (x * x) + rp.g2 * x * x + u) * f(x)
+        for z in _RESIDUAL_ZS:
+            resid = residual(phi, (f, fp, fpp), z, h_shift=h_shift)
+            rhs = -fpp(z) + (g1 / (z * z) + z * z + 4.0 * w) * f(z)
             rel = abs(resid) / max(1.0, abs(rhs))
             if rel > worst[0] or math.isnan(rel):
-                worst = (rel, x)
+                worst = (rel, z)
     return worst
 
 
@@ -338,8 +342,8 @@ def kernel_sweep(phi: EvaluableSolution) -> float:
     """The worst |a phi| over three points, NaN if any is NaN; zero up to
     rounding at the floor w0, where a annihilates phi."""
     worst = 0.0
-    for x in _KERNEL_XS:
-        v = abs(apply_a(phi, phi, x))
+    for z in _KERNEL_ZS:
+        v = abs(apply_a(phi, phi, z))
         if v > worst or math.isnan(v):
             worst = v
     return worst

@@ -57,7 +57,7 @@ from functools import lru_cache
 
 from .errors import ConvergenceError, DomainError
 from .factorization import EvaluableSolution, RepresentationParams, make_phi
-from .params import Extension, ExtensionLabel, ReducedParams
+from .params import Extension, ExtensionLabel, ReducedParams, reduce
 from .specfun import (
     digamma,
     digamma_shift,
@@ -590,16 +590,20 @@ def spectrum(rp: ReducedParams, ext: Extension, n_max: int) -> SpectrumResult:
     resids = []
     for n in range(n_max):
         v, r = _root_in_gap(rp, target, n, c, skew)
-        e = _energy(rp, n, v)
-        if not math.isfinite(e * unit):
-            # only a ground root next to the floor, in units upsilon^2 > 1
-            raise ConvergenceError(
-                "ground state deeper than float64 range for this extension "
-                f"(ln|E| ~ {math.log(-e) + math.log(unit):.0f})"
-            )
-        roots.append(e * unit)
+        roots.append(_in_units(_energy(rp, n, v), unit))
         resids.append(r)
     return SpectrumResult(tuple(roots), tuple(resids), "bracketed-root")
+
+
+def _in_units(e: float, unit: float) -> float:
+    """E = e upsilon^2, refused where it leaves float64: in `spectrum` only
+    a ground root next to the floor, in units upsilon^2 > 1."""
+    if not math.isfinite(e * unit):
+        raise ConvergenceError(
+            "ground state deeper than float64 range for this extension "
+            f"(ln|E| ~ {math.log(abs(e)) + math.log(unit):.0f})"
+        )
+    return e * unit
 
 
 def ground_state_energy(rp: ReducedParams, ext: Extension) -> float:
@@ -612,39 +616,49 @@ def ground_state_energy(rp: ReducedParams, ext: Extension) -> float:
 
 @dataclass(frozen=True)
 class GroundState:
-    """L2-normalized ground state u = norm_constant * solution of one
-    extension; solution is a representation's phi (the floor w0 on the
-    ladders, mu = 0 at the ground level's w for interior nu)."""
+    """L2-normalized ground state of one extension, the one conversion of
+    a state from z = upsilon x:
+
+        u(x) = c sqrt(upsilon) phi(upsilon x),   u'(x) = c upsilon^(3/2) phi'(upsilon x),
+
+    with c = norm_constant, which normalizes phi in z; solution is a
+    representation's phi (the floor w0 on the ladders, mu = 0 at the
+    ground level's w for interior nu)."""
 
     energy: float
     norm_constant: float
     solution: EvaluableSolution
+    upsilon: float
 
     def __call__(self, x: float) -> float:
-        return self.norm_constant * self.solution.value_at(x)
+        ups = self.upsilon
+        return self.norm_constant * math.sqrt(ups) * self.solution.value_at(ups * x)
 
     def values_on(self, xs) -> list[float]:
         """u at every x of xs, from one sweep of the solution's Psi
         (`EvaluableSolution.values_on`)."""
-        return [self.norm_constant * v for v in self.solution.values_on(xs)]
+        ups = self.upsilon
+        c = self.norm_constant * math.sqrt(ups)
+        return [c * v for v in self.solution.values_on([ups * x for x in xs])]
 
     def derivative(self, x: float) -> float:
-        return self.norm_constant * self.solution.derivative_at(x)
+        ups = self.upsilon
+        return self.norm_constant * ups**1.5 * self.solution.derivative_at(ups * x)
 
 
 @lru_cache(maxsize=256)
-def _nu_state_norm(kappa: float, upsilon: float, w: float) -> float:
-    """Q0 = integral of phi(mu=0, w)^2 over (0, inf) in closed form, for
+def _nu_state_norm(kappa: float, w: float) -> float:
+    """Q0 = integral of phi(mu=0, w)^2 dz over (0, inf) in closed form, for
     the ground state's alpha = (1+k)/2 + w > 0:
 
-        kappa in (0,1):  G(1-k) G(alpha) [psi(alpha) - psi(alpha-k)] / (2 ups G(k) G(alpha-k))
-        kappa = 0:       psi'(alpha) / (2 ups)
+        kappa in (0,1):  G(1-k) G(alpha) [psi(alpha) - psi(alpha-k)] / (2 G(k) G(alpha-k))
+        kappa = 0:       psi'(alpha) / 2
 
     phi = scale e^(-rho/2) rho^(1/4+k/2) Psi(alpha, 1+k; rho) with scale =
     G(alpha)/G(kappa) (kappa > 0) or G(alpha) (kappa = 0) decays at
-    infinity, so the Lagrange identity int_x^inf phi^2 = (phi d_E phi' -
-    phi' d_E phi)(x) gives Q0 from the small-x coefficients of phi and
-    their E-derivatives as x -> 0 (Titchmarsh, *Eigenfunction Expansions*
+    infinity, so the Lagrange identity int_z^inf phi^2 = (phi d_e phi' -
+    phi' d_e phi)(z) gives Q0 from the small-z coefficients of phi and
+    their e-derivatives as z -> 0 (Titchmarsh, *Eigenfunction Expansions*
     I, ch. 2; DLMF 13.10).  Above alpha - k = 0 the digamma difference
     and (from 1) the gamma ratio are shifts of alpha - k by k, with nothing
     to cancel however deep the state; at the pole alpha - k = -m the ratio
@@ -652,7 +666,7 @@ def _nu_state_norm(kappa: float, upsilon: float, w: float) -> float:
     """
     alpha = 0.5 * (1.0 + kappa) + w
     if kappa == 0.0:
-        q0 = trigamma(alpha) / (2.0 * upsilon)
+        q0 = trigamma(alpha) / 2.0
     else:
         am = alpha - kappa
         if am > 0.0:
@@ -664,7 +678,7 @@ def _nu_state_norm(kappa: float, upsilon: float, w: float) -> float:
             r = gamma(alpha) * (-1) ** m * math.factorial(m)
         else:
             r = gamma(alpha) * rgamma(am) * (digamma(alpha) - digamma(am))
-        q0 = r * gamma(1.0 - kappa) / (2.0 * upsilon * gamma(kappa))  # = pi r / (sin(pi k) G(k)^2)
+        q0 = r * gamma(1.0 - kappa) / (2.0 * gamma(kappa))  # = pi r / (sin(pi k) G(k)^2)
     # a deep state's Q0 ~ kappa^2 alpha^(kappa-1) sinks toward the subnormals
     if not (math.isfinite(q0) and q0 >= sys.float_info.min):
         raise ConvergenceError(
@@ -677,13 +691,16 @@ def ground_state_wavefunction(rp: ReducedParams, ext: Extension) -> GroundState:
     """Normalized ground state.  On the ladders it is the floor
     representation's phi = e^(-rho/2) rho^(1/4 + kappa/2) with a closed-form
     norm; for interior nu the mu = 0 solution with the closed-form norm of
-    `_nu_state_norm`, at any kappa in [0, 1)."""
-    e0 = ground_state_energy(rp, ext)
+    `_nu_state_norm`, at any kappa in [0, 1).  The state, its level
+    e0 = E0 / upsilon^2 included, is the g2 = 1 one, so that any g2 gives
+    it dilated, bit for bit."""
+    e0 = ground_state_energy(reduce(rp.g1, 1.0), ext)
+    energy = _in_units(e0, rp.energy_scale())
     if ext.is_ladder:
-        # phi^2 integrates to G(1+kappa)/(2 ups) against dx; exact constant
-        c = math.sqrt(2.0 * rp.upsilon / gamma(1.0 + rp.kappa))
-        return GroundState(e0, c, make_phi(RepresentationParams(0.0, rp.w0, rp)))
-    w = -e0 / (4.0 * rp.energy_scale())
+        # phi^2 integrates to G(1+kappa)/2 against dz; exact constant
+        c = math.sqrt(2.0 / gamma(1.0 + rp.kappa))
+        return GroundState(energy, c, make_phi(RepresentationParams(0.0, rp.w0, rp)), rp.upsilon)
+    w = -e0 / 4.0
     rep = RepresentationParams(mu=0.0, w=w, rp=rp)
-    q0 = _nu_state_norm(rp.kappa, rp.upsilon, w)
-    return GroundState(e0, 1.0 / math.sqrt(q0), make_phi(rep))
+    q0 = _nu_state_norm(rp.kappa, w)
+    return GroundState(energy, 1.0 / math.sqrt(q0), make_phi(rep), rp.upsilon)

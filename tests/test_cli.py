@@ -416,8 +416,6 @@ class TestFactorizeCheck:
             # alpha = 45.75: every digit of the float64 Psi series cancels
             ["--g1", "0", "--g2", "1", "--mu", "0.3", "--w", "45"],
             ["--g1", "0", "--g2", "1", "--mu", "0.3", "--w", "100"],
-            # rho up to 139 at x = 2.1, where rho^(-alpha)/Gamma(alpha) is subnormal
-            ["--g1", "0", "--g2", "1000", "--mu", "0", "--w", "95"],
             # once a raw ZeroDivisionError from a guessed loss of -25 digits
             ["--g1", "0.7807903308142254", "--g2", "5.077302842318259",
              "--mu", "0.6791278949851294", "--w", "36.14217864343359"],
@@ -441,14 +439,32 @@ class TestFactorizeCheck:
     @pytest.mark.parametrize(
         "argv",
         [
-            # phi underflows to 0 at x = 2.1
+            # each left float64 while phi was evaluated at x: phi underflowed
+            # to 0 at x = 2.1
             ["--g1", "2.58", "--g2", "170162.5", "--mu", "0", "--w", "-0.0176"],
-            # rho^2 underflows
+            # rho^2 underflowed
             ["--g1", "0", "--g2", "5e-324"],
-            # rho^(1 - beta) overflows in the Psi series
+            # rho^(1 - beta) overflowed in the Psi series
             ["--g1", "0", "--g2", "1e-300", "--mu", "0.3", "--w", "0.2"],
-            # rho^q overflows in phi's envelope
+            # rho^q overflowed in phi's envelope
             ["--g1", "100", "--g2", "1e300"],
+            # Phi overflowed at rho ~ 986 and 1690
+            ["--g1", "0", "--g2", "5e4"],
+            ["--g1", "0", "--g2", "1e6"],
+        ],
+    )
+    def test_any_g2_is_checked_in_z(self, capsys, argv):
+        code, out, err = run(capsys, ["factorize-check", *argv])
+        assert (code, err) == (0, "")
+        assert all(check["passed"] for check in json.loads(out)["checks"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # kappa = 1e150: Gamma(alpha ~ 5e149), the scale of phi, overflows
+            ["--g1", "1e300"],
+            # alpha = 180.75: Gamma(alpha) overflows
+            ["--g1", "0", "--g2", "1", "--mu", "0.3", "--w", "180"],
         ],
     )
     def test_float64_range_is_a_typed_refusal(self, capsys, argv):

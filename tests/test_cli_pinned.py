@@ -100,12 +100,14 @@ PINS = {
     # below them and are the floats just above those poles
     "spectrum --g1 -0.234375 --g2 1 --nu -1.5707963267948961 --n 3":
         (0, "60ebd27a4989a9bdc04c84c16e426d22dee04a1902e664ee36a1dc2747fdef5f", ""),
+    # the checks run in z = ups x, so at g2 != 1 the residual points and
+    # the phi-positive grid are the g2 = 1 ones: worst_x is the worst z / ups
     "factorize-check --g1 -0.25 --g2 2 --mu 0.4 --w 0.3":
-        (0, "e3ff6ae5d11fc7f1928dbe5de5b013f7f1393af3c974aa929b3acb1821748b07", ""),
+        (0, "5f03b3d181e7cd3427ee602f3379e37d094c68710e593066cdc6567ef3bb0b66", ""),
     "factorize-check --g1 0 --g2 1 --mu 1.1 --w 2.5":
         (0, "f9b25332565309a8960b4b3926b0062af49dece6cdf958f7df204b2c63c1f145", ""),
     "factorize-check --g1 2 --g2 3 --mu 0.7 --w 5":
-        (0, "17d2a445b81ddf2d2e394a29adc239da256da190066faaa8ec8fa8d22b00a754", ""),
+        (0, "885ba693586b7105bdc18a8ab2c53bc0e74cd12c0221f142b0aa7b5ac6f754bf", ""),
     "factorize-check --g1 0.75 --g2 1 --mu 0.3 --w -1":
         (0, "530832f2fd99b908acff342eca410d9c7c4fafff47acc66dcb18b28b983b76ec", ""),
     "factorize-check --g1 -0.1875 --g2 1 --mu 0.9 --w 0.6 --format csv":

@@ -20,6 +20,7 @@ from calogero.factorization import (
     residual_sweep,
 )
 from calogero.params import reduce
+from calogero.specfun import tricomi_psi
 from calogero.spectral import theta_of
 
 # smooth compactly-decaying probes with hand-derived derivatives
@@ -142,6 +143,7 @@ class TestSolutionCalculus:
         lambda phi: phi.value_at(100.0),  # the envelope is 0.0 there, so the product was NaN
         lambda phi: phi.derivative_at(26.0),
         lambda phi: phi.values_on([30.0, 2.0]),
+        lambda phi: phi.values_on([2.0, 100.0]),  # Phi overflows where the envelope is 0.0
     ])
     def test_phi_past_float64_is_a_typed_refusal(self, call):
         # mu > 0 mixes in Phi(alpha, beta; rho), which grows like e^rho;
@@ -214,6 +216,21 @@ class TestFactorizationIdentity:
         assert residual_sweep(phi, factorization_residual, 0.5)[0] > 1e-3
         rp = reduce(0.75, 1.0)
         assert kernel_sweep(make_phi(RepresentationParams(0.3, rp.w0, rp))) <= 1e-12
+
+    @pytest.mark.parametrize("x", [0.3, 0.7, 1.3, 2.1])
+    def test_large_shift_far_out(self, x):
+        # the residual points of `factorize-check --g1 0 --g2 1000 --mu 0
+        # --w 95` while its checks ran in x: z = 1000^(1/4) x reaches
+        # rho = 139, where the Psi integral's scale rho^(-alpha)/Gamma(alpha)
+        # (alpha = 95.75) is below the subnormals.  Psi(alpha, 3/2; rho) and
+        # phi''/phi = V + 4w hold to 1e-11 there, the bound that case had
+        phi = make_phi(rep_of(0.0, 1.0, 0.0, 95.0))
+        z = 1000.0**0.25 * x
+        with mpmath.workdps(40):
+            ref = mpmath.hyperu(95.75, 1.5, z * z)
+            assert abs(tricomi_psi(95.75, 1.5, z * z) - ref) <= 1e-11 * ref
+        v = z * z + 4.0 * 95.0
+        assert abs(phi.second_derivative_at(z) / phi.value_at(z) - v) <= 1e-11 * v
 
     def test_residual_at_floor_is_exact_algebra(self):
         rp = reduce(0.75, 1.0)

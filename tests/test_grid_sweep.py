@@ -187,11 +187,11 @@ def test_sweep_refuses_where_the_router_answers(alpha, beta, rhos, reason):
 # solutions and ground states
 
 
-def mp_phi(rep: RepresentationParams, x: float) -> mpmath.mpf:
-    """phi from its definition, in mpmath."""
+def mp_phi(rep: RepresentationParams, z: float) -> mpmath.mpf:
+    """phi(z) from its definition, in mpmath."""
     rp = rep.rp
     k = mpmath.mpf(rp.kappa)
-    rho = mpmath.mpf(rp.upsilon) ** 2 * mpmath.mpf(x) ** 2
+    rho = mpmath.mpf(z) ** 2
     env = mpmath.exp(-rho / 2) * rho ** (mpmath.mpf(0.25) + k / 2)
     if rep.at_floor:
         return env
@@ -204,20 +204,21 @@ def mp_phi(rep: RepresentationParams, x: float) -> mpmath.mpf:
 @pytest.mark.parametrize("mu", [0.0, 0.4, 1.1])
 @pytest.mark.parametrize("kappa, w", [(0.0, 0.7), (0.19, 5.6), (0.5, 30.0), (0.9, 60.0)])
 def test_values_on_matches_mpmath(kappa, w, mu):
+    # phi is a function of z = ups x alone: g2 = 2 gives the g2 = 1 phi
     rep = RepresentationParams(mu, w, reduce(kappa**2 - 0.25, 2.0))
-    xs = oracle_grid(rep.rp.upsilon)
-    vals = make_phi(rep).values_on(xs)
+    zs = oracle_grid(1.0)
+    vals = make_phi(rep).values_on(zs)
     with mpmath.workdps(30):
-        for i in checked(len(xs)):
-            ref = mp_phi(rep, xs[i])
-            assert abs(vals[i] - ref) <= REL * abs(ref), (xs[i], vals[i], ref)
+        for i in checked(len(zs)):
+            ref = mp_phi(rep, zs[i])
+            assert abs(vals[i] - ref) <= REL * abs(ref), (zs[i], vals[i], ref)
 
 
 def test_values_on_at_the_floor_is_value_at():
     rp = reduce(0.3**2 - 0.25, 3.0)
     phi = make_phi(RepresentationParams(0.7, rp.w0, rp))
-    xs = oracle_grid(rp.upsilon)
-    assert phi.values_on(xs) == [phi.value_at(x) for x in xs]
+    zs = oracle_grid(1.0)
+    assert phi.values_on(zs) == [phi.value_at(z) for z in zs]
 
 
 def test_pure_phi_mixture_is_value_at(monkeypatch):
@@ -248,13 +249,13 @@ def test_values_on_refuses_x_as_value_at_does(x):
 
 
 def test_values_on_envelope_overflow_is_typed():
-    # kappa ~ 10 at g2 = 1e300: rho^q leaves float64, as factorize-check refuses it
-    rp = reduce(100.0, 1e300)
+    # kappa ~ 10 at z = 1e75 (x = 1 at g2 = 1e300): rho^q leaves float64
+    rp = reduce(100.0, 1.0)
     phi = make_phi(RepresentationParams(0.0, rp.w0, rp))
     with pytest.raises(ConvergenceError, match="overflows"):
-        phi.value_at(1.0)
+        phi.value_at(1e75)
     with pytest.raises(ConvergenceError, match="overflows"):
-        phi.values_on([0.5, 1.0])
+        phi.values_on([0.5, 1e75])
 
 
 def test_refused_sweep_gives_the_pointwise_values():
@@ -283,36 +284,47 @@ def test_psi_prime_past_float64_gives_the_pointwise_value():
 
 
 def test_points_with_a_zero_envelope_stay_out_of_the_sweep(monkeypatch):
-    # at rho = 1e4 e^(-rho/2) rho^q is 0.0: that point takes value_at's
-    # signed zero, and the sweep starts from the largest rho left instead of
-    # walking ~1e4 unit steps into its budget
+    # at rho = 1e4 and 3600 e^(-rho/2) rho^q is 0.0: such a point is +0.0,
+    # since S > 0, with no Psi of its own, and the sweep starts from the
+    # largest rho left instead of walking ~1e4 unit steps into its budget
     rp = reduce(0.0, 1.0)
     phi = make_phi(RepresentationParams(0.0, 80.0, rp))
-    sweeps = []
-    inner = factorization.tricomi_psi_on
+    sweeps, psis = [], []
+    inner_on, inner = factorization.tricomi_psi_on, specfun.tricomi_psi
 
-    def counted(alpha, beta, rhos):
+    def swept(alpha, beta, rhos):
         sweeps.append(list(rhos))
-        return inner(alpha, beta, rhos)
+        return inner_on(alpha, beta, rhos)
 
-    monkeypatch.setattr(factorization, "tricomi_psi_on", counted)
-    vals = phi.values_on([100.0, 2.0, 0.5])
+    def counted(*args):
+        psis.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(factorization, "tricomi_psi_on", swept)
+    monkeypatch.setattr(factorization, "tricomi_psi", counted)
+    monkeypatch.setattr(specfun, "tricomi_psi", counted)
+    vals = phi.values_on([100.0, 2.0, 0.5, 60.0])
     assert sweeps == [[4.0, 0.25]]
+    assert psis and all(rho < 100.0 for _, _, rho in psis)  # the sweep's two seeds at 8+
     alone = phi.values_on([2.0, 0.5])
-    assert vals == [phi.value_at(100.0)] + alone
-    assert vals[0] == 0.0 and math.copysign(1.0, vals[0]) == 1.0
-    for x, v in zip((2.0, 0.5), alone):
-        assert v == pytest.approx(phi.value_at(x), rel=1e-12, abs=0.0)
-    # a grid of zero envelopes only sweeps no point
+    assert vals == [0.0] + alone + [0.0]
+    assert all(math.copysign(1.0, v) == 1.0 for v in vals)
+    for z, v in zip((2.0, 0.5), alone):
+        assert v == pytest.approx(phi.value_at(z), rel=1e-12, abs=0.0)
+    # a grid of zero envelopes only sweeps no point and calls no Psi
+    psis.clear()
     assert phi.values_on([100.0, 60.0]) == [0.0, 0.0]
-    assert [rhos for rhos in sweeps if rhos] == [[4.0, 0.25]] * 2
+    assert [rhos for rhos in sweeps if rhos] == [[4.0, 0.25]] * 2 and psis == []
 
 
 def test_ground_state_values_on_is_the_norm_times_the_solution():
+    # u(x) = c sqrt(ups) phi(ups x): the one conversion from z
     rp = reduce(0.3**2 - 0.25, 2.0)
+    ups = rp.upsilon
     gs = ground_state_wavefunction(rp, extension_for(rp, nu=0.4))
-    xs = oracle_grid(rp.upsilon)
-    assert gs.values_on(xs) == [gs.norm_constant * v for v in gs.solution.values_on(xs)]
+    xs = oracle_grid(ups)
+    scale = gs.norm_constant * math.sqrt(ups)
+    assert gs.values_on(xs) == [scale * v for v in gs.solution.values_on([ups * x for x in xs])]
 
 
 def test_sample_on_grid_sweeps_states_and_loops_over_callables(monkeypatch):

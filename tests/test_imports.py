@@ -78,7 +78,7 @@ _HOOKED = {
                                   "--oracle", "on"], 1),
     "run_acceptance": ("acceptance", ["verify", "--quick"], 1),
     "factorization_residual": ("factorization", ["factorize-check"],
-                               len(factorization._PROBES) * len(factorization._RESIDUAL_XS)),
+                               len(factorization._PROBES) * len(factorization._RESIDUAL_ZS)),
     "count_zeros": ("nonexistence", ["nonexistence", "--g1", "-1.25", "--g2", "1"], 1),
     "make_phi": ("factorization", ["factorize-check"], 1),
 }

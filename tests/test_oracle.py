@@ -8,6 +8,9 @@ routes, one spectrum.
 """
 
 import ast
+import contextlib
+import io
+import json
 import math
 import pathlib
 
@@ -15,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from calogero import oracle
+from calogero import cli, oracle
 from calogero.errors import ConvergenceError, DomainError
 from calogero.oracle import sample_on_grid, shoot_spectrum
 from calogero.params import reduce
@@ -158,6 +161,63 @@ class TestScaling:
         if isinstance(want, oracle.OracleSpectrum):
             want = _dilated(want, rp)
         assert repr(_outcome(rp, ext, n)) == repr(want)
+
+
+def _factorize_check(g1, g2, mu, w):
+    """(exit code, the checks' (name, value, threshold, passed), the
+    residual, stderr) of one factorize-check request."""
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["factorize-check", "--g1", repr(g1), "--g2", repr(g2), "--mu", repr(mu), "--w", repr(w)]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    if not out.getvalue():
+        return code, None, None, err.getvalue()
+    doc = json.loads(out.getvalue())
+    checks = [(c["name"], c["value"], c["threshold"], c["passed"]) for c in doc["checks"]]
+    return code, checks, doc["results"]["max_relative_residual"], None
+
+
+def _state_outcome(rp, ext, xs):
+    """The ground state's values at xs, or its refusal."""
+    try:
+        gs = ground_state_wavefunction(rp, ext)
+    except (ConvergenceError, DomainError) as exc:
+        return type(exc), str(exc)
+    return [gs(x) for x in xs]
+
+
+class TestAnalyticScaling:
+    # the analytic side works in z = ups x too: phi, its superpotential and
+    # the factorization check are the g2 = 1 ones at any g2, and a ground
+    # state is converted once, u(x) = c sqrt(ups) phi(ups x)
+
+    @given(
+        kappa=st.floats(0.0, 3.0),
+        mu=st.floats(0.0, 0.5 * math.pi),
+        shift=st.floats(0.0, 60.0),
+        nu=st.one_of(st.none(), st.floats(-1.4, 1.4)),
+        log_g2=st.floats(-300.0, 300.0),
+    )
+    @settings(max_examples=30, deadline=None)
+    @example(kappa=0.5, mu=0.0, shift=0.0, nu=None, log_g2=math.log10(1e6))  # Phi overflowed in x
+    @example(kappa=0.5, mu=0.3, shift=0.95, nu=0.4, log_g2=-300.0)  # the Psi sweep ran out in x
+    @example(kappa=0.5, mu=0.3, shift=181.0, nu=-1.5, log_g2=250.0)  # Gamma(181.75) overflows
+    def test_any_g2_is_the_dilated_g2_one_result(self, kappa, mu, shift, nu, log_g2):
+        g1, g2 = kappa * kappa - 0.25, 10.0**log_g2
+        rp, unit_rp = reduce(g1, g2), reduce(g1, 1.0)
+        w = rp.w0 + shift
+        got, want = _factorize_check(g1, g2, mu, w), _factorize_check(g1, 1.0, mu, w)
+        assert got == want
+        ext = extension_for(rp, nu=None if kappa >= 1.0 else nu, friedrichs=nu is None and kappa < 1.0)
+        ups = rp.upsilon
+        xs = [z / ups for z in (0.3, 1.0, 2.5)]
+        got, want = _state_outcome(rp, ext, xs), _state_outcome(unit_rp, ext, [ups * x for x in xs])
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        root_ups = math.sqrt(ups)
+        for u, u1 in zip(got, want):
+            assert abs(u - root_ups * u1) <= 4.0 * math.ulp(u), (u, root_ups * u1)
 
 
 class TestWindowInvariance:

@@ -1020,17 +1020,19 @@ class TestGroundState:
         assert simpson(vals * vals, x=xs) == pytest.approx(1.0, abs=1e-7)
 
     def test_nu_state_solves_the_ode(self):
-        # -u'' + (g1/x^2 + g2 x^2) u = E0 u with the analytic second
-        # derivative of the representation solution, not finite differences
+        # -phi'' + (g1/z^2 + z^2) phi = e0 phi in z = ups x, e0 = E0/ups^2,
+        # with the analytic second derivative of the representation
+        # solution, not finite differences
         rp = rp_kappa(0.5, g2=4.0)
         ext = extension_for(rp, nu=0.7)
         gs = ground_state_wavefunction(rp, ext)
-        g1 = 0.5 * 0.5 - 0.25
+        g1, e0 = 0.5 * 0.5 - 0.25, gs.energy / rp.energy_scale()
         for x in (0.3, 0.8, 1.4, 2.5):
-            u = gs(x)
-            upp = gs.norm_constant * gs.solution.second_derivative_at(x)
-            resid = -upp + (g1 / (x * x) + 4.0 * x * x) * u - gs.energy * u
-            assert abs(resid) <= 1e-9 * (1.0 + abs(u) + abs(upp))
+            z = rp.upsilon * x
+            phi, phipp = gs.solution.value_at(z), gs.solution.second_derivative_at(z)
+            assert gs(x) == gs.norm_constant * math.sqrt(rp.upsilon) * phi
+            resid = -phipp + (g1 / (z * z) + z * z) * phi - e0 * phi
+            assert abs(resid) <= 1e-9 * (1.0 + abs(phi) + abs(phipp))
 
     def test_nu_state_matches_energy_and_angle(self):
         rp = rp_kappa(0.25)
@@ -1163,7 +1165,7 @@ class TestGroundState:
         rp = rp_kappa(0.05, g2)
         ext = extension_for(rp, nu=nu)
         w = -ground_state_energy(rp, ext) / (4.0 * rp.energy_scale())
-        assert 0.0 < spectral._nu_state_norm(rp.kappa, rp.upsilon, w) < 1e-19
+        assert 0.0 < spectral._nu_state_norm(rp.kappa, w) < 1e-19
         with pytest.raises(ConvergenceError, match="Gamma"):
             ground_state_wavefunction(rp, ext)
 
