@@ -88,8 +88,8 @@ def _rel(got, ref):
 
 # The oracle rows' thresholds are 100x their worst value at zero skew,
 # rounded up to a power of ten: rows 1, 2-vs-oracle, 3 and 4 read 6.7e-16,
-# 6.7e-16, 4.6e-15 and 3.6e-16 and row 9 6.7e-15, with the oracle's Taylor
-# propagator truncating below rounding; row 10's scaling law reads 0 by
+# 6.7e-16, 4.6e-15 and 3.6e-16 and row 9 6.7e-15 when set (3.3e-16, 6.7e-16,
+# 2.4e-15, 3.6e-16 and 1.1e-15 now); row 10's scaling law reads 0 by
 # construction, since the oracle solves the g2 = 1 problem at every g2.
 # Row 7-psi-dual-route follows the same rule: 9.7e-13 at worst, 1e-10.
 # A 1e-6 relative fault in the argument of gamma, gammaln_signed,
@@ -342,9 +342,9 @@ def _c9_cells():
 
 def _c9_wavefunction_fidelity(shot):
     # (u, u') of the analytic ground state at the oracle's match point against
-    # the shot one, relative to |(u, u')|: worst 6.7e-15 measured, where a
+    # the shot one, relative to |(u, u')|: worst 1.1e-15 measured, where a
     # gamma_skew of 1e-6 reads 2.2e-7 and a 1e-6 error in the norm constant
-    # 9.0e-7; 1e-12 is 100x the worst value, rounded up, and fails both
+    # 9.0e-7; 1e-12, 100x the worst value when set (6.7e-15), fails both
     worst = 0.0
     for rp, ext, n in _c9_cells():
         ground = shot(rp, ext, n)

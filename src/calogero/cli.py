@@ -317,9 +317,8 @@ def _cmd_factorize_check(args):
     rep = _cli.RepresentationParams(args.mu, args.w, rp)
     phi = _cli.make_phi(rep)
 
-    # phi and the checks work in z = ups x; the worst point is reported in x
-    worst, worst_z = _cli.residual_sweep(phi, _cli.factorization_residual, args.h_shift)
-    worst_x = worst_z / rp.upsilon
+    worst, z = _cli.residual_sweep(phi, _cli.factorization_residual, args.h_shift)
+    worst_x = z / rp.upsilon  # phi and its checks work in z = ups x
     tol = _cli.RESIDUAL_THRESHOLD
     checks = [{"name": "factorization-residual", "passed": worst <= tol, "value": worst,
                "threshold": tol, "at_x": worst_x}]

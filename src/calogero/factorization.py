@@ -1,16 +1,12 @@
 """Factorized (oscillator) representations on the half-line.
 
-Units.  The dilation z = upsilon x (upsilon = g2^(1/4)) maps
-H = -d^2/dx^2 + g1/x^2 + g2 x^2 onto upsilon^2 H1 with
-H1 = -d^2/dz^2 + g1/z^2 + z^2, so the family depends on kappa, mu and w
-alone and everything here works in z: phi, its superpotential and the
-check of the factorization.  upsilon enters once, in the physical shift
-u = 4 upsilon^2 w (`RepresentationParams.u`); a physical state
-sqrt(upsilon) phi(upsilon x) is `spectral.GroundState`'s conversion.
+Units.  z = upsilon x (upsilon = g2^(1/4)) maps H = -d^2/dx^2 + g1/x^2 +
+g2 x^2 onto upsilon^2 H1, H1 = -d^2/dz^2 + g1/z^2 + z^2, so everything here
+works in z and depends on kappa, mu and w alone; upsilon enters only the
+shift u = 4 upsilon^2 w and `spectral.GroundState`, which converts a state.
 
-For each admissible shift w >= w0 and mixing angle mu, the potential
-V = g1/z^2 + z^2 admits a strictly positive solution of
--phi'' + V phi = -4 w phi of the form
+For each shift w >= w0 and mixing angle mu, V = g1/z^2 + z^2 admits a
+strictly positive solution of  -phi'' + V phi = -4 w phi  of the form
 
     phi(z) = e^(-rho/2) rho^q S(rho),     rho = z^2, q = 1/4 + kappa/2,
 
@@ -44,7 +40,7 @@ From phi the superpotential h = phi'/phi defines the first-order pair
     (a f)(z) = f'(z) - h(z) f(z),      (b f)(z) = -f'(z) - h(z) f(z),
 
 and the second-order identity  b a f = -f'' + (h' + h^2) f  must equal
-(H1 - 4w) f = -f'' + V f + 4 w f  for every smooth f, since h' + h^2 =
+(H1 + 4w) f = -f'' + V f + 4 w f  for every smooth f, since h' + h^2 =
 phi''/phi = V + 4 w.  `factorization_residual` measures exactly that
 defect, with h' computed honestly from the series second derivative
 (phi''/phi - h^2), never by assuming the identity it is checking.
@@ -53,10 +49,9 @@ defect, with h' computed honestly from the series second derivative
 representation by `make_phi`.  Each value at z reads one evaluation of S;
 the residual's, of order 2, gives phi, h and h' together, and phi keeps
 its last few, so the test functions evaluated at one z share it.
-`residual_sweep` and `kernel_sweep` are the checks `factorize-check` and
-`verify` row 6 report: the worst residual over three test functions at four
-points (four order-2 evaluations), and the worst |a phi|, zero at the
-floor w0.
+`residual_sweep` and `kernel_sweep`, the checks of `factorize-check` and
+`verify` row 6, take the worst residual over three test functions at four
+points (four order-2 evaluations) and the worst |a phi|, zero at w0.
 
 Derivatives of S use the contiguous relations
     Phi' = (alpha/beta) Phi(alpha+1, beta+1),   Psi' = -alpha Psi(alpha+1, beta+1),
@@ -84,7 +79,7 @@ __all__ = [
 
 _HALF_PI = 0.5 * math.pi
 # order-2 jets a phi keeps, at least the residual's four points: the
-# residual sweep evaluates every test function at the same x
+# residual sweep evaluates every test function at the same z
 _JET_MEMO = 8
 
 
@@ -135,12 +130,9 @@ class EvaluableSolution:
             self._sin, self._cos = 0.0, 1.0
         self._at_floor = rep.at_floor
         self._jets: dict[float, tuple[float, float, float, float, float]] = {}
-        if self._at_floor:
-            self._psi_scale = 0.0
-        elif self._kappa > 0.0:
-            self._psi_scale = gamma(self._alpha) * rgamma(self._kappa)
-        else:
-            self._psi_scale = gamma(self._alpha)
+        # Psi's scale G(alpha)/G(kappa), G(alpha) at kappa = 0; none at the floor
+        k = self._kappa
+        self._psi_scale = 0.0 if self._at_floor else gamma(self._alpha) * (rgamma(k) if k > 0.0 else 1.0)
 
     # -- S and its rho-derivatives ------------------------------------
 
@@ -190,7 +182,7 @@ class EvaluableSolution:
     def _envelope(self, rho: float) -> float:
         try:
             return math.exp(-0.5 * rho) * rho**self._q
-        except OverflowError:  # rho^q past float64: kappa ~ 10 at z ~ 1e150
+        except OverflowError:  # rho^q past float64: kappa ~ 10 at z ~ 1e30
             raise ConvergenceError(f"phi: rho^q = {rho:.4g}^{self._q:.4g} overflows") from None
 
     def _h(self, z: float, s: float, sp: float) -> float:
@@ -215,16 +207,13 @@ class EvaluableSolution:
         allowed): env * (sin mu Phi + cos mu scale Psi) with Phi pointwise
         and Psi from one inward sweep (`tricomi_psi_on`), two Psi calls for
         the whole grid; S = 1 at the floor.  z <= 0 and rho^q past float64
-        raise what `value_at` raises.  A point whose envelope e^(-rho/2)
-        rho^q is 0.0 (from rho ~ 1490) is +0.0, since S > 0, and stays out
-        of the sweep, which then starts from the largest rho left: its steps
-        end elsewhere than they would from the whole grid's largest rho, so
-        the other values may move in their last bits.  Phi, which grows like
-        e^rho, overflows at such a point, and a mixture with sin mu > 0 is
-        refused there as `value_at` refuses it.  Where the sweep refuses
-        (more steps than its budget, or a seed whose integral passes float64
-        from alpha ~ 171), each other value is `value_at`'s, or its
-        refusal."""
+        raise what `value_at` raises, and so does Phi ~ e^rho where the
+        envelope e^(-rho/2) rho^q is 0.0 (from rho ~ 1490); with Psi alone
+        such a point is +0.0 (S > 0) and stays out of the sweep, whose steps
+        then end elsewhere, so the other values may move in their last bits.
+        Where the sweep refuses (more steps than its budget, or a seed whose
+        integral passes float64 from alpha ~ 171), each other value is
+        `value_at`'s, or its refusal."""
         zs = [float(z) for z in zs]
         rhos = [self._rho(z) for z in zs]
         envs = [self._envelope(rho) for rho in rhos]
@@ -271,8 +260,7 @@ def apply_a(phi: EvaluableSolution, f: EvaluableSolution, z: float) -> float:
 
 
 def factorization_residual(phi: EvaluableSolution, f_triple, z: float, h_shift: float = 0.0) -> float:
-    """(b a f)(z) - [-f'' + V f + 4 w f](z), V = g1/z^2 + z^2; zero up to
-    rounding.
+    """(b a f)(z) - [-f'' + V f + 4 w f](z), V = g1/z^2 + z^2; zero up to rounding.
 
     f_triple is (f, f', f'') as callables.  phi, h and h' come from one
     order-2 evaluation of phi at z.  h_shift displaces the superpotential
@@ -319,8 +307,8 @@ KERNEL_THRESHOLD = 1e-10
 
 
 def residual_sweep(phi: EvaluableSolution, residual, h_shift: float = 0.0) -> tuple[float, float]:
-    """(worst relative residual, z) of b a f = (H1 - 4w) f over the test
-    functions at four points, each residual over max(1, |(H1 - 4w) f|).
+    """(worst relative residual, z) of b a f = (H1 + 4w) f over the test
+    functions at four points, each residual over max(1, |(H1 + 4w) f|).
     The first z of the worst value is kept; a NaN residual is the worst.
 
     residual is `factorization_residual` as the caller looks it up, so a

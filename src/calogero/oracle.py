@@ -273,13 +273,13 @@ class OracleSpectrum:
 
 def _frobenius_table(s: float, e: float, y_top: float, log: bool):
     """Columns (a_k, da_k/de) of F_s, at kappa = 0 (log) with (b_k, db_k/de)
-    of L, from one recurrence loop: up to the first k >= 3 whose terms at
-    y_top = z^2 lie below the rounding of their largest, or
-    _SERIES_MAX_TERMS."""
+    of L, from one recurrence loop: up to the first k >= 4 whose terms at
+    y_top = z^2, and those of k - 1, lie below the rounding of their
+    largest (near e = 0 the odd a_k alone vanish), or _SERIES_MAX_TERMS."""
     eps = sys.float_info.epsilon
     a, da, b, db = [1.0], [0.0], [0.0], [0.0]
     a1, a2, da1, da2, b1, b2, db1, db2 = 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
-    big_a, big_b, yk = 1.0, 0.0, 1.0
+    big_a, big_b, yk, was_small = 1.0, 0.0, 1.0, False
     for k in range(1, _SERIES_MAX_TERMS + 1):
         den = 2.0 * k * (2.0 * s + 2.0 * k - 1.0)  # 4 k^2 at s = 1/2
         a1, a2 = (-e * a1 + a2) / den, a1
@@ -298,24 +298,26 @@ def _frobenius_table(s: float, e: float, y_top: float, log: bool):
             t_b = abs(b1) * yk
             big_b = max(big_b, t_b)
             small = small and t_b <= eps * big_b
-        if small:
+        if small and was_small:
             break
+        was_small = small
     return (a, da, b, db) if log else (a, da)
 
 
 def _sums(c, dc, y: float):
     """(S, S1, SE, SE1, err) with S = sum_k c_k y^k, S1 = sum_k k c_k y^k and
-    SE, SE1 the same of dc, up to the first term (k >= 3) below the rounding
-    of the largest; err is that term plus the rounding, or inf where the
-    columns run out first."""
+    SE, SE1 the same of dc, up to the first term (k >= 4) that follows
+    another below the rounding of the largest; err is that term plus the
+    rounding, or inf where the columns run out first."""
     eps = sys.float_info.epsilon
-    s = s1 = se = se1 = big = 0.0
+    s = s1 = se = se1 = big = prev = 0.0
     yk = 1.0
     for k in range(len(c)):
         t, te = c[k] * yk, dc[k] * yk
         m = t if t >= 0.0 else -t
-        if k >= 3 and m <= eps * big:
+        if k >= 4 and m <= eps * big and prev <= eps * big:
             return s, s1, se, se1, m + eps * big
+        prev = m
         if m > big:
             big = m
         s += t

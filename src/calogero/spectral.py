@@ -596,8 +596,7 @@ def spectrum(rp: ReducedParams, ext: Extension, n_max: int) -> SpectrumResult:
 
 
 def _in_units(e: float, unit: float) -> float:
-    """E = e upsilon^2, refused where it leaves float64: in `spectrum` only
-    a ground root next to the floor, in units upsilon^2 > 1."""
+    """E = e upsilon^2, refused where it leaves float64."""
     if not math.isfinite(e * unit):
         raise ConvergenceError(
             "ground state deeper than float64 range for this extension "
@@ -616,14 +615,9 @@ def ground_state_energy(rp: ReducedParams, ext: Extension) -> float:
 
 @dataclass(frozen=True)
 class GroundState:
-    """L2-normalized ground state of one extension, the one conversion of
-    a state from z = upsilon x:
-
-        u(x) = c sqrt(upsilon) phi(upsilon x),   u'(x) = c upsilon^(3/2) phi'(upsilon x),
-
-    with c = norm_constant, which normalizes phi in z; solution is a
-    representation's phi (the floor w0 on the ladders, mu = 0 at the
-    ground level's w for interior nu)."""
+    """L2-normalized ground state u(x) = c sqrt(upsilon) phi(upsilon x), the one
+    conversion of a state from z = upsilon x: c = norm_constant normalizes phi,
+    a representation's phi (the floor w0 on ladders, mu = 0 for interior nu)."""
 
     energy: float
     norm_constant: float
@@ -631,19 +625,15 @@ class GroundState:
     upsilon: float
 
     def __call__(self, x: float) -> float:
-        ups = self.upsilon
-        return self.norm_constant * math.sqrt(ups) * self.solution.value_at(ups * x)
+        return self.norm_constant * math.sqrt(self.upsilon) * self.solution.value_at(self.upsilon * x)
 
     def values_on(self, xs) -> list[float]:
-        """u at every x of xs, from one sweep of the solution's Psi
-        (`EvaluableSolution.values_on`)."""
-        ups = self.upsilon
-        c = self.norm_constant * math.sqrt(ups)
+        """u at every x of xs, from one sweep of the solution's Psi."""
+        c, ups = self.norm_constant * math.sqrt(self.upsilon), self.upsilon
         return [c * v for v in self.solution.values_on([ups * x for x in xs])]
 
     def derivative(self, x: float) -> float:
-        ups = self.upsilon
-        return self.norm_constant * ups**1.5 * self.solution.derivative_at(ups * x)
+        return self.norm_constant * self.upsilon**1.5 * self.solution.derivative_at(self.upsilon * x)
 
 
 @lru_cache(maxsize=256)
@@ -691,9 +681,8 @@ def ground_state_wavefunction(rp: ReducedParams, ext: Extension) -> GroundState:
     """Normalized ground state.  On the ladders it is the floor
     representation's phi = e^(-rho/2) rho^(1/4 + kappa/2) with a closed-form
     norm; for interior nu the mu = 0 solution with the closed-form norm of
-    `_nu_state_norm`, at any kappa in [0, 1).  The state, its level
-    e0 = E0 / upsilon^2 included, is the g2 = 1 one, so that any g2 gives
-    it dilated, bit for bit."""
+    `_nu_state_norm`, at any kappa in [0, 1).  It is the g2 = 1 state, its
+    level e0 = E0 / upsilon^2 included, dilated by `GroundState`."""
     e0 = ground_state_energy(reduce(rp.g1, 1.0), ext)
     energy = _in_units(e0, rp.energy_scale())
     if ext.is_ladder:

@@ -856,6 +856,17 @@ class TestLeftStart:
         # (x_s / x_ref)^(2 kappa) ~ 3e4 on the way out
         assert head == pytest.approx(got, rel=1e-11, abs=0.0)
 
+    def test_series_runs_past_a_vanishing_odd_term(self):
+        # at e = 0 the odd coefficients of F_1/2 vanish (a_k = a_{k-2}/den),
+        # so a stop on the first small term dropped a_4 ~ 1e-3: Theta jumped
+        # by 0.008 between e = 0 and 1e-9, and the kappa = 0 level below sat
+        # at -1.6e-9, where the 40-digit root is 8.4e-16
+        a = oracle._frobenius_table(0.5, 0.0, 1.0, True)[0]
+        assert a[3] == 0.0 and a[4] == 1.0 / 1024.0
+        rp = reduce(-0.25, 1.0)
+        spec = shoot_spectrum(rp, extension_for(rp, nu=-0.6802522689117267), 2)
+        assert abs(spec.energies[0] - 8.4e-16) <= 2e-15
+
 
 def _levels_below(rp, ext, e):
     """Levels below the scaled energy e by the oracle's own count:
