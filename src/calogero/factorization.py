@@ -130,9 +130,12 @@ class EvaluableSolution:
             self._sin, self._cos = 0.0, 1.0
         self._at_floor = rep.at_floor
         self._jets: dict[float, tuple[float, float, float, float, float]] = {}
-        # Psi's scale G(alpha)/G(kappa), G(alpha) at kappa = 0; none at the floor
-        k = self._kappa
-        self._psi_scale = 0.0 if self._at_floor else gamma(self._alpha) * (rgamma(k) if k > 0.0 else 1.0)
+        if self._at_floor:
+            self._psi_scale = 0.0
+        elif self._kappa > 0.0:
+            self._psi_scale = gamma(self._alpha) * rgamma(self._kappa)
+        else:
+            self._psi_scale = gamma(self._alpha)
 
     # -- S and its rho-derivatives ------------------------------------
 

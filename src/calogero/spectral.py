@@ -22,7 +22,7 @@ exact ladder E_n = 2 upsilon^2 (2n+1+kappa) (also the kappa >= 1
 spectrum); at nu=0, kappa > 0, the roots are the zeros
 E_n = 2 upsilon^2 (2n+1-kappa) in closed form.
 
-The same F fixes the small-x coefficients (A~, B~) of a representation
+The same F fixes the small-z coefficients (A~, B~) of a representation
 solution (see the factorization module), hence its boundary angle
 theta(mu, w) and the inverse problem w(mu, nu), used to build the
 representation that generates a given extension.  All three go through
