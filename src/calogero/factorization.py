@@ -218,8 +218,13 @@ class EvaluableSolution:
         integral passes float64 from alpha ~ 171), each other value is
         `value_at`'s, or its refusal."""
         zs = [float(z) for z in zs]
-        rhos = [self._rho(z) for z in zs]
-        envs = [self._envelope(rho) for rho in rhos]
+        # `_rho` and `_envelope` inline; a point they refuse goes through them
+        rhos = [z * z if 0.0 < z < math.inf else self._rho(z) for z in zs]
+        exp, q = math.exp, self._q
+        try:
+            envs = [exp(-0.5 * rho) * rho**q for rho in rhos]
+        except OverflowError:
+            envs = [self._envelope(rho) for rho in rhos]
         if self._at_floor:
             return envs  # env * 1.0
         a, b = self._alpha, self._beta

@@ -765,17 +765,15 @@ def _simpson(vals: list[float], xs: list[float]) -> float:
     """
     n = len(vals) - 1
     acc = 0.0
-    i = 0
-    while i + 2 <= n:
-        h0 = xs[i + 1] - xs[i]
-        h1 = xs[i + 2] - xs[i + 1]
+    for x0, x1, x2, v0, v1, v2 in zip(
+        xs[0:n - 1:2], xs[1:n:2], xs[2:n + 1:2], vals[0:n - 1:2], vals[1:n:2], vals[2:n + 1:2]
+    ):
+        h0 = x1 - x0
+        h1 = x2 - x1
         acc += (h0 + h1) / 6.0 * (
-            vals[i] * (2.0 - h1 / h0)
-            + vals[i + 1] * (h0 + h1) ** 2 / (h0 * h1)
-            + vals[i + 2] * (2.0 - h0 / h1)
+            v0 * (2.0 - h1 / h0) + v1 * (h0 + h1) ** 2 / (h0 * h1) + v2 * (2.0 - h0 / h1)
         )
-        i += 2
-    if i < n:  # one interval left
+    if n > 0 and n % 2:  # one interval left
         h0 = xs[n - 1] - xs[n - 2]
         h1 = xs[n] - xs[n - 1]
         acc += vals[n] * (2.0 * h1 * h1 + 3.0 * h0 * h1) / (6.0 * (h0 + h1))

@@ -337,10 +337,12 @@ def _phi_series(a: float, b: float, rho: float) -> float:
     term = 1.0
     total = 1.0
     small = 0
+    tol = _SERIES_REL_TOL
     for k in range(_SERIES_MAX_TERMS):
         term = term * (a + k) / ((b + k) * (k + 1)) * rho
         total += term
-        if abs(term) <= _SERIES_REL_TOL * abs(total):
+        # |term| <= tol |total|, as abs() decides it for NaN and -0.0 too
+        if (term if term >= 0.0 else -term) <= tol * (total if total >= 0.0 else -total):
             small += 1
             if small >= 3:
                 return total
@@ -392,33 +394,45 @@ _QUAD_U_LO, _QUAD_U_HI = -6.56, 7.4
 _QUAD_H0 = 0.5
 
 
-@lru_cache(maxsize=16)
-def _de_level(p1: float, level: int) -> tuple[array, array]:
-    """Abscissae t and weights t^p1 e^(-t) (1 + e^(-u)) of the nodes that
-    `level` adds to the trapezoid in u: all of them at level 0, the odd
-    multiples of the halved step after.
-
-    Nodes with t < 1e-305 or a weight below e^-745 are left out; they
-    added an exact 0.0 to the sum.  The weight is exp(ln_w) * (1 + e^-u),
-    the left part of the product exp(ln_w) * (1 + e^-u) * g(t), so
-    w * g(t) is that product's float.  Raises OverflowError where the
-    weight peaks past e^709 (p ~ 171 and up).
-    """
+@lru_cache(maxsize=_QUAD_MAX_LEVEL + 1)
+def _de_nodes(level: int) -> tuple[array, array, array]:
+    """ln t, t and 1 + e^(-u) of the nodes that `level` adds to the
+    trapezoid in u: all of them at level 0, the odd multiples of the halved
+    step after.  Nodes with t < 1e-305 are left out."""
     h = math.ldexp(_QUAD_H0, -level)
     n = int(math.ceil((_QUAD_U_HI - _QUAD_U_LO) / _QUAD_H0)) << level
-    ts, ws = array("d"), array("d")
+    lts, ts, opms = array("d"), array("d"), array("d")
     for i in range(n + 1) if level == 0 else range(1, n, 2):
         u = _QUAD_U_LO + i * h
         emu = math.exp(-u)
         lt = u - emu
         if lt < -702.0:  # t below 1e-305
             continue
-        t = math.exp(lt)
+        lts.append(lt)
+        ts.append(math.exp(lt))
+        opms.append(1.0 + emu)
+    return lts, ts, opms
+
+
+@lru_cache(maxsize=16)
+def _de_level(p1: float, level: int) -> tuple[array, array]:
+    """Abscissae t and weights t^p1 e^(-t) (1 + e^(-u)) of the nodes of
+    `_de_nodes(level)`.
+
+    Nodes with a weight below e^-745 are left out; they added an exact 0.0
+    to the sum.  The weight is exp(ln_w) * (1 + e^-u), the left part of the
+    product exp(ln_w) * (1 + e^-u) * g(t), so w * g(t) is that product's
+    float.  Raises OverflowError where the weight peaks past e^709 (p ~ 171
+    and up).
+    """
+    ts, ws = array("d"), array("d")
+    exp = math.exp
+    for lt, t, opm in zip(*_de_nodes(level)):
         ln_w = p1 * lt - t
         if ln_w < -745.0:
             continue
         ts.append(t)
-        ws.append(math.exp(ln_w) * (1.0 + emu))
+        ws.append(exp(ln_w) * opm)
     return ts, ws
 
 
@@ -654,6 +668,8 @@ _SWEEP_REL_TOL = 1e-17
 _SWEEP_MAX_TERMS = 400
 _SWEEP_MAX_STEPS = 1000
 _LN2 = math.log(2.0)
+# (k, k + 1, k + 2) as floats for the Taylor terms k of one sweep step
+_SWEEP_KS = tuple((float(k), k + 1.0, k + 2.0) for k in range(_SWEEP_MAX_TERMS))
 
 
 def _scaled_seed(alpha: float, beta: float, r: float) -> tuple[float, float, int]:
@@ -713,6 +729,7 @@ def tricomi_psi_on(alpha: float, beta: float, rhos) -> list[float]:
     if not (s >= sys.float_info.min and -sp >= sys.float_info.min):
         s, sp, e = _scaled_seed(alpha, beta, r)
     budget, steps, j = _SWEEP_MAX_STEPS + 16 * n, 0, 0
+    tol = _SWEEP_REL_TOL
     while True:
         while j < n and desc[j] == r:
             out[order[j]] = s
@@ -738,17 +755,17 @@ def tricomi_psi_on(alpha: float, beta: float, rhos) -> list[float]:
         hr, ah, br = h / r, alpha * h, beta - r
         d0, d1 = s, sp * h
         ds = [d0, d1]
+        push = ds.append
         total, dtotal = d0 + d1, d1
         small = False
-        for k in range(_SWEEP_MAX_TERMS):
-            k1 = k + 1.0
-            k2 = k1 + 1.0
+        for k, k1, k2 in _SWEEP_KS:
             d2 = ((k * h + ah) * d0 / k1 - (k + br) * d1) * hr / k2
-            ds.append(d2)
+            push(d2)
             total += d2
             kd = k2 * d2
             dtotal += kd
-            if abs(kd) <= _SWEEP_REL_TOL * dtotal and abs(d2) <= _SWEEP_REL_TOL * total:
+            # |kd| and |d2| as abs() compares them, NaN and -0.0 included
+            if (kd if kd >= 0.0 else -kd) <= tol * dtotal and (d2 if d2 >= 0.0 else -d2) <= tol * total:
                 if small:
                     break
                 small = True
