@@ -787,8 +787,12 @@ def sample_on_grid(fn, grid) -> OracleEigenfunction:
     Simpson).  fn is a callable, or an object with `values_on(xs)` (a
     `GroundState`, an `EvaluableSolution`), which then gives the whole
     grid at once: the analytic states take their Psi from one inward
-    sweep of Kummer's equation, two Psi calls per grid, not one per point."""
+    sweep of Kummer's equation, two Psi calls per grid, not one per point.
+    A grid of fewer than three points, or not strictly increasing, is a
+    DomainError: Simpson's rule divides by its spacings."""
     xs = [float(x) for x in grid]
+    if len(xs) < 3 or not all(map(float.__lt__, xs, xs[1:])):
+        raise DomainError("sample_on_grid: the grid needs at least three strictly increasing points")
     if hasattr(fn, "values_on"):
         vals = [float(v) for v in fn.values_on(xs)]
     else:

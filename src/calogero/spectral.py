@@ -567,7 +567,7 @@ def spectrum(rp: ReducedParams, ext: Extension, n_max: int) -> SpectrumResult:
     if ext.is_ladder:
         # for kappa >= 1 the Friedrichs extension IS the unique one; the
         # ladder formula covers both labels
-        es = tuple(_pole(rp, n) * unit for n in range(n_max))
+        es = tuple(_in_units(_pole(rp, n), unit, n) for n in range(n_max))
         return SpectrumResult(es, (0.0,) * n_max, "pole-enumeration")
 
     nu = ext.nu
@@ -578,7 +578,7 @@ def spectrum(rp: ReducedParams, ext: Extension, n_max: int) -> SpectrumResult:
 
     if nu == 0.0 and rp.kappa > 0.0:
         # F = 0 exactly at the denominator poles
-        es = tuple(2.0 * (2 * n + 1 - rp.kappa) * unit for n in range(n_max))
+        es = tuple(_in_units(2.0 * (2 * n + 1 - rp.kappa), unit, n) for n in range(n_max))
         return SpectrumResult(es, (0.0,) * n_max, "closed-form")
 
     # boundary condition: F(-e/4) = -tan(nu) for kappa > 0, but +tan(nu)
@@ -590,17 +590,19 @@ def spectrum(rp: ReducedParams, ext: Extension, n_max: int) -> SpectrumResult:
     resids = []
     for n in range(n_max):
         v, r = _root_in_gap(rp, target, n, c, skew)
-        roots.append(_in_units(_energy(rp, n, v), unit))
+        roots.append(_in_units(_energy(rp, n, v), unit, n))
         resids.append(r)
     return SpectrumResult(tuple(roots), tuple(resids), "bracketed-root")
 
 
-def _in_units(e: float, unit: float) -> float:
-    """E = e upsilon^2, refused where it leaves float64."""
+def _in_units(e: float, unit: float, n: int) -> float:
+    """E = e upsilon^2 of level n, refused where it leaves float64."""
     if not math.isfinite(e * unit):
+        ln_e = math.log(abs(e)) + math.log(unit)
         raise ConvergenceError(
-            "ground state deeper than float64 range for this extension "
-            f"(ln|E| ~ {math.log(abs(e)) + math.log(unit):.0f})"
+            f"ground state deeper than float64 range for this extension (ln|E| ~ {ln_e:.0f})"
+            if e < 0.0
+            else f"level {n} above float64 range for this extension (ln E ~ {ln_e:.0f})"
         )
     return e * unit
 
@@ -684,7 +686,7 @@ def ground_state_wavefunction(rp: ReducedParams, ext: Extension) -> GroundState:
     `_nu_state_norm`, at any kappa in [0, 1).  It is the g2 = 1 state, its
     level e0 = E0 / upsilon^2 included, dilated by `GroundState`."""
     e0 = ground_state_energy(reduce(rp.g1, 1.0), ext)
-    energy = _in_units(e0, rp.energy_scale())
+    energy = _in_units(e0, rp.energy_scale(), 0)
     if ext.is_ladder:
         # phi^2 integrates to G(1+kappa)/2 against dz; exact constant
         c = math.sqrt(2.0 / gamma(1.0 + rp.kappa))

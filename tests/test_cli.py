@@ -326,6 +326,12 @@ class TestNextToHalfPi:
         assert (code, out) == (4, "")
         assert err.startswith("numerical failure: ground state deeper than float64 range")
 
+    def test_ladder_past_float64_exits_4_naming_its_level(self, capsys):
+        # u0 = -inf was refused at the output layer, in a message about u0
+        code, out, err = run(capsys, ["spectrum", "--g1", "1.7e308", "--g2", "1.7e308", "--unique", "--n", "1"])
+        assert (code, out) == (4, "")
+        assert err == "numerical failure: level 0 above float64 range for this extension (ln E ~ 710)\n"
+
 
 class TestSweep:
     def test_endpoints_snap_to_closed_form(self, capsys):

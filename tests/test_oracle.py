@@ -341,6 +341,23 @@ def test_sample_on_grid_normalizes():
     assert oracle._simpson([v * v for v in f.values], grid) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [[], [0.5], [0.0, 1.0], [0.1, 0.1, 0.2], [0.1, 0.2, 0.2, 0.3], [0.3, 0.2, 0.1], [0.1, 0.3, 0.2, 0.4],
+     [0.1, math.nan, 0.3]],
+)
+def test_sample_on_grid_refuses_grids_simpson_cannot_take(grid):
+    # two points, or a repeated one, divided by zero in Simpson's leftover
+    # interval; no fewer than three strictly increasing points are taken
+    with pytest.raises(DomainError, match="at least three strictly increasing points"):
+        sample_on_grid(lambda x: 1.0, grid)
+
+
+def test_sample_on_grid_takes_three_points():
+    f = sample_on_grid(lambda x: 1.0, [0.0, 0.5, 1.0])
+    assert f.values == (1.0, 1.0, 1.0)
+
+
 # ground states far below the rung: kappa = 0.3 at nu = -1.3 (scaled
 # e0 ~ -84), and kappa = 0.742 at nu = -1.5613, g2 = 57.6 (e0 ~ -349).  At
 # the default match point 1/ups their theta is a step at float precision;

@@ -7,6 +7,7 @@ done independently of this package's gamma/digamma code.
 """
 
 import contextvars
+import dataclasses
 import math
 import random
 import sys
@@ -825,6 +826,24 @@ class TestLaddersAndClosedForms:
         ss = spectrum(rp1, extension_for(rp1, nu=1.0), 3).energies
         for e, s in zip(es, ss):
             assert e == pytest.approx(4.0 * s, rel=1e-14, abs=0.0)
+
+    def test_ladder_past_float64_is_refused_naming_its_level(self):
+        # E = 2 (1 + kappa) ups^2 passes float64; it was returned as inf
+        rp = reduce(1.7e308, 1.7e308)
+        message = r"^level 0 above float64 range for this extension \(ln E ~ 710\)$"
+        with pytest.raises(ConvergenceError, match=message):
+            spectrum(rp, extension_for(rp), 1)
+        with pytest.raises(ConvergenceError, match=message):
+            ground_state_wavefunction(rp, extension_for(rp))
+
+    def test_closed_forms_past_float64_are_refused_naming_their_level(self):
+        # ups^2 = 1e308: level 0 at e = 1 fits, level 1 at e = 5 does not,
+        # on the nu = 0 closed form and on the bracketed roots alike
+        rp = dataclasses.replace(rp_kappa(0.5), upsilon=1e154)
+        assert spectrum(rp, extension_for(rp, nu=0.0), 1).energies == (1e154**2,)
+        for nu in (0.0, -0.5):
+            with pytest.raises(ConvergenceError, match=r"^level 1 above float64 range for this extension"):
+                spectrum(rp, extension_for(rp, nu=nu), 2)
 
     def test_rejections(self):
         rp = rp_kappa(0.5)
