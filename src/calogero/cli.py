@@ -454,7 +454,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     _add_io_flags(sw)
     sw.set_defaults(func=_cmd_sweep)
 
-    fc = sub.add_parser("factorize-check", help="verify b a f = (H - u) f for one representation")
+    fc = sub.add_parser("factorize-check", help="verify b a f = (H + u) f for one representation")
     fc.add_argument("--g1", type=float, default=0.0)
     fc.add_argument("--g2", type=float, default=1.0)
     fc.add_argument("--mu", type=float, default=0.5 * math.pi)
