@@ -208,15 +208,14 @@ class EvaluableSolution:
     def values_on(self, zs) -> list[float]:
         """phi at every z of zs, in their order (any order, repeats
         allowed): env * (sin mu Phi + cos mu scale Psi) with Phi pointwise
-        and Psi from one inward sweep (`tricomi_psi_on`), two Psi calls for
-        the whole grid; S = 1 at the floor.  z <= 0 and rho^q past float64
+        and Psi from one inward sweep (`tricomi_psi_on`), one seed for the
+        whole grid; S = 1 at the floor.  z <= 0 and rho^q past float64
         raise what `value_at` raises, and so does Phi ~ e^rho where the
         envelope e^(-rho/2) rho^q is 0.0 (from rho ~ 1490); with Psi alone
         such a point is +0.0 (S > 0) and stays out of the sweep, whose steps
         then end elsewhere, so the other values may move in their last bits.
-        Where the sweep refuses (more steps than its budget, or a seed whose
-        integral passes float64 from alpha ~ 171), each other value is
-        `value_at`'s, or its refusal."""
+        Where the sweep refuses (more steps than its budget, or a value past
+        float64), each other value is `value_at`'s, or its refusal."""
         zs = [float(z) for z in zs]
         # `_rho` and `_envelope` inline; a point they refuse goes through them
         rhos = [z * z if 0.0 < z < math.inf else self._rho(z) for z in zs]

@@ -15,67 +15,52 @@ bearing: the two-series combination
     Psi = G(1-b)/G(a-b+1) Phi(a,b;rho)
         + G(b-1)/G(a) rho^(1-b) Phi(a-b+1, 2-b; rho)
 
-degenerates (0/0) at integer b, while the Laplace integral
-
-    Psi = 1/G(a) int_0^inf t^(a-1) (1+t)^(b-a-1) e^(-rho t) dt
-
-holds for every b >= 1.  The public router takes the combination first
-where it applies, at rho <= 8 and more than 1e-8 from an integer b; the
-integral where the combination refuses or does not apply; and below
-rho = 8 the inward sweep for a value both refuse (the order is given in
-full below).  Against mpmath.hyperu the router holds 1e-8; where the series
-answers, the routes agree to 1e-11 on the tests' overlap grid and to 1e-12
-on `verify`'s row 7-psi-dual-route, whose threshold is 1e-10.
+degenerates (0/0) at integer b, while Psi's three-term recurrence in a
+(DLMF 13.3.7), of which Psi is the minimal solution, holds for every
+b >= 1.  The public router takes the combination first where it applies,
+at rho <= 8 and more than 1e-8 from an integer b; the recurrence where the
+combination refuses or does not apply, from rho = 1; and below rho = 1
+the inward sweep of "Psi along a grid", seeded there.  Against
+mpmath.hyperu the router holds 1e-8; where the series answers, the routes
+agree to 1e-11 on the tests' overlap grid and to 1e-12 on `verify`'s row
+7-psi-dual-route, whose threshold is 1e-10.
 
 The two-series combination cancels catastrophically once rho is a few
 units large (the two Phi terms grow like e^rho while Psi decays like
 rho^(-a)).  Measured in float64 the worst case on the overlap test grid
 is ~2e-7, which busts the router's 1e-8, so the combination counts the
-digits it lost and refuses a value that lost more than 5.  The router
-`tricomi_psi` owns the whole fallback order: the series, then the Laplace
-integral (float64-exact wherever it converges; alone at integer b and past
-rho = 8), then, below rho = 8, the inward sweep of "Psi along a grid",
-seeded past rho = 8.  Where all of them refuse, the refusal stands.
+digits it lost, its prefactors' own error among them, and refuses a value
+that lost more than 5.
 
-Quadrature notes.  The integral route has an integrable t^(a-1) endpoint
-singularity whenever a < 1, which ordinary interval-halving quadrature
-cannot chase to 1e-10.  After rescaling t -> t/rho it is evaluated with a
-double-exponential map t = exp(u - exp(-u)), trapezoid in u, which eats
-both the algebraic endpoint and the e^(-t) tail.  The nodes t and the
-weights t^p e^(-t) dt/du depend only on the power p and the level, never
-on the integrand, so each level's are built once and held in a table of
-16 (p, level) entries as two float arrays; a call on a power in the table
-costs one g(t) and one product per node.  Psi at one (alpha, beta) over
-many rho reuses them.
+The recurrence (`_psi_log`) gives ln Psi and Psi'/Psi.  Below rho = 1
+its continued fraction needs ~85/rho terms and -rho Psi'/Psi cancels.
 
-Psi along a grid.  `tricomi_psi_on` gives Psi at many rho from two router
-calls: Psi and Psi' = -alpha Psi(alpha+1, beta+1; rho) at the largest rho
-(at least just past 8, where both take the float64-exact integral), then
-Taylor steps of Kummer's equation rho S'' + (beta - rho) S' - alpha S = 0
-(DLMF 13.2.1) inward through the sorted rho (the Taylor method of Gil,
-Segura & Temme, *Numerical Methods for Special Functions*, SIAM 2007).
-Inward is the stable direction: Psi / Phi grows toward the origin (their
-Wronskian has one sign), so whatever a step puts along Kummer's Phi decays
-relative to Psi.  Psi is completely monotone, so every Taylor term of an
-inward step is positive and nothing cancels in the sum.  A step reaches at
-most rho/2 (half the distance to the singular point) and at most
+Psi along a grid.  `tricomi_psi_on` gives Psi at many rho from one call
+of the recurrence for Psi and Psi' = -alpha Psi(alpha+1, beta+1; rho) at
+the largest rho (at least rho = 1, and beta - 2 alpha), then Taylor steps
+of Kummer's equation rho S'' + (beta - rho) S' - alpha S = 0 (DLMF 13.2.1)
+inward through the sorted rho (the Taylor method of Gil, Segura & Temme,
+*Numerical Methods for Special Functions*, SIAM 2007).  Inward is the
+stable direction: Psi / Phi grows toward the origin (their Wronskian has
+one sign), so whatever a step puts along Kummer's Phi decays relative to
+Psi.  Psi is completely monotone, so every Taylor term of an inward step
+is positive and nothing cancels in the sum.  A step reaches at most rho/2
+(half the distance to the singular point) and at most
 rho / sqrt((rho - beta)^2 + 4 alpha rho), the inverse gap between the local
 exponents of the two solutions, so a rounding error grows at most e-fold
 along Phi within one step.  A step ends on the farthest point within that
 reach and gives every point it passes its Taylor polynomial by Horner
 (dense output), so an 801-point grid takes 80 to 400 steps, not 801.
-Kummer's equation is linear: where the seed Psi(alpha, beta; rho) is no
-normal float (from alpha ~ 139 at rho = 64, alpha ~ 158 at rho = 8), the
-sweep starts from the Laplace integral's log form, Psi and Psi' over an
-exact power of two (DLMF 13.4.4), and hands each value back with ldexp.
+Kummer's equation is linear: the sweep carries Psi and rho Psi' over the
+exact power of two nearest the seed's Psi, so a seed past float64
+(Psi(alpha, beta; 64) leaves the normal floats from alpha ~ 139) still
+starts it, and hands each value back with ldexp.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from array import array
-from functools import lru_cache
 
 from .errors import ConvergenceError, DomainError
 
@@ -91,9 +76,7 @@ __all__ = [
     "kummer_phi",
     "tricomi_psi",
     "tricomi_psi_series",
-    "tricomi_psi_integral",
     "tricomi_psi_on",
-    "exp_halfline_quad",
 ]
 
 def _is_nonpositive_int(z: float) -> bool:
@@ -382,170 +365,7 @@ def kummer_phi(alpha: float, beta: float, rho: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# quadrature
-
-
-# double-exponential trapezoid: convergence target between successive
-# levels, and the number of halvings of the step before giving up
-_QUAD_REL_TOL = 1e-12
-_QUAD_MAX_LEVEL = 8
-# the u window and the level-0 step; the window is 28 level-0 steps wide
-_QUAD_U_LO, _QUAD_U_HI = -6.56, 7.4
-_QUAD_H0 = 0.5
-
-
-@lru_cache(maxsize=_QUAD_MAX_LEVEL + 1)
-def _de_nodes(level: int) -> tuple[array, array, array]:
-    """ln t, t and 1 + e^(-u) of the nodes that `level` adds to the
-    trapezoid in u: all of them at level 0, the odd multiples of the halved
-    step after.  Nodes with t < 1e-305 are left out."""
-    h = math.ldexp(_QUAD_H0, -level)
-    n = int(math.ceil((_QUAD_U_HI - _QUAD_U_LO) / _QUAD_H0)) << level
-    lts, ts, opms = array("d"), array("d"), array("d")
-    for i in range(n + 1) if level == 0 else range(1, n, 2):
-        u = _QUAD_U_LO + i * h
-        emu = math.exp(-u)
-        lt = u - emu
-        if lt < -702.0:  # t below 1e-305
-            continue
-        lts.append(lt)
-        ts.append(math.exp(lt))
-        opms.append(1.0 + emu)
-    return lts, ts, opms
-
-
-@lru_cache(maxsize=16)
-def _de_level(p1: float, level: int) -> tuple[array, array]:
-    """Abscissae t and weights t^p1 e^(-t) (1 + e^(-u)) of the nodes of
-    `_de_nodes(level)`.
-
-    Nodes with a weight below e^-745 are left out; they added an exact 0.0
-    to the sum.  The weight is exp(ln_w) * (1 + e^-u), the left part of the
-    product exp(ln_w) * (1 + e^-u) * g(t), so w * g(t) is that product's
-    float.  Raises OverflowError where the weight peaks past e^709 (p ~ 171
-    and up).
-    """
-    ts, ws = array("d"), array("d")
-    exp = math.exp
-    for lt, t, opm in zip(*_de_nodes(level)):
-        ln_w = p1 * lt - t
-        if ln_w < -745.0:
-            continue
-        ts.append(t)
-        ws.append(exp(ln_w) * opm)
-    return ts, ws
-
-
-def exp_halfline_quad(g, p: float) -> float:
-    """integral_0^inf t^p g(t) e^(-t) dt for p > -0.95, g algebraic.
-
-    Double-exponential substitution t = exp(u - exp(-u)); the trapezoid
-    sum in u converges geometrically in the level number.  Node weights
-    are assembled in log space so the algebraic endpoint cannot overflow;
-    nodes with t < 1e-305 are dropped, which for p > -0.95 discards a
-    relative mass below ~1e-14 (hence the p floor).  g is called once per
-    kept node.
-    """
-    if not (-0.95 < p < math.inf):
-        raise DomainError(f"exp_halfline_quad: p must be finite and exceed -0.95, got {p}")
-    p1 = p + 1.0
-
-    def level_sum(level: int) -> float:
-        try:
-            ts, ws = _de_level(p1, level)
-            return math.fsum(w * g(t) for t, w in zip(ts, ws))
-        except OverflowError:  # a weight t^(p+1) e^(-t), or their sum, passes float64 from p ~ 170
-            raise ConvergenceError(
-                f"exp_halfline_quad: integrand overflows float64 (p={p})"
-            ) from None
-
-    h = _QUAD_H0
-    total = level_sum(0) * h
-    for level in range(1, _QUAD_MAX_LEVEL + 1):
-        h *= 0.5
-        new = 0.5 * total + level_sum(level) * h
-        if abs(new - total) <= _QUAD_REL_TOL * max(abs(new), 1e-300):
-            return new
-        total = new
-    raise ConvergenceError(f"exp_halfline_quad: no convergence at level {_QUAD_MAX_LEVEL} (p={p})")
-
-
-# ---------------------------------------------------------------------------
 # Tricomi function
-
-
-def _psi_laplace(alpha: float, beta: float, rho: float) -> tuple[float, float]:
-    """(integral, ln_scale) with Psi(alpha, beta; rho) = e^ln_scale * integral,
-    the Laplace integral rescaled to a unit-decay weight:
-
-        integral  = int_0^inf t^(alpha-1) (1 + t/rho)^(beta-alpha-1) e^(-t) dt,
-        ln_scale  = -alpha ln rho - ln Gamma(alpha).
-
-    For alpha < 0.5 one integration by parts removes the t^(alpha-1)
-    endpoint weight first (the double-exponential map wants the singular
-    power above -0.95 with slack, and tiny alpha turns up whenever w sits
-    just above its floor).  Raises ConvergenceError where the quadrature
-    does (its weight overflows from alpha ~ 171).
-    """
-    c = beta - alpha - 1.0
-
-    if alpha >= 0.5:
-        def g(t: float) -> float:
-            return math.exp(c * math.log1p(t / rho)) if t > 0.0 else 1.0
-
-        integral = exp_halfline_quad(g, alpha - 1.0)
-    else:
-        # parts: with G(t) = g(t) e^(-t), int t^(a-1) G dt = -(1/a) int t^a G' dt
-        # (boundary terms vanish), and G' = (g' - g) e^(-t), so the singular
-        # power rises from a-1 to a.
-        c_rho, cm1 = c / rho, c - 1.0
-
-        def g_minus_gprime(t: float) -> float:
-            if t > 0.0:
-                lg1 = math.log1p(t / rho)
-                return math.exp(c * lg1) - c_rho * math.exp(cm1 * lg1)
-            return 1.0 - c_rho
-
-        integral = exp_halfline_quad(g_minus_gprime, alpha) / alpha
-
-    lg, _ = gammaln_signed(alpha)
-    return integral, -alpha * math.log(rho) - lg
-
-
-def tricomi_psi_integral(alpha: float, beta: float, rho: float) -> float:
-    """Psi via the Laplace integral, rescaled to a unit-decay weight:
-
-        Psi = rho^(-alpha)/Gamma(alpha) *
-              int_0^inf t^(alpha-1) (1 + t/rho)^(beta-alpha-1) e^(-t) dt
-
-    Valid for every beta >= 1 including integers (see `_psi_laplace`).
-    """
-    if not (alpha > 0.0):
-        raise DomainError(f"tricomi_psi_integral: alpha must be > 0, got {alpha}")
-    if not (1.0 <= beta < math.inf):
-        raise DomainError(f"tricomi_psi_integral: beta must be finite and >= 1, got {beta}")
-    if not (rho > 0.0):
-        raise DomainError(f"tricomi_psi_integral: rho must be > 0, got {rho}")
-    integral, ln_scale = _psi_laplace(alpha, beta, rho)
-    try:
-        scale = math.exp(ln_scale)
-    except OverflowError:
-        raise ConvergenceError(
-            f"tricomi_psi_integral: rho^(-alpha)/Gamma(alpha) overflows at "
-            f"alpha={alpha}, rho={rho}"
-        ) from None
-    if not integral >= sys.float_info.min / sys.float_info.epsilon:
-        # (1 + t/rho)^(beta-alpha-1) underflowed where the weight sits (large
-        # alpha, small rho): below 2^52 normal floats the sum's subnormal and
-        # flushed terms can carry more than its last digit (0.2 % of
-        # Psi(39.6, 1; 1.7e-8) at a sum of 5.4e-308), though Psi did not
-        raise ConvergenceError(
-            f"tricomi_psi_integral: integrand underflows float64 at alpha={alpha}, rho={rho}"
-        )
-    if scale < sys.float_info.min and integral > 0.0:
-        # a subnormal scale drops digits (all of Psi(95, b; 80)) that the product keeps
-        return math.exp(ln_scale + math.log(integral))
-    return scale * integral
 
 
 def _series_prefactor(g: float, z: float, pw: float) -> float:
@@ -564,8 +384,9 @@ def tricomi_psi_series(alpha: float, beta: float, rho: float) -> float:
     """Psi via the two-series combination (non-integer beta only, rho <= 300:
     the router sends only rho <= 8 here, and a larger rho is refused).
 
-    Returns the float64 value when at most 5 digits cancel, and otherwise
-    raises ConvergenceError naming the digits lost.  A prefactor that
+    Returns the float64 value when at most 5 digits are lost (those that
+    cancel, and the prefactors' own error, ~alpha ln alpha ulps), and
+    otherwise raises ConvergenceError naming the digits lost.  A prefactor that
     underflowed or lost digits (not an exact pole of 1/Gamma, where its
     term truly vanishes) hides its term, which is refused too.
     """
@@ -580,7 +401,7 @@ def tricomi_psi_series(alpha: float, beta: float, rho: float) -> float:
         raise DomainError(f"tricomi_psi_series: beta {beta} is (numerically) integer, series form degenerates")
     if rho > 300.0:
         raise ConvergenceError(
-            f"tricomi_psi_series: rho={rho} exceeds the series-form budget (use the integral form)"
+            f"tricomi_psi_series: rho={rho} exceeds the series-form budget"
         )
     p1 = _series_prefactor(gamma(1.0 - beta), alpha - beta + 1.0, 1.0)
     t1 = p1 * _phi_series(alpha, beta, rho)
@@ -606,14 +427,129 @@ def tricomi_psi_series(alpha: float, beta: float, rho: float) -> float:
         raise ConvergenceError(f"tricomi_psi_series: Phi overflow at alpha={alpha}, rho={rho}")
     log_val = math.log10(abs(val)) if val != 0.0 else -400.0
     # digits lost: those that cancel, plus those Gamma(1 - beta) lacks within
-    # 0.1 of an integer beta (its sin(pi (1 - beta)) is good to ~eps/d)
-    lost = log_num - log_val + max(0.0, math.log10(0.1 / d))
+    # 0.1 of an integer beta (its sin(pi (1 - beta)) is good to ~eps/d), plus
+    # the prefactors' own error in ulps, ~alpha ln alpha from the rounding of
+    # alpha - beta + 1 that Gamma amplifies by psi(alpha) ~ ln alpha
+    lost = (log_num - log_val + max(0.0, math.log10(0.1 / d))
+            + math.log10(max(1.0, alpha * math.log(alpha))))
     if lost > 5.0:
         raise ConvergenceError(
             f"tricomi_psi_series: {lost:.1f} digits cancel, more than 5, at "
             f"alpha={alpha}, beta={beta}, rho={rho}"
         )
     return val
+
+
+# Psi's recurrence in alpha: a Lentz step that moves the continued fraction
+# by at most _CF_REL_TOL ends it, and a term below _CF_REL_TOL of its sum
+# ends Temme's sum and Phi's; past _CF_MAX_TERMS terms in any of them,
+# `_psi_log` refuses
+_CF_REL_TOL = sys.float_info.epsilon
+_CF_MAX_TERMS = 5000
+_CF_TINY = 1e-300
+_LN2 = math.log(2.0)
+
+
+def _psi_cf_floor(alpha: float, beta: float) -> float:
+    """The smallest rho that the router and the sweep's seed hand to
+    `_psi_log`: rho = 1, and past beta - 2 alpha, so that b_0 >= 2 and the
+    continued fraction's leading denominators do not cancel (from beta ~ 20
+    they cost up to every digit below it)."""
+    return max(1.0, beta - 2.0 * alpha)
+
+
+def _psi_log(alpha: float, beta: float, rho: float) -> tuple[float, float]:
+    """(ln Psi(alpha, beta; rho), Psi'/Psi) from Psi's three-term recurrence
+    in alpha (DLMF 13.3.7), of which Psi is the minimal solution (Temme,
+    Numer. Math. 41 (1983) 63-82), for alpha > 0, beta >= 1 and finite
+    rho >= beta - 2 alpha; the router and the sweep call it from
+    `_psi_cf_floor`.
+
+    h = Psi(alpha + 1, beta; rho) / Psi(alpha, beta; rho) is the continued
+    fraction 1 / (b_0 - a_1 / (b_1 - a_2 / (b_2 - ...))) with
+    b_k = rho + 2 (alpha + k + 1) - beta and a_k = (alpha + k)(alpha + k + 1 - beta),
+    taken as 1/g by modified Lentz, and y = -rho Psi'/Psi = alpha [1 -
+    (alpha - beta + 1) h] (the Laplace integral integrated by parts).  Psi
+    itself comes from one of two normalisations:
+
+    * Temme's sum  sum_n (alpha)_n (alpha - beta + 1)_n / n! Psi(alpha + n) = rho^-alpha,
+      where rho exceeds 16 + alpha + 2 beta + alpha (beta - alpha - 1):
+      it has few terms there and none that cancel.  Its terms are Steed's
+      increments of h times the partial sums of the same recurrence's
+      second solution, taken in the same loop;
+    * elsewhere the Wronskian Phi Psi' - Phi' Psi = -Gamma(beta) rho^-beta
+      e^rho / Gamma(alpha) (DLMF 13.2.34), whose two terms are positive:
+      rho (Phi y / rho + Phi') = sum_k t_k (y + k) over Phi's terms t_k,
+      one positive-term sum of about rho terms.
+
+    Raises ConvergenceError past _CF_MAX_TERMS terms or where ln Psi leaves
+    float64.
+    """
+    tol, tiny = _CF_REL_TOL, _CF_TINY
+    temme = rho > 16.0 + alpha + 2.0 * beta + alpha * max(0.0, beta - alpha - 1.0)
+    b = rho + 2.0 * alpha + 2.0 - beta  # b_0 >= 2
+    f = c = b  # Lentz on g = 1/h: f its value, c and d its two ratios
+    d = 0.0
+    a = alpha * (alpha + 1.0 - beta)  # a_0
+    # Temme's sum S = rho^-alpha / Psi = 1 + sum_k dh_k q_k, with Steed's
+    # increments dh_{k+1} = a_k dh_k / (c_{k-1} c_k) of h, dh_1 = 1/b_0, and
+    # q_k = sum_{n <= k} w_n, w_{n+1} = (b_{n-1} w_n - a_{n-1} w_{n-1} / n) / (n + 1)
+    dh = 1.0 / b
+    w0 = 0.0
+    w1 = q = a
+    s = 1.0 + dh * q if temme else 1.0
+    ds = 0.0
+    for k in range(1, _CF_MAX_TERMS):
+        ak = (alpha + k) * (alpha + k + 1.0 - beta)
+        b += 2.0
+        d = b - ak * d
+        d = 1.0 / (d if d != 0.0 else tiny)
+        cn = b - ak / c
+        if cn == 0.0:
+            cn = tiny
+        delta = cn * d
+        f *= delta
+        if temme:
+            dh *= ak / (c * cn)
+            w0, w1 = w1, ((b - 2.0) * w1 - a * w0 / k) / (k + 1.0)
+            q += w1
+            ds = dh * q
+            s += ds
+        a, c = ak, cn
+        if abs(delta - 1.0) <= tol and abs(ds) <= tol * s:
+            break
+    else:
+        raise ConvergenceError(
+            f"tricomi_psi: Psi's continued fraction needs more than {_CF_MAX_TERMS} terms "
+            f"(alpha={alpha}, beta={beta}, rho={rho})"
+        )
+    y = alpha * (1.0 - (alpha - beta + 1.0) / f)
+    if temme:
+        ln_psi = -alpha * math.log(rho) - math.log(s)
+    else:
+        # t_{k+1} = t_k r_k with r_k = (alpha + k) rho / ((beta + k)(k + 1)); r_k
+        # falls for k >= beta, so once it is below 1/2 the tail is below 3 dt.
+        # The sum is scaled by 2^-900 (counted in e) before it leaves float64
+        t, total, e = 1.0, y, 0
+        for k in range(_CF_MAX_TERMS):
+            r = (alpha + k) * rho / ((beta + k) * (k + 1.0))
+            t *= r
+            dt = t * (y + k + 1.0)
+            total += dt
+            if dt <= tol * total and r <= 0.5 and k >= beta:
+                break
+            if total > 1e280:
+                t, total, e = math.ldexp(t, -900), math.ldexp(total, -900), e + 900
+        else:
+            raise ConvergenceError(
+                f"tricomi_psi: Phi's sum needs more than {_CF_MAX_TERMS} terms "
+                f"(alpha={alpha}, beta={beta}, rho={rho})"
+            )
+        ln_psi = (math.lgamma(beta) - math.lgamma(alpha) + (1.0 - beta) * math.log(rho)
+                  + rho - math.log(total) - e * _LN2)
+    if not math.isfinite(ln_psi):
+        raise ConvergenceError(f"tricomi_psi: ln Psi leaves float64 at alpha={alpha}, beta={beta}, rho={rho}")
+    return ln_psi, -y / rho
 
 
 def tricomi_psi(alpha: float, beta: float, rho: float) -> float:
@@ -624,14 +560,11 @@ def tricomi_psi(alpha: float, beta: float, rho: float) -> float:
     or is about to lose, all significance to the Gamma(1-beta) /
     Gamma(beta-1) blowup) and at rho <= 8 (past it the series must rebuild
     the cancelled digits at ~40x the cost).  Where it refuses, or does not
-    apply, the Laplace integral follows.  Below the sweep's seed at
-    rho = 8+, a value both refuse (large alpha at small rho, where the
-    integral's scale rho^(-alpha)/Gamma(alpha) or its integrand leaves
-    float64) comes from the inward sweep `tricomi_psi_on`, which starts
-    from a binary-scaled seed where Psi(alpha, beta; 8+) is no normal
-    float; where no route holds the value (the integral's weight passes
-    float64 from alpha ~ 171), a ConvergenceError.  Strictly positive, strictly
-    decreasing in rho, ~ rho^(-alpha) at infinity.
+    apply, the recurrence in alpha (`_psi_log`) answers from rho = 1 (and
+    past beta - 2 alpha), and the inward sweep `tricomi_psi_on`, seeded
+    there, below it.  A value past float64, or past the recurrence's term
+    budget, is a ConvergenceError.  Strictly positive, strictly decreasing
+    in rho, ~ rho^(-alpha) at infinity.
 
     alpha = 0 is excluded by contract: Psi(0, b; rho) = 1 identically.
     """
@@ -641,73 +574,55 @@ def tricomi_psi(alpha: float, beta: float, rho: float) -> float:
         raise DomainError(f"tricomi_psi: beta must be finite and >= 1, got {beta}")
     if not (rho > 0.0):
         raise DomainError(f"tricomi_psi: rho must be > 0, got {rho}")
-    if abs(beta - round(beta)) <= 1e-8 or rho > 8.0:
-        routes = (tricomi_psi_integral,)
-    else:
-        routes = (tricomi_psi_series, tricomi_psi_integral)
-    for route in routes:
+    if abs(beta - round(beta)) > 1e-8 and rho <= 8.0:
         try:
-            return route(alpha, beta, rho)
-        except ConvergenceError as exc:
-            refusal = exc
-    if rho >= _SWEEP_SEED:  # the sweep seeds from this router there
-        raise refusal
-    return tricomi_psi_on(alpha, beta, (rho,))[0]
+            return tricomi_psi_series(alpha, beta, rho)
+        except ConvergenceError:
+            pass
+    if rho < _psi_cf_floor(alpha, beta):
+        return tricomi_psi_on(alpha, beta, (rho,))[0]
+    if rho == math.inf:
+        return 0.0
+    try:
+        return math.exp(_psi_log(alpha, beta, rho)[0])
+    except OverflowError:
+        raise ConvergenceError(f"tricomi_psi: Psi({alpha!r}, {beta!r}; {rho!r}) overflows float64") from None
 
 
 # ---------------------------------------------------------------------------
 # Psi along a grid
 
 
-# the sweep's seed lies at least just past rho = 8, where the router takes
-# the Laplace integral for Psi and Psi'; two Taylor terms running below
-# _SWEEP_REL_TOL of their sums end a step; past _SWEEP_MAX_TERMS terms in a
-# step, or past _SWEEP_MAX_STEPS steps plus 16 per point, the sweep refuses
-_SWEEP_SEED = math.nextafter(8.0, math.inf)
+# two Taylor terms running below _SWEEP_REL_TOL of their sums end a step;
+# past _SWEEP_MAX_TERMS terms in a step, or past _SWEEP_MAX_STEPS steps plus
+# 16 per point, the sweep refuses
 _SWEEP_REL_TOL = 1e-17
 _SWEEP_MAX_TERMS = 400
 _SWEEP_MAX_STEPS = 1000
-_LN2 = math.log(2.0)
 # (k, k + 1, k + 2) as floats for the Taylor terms k of one sweep step
 _SWEEP_KS = tuple((float(k), k + 1.0, k + 2.0) for k in range(_SWEEP_MAX_TERMS))
-
-
-def _scaled_seed(alpha: float, beta: float, r: float) -> tuple[float, float, int]:
-    """(Psi 2^-e, Psi' 2^-e, e) at r >= 8, for a seed whose Psi or Psi' is
-    not a normal float: ln Psi(alpha, beta; r) and ln Psi(alpha+1, beta+1; r)
-    from the Laplace integral in log form, and e the power of two nearest
-    Psi.  Refuses where the integral does.  At r >= 8 the integral itself
-    stays near or above 1 (its scale carries the underflow), so its log holds
-    every digit."""
-    i0, ln0 = _psi_laplace(alpha, beta, r)
-    i1, ln1 = _psi_laplace(alpha + 1.0, beta + 1.0, r)
-    ln_psi = ln0 + math.log(i0)
-    e = round(ln_psi / _LN2)
-    shift = e * _LN2
-    return math.exp(ln_psi - shift), -alpha * math.exp(ln1 + math.log(i1) - shift), e
 
 
 def tricomi_psi_on(alpha: float, beta: float, rhos) -> list[float]:
     """Psi(alpha, beta; rho) at every rho of rhos, in their order (any
     order, repeats allowed), by one inward Taylor sweep of Kummer's
-    equation seeded by two `tricomi_psi` calls (see "Psi along a grid"
-    above).  alpha > 0, beta >= 1 and every rho > 0, as for `tricomi_psi`.
+    equation seeded by one `_psi_log` call (see "Psi along a grid" above).
+    alpha > 0, beta >= 1 and every rho finite and > 0.
 
     A step ends on the farthest point within its reach, or at its reach
     when no point lies inside it; the points it passes take its Taylor
     polynomial (dense output).  A step never reaches past half its own
-    rho, so every point minus the step's start is an exact float.  A seed
-    whose Psi or Psi' is not a normal float is replaced by the mantissas
-    of the Laplace integral's log form, scaled by an exact power of two
-    that the output takes back.  Raises ConvergenceError where that log
-    form refuses too (its integrand overflows from alpha ~ 171), where the
-    sweep would take more than _SWEEP_MAX_STEPS + 16 steps per point, or
-    where a value leaves float64.  Both refusals can fall where every
-    `tricomi_psi` value exists: a wide grid runs out of steps (Psi(0.5, 1;
-    rho) on [0.01, 2000], whose steps are about one unit long near 2000),
-    and Psi' can leave float64 while Psi does not (Psi(2.5, 1.75; 1e-200) ~
-    9.2e149, with Psi' ~ rho^-1.75).  A caller that needs those values
-    takes them from `tricomi_psi`, as `values_on` does.
+    rho, so every point minus the step's start is an exact float.  The
+    seed, at the largest rho or at `_psi_cf_floor` if that lies above it,
+    is Psi and rho Psi' as mantissas over the exact power of two 2^e
+    nearest Psi, which the output takes back; rho Psi' stays a float down
+    to rho ~ 1e-300, where Psi' ~ Psi / rho does not.  Raises
+    ConvergenceError where the seed refuses, where the sweep would take
+    more than _SWEEP_MAX_STEPS + 16 steps per point, or where a value
+    leaves float64.  A wide grid can run out of steps where every
+    `tricomi_psi` value exists (Psi(0.5, 1; rho) on [0.01, 2000], whose
+    steps are about one unit long near 2000); a caller that needs those
+    values takes them from `tricomi_psi`, as `values_on` does.
     """
     if not (alpha > 0.0):
         raise DomainError(f"tricomi_psi_on: alpha must be > 0, got {alpha}")
@@ -722,12 +637,11 @@ def tricomi_psi_on(alpha: float, beta: float, rhos) -> list[float]:
         return out
     order = sorted(range(n), key=rs.__getitem__, reverse=True)
     desc = [rs[i] for i in order]
-    r = max(desc[0], _SWEEP_SEED)
-    s = tricomi_psi(alpha, beta, r)
-    sp = -alpha * tricomi_psi(alpha + 1.0, beta + 1.0, r)
-    e = 0
-    if not (s >= sys.float_info.min and -sp >= sys.float_info.min):
-        s, sp, e = _scaled_seed(alpha, beta, r)
+    r = max(desc[0], _psi_cf_floor(alpha, beta))
+    ln_psi, dlog = _psi_log(alpha, beta, r)
+    e = round(ln_psi / _LN2)
+    s = math.exp(ln_psi - e * _LN2)
+    rsp = s * dlog * r  # rho Psi', which stays a float where Psi' ~ Psi / rho does not
     budget, steps, j = _SWEEP_MAX_STEPS + 16 * n, 0, 0
     tol = _SWEEP_REL_TOL
     while True:
@@ -753,7 +667,7 @@ def tricomi_psi_on(alpha: float, beta: float, rhos) -> list[float]:
         # every term and both sums are positive.
         h = end - r
         hr, ah, br = h / r, alpha * h, beta - r
-        d0, d1 = s, sp * h
+        d0, d1 = s, rsp * hr
         ds = [d0, d1]
         push = ds.append
         total, dtotal = d0 + d1, d1
@@ -786,7 +700,10 @@ def tricomi_psi_on(alpha: float, beta: float, rhos) -> list[float]:
                 v = v * t + d
             out[order[j]] = v
             j += 1
-        r, s, sp = end, total, dtotal / h
-    if not (math.isfinite(s) and math.isfinite(sp)):
+        r, s, rsp = end, total, dtotal / (h / end)
+    if not (math.isfinite(s) and math.isfinite(rsp)):
         raise ConvergenceError(f"tricomi_psi_on: Psi leaves float64 by rho={r}")
-    return [math.ldexp(v, e) for v in out] if e else out
+    try:
+        return [math.ldexp(v, e) for v in out]
+    except OverflowError:
+        raise ConvergenceError(f"tricomi_psi_on: Psi leaves float64 by rho={r}") from None

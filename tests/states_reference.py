@@ -1,21 +1,19 @@
 """The `states` path's inner loops as they were written before their
 per-term overhead was taken out: the tests' reference for
-`specfun.tricomi_psi_on`, `specfun._phi_series`, `specfun._de_level` and
-`oracle._simpson`, kept verbatim.
+`specfun.tricomi_psi_on`, `specfun._phi_series` and `oracle._simpson`,
+kept verbatim.
 
-The Psi seeds come from the package's own `tricomi_psi` and
-`_scaled_seed`, as in the package's sweep.  The package's functions must
-return the same floats for every argument, and raise where these raise
-(the same exception type).  `test_states_reference.py` compares the two.
+The sweep's seed comes from the package's own `_psi_cf_floor` and
+`_psi_log`, taken as a mantissa over 2^e as in the package's sweep.  The
+package's functions must return the same floats for every argument, and
+raise where these raise (the same exception type).
+`test_states_reference.py` compares the two.
 """
 
 import math
-import sys
-from array import array
-from functools import lru_cache
 
 from calogero.errors import ConvergenceError, DomainError
-from calogero.specfun import _scaled_seed, tricomi_psi
+from calogero.specfun import _psi_cf_floor, _psi_log
 
 _SERIES_REL_TOL = 1e-15
 _SERIES_MAX_TERMS = 800
@@ -45,46 +43,9 @@ def _phi_series(a: float, b: float, rho: float) -> float:
     )
 
 
-# the u window and the level-0 step; the window is 28 level-0 steps wide
-_QUAD_U_LO, _QUAD_U_HI = -6.56, 7.4
-_QUAD_H0 = 0.5
-
-
-@lru_cache(maxsize=16)
-def _de_level(p1: float, level: int) -> tuple[array, array]:
-    """Abscissae t and weights t^p1 e^(-t) (1 + e^(-u)) of the nodes that
-    `level` adds to the trapezoid in u: all of them at level 0, the odd
-    multiples of the halved step after.
-
-    Nodes with t < 1e-305 or a weight below e^-745 are left out; they
-    added an exact 0.0 to the sum.  The weight is exp(ln_w) * (1 + e^-u),
-    the left part of the product exp(ln_w) * (1 + e^-u) * g(t), so
-    w * g(t) is that product's float.  Raises OverflowError where the
-    weight peaks past e^709 (p ~ 171 and up).
-    """
-    h = math.ldexp(_QUAD_H0, -level)
-    n = int(math.ceil((_QUAD_U_HI - _QUAD_U_LO) / _QUAD_H0)) << level
-    ts, ws = array("d"), array("d")
-    for i in range(n + 1) if level == 0 else range(1, n, 2):
-        u = _QUAD_U_LO + i * h
-        emu = math.exp(-u)
-        lt = u - emu
-        if lt < -702.0:  # t below 1e-305
-            continue
-        t = math.exp(lt)
-        ln_w = p1 * lt - t
-        if ln_w < -745.0:
-            continue
-        ts.append(t)
-        ws.append(math.exp(ln_w) * (1.0 + emu))
-    return ts, ws
-
-
-# the sweep's seed lies at least just past rho = 8, where the router takes
-# the Laplace integral for Psi and Psi'; two Taylor terms running below
-# _SWEEP_REL_TOL of their sums end a step; past _SWEEP_MAX_TERMS terms in a
-# step, or past _SWEEP_MAX_STEPS steps plus 16 per point, the sweep refuses
-_SWEEP_SEED = math.nextafter(8.0, math.inf)
+# two Taylor terms running below _SWEEP_REL_TOL of their sums end a step;
+# past _SWEEP_MAX_TERMS terms in a step, or past _SWEEP_MAX_STEPS steps plus
+# 16 per point, the sweep refuses
 _SWEEP_REL_TOL = 1e-17
 _SWEEP_MAX_TERMS = 400
 _SWEEP_MAX_STEPS = 1000
@@ -94,24 +55,21 @@ _LN2 = math.log(2.0)
 def tricomi_psi_on(alpha: float, beta: float, rhos) -> list[float]:
     """Psi(alpha, beta; rho) at every rho of rhos, in their order (any
     order, repeats allowed), by one inward Taylor sweep of Kummer's
-    equation seeded by two `tricomi_psi` calls (see "Psi along a grid"
-    above).  alpha > 0, beta >= 1 and every rho > 0, as for `tricomi_psi`.
+    equation seeded by one `_psi_log` call.  alpha > 0, beta >= 1 and every
+    rho finite and > 0.
 
     A step ends on the farthest point within its reach, or at its reach
     when no point lies inside it; the points it passes take its Taylor
     polynomial (dense output).  A step never reaches past half its own
-    rho, so every point minus the step's start is an exact float.  A seed
-    whose Psi or Psi' is not a normal float is replaced by the mantissas
-    of the Laplace integral's log form, scaled by an exact power of two
-    that the output takes back.  Raises ConvergenceError where that log
-    form refuses too (its integrand overflows from alpha ~ 171), where the
-    sweep would take more than _SWEEP_MAX_STEPS + 16 steps per point, or
-    where a value leaves float64.  Both refusals can fall where every
-    `tricomi_psi` value exists: a wide grid runs out of steps (Psi(0.5, 1;
-    rho) on [0.01, 2000], whose steps are about one unit long near 2000),
-    and Psi' can leave float64 while Psi does not (Psi(2.5, 1.75; 1e-200) ~
-    9.2e149, with Psi' ~ rho^-1.75).  A caller that needs those values
-    takes them from `tricomi_psi`, as `values_on` does.
+    rho, so every point minus the step's start is an exact float.  The
+    seed is Psi and rho Psi' as mantissas over the exact power of two 2^e
+    nearest Psi, which the output takes back.  Raises ConvergenceError
+    where the seed refuses, where the sweep would take more than
+    _SWEEP_MAX_STEPS + 16 steps per point, or where a value leaves
+    float64.  A wide grid can run out of steps where every `tricomi_psi`
+    value exists (Psi(0.5, 1; rho) on [0.01, 2000], whose steps are about
+    one unit long near 2000); a caller that needs those values takes them
+    from `tricomi_psi`, as `values_on` does.
     """
     if not (alpha > 0.0):
         raise DomainError(f"tricomi_psi_on: alpha must be > 0, got {alpha}")
@@ -126,12 +84,11 @@ def tricomi_psi_on(alpha: float, beta: float, rhos) -> list[float]:
         return out
     order = sorted(range(n), key=rs.__getitem__, reverse=True)
     desc = [rs[i] for i in order]
-    r = max(desc[0], _SWEEP_SEED)
-    s = tricomi_psi(alpha, beta, r)
-    sp = -alpha * tricomi_psi(alpha + 1.0, beta + 1.0, r)
-    e = 0
-    if not (s >= sys.float_info.min and -sp >= sys.float_info.min):
-        s, sp, e = _scaled_seed(alpha, beta, r)
+    r = max(desc[0], _psi_cf_floor(alpha, beta))
+    ln_psi, dlog = _psi_log(alpha, beta, r)
+    e = round(ln_psi / _LN2)
+    s = math.exp(ln_psi - e * _LN2)
+    rsp = s * dlog * r  # rho Psi', which stays a float where Psi' ~ Psi / rho does not
     budget, steps, j = _SWEEP_MAX_STEPS + 16 * n, 0, 0
     while True:
         while j < n and desc[j] == r:
@@ -156,7 +113,7 @@ def tricomi_psi_on(alpha: float, beta: float, rhos) -> list[float]:
         # every term and both sums are positive.
         h = end - r
         hr, ah, br = h / r, alpha * h, beta - r
-        d0, d1 = s, sp * h
+        d0, d1 = s, rsp * hr
         ds = [d0, d1]
         total, dtotal = d0 + d1, d1
         small = False
@@ -189,10 +146,13 @@ def tricomi_psi_on(alpha: float, beta: float, rhos) -> list[float]:
                 v = v * t + d
             out[order[j]] = v
             j += 1
-        r, s, sp = end, total, dtotal / h
-    if not (math.isfinite(s) and math.isfinite(sp)):
+        r, s, rsp = end, total, dtotal / (h / end)
+    if not (math.isfinite(s) and math.isfinite(rsp)):
         raise ConvergenceError(f"tricomi_psi_on: Psi leaves float64 by rho={r}")
-    return [math.ldexp(v, e) for v in out] if e else out
+    try:
+        return [math.ldexp(v, e) for v in out]
+    except OverflowError:
+        raise ConvergenceError(f"tricomi_psi_on: Psi leaves float64 by rho={r}") from None
 
 
 def _simpson(vals: list[float], xs: list[float]) -> float:

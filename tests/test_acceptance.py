@@ -137,7 +137,7 @@ def test_worst_figure_keeps_nan(figures):
 
 def test_psi_dual_route_compares_two_routes():
     # the series must answer all nine points itself, or the row has no
-    # series value to compare with the integral; the worst point,
+    # series value to compare with the recurrence; the worst point,
     # Psi(1.3, 1.5; 7), cancels 4.8 of the 5 digits the series may lose
     assert len(acceptance._PSI_DUAL_ROUTE_POINTS) == 9
     for alpha, beta, rho in acceptance._PSI_DUAL_ROUTE_POINTS:
@@ -145,12 +145,23 @@ def test_psi_dual_route_compares_two_routes():
     assert acceptance._c7_psi_dual_route().passed
 
 
-@pytest.mark.parametrize("name", ["tricomi_psi_series", "tricomi_psi_integral"])
-def test_psi_dual_route_sees_a_1e9_fault_in_either_route(monkeypatch, name):
+def _faulty_series(real):
+    return lambda a, b, r: real(a, b, r) * (1.0 + 1e-9)
+
+
+def _faulty_recurrence(real):
+    def psi_log(a, b, r):
+        ln_psi, dlog = real(a, b, r)
+        return ln_psi + math.log1p(1e-9), dlog
+
+    return psi_log
+
+
+@pytest.mark.parametrize("name, fault", [("tricomi_psi_series", _faulty_series), ("_psi_log", _faulty_recurrence)])
+def test_psi_dual_route_sees_a_1e9_fault_in_either_route(monkeypatch, name, fault):
     # the routes agree to 9.7e-13; a 1e-9 relative error in one of them
     # is ten times the row's 1e-10 threshold
-    real = getattr(acceptance, name)
-    monkeypatch.setattr(acceptance, name, lambda a, b, r: real(a, b, r) * (1.0 + 1e-9))
+    monkeypatch.setattr(acceptance, name, fault(getattr(acceptance, name)))
     row = acceptance._c7_psi_dual_route()
     assert row.passed is False
     assert row.value >= 9e-10

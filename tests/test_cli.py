@@ -791,9 +791,9 @@ class TestOutPath:
 
 
 # mpmath is a test-only reference: with its import blocked, the quick table,
-# a Psi value that the series and the Laplace integral both refuse (7.7
-# digits cancel, the quadrature does not converge) and a factorize-check at
-# w = 60 all answer
+# a Psi value that the series refuses below rho = 1 (10.5 digits cancel,
+# where the Laplace quadrature did not converge either) and a
+# factorize-check at w = 60 all answer
 _WITHOUT_MPMATH = """
 import sys
 sys.modules["mpmath"] = None

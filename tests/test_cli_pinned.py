@@ -104,17 +104,19 @@ PINS = {
     "spectrum --g1 -0.234375 --g2 1 --nu -1.5707963267948961 --n 3":
         (0, "60ebd27a4989a9bdc04c84c16e426d22dee04a1902e664ee36a1dc2747fdef5f", ""),
     # the checks run in z = ups x, so at g2 != 1 the residual points and
-    # the phi-positive grid are the g2 = 1 ones: worst_x is the worst z / ups
+    # the phi-positive grid are the g2 = 1 ones: worst_x is the worst z / ups.
+    # Psi from its recurrence in alpha and the sweep seeded by it moved the
+    # residuals and min_phi of these four and of --w 150 in their last bits
     "factorize-check --g1 -0.25 --g2 2 --mu 0.4 --w 0.3":
-        (0, "5f03b3d181e7cd3427ee602f3379e37d094c68710e593066cdc6567ef3bb0b66", ""),
+        (0, "8b4d0bc4a0ca2c276782268615b99c0e5c5f10bc79c75c1cbc3c33db34cb3fb6", ""),
     "factorize-check --g1 0 --g2 1 --mu 1.1 --w 2.5":
-        (0, "f9b25332565309a8960b4b3926b0062af49dece6cdf958f7df204b2c63c1f145", ""),
+        (0, "16033f2e3434a2ab7718da0345f1b904bd5fcc56b39428d6c6683803b022d46d", ""),
     "factorize-check --g1 2 --g2 3 --mu 0.7 --w 5":
-        (0, "885ba693586b7105bdc18a8ab2c53bc0e74cd12c0221f142b0aa7b5ac6f754bf", ""),
+        (0, "bf32e51c08370ba9650534fa7b64ce0fbf97ff7fefe4b5353bdcaf96b6a58cf5", ""),
     "factorize-check --g1 0.75 --g2 1 --mu 0.3 --w -1":
         (0, "530832f2fd99b908acff342eca410d9c7c4fafff47acc66dcb18b28b983b76ec", ""),
     "factorize-check --g1 -0.1875 --g2 1 --mu 0.9 --w 0.6 --format csv":
-        (0, "51a6312e54087ea9b73bb25fb5a2de3cc395300a3e95b391473daade5853a5c4", ""),
+        (0, "d1d47c39139910d27cc3711df3043779cf2268e2c2694f4a2e283fa17c367d88", ""),
     "factorize-check --h-shift 0.01": (
         4,
         "8094eaf0340a05bb5f036e48f1c786f71d23b64ef7c44d78e963724ff916de6a",
@@ -129,7 +131,7 @@ PINS = {
         (4, _EMPTY, "numerical failure: gamma: Gamma(180.75) overflows float64\n"),
     # Gamma(150.75), the scale of phi, fits float64 (up to 171.6)
     "factorize-check --g1 0 --g2 1 --mu 0.3 --w 150":
-        (0, "b1334f0132d7873c6b4c025880624755f1884d9b2e95f537dc5c66a07c1eb9e5", ""),
+        (0, "85a204bc92b364e4017f095ad1165dc9295402599aad8e8ed0489199a2eef4ff", ""),
     "nonexistence --g1 -1.25 --g2 1":
         (0, "a6b993ce5dddd1c0dfa0a3786f1332833c46b4114f226a48c7e1ba3e677f873e", ""),
     "nonexistence --g1 -1.25 --g2 1 --format csv":
@@ -159,28 +161,31 @@ PINS = {
         "numerical failure: count_zeros: x in (2.37137e+08, 10000000000.0) needs at least 1.67e+19 steps, more than the 100000 one call may take\n",
     ),
     # rows 1, 3 and 9 moved with the oracle's left series (3.3e-16,
-    # 2.4e-15 and 1.1e-15, from 6.7e-16, 5.6e-15 and 6.7e-15)
+    # 2.4e-15 and 1.1e-15, from 6.7e-16, 5.6e-15 and 6.7e-15); row 6 names
+    # b a f = (H + u) f, row 7-psi-dual-route compares the series with the
+    # recurrence, and 7-psi-large-rho reads 0.0030820904315523867 (from
+    # ...5529418) with Psi(alpha, beta; 100) from the recurrence
     "verify":
-        (0, "fca32e3d130320f57813e3984e0093562107e2b36427a29c58e58ad7a881054c", ""),
+        (0, "71a5c7ff4b242ed4461be6c29cabdaeed8a0702a20bdcbdddd17b4b561abd714", ""),
     "verify --format csv":
-        (0, "194d7f4465aeb5c3b2539d09a631a0b9d6b9185ba578abbc8d6df6f91c7b3af3", ""),
+        (0, "6696c12943dba3b11b2de53e5faf73a16a058ea602b95f2c1701621d4f189183", ""),
     "verify --quick":
-        (0, "92bac75433b541a8bd2a5a3f06e8890db559504eb1fd5c4c23d35db66df3f2a8", ""),
+        (0, "09e3653fef0e5596d7dffe309a0fc81e1a2bb2fb5c934d67816cd0a5f6de0c52", ""),
     "verify --quick --format csv":
-        (0, "95b0a86a4f36f7fb941daded65e25ebb2ef655eeaa5dc8135107eefa04bf4419", ""),
+        (0, "50a40b15fac28784a5fc55c06684c6b1227a9b80dd97e29b2902f56f93a5310d", ""),
     "verify --inject-gamma-bug": (
         4,
-        "19e5b09f9a85891db8b595ff6cea97e4cd4dac25a0d74a31f9212ec0a89b7dfe",
+        "c352ac92a97c90b27f529749f1d9c3ec8ec6c01e2cb09ebd557a051b90211b3d",
         "first failing row: 2-nu-zero-closed-form (1.670e-02 > 1e-10)\n",
     ),
     "verify --quick --inject-gamma-bug": (
         4,
-        "48071397b8d110ed24a0ff03e73be3cae0b90d2f5d8983e1ca8b01586bea9e9a",
+        "e7881445a95efda737c2bf198ec7d4d03948e3ade8d6e4b5898383ad6234bc42",
         "first failing row: 2-nu-zero-closed-form (1.670e-02 > 1e-10)\n",
     ),
     "verify --quick --inject-gamma-bug --format csv": (
         4,
-        "9d189288960c251dc6307f30bf0cc0cb6e837785c5aed1bafb6158639486d2bc",
+        "f1c5a41e8c89df4e866f5aa972dab2f360cd4a7808f3e6f2edb8549dbc32de7c",
         "first failing row: 2-nu-zero-closed-form (1.670e-02 > 1e-10)\n",
     ),
 }

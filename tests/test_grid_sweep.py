@@ -75,13 +75,14 @@ def test_sweep_matches_hyperu_on_states_cells(g1, g2, nu):
 
 
 def test_seed_is_the_router_value():
-    # past rho = 8 the first value is the seed, bit for bit
+    # past rho = 8 the first value is the seed: the router's ln Psi, taken
+    # as a mantissa over the power of two nearest Psi, within an ulp
     rhos = [9.0, 3.0, 0.5]
-    assert tricomi_psi_on(2.3, 1.4, rhos)[0] == tricomi_psi(2.3, 1.4, 9.0)
+    assert tricomi_psi_on(2.3, 1.4, rhos)[0] == pytest.approx(tricomi_psi(2.3, 1.4, 9.0), rel=3e-16, abs=0.0)
 
 
-def test_grid_below_the_seed_starts_past_8():
-    rhos = [0.01 * (i + 1) for i in range(300)]  # rho_max = 3, seed just past 8
+def test_grid_below_the_seed_starts_at_1():
+    rhos = [0.003 * (i + 1) for i in range(300)]  # rho_max = 0.9, seed at rho = 1
     assert_psi_close(4.2, 1.3, rhos, tricomi_psi_on(4.2, 1.3, rhos))
 
 
@@ -153,11 +154,16 @@ def test_subgrid_values_agree(kappa, alpha):
         assert abs(a - b) <= 1e-13 * abs(b), (rho, a, b)
 
 
-def test_seed_past_the_log_form_is_refused():
-    # Psi(alpha + 1, beta + 1) at the seed: the integral's weight t^alpha e^(-t)
-    # passes float64 from alpha ~ 171, in the log form as in the float one
-    with pytest.raises(ConvergenceError, match="overflows"):
-        tricomi_psi_on(171.5, 1.5, [64.0, 1.0])
+def test_seed_past_alpha_171_is_swept():
+    # ln Psi holds past alpha ~ 171, where the Laplace integral's weight
+    # t^alpha e^(-t) passed float64: Psi(171.5, 1.5; 64) underflows to 0.0,
+    # Psi(171.5, 1.5; 1) is subnormal and Psi(171.5, 1.5; 0.001) is normal
+    rhos = [64.0, 1.0, 0.001]
+    vals = tricomi_psi_on(171.5, 1.5, rhos)
+    with mpmath.workdps(30):
+        refs = [float(mpmath.hyperu(171.5, 1.5, rho)) for rho in rhos]
+    assert vals[:2] == refs[:2] and refs[0] == 0.0 and 0.0 < refs[1] < sys.float_info.min
+    assert vals[2] == pytest.approx(refs[2], rel=1e-12, abs=0.0) and refs[2] > sys.float_info.min
 
 
 def test_step_budget_is_refused():
@@ -166,21 +172,24 @@ def test_step_budget_is_refused():
         tricomi_psi_on(0.01, 1.5, [1e6, 1.0])
 
 
-@pytest.mark.parametrize(
-    "alpha, beta, rhos, reason",
-    [
-        # Psi(2.5, 1.75; 1e-200) ~ 9.2e149 is a float, but Psi' ~ rho^-1.75 is not
-        (2.5, 1.75, [1e-200], "leaves float64"),
-        # steps of about one unit from rho = 2000 down to 0.01 pass the budget
-        # of 1000 + 16 per point
-        (0.5, 1.0, [0.01, 2000.0], "steps"),
-    ],
-)
-def test_sweep_refuses_where_the_router_answers(alpha, beta, rhos, reason):
-    with pytest.raises(ConvergenceError, match=reason):
-        tricomi_psi_on(alpha, beta, rhos)
+def test_sweep_refuses_where_the_router_answers():
+    # steps of about one unit from rho = 2000 down to 0.01 pass the budget
+    # of 1000 + 16 per point
+    rhos = [0.01, 2000.0]
+    with pytest.raises(ConvergenceError, match="steps"):
+        tricomi_psi_on(0.5, 1.0, rhos)
     for rho in rhos:
-        assert 0.0 < tricomi_psi(alpha, beta, rho) < math.inf
+        assert 0.0 < tricomi_psi(0.5, 1.0, rho) < math.inf
+
+
+@pytest.mark.parametrize("alpha, beta, rho", [(2.5, 1.75, 1e-200), (1.5, 2.0, 1e-200), (50.0, 2.0, 1e-160)])
+def test_sweep_carries_rho_psi_prime(alpha, beta, rho):
+    # Psi ~ 9.2e149, 1.1e200 and 1.6e97 are floats, but Psi' ~ Psi / rho is
+    # not: the sweep carries rho Psi' instead
+    with mpmath.workdps(30):
+        ref = float(mpmath.hyperu(alpha, beta, rho))
+    (v,) = tricomi_psi_on(alpha, beta, [rho])
+    assert v == pytest.approx(ref, rel=REL, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -271,16 +280,16 @@ def test_refused_sweep_gives_the_pointwise_values():
     assert phi.values_on(xs) == [phi.value_at(x) for x in xs]
 
 
-def test_psi_prime_past_float64_gives_the_pointwise_value():
-    # alpha = 2.5, beta = 1.75: at rho = 1e-200 the sweep's Psi' leaves
-    # float64 and it refuses, while value_at's router has Psi ~ 9.2e149 and
-    # phi ~ 1e25; values_on must take value_at's float, not the refusal
+def test_psi_prime_past_float64_is_swept():
+    # alpha = 2.5, beta = 1.75: at rho = 1e-200 Psi' leaves float64, and
+    # the sweep, which carries rho Psi', gives Psi ~ 9.2e149 and phi ~ 1e25
+    # as value_at's series does
     rp = reduce(0.3125, 1.0)
     phi = make_phi(RepresentationParams(0.0, 1.625, rp))
     assert (rp.alpha_of(1.625), rp.beta) == (2.5, 1.75)
     want = phi.value_at(1e-100)
     assert want == pytest.approx(1e25, rel=1e-12)
-    assert phi.values_on([1e-100]) == [want]
+    assert phi.values_on([1e-100]) == [pytest.approx(want, rel=1e-13, abs=0.0)]
 
 
 def test_points_with_a_zero_envelope_stay_out_of_the_sweep(monkeypatch):
@@ -290,7 +299,7 @@ def test_points_with_a_zero_envelope_stay_out_of_the_sweep(monkeypatch):
     rp = reduce(0.0, 1.0)
     phi = make_phi(RepresentationParams(0.0, 80.0, rp))
     sweeps, psis = [], []
-    inner_on, inner = factorization.tricomi_psi_on, specfun.tricomi_psi
+    inner_on, inner, inner_seed = factorization.tricomi_psi_on, specfun.tricomi_psi, specfun._psi_log
 
     def swept(alpha, beta, rhos):
         sweeps.append(list(rhos))
@@ -300,12 +309,16 @@ def test_points_with_a_zero_envelope_stay_out_of_the_sweep(monkeypatch):
         psis.append(args)
         return inner(*args)
 
+    def seeded(*args):
+        psis.append(args)
+        return inner_seed(*args)
+
     monkeypatch.setattr(factorization, "tricomi_psi_on", swept)
     monkeypatch.setattr(factorization, "tricomi_psi", counted)
-    monkeypatch.setattr(specfun, "tricomi_psi", counted)
+    monkeypatch.setattr(specfun, "_psi_log", seeded)
     vals = phi.values_on([100.0, 2.0, 0.5, 60.0])
     assert sweeps == [[4.0, 0.25]]
-    assert psis and all(rho < 100.0 for _, _, rho in psis)  # the sweep's two seeds at 8+
+    assert [rho for _, _, rho in psis] == [4.0]  # the sweep's seed at its largest rho
     alone = phi.values_on([2.0, 0.5])
     assert vals == [0.0] + alone + [0.0]
     assert all(math.copysign(1.0, v) == 1.0 for v in vals)
@@ -328,20 +341,26 @@ def test_ground_state_values_on_is_the_norm_times_the_solution():
 
 
 def test_sample_on_grid_sweeps_states_and_loops_over_callables(monkeypatch):
-    calls = []
-    inner = specfun.tricomi_psi
+    calls, seeds = [], []
+    inner, inner_seed = specfun.tricomi_psi, specfun._psi_log
 
     def counted(*args):
         calls.append(args)
         return inner(*args)
 
+    def seeded(*args):
+        seeds.append(args)
+        return inner_seed(*args)
+
     monkeypatch.setattr(specfun, "tricomi_psi", counted)
     monkeypatch.setattr(factorization, "tricomi_psi", counted)
+    monkeypatch.setattr(specfun, "_psi_log", seeded)
     rp = reduce(0.7**2 - 0.25, 0.5)
     gs = ground_state_wavefunction(rp, extension_for(rp, nu=-1.0))
     calls.clear()
+    seeds.clear()
     grid = oracle_grid(rp.upsilon)
     oracle.sample_on_grid(gs, grid)
-    assert len(calls) == 2
+    assert (len(calls), len(seeds)) == (0, 1)
     oracle.sample_on_grid(lambda x: gs(x), grid)
-    assert len(calls) == 2 + 801
+    assert len(calls) == 801

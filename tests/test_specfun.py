@@ -21,14 +21,13 @@ from calogero.errors import ConvergenceError, DomainError
 from calogero.specfun import (
     digamma,
     digamma_shift,
-    exp_halfline_quad,
     gamma,
     gammaln_shift,
     gammaln_signed,
     kummer_phi,
     rgamma,
     tricomi_psi,
-    tricomi_psi_integral,
+    tricomi_psi_on,
     tricomi_psi_series,
     trigamma,
 )
@@ -502,28 +501,60 @@ class TestTricomiPsi:
     def test_branches_agree(self):
         # the acceptance grid runs this too; keep a quick local version.  The
         # routes are compared only where the series answers: an over-budget
-        # point is refused with a type, and the router's integral answers it
+        # point is refused with a type, and the router's recurrence (from
+        # rho = 1, past beta - 2 alpha) or its sweep (below) answers it
         worst, compared = 0.0, 0
         for a in (0.1, 0.6, 1.3, 2.5, 7.5):
             for b in (1.5, 2.25, 3.75):
                 for r in (0.1, 1.0, 10.0, 60.0):
+                    if r < specfun._psi_cf_floor(a, b):
+                        other = tricomi_psi_on(a, b, [r])[0]
+                    else:
+                        other = math.exp(specfun._psi_log(a, b, r)[0])
                     try:
                         s = tricomi_psi_series(a, b, r)
                     except ConvergenceError:
-                        assert tricomi_psi(a, b, r) == tricomi_psi_integral(a, b, r)
+                        assert tricomi_psi(a, b, r) == other
                         continue
-                    i = tricomi_psi_integral(a, b, r)
-                    worst = max(worst, abs(s - i) / abs(s))
+                    worst = max(worst, abs(s - other) / abs(s))
                     compared += 1
-        assert compared == 38
-        assert worst <= 1e-10  # 1.0e-11 at Psi(7.5, 2.25; 1)
+        assert compared == 36
+        assert worst <= 1e-10  # 1.1e-12 at Psi(1.3, 2.25; 10)
 
-    def test_integer_beta_routes_to_integral(self):
+    def test_integer_beta_routes_past_the_series(self):
         # the series form must refuse integer beta; the router must not
         with pytest.raises(DomainError):
             tricomi_psi_series(1.3, 2.0, 1.0)
         assert tricomi_psi(1.3, 2.0, 1.0) > 0.0
         assert tricomi_psi(1.3, 2.0 + 5e-9, 1.0) == pytest.approx(tricomi_psi(1.3, 2.0, 1.0), rel=1e-7)
+
+    def test_past_the_series_psi_and_the_seed_slope_match_40_digit_hyperu(self):
+        # every value the series does not answer comes from the recurrence
+        # in alpha (from rho = 1) or from the sweep it seeds (below); the
+        # seed's Psi' = -alpha Psi(alpha + 1, beta + 1) is e^(ln Psi) Psi'/Psi.
+        # alpha and rho are log-uniform, and half the draws take beta = 1
+        rng = random.Random(5001)
+        worst, values = 0.0, 0
+        for i in range(200):
+            a = math.exp(rng.uniform(math.log(0.002), math.log(60.0)))
+            b = 1.0 if i % 2 else rng.uniform(1.0, 3.5)
+            r = math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
+            seed = max(r, specfun._psi_cf_floor(a, b))
+            ln_psi, dlog = specfun._psi_log(a, b, seed)
+            with mpmath.workdps(40):
+                ref = mpmath.hyperu(a, b, r)
+                slope = -a * mpmath.hyperu(a + 1, b + 1, seed)
+            worst = max(worst, float(abs(math.exp(ln_psi) * dlog / slope - 1)))
+            if b != 1.0 and r <= 8.0:
+                try:
+                    tricomi_psi_series(a, b, r)
+                    continue
+                except ConvergenceError:
+                    pass
+            worst = max(worst, float(abs(tricomi_psi(a, b, r) / ref - 1)))
+            values += 1
+        assert values == 139
+        assert worst <= 1e-13, worst  # 4.7e-14, a seed's Psi'; values 2.5e-14
 
     @given(
         st.floats(min_value=0.05, max_value=10.0, **finite),
@@ -555,20 +586,39 @@ class TestTricomiPsi:
         with pytest.raises(DomainError):
             tricomi_psi(1.0, 2.0, 0.0)
 
-    def test_integral_prefactor_overflow_is_typed(self):
-        with pytest.raises(ConvergenceError, match="overflows"):
-            tricomi_psi_integral(1.97, 1.0, 2e-189)
+    @pytest.mark.parametrize(
+        "a,b,r",
+        [
+            # rho^(-alpha)/Gamma(alpha) passes e^709 while Psi = 438
+            (1.97, 1.0, 2e-189),
+            # rho^(-95)/Gamma(95) is subnormal or zero while Psi is not
+            (95.0, 1.5, 63.0),
+            (95.0, 1.5, 79.4),
+            (95.0, 1.5, 500.0),
+        ],
+    )
+    def test_scales_past_float64_keep_digits(self, a, b, r):
+        with mpmath.workdps(40):
+            ref = float(mpmath.hyperu(a, b, r))
+        assert tricomi_psi(a, b, r) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
-    def test_quadrature_weight_overflow_is_typed(self):
-        # the node weight t^180 e^(-t) passes e^709 near t = 180
-        with pytest.raises(ConvergenceError, match="overflows"):
-            tricomi_psi(180.0, 1.0, 3.0)
-
-    @pytest.mark.parametrize("rho", [63.0, 79.4, 500.0])
-    def test_integral_subnormal_scale_keeps_digits(self, rho):
-        # rho^(-95)/Gamma(95) is subnormal or zero here while Psi is not
-        ref = float(mpmath.hyperu(95.0, 1.5, rho))
-        assert tricomi_psi_integral(95.0, 1.5, rho) == pytest.approx(ref, rel=1e-12, abs=0.0)
+    @pytest.mark.parametrize(
+        "a,b,r",
+        [
+            # Psi ~ 1e-330 rounds to 0.0, where the Laplace integral's node
+            # weight t^180 e^(-t) passed e^709 near t = 180
+            (180.0, 1.0, 3.0),
+            # Psi is 2.9e-320, and the second series term, whose prefactor
+            # holds the subnormal 1/Gamma(172), carries it: the series refuses
+            # the underflowed prefactor, and ln Psi gives the nearest subnormal
+            (172.0, 1.9, 1.0),
+        ],
+    )
+    def test_psi_past_the_normal_floats_is_hyperu_rounded(self, a, b, r):
+        with mpmath.workdps(40):
+            ref = float(mpmath.hyperu(a, b, r))
+        assert ref < sys.float_info.min
+        assert tricomi_psi(a, b, r) == ref
 
     @pytest.mark.parametrize(
         "a,b,r",
@@ -591,14 +641,15 @@ class TestTricomiPsi:
             ref = float(mpmath.hyperu(a, b, r))
         assert tricomi_psi(a, b, r) == pytest.approx(ref, rel=1e-9, abs=0.0)
 
-    def test_router_hands_a_fully_cancelled_series_to_the_integral(self, monkeypatch):
+    def test_router_hands_a_fully_cancelled_series_to_the_recurrence(self, monkeypatch):
         calls = []
+        recurrence = specfun._psi_log
 
         def counting(a, b, r):
             calls.append((a, b, r))
-            return tricomi_psi_integral(a, b, r)
+            return recurrence(a, b, r)
 
-        monkeypatch.setattr(specfun, "tricomi_psi_integral", counting)
+        monkeypatch.setattr(specfun, "_psi_log", counting)
         with pytest.raises(ConvergenceError, match="digits cancel"):
             tricomi_psi_series(59.87, 3.968, 5.139)
         assert calls == []
@@ -631,10 +682,11 @@ class TestTricomiPsi:
         st.floats(min_value=1.0, max_value=7.0, exclude_max=True),
     )
     @settings(max_examples=150, deadline=None)
-    def test_band_takes_the_integral_and_matches_hyperu(self, ln_a, u, b):
+    def test_band_takes_the_recurrence_and_matches_hyperu(self, ln_a, u, b):
         # the two series cancel ~1.74 sqrt(alpha rho) digits: alpha rho in
         # [9, 55] (rho <= 8) puts most draws in the 5-13 digit band, which
-        # the series refuses and the router hands to the Laplace integral
+        # the series refuses and the router hands to the recurrence, at rho
+        # or, below rho = 1, at the seed of its sweep
         a = math.exp(ln_a)
         r = (9.0 + u * (min(55.0, 8.0 * a) - 9.0)) / a
         assume(abs(b - round(b)) > 1e-6)
@@ -648,46 +700,38 @@ class TestTricomiPsi:
         assume(5.5 < lost < 12.5)
         with pytest.raises(ConvergenceError, match="digits cancel"):
             tricomi_psi_series(a, b, r)
-        with mock.patch.object(specfun, "tricomi_psi_integral", wraps=tricomi_psi_integral) as integral:
+        with mock.patch.object(specfun, "_psi_log", wraps=specfun._psi_log) as recurrence:
             got = tricomi_psi(a, b, r)
-        assert integral.call_count == 1
+        assert recurrence.call_count == 1
         assert got == pytest.approx(float(ref), rel=1e-11, abs=0.0)
-
-    def test_band_falls_back_to_the_sweep_where_the_integral_refuses(self):
-        # 7.7 digits cancel, and the quadrature does not converge
-        args = (146.3823893585053, 3.8581192521960097, 0.13595920013435034)
-        with pytest.raises(ConvergenceError, match="digits cancel"):
-            tricomi_psi_series(*args)
-        with pytest.raises(ConvergenceError, match="no convergence at level 8"):
-            tricomi_psi_integral(*args)
-        with mpmath.workdps(40):
-            ref = float(mpmath.hyperu(*args))
-        assert tricomi_psi(*args) == pytest.approx(ref, rel=1e-12, abs=0.0)
-
-    def test_subnormal_sweep_seed_is_scaled(self):
-        # (1 + t/rho)^(beta-alpha-1) underflows over the whole weight, and
-        # the sweep's seed Psi(alpha, beta; 8+) = 1.5e-320 is subnormal,
-        # although Psi = 1.36e-288 here: the sweep starts from the seed's
-        # log form, scaled by a power of two
-        args = (163.5431713875539, 2.0000240385494554, 0.0020309934977136893)
-        with pytest.raises(ConvergenceError, match="integrand underflows"):
-            tricomi_psi_integral(*args)
-        assert 0.0 < tricomi_psi(*args[:2], math.nextafter(8.0, math.inf)) < sys.float_info.min
-        with mpmath.workdps(30):
-            ref = float(mpmath.hyperu(*args))
-        assert tricomi_psi(*args) == pytest.approx(ref, rel=1e-12, abs=0.0)
-
-    def test_seed_past_the_log_form_is_refused(self):
-        # from alpha ~ 171 the integral's weight passes float64, so neither
-        # the float nor the log form of the sweep's seed exists, and at an
-        # integer beta the series does not apply
-        with pytest.raises(ConvergenceError, match="integrand overflows"):
-            tricomi_psi(171.5, 1.0, 0.01)
 
     @pytest.mark.parametrize(
         "a,b,r",
         [
-            (171.5, 1.5, 0.01),  # 1.4e-308, 4.7e-14 from hyperu
+            # 10.5 digits cancel; the Laplace quadrature did not converge here
+            (146.3823893585053, 3.8581192521960097, 0.13595920013435034),
+            # 11.3 digits cancel; (1 + t/rho)^(beta-alpha-1) underflowed over
+            # the Laplace integral's whole weight
+            (163.5431713875539, 2.0000240385494554, 0.0020309934977136893),
+            # the prefactors' own error counts: 4.8 digits cancel, and the
+            # rounding of alpha - beta + 1 costs Psi 1.75e-9 through Gamma
+            (164.76325816127522, 1.6789447798965293, 0.04575968491309154),
+            (21.265, 1.26, 0.370),  # 1.1e-9 through the prefactors
+            (88.155, 1.64, 0.0896),  # 4.5e-9 through the prefactors
+        ],
+    )
+    def test_band_below_rho_1_takes_the_sweep(self, a, b, r):
+        with pytest.raises(ConvergenceError, match="digits cancel"):
+            tricomi_psi_series(a, b, r)
+        with mpmath.workdps(40):
+            ref = float(mpmath.hyperu(a, b, r))
+        assert tricomi_psi(a, b, r) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "a,b,r",
+        [
+            (171.5, 1.0, 0.01),  # 1.2e-309: past alpha ~ 171 the integral's weight left float64
+            (171.5, 1.5, 0.01),  # 1.4e-308
             (172.0, 5.5, 0.01),  # 6.0e-300, 7e-18 from hyperu
             # 1/Gamma(177) ~ 5e-321 keeps three digits: its prefactor is
             # formed at 1/Gamma(171) and divided by (171)_6, 3.6e-16 off
@@ -695,12 +739,10 @@ class TestTricomiPsi:
             (177.0, 10.5, 0.01),
         ],
     )
-    def test_series_answers_past_the_integral_range(self, a, b, r):
-        # the integral refuses from alpha ~ 171, and Gamma(beta - 1) and
-        # 1/Gamma(alpha), which past 171 is taken at alpha - m <= 171 and
-        # divided by (alpha - m)_m, hold the series' prefactors
-        with pytest.raises(ConvergenceError, match="integrand overflows"):
-            tricomi_psi_integral(a, b, r)
+    def test_alpha_past_171_matches_hyperu(self, a, b, r):
+        # Gamma(beta - 1) and 1/Gamma(alpha), which past 171 is taken at
+        # alpha - m <= 171 and divided by (alpha - m)_m, hold the series'
+        # prefactors; ln Psi holds for the rest
         with mpmath.workdps(40):
             ref = float(mpmath.hyperu(a, b, r))
         assert tricomi_psi(a, b, r) == pytest.approx(ref, rel=1e-12, abs=0.0)
@@ -715,7 +757,7 @@ class TestTricomiPsi:
                 st.floats(min_value=math.log(1e-4), max_value=math.log(0.01)).map(math.exp),
             ),
             # off it they cancel ~1.74 sqrt(alpha rho) digits, 5 from
-            # alpha rho ~ 8, and the integral refuses there from alpha ~ 128
+            # alpha rho ~ 8, and the Laplace integral refused there from alpha ~ 128
             st.tuples(
                 st.floats(min_value=128.0, max_value=140.0),
                 st.floats(min_value=1.0, max_value=4.0),
@@ -726,7 +768,7 @@ class TestTricomiPsi:
     @settings(max_examples=60, deadline=None)
     def test_former_mpmath_band_matches_hyperu_or_refuses(self, args):
         # the band that an elevated-precision re-run of the series once
-        # served: 5 to 13 digits cancel, and the Laplace integral refuses
+        # served and the Laplace integral refused: 5 to 13 digits cancel
         a, b, r = args
         assume(abs(b - round(b)) > 1e-9)
         with mpmath.workdps(30):
@@ -737,12 +779,6 @@ class TestTricomiPsi:
             ref = mpmath.hyperu(am, bm, rm)
             lost = float(mpmath.log10((abs(t1) + abs(t2)) / ref))
         assume(5.5 < lost < 12.5)
-        try:
-            tricomi_psi_integral(a, b, r)
-        except ConvergenceError:
-            pass
-        else:
-            assume(False)
         with pytest.raises(ConvergenceError, match="digits cancel"):
             tricomi_psi_series(a, b, r)
         try:
@@ -754,35 +790,20 @@ class TestTricomiPsi:
     @pytest.mark.parametrize(
         "a,b,r",
         [
-            # Psi is 2.9e-320, and the second term, whose prefactor holds the
-            # subnormal 1/Gamma(172), carries it: the first is negative with
-            # Gamma(1 - beta), so the series refuses the underflowed prefactor
-            (172.0, 1.9, 1.0),
-        ],
-    )
-    def test_silently_wrong_values_are_refused(self, a, b, r):
-        with pytest.raises(ConvergenceError):
-            tricomi_psi(a, b, r)
-
-    @pytest.mark.parametrize(
-        "a,b,r,refusal",
-        [
-            # integer beta: the integral's sum underflows and loses 15 % of
-            # Psi = 2.1e-170
-            (106.88178639949531, 1.0, 0.0010509308007882214, "integrand underflows"),
-            # its sum, 5.4e-308, is a normal float whose subnormal terms
-            # leave it 0.2 % off
-            (39.63541224629746, 1.0, 1.6575332545432653e-08, "integrand underflows"),
+            # integer beta: the Laplace integral's sum underflowed and lost
+            # 15 % of Psi = 2.1e-170
+            (106.88178639949531, 1.0, 0.0010509308007882214),
+            # its sum, 5.4e-308, was a normal float whose subnormal terms
+            # left it 0.2 % off
+            (39.63541224629746, 1.0, 1.6575332545432653e-08),
             # a kappa = 0 ground state at x = 1e-9: rho^(-alpha)/Gamma(alpha)
             # passes e^709 while Psi = 1.7e-163
-            (104.1590999387423, 1.0, 1e-18, "overflows"),
-            (21.214704053592893, 1.0, 1e-18, "overflows"),
-            (60.0, 2.0, 1e-10, "overflows"),
+            (104.1590999387423, 1.0, 1e-18),
+            (21.214704053592893, 1.0, 1e-18),
+            (60.0, 2.0, 1e-10),
         ],
     )
-    def test_sweep_answers_below_its_seed_where_the_integral_refuses(self, a, b, r, refusal):
-        with pytest.raises(ConvergenceError, match=refusal):
-            tricomi_psi_integral(a, b, r)
+    def test_sweep_answers_at_integer_beta_below_its_seed(self, a, b, r):
         with mpmath.workdps(30):
             ref = float(mpmath.hyperu(a, b, r))
         assert tricomi_psi(a, b, r) == pytest.approx(ref, rel=1e-12, abs=0.0)
@@ -822,24 +843,3 @@ class TestTricomiPsi:
         # Phi terms near float64 overflow, and it refuses
         with pytest.raises(ConvergenceError, match="series-form budget"):
             tricomi_psi_series(1.3, 1.5, rho)
-
-
-class TestQuadratureEngines:
-    @pytest.mark.parametrize("p", [-0.9, -0.5, 0.0, 0.5, 2.0, 6.5])
-    def test_halfline_gamma_law(self, p):
-        # int_0^inf t^p e^-t dt = Gamma(p+1)
-        assert exp_halfline_quad(lambda t: 1.0, p) == pytest.approx(gamma(p + 1.0), rel=1e-11)
-
-    def test_halfline_exponential_integral(self):
-        # int_0^inf e^-t/(1+t) dt = e * E1(1)
-        val = exp_halfline_quad(lambda t: 1.0 / (1.0 + t), 0.0)
-        assert val == pytest.approx(0.59634736232319407434, rel=1e-12, abs=0.0)
-
-    def test_halfline_level_exhaustion_raises(self, monkeypatch):
-        monkeypatch.setattr(specfun, "_QUAD_MAX_LEVEL", 1)
-        with pytest.raises(ConvergenceError, match="no convergence at level 1"):
-            exp_halfline_quad(lambda t: 1.0 / (1.0 + t), 0.0)
-
-    def test_halfline_power_floor(self):
-        with pytest.raises(DomainError):
-            exp_halfline_quad(lambda t: 1.0, -0.96)

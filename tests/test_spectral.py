@@ -1081,10 +1081,11 @@ class TestGroundState:
 
     @staticmethod
     def _interior_state(monkeypatch):
-        # alpha = 6.29: 182 of the state's Psi values on 801 points of the
-        # oracle's window cancel 5 to 13 digits of the two-series form, and
-        # the Laplace integral answers every one of them; mpmath is blocked,
-        # so a route that imported it would raise ImportError
+        # alpha = 6.29: on 801 points of the oracle's window, 195 of the
+        # state's 282 Psi values at rho <= 8 lose more than 5 digits of the
+        # two-series form, and the recurrence in alpha or its sweep answers
+        # them and every value past rho = 8; mpmath is blocked, so a route
+        # that imported it would raise ImportError
         monkeypatch.setitem(sys.modules, "mpmath", None)
         spectral._nu_state_norm.cache_clear()
         rp = rp_kappa(0.19)
@@ -1100,9 +1101,9 @@ class TestGroundState:
         assert len(vals) == 801 and all(v > 0.0 for v in vals)
 
     def test_interior_state_sweeps_without_mpmath(self, monkeypatch):
-        # the same grid through sample_on_grid: the sweep's two seeds past
-        # rho = 8 are all the Psi calls it makes, and it agrees with the
-        # router within the router's 1e-8
+        # the same grid through sample_on_grid: the sweep's seed, from the
+        # recurrence, is all the Psi it takes from outside the sweep, and it
+        # agrees with the router within the router's 1e-8
         gs, grid = self._interior_state(monkeypatch)
         calls = []
         inner = specfun.tricomi_psi
@@ -1123,7 +1124,7 @@ class TestGroundState:
 
     def test_deep_state_has_unit_norm(self):
         # alpha ~ 50.5: near the origin every digit of the float64 Psi series
-        # cancels, and the Laplace integral answers instead
+        # cancels, and the recurrence in alpha or its sweep answers instead
         rp = rp_kappa(0.5)
         gs = ground_state_wavefunction(rp, extension_for(rp, nu=-1.5))
         assert float(_quad_norm(gs)) == pytest.approx(1.0, abs=1e-12)
@@ -1152,11 +1153,10 @@ class TestGroundState:
     def test_kappa_zero_psi_overflow_refused_not_crashed(self, nu):
         # the closed-form norm answers every kappa = 0 state whose scale
         # Gamma(alpha) fits float64, and those states have unit norm: at
-        # nu = 1.4 (alpha ~ 104) the Psi values at small rho, where the
-        # Laplace integrand underflows or its prefactor rho^(-alpha) /
-        # Gamma(alpha) overflows, come from the inward sweep.  At nu = 1.45
-        # Gamma(alpha ~ 1193) overflows: a typed refusal, not a raw
-        # OverflowError
+        # nu = 1.4 (alpha ~ 104) the Psi values at small rho, where
+        # rho^(-alpha) / Gamma(alpha) overflows, come from the inward sweep.
+        # At nu = 1.45 Gamma(alpha ~ 1193) overflows: a typed refusal, not a
+        # raw OverflowError
         rp = rp_kappa(0.0)
         ext = extension_for(rp, nu=nu)
         if nu <= 1.4:
