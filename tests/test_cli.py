@@ -791,7 +791,7 @@ class TestOutPath:
 
 
 # mpmath is a test-only reference: with its import blocked, the quick table,
-# a Psi value that the series refuses below rho = 1 (10.5 digits cancel,
+# a Psi value that the series refuses below rho = 1 (10.5 digits lost,
 # where the Laplace quadrature did not converge either) and a
 # factorize-check at w = 60 all answer
 _WITHOUT_MPMATH = """

@@ -708,9 +708,9 @@ class TestTricomiPsi:
     @pytest.mark.parametrize(
         "a,b,r",
         [
-            # 10.5 digits cancel; the Laplace quadrature did not converge here
+            # 10.5 digits lost; the Laplace quadrature did not converge here
             (146.3823893585053, 3.8581192521960097, 0.13595920013435034),
-            # 11.3 digits cancel; (1 + t/rho)^(beta-alpha-1) underflowed over
+            # 11.3 digits lost; (1 + t/rho)^(beta-alpha-1) underflowed over
             # the Laplace integral's whole weight
             (163.5431713875539, 2.0000240385494554, 0.0020309934977136893),
             # the prefactors' own error counts: 4.8 digits cancel, and the
