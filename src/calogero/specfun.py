@@ -451,19 +451,17 @@ _LN2 = math.log(2.0)
 
 
 def _psi_cf_floor(alpha: float, beta: float) -> float:
-    """The smallest rho that the router and the sweep's seed hand to
-    `_psi_log`: rho = 1, and past beta - 2 alpha, so that b_0 >= 2 and the
-    continued fraction's leading denominators do not cancel (from beta ~ 20
-    they cost up to every digit below it)."""
+    """The smallest rho the router and the sweep's seed hand to `_psi_log`:
+    1, and past beta - 2 alpha, where b_0 >= 2 (below it the fraction's
+    leading denominators cancel, from beta ~ 20 up to every digit)."""
     return max(1.0, beta - 2.0 * alpha)
 
 
 def _psi_log(alpha: float, beta: float, rho: float) -> tuple[float, float]:
     """(ln Psi(alpha, beta; rho), Psi'/Psi) from Psi's three-term recurrence
     in alpha (DLMF 13.3.7), of which Psi is the minimal solution (Temme,
-    Numer. Math. 41 (1983) 63-82), for alpha > 0, beta >= 1 and finite
-    rho >= beta - 2 alpha; the router and the sweep call it from
-    `_psi_cf_floor`.
+    Numer. Math. 41 (1983) 63-82), for alpha > 0, beta >= 1 and finite rho
+    with b_0 > 0 (below); the router and the sweep call it from `_psi_cf_floor`.
 
     h = Psi(alpha + 1, beta; rho) / Psi(alpha, beta; rho) is the continued
     fraction 1 / (b_0 - a_1 / (b_1 - a_2 / (b_2 - ...))) with
@@ -523,21 +521,23 @@ def _psi_log(alpha: float, beta: float, rho: float) -> tuple[float, float]:
             f"tricomi_psi: Psi's continued fraction needs more than {_CF_MAX_TERMS} terms "
             f"(alpha={alpha}, beta={beta}, rho={rho})"
         )
-    y = alpha * (1.0 - (alpha - beta + 1.0) / f)
+    v = 1.0 - (alpha - beta + 1.0) / f  # y / alpha
+    y = alpha * v
     if temme:
         ln_psi = -alpha * math.log(rho) - math.log(s)
     else:
-        # t_{k+1} = t_k r_k with r_k = (alpha + k) rho / ((beta + k)(k + 1)); r_k
-        # falls for k >= beta, so once it is below 1/2 the tail is below 3 dt.
-        # The sum is scaled by 2^-900 (counted in e) before it leaves float64
-        t, total, e = 1.0, y, 0
-        for k in range(_CF_MAX_TERMS):
-            r = (alpha + k) * rho / ((beta + k) * (k + 1.0))
-            t *= r
-            dt = t * (y + k + 1.0)
+        # the sum over alpha, so that a subnormal alpha keeps its digits: t is
+        # t_k / alpha, t_1 / alpha = rho / beta and t_{k+1} = t_k r_k; r_k falls
+        # for k >= beta, so once it is below 1/2 the tail is below 3 dt.  The
+        # sum is scaled by 2^-900 (counted in e) before it leaves float64
+        t, total, e = rho / beta, v, 0
+        for k in range(1, _CF_MAX_TERMS):
+            dt = t * (y + k)
             total += dt
+            r = (alpha + k) * rho / ((beta + k) * (k + 1.0))
             if dt <= tol * total and r <= 0.5 and k >= beta:
                 break
+            t *= r
             if total > 1e280:
                 t, total, e = math.ldexp(t, -900), math.ldexp(total, -900), e + 900
         else:
@@ -545,7 +545,9 @@ def _psi_log(alpha: float, beta: float, rho: float) -> tuple[float, float]:
                 f"tricomi_psi: Phi's sum needs more than {_CF_MAX_TERMS} terms "
                 f"(alpha={alpha}, beta={beta}, rho={rho})"
             )
-        ln_psi = (math.lgamma(beta) - math.lgamma(alpha) + (1.0 - beta) * math.log(rho)
+        # ln Gamma(alpha + 1); below alpha = 1 the rounding of alpha + 1 costs nothing
+        lg1 = math.lgamma(alpha + 1.0) if alpha < 1.0 else math.lgamma(alpha) + math.log(alpha)
+        ln_psi = (math.lgamma(beta) - lg1 + (1.0 - beta) * math.log(rho)
                   + rho - math.log(total) - e * _LN2)
     if not math.isfinite(ln_psi):
         raise ConvergenceError(f"tricomi_psi: ln Psi leaves float64 at alpha={alpha}, beta={beta}, rho={rho}")

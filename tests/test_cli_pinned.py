@@ -108,7 +108,7 @@ PINS = {
     # Psi from its recurrence in alpha and the sweep seeded by it moved the
     # residuals and min_phi of these four and of --w 150 in their last bits
     "factorize-check --g1 -0.25 --g2 2 --mu 0.4 --w 0.3":
-        (0, "8b4d0bc4a0ca2c276782268615b99c0e5c5f10bc79c75c1cbc3c33db34cb3fb6", ""),
+        (0, "fe9c4721e6e3edb8a5235a28452ac838e645ca0c939347706fc0cf496bf49b48", ""),
     "factorize-check --g1 0 --g2 1 --mu 1.1 --w 2.5":
         (0, "16033f2e3434a2ab7718da0345f1b904bd5fcc56b39428d6c6683803b022d46d", ""),
     "factorize-check --g1 2 --g2 3 --mu 0.7 --w 5":
@@ -131,7 +131,7 @@ PINS = {
         (4, _EMPTY, "numerical failure: gamma: Gamma(180.75) overflows float64\n"),
     # Gamma(150.75), the scale of phi, fits float64 (up to 171.6)
     "factorize-check --g1 0 --g2 1 --mu 0.3 --w 150":
-        (0, "85a204bc92b364e4017f095ad1165dc9295402599aad8e8ed0489199a2eef4ff", ""),
+        (0, "1ef0fb534eafeb3d7aec2399d91685b1fc66188262dc5339f619ab0f6c8df7b0", ""),
     "nonexistence --g1 -1.25 --g2 1":
         (0, "a6b993ce5dddd1c0dfa0a3786f1332833c46b4114f226a48c7e1ba3e677f873e", ""),
     "nonexistence --g1 -1.25 --g2 1 --format csv":
@@ -166,26 +166,26 @@ PINS = {
     # recurrence, and 7-psi-large-rho reads 0.0030820904315523867 (from
     # ...5529418) with Psi(alpha, beta; 100) from the recurrence
     "verify":
-        (0, "71a5c7ff4b242ed4461be6c29cabdaeed8a0702a20bdcbdddd17b4b561abd714", ""),
+        (0, "1fdb2bc29d20c679d62939281303b7289a69ace1ed357191ec5a20fe475092bf", ""),
     "verify --format csv":
-        (0, "6696c12943dba3b11b2de53e5faf73a16a058ea602b95f2c1701621d4f189183", ""),
+        (0, "dae8312233a532de24694b020b8d8adeb48763b89ee5fefc2cba50ef6931541e", ""),
     "verify --quick":
-        (0, "09e3653fef0e5596d7dffe309a0fc81e1a2bb2fb5c934d67816cd0a5f6de0c52", ""),
+        (0, "a60d7b6ecbd40ac6f1f4bf37a8faf445e3bbaf999a4a4d19de9798e535e975a7", ""),
     "verify --quick --format csv":
-        (0, "50a40b15fac28784a5fc55c06684c6b1227a9b80dd97e29b2902f56f93a5310d", ""),
+        (0, "8e3a99cc73b5147ab972970db78eb0efcb13157010b24066b1aeacf2684adeee", ""),
     "verify --inject-gamma-bug": (
         4,
-        "c352ac92a97c90b27f529749f1d9c3ec8ec6c01e2cb09ebd557a051b90211b3d",
+        "6f6496632afa9f1c99ed682beaeda0e2babba2f0b728b622f21ce070bf288a7f",
         "first failing row: 2-nu-zero-closed-form (1.670e-02 > 1e-10)\n",
     ),
     "verify --quick --inject-gamma-bug": (
         4,
-        "e7881445a95efda737c2bf198ec7d4d03948e3ade8d6e4b5898383ad6234bc42",
+        "6235c22216f7648d70ad6e680ac9859ce94a5bd055b2bb964c296488f419d75a",
         "first failing row: 2-nu-zero-closed-form (1.670e-02 > 1e-10)\n",
     ),
     "verify --quick --inject-gamma-bug --format csv": (
         4,
-        "f1c5a41e8c89df4e866f5aa972dab2f360cd4a7808f3e6f2edb8549dbc32de7c",
+        "f90745012270f0732477ff90cf249105a380e24e8da14803b0decf92455a5440",
         "first failing row: 2-nu-zero-closed-form (1.670e-02 > 1e-10)\n",
     ),
 }
