@@ -163,8 +163,9 @@ PINS = {
     # rows 1, 3 and 9 moved with the oracle's left series (3.3e-16,
     # 2.4e-15 and 1.1e-15, from 6.7e-16, 5.6e-15 and 6.7e-15); row 6 names
     # b a f = (H + u) f, row 7-psi-dual-route compares the series with the
-    # recurrence, and 7-psi-large-rho reads 0.0030820904315523867 (from
-    # ...5529418) with Psi(alpha, beta; 100) from the recurrence
+    # recurrence and reads 9.7096814617687157e-13 (from 9.718...e-13), and
+    # 7-psi-large-rho reads 0.0030820904315523867 (from ...5529418) with
+    # Psi(alpha, beta; 100) from the recurrence
     "verify":
         (0, "1fdb2bc29d20c679d62939281303b7289a69ace1ed357191ec5a20fe475092bf", ""),
     "verify --format csv":

@@ -28,8 +28,8 @@ def test_psi_of_alpha_past_171_is_exact_law():
 
 # the recurrence's ln Psi moved each value from the Laplace integral's
 # (0x1.38d5e8f316141p+0, 0x1.8aa4c98d4d1b4p-1, 0x1.912ca731af15ap-386):
-# by 3 ulps to 6.7e-16 from hyperu, by 1 ulp onto it, and to 3.0e-14 (from
-# 2.0e-14), the rounding of ln Psi ~ -267
+# by 3 ulps to 6.7e-16 from hyperu, by 3 ulps to 6.7e-16 (from 2.2e-16), and
+# to 3.0e-14 (from 2.0e-14), the rounding of ln Psi ~ -267
 @pytest.mark.parametrize(
     "args, pinned",
     [
