@@ -843,3 +843,97 @@ class TestTricomiPsi:
         # Phi terms near float64 overflow, and it refuses
         with pytest.raises(ConvergenceError, match="series-form budget"):
             tricomi_psi_series(1.3, 1.5, rho)
+
+
+def _psi_from_recurrence(a, b, r):
+    return math.exp(specfun._psi_log(a, b, r)[0])
+
+
+class TestPsiRecurrence:
+    def test_floor_keeps_the_fractions_first_denominator_at_least_2(self):
+        assert specfun._psi_cf_floor(0.5, 1.0) == 1.0
+        assert specfun._psi_cf_floor(1.0, 20.0) == 18.0
+        for a, b in ((0.002, 1.0), (0.3, 3.5), (1.0, 20.0), (60.0, 3.0)):
+            r = specfun._psi_cf_floor(a, b)
+            assert r >= 1.0
+            assert r + 2.0 * a + 2.0 - b >= 2.0
+
+    @pytest.mark.parametrize(
+        "a,b,r",
+        [
+            # Wronskian normalisation at all three alphas
+            (1.5, 1.0, 1.0),
+            (2.5, 2.25, 3.0),
+            (7.5, 1.0, 20.0),
+            (1.2, 1.0, 5.0),
+            # Temme's sum at all three
+            (3.0, 1.5, 60.0),
+            (12.0, 3.5, 150.0),
+        ],
+    )
+    def test_three_term_recurrence_in_alpha_holds(self, a, b, r):
+        # DLMF 13.3.7: Psi(a - 1) + (b - 2a - rho) Psi(a) + a (a - b + 1) Psi(a + 1) = 0
+        terms = (
+            _psi_from_recurrence(a - 1.0, b, r),
+            (b - 2.0 * a - r) * _psi_from_recurrence(a, b, r),
+            a * (a - b + 1.0) * _psi_from_recurrence(a + 1.0, b, r),
+        )
+        assert abs(math.fsum(terms)) <= 1e-14 * math.fsum(map(abs, terms))  # 1.5e-15
+
+    @pytest.mark.parametrize("a,b", [(0.7, 1.0), (3.0, 2.5), (1.5, 3.5), (40.0, 1.0)])
+    def test_both_normalisations_meet_at_their_switch(self, a, b):
+        # `_psi_log` takes Temme's sum past this rho and the Wronskian up to it
+        switch = 16.0 + a + 2.0 * b + a * max(0.0, b - a - 1.0)
+        below = specfun._psi_log(a, b, switch)
+        above = specfun._psi_log(a, b, math.nextafter(switch, math.inf))
+        with mpmath.workdps(40):
+            ref = mpmath.hyperu(a, b, switch)
+            slope = -a * mpmath.hyperu(a + 1, b + 1, switch) / ref
+        for ln_psi, dlog in (below, above):
+            assert float(abs(mpmath.exp(ln_psi) / ref - 1)) <= 1e-13  # 3.0e-14 at (40, 1), below
+            assert float(abs(dlog / slope - 1)) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "a,b,r",
+        [
+            # Phi ~ e^725 and e^758: the Wronskian's sum passes 1e280 and
+            # is carried as a mantissa times 2^-900
+            (10.0, 100.0, 1000.0),
+            (8.0, 120.0, 1100.0),
+        ],
+    )
+    def test_wronskian_sum_past_float64_keeps_digits(self, a, b, r):
+        ln_psi, dlog = specfun._psi_log(a, b, r)
+        with mpmath.workdps(40):
+            ref = mpmath.hyperu(a, b, r)
+            slope = -a * mpmath.hyperu(a + 1, b + 1, r) / ref
+            assert float(abs(ln_psi - mpmath.log(ref))) <= 1e-13 * float(abs(mpmath.log(ref)))
+        assert float(abs(dlog / slope - 1)) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "a,b,r",
+        [
+            # alpha y and Phi's first term, taken before the sum divided by
+            # alpha, rounded onto the subnormal grid: Psi(5e-324, 1.5; 2) read 2.3
+            (5e-324, 1.5, 2.0),
+            (1e-310, 1.0, 3.0),
+            (1e-300, 2.5, 1.0),
+        ],
+    )
+    def test_subnormal_alpha_keeps_its_digits(self, a, b, r):
+        # Psi(alpha, beta; rho) = 1 - O(alpha)
+        assert _psi_from_recurrence(a, b, r) == pytest.approx(1.0, rel=1e-15, abs=0.0)
+
+    def test_fraction_budget_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_CF_MAX_TERMS", 50)
+        with pytest.raises(ConvergenceError, match="continued fraction needs more than 50 terms"):
+            specfun._psi_log(1.3, 1.5, 1.0)
+        # integer beta: the router's only route at rho = 1 is the recurrence
+        with pytest.raises(ConvergenceError, match="continued fraction needs more than 50 terms"):
+            tricomi_psi(1.3, 1.0, 1.0)
+
+    def test_wronskian_sum_budget_exhaustion_raises(self, monkeypatch):
+        # the fraction converges in under 20 terms here, and Phi's sum needs ~rho
+        monkeypatch.setattr(specfun, "_CF_MAX_TERMS", 300)
+        with pytest.raises(ConvergenceError, match="Phi's sum needs more than 300 terms"):
+            specfun._psi_log(10.0, 100.0, 1000.0)
