@@ -909,10 +909,10 @@ def _assert_finite_numbers(text, fmt):
 
 
 def _pinned_examples(test):
-    """test with every argv `test_cli_pinned.PINS` holds for a past fault or
-    a contract case as an explicit example; the full table (seconds per
-    call) and --out are left to that file."""
-    from test_cli_pinned import PINS
+    """test with every argv `cli_pins.PINS` holds for a past fault or a
+    contract case as an explicit example; the full table (seconds per call)
+    and --out are left to `test_cli_pinned.py`."""
+    from cli_pins import PINS
 
     for argv in PINS:
         if "--out" not in argv and (not argv.startswith("verify") or "--quick" in argv):
@@ -924,26 +924,16 @@ class TestContract:
     @_pinned_examples
     @given(argv=_requests())
     @settings(max_examples=100, deadline=None)
-    # the spectral level is exactly 0.0 (a raw ZeroDivisionError, exit 1, before)
-    @example(argv=["spectrum", "--g1", "-0.25", "--g2", "1", "--nu", "-0.6802522689117267", "--n", "2",
-                   "--oracle", "on"])
     @example(argv=["spectrum", "--g1", "0.2930971441035225", "--g2", "7", "--nu", "-0.5219813924425775",
                    "--n", "1", "--oracle", "on"])
-    # the oracle at extreme g2: NaN left data (exit 1, then 4), answers 194 % off, kappa = 1e10
+    # the oracle at extreme g2: NaN left data (exit 1, then 4), answers 194 % off
     @example(argv=["spectrum", "--g1", "1", "--g2", "1e-47", "--unique", "--n", "1", "--oracle", "on"])
     @example(argv=["spectrum", "--g1", "0", "--g2", "1e-30", "--nu", "0.5", "--n", "3", "--oracle", "on"])
     @example(argv=["spectrum", "--g1", "0", "--g2", "1e300", "--friedrichs", "--n", "3", "--oracle", "on"])
-    @example(argv=["spectrum", "--g1", "1e20", "--g2", "1e-300", "--unique", "--n", "1", "--oracle", "on"])
-    # past faults not in test_cli_pinned.PINS
-    @example(argv=["spectrum", "--g1", "1e6", "--g2", "1", "--unique", "--oracle", "on", "--n", "2"])
+    # past faults not in cli_pins.PINS
     @example(argv=["spectrum", "--g1", "-0.24999975", "--g2", "1", "--nu", "-1.2"])
-    @example(argv=["factorize-check", "--g1", "0.7807903308142254", "--g2", "5.077302842318259",
-                   "--mu", "0.6791278949851294", "--w", "36.14217864343359"])
-    @example(argv=["factorize-check", "--g1", "2.58", "--g2", "170162.5", "--mu", "0", "--w", "-0.0176"])
     @example(argv=["factorize-check", "--h-shift", "nan"])
     @example(argv=["nonexistence", "--g1", "1e308", "--g2", "1", "--force"])
-    @example(argv=["nonexistence", "--g1", "-1e300", "--g2", "1"])
-    @example(argv=["nonexistence", "--g1", "-0.2501", "--g2", "0", "--interval", "1e-300", "1e10"])
     def test_every_request_ends_in_the_contract(self, argv):
         code, out, err = _bounded_main(argv)
         assert code in (0, 2, 3, 4), (code, err)

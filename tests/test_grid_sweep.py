@@ -1,11 +1,18 @@
 """Psi along a grid: the inward Taylor sweep of Kummer's equation
 (`specfun.tricomi_psi_on`), the solutions and ground states built on it
 (`values_on`) and `oracle.sample_on_grid`, checked against mpmath's hyperu
-and hyp1f1 and against the pointwise path they replace.
+and hyp1f1 and against the pointwise path they replace.  Two ground states
+are also built and checked in a fresh interpreter, which must not load
+mpmath, and one state's 801 sampled floats are pinned.
 """
 
+import hashlib
+import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -364,3 +371,79 @@ def test_sample_on_grid_sweeps_states_and_loops_over_callables(monkeypatch):
     assert (len(calls), len(seeds)) == (0, 1)
     oracle.sample_on_grid(lambda x: gs(x), grid)
     assert len(calls) == 801
+
+
+def _in_a_fresh_interpreter(script: str) -> dict:
+    """The JSON dict that script prints last, run where no test has imported
+    mpmath, so that it is loaded only if the package loads it."""
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+_INTERIOR_STATE = """
+import json, sys
+from calogero.oracle import sample_on_grid
+from calogero.params import reduce
+from calogero.spectral import extension_for, ground_state_wavefunction
+rp = reduce(0.19**2 - 0.25, 1.0)
+gs = ground_state_wavefunction(rp, extension_for(rp, nu=-1.05))
+grid = [0.02 + (8.0 - 0.02) * i / 800 for i in range(801)]
+swept = sample_on_grid(gs, grid).values
+pointwise = sample_on_grid(lambda x: gs(x), grid).values
+print(json.dumps({"points": len(swept), "mpmath": "mpmath" in sys.modules,
+                  "worst": max(abs(s - p) / abs(p) for s, p in zip(swept, pointwise))}))
+"""
+
+
+def test_interior_ground_state_sweep_agrees_with_the_router_without_mpmath():
+    # sample_on_grid takes Psi from one inward sweep; the per-point loop over
+    # gs(x) takes it from the router, whose contract is 1e-8
+    found = _in_a_fresh_interpreter(_INTERIOR_STATE)
+    assert found["points"] == 801
+    assert found["worst"] <= 1e-8
+    assert not found["mpmath"], "the ground state loaded mpmath"
+
+
+def test_interior_ground_state_grid_is_pinned():
+    # Phi's series, the Psi sweep, Psi's recurrence in alpha and Simpson's
+    # rule, float for float: the kappa = 0.19, nu = -1.05 state above
+    rp = reduce(0.19**2 - 0.25, 1.0)
+    gs = ground_state_wavefunction(rp, extension_for(rp, nu=-1.05))
+    text = "".join(f"{v.hex()}\n" for v in oracle.sample_on_grid(gs, oracle_grid(1.0)).values)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1979422cfee59965dd8f0b2c86b2c996bba8727ce6841b9d239091fa2c548254")
+
+
+_KAPPA_ZERO_STATE = """
+import json, math, sys
+import numpy as np
+from calogero.oracle import sample_on_grid
+from calogero.params import reduce
+from calogero.spectral import extension_for, ground_state_wavefunction
+rp = reduce(-0.25, 1.0)
+gs = ground_state_wavefunction(rp, extension_for(rp, nu=0.3))
+grid = [0.02 + (8.0 - 0.02) * i / 800 for i in range(801)]
+sampled = sample_on_grid(gs, grid).values
+t, wt = np.polynomial.legendre.leggauss(64)
+def gauss(f, a, b, panels):
+    h = (b - a) / panels
+    return sum(0.5 * h * sum(wi * f(a + h * (j + 0.5 + 0.5 * ti)) for ti, wi in zip(t, wt))
+               for j in range(panels))
+norm = gauss(lambda s: math.exp(s) * gs(math.exp(s)) ** 2, math.log(1e-12), 0.0, 16)
+norm += gauss(lambda x: gs(x) ** 2, 1.0, 9.0, 8)
+print(json.dumps({"points": len(sampled), "positive": all(v > 0.0 for v in sampled),
+                  "mpmath": "mpmath" in sys.modules, "norm": norm}))
+"""
+
+
+def test_kappa_zero_ground_state_has_unit_norm_without_mpmath():
+    # its norm is the closed form psi'(alpha) / (2 ups), checked by
+    # Gauss-Legendre in ln x over (1e-12, 1) and in x over (1, 9); the head
+    # below x = 1e-12, where u^2 ~ x ln^2 x, holds ~1e-21
+    found = _in_a_fresh_interpreter(_KAPPA_ZERO_STATE)
+    assert found["points"] == 801 and found["positive"]
+    assert abs(found["norm"] - 1.0) <= 1e-10, found["norm"]
+    assert not found["mpmath"], "the ground state loaded mpmath"
