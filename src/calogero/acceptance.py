@@ -5,12 +5,8 @@ worst observed value, the threshold it must stay under, and a pass flag.
 Rows never assert; they report. The CLI and the test suite decide what
 to do with a failure.
 
-The rows marked quick in `_CHECKS` form the subset behind `--quick`; it
-keeps row 3, the one oracle grid that sees a fault in each special function
-the boundary equations call.  The full table adds the other oracle rows.
-
 The oracle rows (1, 2-vs-oracle, 3, 4, 9, 10-oracle) read one table.
-`run_acceptance` gathers the (rp, ext) cells of the rows it runs, shoots
+`run_acceptance` gathers the (rp, ext) cells of those rows, shoots
 each cell once at the largest level count a row asks of it, and every row
 reads the first n levels of its cells: a k-level run is the first k levels
 of a longer run bit for bit, since level n's solve never reads n_max.  The
@@ -94,8 +90,7 @@ def _rel(got, ref):
 # construction, since the oracle solves the g2 = 1 problem at every g2.
 # Row 7-psi-dual-route follows the same rule: 9.7e-13 at worst, 1e-10.
 # A 1e-6 relative fault in the argument of gamma, gammaln_signed,
-# gammaln_shift, digamma or sinpi moves row 3 by 1.6e-7 or more, which is
-# why row 3 is in the quick subset.
+# gammaln_shift, digamma or sinpi moves row 3 by 1.6e-7 or more.
 
 
 # --- 1: Friedrichs/unique ground state against the oracle ------------------
@@ -387,37 +382,36 @@ def _c10_scaling_oracle(shot):
     )
 
 
-# (function, part of the quick subset, the oracle cells it reads or None);
-# a row with cells is called with `shot`, the table's (rp, ext, n) lookup
+# (function, the oracle cells it reads or None); a row with cells is
+# called with `shot`, the table's (rp, ext, n) lookup
 _CHECKS = (
-    (_c1_friedrichs_ground, True, _c1_cells),
-    (_c2_nu_zero_closed_form, True, None),
-    (_c2_nu_zero_oracle, False, _c2_cells),
-    (_c3_spectrum_equivalence, True, _c3_cells),
-    (_c4_ladder_spacing, False, _c4_cells),
-    (_c5_monotone_flow, True, None),
-    (_c6_factorization_identity, True, None),
-    (_c6_kernel_at_floor, True, None),
-    (_c7_psi_dual_route, True, None),
-    (_c7_psi_large_rho, True, None),
-    (_c7_phi_large_rho, True, None),
-    (_c8_oscillation, True, None),
-    (_c9_wavefunction_fidelity, True, _c9_cells),
-    (_c10_scaling_formula, True, None),
-    (_c10_scaling_oracle, False, _c10_cells),
+    (_c1_friedrichs_ground, _c1_cells),
+    (_c2_nu_zero_closed_form, None),
+    (_c2_nu_zero_oracle, _c2_cells),
+    (_c3_spectrum_equivalence, _c3_cells),
+    (_c4_ladder_spacing, _c4_cells),
+    (_c5_monotone_flow, None),
+    (_c6_factorization_identity, None),
+    (_c6_kernel_at_floor, None),
+    (_c7_psi_dual_route, None),
+    (_c7_psi_large_rho, None),
+    (_c7_phi_large_rho, None),
+    (_c8_oscillation, None),
+    (_c9_wavefunction_fidelity, _c9_cells),
+    (_c10_scaling_formula, None),
+    (_c10_scaling_oracle, _c10_cells),
 )
 
 
-def run_acceptance(quick: bool = False) -> tuple[CheckRow, ...]:
-    """Run the suite and report it in table order; quick=True keeps only the
-    fast rows.  The rows that read no oracle run while the oracle table's
-    children shoot their shares (module docstring)."""
-    checks = [(fn, cells) for fn, is_quick, cells in _CHECKS if is_quick or not quick]
+def run_acceptance() -> tuple[CheckRow, ...]:
+    """Run the suite and report it in table order.  The rows that read no
+    oracle run while the oracle table's children shoot their shares (module
+    docstring)."""
     shot, plain = _oracle_table(
-        (cell for _, cells in checks if cells for cell in cells()),
-        lambda: {fn: fn() for fn, cells in checks if cells is None},
+        (cell for _, cells in _CHECKS if cells for cell in cells()),
+        lambda: {fn: fn() for fn, cells in _CHECKS if cells is None},
     )
-    return tuple(plain[fn] if cells is None else fn(shot) for fn, cells in checks)
+    return tuple(plain[fn] if cells is None else fn(shot) for fn, cells in _CHECKS)
 
 
 # --- the oracle table ---------------------------------------------------------

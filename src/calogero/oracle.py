@@ -255,7 +255,7 @@ _SERIES_MAX_TERMS = 60  # series terms in the boundary data at either end
 @dataclass(frozen=True)
 class OracleEigenfunction:
     grid: tuple[float, ...]
-    values: tuple[float, ...]  # L2-normalized over the grid
+    values: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -756,50 +756,15 @@ def _end(point, target, missing) -> tuple[float, float | None]:
 # sampled functions
 
 
-def _simpson(vals: list[float], xs: list[float]) -> float:
-    """Composite Simpson on a possibly non-uniform grid.
-
-    Each adjacent interval pair gets the quadratic through its three
-    points; an odd leftover interval gets the parabola through the last
-    three points. Reduces to classic Simpson for uniform spacing.
-    """
-    n = len(vals) - 1
-    acc = 0.0
-    for x0, x1, x2, v0, v1, v2 in zip(
-        xs[0:n - 1:2], xs[1:n:2], xs[2:n + 1:2], vals[0:n - 1:2], vals[1:n:2], vals[2:n + 1:2]
-    ):
-        h0 = x1 - x0
-        h1 = x2 - x1
-        acc += (h0 + h1) / 6.0 * (
-            v0 * (2.0 - h1 / h0) + v1 * (h0 + h1) ** 2 / (h0 * h1) + v2 * (2.0 - h0 / h1)
-        )
-    if n > 0 and n % 2:  # one interval left
-        h0 = xs[n - 1] - xs[n - 2]
-        h1 = xs[n] - xs[n - 1]
-        acc += vals[n] * (2.0 * h1 * h1 + 3.0 * h0 * h1) / (6.0 * (h0 + h1))
-        acc += vals[n - 1] * (h1 * h1 + 3.0 * h0 * h1) / (6.0 * h0)
-        acc -= vals[n - 2] * h1 ** 3 / (6.0 * h0 * (h0 + h1))
-    return acc
-
-
-def sample_on_grid(fn, grid) -> OracleEigenfunction:
-    """Sample u(x) on a grid and L2-normalize it on the grid (composite
-    Simpson).  fn is a callable, or an object with `values_on(xs)` (a
-    `GroundState`, an `EvaluableSolution`), which then gives the whole
-    grid at once: the analytic states take their Psi from one inward
-    sweep of Kummer's equation, two Psi calls per grid, not one per point.
-    A grid of fewer than three points, or not strictly increasing, is a
-    DomainError: Simpson's rule divides by its spacings."""
-    xs = [float(x) for x in grid]
-    if len(xs) < 3 or not all(map(float.__lt__, xs, xs[1:])):
-        raise DomainError("sample_on_grid: the grid needs at least three strictly increasing points")
-    if hasattr(fn, "values_on"):
-        vals = [float(v) for v in fn.values_on(xs)]
-    else:
-        vals = [float(fn(x)) for x in xs]
-    norm2 = _simpson([v * v for v in vals], xs)
-    if not math.isfinite(norm2) or norm2 <= 0.0:
-        raise DomainError(f"sample_on_grid: bad norm^2 = {norm2!r}")
-    scale = 1.0 / math.sqrt(norm2)
-    vals = [v * scale for v in vals]
-    return OracleEigenfunction(tuple(xs), tuple(vals))
+def sample_on_grid(state, grid) -> OracleEigenfunction:
+    """state.values_on(grid) as an OracleEigenfunction: the analytic states
+    are normalised in closed form, and nothing here re-normalises them.  Kept
+    in this module, under this name, only for the benchmark's `states`
+    workload, which imports it.  An object without `values_on` is a
+    DomainError, a value that is not finite a ConvergenceError."""
+    if not hasattr(state, "values_on"):
+        raise DomainError(f"sample_on_grid needs an object with values_on, got {type(state).__name__}")
+    vals = tuple(state.values_on(grid))
+    if not all(map(math.isfinite, vals)):
+        raise ConvergenceError("sample_on_grid: a sampled value is not finite")
+    return OracleEigenfunction(tuple(grid), vals)

@@ -1,7 +1,6 @@
 """The `states` path's inner loops as they were written before their
 per-term overhead was taken out: the tests' reference for
-`specfun.tricomi_psi_on`, `specfun._phi_series` and `oracle._simpson`,
-kept verbatim.
+`specfun.tricomi_psi_on` and `specfun._phi_series`, kept verbatim.
 
 The sweep's seed comes from the package's own `_psi_cf_floor` and
 `_psi_log`, taken as a mantissa over 2^e as in the package's sweep.  The
@@ -153,31 +152,3 @@ def tricomi_psi_on(alpha: float, beta: float, rhos) -> list[float]:
         return [math.ldexp(v, e) for v in out]
     except OverflowError:
         raise ConvergenceError(f"tricomi_psi_on: Psi leaves float64 by rho={r}") from None
-
-
-def _simpson(vals: list[float], xs: list[float]) -> float:
-    """Composite Simpson on a possibly non-uniform grid.
-
-    Each adjacent interval pair gets the quadratic through its three
-    points; an odd leftover interval gets the parabola through the last
-    three points. Reduces to classic Simpson for uniform spacing.
-    """
-    n = len(vals) - 1
-    acc = 0.0
-    i = 0
-    while i + 2 <= n:
-        h0 = xs[i + 1] - xs[i]
-        h1 = xs[i + 2] - xs[i + 1]
-        acc += (h0 + h1) / 6.0 * (
-            vals[i] * (2.0 - h1 / h0)
-            + vals[i + 1] * (h0 + h1) ** 2 / (h0 * h1)
-            + vals[i + 2] * (2.0 - h0 / h1)
-        )
-        i += 2
-    if i < n:  # one interval left
-        h0 = xs[n - 1] - xs[n - 2]
-        h1 = xs[n] - xs[n - 1]
-        acc += vals[n] * (2.0 * h1 * h1 + 3.0 * h0 * h1) / (6.0 * (h0 + h1))
-        acc += vals[n - 1] * (h1 * h1 + 3.0 * h0 * h1) / (6.0 * h0)
-        acc -= vals[n - 2] * h1 ** 3 / (6.0 * h0 * (h0 + h1))
-    return acc

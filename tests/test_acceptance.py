@@ -39,7 +39,7 @@ ROW_NAMES = [
 
 @pytest.fixture(scope="module")
 def table():
-    rows = run_acceptance(quick=False)
+    rows = run_acceptance()
     return {row.name: row for row in rows}
 
 
@@ -50,8 +50,6 @@ def test_table_is_complete(table):
 def test_rows_come_in_table_order(table):
     # the rows that read no oracle run first, but the report lists them as tabled
     assert list(table) == ROW_NAMES
-    quick = [row.name for row in run_acceptance(quick=True)]
-    assert quick == [name for name in ROW_NAMES if name in quick]
 
 
 @pytest.mark.parametrize("name", ROW_NAMES)
@@ -60,18 +58,6 @@ def test_criterion(table, name):
     status = "PASS" if row.passed else "FAIL"
     print(f"{status} {row.name}: {row.value:.3e} <= {row.threshold:.0e}  ({row.detail})")
     assert row.passed, f"{row.name}: {row.value!r} exceeds {row.threshold!r} ({row.detail})"
-
-
-def test_quick_subset_is_a_subset(table):
-    quick = run_acceptance(quick=True)
-    names = {row.name for row in quick}
-    assert names < set(ROW_NAMES)
-    assert all(row.passed for row in quick)
-    # quick mode keeps row 3, the one row that sees faults in digamma and
-    # sinpi (below), and drops the other oracle sweeps
-    assert "3-spectrum-equivalence" in names
-    assert "4-ladder-spacing-vs-oracle" not in names
-    assert "1-friedrichs-ground-vs-oracle" in names
 
 
 # a 1e-6 relative fault in the argument each special function of the
@@ -87,16 +73,16 @@ _FAULTS = {
 
 
 @pytest.mark.parametrize("name", sorted(_FAULTS))
-def test_quick_table_sees_a_special_function_fault(monkeypatch, name):
+def test_table_sees_a_special_function_fault(monkeypatch, name):
     monkeypatch.setattr(spectral, name, _FAULTS[name](getattr(spectral, name)))
-    failed = [row.name for row in run_acceptance(quick=True) if not row.passed]
+    failed = [row.name for row in run_acceptance() if not row.passed]
     assert "3-spectrum-equivalence" in failed
 
 
 def test_injected_gamma_bug_fails_rows_2_3_and_9():
     token = gamma_skew.set(0.01)  # what `verify --inject-gamma-bug` sets
     try:
-        failed = {row.name for row in run_acceptance(quick=True) if not row.passed}
+        failed = {row.name for row in run_acceptance() if not row.passed}
     finally:
         gamma_skew.reset(token)
     assert {"2-nu-zero-closed-form", "3-spectrum-equivalence", "9-wavefunction-fidelity"} <= failed
@@ -212,12 +198,11 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("quick", [True, False])
-def test_rows_are_the_same_bits_on_any_share_count(monkeypatch, quick):
+def test_rows_are_the_same_bits_on_any_share_count(monkeypatch):
     got = {}
     for k in (1, 2, 3):
         monkeypatch.setattr(acceptance, "_usable_cpus", lambda k=k: k)
-        got[k] = _bits(run_acceptance(quick=quick))
+        got[k] = _bits(run_acceptance())
     assert got[1] == got[2] == got[3]
     _no_child_left()
 
@@ -231,7 +216,7 @@ def test_table_shoots_each_cell_once_at_its_largest_level_count(monkeypatch):
 
     monkeypatch.setattr(acceptance, "_usable_cpus", lambda: 1)  # count in this process
     monkeypatch.setattr(acceptance, "shoot_spectrum", counting)
-    run_acceptance(quick=False)
+    run_acceptance()
     # 31 calls for 95 levels when each row shot its own cells
     assert (len(calls), sum(calls)) == (22, 84)
 
@@ -248,7 +233,7 @@ def test_a_short_run_is_the_first_levels_of_the_table():
 def _first_cell(share):
     """(rp, ext) of the first cell in share 0 (the parent's) or 1 (the
     child's) of the full table split in two."""
-    cells = [cell for _, _, cells in acceptance._CHECKS if cells for cell in cells()]
+    cells = [cell for _, cells in acceptance._CHECKS if cells for cell in cells()]
     return acceptance._split(acceptance._table_cells(cells), 2)[share][0][:2]
 
 
@@ -265,7 +250,7 @@ def test_a_share_that_raises_is_raised_as_itself_and_leaves_no_child(monkeypatch
     monkeypatch.setattr(acceptance, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(acceptance, "shoot_spectrum", failing)
     with pytest.raises(error) as info:
-        run_acceptance(quick=False)
+        run_acceptance()
     assert type(info.value) is error
     assert str(info.value) == f"injected at {bad[0]!r} {bad[1]!r}"
     _no_child_left()
@@ -283,7 +268,7 @@ def test_a_child_without_a_result_is_a_convergence_error(monkeypatch, die, statu
     monkeypatch.setattr(acceptance, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(acceptance, "shoot_spectrum", dying)
     with pytest.raises(ConvergenceError, match=f"oracle worker exited with status {status} and no result"):
-        run_acceptance(quick=False)
+        run_acceptance()
     _no_child_left()
 
 
@@ -294,7 +279,7 @@ def test_a_row_that_raises_while_children_work_leaves_no_child(monkeypatch):
     monkeypatch.setattr(acceptance, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(acceptance, "count_zeros", failing)
     with pytest.raises(ConvergenceError, match="injected in row 8"):
-        run_acceptance(quick=False)
+        run_acceptance()
     _no_child_left()
 
 

@@ -555,23 +555,31 @@ class TestNonexistence:
 
 
 class TestVerify:
-    def test_quick_passes(self, capsys):
-        code, out, _ = run(capsys, ["verify", "--quick"])
+    def test_passes(self, capsys):
+        code, out, _ = run(capsys, ["verify"])
         assert code == 0
         doc = json.loads(out)
+        assert doc["inputs"] == {"command": "verify", "inject_gamma_bug": False}
         rows = doc["results"]["rows"]
-        assert len(rows) == 12  # row 3 joined the quick subset
+        assert len(rows) == 15
         assert all(r["passed"] for r in rows)
         assert doc["checks"][0]["name"] == "all-rows-pass"
         assert doc["checks"][0]["value"] == 0
 
-    def test_quick_is_deterministic(self, capsys):
-        _, first, _ = run(capsys, ["verify", "--quick"])
-        _, second, _ = run(capsys, ["verify", "--quick"])
+    def test_is_deterministic(self, capsys):
+        _, first, _ = run(capsys, ["verify"])
+        _, second, _ = run(capsys, ["verify"])
         assert first == second
 
+    def test_hidden_quick_runs_the_full_table(self, capsys):
+        # kept only for callers that still pass it: the same exit code and
+        # bytes as without it, and no line in the help
+        for argv in (["verify"], ["verify", "--inject-gamma-bug"]):
+            assert run(capsys, [*argv, "--quick"]) == run(capsys, argv)
+        assert "--quick" not in run(capsys, ["verify", "--help"])[1]
+
     def test_injected_gamma_bug_fails_spectral_rows(self, capsys):
-        code, out, err = run(capsys, ["verify", "--quick", "--inject-gamma-bug"])
+        code, out, err = run(capsys, ["verify", "--inject-gamma-bug"])
         assert code == 4
         assert "first failing row" in err
         doc = json.loads(out)
@@ -585,13 +593,13 @@ class TestVerify:
         assert by_name["7-psi-dual-route"] is True
 
     def test_injection_resets_after_run(self, capsys):
-        run(capsys, ["verify", "--quick", "--inject-gamma-bug"])
-        code, out, _ = run(capsys, ["verify", "--quick"])
+        run(capsys, ["verify", "--inject-gamma-bug"])
+        code, out, _ = run(capsys, ["verify"])
         assert code == 0
         assert all(r["passed"] for r in json.loads(out)["results"]["rows"])
 
     def test_csv_status_column(self, capsys):
-        code, out, _ = run(capsys, ["verify", "--quick", "--format", "csv"])
+        code, out, _ = run(capsys, ["verify", "--format", "csv"])
         assert code == 0
         lines = out.strip().split("\n")
         assert lines[0] == "status,name,value,threshold,detail"
@@ -635,7 +643,7 @@ class TestSharedParser:
             # each of these imports its library modules on its first call
             ["factorize-check"],
             ["nonexistence", "--g1", "-1.25", "--g2", "1"],
-            ["verify", "--quick"],
+            ["verify"],
             ["spectrum", "--oracle", "on", "--n", "3", "--g1", "0", "--g2", "1", "--nu", "1"],
             first,
         ]
@@ -760,7 +768,7 @@ class TestOutPath:
         "sweep": ["sweep", "--g1", "0", "--g2", "1", "--sweep", "-1", "1", "3"],
         "factorize-check": ["factorize-check"],
         "nonexistence": ["nonexistence", "--g1", "-1.25", "--g2", "1"],
-        "verify": ["verify", "--quick"],
+        "verify": ["verify"],
     }
 
     @pytest.mark.parametrize("command", sorted(ARGVS))
@@ -790,7 +798,7 @@ class TestOutPath:
         assert (tmp_path / "file").read_text() == "kept\n"
 
 
-# mpmath is a test-only reference: with its import blocked, the quick table,
+# mpmath is a test-only reference: with its import blocked, the table,
 # a Psi value that the series refuses below rho = 1 (10.5 digits lost,
 # where the Laplace quadrature did not converge either) and a
 # factorize-check at w = 60 all answer
@@ -799,7 +807,7 @@ import sys
 sys.modules["mpmath"] = None
 from calogero.cli import main
 from calogero.specfun import tricomi_psi
-assert main(["verify", "--quick"]) == 0
+assert main(["verify"]) == 0
 assert main(["factorize-check", "--mu", "0.3", "--w", "60"]) == 0
 print("psi", tricomi_psi(146.3823893585053, 3.8581192521960097, 0.13595920013435034).hex())
 """
@@ -862,7 +870,7 @@ def _requests(draw):
         if draw(st.booleans()):
             argv.append("--force")
     else:
-        argv += draw(st.sampled_from([["--quick"], ["--quick", "--inject-gamma-bug"]]))
+        argv += draw(st.sampled_from([[], ["--inject-gamma-bug"]]))
     return argv + ["--format", draw(st.sampled_from(["json", "csv"]))]
 
 
@@ -910,12 +918,12 @@ def _assert_finite_numbers(text, fmt):
 
 def _pinned_examples(test):
     """test with every argv `cli_pins.PINS` holds for a past fault or a
-    contract case as an explicit example; the full table (seconds per call)
-    and --out are left to `test_cli_pinned.py`."""
+    contract case as an explicit example; --out is left to
+    `test_cli_pinned.py`."""
     from cli_pins import PINS
 
     for argv in PINS:
-        if "--out" not in argv and (not argv.startswith("verify") or "--quick" in argv):
+        if "--out" not in argv:
             test = example(argv=argv.split())(test)
     return test
 

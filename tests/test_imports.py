@@ -76,7 +76,7 @@ _HOOKED = {
     "spectrum": ("spectral", ["spectrum", "--g1", "0", "--g2", "1", "--nu", "0.7", "--n", "3"], 1),
     "shoot_spectrum": ("oracle", ["spectrum", "--g1", "0", "--g2", "1", "--nu", "1", "--n", "2",
                                   "--oracle", "on"], 1),
-    "run_acceptance": ("acceptance", ["verify", "--quick"], 1),
+    "run_acceptance": ("acceptance", ["verify"], 1),
     "factorization_residual": ("factorization", ["factorize-check"],
                                len(factorization._PROBES) * len(factorization._RESIDUAL_ZS)),
     "count_zeros": ("nonexistence", ["nonexistence", "--g1", "-1.25", "--g2", "1"], 1),

@@ -335,27 +335,53 @@ class TestMatchState:
             assert min(_pair_gap(got, want), _pair_gap(got, (-want[0], -want[1]))) <= 1e-11
 
 
-def test_sample_on_grid_normalizes():
-    grid = [0.01 * i for i in range(1, 402)]
-    f = sample_on_grid(lambda x: x * math.exp(-x * x / 2.0), grid)
-    assert oracle._simpson([v * v for v in f.values], grid) == pytest.approx(1.0, abs=1e-12)
+def test_sample_on_grid_keeps_the_closed_form_norm():
+    # kappa = 0.93, nu = -0.5 on the benchmark's 801-point grid, where 60 %
+    # of the mass lies in the x^(1 - 2 kappa) head below x = 0.02: a grid
+    # norm by Simpson's rule scaled these values by 1.59
+    rp = reduce(0.93**2 - 0.25, 1.0)
+    gs = ground_state_wavefunction(rp, extension_for(rp, nu=-0.5))
+    grid = [0.02 + (8.0 - 0.02) * i / 800 for i in range(801)]
+    sampled = sample_on_grid(gs, grid)
+    assert sampled.grid == tuple(grid)
+    assert sampled.values == tuple(gs.values_on(grid))
+    for x, v in zip(grid, sampled.values):
+        assert v == pytest.approx(gs(x), rel=0.0, abs=1e-13)
 
 
 @pytest.mark.parametrize(
     "grid",
-    [[], [0.5], [0.0, 1.0], [0.1, 0.1, 0.2], [0.1, 0.2, 0.2, 0.3], [0.3, 0.2, 0.1], [0.1, 0.3, 0.2, 0.4],
-     [0.1, math.nan, 0.3]],
+    [[], [0.5], [0.1, 0.1, 0.2], [0.1, 0.2, 0.2, 0.3], [0.3, 0.2, 0.1], [0.1, 0.3, 0.2, 0.4]],
 )
-def test_sample_on_grid_refuses_grids_simpson_cannot_take(grid):
-    # two points, or a repeated one, divided by zero in Simpson's leftover
-    # interval; no fewer than three strictly increasing points are taken
-    with pytest.raises(DomainError, match="at least three strictly increasing points"):
-        sample_on_grid(lambda x: 1.0, grid)
+def test_sample_on_grid_takes_every_grid_values_on_takes(grid):
+    # no rule on the grid of its own: fewer than three points, repeats and
+    # any order are values_on's to take
+    rp = reduce(0.7**2 - 0.25, 1.0)
+    gs = ground_state_wavefunction(rp, extension_for(rp, nu=-1.0))
+    assert sample_on_grid(gs, grid) == oracle.OracleEigenfunction(tuple(grid), tuple(gs.values_on(grid)))
 
 
-def test_sample_on_grid_takes_three_points():
-    f = sample_on_grid(lambda x: 1.0, [0.0, 0.5, 1.0])
-    assert f.values == (1.0, 1.0, 1.0)
+@pytest.mark.parametrize("grid", [[0.0, 1.0], [0.1, math.nan, 0.3]])
+def test_sample_on_grid_refuses_a_point_as_values_on_does(grid):
+    rp = reduce(0.7**2 - 0.25, 1.0)
+    gs = ground_state_wavefunction(rp, extension_for(rp, nu=-1.0))
+    with pytest.raises(DomainError, match="needs z > 0"):
+        sample_on_grid(gs, grid)
+
+
+def test_sample_on_grid_refuses_an_object_without_values_on():
+    with pytest.raises(DomainError, match="values_on"):
+        sample_on_grid(lambda x: 1.0, [0.1, 0.2, 0.3])
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_sample_on_grid_refuses_a_value_that_is_not_finite(bad):
+    class State:
+        def values_on(self, xs):
+            return [1.0, bad, 1.0]
+
+    with pytest.raises(ConvergenceError, match="not finite"):
+        sample_on_grid(State(), [0.1, 0.2, 0.3])
 
 
 # ground states far below the rung: kappa = 0.3 at nu = -1.3 (scaled

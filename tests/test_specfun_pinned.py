@@ -68,9 +68,10 @@ def test_state_norm_pinned(args, pinned):
         # rho = z^2 rounds unlike ups^2 x^2, with c sqrt(ups) as its scale
         # both moved with the sweep, which now starts from ln Psi of the
         # recurrence at rho = 64 as a mantissa over 2^e (it took two Laplace
-        # integrals) and carries rho Psi' (it carried Psi')
-        (0.3, 0.4, 2.0, "5ee398bd41c3b34d7211a2ac8ce6cd53c20456c6ff1168464842225eef63094b"),
-        (0.7, -1.0, 0.5, "04e562acfa35ab84b5d8bfc3d6ecf5528713e1448914c786e69b98c399fb613f"),
+        # integrals) and carries rho Psi' (it carried Psi'), and again when
+        # the sampler stopped re-normalising them on the grid
+        (0.3, 0.4, 2.0, "0f494ff928f9026d9b40a79f33d2874d957e39e90ee8bed646450d1a902e3a88"),
+        (0.7, -1.0, 0.5, "eea63ad6a29415cfb7a15152946ea10fb66394bfe3f4c073cf1d11e724e06d9e"),
     ],
 )
 def test_sampled_ground_state_pinned(kappa, nu, g2, pinned):
