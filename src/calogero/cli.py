@@ -48,38 +48,30 @@ import re
 import sys
 import warnings
 
-from . import __version__
+from . import _HOME, __version__
 from .errors import ConvergenceError, DomainError
 
 __all__ = ["main"]
 
 # the library names the handlers call, each imported from its module on first
-# access (module __getattr__ below) and kept as an attribute of this module;
-# handlers call them as `_cli.<name>`, so a replaced attribute is the one called
+# access (module __getattr__ below: the package's map `_HOME`, then these, which
+# it does not export) and kept as an attribute of this module; handlers call
+# them as `_cli.<name>`, so a replaced attribute is the one called
 _LAZY = {
     "run_acceptance": "acceptance",
     "KERNEL_THRESHOLD": "factorization",
     "RESIDUAL_THRESHOLD": "factorization",
-    "RepresentationParams": "factorization",
-    "factorization_residual": "factorization",
     "kernel_sweep": "factorization",
-    "make_phi": "factorization",
     "residual_sweep": "factorization",
-    "count_zeros": "nonexistence",
-    "shoot_spectrum": "oracle",
-    "RegionClass": "params",
-    "classify": "params",
-    "reduce": "params",
-    "extension_for": "spectral",
     "gamma_skew": "spectral",
-    "spectrum": "spectral",
 }
 
 
 def __getattr__(name: str):
-    if name not in _LAZY:
+    home = _HOME.get(name) or _LAZY.get(name)
+    if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    value = getattr(importlib.import_module(f".{home}", __package__), name)
     globals()[name] = value
     return value
 
@@ -105,21 +97,17 @@ def _fmt(x: float) -> str:
 # json.dumps of a str, without its dispatch: how keys and strings are written
 _json_str = json.encoder.encode_basestring_ascii
 _JSON_TYPES = frozenset((dict, list, tuple, bool, int, float, str, type(None)))
-# a subclass is written as the first of these it is an instance of (bool before int)
-_JSON_BASES = (dict, list, tuple, bool, int, float, str)
 
 
 def _render_json(obj, indent: int = 0) -> str:
     """obj as JSON, each level of a dict, list or tuple indented two spaces
     on its own lines; floats by `_fmt`, strings and dict keys as json.dumps
     writes them.  Dispatches on the exact type, and a float in a list is
-    written in place rather than by a call per value; anything not JSON is
-    a TypeError."""
+    written in place rather than by a call per value; any other type,
+    a subclass of one of these included, is a TypeError."""
     t = type(obj)
     if t not in _JSON_TYPES:
-        t = next((base for base in _JSON_BASES if isinstance(obj, base)), None)
-        if t is None:
-            raise TypeError(f"unrenderable type {type(obj)!r}")
+        raise TypeError(f"unrenderable type {t!r}")
     if t is float:
         return _fmt(obj)
     if t is str:
@@ -200,6 +188,16 @@ def _reduced_dict(rp) -> dict:
 # ---------------------------------------------------------------------------
 # guards
 
+# the most levels one report holds (a spectrum's --n, a sweep's COUNT x --n):
+# at up to ~1 kB per level, ~0.1 GB, where a COUNT of 1e9 ran out of memory
+_MAX_LEVELS = 100_000
+
+
+def _levels_guard(levels: float, asked: str) -> None:
+    """Refuse, before any work, a report of more than _MAX_LEVELS levels."""
+    if levels > _MAX_LEVELS:
+        raise DomainError(f"{asked} = {levels:.6g} levels, more than the {_MAX_LEVELS} one report holds")
+
 
 def _region_guard(g1: float, g2: float) -> None:
     """Exit 3 with the taxonomy message when no representation exists."""
@@ -223,6 +221,7 @@ def _region_guard(g1: float, g2: float) -> None:
 
 def _cmd_spectrum(args):
     _region_guard(args.g1, args.g2)
+    _levels_guard(args.n, "--n")
     rp = _cli.reduce(args.g1, args.g2)
     # an ignored nu's warning as one plain line: Python's format names a source line
     with warnings.catch_warnings(record=True) as caught:
@@ -268,6 +267,7 @@ def _cmd_sweep(args):
     lo, hi, count = args.sweep
     if not (count.is_integer() and count >= 2):
         raise DomainError(f"--sweep COUNT must be a whole number >= 2, got {count:g}")
+    _levels_guard(count * max(args.n, 1), "--sweep COUNT x --n")
     count = int(count)
     if not (lo < hi):
         raise DomainError("--sweep wants LO < HI")

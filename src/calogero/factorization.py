@@ -46,12 +46,13 @@ defect, with h' computed honestly from the series second derivative
 (phi''/phi - h^2), never by assuming the identity it is checking.
 
 `apply_a` and `factorization_residual` take phi, built once per
-representation by `make_phi`.  Each value at z reads one evaluation of S;
-the residual's, of order 2, gives phi, h and h' together, and phi keeps
-its last few, so the test functions evaluated at one z share it.
-`residual_sweep` and `kernel_sweep`, the checks of `factorize-check` and
-`verify` row 6, take the worst residual over three test functions at four
-points (four order-2 evaluations) and the worst |a phi|, zero at w0.
+representation by `make_phi`.  Each value at z reads one evaluation of S,
+and phi keeps the last point's at the highest order asked there: the
+residual's, of order 2, gives phi, h and h' to every test function at z,
+and `apply_a` reads one of order 1 per function.  `residual_sweep` and
+`kernel_sweep`, the checks of `factorize-check` and `verify` row 6, take
+the worst residual over three test functions at four points and the
+worst |a phi|, zero at w0.
 
 Derivatives of S use the contiguous relations
     Phi' = (alpha/beta) Phi(alpha+1, beta+1),   Psi' = -alpha Psi(alpha+1, beta+1),
@@ -78,9 +79,6 @@ __all__ = [
 ]
 
 _HALF_PI = 0.5 * math.pi
-# order-2 jets a phi keeps, at least the residual's four points: the
-# residual sweep evaluates every test function at the same z
-_JET_MEMO = 8
 
 
 @dataclass(frozen=True)
@@ -129,7 +127,7 @@ class EvaluableSolution:
         if self._sin < 1e-15:
             self._sin, self._cos = 0.0, 1.0
         self._at_floor = rep.at_floor
-        self._jets: dict[float, tuple[float, float, float, float, float]] = {}
+        self._kept: tuple = (None, -1, None)  # (z, order, jet) of the last point
         if self._at_floor:
             self._psi_scale = 0.0
         elif self._kappa > 0.0:
@@ -162,19 +160,15 @@ class EvaluableSolution:
     # -- z-space evaluations --------------------------------------------
 
     def _jet(self, z: float, order: int) -> tuple[float, float, float, float, float]:
-        # (rho, e^(-rho/2) rho^q, S, S', S'') at z from one `_S` call of
-        # `order`; an order-2 jet is kept and answers any later call at z,
-        # since S and S' do not depend on the order they were asked at
-        jet = self._jets.get(z)
-        if jet is not None:
+        # (rho, e^(-rho/2) rho^q, S, S', S'') at z from one `_S` call of `order`; the
+        # last is kept for a later call at z up to its order (S, S' do not depend on it)
+        kept_z, kept_order, jet = self._kept
+        if z == kept_z and order <= kept_order:
             return jet
         rho = self._rho(z)
         s, sp, spp = self._S(rho, order)
         jet = rho, self._envelope(rho), s, sp, spp
-        if order == 2:
-            if len(self._jets) >= _JET_MEMO:
-                self._jets.clear()
-            self._jets[z] = jet
+        self._kept = z, order, jet
         return jet
 
     def _rho(self, z: float) -> float:
@@ -214,8 +208,9 @@ class EvaluableSolution:
         envelope e^(-rho/2) rho^q is 0.0 (from rho ~ 1490); with Psi alone
         such a point is +0.0 (S > 0) and stays out of the sweep, whose steps
         then end elsewhere, so the other values may move in their last bits.
-        Where the sweep refuses (more steps than its budget, or a value past
-        float64), each other value is `value_at`'s, or its refusal."""
+        Where the sweep refuses (a seed, more steps than its budget below the
+        recurrence's floor, or a value past float64), each other value is
+        `value_at`'s, or its refusal."""
         zs = [float(z) for z in zs]
         # `_rho` and `_envelope` inline; a point they refuse goes through them
         rhos = [z * z if 0.0 < z < math.inf else self._rho(z) for z in zs]
@@ -245,9 +240,6 @@ class EvaluableSolution:
         dphi_drho = env * ((self._q / rho - 0.5) * s + sp)
         return 2.0 * z * dphi_drho
 
-    def second_derivative_at(self, z: float) -> float:
-        return self._phi_pp(z, *self._jet(z, 2))
-
     def superpotential_at(self, z: float) -> float:
         _, _, s, sp, _ = self._jet(z, 1)
         return self._h(z, s, sp)
@@ -262,7 +254,7 @@ def apply_a(phi: EvaluableSolution, f: EvaluableSolution, z: float) -> float:
     """(a f)(z) = f' - h f with h = phi'/phi.  Annihilates phi itself."""
     if not isinstance(f, EvaluableSolution):
         raise DomainError(f"apply_a needs an EvaluableSolution, got {type(f).__name__}")
-    v, d = f.value_at(z), f.derivative_at(z)
+    d, v = f.derivative_at(z), f.value_at(z)  # f' first: its jet answers f, and h if phi is f
     return d - phi.superpotential_at(z) * v
 
 
@@ -316,19 +308,24 @@ KERNEL_THRESHOLD = 1e-10
 def residual_sweep(phi: EvaluableSolution, residual, h_shift: float = 0.0) -> tuple[float, float]:
     """(worst relative residual, z) of b a f = (H1 + 4w) f over the test
     functions at four points, each residual over max(1, |(H1 + 4w) f|).
-    The first z of the worst value is kept; a NaN residual is the worst.
+    The points are walked outermost, so phi's kept jet serves the three
+    test functions at each; the worst is then read test function by test
+    function, and of equal worst values (NaN the worst) the first is kept.
 
     residual is `factorization_residual` as the caller looks it up, so a
     wrapper installed on the caller's name (the benchmark's tracing) sees
     every point."""
     g1, w = phi.rep.rp.g1, phi.rep.w
-    worst = (0.0, 0.0)
-    for f, fp, fpp in _PROBES:
-        for z in _RESIDUAL_ZS:
+    rels: list[list[tuple[float, float]]] = [[] for _ in _PROBES]  # (rel, z) by test function
+    for z in _RESIDUAL_ZS:
+        for (f, fp, fpp), row in zip(_PROBES, rels):
             resid = residual(phi, (f, fp, fpp), z, h_shift=h_shift)
             rhs = -fpp(z) + (g1 / (z * z) + z * z + 4.0 * w) * f(z)
-            rel = abs(resid) / max(1.0, abs(rhs))
-            if rel > worst[0] or math.isnan(rel):
+            row.append((abs(resid) / max(1.0, abs(rhs)), z))
+    worst = (0.0, 0.0)
+    for row in rels:
+        for rel, z in row:
+            if rel > worst[0] or (math.isnan(rel) and not math.isnan(worst[0])):
                 worst = (rel, z)
     return worst
 

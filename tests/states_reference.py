@@ -1,11 +1,15 @@
 """The `states` path's inner loops as they were written before their
 per-term overhead was taken out: the tests' reference for
-`specfun.tricomi_psi_on` and `specfun._phi_series`, kept verbatim.
+`specfun.tricomi_psi_on` and `specfun._phi_series`, their loops kept as
+written then.
 
-The sweep's seed comes from the package's own `_psi_cf_floor` and
-`_psi_log`, taken as a mantissa over 2^e as in the package's sweep.  The
-package's functions must return the same floats for every argument, and
-raise where these raise (the same exception type).
+The sweep's seeds come from the package's own `_psi_cf_floor` and
+`_psi_log`, taken as a mantissa over 2^e as in the package's sweep, which
+also moves 2^e where the mantissa leaves 2^+-600 and seeds again past a
+gap of more than 256 reaches above the floor; this sweep does the same
+with its plain loops.  The package's functions must return the same
+floats for every argument, and raise where these raise (the same
+exception type).
 `test_states_reference.py` compares the two.
 """
 
@@ -48,7 +52,15 @@ def _phi_series(a: float, b: float, rho: float) -> float:
 _SWEEP_REL_TOL = 1e-17
 _SWEEP_MAX_TERMS = 400
 _SWEEP_MAX_STEPS = 1000
+_SWEEP_GAP = 256.0
 _LN2 = math.log(2.0)
+
+
+def _seed(alpha: float, beta: float, rho: float) -> tuple[float, float, int]:
+    ln_psi, dlog = _psi_log(alpha, beta, rho)
+    e = round(ln_psi / _LN2)
+    s = math.exp(ln_psi - e * _LN2)
+    return s, s * dlog * rho, e  # rho Psi', which stays a float where Psi' ~ Psi / rho does not
 
 
 def tricomi_psi_on(alpha: float, beta: float, rhos) -> list[float]:
@@ -62,13 +74,12 @@ def tricomi_psi_on(alpha: float, beta: float, rhos) -> list[float]:
     polynomial (dense output).  A step never reaches past half its own
     rho, so every point minus the step's start is an exact float.  The
     seed is Psi and rho Psi' as mantissas over the exact power of two 2^e
-    nearest Psi, which the output takes back.  Raises ConvergenceError
-    where the seed refuses, where the sweep would take more than
-    _SWEEP_MAX_STEPS + 16 steps per point, or where a value leaves
-    float64.  A wide grid can run out of steps where every `tricomi_psi`
-    value exists (Psi(0.5, 1; rho) on [0.01, 2000], whose steps are about
-    one unit long near 2000); a caller that needs those values takes them
-    from `tricomi_psi`, as `values_on` does.
+    nearest Psi; e takes the mantissa's exponent where the mantissa leaves
+    2^+-600, and each value goes back at the e of its step.  A gap of more
+    than _SWEEP_GAP reaches down to the next point, or to the floor above
+    it, is seeded again at its far end.  Raises ConvergenceError where a
+    seed refuses, where the sweep would take more than _SWEEP_MAX_STEPS +
+    16 steps per point, or where a value leaves float64.
     """
     if not (alpha > 0.0):
         raise DomainError(f"tricomi_psi_on: alpha must be > 0, got {alpha}")
@@ -83,25 +94,28 @@ def tricomi_psi_on(alpha: float, beta: float, rhos) -> list[float]:
         return out
     order = sorted(range(n), key=rs.__getitem__, reverse=True)
     desc = [rs[i] for i in order]
-    r = max(desc[0], _psi_cf_floor(alpha, beta))
-    ln_psi, dlog = _psi_log(alpha, beta, r)
-    e = round(ln_psi / _LN2)
-    s = math.exp(ln_psi - e * _LN2)
-    rsp = s * dlog * r  # rho Psi', which stays a float where Psi' ~ Psi / rho does not
+    floor = _psi_cf_floor(alpha, beta)
+    r = max(desc[0], floor)
+    s, rsp, e = _seed(alpha, beta, r)
     budget, steps, j = _SWEEP_MAX_STEPS + 16 * n, 0, 0
     while True:
         while j < n and desc[j] == r:
-            out[order[j]] = s
+            out[order[j]] = _scaled(s, e, r)
             j += 1
         if j == n:
             break
+        reach = r / max(2.0, math.hypot(r - beta, 2.0 * math.sqrt(alpha * r)))
+        if r - max(desc[j], floor) > _SWEEP_GAP * reach:
+            r = max(desc[j], floor)
+            s, rsp, e = _seed(alpha, beta, r)
+            continue
         steps += 1
         if steps > budget:
             raise ConvergenceError(
                 f"tricomi_psi_on: more than {budget} steps from rho={r} to {desc[-1]}"
             )
         # the step ends on the farthest point within its reach, or at its reach
-        end = lo = r - r / max(2.0, math.hypot(r - beta, 2.0 * math.sqrt(alpha * r)))
+        end = lo = r - reach
         i = j
         while i < n and desc[i] >= lo:
             end = desc[i]
@@ -143,12 +157,19 @@ def tricomi_psi_on(alpha: float, beta: float, rhos) -> list[float]:
             v = 0.0
             for d in ds:
                 v = v * t + d
-            out[order[j]] = v
+            out[order[j]] = _scaled(v, e, r)
             j += 1
         r, s, rsp = end, total, dtotal / (h / end)
+        if not 2.0**-600 <= s <= 2.0**600:
+            k = math.frexp(s)[1]
+            s, rsp, e = math.ldexp(s, -k), math.ldexp(rsp, -k), e + k
     if not (math.isfinite(s) and math.isfinite(rsp)):
         raise ConvergenceError(f"tricomi_psi_on: Psi leaves float64 by rho={r}")
+    return out
+
+
+def _scaled(v: float, e: int, r: float) -> float:
     try:
-        return [math.ldexp(v, e) for v in out]
+        return math.ldexp(v, e)
     except OverflowError:
         raise ConvergenceError(f"tricomi_psi_on: Psi leaves float64 by rho={r}") from None

@@ -390,6 +390,31 @@ class TestSweep:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv, levels",
+        [
+            (["sweep", "--g1", "0", "--g2", "1", "--sweep", "-1", "1", "1e9"], "1e+09"),
+            (["sweep", "--g1", "0", "--g2", "1", "--sweep", "-1", "1", "1e300", "--n", "0"], "1e+300"),
+            (["sweep", "--g1", "0", "--g2", "1", "--sweep", "-1", "1", "1001", "--n", "100"], "100100"),
+            (["spectrum", "--g1", "2", "--g2", "1", "--n", "100001"], "100001"),
+        ],
+    )
+    def test_a_report_past_the_level_bound_is_refused_before_any_work(self, capsys, monkeypatch, argv, levels):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a level was asked for before the bound was checked")
+
+        for name in ("extension_for", "spectrum"):
+            monkeypatch.setattr(calogero.cli, name, no_work)
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        asked = "--n" if argv[0] == "spectrum" else "--sweep COUNT x --n"
+        assert err == f"invalid request: {asked} = {levels} levels, more than the 100000 one report holds\n"
+
+    def test_the_level_bound_admits_its_own_size(self, capsys):
+        code, out, _ = run(capsys, ["spectrum", "--g1", "2", "--g2", "1", "--n", "100000", "--format", "csv"])
+        assert code == 0
+        assert out.count("\n") == 100001
+
 
 class TestFactorizeCheck:
     def test_defaults_pass(self, capsys):
@@ -778,7 +803,8 @@ class TestOutPath:
         def no_work(*args, **kwargs):
             raise AssertionError("the handler ran before --out was checked")
 
-        for name in calogero.cli._LAZY:
+        library = [name for name, home in calogero._HOME.items() if home != "errors"]
+        for name in [*calogero.cli._LAZY, *library]:
             monkeypatch.setattr(calogero.cli, name, no_work, raising=False)
         path = tmp_path if target == "directory" else tmp_path / "missing" / "out.json"
         code, out, err = run(capsys, [*self.ARGVS[command], "--out", str(path)])

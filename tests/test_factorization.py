@@ -122,7 +122,7 @@ class TestSolutionCalculus:
         # the FD value itself carries eps*phi/h^2 rounding noise, so the
         # comparison scale must include the function, not just phi''
         tol = 1e-4 * (abs(fd) + abs(sol.value_at(x)) / (x * x))
-        assert abs(sol.second_derivative_at(x) - fd) <= tol
+        assert abs(sol._phi_pp(x, *sol._jet(x, 2)) - fd) <= tol
 
     @pytest.mark.parametrize("g1,g2,mu,w", PROBE_REPS)
     def test_positivity(self, g1, g2, mu, w):
@@ -211,6 +211,31 @@ class TestFactorizationIdentity:
         phi = make_phi(rep_of(0.0, 1.0, 0.4, 0.2))
         worst, x = residual_sweep(phi, lambda phi, f, x, h_shift: math.nan if x == 1.3 else 0.0)
         assert math.isnan(worst) and x == 1.3
+        # two NaN points, one of them the last: the first is kept
+        worst, x = residual_sweep(phi, lambda phi, f, x, h_shift: math.nan if x in (0.7, 2.1) else 0.0)
+        assert math.isnan(worst) and x == 0.7
+        # a NaN at one test function only, after a larger finite value
+        seen = []
+
+        def one_nan(phi, f, x, h_shift):
+            seen.append(f)
+            return math.nan if x >= 1.3 and f[0] is factorization._PROBES[2][0] else 1e9
+
+        worst, x = residual_sweep(phi, one_nan)
+        assert math.isnan(worst) and x == 1.3 and len(seen) == 12
+
+        # equal worst values: the first test function's wins, although the
+        # points are walked outermost
+        def tied(phi, f, x, h_shift):
+            rhs = -f[2](x) + (phi.rep.rp.g1 / (x * x) + x * x + 4.0 * phi.rep.w) * f[0](x)
+            first = (f[0], x) in ((factorization._PROBES[0][0], 0.7), (factorization._PROBES[1][0], 0.3))
+            return 2.0 * max(1.0, abs(rhs)) if first else 0.0
+
+        assert residual_sweep(phi, tied) == (2.0, 0.7)
+        # a `states` request whose worst residual, one ulp, is tied: the first
+        # test function's at z = 0.7 and the third's at z = 0.3
+        rep = rep_of(-0.18272211476447528, 494.1945456577101, 0.9794085358672202, -0.6256381679656154)
+        assert residual_sweep(make_phi(rep), factorization_residual) == (2.220446049250313e-16, 0.7)
         assert residual_sweep(phi, lambda phi, f, x, h_shift: math.inf) == (math.inf, 0.3)
         assert residual_sweep(phi, lambda phi, f, x, h_shift: 0.0) == (0.0, 0.0)
         assert residual_sweep(phi, factorization_residual, 0.5)[0] > 1e-3
@@ -230,7 +255,7 @@ class TestFactorizationIdentity:
             ref = mpmath.hyperu(95.75, 1.5, z * z)
             assert abs(tricomi_psi(95.75, 1.5, z * z) - ref) <= 1e-11 * ref
         v = z * z + 4.0 * 95.0
-        assert abs(phi.second_derivative_at(z) / phi.value_at(z) - v) <= 1e-11 * v
+        assert abs(phi._phi_pp(z, *phi._jet(z, 2)) / phi.value_at(z) - v) <= 1e-11 * v
 
     def test_residual_at_floor_is_exact_algebra(self):
         rp = reduce(0.75, 1.0)
@@ -342,25 +367,59 @@ class TestWorkBudget:
         kummer = self._count(monkeypatch, factorization, "kummer_phi")
         psi = self._count(monkeypatch, factorization, "tricomi_psi")
         residuals = self._count(monkeypatch, factorization, "factorization_residual")
+        s_calls = self._count(monkeypatch, phi, "_S")
         residual_sweep(phi, factorization.factorization_residual)
         assert len(residuals) == 12
+        assert len(s_calls) == 4
+        assert [order for _, order in s_calls] == [2] * 4
         assert len(kummer) == len(psi) == 3 * 4
         assert len({rho for _, _, rho in kummer}) == 4
 
-    def test_kept_jets_give_the_fresh_floats(self):
-        # after the residual sweep phi answers its points from kept jets:
-        # every order gives a fresh phi's floats, and at most _JET_MEMO jets
-        # are kept
+    def test_apply_a_on_phi_is_one_order_one_evaluation_per_point(self, monkeypatch):
+        # f', f and h at one z all read phi's one order-1 jet
+        phi = make_phi(rep_of(0.0, 1.0, 0.7, 0.3))
+        s_calls = self._count(monkeypatch, phi, "_S")
+        for z in (0.4, 1.0, 1.7):
+            apply_a(phi, phi, z)
+        assert [order for _, order in s_calls] == [1] * 3
+        other = make_phi(rep_of(0.0, 1.0, 0.2, 0.8))
+        f_calls = self._count(monkeypatch, other, "_S")
+        apply_a(phi, other, 0.9)
+        assert [order for _, order in s_calls[3:]] == [1]
+        assert [order for _, order in f_calls] == [1]
+
+    def test_kernel_sweep_is_one_order_one_evaluation_per_point(self, monkeypatch):
+        rp = reduce(0.75, 1.0)
+        phi = make_phi(RepresentationParams(0.3, rp.w0 + 0.5, rp))
+        s_calls = self._count(monkeypatch, phi, "_S")
+        kernel_sweep(phi)
+        assert [order for _, order in s_calls] == [1] * 3
+
+    def test_kept_jet_gives_the_fresh_floats(self):
+        # phi keeps its last point's jet, at the highest order asked there:
+        # a lower order at that point reads it, a higher order or another
+        # point replaces it, and every answer is a fresh phi's floats
         rep = rep_of(0.3, 1.7, 0.9, 1.4)
         used = make_phi(rep)
         residual_sweep(used, factorization_residual)
+        assert used._kept[:2] == (2.1, 2)
+
+        def second(phi, x):
+            return phi._phi_pp(x, *phi._jet(x, 2))
+
         for x in (0.3, 0.7, 1.3, 2.1):
-            for name in ("value_at", "derivative_at", "second_derivative_at", "superpotential_at"):
-                assert getattr(used, name)(x) == getattr(make_phi(rep), name)(x)
+            fresh = make_phi(rep)
+            for name in ("value_at", "derivative_at", "superpotential_at"):
+                assert getattr(used, name)(x) == getattr(fresh, name)(x)
+            assert second(used, x) == second(make_phi(rep), x)
+            assert used._kept[:2] == (x, 2)
+            assert used.value_at(x) == fresh.value_at(x)
+            assert used._kept[:2] == (x, 2)
             assert factorization_residual(used, F2, x) == factorization_residual(make_phi(rep), F2, x)
-        for i in range(40):
-            used.second_derivative_at(0.05 + 0.1 * i)
-        assert len(used._jets) <= factorization._JET_MEMO
+        used.value_at(0.5)
+        assert used._kept[:2] == (0.5, 0)
+        assert used.derivative_at(0.5) == make_phi(rep).derivative_at(0.5)
+        assert used._kept[:2] == (0.5, 1)
 
     def test_value_is_one_order_zero_evaluation(self, monkeypatch):
         phi = make_phi(rep_of(0.0, 1.0, 0.7, 0.3))

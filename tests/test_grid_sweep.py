@@ -173,20 +173,61 @@ def test_seed_past_alpha_171_is_swept():
     assert vals[2] == pytest.approx(refs[2], rel=1e-12, abs=0.0) and refs[2] > sys.float_info.min
 
 
-def test_step_budget_is_refused():
-    # ~1e6 steps of at most one unit from rho = 1e6 down to 1
-    with pytest.raises(ConvergenceError, match="steps"):
-        tricomi_psi_on(0.01, 1.5, [1e6, 1.0])
+def test_step_budget_is_refused_below_the_floor():
+    # the floor is beta - 2 alpha = 299.98; below it a step reaches about
+    # rho / beta, so the walk down to 1e-3 would take ~3 500 steps
+    assert specfun._psi_cf_floor(0.01, 300.0) == 299.98
+    with pytest.raises(ConvergenceError, match="more than 1016 steps"):
+        tricomi_psi_on(0.01, 300.0, [1e-3])
 
 
-def test_sweep_refuses_where_the_router_answers():
-    # steps of about one unit from rho = 2000 down to 0.01 pass the budget
-    # of 1000 + 16 per point
-    rhos = [0.01, 2000.0]
-    with pytest.raises(ConvergenceError, match="steps"):
-        tricomi_psi_on(0.5, 1.0, rhos)
-    for rho in rhos:
-        assert 0.0 < tricomi_psi(0.5, 1.0, rho) < math.inf
+@pytest.mark.parametrize("alpha, beta, rhos", [(0.5, 1.0, [0.01, 2000.0]), (0.01, 1.5, [1e6, 1.0])])
+def test_a_long_gap_above_the_floor_is_seeded_again(alpha, beta, rhos, monkeypatch):
+    # steps of about one unit from rho = 2000 down to 0.01 once passed the
+    # budget of 1000 + 16 per point, and ~1e6 from 1e6 down to 1: past 256
+    # reaches the sweep seeds again at the floor (1 and 1.48)
+    seeds = []
+    real = specfun._psi_log
+    monkeypatch.setattr(specfun, "_psi_log", lambda *args: seeds.append(args[2]) or real(*args))
+    vals = tricomi_psi_on(alpha, beta, rhos)
+    assert seeds == [max(rhos), specfun._psi_cf_floor(alpha, beta)]
+    with mpmath.workdps(40):
+        for rho, v in zip(rhos, vals):
+            ref = mpmath.hyperu(alpha, beta, rho)
+            assert abs(v - ref) <= 1e-13 * ref, (rho, v, ref)
+            assert abs(tricomi_psi(alpha, beta, rho) - ref) <= 1e-13 * ref
+
+
+def test_a_gap_is_seeded_at_its_far_point(monkeypatch):
+    # 799 down to 20 is ~1 000 reaches of ~0.8 above the floor 1: the second
+    # seed is at the point itself, which then takes the router's value
+    seeds = []
+    real = specfun._psi_log
+    monkeypatch.setattr(specfun, "_psi_log", lambda *args: seeds.append(args[2]) or real(*args))
+    vals = tricomi_psi_on(3.5, 1.25, [800.0, 799.0, 20.0, 19.5])
+    assert seeds == [800.0, 20.0]
+    assert vals[2] == pytest.approx(tricomi_psi(3.5, 1.25, 20.0), rel=3e-16, abs=0.0)
+    assert_psi_close(3.5, 1.25, [800.0, 799.0, 20.0, 19.5], vals)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, rho",
+    [
+        (106.83713198668079, 83.05340885128872, 1.5890519283755537e-4),  # Psi = 7.0e262
+        (96.32271919659243, 41.98056400761075, 9.153967413765684e-10),  # Psi = 4.2e269
+    ],
+)
+def test_psi_growing_past_2_1023_along_the_sweep_is_swept(alpha, beta, rho):
+    # from the seed at rho = 1 Psi grows by more than 2^1023: the sweep moves
+    # its power of two where the mantissa leaves 2^+-600, so both routes
+    # answer; with one power of two for the whole sweep both refused
+    with mpmath.workdps(40):
+        ref = mpmath.hyperu(alpha, beta, rho)
+    assert specfun._psi_cf_floor(alpha, beta) == 1.0
+    assert abs(specfun._psi_log(alpha, beta, 1.0)[0] - float(mpmath.log(ref))) > 1023 * math.log(2.0)
+    (swept,) = tricomi_psi_on(alpha, beta, [rho])
+    for v in (swept, tricomi_psi(alpha, beta, rho)):
+        assert abs(v - ref) <= 1e-13 * ref, (v, ref)
 
 
 @pytest.mark.parametrize("alpha, beta, rho", [(2.5, 1.75, 1e-200), (1.5, 2.0, 1e-200), (50.0, 2.0, 1e-160)])
@@ -274,17 +315,23 @@ def test_values_on_envelope_overflow_is_typed():
         phi.values_on([0.5, 1e75])
 
 
-def test_refused_sweep_gives_the_pointwise_values():
-    # the grid reaches rho = 1369, where the envelope is still a float, and
-    # the sweep runs out of its budget of 1000 + 16 per point near rho = 476
-    # on the way down to 0.25; every value is then value_at's
+def test_refused_sweep_gives_the_pointwise_values(monkeypatch):
+    # the grid reaches rho = 1369, where the envelope is still a float; where
+    # the sweep refuses (here made to), every value is value_at's
     rp = reduce(0.0, 1.0)
     phi = make_phi(RepresentationParams(0.0, 80.0, rp))
     xs = [37.0, 2.0, 0.5]
     assert phi._envelope(37.0**2) > 0.0
-    with pytest.raises(ConvergenceError, match="steps"):
-        tricomi_psi_on(rp.alpha_of(80.0), rp.beta, [x * x for x in xs])
-    assert phi.values_on(xs) == [phi.value_at(x) for x in xs]
+    swept = phi.values_on(xs)
+
+    def refused(*args):
+        raise ConvergenceError("tricomi_psi_on: refused")
+
+    monkeypatch.setattr(factorization, "tricomi_psi_on", refused)
+    pointwise = phi.values_on(xs)
+    assert pointwise == [phi.value_at(x) for x in xs]
+    # the sweep seeds again at rho = 4 past ~900 reaches above the floor
+    assert swept == [pytest.approx(v, rel=1e-13, abs=0.0) for v in pointwise]
 
 
 def test_psi_prime_past_float64_is_swept():

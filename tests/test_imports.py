@@ -9,6 +9,7 @@ import importlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -69,6 +70,20 @@ def test_star_import_binds_each_name_to_its_defining_module():
     assert set(calogero.__all__) <= set(dir(calogero))
     with pytest.raises(AttributeError):
         getattr(calogero, "no_such_name")
+
+
+def test_every_cli_name_resolves_to_its_module_object():
+    # the handlers call 16 library names as `_cli.<name>`: the package's own
+    # through `calogero._HOME`, and the six it does not export through
+    # `cli._LAZY`
+    called = set(re.findall(r"_cli\.(\w+)", pathlib.Path(cli.__file__).read_text()))
+    assert len(called) == 16
+    assert set(cli._LAZY) == called - set(calogero._HOME)
+    for name in called:
+        home = calogero._HOME.get(name) or cli._LAZY[name]
+        assert getattr(cli, name) is getattr(importlib.import_module(f"calogero.{home}"), name), name
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        getattr(cli, "no_such_name")
 
 
 # hooked name -> (its defining module, one request, calls at the CLI's name)

@@ -1048,7 +1048,7 @@ class TestGroundState:
         g1, e0 = 0.5 * 0.5 - 0.25, gs.energy / rp.energy_scale()
         for x in (0.3, 0.8, 1.4, 2.5):
             z = rp.upsilon * x
-            phi, phipp = gs.solution.value_at(z), gs.solution.second_derivative_at(z)
+            phi, phipp = gs.solution.value_at(z), gs.solution._phi_pp(z, *gs.solution._jet(z, 2))
             assert gs(x) == gs.norm_constant * math.sqrt(rp.upsilon) * phi
             resid = -phipp + (g1 / (z * z) + z * z) * phi - e0 * phi
             assert abs(resid) <= 1e-9 * (1.0 + abs(phi) + abs(phipp))

@@ -99,10 +99,13 @@ def test_tricomi_psi_on_matches_reference():
     draws = []
     for _ in range(700):
         draws.append((_alpha(rng), 1.0 + _kappa(rng), _rhos(rng)))
-    # a seed whose Psi underflows, one past alpha = 171, the documented
-    # refusal, a Psi' past float64 and two domain errors
+    # a seed whose Psi underflows, one past alpha = 171, a grid seeded again
+    # at the floor, a Psi' past float64 and two domain errors
     draws += [(170.0, 1.5, [64.0, 9.0, 0.5]), (175.0, 1.0, [2.0]), (0.5, 1.0, _z_grid(40, 0.01, 2000.0)),
               (2.5, 1.75, [1e-200]), (0.0, 1.0, [1.0]), (1.0, 0.5, [1.0])]
+    # Psi growing past 2^1023 along the sweep, whose power of two moves
+    draws += [(106.83713198668079, 83.05340885128872, [1.0, 0.5, 1.5890519283755537e-4]),
+              (96.32271919659243, 41.98056400761075, [9.153967413765684e-10])]
     assert 0.6 < _compare(draws, specfun.tricomi_psi_on, ref.tricomi_psi_on) < 1.0
 
 
